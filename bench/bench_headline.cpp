@@ -154,6 +154,9 @@ main(int argc, char **argv)
         Env env(tuna);
         DbConfig config;
         config.walMode = WalMode::Nvwal;
+        // The paper's ~4.9 frames/block counts one bounding-range
+        // frame per page (section 3.3).
+        config.nvwal.diffGranularity = DiffGranularity::SingleRange;
         config.autoCheckpoint = false;
         std::unique_ptr<Database> db;
         NVWAL_CHECK_OK(Database::open(env, config, &db));

@@ -47,6 +47,11 @@ main()
                 db_config.walMode = WalMode::Nvwal;
                 db_config.nvwal.syncMode = SyncMode::Lazy;
                 db_config.nvwal.diffLogging = diff;
+                // The paper's formulation: one bounding range per
+                // page (section 3.2), not the engine's multi-range
+                // default.
+                db_config.nvwal.diffGranularity =
+                    DiffGranularity::SingleRange;
                 db_config.nvwal.userHeap = true;
 
                 WorkloadSpec spec;

@@ -311,12 +311,17 @@ class FrameIndex
     attachLeaf(CommitSeq seq)
     {
         if (_root == nullptr) {
-            _root = allocNode();
+            // Size a fresh root to cover seq outright: growing an
+            // empty root upward would leave an empty interior node
+            // at child 0, which floor lookups must never descend to.
             _height = 1;
+            while (!covers(seq))
+                ++_height;
+            _root = allocNode();
         }
         while (!covers(seq)) {
-            // Grow upward: the old root becomes child 0 of a new
-            // root, since it always covers [0, 16^height).
+            // Grow upward: the old (non-empty) root becomes child 0
+            // of a new root, since it always covers [0, 16^height).
             Node *root = allocNode();
             root->child[0] = _root;
             _root = root;

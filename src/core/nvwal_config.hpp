@@ -44,15 +44,16 @@ enum class DiffGranularity
     /**
      * One frame per page covering the bounding dirty range, i.e.
      * "truncate the preceding and trailing clean regions" -- the
-     * paper's formulation (section 3.2). This reproduces the
-     * paper's ~4.9 frames per 8 KB block and its Table 2 savings.
+     * paper's formulation (section 3.2). The paper-reproduction
+     * setting: the benches that reproduce the paper's frames per
+     * 8 KB block, Table 2 and Figure 7 select it explicitly.
      */
     SingleRange,
     /**
-     * One frame per disjoint dirty range (an extension beyond the
-     * paper): a B-tree insert dirties the header/pointer area and
-     * the appended cell but not the clean span between them, so
-     * multi-range frames log considerably fewer bytes.
+     * One frame per disjoint dirty range (the default): a B-tree
+     * insert dirties the header/pointer area and the appended cell
+     * but not the clean span between them, so multi-range frames log
+     * -- and flush -- considerably fewer bytes (DESIGN.md §15).
      */
     MultiRange,
 };
@@ -66,7 +67,7 @@ struct NvwalConfig
     bool diffLogging = true;
 
     /** Frame granularity used when diffLogging is on. */
-    DiffGranularity diffGranularity = DiffGranularity::SingleRange;
+    DiffGranularity diffGranularity = DiffGranularity::MultiRange;
 
     /**
      * User-level heap management (section 3.3): pre-allocate

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 namespace nvwal
 {
@@ -37,10 +38,47 @@ NvwalLog::NvwalLog(NvHeap &heap, Pmem &pmem, DbFile &db_file,
       _commitMarkHist(stats.histogram(stats::kHistCommitMarkNs)),
       _checkpointHist(stats.histogram(stats::kHistCheckpointNs)),
       _recoverHist(stats.histogram(stats::kHistRecoverNs)),
-      _name("NVWAL " + config.schemeName())
+      _name("NVWAL " + config.schemeName()),
+      _chainSeed(chainSeed(config.heapNamespace)), _chain(_chainSeed)
 {
     NVWAL_ASSERT(page_size <= 0xffff,
                  "frame headers store 16-bit sizes/offsets");
+}
+
+std::uint64_t
+NvwalLog::chainSeed(const std::string &heap_namespace)
+{
+    return fnv1a64(ConstByteSpan(
+        reinterpret_cast<const std::uint8_t *>(heap_namespace.data()),
+        heap_namespace.size()));
+}
+
+void
+NvwalLog::resetSinceCheckpoint()
+{
+    _chain = CumulativeChecksum(_chainSeed);
+    _framesSinceCheckpoint = 0;
+    _pageWritesSinceCheckpoint = 0;
+    _nodesSinceCheckpoint = 0;
+}
+
+std::uint64_t
+NvwalLog::countPageWrites(std::vector<FrameRef>::const_iterator begin,
+                          std::vector<FrameRef>::const_iterator end)
+{
+    std::uint64_t writes = 0;
+    for (auto it = begin; it != end; ++it)
+        if (it == begin || it->pageNo != std::prev(it)->pageNo)
+            ++writes;
+    return writes;
+}
+
+void
+NvwalLog::noteCommitted(std::vector<FrameRef>::const_iterator begin,
+                        std::vector<FrameRef>::const_iterator end)
+{
+    _framesSinceCheckpoint += static_cast<std::uint64_t>(end - begin);
+    _pageWritesSinceCheckpoint += countPageWrites(begin, end);
 }
 
 void
@@ -358,7 +396,7 @@ NvwalLog::writeFrames(const std::vector<FrameWrite> &frames, bool commit,
         if (_ckptRoundActive)
             _ckptPending.insert(ref.pageNo);
     }
-    _framesSinceCheckpoint += _pendingRefs.size();
+    noteCommitted(_pendingRefs.begin(), _pendingRefs.end());
     _pendingRefs.clear();
     _dbSizePages = db_size_pages;
     return Status::ok();
@@ -528,11 +566,11 @@ NvwalLog::writeFrameGroupAsync(const std::vector<TxnFrames> &txns)
             if (_ckptRoundActive)
                 _ckptPending.insert(refs[i].pageNo);
         }
+        noteCommitted(refs.begin() + begin, refs.begin() + end);
         begin = end;
     }
     for (const FrameRef &ref : refs)
         deferSyncRef(ref);
-    _framesSinceCheckpoint += refs.size();
     _dbSizePages = txns.back().dbSizePages;
     return Status::ok();
 }
@@ -570,7 +608,7 @@ NvwalLog::writeTxnEpoch(const TxnFrames &txn, std::uint64_t epoch)
     ++_commitSeq;
     for (const FrameRef &ref : refs)
         deferSyncRef(ref);
-    _framesSinceCheckpoint += refs.size();
+    noteCommitted(refs.begin(), refs.end());
     _dbSizePages = txn.dbSizePages;
     return Status::ok();
 }
@@ -629,13 +667,11 @@ NvwalLog::truncateAll()
     _indexedFrames = 0;
     publishIndexGauge();
     clearImageCache();
-    _chain.reset();
+    resetSinceCheckpoint();
     _tailNode = kNullNvOffset;
     _tailUsed = 0;
     _tailCapacity = 0;
     _linkFieldOff = firstNodeFieldOff();
-    _framesSinceCheckpoint = 0;
-    _nodesSinceCheckpoint = 0;
     _unhardenedRuns.clear();
     _flushCandidateSeq = _commitSeq;
     _hardenedSeq = _commitSeq;
@@ -726,7 +762,9 @@ NvwalLog::writeFrameGroup(const std::vector<TxnFrames> &txns)
         }
         begin = end;
     }
-    _framesSinceCheckpoint += refs.size();
+    // Counted over the whole group, the unit recovery sees: a page
+    // that ends one transaction and starts the next is one write.
+    noteCommitted(refs.begin(), refs.end());
     _dbSizePages = txns.back().dbSizePages;
     return Status::ok();
 }
@@ -807,7 +845,7 @@ NvwalLog::applyDecision(std::uint64_t gtid, bool commit)
             if (_ckptRoundActive)
                 _ckptPending.insert(ref.pageNo);
         }
-        _framesSinceCheckpoint += it->second.refs.size();
+        noteCommitted(it->second.refs.begin(), it->second.refs.end());
         _dbSizePages = it->second.dbSizePages;
     }
     // Aborted frames stay as dead bytes until truncation; they are
@@ -1273,13 +1311,11 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
             it = _pageIndex.erase(it);
     }
     publishIndexGauge();
-    _chain.reset();
+    resetSinceCheckpoint();
     _tailNode = kNullNvOffset;
     _tailUsed = 0;
     _tailCapacity = 0;
     _linkFieldOff = firstNodeFieldOff();
-    _framesSinceCheckpoint = 0;
-    _nodesSinceCheckpoint = 0;
     _stats.add(stats::kCheckpoints);
     return Status::ok();
 }
@@ -1302,9 +1338,7 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
     // key could collide with a *different* post-recovery commit;
     // the cache must not survive recovery.
     clearImageCache();
-    _chain.reset();
-    _framesSinceCheckpoint = 0;
-    _nodesSinceCheckpoint = 0;
+    resetSinceCheckpoint();
     _dbSizePages = 0;
     _tailNode = kNullNvOffset;
     _tailUsed = 0;
@@ -1372,6 +1406,7 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
     bool any_mark = false;
     std::uint32_t recovered_db_size = 0;
     std::uint64_t epoch_frames = 0;
+    std::uint64_t page_writes = 0;
     std::vector<FrameRef> pending;
     std::vector<FrameRef> committed;
     ByteBuffer payload(_pageSize);
@@ -1398,7 +1433,7 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
 
     NvOffset link_field = firstNodeFieldOff();
     NvOffset node = dev.readU64(link_field);
-    CumulativeChecksum chain;
+    CumulativeChecksum chain(_chainSeed);
     while (node != kNullNvOffset) {
         if (_heap.blockStateAt(node) != BlockState::InUse) {
             // Dangling reference to a block the heap reclaimed
@@ -1504,6 +1539,9 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
                                 const CommitSeq seq = ++_commitSeq;
                                 for (FrameRef &ref : it->second.refs)
                                     ref.seq = seq;
+                                page_writes += countPageWrites(
+                                    it->second.refs.begin(),
+                                    it->second.refs.end());
                                 committed.insert(
                                     committed.end(),
                                     it->second.refs.begin(),
@@ -1536,6 +1574,8 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
                             ref.pageNo, ref.pageOffset, ref.size,
                             ref.off + kFrameHeaderSize});
                     epoch_frames += pending.size();
+                    page_writes +=
+                        countPageWrites(pending.begin(), pending.end());
                     pending.clear();
                     recovered_db_size = txn.dbSizePages;
                     _recoveredEpochTxns.push_back(std::move(txn));
@@ -1547,6 +1587,8 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
                     const CommitSeq seq = ++_commitSeq;
                     for (FrameRef &ref : pending)
                         ref.seq = seq;
+                    page_writes +=
+                        countPageWrites(pending.begin(), pending.end());
                     committed.insert(committed.end(), pending.begin(),
                                      pending.end());
                     pending.clear();
@@ -1582,6 +1624,7 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
             indexFrame(ref);
         _framesSinceCheckpoint =
             _config.epochMarks ? epoch_frames : committed.size();
+        _pageWritesSinceCheckpoint = page_writes;
 
         // Erase the frame header slot right after the last durable
         // mark. The tail may hold a torn (or merely uncommitted)

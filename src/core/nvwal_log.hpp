@@ -28,7 +28,9 @@
  *         chained across all frames since the last checkpoint, so
  *         recovery detects any torn or missing prefix (and gives the
  *         ChecksumAsync variant its probabilistic commit validity,
- *         section 4.2).
+ *         section 4.2). The chain starts at chainSeed() of the log's
+ *         heap namespace, so logs sharing one heap never validate
+ *         each other's frames in a reused block.
  *
  * Commit protocol (Algorithm 1): frames are memcpy'd into NVRAM,
  * synchronized per the SyncMode, and only then is the last frame's
@@ -75,7 +77,7 @@ namespace nvwal
 class NvwalLog : public WriteAheadLog
 {
   public:
-    static constexpr std::uint64_t kMagic = 0x3130304c4157564eULL;
+    static constexpr std::uint64_t kMagic = 0x3230304c4157564eULL;
     static constexpr std::uint32_t kFrameHeaderSize = 32;
     static constexpr std::uint32_t kNodeHeaderSize = 8;
     static constexpr std::uint64_t kCommitFlag = 1ULL << 63;
@@ -114,7 +116,19 @@ class NvwalLog : public WriteAheadLog
     Status recover(std::uint32_t *db_size_pages) override;
     std::uint64_t framesSinceCheckpoint() const override
     { return _framesSinceCheckpoint; }
+    std::uint64_t pageWritesSinceCheckpoint() const override
+    { return _pageWritesSinceCheckpoint; }
     const char *name() const override { return _name.c_str(); }
+
+    /**
+     * Where a log's cumulative checksum chain starts after every
+     * truncation: FNV-1a 64 of its heap namespace. Logs sharing one
+     * heap (shards, multi-writer slots) all restart their chains
+     * after truncations with colliding checkpoint ids; a common seed
+     * would let one log validate another's stale frames in a block
+     * it reused.
+     */
+    static std::uint64_t chainSeed(const std::string &heap_namespace);
 
     // ---- two-phase commit (DESIGN.md §10) --------------------------
 
@@ -395,6 +409,28 @@ class NvwalLog : public WriteAheadLog
     /** Drop the whole cache (recovery). */
     void clearImageCache();
 
+    /**
+     * Page writes in one commit unit's data frames: every maximal run
+     * of consecutive frames of one page is one write. logTxnFrames
+     * emits all of a page's ranges back to back, so this is one per
+     * page per transaction, whatever the diff format -- and recovery
+     * recomputes exactly the same count from the surviving frames.
+     */
+    static std::uint64_t
+    countPageWrites(std::vector<FrameRef>::const_iterator begin,
+                    std::vector<FrameRef>::const_iterator end);
+
+    /** Count @p refs as committed frames and page writes. */
+    void noteCommitted(std::vector<FrameRef>::const_iterator begin,
+                       std::vector<FrameRef>::const_iterator end);
+
+    /**
+     * Restart the checksum chain at _chainSeed and zero the
+     * since-checkpoint frame, page-write and node counters
+     * (truncation and recovery).
+     */
+    void resetSinceCheckpoint();
+
     /** Apply one committed frame to the volatile page index. */
     void indexFrame(const FrameRef &ref);
 
@@ -472,8 +508,16 @@ class NvwalLog : public WriteAheadLog
     std::uint32_t _tailCapacity = 0;      //!< tail node total bytes
     /** NVRAM offset of the link field to store the next node into. */
     NvOffset _linkFieldOff = kNullNvOffset;
+    /** chainSeed(heapNamespace), where _chain restarts. */
+    std::uint64_t _chainSeed;
     CumulativeChecksum _chain;
+    /** Committed frames on media since the last truncation. */
     std::uint64_t _framesSinceCheckpoint = 0;
+    /**
+     * Committed page writes since the last truncation (see
+     * countPageWrites); the auto-checkpoint trigger's unit.
+     */
+    std::uint64_t _pageWritesSinceCheckpoint = 0;
     std::uint64_t _nodesSinceCheckpoint = 0;
     std::uint32_t _dbSizePages = 0;
     /**

@@ -885,7 +885,7 @@ Database::submitAndWait(GroupEntry *entry,
 Status
 Database::maybeCheckpointAfterCommit()
 {
-    if (_wal->framesSinceCheckpoint() < _config.checkpointThreshold)
+    if (_wal->pageWritesSinceCheckpoint() < _config.checkpointThreshold)
         return Status::ok();
     if (_config.backgroundCheckpointer) {
         kickCheckpointer();
@@ -1438,12 +1438,12 @@ Database::checkpointStep(std::uint32_t max_pages, bool *done)
 }
 
 std::uint64_t
-Database::walFramesSinceCheckpoint() const
+Database::walPageWritesSinceCheckpoint() const
 {
     if (_mwActive)
-        return _mwFramesSinceCkpt.load(std::memory_order_relaxed);
+        return _mwPageWritesSinceCkpt.load(std::memory_order_relaxed);
     std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-    return _wal->framesSinceCheckpoint();
+    return _wal->pageWritesSinceCheckpoint();
 }
 
 std::uint64_t
@@ -1838,7 +1838,7 @@ Database::mwActivate(const StatsSnapshot &stats_before)
     _mwPoisoned = Status::ok();
     _mwTxnSeq = 0;
     _mwPageCursor.store(db_size, std::memory_order_relaxed);
-    _mwFramesSinceCkpt.store(0, std::memory_order_relaxed);
+    _mwPageWritesSinceCkpt.store(0, std::memory_order_relaxed);
 
     // Rebuild the forensics report with the merge facts: the deltas
     // recomputed here include the per-connection logs' recovery work.
@@ -2073,8 +2073,8 @@ Database::mwCommitWorkspace(std::uint32_t slot_no, MwWorkspace &ws,
         window_harden =
             published_floor - _mwHardened > _config.asyncMaxEpochs;
     }
-    _mwFramesSinceCkpt.fetch_add(dirty.size(),
-                                 std::memory_order_relaxed);
+    _mwPageWritesSinceCkpt.fetch_add(dirty.size(),
+                                     std::memory_order_relaxed);
 
     Status harden = Status::ok();
     const bool wait_for_harden =
@@ -2158,7 +2158,7 @@ Database::mwMaybeCheckpoint()
 {
     if (!_config.autoCheckpoint)
         return;
-    if (_mwFramesSinceCkpt.load(std::memory_order_relaxed) <
+    if (_mwPageWritesSinceCkpt.load(std::memory_order_relaxed) <
         _config.checkpointThreshold)
         return;
     std::unique_lock<std::mutex> ck(_mwCkptMutex, std::try_to_lock);
@@ -2264,18 +2264,23 @@ Database::mwCheckpointLocked()
                        target, slot.log->checkpointId());
         }
     }
-    std::uint64_t remaining = 0;
+    // The trigger counts page writes, as the commit path adds them;
+    // the recorder keeps logging frames on media.
+    std::uint64_t remaining_writes = 0;
+    std::uint64_t remaining_frames = 0;
     for (const auto &slot : _mwSlots) {
         std::lock_guard<std::mutex> sl(slot->mutex);
-        remaining += slot->log->framesSinceCheckpoint();
+        remaining_writes += slot->log->pageWritesSinceCheckpoint();
+        remaining_frames += slot->log->framesSinceCheckpoint();
     }
-    _mwFramesSinceCkpt.store(remaining, std::memory_order_relaxed);
+    _mwPageWritesSinceCkpt.store(remaining_writes,
+                                 std::memory_order_relaxed);
     _env.stats.add(stats::kCheckpoints);
     {
         std::lock_guard<std::mutex> mw(_mwMutex);
         mwFrRecord(FrRecordType::CheckpointEnd, 0, 1,
                    static_cast<std::uint32_t>(_mwGeneration), target,
-                   remaining);
+                   remaining_frames);
     }
     return Status::ok();
 }

@@ -146,7 +146,13 @@ struct DbConfig
      * section 5.4, also applied to NVWAL).
      */
     std::optional<std::uint32_t> reservedBytes;
-    /** Auto-checkpoint threshold in frames (SQLite default: 1000). */
+    /**
+     * Auto-checkpoint threshold in page writes -- one per page per
+     * committed transaction, SQLite's meaning of a WAL "frame"
+     * (SQLite default: 1000). Not in NVWAL frames: a diff-logged page
+     * may ship as several range frames (NvwalConfig::diffGranularity),
+     * and the checkpoint cadence must not depend on that split.
+     */
     std::uint64_t checkpointThreshold = 1000;
     bool autoCheckpoint = true;
     /**
@@ -160,9 +166,9 @@ struct DbConfig
     /**
      * Run a background checkpointer thread that drains the log with
      * incremental checkpointStep() rounds whenever a commit pushes
-     * framesSinceCheckpoint() past checkpointThreshold, so foreground
-     * commits never absorb the write-back. While it runs, the
-     * in-commit auto-checkpoint is replaced by a wakeup of the
+     * pageWritesSinceCheckpoint() past checkpointThreshold, so
+     * foreground commits never absorb the write-back. While it runs,
+     * the in-commit auto-checkpoint is replaced by a wakeup of the
      * thread. Snapshot pins bound its progress (the WAL refuses to
      * truncate past the oldest pin).
      */
@@ -481,12 +487,13 @@ class Database
     const DbConfig &config() const { return _config; }
 
     /**
-     * Engine-locked view of WAL frames not yet checkpointed: safe to
-     * poll from any thread, e.g. to watch the background checkpointer
-     * drain. wal().framesSinceCheckpoint() gives the same number but
-     * is only safe while nothing else runs.
+     * Engine-locked view of WAL page writes not yet checkpointed --
+     * the unit checkpointThreshold counts: safe to poll from any
+     * thread, e.g. to watch the background checkpointer drain.
+     * wal().pageWritesSinceCheckpoint() gives the same number (in
+     * single-writer mode) but is only safe while nothing else runs.
      */
-    std::uint64_t walFramesSinceCheckpoint() const;
+    std::uint64_t walPageWritesSinceCheckpoint() const;
 
     /** Engine-locked read of a metrics counter (see statValue note). */
     std::uint64_t statValue(const std::string &name) const;
@@ -983,8 +990,8 @@ class Database
 
     /** Shared page-number cursor (= current db size in pages). */
     std::atomic<std::uint32_t> _mwPageCursor{0};
-    /** Write-set frames appended since the last checkpoint round. */
-    std::atomic<std::uint64_t> _mwFramesSinceCkpt{0};
+    /** Write-set page writes since the last checkpoint round. */
+    std::atomic<std::uint64_t> _mwPageWritesSinceCkpt{0};
     std::atomic<std::uint64_t> _engineGeneration{0};
 
     /** Root of the default table (resolved once at activation; DDL is

@@ -32,7 +32,8 @@ collectNvwalMediaReport(Env &env, std::uint32_t page_size,
 
     // Walk the node chain, mirroring the frame format of
     // core/nvwal_log.hpp (independent implementation, see header).
-    CumulativeChecksum chain;
+    // The chain starts at the log's per-namespace seed.
+    CumulativeChecksum chain(NvwalLog::chainSeed(heap_namespace));
     ByteBuffer payload(page_size);
     NvOffset node = dev.readU64(header_off + 24);
     bool chain_broken = false;

@@ -195,6 +195,19 @@ class WriteAheadLog
     /** Committed frames appended since the last checkpoint. */
     virtual std::uint64_t framesSinceCheckpoint() const = 0;
 
+    /**
+     * Committed page writes since the last checkpoint: one per page
+     * per committed transaction, however many frames the log split
+     * it into -- SQLite's meaning of a WAL "frame", and the unit of
+     * DbConfig::checkpointThreshold. Full-page logs write exactly
+     * one frame per page write.
+     */
+    virtual std::uint64_t
+    pageWritesSinceCheckpoint() const
+    {
+        return framesSinceCheckpoint();
+    }
+
     /** Scheme name for reports (e.g. "WAL", "NVWAL UH+LS+Diff"). */
     virtual const char *name() const = 0;
 

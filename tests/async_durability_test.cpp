@@ -226,10 +226,25 @@ TEST(AsyncDurability, PessimisticCrashRecoversHardenedPrefix)
         NVWAL_CHECK_OK(db->commit(Durability::Async));
     }
     NVWAL_CHECK_OK(db->flushAsyncCommits());
-    // At-risk suffix: keys 4..6 acked, never hardened.
+    // At-risk suffix: keys 4..6 acked, never hardened. Each
+    // transaction also inserts six 500-byte filler rows, so the
+    // suffix tears at a known spot under multi-range diff frames.
+    // Key 4's transaction fills the leaf, and the adaptive rule ships
+    // it as ONE full-page frame carrying its commit mark, at the head
+    // of a fresh log node. Key 5's split then writes more fresh pages
+    // than that node has left, so the log links another node, and
+    // the link's persist flushes the first line of key 4's node: the
+    // mark lands on media, the page payload does not.
+    constexpr int kFillers = 6;
+    const auto fillerKey = [](RowId k, int j) {
+        return static_cast<RowId>(1000 * k + j);
+    };
     for (RowId k = 4; k <= 6; ++k) {
         NVWAL_CHECK_OK(db->begin());
-        NVWAL_CHECK_OK(db->insert(k, testutil::makeValue(48, k)));
+        NVWAL_CHECK_OK(db->insert(k, testutil::makeValue(500, k)));
+        for (int j = 0; j < kFillers; ++j)
+            NVWAL_CHECK_OK(db->insert(fillerKey(k, j),
+                                      testutil::makeValue(500, k)));
         NVWAL_CHECK_OK(db->commit(Durability::Async));
     }
     EXPECT_EQ(db->asyncAcksPending(), 3u);
@@ -243,8 +258,12 @@ TEST(AsyncDurability, PessimisticCrashRecoversHardenedPrefix)
         NVWAL_CHECK_OK(db->get(k, &out));
     }
     ByteBuffer out;
-    for (RowId k = 4; k <= 6; ++k)
+    for (RowId k = 4; k <= 6; ++k) {
         EXPECT_TRUE(db->get(k, &out).isNotFound()) << "key " << k;
+        for (int j = 0; j < kFillers; ++j)
+            EXPECT_TRUE(db->get(fillerKey(k, j), &out).isNotFound())
+                << "filler " << fillerKey(k, j);
+    }
     // Recovery classified (and counted) what it discarded.
     EXPECT_GT(db->statValue(stats::kWalTornFramesDetected) +
                   db->statValue(stats::kWalRecoveryFramesDiscarded),

@@ -120,7 +120,7 @@ TEST(Concurrency, PinnedSnapshotBlocksTruncationThenDrains)
         NVWAL_CHECK_OK(db->checkpointStep(0, &done));
     EXPECT_TRUE(done);
     EXPECT_GE(db->statValue(stats::kCheckpointsPinBlocked), 1u);
-    EXPECT_GT(db->walFramesSinceCheckpoint(), 0u);
+    EXPECT_GT(db->walPageWritesSinceCheckpoint(), 0u);
 
     // The snapshot still reads exactly its pinned state.
     std::uint64_t n = 0;
@@ -138,7 +138,7 @@ TEST(Concurrency, PinnedSnapshotBlocksTruncationThenDrains)
     for (int round = 0; round < 100 && !done; ++round)
         NVWAL_CHECK_OK(db->checkpointStep(0, &done));
     EXPECT_TRUE(done);
-    EXPECT_EQ(db->walFramesSinceCheckpoint(), 0u);
+    EXPECT_EQ(db->walPageWritesSinceCheckpoint(), 0u);
     NVWAL_CHECK_OK(db->count(&n));
     EXPECT_EQ(n, 20u);
     NVWAL_CHECK_OK(db->verifyIntegrity());
@@ -363,11 +363,13 @@ TEST(Concurrency, BackgroundCheckpointerDrainsWhileCommitting)
     // the last few commits may land below the kick threshold).
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (db->walFramesSinceCheckpoint() >= config.checkpointThreshold &&
+    while (db->walPageWritesSinceCheckpoint() >=
+               config.checkpointThreshold &&
            std::chrono::steady_clock::now() < deadline)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
-    EXPECT_LT(db->walFramesSinceCheckpoint(), config.checkpointThreshold);
+    EXPECT_LT(db->walPageWritesSinceCheckpoint(),
+              config.checkpointThreshold);
     EXPECT_GT(db->statValue(stats::kCheckpointerSteps), 0u);
     std::uint64_t n = 0;
     NVWAL_CHECK_OK(db->count(&n));

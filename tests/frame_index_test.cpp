@@ -132,6 +132,38 @@ TEST(FrameIndex, HeightGrowsWithSequenceRange)
               (std::vector<CommitSeq>{1, 100000}));
 }
 
+TEST(FrameIndex, FirstSeqPastOneLevelBuildsNoEmptyInteriorNode)
+{
+    // An empty index whose first sequence needs two levels used to
+    // grow its empty one-level root upward, stranding an empty
+    // interior node at child 0; a floor lookup below the first leaf
+    // then asserted inside maxIn ("interior radix node with no
+    // children").
+    FrameIndex index;
+    index.insert(40, slot(400), false);
+    // Root (two levels) + one level-1 node + the leaf.
+    EXPECT_EQ(index.nodeCount(), 3u);
+    std::uint64_t steps = 0;
+    EXPECT_EQ(index.findVisible(5, &steps), nullptr);
+    EXPECT_EQ(index.findVisible(20, &steps), nullptr);
+    EXPECT_EQ(index.findVisible(39, &steps), nullptr);
+    ASSERT_NE(index.findVisible(40, &steps), nullptr);
+    EXPECT_EQ(index.findVisible(40, &steps)->seq, 40u);
+
+    // The same after a prune empties the index and it regrows.
+    FrameIndex regrown;
+    for (CommitSeq s = 1; s <= 10; ++s)
+        regrown.insert(s, slot(s * 10), false);
+    regrown.pruneThrough(10);
+    ASSERT_TRUE(regrown.empty());
+    regrown.insert(300, slot(3000), false);
+    EXPECT_EQ(regrown.nodeCount(), 4u);
+    EXPECT_EQ(regrown.findVisible(5, &steps), nullptr);
+    EXPECT_EQ(regrown.findVisible(20, &steps), nullptr);
+    EXPECT_EQ(regrown.findVisible(299, &steps), nullptr);
+    EXPECT_EQ(regrown.findVisible(300, &steps)->seq, 300u);
+}
+
 TEST(FrameIndex, ForRangeVisitsAscendingWithinBounds)
 {
     FrameIndex index;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Coverage for smaller surfaces: the multi-range differential
- * logging extension (correctness + crash safety), block-device
+ * Coverage for smaller surfaces: multi-range differential logging
+ * (correctness, crash safety, checkpoint cadence), block-device
  * tracing, Env power-failure wiring, and DbFile paging.
  */
 
@@ -120,6 +120,65 @@ TEST(MultiRangeDiff, CrashSweepStaysAtomic)
     NVWAL_CHECK_OK(faultsim::CrashSweep(config).run(&report));
     EXPECT_TRUE(report.ok()) << report.summary();
     EXPECT_GT(report.crashes, 0u);
+}
+
+TEST(MultiRangeDiff, CheckpointCadenceIgnoresDiffFormat)
+{
+    // The auto-checkpoint trigger counts page writes (one per page per
+    // committed transaction), not frames: multi-range frames split a
+    // page into several frames, and that split must not change when
+    // checkpoints run or how much the flash device writes.
+    struct Run
+    {
+        std::uint64_t checkpoints = 0;
+        std::uint64_t blocksWritten = 0;
+        std::uint64_t frames = 0;
+        std::uint64_t pageWrites = 0;
+    };
+    auto runFor = [](DiffGranularity granularity) {
+        Env env(smallEnv());
+        DbConfig config;
+        config.walMode = WalMode::Nvwal;
+        config.nvwal.diffGranularity = granularity;
+        config.checkpointThreshold = 40;
+        std::unique_ptr<Database> db;
+        NVWAL_CHECK_OK(Database::open(env, config, &db));
+        Rng rng(23);
+        for (int txn = 0; txn < 150; ++txn) {
+            NVWAL_CHECK_OK(db->begin());
+            for (int op = 0; op < 3; ++op) {
+                const RowId key = static_cast<RowId>(rng.nextBelow(400));
+                const ByteBuffer v =
+                    testutil::makeValue(20 + rng.nextBelow(200), rng.next());
+                if (db->update(key, testutil::spanOf(v)).isNotFound())
+                    NVWAL_CHECK_OK(db->insert(key, testutil::spanOf(v)));
+            }
+            NVWAL_CHECK_OK(db->commit());
+        }
+        Run run;
+        run.checkpoints = env.stats.get(stats::kCheckpoints);
+        run.blocksWritten = env.stats.get(stats::kBlocksWritten);
+        run.frames = db->wal().framesSinceCheckpoint();
+        run.pageWrites = db->wal().pageWritesSinceCheckpoint();
+        EXPECT_GT(run.pageWrites, 0u);
+
+        // Every commit was Sync, so a power failure loses nothing: the
+        // recovered log must report the same frames and page writes.
+        env.powerFail(FailurePolicy::Pessimistic);
+        NVWAL_CHECK_OK(Database::recoverAfterCrash(env, config, &db));
+        EXPECT_EQ(db->wal().framesSinceCheckpoint(), run.frames);
+        EXPECT_EQ(db->wal().pageWritesSinceCheckpoint(), run.pageWrites);
+        return run;
+    };
+    const Run single = runFor(DiffGranularity::SingleRange);
+    const Run multi = runFor(DiffGranularity::MultiRange);
+    EXPECT_GT(single.checkpoints, 2u);
+    EXPECT_EQ(multi.checkpoints, single.checkpoints);
+    EXPECT_EQ(multi.blocksWritten, single.blocksWritten);
+    EXPECT_EQ(multi.pageWrites, single.pageWrites);
+    // The two formats really did split pages differently.
+    EXPECT_GT(multi.frames, single.frames);
+    EXPECT_EQ(single.frames, single.pageWrites);
 }
 
 TEST(BlockDeviceTrace, RecordsTaggedWrites)

@@ -3,14 +3,17 @@
  * Sharded engine tests: config validation, routing determinism and
  * rebalance-free reopen, single- and cross-shard atomic transactions,
  * in-doubt recovery resolution, and the exhaustive cross-shard crash
- * sweep against the shadow-model oracle (DESIGN.md §10).
+ * sweep against the shadow-model oracle (DESIGN.md §10), and per-log
+ * checksum-chain seeding for logs that share one NVRAM heap.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
 
+#include "core/nvwal_log.hpp"
 #include "faultsim/shard_sweep.hpp"
 #include "shard/sharded_connection.hpp"
 #include "shard/sharded_database.hpp"
@@ -533,6 +536,94 @@ TEST(ShardCrash, ChecksumAsyncCrossShardSweepIsStrict)
     EXPECT_EQ(report.pointsSwept, report.totalOps);
     EXPECT_GT(report.indoubtResolved, 0u);
     EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+TEST(NvwalSharedHeap, ReusedBlockNeverValidatesAnotherLogsFrames)
+{
+    constexpr std::uint32_t kPageSize = 4096;
+    constexpr std::uint32_t kReserved = 24;
+    // Regression: logs sharing one heap (shards, multi-writer slots)
+    // all restarted their checksum chains at 0 and their checkpoint
+    // ids collide. Log A commits, truncates (its id moves to 1) and
+    // frees its node; log B (still at id 0) then links that very
+    // block. A crash after the link lands but before B's first frame
+    // does left A's stale, chain-valid, commit-marked frames as the
+    // head of B's chain, and B's recovery committed them. Every log
+    // now seeds its chain per heap namespace. Sweep every device op
+    // of B's first commit; B must never index a frame it did not
+    // commit.
+    bool completed = false;
+    std::uint64_t window_hits = 0;
+    for (std::uint64_t at = 1; !completed; ++at) {
+        EnvConfig env_config;
+        env_config.cost = CostModel::tuna(500);
+        Env env(env_config);
+        DbFile a_file(env.fs, "a.db", kPageSize);
+        DbFile b_file(env.fs, "b.db", kPageSize);
+        NVWAL_CHECK_OK(a_file.open());
+        NVWAL_CHECK_OK(b_file.open());
+        NvwalConfig a_config;
+        a_config.heapNamespace = "nvwal-a";
+        NvwalConfig b_config;
+        b_config.heapNamespace = "nvwal-b";
+        std::uint32_t db_size = 0;
+
+        NvwalLog a(env.heap, env.pmem, a_file, kPageSize, kReserved,
+                   a_config, env.stats);
+        NVWAL_CHECK_OK(a.recover(&db_size));
+        auto b = std::make_unique<NvwalLog>(env.heap, env.pmem, b_file,
+                                            kPageSize, kReserved,
+                                            b_config, env.stats);
+        NVWAL_CHECK_OK(b->recover(&db_size));
+
+        ByteBuffer page = testutil::makeValue(kPageSize, 5);
+        std::memset(page.data() + kPageSize - kReserved, 0, kReserved);
+        DirtyRanges ranges;
+        ranges.mark(0, 200);
+        std::vector<FrameWrite> frames{
+            FrameWrite{3, testutil::spanOf(page), &ranges}};
+        NVWAL_CHECK_OK(a.writeFrames(frames, true, 3));
+        NvOffset a_header = kNullNvOffset;
+        NVWAL_CHECK_OK(env.heap.getRoot("nvwal-a", &a_header));
+        const NvOffset a_node = env.nvramDevice.readU64(a_header + 24);
+        NVWAL_CHECK_OK(a.checkpoint());
+        ASSERT_EQ(a.checkpointId(), b->checkpointId() + 1);
+
+        env.nvramDevice.setScheduledCrashPolicy(
+            FailurePolicy::Pessimistic);
+        env.nvramDevice.scheduleCrashAtOp(at);
+        bool crashed = false;
+        try {
+            NVWAL_CHECK_OK(b->writeFrames(frames, true, 3));
+            completed = true;
+        } catch (const PowerFailure &) {
+            crashed = true;
+        }
+        env.nvramDevice.scheduleCrashAtOp(0);
+        NvOffset b_header = kNullNvOffset;
+        NVWAL_CHECK_OK(env.heap.getRoot("nvwal-b", &b_header));
+        const NvOffset b_node = env.nvramDevice.readU64(b_header + 24);
+        if (completed) {
+            // B really did reuse A's freed block.
+            ASSERT_EQ(b_node, a_node);
+            break;
+        }
+        ASSERT_TRUE(crashed);
+        env.fs.crash();
+        NVWAL_CHECK_OK(env.heap.attach());
+        if (b_node == a_node &&
+            env.heap.blockStateAt(a_node) == BlockState::InUse)
+            ++window_hits;  // A's block is live at the head of B's chain
+
+        b = std::make_unique<NvwalLog>(env.heap, env.pmem, b_file,
+                                       kPageSize, kReserved, b_config,
+                                       env.stats);
+        NVWAL_CHECK_OK(b->recover(&db_size));
+        EXPECT_EQ(b->commitSeq(), 0u) << "op " << at;
+        EXPECT_EQ(b->indexedFrames(), 0u) << "op " << at;
+        EXPECT_EQ(db_size, 0u) << "op " << at;
+    }
+    EXPECT_GT(window_hits, 0u);
 }
 
 } // namespace
