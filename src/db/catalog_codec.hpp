@@ -1,9 +1,9 @@
 /**
  * @file
  * Wire format of one catalog entry (the rows of the table-catalog
- * B-tree rooted at the primary root page): [root u32][name bytes].
- * Shared by the Database (live catalog) and Connection (snapshot
- * catalog) code paths.
+ * B-tree rooted at the primary root page): [root u32][name bytes],
+ * and the decoding scan over a catalog tree. Shared by the Database
+ * (live catalog) and Connection (snapshot catalog) code paths.
  */
 
 #ifndef NVWAL_DB_CATALOG_CODEC_HPP
@@ -12,6 +12,7 @@
 #include <cstring>
 #include <string>
 
+#include "btree/btree.hpp"
 #include "common/types.hpp"
 
 namespace nvwal
@@ -35,6 +36,29 @@ decodeCatalogEntry(ConstByteSpan raw, PageNo *root, std::string *name)
     name->assign(reinterpret_cast<const char *>(raw.data()) + 4,
                  raw.size() - 4);
     return true;
+}
+
+/**
+ * Visit every entry of @p catalog in id order as
+ * visit(id, root, name), which returns false to stop early.
+ * Corruption when an entry does not decode.
+ */
+template <typename Visit>
+Status
+scanCatalog(BTree &catalog, const Visit &visit)
+{
+    Status decode_error = Status::ok();
+    NVWAL_RETURN_IF_ERROR(catalog.scan(
+        INT64_MIN, INT64_MAX, [&](RowId id, ConstByteSpan raw) {
+            PageNo root;
+            std::string name;
+            if (!decodeCatalogEntry(raw, &root, &name)) {
+                decode_error = Status::corruption("bad catalog entry");
+                return false;
+            }
+            return visit(id, root, name);
+        }));
+    return decode_error;
 }
 
 } // namespace nvwal

@@ -17,7 +17,8 @@ Connection::~Connection()
         (void)rollback();
     if (_snapshot)
         (void)endRead();
-    _db.releaseConnection(this);
+    if (!_root)
+        _db.releaseConnection();
 }
 
 void
@@ -117,42 +118,27 @@ Connection::endRead()
                                 _db._wal->pinCount());
     }
     _snapshot.reset();
-    _snapshotRoots.clear();
+    _snapshotRoot = kNoPage;
     _horizon = 0;
     return Status::ok();
 }
 
 Status
-Connection::snapshotRoot(const std::string &table, PageNo *root)
+Connection::defaultRoot(SnapshotCache &snap, PageNo *cached)
 {
-    NVWAL_ASSERT(_activeRead != nullptr);
-    auto it = _activeRoots->find(table);
-    if (it != _activeRoots->end()) {
-        *root = it->second;
+    if (*cached != kNoPage)
         return Status::ok();
-    }
-    BTree catalog(*_activeRead, _db._pager->rootPage());
-    bool found = false;
-    Status scan_error = Status::ok();
-    NVWAL_RETURN_IF_ERROR(catalog.scan(
-        INT64_MIN, INT64_MAX, [&](RowId, ConstByteSpan raw) {
-            PageNo entry_root;
-            std::string entry_name;
-            if (!decodeCatalogEntry(raw, &entry_root, &entry_name)) {
-                scan_error = Status::corruption("bad catalog entry");
-                return false;
-            }
-            if (entry_name == table) {
-                *root = entry_root;
-                found = true;
-                return false;
-            }
-            return true;
+    BTree catalog(snap, _db._pager->rootPage());
+    NVWAL_RETURN_IF_ERROR(scanCatalog(
+        catalog, [&](RowId, PageNo root, const std::string &name) {
+            if (name != Database::kDefaultTable)
+                return true;
+            *cached = root;
+            return false;
         }));
-    NVWAL_RETURN_IF_ERROR(scan_error);
-    if (!found)
-        return Status::notFound("no such table in snapshot: " + table);
-    (*_activeRoots)[table] = *root;
+    if (*cached == kNoPage)
+        return Status::notFound(std::string("no such table in snapshot: ") +
+                                Database::kDefaultTable);
     return Status::ok();
 }
 
@@ -161,7 +147,7 @@ Connection::resetCasualSnapshot(std::unique_ptr<SnapshotCache> snap,
                                 std::uint64_t horizon)
 {
     _casualSnap = std::move(snap);
-    _casualRoots.clear();
+    _casualRoot = kNoPage;
     _casualHorizon = horizon;
     _casualGen = _db.engineGeneration();
     _casualHitsFolded = 0;
@@ -184,6 +170,16 @@ Connection::foldCasualStats()
 
 template <typename Op>
 Status
+Connection::readSnapshot(SnapshotCache &snap, PageNo *root, const Op &op)
+{
+    NVWAL_RETURN_IF_ERROR(defaultRoot(snap, root));
+    _db.chargeStatement(0);
+    BTree tree(snap, *root);
+    return op(tree);
+}
+
+template <typename Op>
+Status
 Connection::casualReadMw(const Op &op)
 {
     // Pin for the statement's duration so the overlay keeps every
@@ -202,11 +198,7 @@ Connection::casualReadMw(const Op &op)
                 pages, _db._pager->rootPage(), std::move(fetch)),
             floor);
     }
-    _activeRead = _casualSnap.get();
-    _activeRoots = &_casualRoots;
-    const Status s = op();
-    _activeRead = nullptr;
-    _activeRoots = nullptr;
+    const Status s = readSnapshot(*_casualSnap, &_casualRoot, op);
     foldCasualStats();
     _db.mwUnpinRead(floor);
     return s;
@@ -224,9 +216,14 @@ Connection::casualReadSw(const Op &op)
     std::lock_guard<std::recursive_mutex> eng(_db._engineMutex);
     WriteAheadLog &wal = *_db._wal;
     if (!wal.supportsSnapshots()) {
-        return Status::unsupported(
-            "WAL mode has no snapshot support: " +
-            std::string(wal.name()));
+        // No snapshots (rollback journal): the shared pager holds
+        // exactly the committed state while no write transaction is
+        // open, and nothing else can be read consistently.
+        if (_db._inTxn)
+            return Status::busy(
+                "a write transaction is open and the WAL mode has no "
+                "snapshot support: " + std::string(wal.name()));
+        return onSharedPager(0, op);
     }
     const CommitSeq horizon = wal.commitSeq();
     if (!_casualSnap || _casualHorizon != horizon ||
@@ -251,86 +248,68 @@ Connection::casualReadSw(const Op &op)
                 pages, _db._pager->rootPage(), std::move(fetch)),
             horizon);
     }
-    _activeRead = _casualSnap.get();
-    _activeRoots = &_casualRoots;
-    const Status s = op();
-    _activeRead = nullptr;
-    _activeRoots = nullptr;
+    const Status s = readSnapshot(*_casualSnap, &_casualRoot, op);
     foldCasualStats();
     return s;
 }
 
 template <typename Op>
 Status
-Connection::withReadSnapshot(const Op &op)
+Connection::readDefault(const Op &op)
 {
-    if (_snapshot) {
-        _activeRead = _snapshot.get();
-        _activeRoots = &_snapshotRoots;
-        const Status s = op();
-        _activeRead = nullptr;
-        _activeRoots = nullptr;
-        return s;
-    }
+    // A write transaction reads its own uncommitted writes.
+    if (_inWrite)
+        return writeDefault(0, op);
+    if (_snapshot)
+        return readSnapshot(*_snapshot, &_snapshotRoot, op);
     if (_db._mwActive)
         return casualReadMw(op);
     return casualReadSw(op);
 }
 
+template <typename Op>
+Status
+Connection::writeDefault(std::size_t payload_bytes, const Op &op)
+{
+    if (_ws) {
+        // The workspace also records the pages read, for commit
+        // validation.
+        _db.chargeStatement(payload_bytes);
+        BTree tree(*_ws, _db._mwDefaultRoot);
+        return op(tree);
+    }
+    return onSharedPager(payload_bytes, op);
+}
+
+template <typename Op>
+Status
+Connection::onSharedPager(std::size_t payload_bytes, const Op &op)
+{
+    std::lock_guard<std::recursive_mutex> eng(_db._engineMutex);
+    Table *table;
+    NVWAL_RETURN_IF_ERROR(_db.defaultTable(&table));
+    _db.chargeStatement(payload_bytes);
+    return op(table->btree());
+}
+
 Status
 Connection::get(RowId key, ByteBuffer *value)
 {
-    if (_ws && _inWrite) {
-        // Read through the workspace: sees this transaction's own
-        // writes and records the pages read for commit validation.
-        _db.chargeStatement(0);
-        BTree tree(*_ws, _db._mwDefaultRoot);
-        return tree.get(key, value);
-    }
-    return withReadSnapshot([&]() -> Status {
-        PageNo root;
-        NVWAL_RETURN_IF_ERROR(
-            snapshotRoot(Database::kDefaultTable, &root));
-        _db.chargeStatement(0);
-        BTree tree(*_activeRead, root);
-        return tree.get(key, value);
-    });
+    return readDefault(
+        [&](BTree &tree) { return tree.get(key, value); });
 }
 
 Status
 Connection::scan(RowId lo, RowId hi, const BTree::ScanCallback &visit)
 {
-    if (_ws && _inWrite) {
-        _db.chargeStatement(0);
-        BTree tree(*_ws, _db._mwDefaultRoot);
-        return tree.scan(lo, hi, visit);
-    }
-    return withReadSnapshot([&]() -> Status {
-        PageNo root;
-        NVWAL_RETURN_IF_ERROR(
-            snapshotRoot(Database::kDefaultTable, &root));
-        _db.chargeStatement(0);
-        BTree tree(*_activeRead, root);
-        return tree.scan(lo, hi, visit);
-    });
+    return readDefault(
+        [&](BTree &tree) { return tree.scan(lo, hi, visit); });
 }
 
 Status
 Connection::count(std::uint64_t *out)
 {
-    if (_ws && _inWrite) {
-        _db.chargeStatement(0);
-        BTree tree(*_ws, _db._mwDefaultRoot);
-        return tree.count(out);
-    }
-    return withReadSnapshot([&]() -> Status {
-        PageNo root;
-        NVWAL_RETURN_IF_ERROR(
-            snapshotRoot(Database::kDefaultTable, &root));
-        _db.chargeStatement(0);
-        BTree tree(*_activeRead, root);
-        return tree.count(out);
-    });
+    return readDefault([&](BTree &tree) { return tree.count(out); });
 }
 
 // ---- write transactions --------------------------------------------
@@ -415,15 +394,6 @@ Connection::commit(const CommitOptions &options)
 }
 
 Status
-Connection::commit(Durability durability)
-{
-    CommitOptions options;
-    options.durability = durability;
-    options.waitForHarden = durability != Durability::Async;
-    return commit(options);
-}
-
-Status
 Connection::rollback()
 {
     if (!_inWrite)
@@ -468,61 +438,32 @@ Connection::decide(std::uint64_t gtid, bool commit)
 
 // ---- statements ----------------------------------------------------
 
-template <typename Op>
-Status
-Connection::withWriteTxn(const Op &op)
-{
-    if (_inWrite)
-        return op();
-    if (!_options.autoWriteTxn)
-        return Status::invalidArgument(
-            "no write transaction open: begin() first, or connect "
-            "with ConnectOptions::autoWriteTxn");
-    NVWAL_RETURN_IF_ERROR(begin());
-    const Status s = op();
-    if (!s.isOk()) {
-        (void)rollback();
-        return s;
-    }
-    return commit();
-}
-
 Status
 Connection::insert(RowId key, ValueView value)
 {
-    return withWriteTxn([&]() -> Status {
-        if (_db._mwActive) {
-            _db.chargeStatement(value.size());
-            BTree tree(*_ws, _db._mwDefaultRoot);
+    return withWriteTxn([&] {
+        return writeDefault(value.size(), [&](BTree &tree) {
             return tree.insert(key, value.span());
-        }
-        return _db.insert(key, value);
+        });
     });
 }
 
 Status
 Connection::update(RowId key, ValueView value)
 {
-    return withWriteTxn([&]() -> Status {
-        if (_db._mwActive) {
-            _db.chargeStatement(value.size());
-            BTree tree(*_ws, _db._mwDefaultRoot);
+    return withWriteTxn([&] {
+        return writeDefault(value.size(), [&](BTree &tree) {
             return tree.update(key, value.span());
-        }
-        return _db.update(key, value);
+        });
     });
 }
 
 Status
 Connection::remove(RowId key)
 {
-    return withWriteTxn([&]() -> Status {
-        if (_db._mwActive) {
-            _db.chargeStatement(0);
-            BTree tree(*_ws, _db._mwDefaultRoot);
-            return tree.remove(key);
-        }
-        return _db.remove(key);
+    return withWriteTxn([&] {
+        return writeDefault(
+            0, [&](BTree &tree) { return tree.remove(key); });
     });
 }
 

@@ -11,7 +11,9 @@
  * writer lock and are made durable through the group-commit queue --
  * concurrent committers are batched into one WAL append with a single
  * persist-barrier pair (the paper's lazy sync, stretched across
- * transactions).
+ * transactions). Write statements run on the shared pager under the
+ * engine lock, and so do reads inside the write transaction: it sees
+ * its own uncommitted writes.
  *
  * Multi-writer (DbConfig::multiWriter, DESIGN.md §13): each
  * connection owns a slot in a set of per-connection NVRAM logs and a
@@ -21,6 +23,10 @@
  * returns StatusCode::Conflict -- never blocks on another writer --
  * when a page was republished. transact() wraps the
  * begin/run/commit/retry loop.
+ *
+ * The direct Database statement API is a thin forward to an internal
+ * root Connection (autoWriteTxn on) in both modes, so there is one
+ * transaction path and one error policy.
  *
  * A read transaction owns a private SnapshotCache, so repeated reads
  * touch no shared state at all. Read-only statements *outside*
@@ -38,7 +44,6 @@
 #ifndef NVWAL_DB_CONNECTION_HPP
 #define NVWAL_DB_CONNECTION_HPP
 
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -110,14 +115,6 @@ class Connection
      * re-running the transaction (see transact()).
      */
     Status commit(const CommitOptions &options = {});
-
-    /**
-     * Commit at a durability level, with the pre-CommitOptions
-     * calling convention: Async does not wait for the harden.
-     * @deprecated Thin wrapper kept one release for existing
-     * callers; use commit(const CommitOptions &).
-     */
-    Status commit(Durability durability);
 
     Status rollback();
     bool inWrite() const { return _inWrite; }
@@ -212,12 +209,25 @@ class Connection
     explicit Connection(Database &db, ConnectOptions options = {},
                         std::uint32_t slot = 0);
 
-    /** Root of @p table as of the active snapshot (cached). */
-    Status snapshotRoot(const std::string &table, PageNo *root);
+    /**
+     * Root of the default table in @p snap, resolved from the
+     * snapshot's catalog once and cached in @p cached (kNoPage until
+     * then).
+     */
+    Status defaultRoot(SnapshotCache &snap, PageNo *cached);
 
-    /** Run @p op inside the open snapshot, or the casual one. */
+    /**
+     * Run @p op (signature Status(BTree &)) on the default table as
+     * this connection reads it: inside a write transaction, the
+     * transaction's own pages; else the open snapshot; else the
+     * cached casual one.
+     */
     template <typename Op>
-    Status withReadSnapshot(const Op &op);
+    Status readDefault(const Op &op);
+
+    /** readDefault() on @p snap, whose default root caches in @p root. */
+    template <typename Op>
+    Status readSnapshot(SnapshotCache &snap, PageNo *root, const Op &op);
 
     /** Casual-read paths (no open snapshot). */
     template <typename Op>
@@ -225,9 +235,43 @@ class Connection
     template <typename Op>
     Status casualReadSw(const Op &op);
 
-    /** Run @p op in the open write txn, or one of its own. */
+    /**
+     * Run @p op on the default table inside the open write
+     * transaction: the private workspace in multi-writer mode, the
+     * shared pager otherwise. @p payload_bytes prices the statement.
+     */
     template <typename Op>
-    Status withWriteTxn(const Op &op);
+    Status writeDefault(std::size_t payload_bytes, const Op &op);
+
+    /** Run @p op on the default table over the shared pager, under
+     *  the engine lock. */
+    template <typename Op>
+    Status onSharedPager(std::size_t payload_bytes, const Op &op);
+
+    /**
+     * Run @p op (signature Status()) in the open write transaction,
+     * or -- with ConnectOptions::autoWriteTxn -- in one of its own.
+     * Defined here because Database runs its autocommit statements
+     * (Table writes, DDL) through the root connection with it.
+     */
+    template <typename Op>
+    Status
+    withWriteTxn(const Op &op)
+    {
+        if (_inWrite)
+            return op();
+        if (!_options.autoWriteTxn)
+            return Status::invalidArgument(
+                "no write transaction open: begin() first, or connect "
+                "with ConnectOptions::autoWriteTxn");
+        NVWAL_RETURN_IF_ERROR(begin());
+        const Status s = op();
+        if (!s.isOk()) {
+            (void)rollback();
+            return s;
+        }
+        return commit();
+    }
 
     /** Rebuild bookkeeping when the casual snapshot is replaced. */
     void resetCasualSnapshot(std::unique_ptr<SnapshotCache> snap,
@@ -242,6 +286,9 @@ class Connection
     Database &_db;
     const ConnectOptions _options;
     const std::uint32_t _slot;
+    /** The Database's internal root connection: not counted among
+     *  the open connections (set by Database). */
+    bool _root = false;
 
     /** Deferred lock on the database's writer mutex (single-writer). */
     std::unique_lock<std::mutex> _writerLock;
@@ -254,8 +301,8 @@ class Connection
 
     std::unique_ptr<SnapshotCache> _snapshot;
     CommitSeq _horizon = 0;
-    /** Table roots resolved from the snapshot's catalog. */
-    std::map<std::string, PageNo> _snapshotRoots;
+    /** Default-table root resolved from the snapshot's catalog. */
+    PageNo _snapshotRoot = kNoPage;
 
     /**
      * Cached casual snapshot: statements outside beginRead() reuse it
@@ -265,13 +312,9 @@ class Connection
     std::unique_ptr<SnapshotCache> _casualSnap;
     std::uint64_t _casualHorizon = 0;
     std::uint64_t _casualGen = 0;
-    std::map<std::string, PageNo> _casualRoots;
+    PageNo _casualRoot = kNoPage;
     std::uint64_t _casualHitsFolded = 0;
     std::uint64_t _casualReadsFolded = 0;
-
-    /** The snapshot/roots the current statement resolves against. */
-    SnapshotCache *_activeRead = nullptr;
-    std::map<std::string, PageNo> *_activeRoots = nullptr;
 };
 
 } // namespace nvwal

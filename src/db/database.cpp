@@ -18,46 +18,41 @@ Table::Table(Database &db, std::string name, RowId catalog_id,
       _tree(*db._pager, root)
 {}
 
+template <typename Op>
+Status
+Database::autocommit(const Op &op)
+{
+    return _rootConn->withWriteTxn(op);
+}
+
 Status
 Table::insert(RowId key, ValueView value)
 {
-    bool started;
-    NVWAL_RETURN_IF_ERROR(_db.autocommitBegin(&started));
-    Status s;
-    {
+    return _db.autocommit([&] {
         std::lock_guard<std::recursive_mutex> eng(_db._engineMutex);
         _db.chargeStatement(value.size());
-        s = _tree.insert(key, value.span());
-    }
-    return _db.autocommitEnd(started, s);
+        return _tree.insert(key, value.span());
+    });
 }
 
 Status
 Table::update(RowId key, ValueView value)
 {
-    bool started;
-    NVWAL_RETURN_IF_ERROR(_db.autocommitBegin(&started));
-    Status s;
-    {
+    return _db.autocommit([&] {
         std::lock_guard<std::recursive_mutex> eng(_db._engineMutex);
         _db.chargeStatement(value.size());
-        s = _tree.update(key, value.span());
-    }
-    return _db.autocommitEnd(started, s);
+        return _tree.update(key, value.span());
+    });
 }
 
 Status
 Table::remove(RowId key)
 {
-    bool started;
-    NVWAL_RETURN_IF_ERROR(_db.autocommitBegin(&started));
-    Status s;
-    {
+    return _db.autocommit([&] {
         std::lock_guard<std::recursive_mutex> eng(_db._engineMutex);
         _db.chargeStatement(0);
-        s = _tree.remove(key);
-    }
-    return _db.autocommitEnd(started, s);
+        return _tree.remove(key);
+    });
 }
 
 Status
@@ -164,9 +159,13 @@ validateDbConfig(const DbConfig &config)
 }
 
 Database::Database(Env &env, DbConfig config)
-    : _env(env), _config(std::move(config)),
-      _dbWriterLock(_writerMutex, std::defer_lock)
-{}
+    : _env(env), _config(std::move(config))
+{
+    ConnectOptions root_options;
+    root_options.autoWriteTxn = true;
+    _rootConn.reset(new Connection(*this, root_options, 0));
+    _rootConn->_root = true;
+}
 
 Database::~Database()
 {
@@ -442,24 +441,15 @@ Database::findCatalogEntry(const std::string &name, RowId *id,
 {
     std::lock_guard<std::recursive_mutex> eng(_engineMutex);
     *found = false;
-    Status scan_error = Status::ok();
-    NVWAL_RETURN_IF_ERROR(_catalog->scan(
-        INT64_MIN, INT64_MAX, [&](RowId key, ConstByteSpan raw) {
-            PageNo entry_root;
-            std::string entry_name;
-            if (!decodeCatalogEntry(raw, &entry_root, &entry_name)) {
-                scan_error = Status::corruption("bad catalog entry");
-                return false;
-            }
-            if (entry_name == name) {
-                *id = key;
-                *root = entry_root;
-                *found = true;
-                return false;
-            }
+    return scanCatalog(*_catalog, [&](RowId key, PageNo entry_root,
+                                      const std::string &entry_name) {
+        if (entry_name != name)
             return true;
-        }));
-    return scan_error;
+        *id = key;
+        *root = entry_root;
+        *found = true;
+        return false;
+    });
 }
 
 Status
@@ -470,10 +460,7 @@ Database::createTable(const std::string &name)
             "DDL is single-writer only: reopen without multiWriter");
     if (name.empty() || name.size() > 128)
         return Status::invalidArgument("table name length");
-    bool started;
-    NVWAL_RETURN_IF_ERROR(autocommitBegin(&started));
-
-    auto create = [&]() -> Status {
+    return autocommit([&]() -> Status {
         std::lock_guard<std::recursive_mutex> eng(_engineMutex);
         bool exists = false;
         RowId id;
@@ -497,8 +484,7 @@ Database::createTable(const std::string &name)
         const ByteBuffer entry = encodeCatalogEntry(new_root, name);
         return _catalog->insert(next_id,
                                 ConstByteSpan(entry.data(), entry.size()));
-    };
-    return autocommitEnd(started, create());
+    });
 }
 
 Status
@@ -541,9 +527,7 @@ Database::dropTable(const std::string &name)
         _tables.erase(name);
     }
 
-    bool started;
-    NVWAL_RETURN_IF_ERROR(autocommitBegin(&started));
-    auto drop = [&]() -> Status {
+    return autocommit([&]() -> Status {
         std::lock_guard<std::recursive_mutex> eng(_engineMutex);
         bool found = false;
         RowId id;
@@ -554,56 +538,44 @@ Database::dropTable(const std::string &name)
         BTree tree(*_pager, root);
         NVWAL_RETURN_IF_ERROR(tree.destroy());
         return _catalog->remove(id);
-    };
-    return autocommitEnd(started, drop());
+    });
+}
+
+template <typename Op>
+Status
+Database::withCatalogPages(const Op &op)
+{
+    if (!_mwActive) {
+        std::lock_guard<std::recursive_mutex> eng(_engineMutex);
+        return op(static_cast<PageSource &>(*_pager));
+    }
+    // Multi-writer: read through a snapshot pinned at the published
+    // floor; the shared pager is not serialized against multi-writer
+    // checkpoints.
+    std::uint32_t pages = 0;
+    const std::uint64_t floor = mwPinRead(&pages);
+    SnapshotCache snap(
+        _config.pageSize, _pager->reservedBytes(), pages,
+        _pager->rootPage(), [this, floor](PageNo no, ByteSpan buf) {
+            return mwFetchPage(no, floor, buf, nullptr);
+        });
+    const Status s = op(static_cast<PageSource &>(snap));
+    mwUnpinRead(floor);
+    return s;
 }
 
 Status
 Database::listTables(std::vector<std::string> *out)
 {
-    if (_mwActive) {
-        // Read the catalog through a pinned snapshot: the shared
-        // pager is not serialized against multi-writer checkpoints.
-        out->clear();
-        std::uint32_t pages = 0;
-        const std::uint64_t floor = mwPinRead(&pages);
-        SnapshotCache snap(
-            _config.pageSize, _pager->reservedBytes(), pages,
-            _pager->rootPage(), [this, floor](PageNo no, ByteSpan buf) {
-                return mwFetchPage(no, floor, buf, nullptr);
-            });
-        BTree catalog(snap, _pager->rootPage());
-        Status scan_error = Status::ok();
-        const Status s = catalog.scan(
-            INT64_MIN, INT64_MAX, [&](RowId, ConstByteSpan raw) {
-                PageNo root;
-                std::string name;
-                if (!decodeCatalogEntry(raw, &root, &name)) {
-                    scan_error = Status::corruption("bad catalog entry");
-                    return false;
-                }
+    out->clear();
+    return withCatalogPages([&](PageSource &pages) {
+        BTree catalog(pages, _pager->rootPage());
+        return scanCatalog(
+            catalog, [&](RowId, PageNo, const std::string &name) {
                 out->push_back(name);
                 return true;
             });
-        mwUnpinRead(floor);
-        NVWAL_RETURN_IF_ERROR(s);
-        return scan_error;
-    }
-    std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-    out->clear();
-    Status scan_error = Status::ok();
-    NVWAL_RETURN_IF_ERROR(_catalog->scan(
-        INT64_MIN, INT64_MAX, [&](RowId, ConstByteSpan raw) {
-            PageNo root;
-            std::string name;
-            if (!decodeCatalogEntry(raw, &root, &name)) {
-                scan_error = Status::corruption("bad catalog entry");
-                return false;
-            }
-            out->push_back(name);
-            return true;
-        }));
-    return scan_error;
+    });
 }
 
 Status
@@ -615,45 +587,9 @@ Database::defaultTable(Table **out)
 // ---- transactions --------------------------------------------------
 
 Status
-Database::beginTxnBody()
-{
-    NVWAL_RETURN_IF_ERROR(_poisoned);
-    _inTxn = true;
-    _txnStartPageCount = _pager->pageCount();
-    ++_txnSeq;
-    _txnBeginNs = _env.clock.now();
-    _env.stats.tracer().setCurrentTxn(_txnSeq);
-    _env.stats.tracer().instant("txn.begin", "db");
-    frRecord(FrRecordType::TxnBegin, 0, 0, 0, _txnSeq);
-    return Status::ok();
-}
-
-Status
 Database::begin()
 {
-    if (_mwActive)
-        return _rootConn->begin();
-    {
-        std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-        if (_inTxn)
-            return Status::busy("a write transaction is already open");
-        NVWAL_RETURN_IF_ERROR(_poisoned);
-    }
-    // Register the write intent before blocking on the writer slot:
-    // a committing leader holds its batch open while intents are
-    // outstanding, so the announcement must precede the lock wait.
-    noteWriteIntent();
-    // Blocks while a Connection writer holds the slot. The direct
-    // API is single-threaded by contract, so _dbWriterLock is only
-    // ever touched by one thread at a time.
-    _dbWriterLock.lock();
-    std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-    const Status s = beginTxnBody();
-    if (!s.isOk()) {
-        _dbWriterLock.unlock();
-        endWriteIntent();
-    }
-    return s;
+    return _rootConn->begin();
 }
 
 void
@@ -891,92 +827,24 @@ Database::maybeCheckpointAfterCommit()
         kickCheckpointer();
         return Status::ok();
     }
-    if (!_config.autoCheckpoint)
+    // The committer released the writer lock at enqueue, so another
+    // write transaction may already be open; checkpointing under it
+    // would fail with Busy although this commit landed. Skip the
+    // round: the next commit re-trips the threshold.
+    if (!_config.autoCheckpoint || _inTxn)
         return Status::ok();
-    if (!_config.incrementalCheckpoint)
-        return checkpoint();
-    bool done = false;
-    const std::uint64_t ckpt_before =
-        _nvwalLog != nullptr ? _nvwalLog->checkpointId() : 0;
-    const CommitSeq hardened_before = _wal->hardenedSeq();
-    frRecord(FrRecordType::CheckpointStart, 0, 0,
-             static_cast<std::uint32_t>(ckpt_before),
-             _wal->framesSinceCheckpoint());
-    const Status s =
-        _wal->checkpointStep(_config.checkpointStepPages, &done);
-    completePendingAcks();
-    if (s.isOk()) {
-        frNoteTruncation(ckpt_before);
-        if (_wal->hardenedSeq() != hardened_before)
-            frRecordHarden(FrHardenReason::Checkpoint);
-        frRecord(FrRecordType::CheckpointEnd, 0, done ? 1 : 0,
-                 frCheckpointId32(), _wal->framesSinceCheckpoint());
-    }
-    return s;
+    return checkpointRound(
+        _config.incrementalCheckpoint ? _config.checkpointStepPages : 0,
+        nullptr);
 }
 
 Status
 Database::commit(Durability durability)
 {
-    if (_mwActive)
-        return _rootConn->commit(durability);
-    GroupEntry entry;
-    entry.async = durability == Durability::Async;
-    bool have_entry = false;
-    SimTime commit_begin = 0;
-    {
-        std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-        if (!_inTxn)
-            return Status::invalidArgument("no transaction to commit");
-        NVWAL_RETURN_IF_ERROR(_poisoned);
-        if (entry.async && !_wal->supportsAsyncCommits())
-            return Status::unsupported(
-                "this WAL mode has no asynchronous (checksum) commit; "
-                "use Durability::Sync or Group");
-        commit_begin = _env.clock.now();
-
-        // Per-transaction engine work (locking, journaling
-        // bookkeeping).
-        _env.clock.advance(_env.cost.cpuTxnNs);
-        have_entry = collectDirtyFrames(&entry);
-        entry.txnSeq = _txnSeq;
-    }
-
-    if (have_entry) {
-        // Keep the writer slot (and the dirty marks) until the batch
-        // is durable: on failure the transaction is still open and
-        // retryable after a checkpoint, exactly like the
-        // single-threaded engine behaved.
-        NVWAL_RETURN_IF_ERROR(submitAndWait(&entry, nullptr));
-    }
-
-    std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-    if (have_entry)
-        _pager->markAllClean();
-    _inTxn = false;
-    if (entry.async) {
-        std::lock_guard<std::mutex> a(_asyncMutex);
-        _lastCommitEpoch = have_entry ? entry.epoch : 0;
-    }
-    _env.stats.add(stats::kTxnsCommitted);
-    _env.stats.tracer().complete("db.commit", "db", commit_begin,
-                                 "dirty_pages", entry.frames.size());
-    _env.stats.tracer().complete("db.txn", "db", _txnBeginNs);
-    _env.stats.recordNs(stats::kHistCommitNs,
-                        _env.clock.now() - commit_begin);
-
-    // The auto-checkpoint below is still attributed to this
-    // transaction (it is the commit that tripped the threshold);
-    // anything after commit() is background again.
-    const Status ckpt = maybeCheckpointAfterCommit();
-    _env.stats.tracer().setCurrentTxn(0);
-    if (_dbWriterLock.owns_lock())
-        _dbWriterLock.unlock();
-    // The transaction is closed; it is no longer a commit candidate.
-    // (Error returns above keep the intent: the txn stays open and
-    // retryable, and begin() will not be called again.)
-    endWriteIntent();
-    return ckpt;
+    CommitOptions options;
+    options.durability = durability;
+    options.waitForHarden = durability != Durability::Async;
+    return _rootConn->commit(options);
 }
 
 void
@@ -995,47 +863,13 @@ Database::rollbackBody()
 Status
 Database::rollback()
 {
-    if (_mwActive)
-        return _rootConn->rollback();
-    std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-    if (!_inTxn)
-        return Status::invalidArgument("no transaction to roll back");
-    rollbackBody();
-    if (_dbWriterLock.owns_lock())
-        _dbWriterLock.unlock();
-    endWriteIntent();
-    return Status::ok();
+    return _rootConn->rollback();
 }
 
 bool
 Database::inTransaction() const
 {
-    if (_mwActive)
-        return _rootConn->inWrite();
-    return _inTxn;
-}
-
-Status
-Database::autocommitBegin(bool *started)
-{
-    *started = false;
-    if (!_inTxn) {
-        NVWAL_RETURN_IF_ERROR(begin());
-        *started = true;
-    }
-    return Status::ok();
-}
-
-Status
-Database::autocommitEnd(bool started, Status op_status)
-{
-    if (!started)
-        return op_status;
-    if (!op_status.isOk()) {
-        (void)rollback();
-        return op_status;
-    }
-    return commit();
+    return _rootConn->inWrite();
 }
 
 void
@@ -1072,9 +906,8 @@ Database::connect(const ConnectOptions &options,
 }
 
 void
-Database::releaseConnection(Connection *conn)
+Database::releaseConnection()
 {
-    (void)conn;
     std::lock_guard<std::recursive_mutex> eng(_engineMutex);
     NVWAL_ASSERT(_openConnections > 0);
     --_openConnections;
@@ -1088,7 +921,15 @@ Database::beginFromConnection()
     // transaction can be open.
     std::lock_guard<std::recursive_mutex> eng(_engineMutex);
     NVWAL_ASSERT(!_inTxn, "writer lock held but a txn is open");
-    return beginTxnBody();
+    NVWAL_RETURN_IF_ERROR(_poisoned);
+    _inTxn = true;
+    _txnStartPageCount = _pager->pageCount();
+    ++_txnSeq;
+    _txnBeginNs = _env.clock.now();
+    _env.stats.tracer().setCurrentTxn(_txnSeq);
+    _env.stats.tracer().instant("txn.begin", "db");
+    frRecord(FrRecordType::TxnBegin, 0, 0, 0, _txnSeq);
+    return Status::ok();
 }
 
 Status
@@ -1099,17 +940,15 @@ Database::commitFromConnection(std::unique_lock<std::mutex> *writer_lock,
     GroupEntry entry;
     entry.finalized = true;
     entry.async = durability == Durability::Async;
-    if (ack_epoch != nullptr)
-        *ack_epoch = 0;
+    *ack_epoch = 0;
     bool have_entry = false;
     SimTime commit_begin = 0;
+    SimTime txn_begin = 0;
     {
         std::lock_guard<std::recursive_mutex> eng(_engineMutex);
         NVWAL_ASSERT(_inTxn, "connection commit without open txn");
         if (!_poisoned.isOk()) {
-            rollbackBody();
-            writer_lock->unlock();
-            endWriteIntent();
+            (void)rollbackFromConnection(writer_lock);
             return _poisoned;
         }
         if (entry.async && !_wal->supportsAsyncCommits()) {
@@ -1120,6 +959,7 @@ Database::commitFromConnection(std::unique_lock<std::mutex> *writer_lock,
                 "use Durability::Sync or Group");
         }
         commit_begin = _env.clock.now();
+        txn_begin = _txnBeginNs;
         _env.clock.advance(_env.cost.cpuTxnNs);
         have_entry = collectDirtyFrames(&entry);
         entry.txnSeq = _txnSeq;
@@ -1128,34 +968,39 @@ Database::commitFromConnection(std::unique_lock<std::mutex> *writer_lock,
         if (have_entry)
             _pager->markAllClean();
         _inTxn = false;
-        _env.stats.add(stats::kTxnsCommitted);
-        _env.stats.tracer().complete("db.commit", "db", commit_begin,
-                                     "dirty_pages", entry.frames.size());
-        _env.stats.tracer().complete("db.txn", "db", _txnBeginNs);
-        _env.stats.tracer().setCurrentTxn(0);
     }
 
     Status s = Status::ok();
-    if (have_entry) {
+    if (have_entry)
         s = submitAndWait(&entry, writer_lock);
-        if (s.isOk() && entry.async) {
-            if (ack_epoch != nullptr)
-                *ack_epoch = entry.epoch;
-            std::lock_guard<std::mutex> a(_asyncMutex);
-            _lastCommitEpoch = entry.epoch;
-        }
-    } else {
+    else
         writer_lock->unlock();
-    }
-    // The transaction was published above (_inTxn already false), so
-    // win or lose it is no longer a commit candidate; on failure the
-    // database is poisoned rather than the txn retryable.
+    // The transaction was published above, so win or lose it is no
+    // longer a commit candidate; on failure the database is poisoned
+    // rather than the txn retryable.
     endWriteIntent();
 
     std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-    _env.stats.recordNs(stats::kHistCommitNs,
-                        _env.clock.now() - commit_begin);
-    const Status ckpt = maybeCheckpointAfterCommit();
+    Tracer &tracer = _env.stats.tracer();
+    Status ckpt = Status::ok();
+    if (s.isOk()) {
+        *ack_epoch = entry.epoch;
+        _env.stats.add(stats::kTxnsCommitted);
+        // Spans close after durability, so the WAL append lies inside
+        // db.commit. The auto-checkpoint below is still attributed to
+        // this transaction (it is the commit that tripped the
+        // threshold).
+        tracer.complete("db.commit", "db", commit_begin, "dirty_pages",
+                        entry.frames.size());
+        tracer.complete("db.txn", "db", txn_begin);
+        _env.stats.recordNs(stats::kHistCommitNs,
+                            _env.clock.now() - commit_begin);
+        ckpt = maybeCheckpointAfterCommit();
+    }
+    // Anything after the commit is background again -- unless the
+    // next writer has begun meanwhile and owns the attribution.
+    if (tracer.currentTxn() == entry.txnSeq)
+        tracer.setCurrentTxn(0);
     return s.isOk() ? ckpt : s;
 }
 
@@ -1214,9 +1059,7 @@ Database::decideFromConnection(std::uint64_t gtid, bool commit,
         std::lock_guard<std::recursive_mutex> eng(_engineMutex);
         NVWAL_ASSERT(_inTxn, "connection decide without open txn");
         if (!_poisoned.isOk()) {
-            rollbackBody();
-            writer_lock->unlock();
-            endWriteIntent();
+            (void)rollbackFromConnection(writer_lock);
             return _poisoned;
         }
         _env.clock.advance(_env.cost.cpuTxnNs);
@@ -1318,61 +1161,37 @@ Database::releaseWalTwoPhaseHold()
 Status
 Database::insert(RowId key, ValueView value)
 {
-    if (_mwActive)
-        return _rootConn->insert(key, value);
-    Table *table;
-    NVWAL_RETURN_IF_ERROR(defaultTable(&table));
-    return table->insert(key, value);
+    return _rootConn->insert(key, value);
 }
 
 Status
 Database::update(RowId key, ValueView value)
 {
-    if (_mwActive)
-        return _rootConn->update(key, value);
-    Table *table;
-    NVWAL_RETURN_IF_ERROR(defaultTable(&table));
-    return table->update(key, value);
+    return _rootConn->update(key, value);
 }
 
 Status
 Database::remove(RowId key)
 {
-    if (_mwActive)
-        return _rootConn->remove(key);
-    Table *table;
-    NVWAL_RETURN_IF_ERROR(defaultTable(&table));
-    return table->remove(key);
+    return _rootConn->remove(key);
 }
 
 Status
 Database::get(RowId key, ByteBuffer *value)
 {
-    if (_mwActive)
-        return _rootConn->get(key, value);
-    Table *table;
-    NVWAL_RETURN_IF_ERROR(defaultTable(&table));
-    return table->get(key, value);
+    return _rootConn->get(key, value);
 }
 
 Status
 Database::scan(RowId lo, RowId hi, const BTree::ScanCallback &visit)
 {
-    if (_mwActive)
-        return _rootConn->scan(lo, hi, visit);
-    Table *table;
-    NVWAL_RETURN_IF_ERROR(defaultTable(&table));
-    return table->scan(lo, hi, visit);
+    return _rootConn->scan(lo, hi, visit);
 }
 
 Status
 Database::count(std::uint64_t *out)
 {
-    if (_mwActive)
-        return _rootConn->count(out);
-    Table *table;
-    NVWAL_RETURN_IF_ERROR(defaultTable(&table));
-    return table->count(out);
+    return _rootConn->count(out);
 }
 
 // ---- maintenance ---------------------------------------------------
@@ -1382,27 +1201,7 @@ Database::checkpoint()
 {
     if (_mwActive)
         return mwCheckpoint();
-    std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-    if (_inTxn)
-        return Status::busy("cannot checkpoint inside a transaction");
-    const std::uint64_t ckpt_before =
-        _nvwalLog != nullptr ? _nvwalLog->checkpointId() : 0;
-    const CommitSeq hardened_before = _wal->hardenedSeq();
-    frRecord(FrRecordType::CheckpointStart, 0, 1,
-             static_cast<std::uint32_t>(ckpt_before),
-             _wal->framesSinceCheckpoint());
-    const Status s = _wal->checkpoint();
-    // A checkpoint hardens pending async appends before write-back;
-    // retire the epochs that covered.
-    completePendingAcks();
-    if (s.isOk()) {
-        frNoteTruncation(ckpt_before);
-        if (_wal->hardenedSeq() != hardened_before)
-            frRecordHarden(FrHardenReason::Checkpoint);
-        frRecord(FrRecordType::CheckpointEnd, 0, 1, frCheckpointId32(),
-                 _wal->framesSinceCheckpoint());
-    }
-    return s;
+    return checkpointRound(0, nullptr);
 }
 
 Status
@@ -1415,26 +1214,38 @@ Database::checkpointStep(std::uint32_t max_pages, bool *done)
         *done = true;
         return mwCheckpoint();
     }
+    return checkpointRound(
+        max_pages != 0 ? max_pages : _config.checkpointStepPages, done);
+}
+
+Status
+Database::checkpointRound(std::uint32_t max_pages, bool *done)
+{
     std::lock_guard<std::recursive_mutex> eng(_engineMutex);
     if (_inTxn)
         return Status::busy("cannot checkpoint inside a transaction");
+    const bool full = max_pages == 0;
     const std::uint64_t ckpt_before =
         _nvwalLog != nullptr ? _nvwalLog->checkpointId() : 0;
     const CommitSeq hardened_before = _wal->hardenedSeq();
-    frRecord(FrRecordType::CheckpointStart, 0, 0,
+    frRecord(FrRecordType::CheckpointStart, 0, full ? 1 : 0,
              static_cast<std::uint32_t>(ckpt_before),
              _wal->framesSinceCheckpoint());
-    const Status s = _wal->checkpointStep(
-        max_pages != 0 ? max_pages : _config.checkpointStepPages, done);
+    bool round_done = full;
+    const Status s = full ? _wal->checkpoint()
+                          : _wal->checkpointStep(max_pages, &round_done);
+    if (done != nullptr)
+        *done = round_done;
+    // A checkpoint hardens pending async appends before write-back;
+    // retire the epochs that covered.
     completePendingAcks();
-    if (s.isOk()) {
-        frNoteTruncation(ckpt_before);
-        if (_wal->hardenedSeq() != hardened_before)
-            frRecordHarden(FrHardenReason::Checkpoint);
-        frRecord(FrRecordType::CheckpointEnd, 0, *done ? 1 : 0,
-                 frCheckpointId32(), _wal->framesSinceCheckpoint());
-    }
-    return s;
+    NVWAL_RETURN_IF_ERROR(s);
+    frNoteTruncation(ckpt_before);
+    if (_wal->hardenedSeq() != hardened_before)
+        frRecordHarden(FrHardenReason::Checkpoint);
+    frRecord(FrRecordType::CheckpointEnd, 0, round_done ? 1 : 0,
+             frCheckpointId32(), _wal->framesSinceCheckpoint());
+    return Status::ok();
 }
 
 std::uint64_t
@@ -1479,7 +1290,7 @@ Database::registerAsyncEpoch(std::uint32_t acks)
     return e.epoch;
 }
 
-void
+std::size_t
 Database::completePendingAcks()
 {
     const CommitSeq hardened = _wal->hardenedSeq();
@@ -1492,13 +1303,14 @@ Database::completePendingAcks()
         ++completed;
     }
     if (completed == 0)
-        return;
+        return 0;
     _asyncEpochs.erase(_asyncEpochs.begin(),
                        _asyncEpochs.begin() +
                            static_cast<std::ptrdiff_t>(completed));
     _env.stats.add(stats::kWalEpochsHardened, completed);
     _env.stats.setGauge(stats::kGaugeAsyncAcksPending, _asyncAcksPending);
     _asyncCv.notify_all();
+    return completed;
 }
 
 Status
@@ -1521,10 +1333,18 @@ Database::maybeHardenAsync()
         kickDurability();
         return Status::ok();
     }
+    return hardenPendingAsync(over_epochs ? FrHardenReason::WindowEpochs
+                                          : FrHardenReason::WindowStaleness);
+}
+
+Status
+Database::hardenPendingAsync(FrHardenReason reason)
+{
+    const CommitSeq hardened_before = _wal->hardenedSeq();
     NVWAL_RETURN_IF_ERROR(_wal->harden());
-    completePendingAcks();
-    frRecordHarden(over_epochs ? FrHardenReason::WindowEpochs
-                               : FrHardenReason::WindowStaleness);
+    const std::size_t retired = completePendingAcks();
+    if (retired != 0 || _wal->hardenedSeq() != hardened_before)
+        frRecordHarden(reason);
     return Status::ok();
 }
 
@@ -1542,12 +1362,7 @@ Database::flushAsyncCommits()
     }
     std::lock_guard<std::recursive_mutex> eng(_engineMutex);
     NVWAL_RETURN_IF_ERROR(_poisoned);
-    const CommitSeq hardened_before = _wal->hardenedSeq();
-    NVWAL_RETURN_IF_ERROR(_wal->harden());
-    completePendingAcks();
-    if (_wal->hardenedSeq() != hardened_before)
-        frRecordHarden(FrHardenReason::Explicit);
-    return Status::ok();
+    return hardenPendingAsync(FrHardenReason::Explicit);
 }
 
 Status
@@ -1602,10 +1417,7 @@ Database::hardenedEpoch() const
 std::uint64_t
 Database::lastCommitEpoch() const
 {
-    if (_mwActive)
-        return _rootConn->lastCommitEpoch();
-    std::lock_guard<std::mutex> a(_asyncMutex);
-    return _lastCommitEpoch;
+    return _rootConn->lastCommitEpoch();
 }
 
 // ---- background durability thread -----------------------------------
@@ -1631,13 +1443,8 @@ Database::durabilityMain()
         }
         if (pending) {
             std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-            if (_poisoned.isOk()) {
-                const CommitSeq hardened_before = _wal->hardenedSeq();
-                (void)_wal->harden();
-                completePendingAcks();
-                if (_wal->hardenedSeq() != hardened_before)
-                    frRecordHarden(FrHardenReason::Background);
-            }
+            if (_poisoned.isOk())
+                (void)hardenPendingAsync(FrHardenReason::Background);
         }
         l.lock();
     }
@@ -1669,16 +1476,6 @@ Database::stopDurability()
 }
 
 // ---- multi-writer engine (DESIGN.md §13) ----------------------------
-
-void
-Database::mwFrRecord(FrRecordType type, std::uint8_t flags,
-                     std::uint16_t a16, std::uint32_t a32,
-                     std::uint64_t a64, std::uint64_t b64)
-{
-    // Caller holds _mwMutex (the ring's serialization once active).
-    if (_flightRecorder && _flightRecorder->ready())
-        _flightRecorder->append(type, flags, a16, a32, a64, b64);
-}
 
 Status
 Database::mwActivate(const StatsSnapshot &stats_before)
@@ -1865,12 +1662,7 @@ Database::mwActivate(const StatsSnapshot &stats_before)
     }
 
     _mwActive = true;
-
-    // The direct Database statement API runs through an internal root
-    // connection from here on.
-    ConnectOptions root_options;
-    root_options.autoWriteTxn = true;
-    return connect(root_options, &_rootConn);
+    return Status::ok();
 }
 
 Status
@@ -1924,7 +1716,7 @@ Database::mwBeginTxn(std::uint64_t min_floor, std::uint32_t *db_size,
     _mwActiveBegins.insert(floor);
     *db_size = _mwDbSize;
     *txn_seq = ++_mwTxnSeq;
-    mwFrRecord(FrRecordType::TxnBegin, 0, 0, 0, *txn_seq);
+    frRecord(FrRecordType::TxnBegin, 0, 0, 0, *txn_seq);
     return floor;
 }
 
@@ -2065,7 +1857,7 @@ Database::mwCommitWorkspace(std::uint32_t slot_no, MwWorkspace &ws,
         if (opts.durability == Durability::Async)
             _env.stats.add(stats::kDbAsyncCommits);
         // Unstamped ack: durability arrives with the group harden.
-        mwFrRecord(FrRecordType::CommitAck, 0,
+        frRecord(FrRecordType::CommitAck, 0,
                    static_cast<std::uint16_t>(slot_no),
                    static_cast<std::uint32_t>(_mwGeneration), txn_seq,
                    epoch);
@@ -2122,7 +1914,7 @@ Database::mwHardenUpTo(std::uint64_t target, FrHardenReason reason)
             newest = slot.lastAppendedEpoch;
         }
         std::lock_guard<std::mutex> mw(_mwMutex);
-        mwFrRecord(FrRecordType::MwLogHarden, 0,
+        frRecord(FrRecordType::MwLogHarden, 0,
                    static_cast<std::uint16_t>(i),
                    static_cast<std::uint32_t>(_mwGeneration), newest,
                    candidates[i]);
@@ -2137,7 +1929,7 @@ Database::mwHardenUpTo(std::uint64_t target, FrHardenReason reason)
         if (floor > _mwHardened)
             _mwHardened = floor;
         _env.stats.add(stats::kWalMwHardens);
-        mwFrRecord(FrRecordType::MwHarden, kFrFlagDurableClaim,
+        frRecord(FrRecordType::MwHarden, kFrFlagDurableClaim,
                    static_cast<std::uint16_t>(reason),
                    static_cast<std::uint32_t>(_mwGeneration), floor,
                    _mwHardened);
@@ -2206,7 +1998,7 @@ Database::mwCheckpointLocked()
         NVWAL_ASSERT(it != _mwDbSizeByEpoch.begin(),
                      "published epochs above the base have size marks");
         db_size_at_target = std::prev(it)->second;
-        mwFrRecord(FrRecordType::CheckpointStart, 0, 1,
+        frRecord(FrRecordType::CheckpointStart, 0, 1,
                    static_cast<std::uint32_t>(_mwGeneration), target);
     }
 
@@ -2258,7 +2050,7 @@ Database::mwCheckpointLocked()
             slot.log->nodeCount() != 0) {
             NVWAL_RETURN_IF_ERROR(slot.log->truncateAll());
             std::lock_guard<std::mutex> mw(_mwMutex);
-            mwFrRecord(FrRecordType::MwTruncation, kFrFlagDurableClaim,
+            frRecord(FrRecordType::MwTruncation, kFrFlagDurableClaim,
                        static_cast<std::uint16_t>(i),
                        static_cast<std::uint32_t>(_mwGeneration),
                        target, slot.log->checkpointId());
@@ -2278,7 +2070,7 @@ Database::mwCheckpointLocked()
     _env.stats.add(stats::kCheckpoints);
     {
         std::lock_guard<std::mutex> mw(_mwMutex);
-        mwFrRecord(FrRecordType::CheckpointEnd, 0, 1,
+        frRecord(FrRecordType::CheckpointEnd, 0, 1,
                    static_cast<std::uint32_t>(_mwGeneration), target,
                    remaining_frames);
     }
@@ -2361,21 +2153,11 @@ Database::checkpointerMain()
                 std::lock_guard<std::recursive_mutex> eng(_engineMutex);
                 if (_inTxn || _wal->framesSinceCheckpoint() == 0)
                     break;
-                const std::uint64_t ckpt_before =
-                    _nvwalLog != nullptr ? _nvwalLog->checkpointId() : 0;
-                frRecord(FrRecordType::CheckpointStart, 0, 0,
-                         static_cast<std::uint32_t>(ckpt_before),
-                         _wal->framesSinceCheckpoint());
-                const Status s = _wal->checkpointStep(
-                    _config.checkpointStepPages, &done);
+                const Status s =
+                    checkpointRound(_config.checkpointStepPages, &done);
                 _env.stats.add(stats::kCheckpointerSteps);
-                completePendingAcks();
                 if (!s.isOk())
                     break;
-                frNoteTruncation(ckpt_before);
-                frRecord(FrRecordType::CheckpointEnd, 0, done ? 1 : 0,
-                         frCheckpointId32(),
-                         _wal->framesSinceCheckpoint());
             }
             std::lock_guard<std::mutex> g(_ckptMutex);
             if (_ckptStop)
@@ -2440,15 +2222,9 @@ Database::vacuum()
         // Copy each table in catalog order; scanning in key order
         // produces compact, append-built trees in the new file.
         Status copy_error = Status::ok();
-        NVWAL_RETURN_IF_ERROR(_catalog->scan(
-            INT64_MIN, INT64_MAX,
-            [&](RowId id, ConstByteSpan raw) {
-                PageNo old_root;
-                std::string table_name;
-                if (!decodeCatalogEntry(raw, &old_root, &table_name)) {
-                    copy_error = Status::corruption("bad catalog entry");
-                    return false;
-                }
+        NVWAL_RETURN_IF_ERROR(scanCatalog(
+            *_catalog, [&](RowId id, PageNo old_root,
+                           const std::string &table_name) {
                 CachedPage *root_page;
                 PageNo new_root;
                 copy_error =
@@ -2492,54 +2268,21 @@ Database::vacuum()
 Status
 Database::verifyIntegrity()
 {
-    if (_mwActive) {
-        // Validate through a pinned snapshot; the shared pager is not
-        // serialized against multi-writer checkpoints.
-        std::uint32_t pages = 0;
-        const std::uint64_t floor = mwPinRead(&pages);
-        SnapshotCache snap(
-            _config.pageSize, _pager->reservedBytes(), pages,
-            _pager->rootPage(), [this, floor](PageNo no, ByteSpan buf) {
-                return mwFetchPage(no, floor, buf, nullptr);
-            });
-        auto validate = [&]() -> Status {
-            BTree catalog(snap, _pager->rootPage());
-            NVWAL_RETURN_IF_ERROR(catalog.validate());
-            Status scan_error = Status::ok();
-            std::vector<PageNo> roots;
-            NVWAL_RETURN_IF_ERROR(catalog.scan(
-                INT64_MIN, INT64_MAX, [&](RowId, ConstByteSpan raw) {
-                    PageNo root;
-                    std::string name;
-                    if (!decodeCatalogEntry(raw, &root, &name)) {
-                        scan_error =
-                            Status::corruption("bad catalog entry");
-                        return false;
-                    }
-                    roots.push_back(root);
-                    return true;
-                }));
-            NVWAL_RETURN_IF_ERROR(scan_error);
-            for (PageNo root : roots) {
-                BTree tree(snap, root);
-                NVWAL_RETURN_IF_ERROR(tree.validate());
-            }
-            return Status::ok();
-        };
-        const Status s = validate();
-        mwUnpinRead(floor);
-        return s;
-    }
-    std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-    NVWAL_RETURN_IF_ERROR(_catalog->validate());
-    std::vector<std::string> names;
-    NVWAL_RETURN_IF_ERROR(listTables(&names));
-    for (const std::string &name : names) {
-        Table *table;
-        NVWAL_RETURN_IF_ERROR(openTable(name, &table));
-        NVWAL_RETURN_IF_ERROR(table->btree().validate());
-    }
-    return Status::ok();
+    return withCatalogPages([&](PageSource &pages) -> Status {
+        BTree catalog(pages, _pager->rootPage());
+        NVWAL_RETURN_IF_ERROR(catalog.validate());
+        std::vector<PageNo> roots;
+        NVWAL_RETURN_IF_ERROR(scanCatalog(
+            catalog, [&](RowId, PageNo root, const std::string &) {
+                roots.push_back(root);
+                return true;
+            }));
+        for (PageNo root : roots) {
+            BTree tree(pages, root);
+            NVWAL_RETURN_IF_ERROR(tree.validate());
+        }
+        return Status::ok();
+    });
 }
 
 } // namespace nvwal

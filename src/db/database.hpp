@@ -14,12 +14,16 @@
  * writer with an exclusive write lock (section 4.1), explicit
  * begin/commit/rollback and autocommit for standalone statements,
  * plus any number of concurrent snapshot readers obtained through
- * Database::connect(). CPU costs of query processing are charged to
- * the simulated clock per statement and per transaction, calibrated
- * in CostModel.
+ * Database::connect(). The direct statement API below forwards to an
+ * internal root Connection, so it shares the one transaction path
+ * (and error policy) of every other connection. CPU costs of query
+ * processing are charged to the simulated clock per statement and
+ * per transaction, calibrated in CostModel.
  *
  * Locking discipline (acquire strictly in this order):
- *   1. _writerMutex  -- serializes write transactions begin..commit;
+ *   1. _writerMutex  -- serializes single-writer transactions, from
+ *      begin until the commit entry is ordered in the group-commit
+ *      queue (or rollback); held by one Connection at a time;
  *   2. _engineMutex  -- the big engine lock guarding the pager, WAL,
  *      catalog, tables, and MetricsRegistry (recursive: public
  *      operations nest);
@@ -262,7 +266,9 @@ class Connection;
 /**
  * Handle to one named table (a rowid-keyed B+-tree registered in the
  * database catalog). Obtained from Database::openTable(); owned by
- * the Database and invalidated by dropTable() and rollback().
+ * the Database and invalidated by dropTable() and rollback(). Reads
+ * run on the shared pager; writes join the direct API's open
+ * transaction or autocommit through the root connection.
  */
 class Table
 {
@@ -289,7 +295,9 @@ class Table
 
 /**
  * An embedded database: one writer at a time, any number of snapshot
- * readers (through Connection handles).
+ * readers (through Connection handles). The direct statement and
+ * transaction API is one more connection (the root connection), so
+ * like any Connection it is used by one thread at a time.
  */
 class Database
 {
@@ -333,22 +341,32 @@ class Database
                    std::unique_ptr<Connection> *out);
 
     // ---- transactions ---------------------------------------------
+    // The direct API's transaction is the root connection's: these
+    // behave exactly like the Connection calls of the same name.
 
-    /** Begin an explicit write transaction. */
+    /**
+     * Begin an explicit write transaction. Busy when this handle
+     * already has one open; waits for the writer slot while another
+     * Connection writes.
+     */
     Status begin();
 
     /**
      * Commit: log dirty pages + commit mark, then auto-checkpoint.
-     * Durability::Async returns before the persist barrier; the
-     * transaction's epoch (see lastCommitEpoch()) hardens within the
-     * configured staleness window, at the next strict commit or
-     * checkpoint, or via flushAsyncCommits()/waitForAsyncEpoch().
+     * Maps to Connection::commit(CommitOptions{durability,
+     * waitForHarden = durability != Async}): Durability::Async
+     * returns before the persist barrier; the transaction's epoch
+     * (see lastCommitEpoch()) hardens within the configured staleness
+     * window, at the next strict commit or checkpoint, or via
+     * flushAsyncCommits()/waitForAsyncEpoch().
      */
     Status commit(Durability durability = Durability::Sync);
 
     /** Discard all uncommitted changes. */
     Status rollback();
 
+    /** Whether this handle (the root connection) has a write
+     *  transaction open. */
     bool inTransaction() const;
 
     // ---- tables ----------------------------------------------------
@@ -404,7 +422,8 @@ class Database
     /**
      * Epoch assigned to this handle's most recent Durability::Async
      * commit (0 when none, or when the commit dirtied nothing and
-     * was trivially durable).
+     * was trivially durable). Commits through other Connections do
+     * not move it.
      */
     std::uint64_t lastCommitEpoch() const;
 
@@ -584,17 +603,28 @@ class Database
     Database(Env &env, DbConfig config);
 
     Status openInternal();
-    Status autocommitBegin(bool *started);
-    Status autocommitEnd(bool started, Status op_status);
+    /**
+     * Run @p op (signature Status()) in the root connection's open
+     * write transaction, or autocommit it as one of its own: the path
+     * of Table writes and DDL.
+     */
+    template <typename Op>
+    Status autocommit(const Op &op);
     void chargeStatement(std::size_t payload_bytes);
 
     /** Scan the catalog for @p name. */
     Status findCatalogEntry(const std::string &name, RowId *id,
                             PageNo *root, bool *found);
     Status defaultTable(Table **out);
+    /**
+     * Run @p op (signature Status(PageSource &)) over a consistent
+     * view of the catalog and table pages: the shared pager under the
+     * engine lock, or a snapshot pinned at the published floor in
+     * multi-writer mode.
+     */
+    template <typename Op>
+    Status withCatalogPages(const Op &op);
 
-    /** Engine-locked bookkeeping shared by both begin paths. */
-    Status beginTxnBody();
     /** Engine-locked rollback work (no lock release). */
     void rollbackBody();
 
@@ -622,7 +652,7 @@ class Database
     /**
      * Write-intent bookkeeping for the group-commit combining window.
      * An intent is registered *before* the writer mutex is acquired
-     * (both begin paths) and released exactly once when that
+     * (Connection::begin) and released exactly once when that
      * transaction stops being a commit candidate: after a durable
      * commit, after rollback, on a failed begin, or when the commit
      * turns out to be empty. The leader's combining wait uses the
@@ -636,14 +666,32 @@ class Database
     /** Leader body: append one batch under the engine lock. */
     Status appendGroup(const std::vector<GroupEntry *> &batch);
 
-    /** Post-commit auto-checkpoint (inline or checkpointer wakeup). */
+    /**
+     * Post-commit auto-checkpoint (inline or checkpointer wakeup).
+     * Caller holds the engine lock. A round that finds another write
+     * transaction open is skipped, not failed: the writer lock was
+     * released at enqueue, and the next commit re-trips the
+     * threshold.
+     */
     Status maybeCheckpointAfterCommit();
+
+    /**
+     * One checkpoint round, the body of every checkpoint path: a full
+     * write-back when @p max_pages is 0, else one incremental step of
+     * at most @p max_pages pages (@p done, optional, reports whether
+     * it completed). Brackets the round with CheckpointStart/End
+     * records, retires the async acks it hardened, and records the
+     * truncation and the harden if either happened. Busy inside a
+     * write transaction. Takes the engine lock.
+     */
+    Status checkpointRound(std::uint32_t max_pages, bool *done);
 
     // ---- flight recorder (DESIGN.md §12) ----------------------------
 
     /**
-     * Append one ring record if the recorder is live. Caller holds
-     * the engine lock (every call site does); plain stores only.
+     * Append one ring record if the recorder is live; plain stores
+     * only. Caller holds the ring's serialization: the engine lock,
+     * or _mwMutex once the multi-writer engine is active.
      */
     void frRecord(FrRecordType type, std::uint8_t flags,
                   std::uint16_t a16, std::uint32_t a32, std::uint64_t a64,
@@ -674,9 +722,10 @@ class Database
      * Complete the acks of every pending epoch at or below the WAL's
      * hardenedSeq() (counters, gauge, cv). Caller holds the engine
      * lock; called after anything that may have advanced the horizon
-     * (harden, strict append, checkpoint).
+     * (harden, strict append, checkpoint). Returns the number of
+     * epochs retired.
      */
-    void completePendingAcks();
+    std::size_t completePendingAcks();
 
     /**
      * Enforce the bounded-staleness window: harden inline (or kick
@@ -685,6 +734,13 @@ class Database
      * the engine lock.
      */
     Status maybeHardenAsync();
+
+    /**
+     * Harden every pending async append now, retire the acks that
+     * covers, and record the harden (tagged @p reason) if the
+     * hardened horizon moved. Caller holds the engine lock.
+     */
+    Status hardenPendingAsync(FrHardenReason reason);
 
     // ---- background durability thread -------------------------------
 
@@ -695,6 +751,14 @@ class Database
     // ---- Connection entry points (writer lock held by the caller) --
 
     Status beginFromConnection();
+    /**
+     * The one single-writer commit body: publish the dirty pages to
+     * the shared cache, release @p writer_lock at enqueue, wait for
+     * durability, then trace the commit and run the post-commit
+     * auto-checkpoint. A failed append poisons the database.
+     * Unsupported (transaction still open, lock still held) when
+     * @p durability is Async on a WAL without async commits.
+     */
     Status commitFromConnection(std::unique_lock<std::mutex> *writer_lock,
                                 Durability durability,
                                 std::uint64_t *ack_epoch);
@@ -714,7 +778,8 @@ class Database
      */
     Status decideFromConnection(std::uint64_t gtid, bool commit,
                                 std::unique_lock<std::mutex> *writer_lock);
-    void releaseConnection(Connection *conn);
+    /** A user Connection closed (open-connection gauge). */
+    void releaseConnection();
 
     // ---- multi-writer engine (DESIGN.md §13) ------------------------
     //
@@ -806,12 +871,6 @@ class Database
                             std::uint64_t min_floor = 0);
     void mwUnpinRead(std::uint64_t floor);
 
-    /** Flight-recorder append under _mwMutex (the engine lock no
-     *  longer serializes the ring once the engine is active). */
-    void mwFrRecord(FrRecordType type, std::uint8_t flags,
-                    std::uint16_t a16, std::uint32_t a32,
-                    std::uint64_t a64, std::uint64_t b64 = 0);
-
     // ---- background checkpointer -----------------------------------
 
     void checkpointerMain();
@@ -862,16 +921,9 @@ class Database
     /**
      * Big engine lock: pager, WAL, catalog, tables, metrics.
      * Recursive because public operations nest (commit ->
-     * checkpoint, statements -> autocommit).
+     * checkpoint, reads -> default-table lookup).
      */
     mutable std::recursive_mutex _engineMutex;
-    /**
-     * Held across Database-level (non-Connection) write transactions.
-     * The direct API is single-threaded by contract; concurrent
-     * writers must use Connections.
-     */
-    std::unique_lock<std::mutex> _dbWriterLock;
-
     std::mutex _commitQueueMutex;
     std::condition_variable _commitCv;
     std::vector<GroupEntry *> _commitQueue;
@@ -911,7 +963,6 @@ class Database
     std::uint64_t _epochSequencer = 0;        //!< last epoch issued
     std::uint64_t _hardenedEpoch = 0;         //!< newest completed
     std::uint64_t _asyncAcksPending = 0;
-    std::uint64_t _lastCommitEpoch = 0;       //!< direct-API handle
     bool _asyncAbandoned = false;             //!< shutdown: stop waits
 
     std::thread _durabilityThread;
@@ -921,7 +972,8 @@ class Database
     bool _durKick = false;
 
     std::uint32_t _openConnections = 0;  //!< guarded by _engineMutex
-    std::uint32_t _nextConnSlot = 0;     //!< guarded by _engineMutex
+    /** Next log slot to hand out; slot 0 is the root connection's. */
+    std::uint32_t _nextConnSlot = 1;     //!< guarded by _engineMutex
 
     // ---- multi-writer engine state (DESIGN.md §13) ------------------
 
@@ -997,8 +1049,10 @@ class Database
     /** Root of the default table (resolved once at activation; DDL is
      *  refused in multi-writer mode, so it never moves). */
     PageNo _mwDefaultRoot = kNoPage;
-    /** Internal connection backing the direct Database statement API
-     *  in multi-writer mode. Destroyed first in ~Database. */
+    /** Internal connection (autoWriteTxn, log slot 0, not counted
+     *  in db.open_connections) behind the direct statement API, Table
+     *  writes and DDL, in both engines. Destroyed first in
+     *  ~Database. */
     std::unique_ptr<Connection> _rootConn;
 
     /** Inputs stashed by frOpenAndBuildReport so mwActivate can

@@ -384,7 +384,9 @@ TEST(AsyncConcurrency, BackgroundThreadHardensConcurrentCommits)
                 NVWAL_CHECK_OK(conn->begin());
                 NVWAL_CHECK_OK(
                     conn->insert(key, testutil::makeValue(48, key)));
-                NVWAL_CHECK_OK(conn->commit(Durability::Async));
+                NVWAL_CHECK_OK(conn->commit(CommitOptions{
+                    .durability = Durability::Async,
+                    .waitForHarden = false}));
             }
             // Wait for this connection's newest epoch: the background
             // thread (or a neighbours' forced harden) completes it.
@@ -430,8 +432,10 @@ TEST(AsyncConcurrency, MixedDurabilityLevelsAcrossThreads)
                     conn->insert(key, testutil::makeValue(96, key)));
                 // Thread 0 commits strictly, the rest async: sync
                 // appends interleave with pending epochs.
-                NVWAL_CHECK_OK(conn->commit(
-                    t == 0 ? Durability::Group : Durability::Async));
+                NVWAL_CHECK_OK(conn->commit(CommitOptions{
+                    .durability =
+                        t == 0 ? Durability::Group : Durability::Async,
+                    .waitForHarden = false}));
             }
         });
     }

@@ -418,6 +418,102 @@ TEST(Concurrency, CheckpointerRespectsSnapshotPin)
     NVWAL_CHECK_OK(db->verifyIntegrity());
 }
 
+// ---- threaded: one writer slot for every handle ----------------------
+
+TEST(Concurrency, DurableCommitIsOkWhenAPeerBeginsBeforeItsCheckpoint)
+{
+    // A commit releases the writer slot as soon as its entry is
+    // queued, so a peer can begin before the committer's inline
+    // auto-checkpoint runs. That round is skipped -- the next commit
+    // re-trips the threshold -- and never becomes the status of a
+    // commit that landed (a caller retrying it would write twice).
+    Env env(envConfig());
+    DbConfig config = nvwalConfig();
+    config.checkpointThreshold = 1;
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, config, &db));
+    std::unique_ptr<Connection> a;
+    std::unique_ptr<Connection> b;
+    NVWAL_CHECK_OK(db->connect(&a));
+    NVWAL_CHECK_OK(db->connect(&b));
+
+    constexpr int kRounds = 20;
+    constexpr RowId kRowsPerTxn = 40;
+    RowId next = 1;
+    for (int round = 0; round < kRounds; ++round) {
+        NVWAL_CHECK_OK(a->begin());
+        for (RowId i = 0; i < kRowsPerTxn; ++i, ++next)
+            NVWAL_CHECK_OK(a->insert(next, testutil::spanOf(rowValue(next))));
+        const RowId peer_key = next++;
+        std::atomic<bool> peer_started{false};
+        std::atomic<bool> a_committed{false};
+        Status peer_status;
+        std::thread peer([&] {
+            peer_started.store(true, std::memory_order_release);
+            // Blocks on the writer slot until a's commit is queued,
+            // then keeps its transaction open past a's commit.
+            Status s = b->begin();
+            if (s.isOk())
+                s = b->insert(peer_key, testutil::spanOf(rowValue(peer_key)));
+            while (!a_committed.load(std::memory_order_acquire))
+                std::this_thread::yield();
+            if (s.isOk())
+                s = b->commit();
+            else if (b->inWrite())
+                (void)b->rollback();
+            peer_status = s;
+        });
+        while (!peer_started.load(std::memory_order_acquire))
+            std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        const Status s = a->commit();
+        a_committed.store(true, std::memory_order_release);
+        EXPECT_TRUE(s.isOk()) << "round " << round << ": " << s.toString();
+        peer.join();
+        EXPECT_TRUE(peer_status.isOk()) << peer_status.toString();
+    }
+
+    std::uint64_t n = 0;
+    NVWAL_CHECK_OK(db->count(&n));
+    EXPECT_EQ(n, static_cast<std::uint64_t>(next - 1));
+    NVWAL_CHECK_OK(db->verifyIntegrity());
+}
+
+TEST(Concurrency, DirectBeginWaitsForAConnectionWriter)
+{
+    // The direct API's transaction is the root connection's: while
+    // another Connection holds the writer slot, begin() waits for it
+    // instead of failing.
+    Env env(envConfig());
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, nvwalConfig(), &db));
+    std::unique_ptr<Connection> conn;
+    NVWAL_CHECK_OK(db->connect(&conn));
+    NVWAL_CHECK_OK(conn->begin());
+    NVWAL_CHECK_OK(conn->insert(1, testutil::spanOf(rowValue(1))));
+
+    std::atomic<bool> begun{false};
+    Status direct_status;
+    std::thread direct([&] {
+        Status s = db->begin();
+        begun.store(true, std::memory_order_release);
+        if (s.isOk())
+            s = db->insert(2, testutil::spanOf(rowValue(2)));
+        if (s.isOk())
+            s = db->commit();
+        direct_status = s;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(begun.load(std::memory_order_acquire));
+    NVWAL_CHECK_OK(conn->commit());
+    direct.join();
+    NVWAL_CHECK_OK(direct_status);
+
+    std::uint64_t n = 0;
+    NVWAL_CHECK_OK(db->count(&n));
+    EXPECT_EQ(n, 2u);
+}
+
 // ---- crash sweep with a scripted reader + checkpointer -------------
 
 /**

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "db/database.hpp"
 #include "faultsim/crash_sweep.hpp"
 #include "test_util.hpp"
@@ -277,6 +280,51 @@ TEST(FlightRecorder, CheckpointRecordsBracketTheRound)
         EXPECT_EQ(r.a32, 1u);
         EXPECT_EQ(r.a64, 7u);  // catalog-init commit + 6 inserts
     }
+}
+
+TEST(FlightRecorder, BackgroundCheckpointRoundsRecordTheirHardens)
+{
+    // A checkpoint round that hardens pending async commits records
+    // Harden(Checkpoint) on every path, the background checkpointer's
+    // rounds included. Nothing else hardens here: the staleness
+    // window is out of reach and nothing flushes explicitly.
+    Env env(makeEnvConfig());
+    DbConfig config = nvwalConfig();
+    config.backgroundCheckpointer = true;
+    config.checkpointThreshold = 20;
+    config.asyncMaxEpochs = 1000;
+    config.asyncMaxStalenessNs = 0;
+    config.frRingRecords = 4096;
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, config, &db));
+    for (RowId k = 1; k <= 60; ++k) {
+        NVWAL_CHECK_OK(db->begin());
+        NVWAL_CHECK_OK(db->insert(k, testutil::makeValue(64, k)));
+        NVWAL_CHECK_OK(db->commit(Durability::Async));
+    }
+    // The checkpointer drains behind the commits; wait until it has
+    // caught up and hardened some of them.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((db->hardenedEpoch() == 0 ||
+            db->walPageWritesSinceCheckpoint() >=
+                config.checkpointThreshold) &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_GT(db->hardenedEpoch(), 0u);
+    ASSERT_GT(db->statValue(stats::kCheckpointerSteps), 0u);
+    db.reset();
+
+    NVWAL_CHECK_OK(Database::open(env, config, &db));
+    const RecoveryReport &report = db->recoveryReport();
+    ASSERT_TRUE(report.parsed);
+    std::uint64_t checkpoint_hardens = 0;
+    for (const FrRecord &r : report.recording.records)
+        if (r.type == static_cast<std::uint8_t>(FrRecordType::Harden) &&
+            r.a16 == static_cast<std::uint16_t>(FrHardenReason::Checkpoint))
+            ++checkpoint_hardens;
+    EXPECT_GT(checkpoint_hardens, 0u);
+    EXPECT_TRUE(report.inconsistencies.empty());
 }
 
 TEST(FlightRecorder, JsonReportCarriesTheDocumentedKeys)

@@ -73,8 +73,10 @@ TEST(MetricsExportConcurrency, SnapshotsRaceCleanlyWithBackgroundWork)
                 NVWAL_CHECK_OK(conn->begin());
                 NVWAL_CHECK_OK(
                     conn->insert(k, testutil::makeValue(64, k)));
-                NVWAL_CHECK_OK(conn->commit(
-                    k % 3 == 0 ? Durability::Async : Durability::Sync));
+                NVWAL_CHECK_OK(conn->commit(CommitOptions{
+                    .durability =
+                        k % 3 == 0 ? Durability::Async : Durability::Sync,
+                    .waitForHarden = false}));
             }
         });
     }

@@ -79,11 +79,11 @@ TEST(MultiwriterApi, CommitOptionsAndDeprecatedOverload)
     NVWAL_CHECK_OK(conn->commit(wait_async));
     EXPECT_EQ(db->asyncAcksPending(), 0u);
 
-    // The deprecated positional overload keeps the pre-§13 calling
-    // convention: Async returns before the harden.
+    // waitForHarden = false: Async returns before the harden.
     NVWAL_CHECK_OK(conn->begin());
     NVWAL_CHECK_OK(conn->insert(3, testutil::spanOf(rowValue(3))));
-    NVWAL_CHECK_OK(conn->commit(Durability::Async));
+    NVWAL_CHECK_OK(conn->commit(CommitOptions{
+        .durability = Durability::Async, .waitForHarden = false}));
     EXPECT_GT(conn->lastCommitEpoch(), 0u);
     NVWAL_CHECK_OK(db->flushAsyncCommits());
 

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "db/connection.hpp"
 #include "faultsim/crash_sweep.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -283,6 +284,55 @@ TEST(Tracer, ChromeExportParsesBackWithPerTxnThreads)
     EXPECT_EQ(mark->find("ph")->string, "i");
     EXPECT_EQ(mark->find("tid")->number, 2.0);
     EXPECT_EQ(doc.find("otherData")->find("droppedEvents")->number, 0.0);
+}
+
+// ---- commit spans ----------------------------------------------------
+
+TEST(Obs, CommitSpanCoversItsWalAppendOnBothHandles)
+{
+    // Direct API and Connection share one commit body: its db.commit
+    // span closes after durability, so the WAL events of the append
+    // lie inside it and carry the committing transaction's id.
+    Env env;
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, DbConfig{}, &db));
+    std::unique_ptr<Connection> conn;
+    NVWAL_CHECK_OK(db->connect(&conn));
+    Tracer &tracer = env.stats.tracer();
+    tracer.setEnabled(true);
+
+    for (const bool direct : {true, false}) {
+        SCOPED_TRACE(direct ? "direct" : "connection");
+        const RowId key = direct ? 1 : 2;
+        const ByteBuffer value(64, static_cast<std::uint8_t>(key));
+        tracer.clear();
+        if (direct) {
+            NVWAL_CHECK_OK(db->begin());
+            NVWAL_CHECK_OK(db->insert(key, value));
+            NVWAL_CHECK_OK(db->commit());
+        } else {
+            NVWAL_CHECK_OK(conn->begin());
+            NVWAL_CHECK_OK(conn->insert(key, value));
+            NVWAL_CHECK_OK(conn->commit());
+        }
+        const std::vector<TraceEvent> events = tracer.events();
+        const auto commit = std::find_if(
+            events.begin(), events.end(), [](const TraceEvent &e) {
+                return std::string(e.name) == "db.commit";
+            });
+        ASSERT_NE(commit, events.end());
+        EXPECT_NE(commit->txn, 0u);
+        int wal_events = 0;
+        for (const TraceEvent &e : events) {
+            if (std::string(e.category) != "wal")
+                continue;
+            ++wal_events;
+            EXPECT_EQ(e.txn, commit->txn) << e.name;
+            EXPECT_GE(e.ts, commit->ts) << e.name;
+            EXPECT_LE(e.ts + e.dur, commit->ts + commit->dur) << e.name;
+        }
+        EXPECT_GT(wal_events, 0);
+    }
 }
 
 // ---- JSON writer/parser edge cases ---------------------------------
