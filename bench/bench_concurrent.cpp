@@ -5,7 +5,10 @@
  *  1. snapshot-read scaling -- N reader threads, each on its own
  *     Connection and pinned snapshot, hammer point reads; total
  *     wall-clock reads/sec should grow with N because a warm
- *     snapshot cache serves reads without any shared lock;
+ *     snapshot cache serves reads without any shared lock. Each
+ *     row also reports what a snapshot-cache miss costs: flash
+ *     blocks read and sim ns per fetch (a miss copies the shared
+ *     pager's clean page instead of rebuilding it, DESIGN.md §16);
  *  2. single-writer commit latency through the group-commit queue --
  *     a single-entry batch issues the same device-op sequence as the
  *     pre-queue commit path, so sim-time percentiles must stay within
@@ -48,6 +51,8 @@ struct ReaderResult
 {
     double readsPerSec = 0.0;
     double cacheHitRate = 0.0;
+    double flashBlocksPerFetch = 0.0;
+    double simNsPerFetch = 0.0;
 };
 
 ReaderResult
@@ -70,6 +75,8 @@ runReaders(int threads, int reads_per_thread, int rows)
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> fetches{0};
     std::atomic<bool> failed{false};
+    const std::uint64_t blocks_before = env.stats.get(stats::kBlocksRead);
+    const SimTime sim_before = env.clock.now();
     const auto start = std::chrono::steady_clock::now();
     std::vector<std::thread> pool;
     pool.reserve(threads);
@@ -107,6 +114,22 @@ runReaders(int threads, int reads_per_thread, int rows)
         static_cast<double>(hits.load() + fetches.load());
     r.cacheHitRate =
         touched > 0 ? static_cast<double>(hits.load()) / touched : 0.0;
+    // Every point read charges one statement; the rest of the
+    // simulated time is what the snapshot-cache misses cost.
+    const double n_fetches = static_cast<double>(fetches.load());
+    const double statement_ns = static_cast<double>(threads) *
+                                reads_per_thread *
+                                static_cast<double>(env.cost.cpuOpNs);
+    if (n_fetches > 0) {
+        r.flashBlocksPerFetch =
+            static_cast<double>(env.stats.get(stats::kBlocksRead) -
+                                blocks_before) /
+            n_fetches;
+        r.simNsPerFetch =
+            (static_cast<double>(env.clock.now() - sim_before) -
+             statement_ns) /
+            n_fetches;
+    }
     return r;
 }
 
@@ -255,7 +278,8 @@ main(int argc, char **argv)
         "Snapshot readers, NVWAL, 100-byte rows: each thread pins one "
         "snapshot and point-reads it (wall clock)");
     readers_table.setHeader(
-        {"reader threads", "reads/sec (wall)", "cache hit rate"});
+        {"reader threads", "reads/sec (wall)", "cache hit rate",
+         "flash blocks/fetch", "sim ns/fetch"});
     double one_reader = 0.0;
     for (const int threads : {1, 2, 4, 8}) {
         const ReaderResult r = runReaders(threads, reads, rows);
@@ -263,7 +287,9 @@ main(int argc, char **argv)
             one_reader = r.readsPerSec;
         readers_table.addRow(
             {std::to_string(threads), TablePrinter::num(r.readsPerSec, 0),
-             TablePrinter::num(r.cacheHitRate, 3)});
+             TablePrinter::num(r.cacheHitRate, 3),
+             TablePrinter::num(r.flashBlocksPerFetch, 3),
+             TablePrinter::num(r.simNsPerFetch, 0)});
         BenchRecord rec;
         rec.name = "readers." + std::to_string(threads);
         rec.params["threads"] = static_cast<std::uint64_t>(threads);
@@ -272,6 +298,8 @@ main(int argc, char **argv)
         rec.params["rows"] = static_cast<std::uint64_t>(rows);
         rec.values["reads_per_sec_wall"] = r.readsPerSec;
         rec.values["cache_hit_rate"] = r.cacheHitRate;
+        rec.values["flash_blocks_per_fetch"] = r.flashBlocksPerFetch;
+        rec.values["sim_ns_per_fetch"] = r.simNsPerFetch;
         rec.values["speedup_vs_one_thread"] =
             one_reader > 0 ? r.readsPerSec / one_reader : 1.0;
         json.add(std::move(rec));

@@ -975,8 +975,11 @@ NvwalLog::cachedImagePut(PageNo page_no, CommitSeq seq,
 {
     if (_config.materializeCacheEntries == 0)
         return;
-    if (_imageIndex.count({page_no, seq}) != 0)
+    const auto found = _imageIndex.find({page_no, seq});
+    if (found != _imageIndex.end()) {
+        _imageLru.splice(_imageLru.begin(), _imageLru, found->second);
         return;
+    }
     while (_imageLru.size() >= _config.materializeCacheEntries) {
         const CachedImage &victim = _imageLru.back();
         _imageIndex.erase({victim.pageNo, victim.seq});
@@ -1181,9 +1184,12 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
 
     // Reconstruct and batch up to max_pages pages to the .db file
     // (section 4.3: replaying this after a crash is idempotent
-    // because the log is only truncated after the fsync). The
-    // materialized-image cache makes the reconstruction O(1) for any
-    // page the read path recently built.
+    // because the log is only truncated after the fsync). A page
+    // whose newest retained frame is visible at the target is asked
+    // of the committed-page source first (the database's page cache,
+    // DESIGN.md §16): its image then needs no base read and no
+    // replay. Otherwise the materialized-image cache makes the
+    // reconstruction O(1) for any page the read path recently built.
     ByteBuffer page(_pageSize);
     std::uint32_t written = 0;
     while (written < max_pages) {
@@ -1197,18 +1203,26 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
             _ckptPending.clear();
         }
         const PageNo page_no = _ckptQueue[_ckptQueuePos++];
-        CommitSeq effective = 0;
-        const Status read =
-            materializePage(page_no, ByteSpan(page.data(), _pageSize),
-                            target, &effective);
-        if (read.isNotFound()) {
-            // The page was born after the clamped horizon; it stays
-            // in the log and a later round (once the pin releases)
-            // writes it back.
-            continue;
-        }
-        NVWAL_RETURN_IF_ERROR(read);
         PageEntry &entry = _pageIndex.find(page_no)->second;
+        const ByteSpan out(page.data(), _pageSize);
+        CommitSeq effective = entry.frames.newestSeq();
+        if (effective != 0 && effective <= target && _committedPageSource &&
+            _committedPageSource(page_no, target, out)) {
+            _stats.add(stats::kWalCkptPagesFromPager);
+            // Cache the written image as a replay would have, so the
+            // (page, baseSeq) images kept across truncation match.
+            cachedImagePut(page_no, effective, out);
+        } else {
+            const Status read =
+                materializePage(page_no, out, target, &effective);
+            if (read.isNotFound()) {
+                // The page was born after the clamped horizon; it
+                // stays in the log and a later round (once the pin
+                // releases) writes it back.
+                continue;
+            }
+            NVWAL_RETURN_IF_ERROR(read);
+        }
         if (effective == entry.baseSeq) {
             // Everything visible at the target is already in the
             // base image (the page re-queued but its new commits sit

@@ -57,6 +57,7 @@
 #define NVWAL_CORE_NVWAL_LOG_HPP
 
 #include <algorithm>
+#include <functional>
 #include <list>
 #include <map>
 #include <set>
@@ -108,6 +109,12 @@ class NvwalLog : public WriteAheadLog
     Status readPage(PageNo page_no, ByteSpan out) override;
     Status readPageAt(PageNo page_no, ByteSpan out,
                       CommitSeq horizon) override;
+    std::optional<CommitSeq>
+    newestFrameSeq(PageNo page_no) const override
+    {
+        const auto it = _pageIndex.find(page_no);
+        return it == _pageIndex.end() ? 0 : it->second.frames.newestSeq();
+    }
     CommitSeq commitSeq() const override { return _commitSeq; }
     std::uint32_t committedDbSize() const override { return _dbSizePages; }
     bool supportsSnapshots() const override { return true; }
@@ -149,6 +156,22 @@ class NvwalLog : public WriteAheadLog
     }
 
     const NvwalConfig &config() const { return _config; }
+
+    /**
+     * Copies the committed image of a page as of a commit horizon
+     * from a cache that already holds it, or returns false (nothing
+     * copied) when the cache cannot prove the image current at that
+     * horizon.
+     */
+    using CommittedPageSource =
+        std::function<bool(PageNo, CommitSeq, ByteSpan)>;
+
+    /**
+     * Install the source checkpoint write-back asks before rebuilding
+     * a page from its .db base and logged diffs (DESIGN.md §16).
+     */
+    void setCommittedPageSource(CommittedPageSource source)
+    { _committedPageSource = std::move(source); }
 
     // ---- multi-writer per-connection log mode (DESIGN.md §13) ------
 
@@ -388,7 +411,10 @@ class NvwalLog : public WriteAheadLog
     bool cachedImageGet(PageNo page_no, CommitSeq seq, ByteSpan out,
                         bool record_stats = true);
 
-    /** Remember @p image as the page's state as of @p seq. */
+    /**
+     * Remember @p image as the page's state as of @p seq, as the most
+     * recently used entry (an existing entry is only moved).
+     */
     void cachedImagePut(PageNo page_no, CommitSeq seq,
                         ConstByteSpan image);
 
@@ -560,6 +586,7 @@ class NvwalLog : public WriteAheadLog
     std::uint64_t _maxSeenGtid = 0;
     /** Open coordinator truncation guards (see acquireTwoPhaseHold). */
     std::uint32_t _twoPhaseHolds = 0;
+    CommittedPageSource _committedPageSource;
     /**
      * The in-progress incremental checkpoint round. The round drains
      * _ckptQueue front to back -- pages in ascending order, so the

@@ -1,5 +1,7 @@
 #include "connection.hpp"
 
+#include <algorithm>
+
 #include "db/catalog_codec.hpp"
 
 namespace nvwal
@@ -72,18 +74,8 @@ Connection::beginRead()
         pages = _db._dbFile->pageCount();
 
     const CommitSeq horizon = _horizon;
-    auto fetch = [this, horizon](PageNo page_no, ByteSpan out) -> Status {
-        std::lock_guard<std::recursive_mutex> eng(_db._engineMutex);
-        const Status s = _db._wal->readPageAt(page_no, out, horizon);
-        if (!s.isNotFound())
-            return s;
-        // No committed frame at or below the horizon: the .db file
-        // copy is current for this snapshot (checkpointing never
-        // advances the file past the oldest pin).
-        if (page_no <= _db._dbFile->pageCount())
-            return _db._dbFile->readPage(page_no, out);
-        return Status::corruption(
-            "snapshot page missing from WAL and file");
+    auto fetch = [this, horizon](PageNo page_no, ByteSpan out) {
+        return _db.fetchCommittedPage(page_no, horizon, out);
     };
     _snapshot = std::make_unique<SnapshotCache>(
         _db._config.pageSize, _db._pager->reservedBytes(), pages,
@@ -231,16 +223,8 @@ Connection::casualReadSw(const Op &op)
         std::uint32_t pages = wal.committedDbSize();
         if (pages == 0)
             pages = _db._dbFile->pageCount();
-        auto fetch = [this, horizon](PageNo page_no,
-                                     ByteSpan out) -> Status {
-            std::lock_guard<std::recursive_mutex> eng(_db._engineMutex);
-            const Status s = _db._wal->readPageAt(page_no, out, horizon);
-            if (!s.isNotFound())
-                return s;
-            if (page_no <= _db._dbFile->pageCount())
-                return _db._dbFile->readPage(page_no, out);
-            return Status::corruption(
-                "snapshot page missing from WAL and file");
+        auto fetch = [this, horizon](PageNo page_no, ByteSpan out) {
+            return _db.fetchCommittedPage(page_no, horizon, out);
         };
         resetCasualSnapshot(
             std::make_unique<SnapshotCache>(
@@ -324,8 +308,9 @@ Connection::begin()
         // Optimistic: no lock taken. Pin the published floor and run
         // against a private workspace; validation happens at commit.
         std::uint32_t db_size = 0;
-        const std::uint64_t floor =
-            _db.mwBeginTxn(_lastCommitEpoch, &db_size, &_wsTxnSeq);
+        const std::uint64_t floor = _db.mwBeginTxn(
+            std::max(_lastCommitEpoch, _lostToEpoch), &db_size,
+            &_wsTxnSeq);
         _ws = std::make_unique<MwWorkspace>(
             _db._config.pageSize, _db._pager->reservedBytes(),
             _db._mwDefaultRoot, floor, db_size, &_db._mwPageCursor,
@@ -372,6 +357,12 @@ Connection::commit(const CommitOptions &options)
         // connection always reads its own committed writes.
         if (s.isOk())
             _lastCommitEpoch = epoch;
+        // A retry that began below the winning epoch would read the
+        // page it lost on at the same stale version and lose to the
+        // same commit again, for as long as that commit is still
+        // mid-append: the next begin() waits for the winner instead.
+        if (s.isConflict())
+            _lostToEpoch = epoch;
         return s;
     }
 

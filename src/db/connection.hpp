@@ -294,6 +294,9 @@ class Connection
     std::unique_lock<std::mutex> _writerLock;
     bool _inWrite = false;
     std::uint64_t _lastCommitEpoch = 0;
+    /** Multi-writer: epoch of the commit that beat this connection's
+     *  last conflicted commit (0 before any). */
+    std::uint64_t _lostToEpoch = 0;
 
     /** Multi-writer: the open transaction's private workspace. */
     std::unique_ptr<MwWorkspace> _ws;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 
 #include "db/catalog_codec.hpp"
 #include "db/connection.hpp"
@@ -251,6 +252,11 @@ Database::openInternal()
     _pager->setWalReader([this](PageNo page_no, ByteSpan out) {
         return _wal->readPage(page_no, out);
     });
+    if (_nvwalLog != nullptr)
+        _nvwalLog->setCommittedPageSource(
+            [this](PageNo page_no, CommitSeq horizon, ByteSpan out) {
+                return copyPagerImage(page_no, horizon, out);
+            });
     NVWAL_RETURN_IF_ERROR(_pager->open());
     if (db_size_pages != 0)
         _pager->setPageCount(db_size_pages);
@@ -653,12 +659,16 @@ Database::appendGroup(const std::vector<GroupEntry *> &batch)
     _env.stats.add(stats::kGroupCommitTxns, batch.size());
     _env.stats.recordNs(stats::kHistGroupCommitSize, batch.size());
     _env.stats.setGauge(stats::kGaugeCommitQueueDepth, batch.size());
+    std::uint32_t commits = 0;
     {
         std::uint64_t newest_txn = 0;
-        for (const GroupEntry *e : batch)
-            if (e->kind == GroupEntry::Kind::Commit &&
-                e->txnSeq > newest_txn)
+        for (const GroupEntry *e : batch) {
+            if (e->kind != GroupEntry::Kind::Commit)
+                continue;
+            ++commits;
+            if (e->txnSeq > newest_txn)
                 newest_txn = e->txnSeq;
+        }
         frRecord(FrRecordType::GroupBatch, 0, 0,
                  static_cast<std::uint32_t>(batch.size()), newest_txn);
     }
@@ -744,6 +754,10 @@ Database::appendGroup(const std::vector<GroupEntry *> &batch)
             break;
         }
     }
+    // Every published commit of the batch is settled: logged, or
+    // covered by the poison below.
+    NVWAL_ASSERT(_unloggedCommits >= commits);
+    _unloggedCommits -= commits;
     if (!s.isOk()) {
         for (const GroupEntry *e : batch) {
             if (e->finalized) {
@@ -965,8 +979,10 @@ Database::commitFromConnection(std::unique_lock<std::mutex> *writer_lock,
         entry.txnSeq = _txnSeq;
         // Publish to the shared cache now: the next writer overlaps
         // its transaction body with this batch's durability.
-        if (have_entry)
+        if (have_entry) {
             _pager->markAllClean();
+            ++_unloggedCommits;
+        }
         _inTxn = false;
     }
 
@@ -1091,6 +1107,59 @@ Database::decideFromConnection(std::uint64_t gtid, bool commit,
         return s;
     std::lock_guard<std::recursive_mutex> eng(_engineMutex);
     return maybeCheckpointAfterCommit();
+}
+
+// ---- committed-page fetches (DESIGN.md §16) -------------------------
+
+bool
+Database::copyPagerImage(PageNo page_no, CommitSeq horizon, ByteSpan out)
+{
+    // The clean pager image is the newest logged version of the page
+    // unless a published commit is not logged (in flight, or lost to
+    // a failed append) or the multi-writer overlay owns the pages.
+    if (_mwActive || !_poisoned.isOk() || _unloggedCommits != 0)
+        return false;
+    const CachedPage *page = _pager->cached(page_no);
+    if (page == nullptr || page->isDirty())
+        return false;
+    // The newest version is the version at the horizon only when no
+    // retained commit past the horizon touched the page.
+    const std::optional<CommitSeq> newest = _wal->newestFrameSeq(page_no);
+    if (!newest || *newest > horizon)
+        return false;
+    NVWAL_ASSERT(out.size() == page->buf.size());
+    std::memcpy(out.data(), page->buf.data(), out.size());
+    _env.clock.advance(static_cast<SimTime>(
+        _env.cost.memcpyDramNsPerByte * static_cast<double>(out.size())));
+    return true;
+}
+
+Status
+Database::fetchCommittedPage(PageNo page_no, CommitSeq horizon,
+                             ByteSpan out)
+{
+    std::lock_guard<std::recursive_mutex> eng(_engineMutex);
+    if (copyPagerImage(page_no, horizon, out)) {
+        _env.stats.add(stats::kSnapshotPagerFetches);
+        return Status::ok();
+    }
+    return rebuildCommittedPage(page_no, horizon, out);
+}
+
+Status
+Database::rebuildCommittedPage(PageNo page_no, CommitSeq horizon,
+                               ByteSpan out)
+{
+    std::lock_guard<std::recursive_mutex> eng(_engineMutex);
+    const Status s = _wal->readPageAt(page_no, out, horizon);
+    if (!s.isNotFound())
+        return s;
+    // No committed frame at or below the horizon: the .db file copy
+    // is current for this snapshot (checkpointing never advances the
+    // file past the oldest pin).
+    if (page_no <= _dbFile->pageCount())
+        return _dbFile->readPage(page_no, out);
+    return Status::corruption("snapshot page missing from WAL and file");
 }
 
 // ---- two-phase commit (shard-layer entry points) --------------------
@@ -1777,6 +1846,7 @@ Database::mwCommitWorkspace(std::uint32_t slot_no, MwWorkspace &ws,
             if (it != _mwPageEpochs.end() && it->second > read_epoch) {
                 _env.stats.add(stats::kWalLogConflicts);
                 mwEndTxnLocked(ws.beginEpoch());
+                *epoch_out = it->second;
                 return Status::conflict(
                     "page " + std::to_string(page_no) +
                     " republished at epoch " +

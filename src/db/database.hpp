@@ -514,6 +514,24 @@ class Database
      */
     std::uint64_t walPageWritesSinceCheckpoint() const;
 
+    /**
+     * The committed image of @p page_no as of @p horizon, as a
+     * snapshot reader sees it (DESIGN.md §16): a copy of the shared
+     * pager's clean image when that provably equals the page at the
+     * horizon (counted in db.snapshot_pager_fetches), else
+     * rebuildCommittedPage(). @p horizon must be pinned or be the
+     * current commit sequence. Engine-locked.
+     */
+    Status fetchCommittedPage(PageNo page_no, CommitSeq horizon,
+                              ByteSpan out);
+
+    /**
+     * The same page rebuilt without the pager: the WAL's copy at
+     * @p horizon, else the .db file. Engine-locked.
+     */
+    Status rebuildCommittedPage(PageNo page_no, CommitSeq horizon,
+                                ByteSpan out);
+
     /** Engine-locked read of a metrics counter (see statValue note). */
     std::uint64_t statValue(const std::string &name) const;
 
@@ -627,6 +645,14 @@ class Database
 
     /** Engine-locked rollback work (no lock release). */
     void rollbackBody();
+
+    /**
+     * Copy the shared pager's image of @p page_no into @p out when it
+     * provably equals the committed page at @p horizon (DESIGN.md
+     * §16); false, with nothing copied, otherwise. Engine lock held.
+     * Also the committed-page source of NVWAL checkpoint write-back.
+     */
+    bool copyPagerImage(PageNo page_no, CommitSeq horizon, ByteSpan out);
 
     // ---- group commit ----------------------------------------------
 
@@ -832,8 +858,9 @@ class Database
      * Validate + claim + append + publish one workspace commit from
      * connection slot @p slot. Returns Conflict (no side effects
      * beyond the conflict counter) when a read-set page was
-     * republished after the workspace's begin floor; poisons the
-     * engine if the append fails after its epoch was claimed.
+     * republished after the workspace's begin floor, with the
+     * winning epoch in @p epoch_out; poisons the engine if the append
+     * fails after its epoch was claimed.
      */
     Status mwCommitWorkspace(std::uint32_t slot, MwWorkspace &ws,
                              const CommitOptions &opts,
@@ -913,6 +940,13 @@ class Database
      * fails with this status until the database is reopened.
      */
     Status _poisoned = Status::ok();
+    /**
+     * Commits published to the shared pager (markAllClean) whose
+     * group append has not finished. While non-zero a clean pager
+     * image may hold state the log does not, so copyPagerImage()
+     * declines every page. Guarded by the engine lock.
+     */
+    std::uint32_t _unloggedCommits = 0;
 
     // ---- concurrency state ------------------------------------------
 

@@ -51,6 +51,10 @@ inline constexpr const char *kWalFullPageFrames = "wal.full_page_frames";
 inline constexpr const char *kSnapshotsOpened = "db.snapshots_opened";
 inline constexpr const char *kSnapshotReads = "db.snapshot_reads";
 inline constexpr const char *kSnapshotCacheHits = "db.snapshot_cache_hits";
+// Snapshot-cache misses served by copying the shared pager's clean
+// image instead of rebuilding the page (DESIGN.md §16).
+inline constexpr const char *kSnapshotPagerFetches =
+    "db.snapshot_pager_fetches";
 inline constexpr const char *kGroupCommits = "db.group_commits";
 inline constexpr const char *kGroupCommitTxns = "db.group_commit_txns";
 inline constexpr const char *kCheckpointerSteps = "db.checkpointer_steps";
@@ -168,6 +172,10 @@ inline constexpr const char *kWalCkptPagesWritten =
     "wal.ckpt_pages_written";
 inline constexpr const char *kWalCkptSequentialWrites =
     "wal.ckpt_sequential_writes";
+// Write-backs copied from the database's page cache, skipping the
+// .db base read and the diff replay (DESIGN.md §16).
+inline constexpr const char *kWalCkptPagesFromPager =
+    "wal.ckpt_pages_from_pager";
 
 // Pager traffic (page-cache effectiveness behind each scheme).
 inline constexpr const char *kPagerCacheHits = "pager.cache_hits";

@@ -20,6 +20,7 @@
 #ifndef NVWAL_WAL_WRITE_AHEAD_LOG_HPP
 #define NVWAL_WAL_WRITE_AHEAD_LOG_HPP
 
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -147,6 +148,20 @@ class WriteAheadLog
         (void)out;
         (void)horizon;
         return Status::unsupported("WAL does not support snapshots");
+    }
+
+    /**
+     * Commit sequence of the newest committed frame of @p page_no the
+     * log still retains (0 when it retains none), or std::nullopt
+     * when the implementation cannot tell. A known answer at or below
+     * a horizon means the page's newest committed version is also its
+     * version at that horizon.
+     */
+    virtual std::optional<CommitSeq>
+    newestFrameSeq(PageNo page_no) const
+    {
+        (void)page_no;
+        return std::nullopt;
     }
 
     /** Sequence of the newest committed transaction (0 = none yet). */

@@ -344,6 +344,123 @@ TEST(Concurrency, GroupCommitBatchesConcurrentWriters)
     NVWAL_CHECK_OK(db->verifyIntegrity());
 }
 
+/**
+ * Writers on their own connections group-commit while readers take
+ * fresh snapshots, whose cache misses may be served from the shared
+ * pager (DESIGN.md §16), and a background checkpointer writes pages
+ * back from it. Each transaction of writer w bumps its counter row w
+ * to n and inserts row n of its range, so the rows sit in a
+ * different leaf than the counter: a snapshot mixing a published but
+ * not yet logged page with a page rebuilt at its horizon shows a
+ * counter that disagrees with the rows.
+ */
+TEST(Concurrency, SnapshotReadersDuringGroupCommitSeeOnlyLoggedPages)
+{
+    Env env(envConfig());
+    DbConfig config = nvwalConfig();
+    config.backgroundCheckpointer = true;
+    config.checkpointThreshold = 32;
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, config, &db));
+
+    constexpr int kWriters = 4;
+    constexpr int kReaders = 2;
+    constexpr std::uint64_t kTxnsPerWriter = 300;
+    const auto counter_value = [](std::uint64_t n) {
+        ByteBuffer v(64, 0);
+        storeU64(v.data(), n);
+        return v;
+    };
+    const auto row_key = [](int w, std::uint64_t n) {
+        return static_cast<RowId>(w + 1) * 1000000 +
+               static_cast<RowId>(n);
+    };
+    for (int w = 0; w < kWriters; ++w)
+        NVWAL_CHECK_OK(db->insert(w, counter_value(0)));
+
+    std::atomic<int> writers_left{kWriters};
+    std::atomic<int> failures{0};
+    std::atomic<std::uint64_t> snapshots{0};
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWriters; ++w) {
+        threads.emplace_back([&, w] {
+            std::unique_ptr<Connection> conn;
+            bool ok = db->connect(&conn).isOk();
+            for (std::uint64_t n = 1; ok && n <= kTxnsPerWriter; ++n) {
+                const RowId key = row_key(w, n);
+                ok = conn->begin().isOk() &&
+                     conn->update(w, counter_value(n)).isOk() &&
+                     conn->insert(key, rowValue(key)).isOk() &&
+                     conn->commit().isOk();
+            }
+            if (!ok)
+                failures++;
+            writers_left--;
+        });
+    }
+    for (int r = 0; r < kReaders; ++r) {
+        threads.emplace_back([&] {
+            std::unique_ptr<Connection> conn;
+            if (!db->connect(&conn).isOk()) {
+                failures++;
+                return;
+            }
+            std::uint64_t last[kWriters] = {};
+            bool consistent = true;
+            while (consistent && writers_left.load() > 0) {
+                if (!conn->beginRead().isOk()) {
+                    failures++;
+                    return;
+                }
+                for (int w = 0; consistent && w < kWriters; ++w) {
+                    ByteBuffer v;
+                    if (!conn->get(w, &v).isOk() || v.size() != 64) {
+                        consistent = false;
+                        break;
+                    }
+                    const std::uint64_t n = loadU64(v.data());
+                    // Exactly rows 1..n of writer w, each with its value.
+                    std::uint64_t seen = 0;
+                    const Status s = conn->scan(
+                        row_key(w, 1), row_key(w + 1, 0),
+                        [&](RowId k, ConstByteSpan value) {
+                            ++seen;
+                            consistent =
+                                k == row_key(w, seen) &&
+                                ByteBuffer(value.begin(), value.end()) ==
+                                    rowValue(k);
+                            return consistent;
+                        });
+                    consistent = consistent && s.isOk() && seen == n &&
+                                 n >= last[w];
+                    last[w] = n;
+                }
+                if (!conn->endRead().isOk())
+                    consistent = false;
+                snapshots++;
+            }
+            if (!consistent)
+                failures++;
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_GT(snapshots.load(), 0u);
+    std::uint64_t n = 0;
+    NVWAL_CHECK_OK(db->count(&n));
+    EXPECT_EQ(n, kWriters * (kTxnsPerWriter + 1));
+    NVWAL_CHECK_OK(db->verifyIntegrity());
+    db.reset();
+    NVWAL_CHECK_OK(Database::open(env, config, &db));
+    for (int w = 0; w < kWriters; ++w) {
+        ByteBuffer v;
+        NVWAL_CHECK_OK(db->get(w, &v));
+        EXPECT_EQ(v, counter_value(kTxnsPerWriter));
+    }
+}
+
 // ---- threaded: background checkpointer -----------------------------
 
 TEST(Concurrency, BackgroundCheckpointerDrainsWhileCommitting)

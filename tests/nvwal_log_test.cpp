@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
+#include <string_view>
 #include <type_traits>
 
 #include "core/nvwal_log.hpp"
@@ -22,12 +25,22 @@ namespace
 constexpr std::uint32_t kPageSize = 4096;
 constexpr std::uint32_t kReserved = 24;
 
+/** Case names; SchemeParam::label indexes this table. */
+constexpr std::array<std::string_view, 7> kSchemeLabels = {
+    "LS",         "LS_Diff",    "CS_Diff",  "UH_LS",
+    "UH_LS_Diff", "UH_CS_Diff", "UH_E_Diff"};
+
 struct SchemeParam
 {
     SchemeParam(SyncMode sync_, bool diff_, bool user_heap,
-                const char *label_)
-        : sync(sync_), diff(diff_), userHeap(user_heap), label(label_)
+                std::string_view label_)
+        : sync(sync_), diff(diff_), userHeap(user_heap),
+          label(static_cast<std::uint64_t>(
+              std::find(kSchemeLabels.begin(), kSchemeLabels.end(),
+                        label_) -
+              kSchemeLabels.begin()))
     {
+        NVWAL_ASSERT(label < kSchemeLabels.size(), "unknown scheme label");
     }
 
     SyncMode sync;
@@ -36,10 +49,12 @@ struct SchemeParam
     /**
      * gtest prints a parameter it has no printer for as its raw bytes,
      * and ctest names each case by that dump: the padding is spelled
-     * out so the dump holds no uninitialised bytes.
+     * out, and the label is an index rather than a string pointer, so
+     * the dump holds neither uninitialised bytes nor an address that
+     * moves whenever the binary's layout does.
      */
     std::uint16_t zeroPad = 0;
-    const char *label;
+    std::uint64_t label;
 };
 static_assert(std::has_unique_object_representations_v<SchemeParam>);
 
@@ -330,7 +345,9 @@ INSTANTIATE_TEST_SUITE_P(
         SchemeParam{SyncMode::Lazy, true, true, "UH_LS_Diff"},
         SchemeParam{SyncMode::ChecksumAsync, true, true, "UH_CS_Diff"},
         SchemeParam{SyncMode::Eager, true, true, "UH_E_Diff"}),
-    [](const auto &info) { return std::string(info.param.label); });
+    [](const auto &info) {
+        return std::string(kSchemeLabels[info.param.label]);
+    });
 
 // ---- scheme-specific behaviour ------------------------------------
 
