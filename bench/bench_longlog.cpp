@@ -2,8 +2,8 @@
  * @file
  * Long-log read scaling curve: cold-miss page materialization cost
  * as the un-checkpointed log grows from 10 to 10,000 frames per
- * page (DESIGN.md §14). Two scenarios, both with the materialize
- * image cache disabled so every read is a cold miss:
+ * page (DESIGN.md §14). Two scenarios; every read is a cold
+ * materialization:
  *
  *  - `pinned.N`: one full-page frame, a pinned snapshot right
  *    behind it, then N trailing committed diffs. Every readPageAt()
@@ -56,14 +56,6 @@ struct ReadProfile
     std::uint64_t diffFrames = 0;
 };
 
-NvwalConfig
-coldConfig()
-{
-    NvwalConfig config;  // UH+LS+Diff defaults
-    config.materializeCacheEntries = 0;  // every read is a cold miss
-    return config;
-}
-
 struct LogRig
 {
     Env env;
@@ -73,8 +65,8 @@ struct LogRig
     explicit
     LogRig(const EnvConfig &env_config)
         : env(env_config), file(env.fs, "longlog.db", kPageSize),
-          log(env.heap, env.pmem, file, kPageSize, 24, coldConfig(),
-              env.stats)
+          log(env.heap, env.pmem, file, kPageSize, 24,
+              NvwalConfig{} /* UH+LS+Diff defaults */, env.stats)
     {
         NVWAL_CHECK_OK(file.open());
         std::uint32_t db_size = 0;
@@ -238,8 +230,7 @@ main(int argc, char **argv)
     const std::vector<int> curve{10, 100, 1000, 10000};
     const int reads = args.smoke ? 50 : 2000;
 
-    std::printf("Long-log cold-miss read scaling "
-                "(image cache disabled)\n\n");
+    std::printf("Long-log cold-miss read scaling\n\n");
     TablePrinter table("bench_longlog");
     table.setHeader({"scenario", "frames/page", "steps/read",
                      "sim us/read", "host us/read", "index nodes"});

@@ -240,17 +240,14 @@ BM_WalReadHotPage(benchmark::State &state)
 {
     // The materialized-page read path: one full-page frame plus a
     // run of small committed diffs, then repeated readPage() calls.
-    // range(0) toggles the image cache, so the two variants are the
-    // with/without numbers for the latest-full-frame shortcut + LRU
-    // (EXPERIMENTS.md, hot-path pass).
+    // Every read replays from the latest full frame (EXPERIMENTS.md,
+    // hot-path pass).
     EnvConfig env_config;
     env_config.cost = CostModel::tuna(500);
     Env env(env_config);
     DbFile file(env.fs, "hot.db", 4096);
     NVWAL_CHECK_OK(file.open());
     NvwalConfig config;  // UH+LS+Diff defaults
-    config.materializeCacheEntries =
-        static_cast<std::uint32_t>(state.range(0));
     NvwalLog log(env.heap, env.pmem, file, 4096, 24, config,
                  env.stats);
     std::uint32_t db_size = 0;
@@ -283,19 +280,17 @@ BM_WalReadHotPage(benchmark::State &state)
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-NVWAL_BENCHMARK_REPEATED(BM_WalReadHotPage)
-    ->ArgName("cache_entries")->Arg(0)->Arg(16);
+NVWAL_BENCHMARK_REPEATED(BM_WalReadHotPage);
 
 void
 BM_WalReadColdLongChain(benchmark::State &state)
 {
-    // Cold-miss variant of BM_WalReadHotPage: the image cache is
-    // disabled and the read pins an early horizon under a long
-    // committed diff chain, so every readPageAt() must resolve its
-    // frame through the per-page radix index (DESIGN.md section 14)
-    // with no cache and no full-frame anchor at or below the
-    // horizon. range(0) is the chain length; the per-read cost must
-    // stay flat (tree descent, not O(chain)) as it grows.
+    // Cold-miss variant of BM_WalReadHotPage: the read pins an early
+    // horizon under a long committed diff chain, so every
+    // readPageAt() must resolve its frame through the per-page radix
+    // index (DESIGN.md section 14) with no full-frame anchor at or
+    // below the horizon. range(0) is the chain length; the per-read
+    // cost must stay flat (tree descent, not O(chain)) as it grows.
     const int chain = static_cast<int>(state.range(0));
     EnvConfig env_config;
     env_config.cost = CostModel::tuna(500);
@@ -303,7 +298,6 @@ BM_WalReadColdLongChain(benchmark::State &state)
     DbFile file(env.fs, "cold.db", 4096);
     NVWAL_CHECK_OK(file.open());
     NvwalConfig config;  // UH+LS+Diff defaults
-    config.materializeCacheEntries = 0;
     NvwalLog log(env.heap, env.pmem, file, 4096, 24, config,
                  env.stats);
     std::uint32_t db_size = 0;

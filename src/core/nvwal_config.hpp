@@ -82,13 +82,6 @@ struct NvwalConfig
     std::uint32_t nvBlockSize = 8192;
 
     /**
-     * Materialized-page LRU cache capacity (page images kept by the
-     * read path, keyed by (page, commit seq)). 0 disables the cache
-     * and every read replays the diff chain.
-     */
-    std::uint32_t materializeCacheEntries = 16;
-
-    /**
      * Adaptive logging granularity (DESIGN.md §14), active when
      * diffLogging is on: a page whose logged bytes would exceed this
      * percentage of the page size -- judged by the pager's observed

@@ -666,7 +666,6 @@ NvwalLog::truncateAll()
     _pageIndex.clear();
     _indexedFrames = 0;
     publishIndexGauge();
-    clearImageCache();
     resetSinceCheckpoint();
     _tailNode = kNullNvOffset;
     _tailUsed = 0;
@@ -914,14 +913,6 @@ NvwalLog::indexFrame(const FrameRef &ref)
     const std::uint64_t nodes_before = _frameIndexNodes;
     auto [it, inserted] = _pageIndex.try_emplace(ref.pageNo);
     PageEntry &entry = it->second;
-    // A new commit supersedes the page's cached images; pinned
-    // readers re-materialize at their own horizon (their key can no
-    // longer be found, so they rebuild from the frame index). The
-    // checkpointed base image (page, baseSeq) is exempt: it is an
-    // immutable byte-correct fact, and it is exactly the replay base
-    // this commit needs when truncation already reclaimed the
-    // page's frame chain.
-    invalidateCachedImagesExcept(ref.pageNo, entry.baseSeq);
     if (inserted)
         entry.frames.bindNodeGauge(&_frameIndexNodes);
     const bool full_page =
@@ -950,69 +941,6 @@ NvwalLog::publishIndexGauge()
     _stats.setGauge(stats::kWalFrameIndexNodes, _frameIndexNodes);
 }
 
-bool
-NvwalLog::cachedImageGet(PageNo page_no, CommitSeq seq, ByteSpan out,
-                         bool record_stats)
-{
-    if (_config.materializeCacheEntries == 0)
-        return false;
-    const auto it = _imageIndex.find({page_no, seq});
-    if (it == _imageIndex.end()) {
-        if (record_stats)
-            _stats.add(stats::kWalMaterializeCacheMisses);
-        return false;
-    }
-    _imageLru.splice(_imageLru.begin(), _imageLru, it->second);
-    std::memcpy(out.data(), it->second->image.data(), _pageSize);
-    if (record_stats)
-        _stats.add(stats::kWalMaterializeCacheHits);
-    return true;
-}
-
-void
-NvwalLog::cachedImagePut(PageNo page_no, CommitSeq seq,
-                         ConstByteSpan image)
-{
-    if (_config.materializeCacheEntries == 0)
-        return;
-    const auto found = _imageIndex.find({page_no, seq});
-    if (found != _imageIndex.end()) {
-        _imageLru.splice(_imageLru.begin(), _imageLru, found->second);
-        return;
-    }
-    while (_imageLru.size() >= _config.materializeCacheEntries) {
-        const CachedImage &victim = _imageLru.back();
-        _imageIndex.erase({victim.pageNo, victim.seq});
-        _imageLru.pop_back();
-    }
-    _imageLru.push_front(CachedImage{
-        page_no, seq,
-        ByteBuffer(image.data(), image.data() + image.size())});
-    _imageIndex[{page_no, seq}] = _imageLru.begin();
-}
-
-void
-NvwalLog::invalidateCachedImagesExcept(PageNo page_no,
-                                       CommitSeq keep_seq)
-{
-    auto it = _imageIndex.lower_bound({page_no, 0});
-    while (it != _imageIndex.end() && it->first.first == page_no) {
-        if (keep_seq != 0 && it->first.second == keep_seq) {
-            ++it;
-            continue;
-        }
-        _imageLru.erase(it->second);
-        it = _imageIndex.erase(it);
-    }
-}
-
-void
-NvwalLog::clearImageCache()
-{
-    _imageLru.clear();
-    _imageIndex.clear();
-}
-
 Status
 NvwalLog::materializePage(PageNo page_no, ByteSpan out, CommitSeq horizon,
                           CommitSeq *effective_out)
@@ -1034,31 +962,24 @@ NvwalLog::materializePage(PageNo page_no, ByteSpan out, CommitSeq horizon,
         // No retained frame at or below the horizon. NotFound is the
         // WAL read contract -- the caller falls back to the .db
         // file, which (for horizon >= baseSeq) holds exactly the
-        // checkpointed base image. A surviving (page, baseSeq) cache
-        // entry pays off on the next materialization that replays on
-        // top of the base, not here.
+        // checkpointed base image.
         return Status::notFound(
             "no committed frame at snapshot horizon");
     }
 
-    // The cache key is the newest commit folded into the image, not
-    // the raw horizon: every horizon that sees the same frame prefix
-    // shares one entry, and a pinned snapshot can never hit an image
-    // containing commits past its horizon.
     const CommitSeq effective = visible->seq;
     if (effective_out != nullptr)
         *effective_out = effective;
-    if (cachedImageGet(page_no, effective, out)) {
-        _stats.add(stats::kWalFrameScanSteps, steps);
-        return Status::ok();
-    }
+    // One replay from the frame index (the counter keeps its old
+    // name, see stats.hpp).
+    _stats.add(stats::kWalMaterializeCacheMisses);
 
     // Replay start, in preference order: the indexed "last full
     // frame <= horizon" anchor (no scan -- each leaf carries it,
-    // maintained O(1) at insert), else the cached base image, else
-    // the .db file, else zeros (a page born in the log). An anchor
-    // at or below baseSeq/prunedThrough points at reclaimed frames
-    // whose effects the base image already contains; ignore it.
+    // maintained O(1) at insert), else the .db file, else zeros (a
+    // page born in the log). An anchor at or below
+    // baseSeq/prunedThrough points at reclaimed frames whose effects
+    // the base image already contains; ignore it.
     const CommitSeq anchor = visible->anchorSeq;
     const bool anchored = anchor != 0 && anchor > entry.baseSeq &&
                           anchor > entry.frames.prunedThrough();
@@ -1066,10 +987,6 @@ NvwalLog::materializePage(PageNo page_no, ByteSpan out, CommitSeq horizon,
     if (anchored) {
         _stats.add(stats::kWalFullFrameShortcuts);
         replay_lo = anchor;
-    } else if (entry.baseSeq != 0 &&
-               cachedImageGet(page_no, entry.baseSeq, out,
-                              /*record_stats=*/false)) {
-        // Base image from the cache; replay the retained suffix.
     } else if (page_no <= _dbFile.pageCount()) {
         // Base image: the page as the .db file knows it. Checkpoint
         // write-back never advances the base image past the oldest
@@ -1100,8 +1017,6 @@ NvwalLog::materializePage(PageNo page_no, ByteSpan out, CommitSeq horizon,
             }
         });
     _stats.add(stats::kWalFrameScanSteps, steps);
-    cachedImagePut(page_no, effective,
-                   ConstByteSpan(out.data(), out.size()));
     return Status::ok();
 }
 
@@ -1147,8 +1062,6 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
     // Trivially done only when the chain itself is empty: a log can
     // hold zero indexed frames yet still own nodes (pure 2PC control
     // records, aborted staged frames) that a full round must free.
-    // Frame-less stub entries (a baseSeq kept for a surviving cached
-    // image) don't make a round necessary by themselves.
     if (_indexedFrames == 0 && _nodesSinceCheckpoint == 0) {
         _ckptRoundActive = false;
         _ckptQueue.clear();
@@ -1188,8 +1101,7 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
     // whose newest retained frame is visible at the target is asked
     // of the committed-page source first (the database's page cache,
     // DESIGN.md §16): its image then needs no base read and no
-    // replay. Otherwise the materialized-image cache makes the
-    // reconstruction O(1) for any page the read path recently built.
+    // replay. Otherwise the page is replayed at the target.
     ByteBuffer page(_pageSize);
     std::uint32_t written = 0;
     while (written < max_pages) {
@@ -1209,9 +1121,6 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
         if (effective != 0 && effective <= target && _committedPageSource &&
             _committedPageSource(page_no, target, out)) {
             _stats.add(stats::kWalCkptPagesFromPager);
-            // Cache the written image as a replay would have, so the
-            // (page, baseSeq) images kept across truncation match.
-            cachedImagePut(page_no, effective, out);
         } else {
             const Status read =
                 materializePage(page_no, out, target, &effective);
@@ -1260,10 +1169,17 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
     }
 
     NVWAL_RETURN_IF_ERROR(_dbFile.sync());
-    *done = true;
     _ckptRoundActive = false;
     _ckptQueue.clear();
     _ckptQueuePos = 0;
+    if (target == _commitSeq && _indexedFrames != 0) {
+        // A pin released mid-round: the steps before the release
+        // wrote pages back only up to the old clamped target, so the
+        // frames past it are still live. Truncating now would lose
+        // them; the next step starts a fresh round that drains them.
+        return Status::ok();
+    }
+    *done = true;
 
     if (target < _commitSeq) {
         // A pinned snapshot sits below the newest commit, so frames
@@ -1306,24 +1222,10 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
         NVWAL_RETURN_IF_ERROR(_heap.nvFree(*it));
     persistU64(firstNodeFieldOff(), kNullNvOffset);
 
-    // Truncation invalidates the image cache per page, not
-    // wholesale: a page's frames are gone, but the round just wrote
-    // its state at baseSeq into the .db file, so a cached image at
-    // exactly (page, baseSeq) is still a byte-correct base image --
-    // keep it (and a frame-less stub entry so reads find it) and it
-    // keeps hitting. Commit sequences don't restart at truncation
-    // (only recover() restarts them), so the keys stay unique facts.
-    for (auto it = _pageIndex.begin(); it != _pageIndex.end();) {
-        const PageNo page_no = it->first;
-        PageEntry &entry = it->second;
-        _indexedFrames -= entry.frames.frameCount();
-        entry.frames.clear();
-        invalidateCachedImagesExcept(page_no, entry.baseSeq);
-        if (entry.baseSeq != 0 && imageCached(page_no, entry.baseSeq))
-            ++it;
-        else
-            it = _pageIndex.erase(it);
-    }
+    // Every page's frames are gone and the .db file holds its newest
+    // image, so the whole volatile index goes with them.
+    _pageIndex.clear();
+    _indexedFrames = 0;
     publishIndexGauge();
     resetSinceCheckpoint();
     _tailNode = kNullNvOffset;
@@ -1348,10 +1250,6 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
     _ckptQueue.clear();
     _ckptQueuePos = 0;
     _ckptPending.clear();
-    // Commit sequences restart below, so a stale (page, seq) cache
-    // key could collide with a *different* post-recovery commit;
-    // the cache must not survive recovery.
-    clearImageCache();
     resetSinceCheckpoint();
     _dbSizePages = 0;
     _tailNode = kNullNvOffset;

@@ -58,7 +58,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <list>
 #include <map>
 #include <set>
 #include <utility>
@@ -344,14 +343,6 @@ class NvwalLog : public WriteAheadLog
         ConstByteSpan payload;
     };
 
-    /** One materialized page image held by the read-path LRU. */
-    struct CachedImage
-    {
-        PageNo pageNo;
-        CommitSeq seq;      //!< newest commit folded into the image
-        ByteBuffer image;
-    };
-
     /**
      * A prepared transaction: durable in the log (its PREPARE unit
      * carries a commit mark) but not applied -- the refs are absent
@@ -398,42 +389,6 @@ class NvwalLog : public WriteAheadLog
      * cannot produce one extent of that size.
      */
     Status reserveContiguous(std::uint32_t bytes);
-
-    // ---- materialized-page LRU cache -------------------------------
-
-    /**
-     * Copy a cached image of (page, seq) into @p out, if present.
-     * @p record_stats suppresses the hit/miss counters for
-     * secondary probes (the base-image fallback inside one
-     * materialization), so the counters keep meaning "one lookup
-     * per read".
-     */
-    bool cachedImageGet(PageNo page_no, CommitSeq seq, ByteSpan out,
-                        bool record_stats = true);
-
-    /**
-     * Remember @p image as the page's state as of @p seq, as the most
-     * recently used entry (an existing entry is only moved).
-     */
-    void cachedImagePut(PageNo page_no, CommitSeq seq,
-                        ConstByteSpan image);
-
-    /**
-     * Drop @p page_no's cached images except the one at @p keep_seq
-     * (pass 0 to keep none). Truncation invalidates per page with
-     * the page's checkpointed base image exempted: its frames are
-     * gone, but the (page, baseSeq) fact is still byte-correct and
-     * keeps serving reads.
-     */
-    void invalidateCachedImagesExcept(PageNo page_no,
-                                      CommitSeq keep_seq);
-
-    /** Whether the cache holds an image of (page, seq); no LRU touch. */
-    bool imageCached(PageNo page_no, CommitSeq seq) const
-    { return _imageIndex.count({page_no, seq}) != 0; }
-
-    /** Drop the whole cache (recovery). */
-    void clearImageCache();
 
     /**
      * Page writes in one commit unit's data frames: every maximal run
@@ -607,8 +562,6 @@ class NvwalLog : public WriteAheadLog
      * baseSeq — the newest commit sequence whose effects the .db
      * base image already contains (advanced by checkpoint
      * write-back, which then reclaims the frames at or below it).
-     * A frame-less "stub" entry (baseSeq only) survives truncation
-     * while its cached base image keeps serving reads.
      */
     struct PageEntry
     {
@@ -621,16 +574,6 @@ class NvwalLog : public WriteAheadLog
     std::uint64_t _indexedFrames = 0;
     /** Live radix nodes across every page's index (gauge backing). */
     std::uint64_t _frameIndexNodes = 0;
-    /**
-     * Materialized-image LRU (front = most recent) plus its lookup
-     * index. Keyed by (page, newest seq folded in), so a pinned
-     * snapshot naturally misses entries built past its horizon. No
-     * internal locking: every caller already holds the database
-     * engine mutex.
-     */
-    std::list<CachedImage> _imageLru;
-    std::map<std::pair<PageNo, CommitSeq>,
-             std::list<CachedImage>::iterator> _imageIndex;
 };
 
 } // namespace nvwal

@@ -832,24 +832,27 @@ Database::submitAndWait(GroupEntry *entry,
     return entry->status;
 }
 
-Status
+void
 Database::maybeCheckpointAfterCommit()
 {
     if (_wal->pageWritesSinceCheckpoint() < _config.checkpointThreshold)
-        return Status::ok();
+        return;
     if (_config.backgroundCheckpointer) {
         kickCheckpointer();
-        return Status::ok();
+        return;
     }
     // The committer released the writer lock at enqueue, so another
     // write transaction may already be open; checkpointing under it
     // would fail with Busy although this commit landed. Skip the
     // round: the next commit re-trips the threshold.
     if (!_config.autoCheckpoint || _inTxn)
-        return Status::ok();
-    return checkpointRound(
-        _config.incrementalCheckpoint ? _config.checkpointStepPages : 0,
-        nullptr);
+        return;
+    const std::uint32_t step_pages =
+        _config.incrementalCheckpoint ? _config.checkpointStepPages : 0;
+    if (!checkpointRound(step_pages, nullptr).isOk()) {
+        _env.stats.add(stats::kAutoCheckpointFailures);
+        _env.stats.tracer().instant("db.auto_checkpoint_failed", "db");
+    }
 }
 
 Status
@@ -998,7 +1001,6 @@ Database::commitFromConnection(std::unique_lock<std::mutex> *writer_lock,
 
     std::lock_guard<std::recursive_mutex> eng(_engineMutex);
     Tracer &tracer = _env.stats.tracer();
-    Status ckpt = Status::ok();
     if (s.isOk()) {
         *ack_epoch = entry.epoch;
         _env.stats.add(stats::kTxnsCommitted);
@@ -1011,13 +1013,13 @@ Database::commitFromConnection(std::unique_lock<std::mutex> *writer_lock,
         tracer.complete("db.txn", "db", txn_begin);
         _env.stats.recordNs(stats::kHistCommitNs,
                             _env.clock.now() - commit_begin);
-        ckpt = maybeCheckpointAfterCommit();
+        maybeCheckpointAfterCommit();
     }
     // Anything after the commit is background again -- unless the
     // next writer has begun meanwhile and owns the attribution.
     if (tracer.currentTxn() == entry.txnSeq)
         tracer.setCurrentTxn(0);
-    return s.isOk() ? ckpt : s;
+    return s;
 }
 
 Status
@@ -1106,7 +1108,8 @@ Database::decideFromConnection(std::uint64_t gtid, bool commit,
     if (!s.isOk())
         return s;
     std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-    return maybeCheckpointAfterCommit();
+    maybeCheckpointAfterCommit();
+    return Status::ok();
 }
 
 // ---- committed-page fetches (DESIGN.md §16) -------------------------
@@ -2026,12 +2029,16 @@ Database::mwMaybeCheckpoint()
     std::unique_lock<std::mutex> ck(_mwCkptMutex, std::try_to_lock);
     if (!ck.owns_lock())
         return;  // another round is already draining
-    (void)mwCheckpointLocked();
+    if (!mwCheckpointLocked().isOk()) {
+        _env.stats.add(stats::kAutoCheckpointFailures);
+        _env.stats.tracer().instant("db.auto_checkpoint_failed", "db");
+    }
 }
 
 Status
 Database::mwCheckpointLocked()
 {
+    TraceSpan span(_env.stats.tracer(), "wal.checkpoint", "wal");
     // Every epoch written to the file must be durable in some log
     // first (no file state ahead of the logs), so harden the current
     // published floor before any write-back.

@@ -697,9 +697,11 @@ class Database
      * Caller holds the engine lock. A round that finds another write
      * transaction open is skipped, not failed: the writer lock was
      * released at enqueue, and the next commit re-trips the
-     * threshold.
+     * threshold. A round that fails is counted and traced but never
+     * fails the commit, which is already durable (DESIGN.md §8.3);
+     * the next commit past the threshold retries it.
      */
-    Status maybeCheckpointAfterCommit();
+    void maybeCheckpointAfterCommit();
 
     /**
      * One checkpoint round, the body of every checkpoint path: a full
@@ -887,7 +889,8 @@ class Database
     Status mwCheckpointLocked();
 
     /** Post-commit trigger: run mwCheckpoint() once the configured
-     *  frame threshold is crossed and no other round is active. */
+     *  frame threshold is crossed and no other round is active. A
+     *  failed round is counted, as in maybeCheckpointAfterCommit(). */
     void mwMaybeCheckpoint();
 
     /** Pin a read snapshot at the current published floor; @p db_size

@@ -43,6 +43,10 @@ inline constexpr const char *kBlocksRead = "blockdev.blocks_read";
 inline constexpr const char *kJournalBlocksWritten = "fs.journal_blocks";
 inline constexpr const char *kFsyncs = "fs.fsyncs";
 inline constexpr const char *kCheckpoints = "db.checkpoints";
+// Auto-checkpoint rounds that failed after their commit was durable;
+// the commit still returns OK and the next commit retries the round.
+inline constexpr const char *kAutoCheckpointFailures =
+    "db.auto_checkpoint_failures";
 inline constexpr const char *kTxnsCommitted = "db.txns_committed";
 inline constexpr const char *kWalFullPageFrames = "wal.full_page_frames";
 
@@ -142,9 +146,11 @@ inline constexpr const char *kWalFlushRangesCoalesced =
     "wal.flush_ranges_coalesced";
 inline constexpr const char *kPmemFlushLinesDeduped =
     "pmem.flush_lines_deduped";
-// Materialized-page read path: LRU image cache hits/misses and reads
-// that started from a logged full-page frame instead of the .db base
-// image.
+// Materialized-page read path. A "miss" is one page replay from the
+// frame index; "hits" stays 0. Both names outlive the image cache
+// they once counted because the e2ebench driver reads them. Full-frame
+// shortcuts are replays that started from a logged full-page frame
+// instead of the .db base image.
 inline constexpr const char *kWalMaterializeCacheHits =
     "wal.materialize_cache_hits";
 inline constexpr const char *kWalMaterializeCacheMisses =

@@ -5,7 +5,8 @@
  * connection. DatabaseApi runs every case on both handles and pins
  * the shared policy -- Busy on a nested begin, InvalidArgument without
  * one, Unsupported-and-still-open for Async on a file WAL, poisoning
- * after a failed append, and a per-handle lastCommitEpoch().
+ * after a failed append, a per-handle lastCommitEpoch(), and an OK
+ * durable commit whose auto-checkpoint round failed.
  * WriteTxnReads checks, on both engines, that a write transaction
  * reads its own uncommitted writes.
  */
@@ -16,6 +17,7 @@
 
 #include "db/connection.hpp"
 #include "db/database.hpp"
+#include "sim/stats.hpp"
 #include "test_util.hpp"
 
 namespace nvwal
@@ -92,6 +94,12 @@ class DatabaseApi : public ::testing::TestWithParam<Handle>
     }
 
     Status
+    update(RowId key, const ByteBuffer &value)
+    {
+        return direct() ? db->update(key, value) : conn->update(key, value);
+    }
+
+    Status
     get(RowId key, ByteBuffer *out)
     {
         return direct() ? db->get(key, out) : conn->get(key, out);
@@ -107,7 +115,6 @@ class DatabaseApi : public ::testing::TestWithParam<Handle>
     std::unique_ptr<Database> db;
     std::unique_ptr<Connection> conn;
 
-  private:
     DbConfig _config;
 };
 
@@ -208,6 +215,52 @@ TEST_P(DatabaseApi, LastCommitEpochReportsOnlyThisHandle)
     }
     EXPECT_EQ(lastCommitEpoch(), mine);
     NVWAL_CHECK_OK(db->flushAsyncCommits());
+}
+
+TEST_P(DatabaseApi, AutoCheckpointFailureKeepsDurableCommitOk)
+{
+    // Checkpointed rows, then logged updates whose write-back must
+    // read their base pages from the .db file.
+    DbConfig config = nvwalConfig();
+    config.autoCheckpoint = false;
+    open(config);
+    for (RowId k = 1; k <= 400; ++k)
+        NVWAL_CHECK_OK(db->insert(k, rowValue(k)));
+    NVWAL_CHECK_OK(db->checkpoint());
+    for (RowId k = 1; k <= 400; k += 20)
+        NVWAL_CHECK_OK(db->update(k, rowValue(k + 1000)));
+
+    // The next commit trips the auto-checkpoint, whose round fails.
+    config.autoCheckpoint = true;
+    config.checkpointThreshold = db->walPageWritesSinceCheckpoint() + 1;
+    _config = config;
+    reopen();
+    const ByteBuffer v = rowValue(7777);
+    NVWAL_CHECK_OK(begin());
+    NVWAL_CHECK_OK(update(5, v));
+    env->fs.injectReadFaults(1);
+    // SQLite's policy: the commit is durable, so it reports OK.
+    NVWAL_CHECK_OK(commit());
+    EXPECT_EQ(env->stats.get(stats::kAutoCheckpointFailures), 1u);
+    EXPECT_GT(db->walPageWritesSinceCheckpoint(), 0u);
+
+    // The next commit past the threshold retries the round.
+    const std::uint64_t rounds = env->stats.get(stats::kCheckpoints);
+    NVWAL_CHECK_OK(begin());
+    NVWAL_CHECK_OK(update(6, v));
+    NVWAL_CHECK_OK(commit());
+    EXPECT_EQ(env->stats.get(stats::kAutoCheckpointFailures), 1u);
+    EXPECT_EQ(env->stats.get(stats::kCheckpoints), rounds + 1);
+    EXPECT_EQ(db->walPageWritesSinceCheckpoint(), 0u);
+
+    reopen();
+    ByteBuffer out;
+    for (const RowId k : {5, 6}) {
+        NVWAL_CHECK_OK(get(k, &out));
+        EXPECT_EQ(out, v) << "key " << k;
+    }
+    NVWAL_CHECK_OK(get(21, &out));
+    EXPECT_EQ(out, rowValue(1021));
 }
 
 INSTANTIATE_TEST_SUITE_P(Handles, DatabaseApi,

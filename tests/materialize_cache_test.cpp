@@ -1,17 +1,21 @@
 /**
  * @file
- * Tests for the materialized-page LRU cache and latest-full-frame
- * shortcut (DESIGN.md §9): snapshot-pinned readers must see their
- * horizon rather than a newer cached image, new commits invalidate a
- * page's cached images, the cache restarts cold across recover(),
- * and the ordered checkpoint both drains pages in ascending order
- * and reuses images the read path just materialized.
+ * Tests for the cold page-materialization path and the
+ * latest-full-frame shortcut (DESIGN.md §9): every read replays from
+ * the radix frame index at its own horizon, so snapshot-pinned
+ * readers see their horizon rather than a newer image, a replay
+ * after truncation starts from the .db image the checkpoint wrote,
+ * and the ordered checkpoint drains pages in ascending order. A
+ * seeded model check compares every pinned read with an oracle.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <map>
+#include <set>
 
 #include "core/nvwal_log.hpp"
 #include "db/connection.hpp"
@@ -45,9 +49,8 @@ class MaterializeCacheTest : public ::testing::Test
     }
 
     void
-    openLog(std::uint32_t cache_entries)
+    openLog()
     {
-        config.materializeCacheEntries = cache_entries;
         log = std::make_unique<NvwalLog>(env.heap, env.pmem, dbFile,
                                          kPageSize, kReserved, config,
                                          env.stats);
@@ -96,36 +99,14 @@ class MaterializeCacheTest : public ::testing::Test
     std::unique_ptr<NvwalLog> log;
 };
 
-/** Second read of an unchanged page is served from the cache. */
-TEST_F(MaterializeCacheTest, RepeatReadHitsCache)
-{
-    openLog(16);
-    ByteBuffer page = testutil::makeValue(kPageSize, 7);
-    commitFullPage(3, page, 3);
-
-    ByteBuffer out(kPageSize);
-    const auto h0 = hits(), m0 = misses();
-    NVWAL_CHECK_OK(log->readPage(3, ByteSpan(out.data(), out.size())));
-    EXPECT_EQ(out, page);
-    EXPECT_EQ(hits() - h0, 0u);
-    EXPECT_EQ(misses() - m0, 1u);
-
-    std::memset(out.data(), 0, out.size());
-    NVWAL_CHECK_OK(log->readPage(3, ByteSpan(out.data(), out.size())));
-    EXPECT_EQ(out, page);
-    EXPECT_EQ(hits() - h0, 1u);
-    EXPECT_EQ(misses() - m0, 1u);
-}
-
 /**
  * A snapshot pinned before a later commit must materialize its own
- * horizon even when the cache holds the newer image: the cache key
- * is (page, effective commit seq), so the pinned read resolves to a
- * different entry, never the newer one.
+ * horizon even right after a read of the newer image: the replay
+ * stops at the newest frame at or below the pinned horizon.
  */
 TEST_F(MaterializeCacheTest, PinnedSnapshotDoesNotSeeNewerCachedImage)
 {
-    openLog(16);
+    openLog();
     ByteBuffer v1 = testutil::makeValue(kPageSize, 1);
     commitFullPage(3, v1, 3);
     const CommitSeq pinned = log->commitSeq();
@@ -134,27 +115,25 @@ TEST_F(MaterializeCacheTest, PinnedSnapshotDoesNotSeeNewerCachedImage)
     std::memset(v2.data() + 100, 0x99, 8);
     commitDiff(3, v2, 3);
 
-    // Warm the cache with the newest image.
+    // Read the newest image first.
     ByteBuffer out(kPageSize);
     NVWAL_CHECK_OK(log->readPage(3, ByteSpan(out.data(), out.size())));
     EXPECT_EQ(out, v2);
 
-    // The pinned reader must get v1, not the cached v2.
+    // The pinned reader must get v1, not v2.
     NVWAL_CHECK_OK(
         log->readPageAt(3, ByteSpan(out.data(), out.size()), pinned));
     EXPECT_EQ(out, v1);
 
-    // And an unpinned read still sees v2 (now from the cache).
-    const auto h0 = hits();
+    // And an unpinned read still sees v2.
     NVWAL_CHECK_OK(log->readPage(3, ByteSpan(out.data(), out.size())));
     EXPECT_EQ(out, v2);
-    EXPECT_EQ(hits() - h0, 1u);
 }
 
-/** A new commit to a page invalidates its cached images. */
+/** A read after a new commit to a page replays the new frame. */
 TEST_F(MaterializeCacheTest, CommitInvalidatesCachedImage)
 {
-    openLog(16);
+    openLog();
     ByteBuffer v1 = testutil::makeValue(kPageSize, 1);
     commitFullPage(3, v1, 3);
 
@@ -165,7 +144,7 @@ TEST_F(MaterializeCacheTest, CommitInvalidatesCachedImage)
     std::memset(v2.data() + 100, 0xAB, 8);
     commitDiff(3, v2, 3);
 
-    // The read after the commit cannot be served by the stale entry.
+    // One fresh materialization, never a hit.
     const auto h0 = hits(), m0 = misses();
     NVWAL_CHECK_OK(log->readPage(3, ByteSpan(out.data(), out.size())));
     EXPECT_EQ(out, v2);
@@ -173,10 +152,10 @@ TEST_F(MaterializeCacheTest, CommitInvalidatesCachedImage)
     EXPECT_EQ(misses() - m0, 1u);
 }
 
-/** The cache restarts cold across recover(); data stays correct. */
+/** Reads after recover() re-materialize the committed content. */
 TEST_F(MaterializeCacheTest, CacheColdAfterRecover)
 {
-    openLog(16);
+    openLog();
     ByteBuffer page = testutil::makeValue(kPageSize, 5);
     commitFullPage(3, page, 3);
 
@@ -190,8 +169,8 @@ TEST_F(MaterializeCacheTest, CacheColdAfterRecover)
     std::uint32_t db_size = 0;
     NVWAL_CHECK_OK(fresh->recover(&db_size));
 
-    // First post-recovery read misses (no cached image survives) and
-    // re-materializes the committed content from NVRAM.
+    // The first post-recovery read re-materializes the committed
+    // content from NVRAM.
     const auto h0 = hits(), m0 = misses();
     std::memset(out.data(), 0, out.size());
     NVWAL_CHECK_OK(fresh->readPage(3, ByteSpan(out.data(), out.size())));
@@ -201,13 +180,13 @@ TEST_F(MaterializeCacheTest, CacheColdAfterRecover)
 }
 
 /**
- * With the cache disabled the latest-full-frame shortcut still
- * avoids the base-page read + diff replay prefix: the backward scan
- * starts materialization at the newest full-page frame.
+ * The latest-full-frame shortcut avoids the base-page read + diff
+ * replay prefix: materialization starts at the newest full-page
+ * frame.
  */
 TEST_F(MaterializeCacheTest, FullFrameShortcutWithCacheDisabled)
 {
-    openLog(0);
+    openLog();
     ByteBuffer page = testutil::makeValue(kPageSize, 9);
     commitFullPage(3, page, 3);
     for (int i = 0; i < 4; ++i) {
@@ -221,19 +200,19 @@ TEST_F(MaterializeCacheTest, FullFrameShortcutWithCacheDisabled)
     NVWAL_CHECK_OK(log->readPage(3, ByteSpan(out.data(), out.size())));
     EXPECT_EQ(out, page);
     EXPECT_EQ(env.stats.get(stats::kWalFullFrameShortcuts) - s0, 1u);
-    // Cache disabled: neither hits nor misses are recorded.
+    // One materialization, counted as one miss.
     EXPECT_EQ(hits() - h0, 0u);
-    EXPECT_EQ(misses() - m0, 0u);
+    EXPECT_EQ(misses() - m0, 1u);
 }
 
 /**
- * Checkpoint write-back reuses the image the read path just
- * materialized and drains pages in ascending page order regardless
- * of commit order.
+ * Checkpoint write-back drains pages in ascending page order
+ * regardless of commit order, also after the read path has just
+ * materialized them.
  */
 TEST_F(MaterializeCacheTest, CheckpointReusesCacheAndDrainsInOrder)
 {
-    openLog(16);
+    openLog();
     // Commit in scattered page order.
     const PageNo pages[] = {9, 3, 7, 5};
     ByteBuffer images[4];
@@ -244,24 +223,21 @@ TEST_F(MaterializeCacheTest, CheckpointReusesCacheAndDrainsInOrder)
         commitFullPage(pages[i], images[i], db_size);
     }
 
-    // Warm the cache the way a reader would.
+    // Read every page the way a reader would.
     ByteBuffer out(kPageSize);
     for (int i = 0; i < 4; ++i) {
         NVWAL_CHECK_OK(
             log->readPage(pages[i], ByteSpan(out.data(), out.size())));
     }
 
-    const auto h0 = hits();
     const auto w0 = env.stats.get(stats::kWalCkptPagesWritten);
     const auto seq0 = env.stats.get(stats::kWalCkptSequentialWrites);
     NVWAL_CHECK_OK(log->checkpoint());
 
-    // Every written page was served from the materialized cache, and
-    // the drain visited them in ascending page order: each write
+    // The drain visited the pages in ascending page order: each write
     // after the first lands above its predecessor.
     const auto written = env.stats.get(stats::kWalCkptPagesWritten) - w0;
     EXPECT_EQ(written, 4u);
-    EXPECT_EQ(hits() - h0, written);
     EXPECT_EQ(env.stats.get(stats::kWalCkptSequentialWrites) - seq0,
               written - 1);
 
@@ -275,8 +251,8 @@ TEST_F(MaterializeCacheTest, CheckpointReusesCacheAndDrainsInOrder)
 
 /**
  * Database-level guard: a snapshot reader pinned before a concurrent
- * commit keeps seeing its horizon even after the newest page image
- * has been pulled into the materialized cache by other readers.
+ * commit keeps seeing its horizon even after other readers have read
+ * the newest page image.
  */
 TEST(MaterializeCacheDb, SnapshotReaderUnaffectedByWarmCache)
 {
@@ -299,7 +275,7 @@ TEST(MaterializeCacheDb, SnapshotReaderUnaffectedByWarmCache)
     const ByteBuffer v_new = testutil::makeValue(64, 2);
     NVWAL_CHECK_OK(db->update(1, testutil::spanOf(v_new)));
 
-    // Populate the WAL's materialized cache with the newest image.
+    // Read the newest image first.
     ByteBuffer got;
     NVWAL_CHECK_OK(db->get(1, &got));
     EXPECT_EQ(got, v_new);
@@ -317,114 +293,61 @@ TEST(MaterializeCacheDb, SnapshotReaderUnaffectedByWarmCache)
 }
 
 /**
- * Satellite regression (over-broad truncation invalidation): after a
- * checkpoint truncates a page's frame chain, the cached image at the
- * page's checkpointed base sequence survives and serves as the
- * replay base for the next diff commit -- the read never touches the
- * .db file. Proven behaviorally: the .db copy is overwritten with
- * garbage after the checkpoint, and the materialized page is still
- * byte-correct.
+ * A checkpoint that truncates the log leaves no DRAM copy of a page
+ * behind: a diff committed afterwards replays on the image the round
+ * wrote into the .db file at the page's base sequence. Proven both
+ * ways: the read equals that image plus the diff, and once the .db
+ * copy is overwritten the same read shows the new bytes under the
+ * diff.
  */
 TEST_F(MaterializeCacheTest, TruncationKeepsBaseImageServingReads)
 {
-    openLog(16);
+    openLog();
     ByteBuffer v1 = testutil::makeValue(kPageSize, 21);
     commitFullPage(3, v1, 3);                        // seq 1
 
     ByteBuffer out(kPageSize);
     NVWAL_CHECK_OK(log->readPage(3, ByteSpan(out.data(), out.size())));
-    EXPECT_EQ(out, v1);                              // caches (3, 1)
+    EXPECT_EQ(out, v1);
 
     NVWAL_CHECK_OK(log->checkpoint());
-    // The frame chain is gone; the WAL read contract is NotFound.
+    // The frame chain is gone; the WAL read contract is NotFound, and
+    // the .db file holds the page as of its base sequence.
     EXPECT_TRUE(
         log->readPage(3, ByteSpan(out.data(), out.size())).isNotFound());
+    NVWAL_CHECK_OK(dbFile.readPage(3, ByteSpan(out.data(), out.size())));
+    EXPECT_EQ(out, v1);
 
-    // Corrupt the .db copy: if the next materialization fell back to
-    // the file, the garbage would show through.
-    const ByteBuffer garbage(kPageSize, 0xCC);
-    NVWAL_CHECK_OK(dbFile.writePage(3, testutil::spanOf(garbage)));
-
-    // New diff on top of the truncated chain. The surviving
-    // (3, baseSeq) image -- not the corrupted file -- is the base.
+    // New diff on top of the truncated chain.
     ByteBuffer v2 = v1;
     for (int i = 100; i < 108; ++i)
         v2[static_cast<std::size_t>(i)] ^= 0x5A;
     commitDiff(3, v2, 3);                            // seq 2
 
-    const auto h0 = hits(), m0 = misses();
+    const auto s0 = env.stats.get(stats::kWalFullFrameShortcuts);
+    const auto m0 = misses();
     NVWAL_CHECK_OK(log->readPage(3, ByteSpan(out.data(), out.size())));
     EXPECT_EQ(out, v2);
-    EXPECT_EQ(misses() - m0, 1u);  // fresh materialization at seq 2
+    EXPECT_EQ(misses() - m0, 1u);
+    // No full frame anchors the replay: it started from the file.
+    EXPECT_EQ(env.stats.get(stats::kWalFullFrameShortcuts) - s0, 0u);
 
-    // ...and the new image is cached: the repeat read hits.
+    // Replace the .db copy: the next replay starts from the new bytes.
+    ByteBuffer other(kPageSize, 0xCC);
+    NVWAL_CHECK_OK(dbFile.writePage(3, testutil::spanOf(other)));
+    std::memcpy(other.data() + 100, v2.data() + 100, 8);
     NVWAL_CHECK_OK(log->readPage(3, ByteSpan(out.data(), out.size())));
-    EXPECT_EQ(out, v2);
-    EXPECT_EQ(hits() - h0, 1u);
+    EXPECT_EQ(out, other);
 }
 
 /**
- * Satellite regression (truncation invalidation is per page): a
- * cached image whose sequence is NOT the page's base is dropped at
- * truncation, while another page's base image in the same cache
- * survives -- invalidation walks pages, not the whole cache.
- */
-TEST_F(MaterializeCacheTest, TruncationDropsOnlyNonBaseImages)
-{
-    openLog(16);
-    ByteBuffer p3 = testutil::makeValue(kPageSize, 31);
-    ByteBuffer p4 = testutil::makeValue(kPageSize, 32);
-    commitFullPage(3, p3, 4);                        // seq 1
-    commitFullPage(4, p4, 4);                        // seq 2
-
-    ByteBuffer out(kPageSize);
-    NVWAL_CHECK_OK(log->readPage(3, ByteSpan(out.data(), out.size())));
-    NVWAL_CHECK_OK(log->readPage(4, ByteSpan(out.data(), out.size())));
-
-    NVWAL_CHECK_OK(log->checkpoint());
-
-    // Page 3's base image (seq 1) survived; page 4's too (seq 2).
-    // A stale non-base image must be gone: page 3's state at seq 1
-    // is its base, so nothing else was cached for it -- create a
-    // staleness case instead via a post-checkpoint commit + read,
-    // then a second checkpoint.
-    ByteBuffer p3b = p3;
-    p3b[100] ^= 0x77;
-    commitDiff(3, p3b, 4);                           // seq 3
-    NVWAL_CHECK_OK(log->readPage(3, ByteSpan(out.data(), out.size())));
-    EXPECT_EQ(out, p3b);                             // caches (3, 3)
-
-    NVWAL_CHECK_OK(log->checkpoint());
-    // (3, 1) was superseded as base by (3, 3) and must be dropped;
-    // page 4 kept exactly its base. Both pages keep serving reads
-    // through their bases after fresh commits, file reads unneeded:
-    const ByteBuffer garbage(kPageSize, 0xDD);
-    NVWAL_CHECK_OK(dbFile.writePage(3, testutil::spanOf(garbage)));
-    NVWAL_CHECK_OK(dbFile.writePage(4, testutil::spanOf(garbage)));
-
-    ByteBuffer p3c = p3b;
-    p3c[100] ^= 0x11;
-    commitDiff(3, p3c, 4);                           // seq 4
-    ByteBuffer p4b = p4;
-    p4b[100] ^= 0x22;
-    commitDiff(4, p4b, 4);                           // seq 5
-    NVWAL_CHECK_OK(log->readPage(3, ByteSpan(out.data(), out.size())));
-    EXPECT_EQ(out, p3c);
-    NVWAL_CHECK_OK(log->readPage(4, ByteSpan(out.data(), out.size())));
-    EXPECT_EQ(out, p4b);
-}
-
-/**
- * Satellite regression (_pageIndex memory retention): a fully
- * checkpointed page releases its frame list and radix nodes. With
- * the image cache disabled nothing anchors the entry, so the whole
- * per-page state is reclaimed; with the cache enabled only the
- * frame-less stub survives. Either way the index footprint after a
+ * _pageIndex memory retention: a fully checkpointed page releases its
+ * frame list and radix nodes, so the index footprint after a
  * checkpoint is bounded by the *retained* frames, not by history.
  */
 TEST_F(MaterializeCacheTest, CheckpointReclaimsFrameIndexMemory)
 {
-    openLog(0);  // cache disabled: no base images, no stub entries
+    openLog();
     for (int round = 0; round < 50; ++round) {
         ByteBuffer page = testutil::makeValue(kPageSize, 40 + round);
         commitFullPage(3 + (round % 4), page, 8);
@@ -446,6 +369,149 @@ TEST_F(MaterializeCacheTest, CheckpointReclaimsFrameIndexMemory)
 
     NVWAL_CHECK_OK(log->checkpoint());
     EXPECT_EQ(log->frameIndexNodes(), 0u);
+}
+
+/**
+ * Seeded model check of the cold read path: random full-page and
+ * diff commits over 16 pages, mixed with snapshot pins, checkpoint
+ * steps and rounds clamped by those pins, truncating rounds and one
+ * recover(). After every operation, each page read at each pinned
+ * horizon (and at the newest commit) must equal the test's oracle.
+ * A WAL read that finds no frame falls back to the .db file, as the
+ * pager does.
+ */
+TEST_F(MaterializeCacheTest, RandomCommitsMatchOracleAtEveryPin)
+{
+    constexpr PageNo kPages = 16;
+    constexpr std::uint32_t kUsable = kPageSize - kReserved;
+    openLog();
+    Rng rng(0xC01D);
+
+    // Per page: commit seq -> the page image as of that commit.
+    std::vector<std::map<CommitSeq, ByteBuffer>> history(kPages + 1);
+    for (auto &h : history)
+        h[0] = ByteBuffer(kPageSize, 0);
+    std::multiset<CommitSeq> pins;
+
+    const auto expectReadsMatch = [&](const char *op, int step) {
+        ByteBuffer out(kPageSize);
+        std::set<CommitSeq> horizons(pins.begin(), pins.end());
+        horizons.insert(log->commitSeq());
+        for (const CommitSeq horizon : horizons) {
+            for (PageNo no = 1; no <= kPages; ++no) {
+                const ByteSpan span(out.data(), out.size());
+                Status s = log->readPageAt(no, span, horizon);
+                if (s.isNotFound() && no <= dbFile.pageCount()) {
+                    s = dbFile.readPage(no, span);
+                } else if (s.isNotFound()) {
+                    std::fill(out.begin(), out.end(), 0);
+                    s = Status::ok();
+                }
+                NVWAL_CHECK_OK(s);
+                const ByteBuffer &want =
+                    std::prev(history[no].upper_bound(horizon))->second;
+                ASSERT_EQ(out, want) << "after " << op << " at step "
+                                     << step << ": page " << no
+                                     << " at horizon " << horizon;
+            }
+        }
+    };
+    const auto unpinAll = [&] {
+        for (const CommitSeq pin : pins)
+            log->unpinSnapshot(pin);
+        pins.clear();
+    };
+
+    for (int step = 0; step < 240; ++step) {
+        const char *op = "";
+        const std::uint64_t roll = rng.nextBelow(100);
+        if (step == 120) {
+            // Crash and restart: sequences restart, so the oracle
+            // keeps only each page's newest image, at seq 0.
+            op = "recover";
+            unpinAll();
+            log = std::make_unique<NvwalLog>(env.heap, env.pmem, dbFile,
+                                             kPageSize, kReserved,
+                                             config, env.stats);
+            std::uint32_t db_size = 0;
+            NVWAL_CHECK_OK(log->recover(&db_size));
+            for (auto &h : history) {
+                ByteBuffer newest = std::move(h.rbegin()->second);
+                h.clear();
+                h[0] = std::move(newest);
+            }
+        } else if (roll < 55) {
+            op = "commit";
+            const std::uint64_t n_pages = 1 + rng.nextBelow(3);
+            std::set<PageNo> chosen;
+            while (chosen.size() < n_pages)
+                chosen.insert(static_cast<PageNo>(1 + rng.nextBelow(kPages)));
+            std::vector<ByteBuffer> images;
+            std::vector<DirtyRanges> ranges(chosen.size());
+            images.reserve(chosen.size());
+            std::vector<FrameWrite> frames;
+            for (const PageNo no : chosen) {
+                ByteBuffer page = history[no].rbegin()->second;
+                DirtyRanges &dirty = ranges[images.size()];
+                if (rng.nextBelow(4) == 0) {
+                    // Full-page rewrite.
+                    for (std::uint32_t i = 0; i < kUsable; ++i)
+                        page[i] = static_cast<std::uint8_t>(rng.next());
+                    dirty.mark(0, kPageSize);
+                } else {
+                    const std::uint64_t n_ranges = 1 + rng.nextBelow(3);
+                    for (std::uint64_t r = 0; r < n_ranges; ++r) {
+                        const auto at = static_cast<std::uint32_t>(
+                            rng.nextBelow(kUsable - 64));
+                        const auto len = static_cast<std::uint32_t>(
+                            1 + rng.nextBelow(64));
+                        for (std::uint32_t i = at; i < at + len; ++i)
+                            page[i] = static_cast<std::uint8_t>(rng.next());
+                        dirty.mark(at, at + len);
+                    }
+                }
+                images.push_back(std::move(page));
+                frames.push_back(
+                    FrameWrite{no, testutil::spanOf(images.back()), &dirty});
+            }
+            NVWAL_CHECK_OK(log->writeFrames(frames, true, kPages));
+            const CommitSeq seq = log->commitSeq();
+            std::size_t k = 0;
+            for (const PageNo no : chosen)
+                history[no][seq] = std::move(images[k++]);
+        } else if (roll < 67) {
+            op = "pin";
+            pins.insert(log->commitSeq());
+            log->pinSnapshot(log->commitSeq());
+        } else if (roll < 77) {
+            op = "unpin";
+            if (!pins.empty()) {
+                auto it = pins.begin();
+                std::advance(it, static_cast<std::ptrdiff_t>(
+                                     rng.nextBelow(pins.size())));
+                log->unpinSnapshot(*it);
+                pins.erase(it);
+            }
+        } else if (roll < 89) {
+            op = "checkpoint step";
+            bool done = false;
+            NVWAL_CHECK_OK(log->checkpointStep(
+                static_cast<std::uint32_t>(1 + rng.nextBelow(4)), &done));
+        } else if (roll < 95) {
+            op = "checkpoint";
+            NVWAL_CHECK_OK(log->checkpoint());
+        } else {
+            op = "truncating checkpoint";
+            unpinAll();
+            NVWAL_CHECK_OK(log->checkpoint());
+            EXPECT_EQ(log->indexedFrames(), 0u);
+        }
+        expectReadsMatch(op, step);
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(env.stats.get(stats::kCheckpoints), 0u);
+    EXPECT_GT(env.stats.get(stats::kCheckpointsPinBlocked), 0u);
 }
 
 } // namespace

@@ -300,17 +300,7 @@ TEST_P(NvwalLogTest, EmptyCommitStillRecordsDatabaseSize)
 TEST_P(NvwalLogTest, BaseFileReadFaultPropagatesAsStatus)
 {
     // Put the base image of page 3 into the .db file, then layer a
-    // diff frame over it so materialization must read the file. The
-    // image cache would shield the file read (the checkpointed base
-    // image survives truncation and serves as the replay base), so
-    // reopen the log without one.
-    config.materializeCacheEntries = 0;
-    log = std::make_unique<NvwalLog>(env.heap, env.pmem, dbFile,
-                                     kPageSize, kReserved, config,
-                                     env.stats);
-    std::uint32_t db_size = 0;
-    NVWAL_CHECK_OK(log->recover(&db_size));
-
+    // diff frame over it so materialization must read the file.
     ByteBuffer page = makePage(5);
     NVWAL_CHECK_OK(commitFullPage(3, page, 3));
     NVWAL_CHECK_OK(log->checkpoint());

@@ -335,6 +335,45 @@ TEST(Obs, CommitSpanCoversItsWalAppendOnBothHandles)
     }
 }
 
+TEST(Obs, MultiWriterCheckpointRoundsEmitOneSpanEach)
+{
+    // Auto-checkpoint rounds of the multi-writer engine are traced
+    // like single-writer rounds: one wal.checkpoint span per round.
+    Env env;
+    DbConfig config;
+    config.walMode = WalMode::Nvwal;
+    config.multiWriter = true;
+    config.writerLogs = 2;
+    config.checkpointThreshold = 4;
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, config, &db));
+    std::unique_ptr<Connection> conn;
+    NVWAL_CHECK_OK(db->connect(&conn));
+    Tracer &tracer = env.stats.tracer();
+    tracer.setEnabled(true);
+    tracer.clear();
+
+    const std::uint64_t rounds_before = env.stats.get(stats::kCheckpoints);
+    for (RowId key = 1; key <= 40; ++key) {
+        NVWAL_CHECK_OK(conn->begin());
+        NVWAL_CHECK_OK(
+            conn->insert(key, ByteBuffer(64, static_cast<std::uint8_t>(key))));
+        NVWAL_CHECK_OK(conn->commit());
+    }
+    const std::uint64_t rounds =
+        env.stats.get(stats::kCheckpoints) - rounds_before;
+    EXPECT_GT(rounds, 0u);
+
+    std::uint64_t spans = 0;
+    for (const TraceEvent &e : tracer.events()) {
+        if (std::string(e.name) == "wal.checkpoint") {
+            EXPECT_EQ(e.phase, 'X');
+            ++spans;
+        }
+    }
+    EXPECT_EQ(spans, rounds);
+}
+
 // ---- JSON writer/parser edge cases ---------------------------------
 
 TEST(Json, WriterEscapesRoundTrip)
