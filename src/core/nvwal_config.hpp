@@ -103,16 +103,6 @@ struct NvwalConfig
      */
     std::string heapNamespace = "nvwal";
 
-    /**
-     * Multi-writer per-connection log mode (DESIGN.md §13): commit
-     * marks carry a global epoch number in bits [32, 63) instead of
-     * leaving them for the db size alone, frames are never indexed
-     * for reads, and recover() collects epoch-tagged transactions
-     * for the cross-log merge instead of replaying into the page
-     * index. Off for the primary log; on for "<ns>-cNN" logs.
-     */
-    bool epochMarks = false;
-
     /** Scheme label matching the paper's legend, e.g. "UH+LS+Diff". */
     std::string schemeName() const;
 };

@@ -463,7 +463,6 @@ NvwalLog::syncRefs(const std::vector<FrameRef> &refs, bool force)
                naive_lines - flushed_lines);
     _unhardenedRuns.clear();
     _hardenedSeq = _commitSeq;
-    _flushCandidateSeq = _commitSeq;
 }
 
 void
@@ -488,8 +487,7 @@ NvwalLog::harden()
 {
     if (_unhardenedRuns.empty()) {
         _hardenedSeq = _commitSeq;
-        _flushCandidateSeq = _commitSeq;
-        return Status::ok();
+            return Status::ok();
     }
     // One barrier pair for every range appended since the last
     // harden, however many transactions they span: this is where the
@@ -513,7 +511,6 @@ NvwalLog::harden()
     _pmem.persistBarrier();
     _unhardenedRuns.clear();
     _hardenedSeq = _commitSeq;
-    _flushCandidateSeq = _commitSeq;
     _stats.add(stats::kWalHardenBatches);
     _stats.tracer().complete("wal.harden", "wal", begin);
     return Status::ok();
@@ -572,109 +569,6 @@ NvwalLog::writeFrameGroupAsync(const std::vector<TxnFrames> &txns)
     for (const FrameRef &ref : refs)
         deferSyncRef(ref);
     _dbSizePages = txns.back().dbSizePages;
-    return Status::ok();
-}
-
-Status
-NvwalLog::writeTxnEpoch(const TxnFrames &txn, std::uint64_t epoch)
-{
-    NVWAL_ASSERT(_config.epochMarks,
-                 "epoch-stamped commits need an epochMarks log");
-    NVWAL_ASSERT(_config.syncMode == SyncMode::Lazy,
-                 "per-connection logs run lazy synchronization");
-    NVWAL_ASSERT(_pendingRefs.empty(),
-                 "epoch commit with an open single-writer transaction");
-    NVWAL_ASSERT(epoch != 0 && epoch <= 0x7fffffffULL,
-                 "epoch out of the mark's 31-bit field");
-
-    // A multi-writer commit is the checksum-async append shape with
-    // the epoch folded into the mark: frames + mark land with plain
-    // stores (no barrier on the commit path), the writer flushes its
-    // own ranges into the persist queue, and durability comes from
-    // the shared group persist barrier in the database's harden.
-    std::vector<FrameRef> refs;
-    const SimTime log_begin = _pmem.clock().now();
-    NVWAL_RETURN_IF_ERROR(logTxnFrames(txn.frames, &refs));
-    if (refs.empty()) {
-        _dbSizePages = txn.dbSizePages;
-        return Status::ok();
-    }
-    _stats.tracer().complete("wal.log_write", "wal", log_begin,
-                             "frames", refs.size());
-    _logWriteHist.record(_pmem.clock().now() - log_begin);
-
-    _pmem.storeU64(refs.back().off + 8,
-                   kCommitFlag | (epoch << 32) | txn.dbSizePages);
-    ++_commitSeq;
-    for (const FrameRef &ref : refs)
-        deferSyncRef(ref);
-    noteCommitted(refs.begin(), refs.end());
-    _dbSizePages = txn.dbSizePages;
-    return Status::ok();
-}
-
-void
-NvwalLog::flushRuns()
-{
-    if (_unhardenedRuns.empty()) {
-        _flushCandidateSeq = _commitSeq;
-        return;
-    }
-    std::sort(_unhardenedRuns.begin(), _unhardenedRuns.end());
-    std::size_t last = 0;
-    for (std::size_t i = 1; i < _unhardenedRuns.size(); ++i) {
-        if (_unhardenedRuns[i].first <= _unhardenedRuns[last].second)
-            _unhardenedRuns[last].second =
-                std::max(_unhardenedRuns[last].second,
-                         _unhardenedRuns[i].second);
-        else
-            _unhardenedRuns[++last] = _unhardenedRuns[i];
-    }
-    _unhardenedRuns.resize(last + 1);
-    _pmem.memoryBarrier();
-    for (const auto &run : _unhardenedRuns)
-        _pmem.cacheLineFlush(run.first, run.second);
-    _pmem.memoryBarrier();
-    _unhardenedRuns.clear();
-    _flushCandidateSeq = _commitSeq;
-}
-
-Status
-NvwalLog::truncateAll()
-{
-    NVWAL_ASSERT(_pendingRefs.empty(),
-                 "truncation with an open transaction");
-    NVWAL_ASSERT(_staged.empty() && _twoPhaseHolds == 0,
-                 "epoch-marked logs carry no 2PC state");
-    // Same crash-safe order as a checkpoint round's truncation tail:
-    // bump the persistent checkpoint id first so a crash mid-free
-    // cannot leave a replayable stale prefix, then free nodes from
-    // the end of the chain backward.
-    _checkpointId++;
-    persistU64(checkpointIdFieldOff(), _checkpointId);
-
-    std::vector<NvOffset> nodes;
-    NvOffset node = _pmem.device().readU64(firstNodeFieldOff());
-    while (node != kNullNvOffset) {
-        nodes.push_back(node);
-        node = _pmem.device().readU64(node);
-    }
-    for (auto it = nodes.rbegin(); it != nodes.rend(); ++it)
-        NVWAL_RETURN_IF_ERROR(_heap.nvFree(*it));
-    persistU64(firstNodeFieldOff(), kNullNvOffset);
-
-    _pageIndex.clear();
-    _indexedFrames = 0;
-    publishIndexGauge();
-    resetSinceCheckpoint();
-    _tailNode = kNullNvOffset;
-    _tailUsed = 0;
-    _tailCapacity = 0;
-    _linkFieldOff = firstNodeFieldOff();
-    _unhardenedRuns.clear();
-    _flushCandidateSeq = _commitSeq;
-    _hardenedSeq = _commitSeq;
-    clearRecoveredEpochTxns();
     return Status::ok();
 }
 
@@ -1263,8 +1157,6 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
     // async pipeline restarts empty.
     _unhardenedRuns.clear();
     _hardenedSeq = 0;
-    _flushCandidateSeq = 0;
-    clearRecoveredEpochTxns();
     _staged.clear();
     _decisions.clear();
     _maxSeenGtid = 0;
@@ -1317,7 +1209,6 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
     Mark last_mark;
     bool any_mark = false;
     std::uint32_t recovered_db_size = 0;
-    std::uint64_t epoch_frames = 0;
     std::uint64_t page_writes = 0;
     std::vector<FrameRef> pending;
     std::vector<FrameRef> committed;
@@ -1468,30 +1359,7 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
             } else {
                 pending.push_back(FrameRef{frame_off, page_no, page_off,
                                            size, 0});
-                if (commit_word != 0 && _config.epochMarks) {
-                    // Epoch-stamped mark (DESIGN.md §13): bits
-                    // [32, 63) carry the global commit epoch, the low
-                    // 32 bits the db size. Collect the transaction
-                    // for the cross-log merge instead of indexing it
-                    // for reads.
-                    mark = true;
-                    ++_commitSeq;
-                    RecoveredEpochTxn txn;
-                    txn.epoch = (commit_word >> 32) & 0x7fffffffULL;
-                    txn.dbSizePages = static_cast<std::uint32_t>(
-                        commit_word & 0xffffffffULL);
-                    txn.frames.reserve(pending.size());
-                    for (const FrameRef &ref : pending)
-                        txn.frames.push_back(RecoveredFrame{
-                            ref.pageNo, ref.pageOffset, ref.size,
-                            ref.off + kFrameHeaderSize});
-                    epoch_frames += pending.size();
-                    page_writes +=
-                        countPageWrites(pending.begin(), pending.end());
-                    pending.clear();
-                    recovered_db_size = txn.dbSizePages;
-                    _recoveredEpochTxns.push_back(std::move(txn));
-                } else if (commit_word != 0) {
+                if (commit_word != 0) {
                     // Every frame up to this mark committed together;
                     // a group commit recovers as one sequence, which
                     // is exactly its atomicity unit.
@@ -1534,8 +1402,7 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
         _dbSizePages = last_mark.dbSize;
         for (const FrameRef &ref : committed)
             indexFrame(ref);
-        _framesSinceCheckpoint =
-            _config.epochMarks ? epoch_frames : committed.size();
+        _framesSinceCheckpoint = committed.size();
         _pageWritesSinceCheckpoint = page_writes;
 
         // Erase the frame header slot right after the last durable
@@ -1594,7 +1461,6 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
     }
 
     _hardenedSeq = _commitSeq;
-    _flushCandidateSeq = _commitSeq;
     *db_size_pages = _dbSizePages;
     _recoverHist.record(_pmem.clock().now() - recover_begin);
     return Status::ok();

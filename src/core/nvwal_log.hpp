@@ -129,7 +129,7 @@ class NvwalLog : public WriteAheadLog
     /**
      * Where a log's cumulative checksum chain starts after every
      * truncation: FNV-1a 64 of its heap namespace. Logs sharing one
-     * heap (shards, multi-writer slots) all restart their chains
+     * heap (shards) all restart their chains
      * after truncations with colliding checkpoint ids; a common seed
      * would let one log validate another's stale frames in a block
      * it reused.
@@ -171,85 +171,6 @@ class NvwalLog : public WriteAheadLog
      */
     void setCommittedPageSource(CommittedPageSource source)
     { _committedPageSource = std::move(source); }
-
-    // ---- multi-writer per-connection log mode (DESIGN.md §13) ------
-
-    /** One committed frame recovered from an epoch-marked log. */
-    struct RecoveredFrame
-    {
-        PageNo pageNo;
-        std::uint16_t pageOffset;
-        std::uint16_t size;       //!< payload bytes
-        NvOffset payloadOff;      //!< NVRAM offset of the payload
-    };
-
-    /**
-     * One transaction recovered from an epoch-marked log: its global
-     * commit epoch (decoded from the mark's bits [32, 63)), the db
-     * size its mark carried, and its frames in append order. The
-     * database merges these across all per-connection logs by epoch.
-     */
-    struct RecoveredEpochTxn
-    {
-        std::uint64_t epoch = 0;
-        std::uint32_t dbSizePages = 0;
-        std::vector<RecoveredFrame> frames;
-    };
-
-    /**
-     * Append one transaction with an epoch-stamped commit mark
-     * (config().epochMarks only): frames and mark land with plain
-     * stores and their ranges are deferred; durability comes from a
-     * later flushRuns() + group persist barrier + finishHarden().
-     * Frames are never indexed — epoch-marked logs serve no reads.
-     */
-    Status writeTxnEpoch(const TxnFrames &txn, std::uint64_t epoch);
-
-    /**
-     * Flush every deferred range into the persist queue (dmb; clwb
-     * batch; dmb) WITHOUT the persist barrier, and remember the
-     * commit seq the flush covers. The caller issues one shared
-     * persist barrier across N logs and then calls finishHarden() on
-     * each — this is how a multi-writer group harden pays a single
-     * barrier for all per-connection logs.
-     */
-    void flushRuns();
-
-    /**
-     * Commit seq covered by the latest flushRuns(). The group-harden
-     * caller samples this under the log's slot lock *before* issuing
-     * the shared barrier; a racing commit may advance it afterwards,
-     * so the barrier only vouches for the sampled value.
-     */
-    CommitSeq flushCandidateSeq() const { return _flushCandidateSeq; }
-
-    /** Publish a sampled candidate seq as durable (after the barrier). */
-    void
-    finishHarden(CommitSeq candidate)
-    {
-        if (candidate > _hardenedSeq)
-            _hardenedSeq = candidate;
-    }
-
-    /**
-     * Free the whole node chain under a new checkpoint id, exactly
-     * like the truncation tail of a completed checkpoint round but
-     * with no page write-back — the multi-writer checkpointer writes
-     * pages back from its own overlay before truncating each log.
-     */
-    Status truncateAll();
-
-    /** Read @p out.size() payload bytes at @p off (merge replay). */
-    void readPayload(NvOffset off, ByteSpan out)
-    { _pmem.readFromNvram(off, out); }
-
-    /** Transactions collected by recover() in epochMarks mode. */
-    const std::vector<RecoveredEpochTxn> &recoveredEpochTxns() const
-    { return _recoveredEpochTxns; }
-
-    /** Drop the recovered-txn set once the merge has applied it. */
-    void clearRecoveredEpochTxns()
-    { std::vector<RecoveredEpochTxn>().swap(_recoveredEpochTxns); }
 
     /**
      * Monotonic checkpoint-round id from the persistent header. Bumped
@@ -518,14 +439,6 @@ class NvwalLog : public WriteAheadLog
      * and not yet flushed; coalesced in place when they pile up.
      */
     std::vector<std::pair<NvOffset, NvOffset>> _unhardenedRuns;
-    /**
-     * Commit seq covered by the latest flushRuns(): everything at or
-     * below it sits in the persist queue, so once the caller's group
-     * persist barrier drains, finishHarden() promotes it durable.
-     */
-    CommitSeq _flushCandidateSeq = 0;
-    /** Epoch-marked transactions collected by recover() (MW mode). */
-    std::vector<RecoveredEpochTxn> _recoveredEpochTxns;
     /** Frames logged but not yet covered by a commit mark. */
     std::vector<FrameRef> _pendingRefs;
     /**

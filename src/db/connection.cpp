@@ -1,15 +1,12 @@
 #include "connection.hpp"
 
-#include <algorithm>
-
 #include "db/catalog_codec.hpp"
 
 namespace nvwal
 {
 
-Connection::Connection(Database &db, ConnectOptions options,
-                       std::uint32_t slot)
-    : _db(db), _options(options), _slot(slot),
+Connection::Connection(Database &db, ConnectOptions options)
+    : _db(db), _options(options),
       _writerLock(db._writerMutex, std::defer_lock)
 {}
 
@@ -36,24 +33,6 @@ Connection::beginRead()
 {
     if (_snapshot)
         return Status::busy("a read transaction is already open");
-
-    if (_db._mwActive) {
-        // Pin the published epoch floor: the overlay keeps every
-        // version this floor can reach, and checkpointing never
-        // advances the base image past it, until endRead().
-        std::uint32_t pages = 0;
-        _horizon = _db.mwPinRead(&pages, _lastCommitEpoch);
-        const std::uint64_t floor = _horizon;
-        auto fetch = [this, floor](PageNo page_no,
-                                   ByteSpan out) -> Status {
-            return _db.mwFetchPage(page_no, floor, out, nullptr);
-        };
-        _snapshot = std::make_unique<SnapshotCache>(
-            _db._config.pageSize, _db._pager->reservedBytes(), pages,
-            _db._pager->rootPage(), std::move(fetch));
-        _db._env.stats.add(stats::kSnapshotsOpened);
-        return Status::ok();
-    }
 
     std::lock_guard<std::recursive_mutex> eng(_db._engineMutex);
     WriteAheadLog &wal = *_db._wal;
@@ -92,23 +71,14 @@ Connection::endRead()
     if (!_snapshot)
         return Status::invalidArgument("no read transaction to end");
 
-    if (_db._mwActive) {
-        _db._env.stats.add(stats::kSnapshotReads,
-                           _snapshot->cacheHits() + _snapshot->fetches());
-        _db._env.stats.add(stats::kSnapshotCacheHits,
-                           _snapshot->cacheHits());
-        _db.mwUnpinRead(_horizon);
-    } else {
-        std::lock_guard<std::recursive_mutex> eng(_db._engineMutex);
-        _db._wal->unpinSnapshot(_horizon);
-        // Fold the thread-confined tallies into the shared registry.
-        _db._env.stats.add(stats::kSnapshotReads,
-                           _snapshot->cacheHits() + _snapshot->fetches());
-        _db._env.stats.add(stats::kSnapshotCacheHits,
-                           _snapshot->cacheHits());
-        _db._env.stats.setGauge(stats::kGaugeOpenSnapshots,
-                                _db._wal->pinCount());
-    }
+    std::lock_guard<std::recursive_mutex> eng(_db._engineMutex);
+    _db._wal->unpinSnapshot(_horizon);
+    // Fold the thread-confined tallies into the shared registry.
+    _db._env.stats.add(stats::kSnapshotReads,
+                       _snapshot->cacheHits() + _snapshot->fetches());
+    _db._env.stats.add(stats::kSnapshotCacheHits, _snapshot->cacheHits());
+    _db._env.stats.setGauge(stats::kGaugeOpenSnapshots,
+                            _db._wal->pinCount());
     _snapshot.reset();
     _snapshotRoot = kNoPage;
     _horizon = 0;
@@ -172,33 +142,7 @@ Connection::readSnapshot(SnapshotCache &snap, PageNo *root, const Op &op)
 
 template <typename Op>
 Status
-Connection::casualReadMw(const Op &op)
-{
-    // Pin for the statement's duration so the overlay keeps every
-    // version the cached snapshot can still reach.
-    std::uint32_t pages = 0;
-    const std::uint64_t floor = _db.mwPinRead(&pages, _lastCommitEpoch);
-    if (!_casualSnap || _casualHorizon != floor ||
-        _casualGen != _db.engineGeneration()) {
-        auto fetch = [this, floor](PageNo page_no,
-                                   ByteSpan out) -> Status {
-            return _db.mwFetchPage(page_no, floor, out, nullptr);
-        };
-        resetCasualSnapshot(
-            std::make_unique<SnapshotCache>(
-                _db._config.pageSize, _db._pager->reservedBytes(),
-                pages, _db._pager->rootPage(), std::move(fetch)),
-            floor);
-    }
-    const Status s = readSnapshot(*_casualSnap, &_casualRoot, op);
-    foldCasualStats();
-    _db.mwUnpinRead(floor);
-    return s;
-}
-
-template <typename Op>
-Status
-Connection::casualReadSw(const Op &op)
+Connection::casualRead(const Op &op)
 {
     // One engine-lock hold for the whole statement: the horizon
     // cannot move underneath it, so no snapshot pin is needed and
@@ -246,9 +190,7 @@ Connection::readDefault(const Op &op)
         return writeDefault(0, op);
     if (_snapshot)
         return readSnapshot(*_snapshot, &_snapshotRoot, op);
-    if (_db._mwActive)
-        return casualReadMw(op);
-    return casualReadSw(op);
+    return casualRead(op);
 }
 
 template <typename Op>
@@ -259,7 +201,7 @@ Connection::writeDefault(std::size_t payload_bytes, const Op &op)
         // The workspace also records the pages read, for commit
         // validation.
         _db.chargeStatement(payload_bytes);
-        BTree tree(*_ws, _db._mwDefaultRoot);
+        BTree tree(*_ws, _db._defaultRoot);
         return op(tree);
     }
     return onSharedPager(payload_bytes, op);
@@ -304,20 +246,12 @@ Connection::begin()
     if (_inWrite)
         return Status::busy("a write transaction is already open");
 
-    if (_db._mwActive) {
-        // Optimistic: no lock taken. Pin the published floor and run
-        // against a private workspace; validation happens at commit.
-        std::uint32_t db_size = 0;
-        const std::uint64_t floor = _db.mwBeginTxn(
-            std::max(_lastCommitEpoch, _lostToEpoch), &db_size,
-            &_wsTxnSeq);
-        _ws = std::make_unique<MwWorkspace>(
-            _db._config.pageSize, _db._pager->reservedBytes(),
-            _db._mwDefaultRoot, floor, db_size, &_db._mwPageCursor,
-            [this, floor](PageNo page_no, ByteSpan out,
-                          std::uint64_t *read_epoch) {
-                return _db.mwFetchPage(page_no, floor, out, read_epoch);
-            });
+    if (_db._multiWriter) {
+        // Optimistic: no lock taken. Run against a private workspace
+        // pinned at the logged horizon; validation happens at commit.
+        // The connection's own commits are logged before commit()
+        // returns, so only a lost race can leave one to wait for.
+        NVWAL_RETURN_IF_ERROR(_db.openWorkspace(_lostToPublish, &_ws));
         _inWrite = true;
         return Status::ok();
     }
@@ -348,22 +282,21 @@ Connection::commit(const CommitOptions &options)
     _inWrite = false;
 
     if (_ws) {
-        std::unique_ptr<MwWorkspace> ws = std::move(_ws);
-        std::uint64_t epoch = 0;
-        const Status s = _db.mwCommitWorkspace(_slot, *ws, options,
-                                               _wsTxnSeq, &epoch);
-        // Remember the epoch for every durability level: the next
-        // begin() waits for the published floor to cover it so the
-        // connection always reads its own committed writes.
-        if (s.isOk())
-            _lastCommitEpoch = epoch;
-        // A retry that began below the winning epoch would read the
-        // page it lost on at the same stale version and lose to the
-        // same commit again, for as long as that commit is still
-        // mid-append: the next begin() waits for the winner instead.
-        if (s.isConflict())
-            _lostToEpoch = epoch;
-        return s;
+        // Validate and install under the writer lock, announced first
+        // so a committing leader's combining window counts this
+        // commit; from there on it is a single-writer commit.
+        const std::unique_ptr<MwWorkspace> ws = std::move(_ws);
+        _db.noteWriteIntent();
+        _writerLock.lock();
+        std::uint64_t winner = 0;
+        const Status s = _db.installWorkspace(*ws, &winner);
+        if (!s.isOk()) {
+            _writerLock.unlock();
+            _db.endWriteIntent();
+            if (s.isConflict())
+                _lostToPublish = winner;
+            return s;
+        }
     }
 
     std::uint64_t epoch = 0;
@@ -392,9 +325,8 @@ Connection::rollback()
             "no write transaction to roll back");
     _inWrite = false;
     if (_ws) {
-        const std::uint64_t floor = _ws->beginEpoch();
+        _db.closeWorkspace(*_ws);
         _ws.reset();
-        _db.mwEndTxn(floor);
         return Status::ok();
     }
     return _db.rollbackFromConnection(&_writerLock);
@@ -403,7 +335,7 @@ Connection::rollback()
 Status
 Connection::prepare(std::uint64_t gtid)
 {
-    if (_db._mwActive)
+    if (_db._multiWriter)
         return Status::unsupported(
             "two-phase commit is not available in multi-writer mode");
     if (!_inWrite)
@@ -417,7 +349,7 @@ Connection::prepare(std::uint64_t gtid)
 Status
 Connection::decide(std::uint64_t gtid, bool commit)
 {
-    if (_db._mwActive)
+    if (_db._multiWriter)
         return Status::unsupported(
             "two-phase commit is not available in multi-writer mode");
     if (!_inWrite)

@@ -15,14 +15,14 @@
  * engine lock, and so do reads inside the write transaction: it sees
  * its own uncommitted writes.
  *
- * Multi-writer (DbConfig::multiWriter, DESIGN.md §13): each
- * connection owns a slot in a set of per-connection NVRAM logs and a
- * write transaction runs optimistically against a private workspace.
- * begin() pins the published epoch floor instead of a lock; commit()
- * validates the pages read against the epochs published since, and
- * returns StatusCode::Conflict -- never blocks on another writer --
- * when a page was republished. transact() wraps the
- * begin/run/commit/retry loop.
+ * Multi-writer (DbConfig::multiWriter, DESIGN.md §13): a write
+ * transaction runs optimistically against a private workspace.
+ * begin() pins the logged commit horizon instead of taking the writer
+ * lock; commit() takes the lock only to validate the pages read
+ * against the commits published since -- returning
+ * StatusCode::Conflict when one of them was republished -- and then
+ * commits through the same group-commit queue as a single writer.
+ * transact() wraps the begin/run/commit/retry loop.
  *
  * The direct Database statement API is a thin forward to an internal
  * root Connection (autoWriteTxn on) in both modes, so there is one
@@ -70,8 +70,7 @@ class Connection
 
     /**
      * Open a read transaction: pin the current commit horizon (the
-     * WAL commit sequence, or the published epoch floor in
-     * multi-writer mode) and build a private snapshot cache over it.
+     * WAL commit sequence) and build a private snapshot cache over it.
      * Every read until endRead() sees exactly the transactions
      * committed before this call -- commits that land afterwards are
      * invisible, even across a crash+recovery of the writer.
@@ -89,9 +88,11 @@ class Connection
 
     /**
      * Begin a write transaction. Single-writer: blocks until the
-     * writer slot is free. Multi-writer: never blocks -- pins the
-     * published epoch floor and opens a private workspace; the
-     * conflict, if any, surfaces at commit().
+     * writer slot is free. Multi-writer: never waits for another
+     * writer -- pins the logged commit horizon and opens a private
+     * workspace; the conflict, if any, surfaces at commit(). A
+     * transaction re-run after a Conflict first waits until the
+     * commit it lost to is logged.
      */
     Status begin();
 
@@ -109,7 +110,7 @@ class Connection
      * later barrier (see lastCommitEpoch()).
      *
      * In multi-writer mode the commit first validates the pages this
-     * transaction read against the epochs published since begin();
+     * transaction read against the commits published since begin();
      * on a lost race it returns StatusCode::Conflict and the
      * transaction is rolled back -- nothing was appended. Retry by
      * re-running the transaction (see transact()).
@@ -145,8 +146,8 @@ class Connection
             ++attempt;
             noteConflictRetry();
             // Losing repeatedly usually means the winning committer
-            // is mid-publish on another core; give it the CPU rather
-            // than burning the retry budget against the same epoch.
+            // is mid-append on another core; give it the CPU rather
+            // than burning the retry budget against the same commit.
             if (attempt >= 4)
                 std::this_thread::yield();
         }
@@ -201,13 +202,9 @@ class Connection
     std::uint64_t snapshotFetches() const
     { return _snapshot ? _snapshot->fetches() : 0; }
 
-    /** Per-connection log slot (multi-writer; 0 in single-writer). */
-    std::uint32_t slot() const { return _slot; }
-
   private:
     friend class Database;
-    explicit Connection(Database &db, ConnectOptions options = {},
-                        std::uint32_t slot = 0);
+    explicit Connection(Database &db, ConnectOptions options = {});
 
     /**
      * Root of the default table in @p snap, resolved from the
@@ -229,11 +226,9 @@ class Connection
     template <typename Op>
     Status readSnapshot(SnapshotCache &snap, PageNo *root, const Op &op);
 
-    /** Casual-read paths (no open snapshot). */
+    /** Casual-read path (no open snapshot). */
     template <typename Op>
-    Status casualReadMw(const Op &op);
-    template <typename Op>
-    Status casualReadSw(const Op &op);
+    Status casualRead(const Op &op);
 
     /**
      * Run @p op on the default table inside the open write
@@ -285,22 +280,20 @@ class Connection
 
     Database &_db;
     const ConnectOptions _options;
-    const std::uint32_t _slot;
     /** The Database's internal root connection: not counted among
      *  the open connections (set by Database). */
     bool _root = false;
 
-    /** Deferred lock on the database's writer mutex (single-writer). */
+    /** Deferred lock on the database's writer mutex. */
     std::unique_lock<std::mutex> _writerLock;
     bool _inWrite = false;
     std::uint64_t _lastCommitEpoch = 0;
-    /** Multi-writer: epoch of the commit that beat this connection's
-     *  last conflicted commit (0 before any). */
-    std::uint64_t _lostToEpoch = 0;
+    /** Multi-writer: publish sequence of the commit that beat this
+     *  connection's last conflicted commit (0 before any). */
+    std::uint64_t _lostToPublish = 0;
 
     /** Multi-writer: the open transaction's private workspace. */
     std::unique_ptr<MwWorkspace> _ws;
-    std::uint64_t _wsTxnSeq = 0;
 
     std::unique_ptr<SnapshotCache> _snapshot;
     CommitSeq _horizon = 0;

@@ -1,12 +1,10 @@
 #include "database.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 
 #include "db/catalog_codec.hpp"
 #include "db/connection.hpp"
-#include "pager/snapshot_cache.hpp"
 
 namespace nvwal
 {
@@ -133,28 +131,9 @@ validateDbConfig(const DbConfig &config)
         if (config.walMode != WalMode::Nvwal)
             return Status::invalidArgument(
                 "multi-writer mode requires WalMode::Nvwal");
-        if (config.nvwal.syncMode != SyncMode::Lazy)
-            return Status::invalidArgument(
-                "multi-writer mode requires SyncMode::Lazy (epoch "
-                "commits flush lazily and harden in groups)");
-        if (config.writerLogs < 1 || config.writerLogs > 32)
-            return Status::invalidArgument(
-                "writerLogs must be in [1, 32]: " +
-                std::to_string(config.writerLogs));
         if (config.shardMember)
             return Status::invalidArgument(
                 "multi-writer mode cannot run on a shard member");
-        if (config.backgroundCheckpointer || config.backgroundDurability)
-            return Status::invalidArgument(
-                "multi-writer mode schedules hardens and checkpoints "
-                "itself; disable the background threads");
-        // "-cNN" suffixes must still fit the heap's name slots.
-        if (config.nvwal.heapNamespace.size() >
-            NvHeap::kNamespaceNameLen - 4)
-            return Status::invalidArgument(
-                "multi-writer namespace needs 4 spare characters for "
-                "per-connection log suffixes: \"" +
-                config.nvwal.heapNamespace + "\"");
     }
     return Status::ok();
 }
@@ -164,7 +143,7 @@ Database::Database(Env &env, DbConfig config)
 {
     ConnectOptions root_options;
     root_options.autoWriteTxn = true;
-    _rootConn.reset(new Connection(*this, root_options, 0));
+    _rootConn.reset(new Connection(*this, root_options));
     _rootConn->_root = true;
 }
 
@@ -272,8 +251,15 @@ Database::openInternal()
     if (!found)
         NVWAL_RETURN_IF_ERROR(createTable(kDefaultTable));
 
-    if (_config.multiWriter)
-        NVWAL_RETURN_IF_ERROR(mwActivate(stats_before_recovery));
+    if (_config.multiWriter) {
+        // From here on write transactions run in workspaces, which
+        // need the default table's root and a page cursor past every
+        // page in use.
+        NVWAL_RETURN_IF_ERROR(
+            findCatalogEntry(kDefaultTable, &id, &_defaultRoot, &found));
+        _pageCursor.store(_pager->pageCount(), std::memory_order_relaxed);
+        _multiWriter = true;
+    }
 
     if (_config.backgroundCheckpointer && !_checkpointer.joinable())
         _checkpointer = std::thread(&Database::checkpointerMain, this);
@@ -410,12 +396,6 @@ Database::frOpenAndBuildReport(const StatsSnapshot &stats_before)
     _recoveryReport.heapNamespace = _flightRecorder->heapNamespace();
     _recoveryReport.shard = _config.frShard;
 
-    // Stash the report inputs: mwActivate rebuilds the report after
-    // the cross-log merge adds its own recovery facts.
-    _frParsedRecording = parsed;
-    _frWalState = wal_state;
-    _frStatsBefore = stats_before;
-
     // Delimit this incarnation in the ring. Recovered commit
     // sequences restart at marks-since-truncation, so the base is 0.
     frRecord(FrRecordType::RecorderOpen, 0, 0, frCheckpointId32(),
@@ -425,15 +405,6 @@ Database::frOpenAndBuildReport(const StatsSnapshot &stats_before)
 Status
 Database::publishFlightRecorder()
 {
-    if (_mwActive) {
-        // _mwMutex serializes ring appends once the engine is active.
-        std::lock_guard<std::mutex> mw(_mwMutex);
-        if (!_flightRecorder || !_flightRecorder->ready())
-            return Status::unsupported(
-                "the flight recorder is not enabled");
-        _flightRecorder->publish();
-        return Status::ok();
-    }
     std::lock_guard<std::recursive_mutex> eng(_engineMutex);
     if (!_flightRecorder || !_flightRecorder->ready())
         return Status::unsupported("the flight recorder is not enabled");
@@ -461,7 +432,7 @@ Database::findCatalogEntry(const std::string &name, RowId *id,
 Status
 Database::createTable(const std::string &name)
 {
-    if (_mwActive)
+    if (_multiWriter)
         return Status::unsupported(
             "DDL is single-writer only: reopen without multiWriter");
     if (name.empty() || name.size() > 128)
@@ -496,7 +467,7 @@ Database::createTable(const std::string &name)
 Status
 Database::openTable(const std::string &name, Table **out)
 {
-    if (_mwActive)
+    if (_multiWriter)
         return Status::unsupported(
             "table handles run on the shared pager; use Connection "
             "statements in multi-writer mode");
@@ -522,7 +493,7 @@ Database::openTable(const std::string &name, Table **out)
 Status
 Database::dropTable(const std::string &name)
 {
-    if (_mwActive)
+    if (_multiWriter)
         return Status::unsupported(
             "DDL is single-writer only: reopen without multiWriter");
     if (name == kDefaultTable)
@@ -547,41 +518,16 @@ Database::dropTable(const std::string &name)
     });
 }
 
-template <typename Op>
-Status
-Database::withCatalogPages(const Op &op)
-{
-    if (!_mwActive) {
-        std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-        return op(static_cast<PageSource &>(*_pager));
-    }
-    // Multi-writer: read through a snapshot pinned at the published
-    // floor; the shared pager is not serialized against multi-writer
-    // checkpoints.
-    std::uint32_t pages = 0;
-    const std::uint64_t floor = mwPinRead(&pages);
-    SnapshotCache snap(
-        _config.pageSize, _pager->reservedBytes(), pages,
-        _pager->rootPage(), [this, floor](PageNo no, ByteSpan buf) {
-            return mwFetchPage(no, floor, buf, nullptr);
-        });
-    const Status s = op(static_cast<PageSource &>(snap));
-    mwUnpinRead(floor);
-    return s;
-}
-
 Status
 Database::listTables(std::vector<std::string> *out)
 {
     out->clear();
-    return withCatalogPages([&](PageSource &pages) {
-        BTree catalog(pages, _pager->rootPage());
-        return scanCatalog(
-            catalog, [&](RowId, PageNo, const std::string &name) {
-                out->push_back(name);
-                return true;
-            });
-    });
+    std::lock_guard<std::recursive_mutex> eng(_engineMutex);
+    return scanCatalog(*_catalog,
+                       [&](RowId, PageNo, const std::string &name) {
+                           out->push_back(name);
+                           return true;
+                       });
 }
 
 Status
@@ -620,7 +566,12 @@ Database::endWriteIntent()
 bool
 Database::collectDirtyFrames(GroupEntry *entry)
 {
-    const std::vector<PageNo> dirty = _pager->dirtyPageNos();
+    // A workspace commit knows its dirty set; any other transaction
+    // dirtied the cache in place and is found by a scan.
+    std::vector<PageNo> dirty;
+    dirty.swap(_installedPages);
+    if (dirty.empty())
+        dirty = _pager->dirtyPageNos();
     entry->frames.clear();
     entry->frames.reserve(dirty.size());
     for (PageNo no : dirty) {
@@ -755,9 +706,14 @@ Database::appendGroup(const std::vector<GroupEntry *> &batch)
         }
     }
     // Every published commit of the batch is settled: logged, or
-    // covered by the poison below.
+    // covered by the poison below. Batches append in publish order,
+    // so the batch's last publish sequence is the newest settled one.
     NVWAL_ASSERT(_unloggedCommits >= commits);
     _unloggedCommits -= commits;
+    for (const GroupEntry *e : batch)
+        if (e->publishSeq != 0)
+            _loggedPublishSeq.store(e->publishSeq,
+                                    std::memory_order_release);
     if (!s.isOk()) {
         for (const GroupEntry *e : batch) {
             if (e->finalized) {
@@ -844,8 +800,16 @@ Database::maybeCheckpointAfterCommit()
     // The committer released the writer lock at enqueue, so another
     // write transaction may already be open; checkpointing under it
     // would fail with Busy although this commit landed. Skip the
-    // round: the next commit re-trips the threshold.
+    // round: the next commit re-trips the threshold. An open
+    // workspace is a write transaction too, and its pin would stop
+    // the round short of truncation, so the round waits for the
+    // workspace's own commit -- unless the log has grown to twice the
+    // threshold, so writers that never leave a gap cannot starve the
+    // write-back.
     if (!_config.autoCheckpoint || _inTxn)
+        return;
+    if (_openWorkspaces != 0 &&
+        _wal->pageWritesSinceCheckpoint() < 2 * _config.checkpointThreshold)
         return;
     const std::uint32_t step_pages =
         _config.incrementalCheckpoint ? _config.checkpointStepPages : 0;
@@ -868,6 +832,7 @@ void
 Database::rollbackBody()
 {
     _pager->discardDirty(_txnStartPageCount);
+    _installedPages.clear();
     _inTxn = false;
     _env.stats.tracer().instant("txn.rollback", "db");
     _env.stats.tracer().setCurrentTxn(0);
@@ -911,12 +876,7 @@ Database::connect(const ConnectOptions &options,
                   std::unique_ptr<Connection> *out)
 {
     std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-    // Round-robin slot assignment spreads connections over the
-    // per-connection logs (harmless in single-writer mode).
-    const std::uint32_t slot =
-        _config.writerLogs != 0 ? _nextConnSlot++ % _config.writerLogs
-                                : 0;
-    out->reset(new Connection(*this, options, slot));
+    out->reset(new Connection(*this, options));
     ++_openConnections;
     _env.stats.setGauge(stats::kGaugeOpenConnections, _openConnections);
     return Status::ok();
@@ -980,10 +940,18 @@ Database::commitFromConnection(std::unique_lock<std::mutex> *writer_lock,
         _env.clock.advance(_env.cost.cpuTxnNs);
         have_entry = collectDirtyFrames(&entry);
         entry.txnSeq = _txnSeq;
-        // Publish to the shared cache now: the next writer overlaps
-        // its transaction body with this batch's durability.
+        // Publish to the shared cache now (mark the collected pages
+        // clean): the next writer overlaps its transaction body with
+        // this batch's durability. The publish sequence stamps every
+        // page it wrote, for optimistic validation.
         if (have_entry) {
-            _pager->markAllClean();
+            entry.publishSeq = ++_publishSeq;
+            for (const GroupEntry::Frame &f : entry.frames) {
+                if (f.pageNo >= _pagePublishSeq.size())
+                    _pagePublishSeq.resize(f.pageNo + 1, 0);
+                _pagePublishSeq[f.pageNo] = entry.publishSeq;
+                _pager->cached(f.pageNo)->dirty.clear();
+            }
             ++_unloggedCommits;
         }
         _inTxn = false;
@@ -1119,8 +1087,8 @@ Database::copyPagerImage(PageNo page_no, CommitSeq horizon, ByteSpan out)
 {
     // The clean pager image is the newest logged version of the page
     // unless a published commit is not logged (in flight, or lost to
-    // a failed append) or the multi-writer overlay owns the pages.
-    if (_mwActive || !_poisoned.isOk() || _unloggedCommits != 0)
+    // a failed append).
+    if (!_poisoned.isOk() || _unloggedCommits != 0)
         return false;
     const CachedPage *page = _pager->cached(page_no);
     if (page == nullptr || page->isDirty())
@@ -1170,7 +1138,7 @@ Database::rebuildCommittedPage(PageNo page_no, CommitSeq horizon,
 Status
 Database::resolvePreparedTxn(std::uint64_t gtid, bool commit)
 {
-    if (_mwActive)
+    if (_multiWriter)
         return Status::unsupported(
             "two-phase commit is not available in multi-writer mode");
     std::lock_guard<std::recursive_mutex> eng(_engineMutex);
@@ -1271,21 +1239,12 @@ Database::count(std::uint64_t *out)
 Status
 Database::checkpoint()
 {
-    if (_mwActive)
-        return mwCheckpoint();
     return checkpointRound(0, nullptr);
 }
 
 Status
 Database::checkpointStep(std::uint32_t max_pages, bool *done)
 {
-    if (_mwActive) {
-        // Multi-writer checkpoints are always full rounds: write-back
-        // happens from the DRAM overlay, not the log, so there is no
-        // incremental cursor to resume.
-        *done = true;
-        return mwCheckpoint();
-    }
     return checkpointRound(
         max_pages != 0 ? max_pages : _config.checkpointStepPages, done);
 }
@@ -1323,8 +1282,6 @@ Database::checkpointRound(std::uint32_t max_pages, bool *done)
 std::uint64_t
 Database::walPageWritesSinceCheckpoint() const
 {
-    if (_mwActive)
-        return _mwPageWritesSinceCkpt.load(std::memory_order_relaxed);
     std::lock_guard<std::recursive_mutex> eng(_engineMutex);
     return _wal->pageWritesSinceCheckpoint();
 }
@@ -1423,15 +1380,6 @@ Database::hardenPendingAsync(FrHardenReason reason)
 Status
 Database::flushAsyncCommits()
 {
-    if (_mwActive) {
-        std::uint64_t floor;
-        {
-            std::lock_guard<std::mutex> mw(_mwMutex);
-            NVWAL_RETURN_IF_ERROR(_mwPoisoned);
-            floor = _mwPublished;
-        }
-        return mwHardenUpTo(floor, FrHardenReason::Explicit);
-    }
     std::lock_guard<std::recursive_mutex> eng(_engineMutex);
     NVWAL_RETURN_IF_ERROR(_poisoned);
     return hardenPendingAsync(FrHardenReason::Explicit);
@@ -1442,8 +1390,6 @@ Database::waitForAsyncEpoch(std::uint64_t epoch)
 {
     if (epoch == 0)
         return Status::ok();
-    if (_mwActive)
-        return mwHardenUpTo(epoch, FrHardenReason::Explicit);
     {
         std::lock_guard<std::mutex> a(_asyncMutex);
         if (_hardenedEpoch >= epoch)
@@ -1466,11 +1412,6 @@ Database::waitForAsyncEpoch(std::uint64_t epoch)
 std::uint64_t
 Database::asyncAcksPending() const
 {
-    if (_mwActive) {
-        // One epoch == one acked transaction in multi-writer mode.
-        std::lock_guard<std::mutex> mw(_mwMutex);
-        return _mwPublished - _mwHardened;
-    }
     std::lock_guard<std::mutex> a(_asyncMutex);
     return _asyncAcksPending;
 }
@@ -1478,10 +1419,6 @@ Database::asyncAcksPending() const
 std::uint64_t
 Database::hardenedEpoch() const
 {
-    if (_mwActive) {
-        std::lock_guard<std::mutex> mw(_mwMutex);
-        return _mwHardened;
-    }
     std::lock_guard<std::mutex> a(_asyncMutex);
     return _hardenedEpoch;
 }
@@ -1547,663 +1484,103 @@ Database::stopDurability()
     _asyncCv.notify_all();
 }
 
-// ---- multi-writer engine (DESIGN.md §13) ----------------------------
+// ---- optimistic multi-writer transactions (DESIGN.md §13) -----------
 
 Status
-Database::mwActivate(const StatsSnapshot &stats_before)
+Database::openWorkspace(std::uint64_t after_publish,
+                        std::unique_ptr<MwWorkspace> *out)
 {
-    // Quiesce the primary log into the .db file: the cross-log merge
-    // below needs a fully checkpointed base image to apply diffs on.
-    NVWAL_RETURN_IF_ERROR(checkpoint());
-
-    // Attach or create the persistent anchor.
-    MwMeta meta;
-    const std::string meta_ns =
-        mwMetaNamespaceFor(_config.nvwal.heapNamespace);
-    Status root_status = _env.heap.getRoot(meta_ns, &_mwMetaOff);
-    if (root_status.isNotFound()) {
-        NVWAL_RETURN_IF_ERROR(
-            _env.heap.nvMalloc(MwMeta::kSize, &_mwMetaOff));
-        meta.writerLogs = _config.writerLogs;
-        meta.epochBase = 0;
-        meta.generation = 0;
-        meta.dbSizePages = _dbFile->pageCount();
-        mwMetaStore(_env.pmem, _mwMetaOff, meta);
-        NVWAL_RETURN_IF_ERROR(_env.heap.setRoot(meta_ns, _mwMetaOff));
-    } else {
-        NVWAL_RETURN_IF_ERROR(root_status);
-        NVWAL_RETURN_IF_ERROR(mwMetaLoad(_env.pmem, _mwMetaOff, &meta));
-        if (meta.writerLogs != _config.writerLogs)
-            return Status::invalidArgument(
-                "writerLogs does not match the on-media layout: "
-                "configured " + std::to_string(_config.writerLogs) +
-                ", anchored " + std::to_string(meta.writerLogs));
+    // A retry must not begin below the commit it lost to: at a horizon
+    // that misses it, the retry would read the same stale page and
+    // lose to the same commit again for as long as its group append
+    // is in flight. The leader settles _loggedPublishSeq before it
+    // notifies under the queue lock, so the wakeup cannot be missed.
+    if (after_publish > _loggedPublishSeq.load(std::memory_order_acquire)) {
+        std::unique_lock<std::mutex> q(_commitQueueMutex);
+        _commitCv.wait(q, [&] {
+            return _loggedPublishSeq.load(std::memory_order_acquire) >=
+                   after_publish;
+        });
     }
 
-    // Create and recover the per-connection logs, collecting every
-    // epoch-stamped transaction above the anchored base.
-    struct MergeTxn
-    {
-        const NvwalLog::RecoveredEpochTxn *txn;
-        std::uint32_t slot;
-    };
-    std::vector<MergeTxn> survivors;
-    _mwSlots.clear();
-    for (std::uint32_t i = 0; i < _config.writerLogs; ++i) {
-        auto slot = std::make_unique<MwSlot>();
-        NvwalConfig log_config = _config.nvwal;
-        log_config.heapNamespace =
-            mwLogNamespaceFor(_config.nvwal.heapNamespace, i);
-        log_config.epochMarks = true;
-        slot->log = std::make_unique<NvwalLog>(
-            _env.heap, _env.pmem, *_dbFile, _config.pageSize,
-            resolveReserved(_config), log_config, _env.stats);
-        std::uint32_t unused = 0;
-        NVWAL_RETURN_IF_ERROR(slot->log->recover(&unused));
-        for (const NvwalLog::RecoveredEpochTxn &txn :
-             slot->log->recoveredEpochTxns())
-            if (txn.epoch > meta.epochBase)
-                survivors.push_back(MergeTxn{&txn, i});
-        _mwSlots.push_back(std::move(slot));
-    }
-    std::sort(survivors.begin(), survivors.end(),
-              [](const MergeTxn &a, const MergeTxn &b) {
-                  return a.txn->epoch < b.txn->epoch;
-              });
-
-    // Merge the contiguous epoch prefix above the base: each log is
-    // prefix-consistent on its own, so the first missing epoch
-    // (un-published claim, torn tail) strands everything after it.
-    const std::uint32_t file_pages = _dbFile->pageCount();
-    std::uint64_t merged_epoch = meta.epochBase;
-    std::uint64_t kept = 0;
-    std::uint32_t db_size =
-        std::max(meta.dbSizePages, file_pages);
-    std::map<PageNo, ByteBuffer> images;
-    for (const MergeTxn &m : survivors) {
-        if (m.txn->epoch != merged_epoch + 1)
-            break;
-        for (const NvwalLog::RecoveredFrame &f : m.txn->frames) {
-            auto it = images.find(f.pageNo);
-            if (it == images.end()) {
-                ByteBuffer buf(_config.pageSize, 0);
-                if (f.pageNo <= file_pages)
-                    NVWAL_RETURN_IF_ERROR(_dbFile->readPage(
-                        f.pageNo, ByteSpan(buf.data(), buf.size())));
-                it = images.emplace(f.pageNo, std::move(buf)).first;
-            }
-            _mwSlots[m.slot]->log->readPayload(
-                f.payloadOff,
-                ByteSpan(it->second.data() + f.pageOffset, f.size));
-        }
-        merged_epoch = m.txn->epoch;
-        if (m.txn->dbSizePages > db_size)
-            db_size = m.txn->dbSizePages;
-        ++kept;
-    }
-    const std::uint64_t dropped = survivors.size() - kept;
-    _env.stats.add(stats::kWalEpochMergeTxns, kept);
-    _env.stats.add(stats::kWalEpochMergeGapDiscarded, dropped);
-
-    // Write the merged images back (zero-filling pages an aborted
-    // transaction's cursor bump left unreferenced), sync the file,
-    // and only then advance the anchor: a crash replays the same
-    // merge idempotently (absolute-offset diffs in epoch order).
-    if (kept != 0 || db_size > file_pages) {
-        for (std::uint32_t no = file_pages + 1; no <= db_size; ++no)
-            if (images.find(no) == images.end())
-                images.emplace(no, ByteBuffer(_config.pageSize, 0));
-        for (const auto &[no, buf] : images)
-            NVWAL_RETURN_IF_ERROR(_dbFile->writePage(
-                no, ConstByteSpan(buf.data(), buf.size())));
-        NVWAL_RETURN_IF_ERROR(_dbFile->sync());
-    }
-    meta.epochBase = merged_epoch;
-    meta.generation += 1;
-    meta.dbSizePages = db_size;
-    mwMetaStore(_env.pmem, _mwMetaOff, meta);
-    _mwGeneration = meta.generation;
-
-    // The anchor covers every merged epoch; drop the logs.
-    for (std::uint32_t i = 0; i < _mwSlots.size(); ++i) {
-        NvwalLog *log = _mwSlots[i]->log.get();
-        if (log->nodeCount() != 0) {
-            NVWAL_RETURN_IF_ERROR(log->truncateAll());
-            frRecord(FrRecordType::MwTruncation, kFrFlagDurableClaim,
-                     static_cast<std::uint16_t>(i),
-                     static_cast<std::uint32_t>(_mwGeneration),
-                     merged_epoch, log->checkpointId());
-        } else {
-            log->clearRecoveredEpochTxns();
-        }
-    }
-
-    // Resynchronize the single-writer structures with the merged file
-    // (the catalog read below must see the merged pages).
-    if (db_size != 0)
-        _pager->setPageCount(db_size);
-    _pager->dropCleanPages();
-    _tables.clear();
-    bool found = false;
-    RowId id;
-    NVWAL_RETURN_IF_ERROR(
-        findCatalogEntry(kDefaultTable, &id, &_mwDefaultRoot, &found));
-    if (!found)
-        return Status::corruption(
-            "default table missing after the epoch merge");
-
-    // Volatile engine state.
-    _mwEpoch = merged_epoch;
-    _mwPublished = merged_epoch;
-    _mwHardened = merged_epoch;
-    _mwEpochBase = merged_epoch;
-    _mwDbSize = db_size;
-    _mwDbSizeByEpoch.clear();
-    _mwOverlay = PageVersionMap();
-    _mwPageEpochs.clear();
-    _mwPending.clear();
-    _mwPins.clear();
-    _mwActiveBegins.clear();
-    _mwPoisoned = Status::ok();
-    _mwTxnSeq = 0;
-    _mwPageCursor.store(db_size, std::memory_order_relaxed);
-    _mwPageWritesSinceCkpt.store(0, std::memory_order_relaxed);
-
-    // Rebuild the forensics report with the merge facts: the deltas
-    // recomputed here include the per-connection logs' recovery work.
-    if (_flightRecorder && _flightRecorder->ready()) {
-        const auto delta = [&](const char *name) {
-            const auto it = stats_before.find(name);
-            const std::uint64_t before =
-                it == stats_before.end() ? 0 : it->second;
-            return _env.stats.get(name) - before;
-        };
-        _frWalState.tornFramesDetected =
-            delta(stats::kWalTornFramesDetected);
-        _frWalState.framesDiscarded =
-            delta(stats::kWalRecoveryFramesDiscarded);
-        _frWalState.lostMarks = delta(stats::kWalRecoveryLostMarks);
-        _frWalState.mwEnabled = true;
-        _frWalState.mwGeneration = _mwGeneration;
-        _frWalState.mwMergedEpoch = merged_epoch;
-        _recoveryReport =
-            buildRecoveryReport(_frParsedRecording, _frWalState);
-        _recoveryReport.recorderEnabled = true;
-        _recoveryReport.heapNamespace = _flightRecorder->heapNamespace();
-        _recoveryReport.shard = _config.frShard;
-    }
-
-    _mwActive = true;
+    std::lock_guard<std::recursive_mutex> eng(_engineMutex);
+    NVWAL_RETURN_IF_ERROR(_poisoned);
+    // Pin the logged horizon exactly as beginRead() does: no
+    // checkpoint advances the .db file past it or drops a frame it
+    // can reach until the workspace commits or rolls back. Commits
+    // published but not yet logged are invisible at the horizon, and
+    // their publish sequences lie past the workspace's, so validation
+    // treats them as concurrent.
+    const CommitSeq horizon = _wal->commitSeq();
+    _wal->pinSnapshot(horizon);
+    ++_openWorkspaces;
+    _env.stats.setGauge(stats::kGaugeOpenSnapshots, _wal->pinCount());
+    std::uint32_t pages = _wal->committedDbSize();
+    if (pages == 0)
+        pages = _dbFile->pageCount();
+    *out = std::make_unique<MwWorkspace>(
+        _config.pageSize, _pager->reservedBytes(), _defaultRoot, horizon,
+        _loggedPublishSeq.load(std::memory_order_relaxed), pages,
+        _env.clock.now(), &_pageCursor,
+        [this, horizon](PageNo page_no, ByteSpan buf) {
+            return fetchCommittedPage(page_no, horizon, buf);
+        });
     return Status::ok();
 }
 
-Status
-Database::mwFetchPage(PageNo page_no, std::uint64_t floor, ByteSpan out,
-                      std::uint64_t *read_epoch)
-{
-    {
-        std::lock_guard<std::mutex> mw(_mwMutex);
-        std::uint64_t version_epoch = 0;
-        const ByteBuffer *image =
-            _mwOverlay.readAt(page_no, floor, &version_epoch);
-        if (image != nullptr) {
-            NVWAL_ASSERT(image->size() == out.size());
-            std::copy(image->begin(), image->end(), out.data());
-            if (read_epoch != nullptr)
-                *read_epoch = version_epoch;
-            return Status::ok();
-        }
-    }
-    // No overlay version at or below the floor: the base image is
-    // current for it. A checkpoint prunes an overlay entry only after
-    // the covering file write synced, so checking the overlay first
-    // makes the fallback race-free.
-    if (read_epoch != nullptr)
-        *read_epoch = floor;
-    std::lock_guard<std::mutex> file(_mwFileMutex);
-    if (page_no <= _dbFile->pageCount())
-        return _dbFile->readPage(page_no, out);
-    return Status::corruption(
-        "page " + std::to_string(page_no) +
-        " missing from the overlay and the file");
-}
-
-std::uint64_t
-Database::mwBeginTxn(std::uint64_t min_floor, std::uint32_t *db_size,
-                     std::uint64_t *txn_seq)
-{
-    std::unique_lock<std::mutex> mw(_mwMutex);
-    // Read-your-writes: the caller's last commit claimed its epoch
-    // before returning, but the contiguous published floor may still
-    // trail it while an earlier epoch on another slot finishes its
-    // append. Wait for the floor (appends only -- never hardening)
-    // rather than beginning above it, which would tear the snapshot
-    // prefix and mask conflicts with the in-flight epochs.
-    if (min_floor > _mwEpoch)
-        min_floor = _mwEpoch;
-    _mwCv.wait(mw, [&] {
-        return _mwPublished >= min_floor || !_mwPoisoned.isOk();
-    });
-    const std::uint64_t floor = _mwPublished;
-    _mwActiveBegins.insert(floor);
-    *db_size = _mwDbSize;
-    *txn_seq = ++_mwTxnSeq;
-    frRecord(FrRecordType::TxnBegin, 0, 0, 0, *txn_seq);
-    return floor;
-}
-
 void
-Database::mwEndTxnLocked(std::uint64_t begin_floor)
+Database::closeWorkspace(const MwWorkspace &ws)
 {
-    const auto it = _mwActiveBegins.find(begin_floor);
-    NVWAL_ASSERT(it != _mwActiveBegins.end(),
-                 "closing a write txn that never began");
-    _mwActiveBegins.erase(it);
-}
-
-void
-Database::mwEndTxn(std::uint64_t begin_floor)
-{
-    std::lock_guard<std::mutex> mw(_mwMutex);
-    mwEndTxnLocked(begin_floor);
+    std::lock_guard<std::recursive_mutex> eng(_engineMutex);
+    _wal->unpinSnapshot(ws.horizon());
+    --_openWorkspaces;
+    _env.stats.setGauge(stats::kGaugeOpenSnapshots, _wal->pinCount());
 }
 
 Status
-Database::mwCommitWorkspace(std::uint32_t slot_no, MwWorkspace &ws,
-                            const CommitOptions &opts,
-                            std::uint64_t txn_seq,
-                            std::uint64_t *epoch_out)
+Database::installWorkspace(const MwWorkspace &ws, std::uint64_t *winner)
 {
-    *epoch_out = 0;
-    const SimTime commit_begin = _env.clock.now();
-    _env.clock.advance(_env.cost.cpuTxnNs);
+    std::lock_guard<std::recursive_mutex> eng(_engineMutex);
+    NVWAL_ASSERT(!_inTxn, "writer lock held but a txn is open");
+    // The workspace reads nothing more: its pages are either
+    // installed below or discarded.
+    closeWorkspace(ws);
+    NVWAL_RETURN_IF_ERROR(_poisoned);
     const std::vector<PageNo> dirty = ws.dirtyPageNos();
-
-    if (dirty.empty()) {
-        // Read-only or no-op transaction: nothing to validate (its
-        // reads were served from a consistent floor) and nothing to
-        // publish; it claims no epoch.
-        std::lock_guard<std::mutex> mw(_mwMutex);
-        mwEndTxnLocked(ws.beginEpoch());
-        NVWAL_RETURN_IF_ERROR(_mwPoisoned);
-        _env.stats.add(stats::kTxnsCommitted);
-        return Status::ok();
-    }
-
-    MwSlot &slot = *_mwSlots[slot_no];
-    std::unique_lock<std::mutex> slot_lock(slot.mutex);
-    std::uint64_t epoch = 0;
-    {
-        std::lock_guard<std::mutex> mw(_mwMutex);
-        if (!_mwPoisoned.isOk()) {
-            mwEndTxnLocked(ws.beginEpoch());
-            return _mwPoisoned;
-        }
-        // Optimistic validation: conflict iff any read page was
-        // republished after the version this transaction read. Pages
-        // absent from _mwPageEpochs pass by design -- the map is
-        // pruned with the overlay, and the prune floor never passes
-        // an active begin floor.
-        for (const auto &[page_no, read_epoch] : ws.readSet()) {
-            const auto it = _mwPageEpochs.find(page_no);
-            if (it != _mwPageEpochs.end() && it->second > read_epoch) {
+    // A read-only transaction read one consistent horizon and writes
+    // nothing, so it has nothing to validate.
+    if (!dirty.empty()) {
+        for (PageNo page_no : ws.readSet()) {
+            const std::uint64_t seq = page_no < _pagePublishSeq.size()
+                                          ? _pagePublishSeq[page_no]
+                                          : 0;
+            if (seq > ws.beginPublish()) {
                 _env.stats.add(stats::kWalLogConflicts);
-                mwEndTxnLocked(ws.beginEpoch());
-                *epoch_out = it->second;
+                *winner = seq;
                 return Status::conflict(
                     "page " + std::to_string(page_no) +
-                    " republished at epoch " +
-                    std::to_string(it->second));
+                    " published at sequence " + std::to_string(seq) +
+                    " after the transaction began");
             }
         }
-        if (_mwEpoch >= 0x7fffffffULL) {
-            mwEndTxnLocked(ws.beginEpoch());
-            return Status::unsupported(
-                "epoch counter exhausted; reopen the database");
-        }
-        // Claim the epoch and pre-publish the write set's epochs so a
-        // concurrent validator conflicts against this commit before
-        // its append even lands (claimed under the slot lock, so this
-        // slot's log receives epochs in ascending order).
-        epoch = ++_mwEpoch;
-        for (PageNo page_no : dirty)
-            _mwPageEpochs[page_no] = epoch;
-        _mwPending.push_back(
-            MwPending{epoch, slot_no, ws.dbSizePages(), false});
     }
 
-    // Append to this slot's log and queue the flush -- lock-free of
-    // every other slot. No barrier here: hardening is grouped.
-    TxnFrames txn;
-    txn.dbSizePages = ws.dbSizePages();
-    txn.frames.reserve(dirty.size());
-    for (PageNo page_no : dirty) {
-        CachedPage *page = ws.cached(page_no);
-        NVWAL_ASSERT(page != nullptr, "dirty page not in workspace");
-        txn.frames.push_back(FrameWrite{
-            page_no, ConstByteSpan(page->buf.data(), page->buf.size()),
-            &page->dirty, page->noteDirtyRatio()});
-    }
-    const Status append = slot.log->writeTxnEpoch(txn, epoch);
-    if (append.isOk()) {
-        slot.log->flushRuns();
-        slot.lastAppendedEpoch = epoch;
-    }
-    slot_lock.unlock();
-
-    std::uint64_t published_floor = 0;
-    bool window_harden = false;
-    {
-        std::lock_guard<std::mutex> mw(_mwMutex);
-        if (!append.isOk()) {
-            // The epoch was claimed: a permanent gap that would
-            // strand every later epoch at recovery. Poison.
-            _mwPoisoned = append;
-            mwEndTxnLocked(ws.beginEpoch());
-            _mwCv.notify_all();
-            return append;
-        }
-        // Publish the full page images; readers at floors >= epoch
-        // (once the contiguous floor reaches it) see them.
-        for (PageNo page_no : dirty) {
-            CachedPage *page = ws.cached(page_no);
-            _mwOverlay.publish(
-                page_no, epoch,
-                ConstByteSpan(page->buf.data(), page->buf.size()));
-        }
-        for (MwPending &pending : _mwPending)
-            if (pending.epoch == epoch) {
-                pending.appended = true;
-                break;
-            }
-        while (!_mwPending.empty() && _mwPending.front().appended) {
-            const MwPending &front = _mwPending.front();
-            _mwPublished = front.epoch;
-            if (front.dbSizePages > _mwDbSize)
-                _mwDbSize = front.dbSizePages;
-            _mwDbSizeByEpoch[front.epoch] = _mwDbSize;
-            _mwPending.pop_front();
-        }
-        published_floor = _mwPublished;
-        mwEndTxnLocked(ws.beginEpoch());
-        _env.stats.add(stats::kTxnsCommitted);
-        if (opts.durability == Durability::Async)
-            _env.stats.add(stats::kDbAsyncCommits);
-        // Unstamped ack: durability arrives with the group harden.
-        frRecord(FrRecordType::CommitAck, 0,
-                   static_cast<std::uint16_t>(slot_no),
-                   static_cast<std::uint32_t>(_mwGeneration), txn_seq,
-                   epoch);
-        _mwCv.notify_all();
-        window_harden =
-            published_floor - _mwHardened > _config.asyncMaxEpochs;
-    }
-    _mwPageWritesSinceCkpt.fetch_add(dirty.size(),
-                                     std::memory_order_relaxed);
-
-    Status harden = Status::ok();
-    const bool wait_for_harden =
-        opts.durability != Durability::Async || opts.waitForHarden;
-    if (wait_for_harden)
-        harden = mwHardenUpTo(epoch, FrHardenReason::StrictRun);
-    else if (window_harden)
-        harden = mwHardenUpTo(published_floor,
-                              FrHardenReason::WindowEpochs);
-    *epoch_out = epoch;
-    _env.stats.recordNs(stats::kHistCommitNs,
-                        _env.clock.now() - commit_begin);
-    NVWAL_RETURN_IF_ERROR(harden);
-    mwMaybeCheckpoint();
+    // Every page read is still the newest committed version, so the
+    // workspace image of each dirty page is exactly one commit ahead
+    // of the shared pager's -- or a page freshly allocated from the
+    // cursor. From here on this is the engine's write transaction.
+    _inTxn = true;
+    _txnStartPageCount = _pager->pageCount();
+    for (PageNo page_no : dirty)
+        _pager->installPage(page_no, *ws.cached(page_no));
+    _installedPages = dirty;
+    if (ws.dbSizePages() > _pager->pageCount())
+        _pager->setPageCount(ws.dbSizePages());
+    ++_txnSeq;
+    _txnBeginNs = ws.beginNs();
+    _env.stats.tracer().setCurrentTxn(_txnSeq);
+    frRecord(FrRecordType::TxnBegin, 0, 0, 0, _txnSeq);
     return Status::ok();
-}
-
-Status
-Database::mwHardenUpTo(std::uint64_t target, FrHardenReason reason)
-{
-    std::lock_guard<std::mutex> h(_mwHardenMutex);
-    std::uint64_t floor = 0;
-    {
-        std::unique_lock<std::mutex> mw(_mwMutex);
-        if (target > _mwEpoch)
-            target = _mwEpoch;
-        if (_mwHardened >= target)
-            return Status::ok();
-        _mwCv.wait(mw, [&] {
-            return _mwPublished >= target || !_mwPoisoned.isOk();
-        });
-        NVWAL_RETURN_IF_ERROR(_mwPoisoned);
-        floor = _mwPublished;
-    }
-    // Sample each log's flush candidate under its slot lock: every
-    // epoch <= floor queued its lines (inline flushRuns) before it
-    // published, so the one barrier below covers all of them.
-    std::vector<CommitSeq> candidates(_mwSlots.size(), 0);
-    for (std::size_t i = 0; i < _mwSlots.size(); ++i) {
-        MwSlot &slot = *_mwSlots[i];
-        std::uint64_t newest = 0;
-        {
-            std::lock_guard<std::mutex> sl(slot.mutex);
-            candidates[i] = slot.log->flushCandidateSeq();
-            newest = slot.lastAppendedEpoch;
-        }
-        std::lock_guard<std::mutex> mw(_mwMutex);
-        frRecord(FrRecordType::MwLogHarden, 0,
-                   static_cast<std::uint16_t>(i),
-                   static_cast<std::uint32_t>(_mwGeneration), newest,
-                   candidates[i]);
-    }
-    _env.pmem.persistBarrier();
-    for (std::size_t i = 0; i < _mwSlots.size(); ++i) {
-        std::lock_guard<std::mutex> sl(_mwSlots[i]->mutex);
-        _mwSlots[i]->log->finishHarden(candidates[i]);
-    }
-    {
-        std::lock_guard<std::mutex> mw(_mwMutex);
-        if (floor > _mwHardened)
-            _mwHardened = floor;
-        _env.stats.add(stats::kWalMwHardens);
-        frRecord(FrRecordType::MwHarden, kFrFlagDurableClaim,
-                   static_cast<std::uint16_t>(reason),
-                   static_cast<std::uint32_t>(_mwGeneration), floor,
-                   _mwHardened);
-        _mwCv.notify_all();
-    }
-    return Status::ok();
-}
-
-Status
-Database::mwCheckpoint()
-{
-    std::lock_guard<std::mutex> ck(_mwCkptMutex);
-    return mwCheckpointLocked();
-}
-
-void
-Database::mwMaybeCheckpoint()
-{
-    if (!_config.autoCheckpoint)
-        return;
-    if (_mwPageWritesSinceCkpt.load(std::memory_order_relaxed) <
-        _config.checkpointThreshold)
-        return;
-    std::unique_lock<std::mutex> ck(_mwCkptMutex, std::try_to_lock);
-    if (!ck.owns_lock())
-        return;  // another round is already draining
-    if (!mwCheckpointLocked().isOk()) {
-        _env.stats.add(stats::kAutoCheckpointFailures);
-        _env.stats.tracer().instant("db.auto_checkpoint_failed", "db");
-    }
-}
-
-Status
-Database::mwCheckpointLocked()
-{
-    TraceSpan span(_env.stats.tracer(), "wal.checkpoint", "wal");
-    // Every epoch written to the file must be durable in some log
-    // first (no file state ahead of the logs), so harden the current
-    // published floor before any write-back.
-    std::uint64_t floor = 0;
-    {
-        std::lock_guard<std::mutex> mw(_mwMutex);
-        NVWAL_RETURN_IF_ERROR(_mwPoisoned);
-        floor = _mwPublished;
-    }
-    NVWAL_RETURN_IF_ERROR(
-        mwHardenUpTo(floor, FrHardenReason::Checkpoint));
-
-    // Clamp the write-back target: the base image must not advance
-    // past a reader pin or an active transaction's begin floor (their
-    // overlay versions -- including "absent = base" -- must survive).
-    std::uint64_t target = 0;
-    std::uint32_t db_size_at_target = 0;
-    std::map<PageNo, ByteBuffer> pages;
-    {
-        std::lock_guard<std::mutex> mw(_mwMutex);
-        target = _mwHardened;
-        if (!_mwPins.empty())
-            target = std::min(target, *_mwPins.begin());
-        if (!_mwActiveBegins.empty())
-            target = std::min(target, *_mwActiveBegins.begin());
-        if (target < _mwHardened)
-            _env.stats.add(stats::kCheckpointsPinBlocked);
-        if (target <= _mwEpochBase)
-            return Status::ok();
-        for (const auto &[page_no, image] :
-             _mwOverlay.collectUpTo(target))
-            pages.emplace(page_no, *image);
-        const auto it = _mwDbSizeByEpoch.upper_bound(target);
-        NVWAL_ASSERT(it != _mwDbSizeByEpoch.begin(),
-                     "published epochs above the base have size marks");
-        db_size_at_target = std::prev(it)->second;
-        frRecord(FrRecordType::CheckpointStart, 0, 1,
-                   static_cast<std::uint32_t>(_mwGeneration), target);
-    }
-
-    // File first, then anchor, then volatile prune, then truncation:
-    // a crash at any point recovers (the logs still hold everything
-    // above the persisted anchor).
-    {
-        std::lock_guard<std::mutex> file(_mwFileMutex);
-        const std::uint32_t file_pages = _dbFile->pageCount();
-        for (std::uint32_t no = file_pages + 1; no <= db_size_at_target;
-             ++no)
-            if (pages.find(no) == pages.end())
-                pages.emplace(no, ByteBuffer(_config.pageSize, 0));
-        for (const auto &[no, buf] : pages)
-            NVWAL_RETURN_IF_ERROR(_dbFile->writePage(
-                no, ConstByteSpan(buf.data(), buf.size())));
-        NVWAL_RETURN_IF_ERROR(_dbFile->sync());
-    }
-    MwMeta meta;
-    meta.writerLogs = _config.writerLogs;
-    meta.epochBase = target;
-    meta.generation = _mwGeneration;
-    meta.dbSizePages = db_size_at_target;
-    mwMetaStore(_env.pmem, _mwMetaOff, meta);
-    {
-        std::lock_guard<std::mutex> mw(_mwMutex);
-        _mwEpochBase = target;
-        _mwOverlay.pruneTo(target);
-        for (auto it = _mwPageEpochs.begin();
-             it != _mwPageEpochs.end();) {
-            if (it->second <= target)
-                it = _mwPageEpochs.erase(it);
-            else
-                ++it;
-        }
-        // Keep the newest size mark at or below the base (the next
-        // round's clamp may land on it), drop the rest.
-        auto keep = _mwDbSizeByEpoch.upper_bound(target);
-        if (keep != _mwDbSizeByEpoch.begin())
-            _mwDbSizeByEpoch.erase(_mwDbSizeByEpoch.begin(),
-                                   std::prev(keep));
-    }
-
-    // Truncate every log whose epochs are all covered by the anchor.
-    for (std::size_t i = 0; i < _mwSlots.size(); ++i) {
-        MwSlot &slot = *_mwSlots[i];
-        std::lock_guard<std::mutex> sl(slot.mutex);
-        if (slot.lastAppendedEpoch <= target &&
-            slot.log->nodeCount() != 0) {
-            NVWAL_RETURN_IF_ERROR(slot.log->truncateAll());
-            std::lock_guard<std::mutex> mw(_mwMutex);
-            frRecord(FrRecordType::MwTruncation, kFrFlagDurableClaim,
-                       static_cast<std::uint16_t>(i),
-                       static_cast<std::uint32_t>(_mwGeneration),
-                       target, slot.log->checkpointId());
-        }
-    }
-    // The trigger counts page writes, as the commit path adds them;
-    // the recorder keeps logging frames on media.
-    std::uint64_t remaining_writes = 0;
-    std::uint64_t remaining_frames = 0;
-    for (const auto &slot : _mwSlots) {
-        std::lock_guard<std::mutex> sl(slot->mutex);
-        remaining_writes += slot->log->pageWritesSinceCheckpoint();
-        remaining_frames += slot->log->framesSinceCheckpoint();
-    }
-    _mwPageWritesSinceCkpt.store(remaining_writes,
-                                 std::memory_order_relaxed);
-    _env.stats.add(stats::kCheckpoints);
-    {
-        std::lock_guard<std::mutex> mw(_mwMutex);
-        frRecord(FrRecordType::CheckpointEnd, 0, 1,
-                   static_cast<std::uint32_t>(_mwGeneration), target,
-                   remaining_frames);
-    }
-    return Status::ok();
-}
-
-std::uint64_t
-Database::mwPinRead(std::uint32_t *db_size, std::uint64_t min_floor)
-{
-    std::unique_lock<std::mutex> mw(_mwMutex);
-    if (min_floor > _mwEpoch)
-        min_floor = _mwEpoch;
-    _mwCv.wait(mw, [&] {
-        return _mwPublished >= min_floor || !_mwPoisoned.isOk();
-    });
-    _mwPins.insert(_mwPublished);
-    *db_size = _mwDbSize;
-    _env.stats.setGauge(stats::kGaugeOpenSnapshots, _mwPins.size());
-    return _mwPublished;
-}
-
-void
-Database::mwUnpinRead(std::uint64_t floor)
-{
-    std::lock_guard<std::mutex> mw(_mwMutex);
-    const auto it = _mwPins.find(floor);
-    NVWAL_ASSERT(it != _mwPins.end(), "unpin without pin");
-    _mwPins.erase(it);
-    _env.stats.setGauge(stats::kGaugeOpenSnapshots, _mwPins.size());
-}
-
-std::uint64_t
-Database::mwPublishedEpoch() const
-{
-    std::lock_guard<std::mutex> mw(_mwMutex);
-    return _mwPublished;
-}
-
-std::uint64_t
-Database::mwHardenedEpoch() const
-{
-    std::lock_guard<std::mutex> mw(_mwMutex);
-    return _mwHardened;
-}
-
-std::uint64_t
-Database::mwReachableNvramBlocks() const
-{
-    if (!_mwActive)
-        return 0;
-    std::uint64_t blocks = _env.heap.extentBlocksAt(_mwMetaOff);
-    for (const auto &slot : _mwSlots) {
-        std::lock_guard<std::mutex> sl(slot->mutex);
-        blocks += slot->log->reachableNvramBlocks();
-    }
-    return blocks;
 }
 
 // ---- background checkpointer ---------------------------------------
@@ -2267,7 +1644,7 @@ Database::stopCheckpointer()
 Status
 Database::vacuum()
 {
-    if (_mwActive)
+    if (_multiWriter)
         return Status::unsupported(
             "vacuum is single-writer only: reopen without multiWriter "
             "to compact");
@@ -2345,21 +1722,19 @@ Database::vacuum()
 Status
 Database::verifyIntegrity()
 {
-    return withCatalogPages([&](PageSource &pages) -> Status {
-        BTree catalog(pages, _pager->rootPage());
-        NVWAL_RETURN_IF_ERROR(catalog.validate());
-        std::vector<PageNo> roots;
-        NVWAL_RETURN_IF_ERROR(scanCatalog(
-            catalog, [&](RowId, PageNo root, const std::string &) {
-                roots.push_back(root);
-                return true;
-            }));
-        for (PageNo root : roots) {
-            BTree tree(pages, root);
-            NVWAL_RETURN_IF_ERROR(tree.validate());
-        }
-        return Status::ok();
-    });
+    std::lock_guard<std::recursive_mutex> eng(_engineMutex);
+    NVWAL_RETURN_IF_ERROR(_catalog->validate());
+    std::vector<PageNo> roots;
+    NVWAL_RETURN_IF_ERROR(scanCatalog(
+        *_catalog, [&](RowId, PageNo root, const std::string &) {
+            roots.push_back(root);
+            return true;
+        }));
+    for (PageNo root : roots) {
+        BTree tree(*_pager, root);
+        NVWAL_RETURN_IF_ERROR(tree.validate());
+    }
+    return Status::ok();
 }
 
 } // namespace nvwal

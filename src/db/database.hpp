@@ -14,16 +14,21 @@
  * writer with an exclusive write lock (section 4.1), explicit
  * begin/commit/rollback and autocommit for standalone statements,
  * plus any number of concurrent snapshot readers obtained through
- * Database::connect(). The direct statement API below forwards to an
+ * Database::connect(). With DbConfig::multiWriter, write
+ * transactions instead run optimistically in private workspaces and
+ * take the write lock only to validate and commit (DESIGN.md §13);
+ * either way every commit goes through the one group-commit queue
+ * into the one log. The direct statement API below forwards to an
  * internal root Connection, so it shares the one transaction path
  * (and error policy) of every other connection. CPU costs of query
  * processing are charged to the simulated clock per statement and
  * per transaction, calibrated in CostModel.
  *
  * Locking discipline (acquire strictly in this order):
- *   1. _writerMutex  -- serializes single-writer transactions, from
- *      begin until the commit entry is ordered in the group-commit
- *      queue (or rollback); held by one Connection at a time;
+ *   1. _writerMutex  -- serializes write transactions, from begin
+ *      (multi-writer: from commit-time validation) until the commit
+ *      entry is ordered in the group-commit queue (or rollback); held
+ *      by one Connection at a time;
  *   2. _engineMutex  -- the big engine lock guarding the pager, WAL,
  *      catalog, tables, and MetricsRegistry (recursive: public
  *      operations nest);
@@ -40,12 +45,10 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -230,22 +233,20 @@ struct DbConfig
      *  layer together with shardMember). */
     std::uint32_t frShard = 0;
     /**
-     * Multi-writer engine (DESIGN.md §13): each Connection appends
-     * commits to a private NVRAM log ("<wal ns>-cNN") ordered by a
-     * global epoch counter, with optimistic page-level validation at
-     * commit instead of the writer mutex. Requires WalMode::Nvwal
-     * with SyncMode::Lazy; incompatible with shard membership and the
-     * background checkpointer/durability threads (commits already
-     * never block on write-back or barriers). The direct Database
-     * statement API remains available through an internal root
-     * connection.
+     * Optimistic multi-writer admission (DESIGN.md §13): a write
+     * transaction runs in a private workspace pinned at a commit
+     * horizon instead of holding the writer lock, and its commit
+     * validates the pages it read before installing its own into the
+     * shared pager and going through the one group-commit pipeline;
+     * a lost race returns StatusCode::Conflict. Requires
+     * WalMode::Nvwal; incompatible with shard membership. DDL, table
+     * handles, two-phase commit and vacuum stay single-writer only.
      */
     bool multiWriter = false;
     /**
-     * Number of per-connection logs (multiWriter only, 1..32).
-     * Connections hash onto log slots, so more logs than concurrent
-     * writers just costs namespace slots; fewer serializes appends of
-     * the connections sharing a slot (commits stay optimistic).
+     * Unused: the per-connection logs it once sized are gone. Still
+     * declared because the e2ebench driver, frozen with the
+     * benchmark, assigns it; nothing reads or validates it.
      */
     std::uint32_t writerLogs = 8;
 };
@@ -538,23 +539,9 @@ class Database
     /** Engine-locked read of a metrics gauge. */
     std::uint64_t statGauge(const std::string &name) const;
 
-    // ---- multi-writer introspection (DESIGN.md §13) -----------------
-
-    /** True when the multi-writer engine is running. */
-    bool multiWriterActive() const { return _mwActive; }
-
-    /** Contiguous published epoch floor (multi-writer mode). */
-    std::uint64_t mwPublishedEpoch() const;
-
-    /** Durable epoch floor (multi-writer mode). */
-    std::uint64_t mwHardenedEpoch() const;
-
-    /**
-     * NVRAM blocks reachable from the multi-writer anchor and every
-     * per-connection log (leak accounting in the crash sweeps; 0 when
-     * the engine is off).
-     */
-    std::uint64_t mwReachableNvramBlocks() const;
+    /** True when write transactions run with optimistic admission
+     *  (DbConfig::multiWriter, once the database is open). */
+    bool multiWriterActive() const { return _multiWriter; }
 
     /**
      * Bumped on every engine (re)build -- open, crash recovery, and
@@ -605,6 +592,9 @@ class Database
         std::uint64_t epoch = 0;
         /** Transaction sequence at begin (flight-recorder ack id). */
         std::uint64_t txnSeq = 0;
+        /** Publish sequence of a Commit entry (0 when it published
+         *  nothing to the shared pager). */
+        std::uint64_t publishSeq = 0;
         std::vector<Frame> frames;
         std::uint32_t dbSizePages = 0;
         /**
@@ -634,15 +624,6 @@ class Database
     Status findCatalogEntry(const std::string &name, RowId *id,
                             PageNo *root, bool *found);
     Status defaultTable(Table **out);
-    /**
-     * Run @p op (signature Status(PageSource &)) over a consistent
-     * view of the catalog and table pages: the shared pager under the
-     * engine lock, or a snapshot pinned at the published floor in
-     * multi-writer mode.
-     */
-    template <typename Op>
-    Status withCatalogPages(const Op &op);
-
     /** Engine-locked rollback work (no lock release). */
     void rollbackBody();
 
@@ -697,7 +678,8 @@ class Database
      * Caller holds the engine lock. A round that finds another write
      * transaction open is skipped, not failed: the writer lock was
      * released at enqueue, and the next commit re-trips the
-     * threshold. A round that fails is counted and traced but never
+     * threshold. An open multi-writer workspace counts as one until
+     * the log reaches twice the threshold. A round that fails is counted and traced but never
      * fails the commit, which is already durable (DESIGN.md §8.3);
      * the next commit past the threshold retries it.
      */
@@ -718,8 +700,7 @@ class Database
 
     /**
      * Append one ring record if the recorder is live; plain stores
-     * only. Caller holds the ring's serialization: the engine lock,
-     * or _mwMutex once the multi-writer engine is active.
+     * only. Caller holds the engine lock (the ring's serialization).
      */
     void frRecord(FrRecordType type, std::uint8_t flags,
                   std::uint16_t a16, std::uint32_t a32, std::uint64_t a64,
@@ -809,97 +790,33 @@ class Database
     /** A user Connection closed (open-connection gauge). */
     void releaseConnection();
 
-    // ---- multi-writer engine (DESIGN.md §13) ------------------------
-    //
-    // Lock order within the engine: _mwCkptMutex, then _mwHardenMutex,
-    // then a slot mutex, then _mwMutex. The engine lock may be taken
-    // before _mwMutex (open path), never after. After activation every
-    // flight-recorder append happens under _mwMutex, which replaces
-    // the engine lock as the recorder's serialization.
+    // ---- optimistic multi-writer transactions (DESIGN.md §13) -------
 
     /**
-     * Tail of openInternal when config.multiWriter: attach/create the
-     * persistent anchor, recover the per-connection logs, merge their
-     * surviving epochs above the anchor's base into the .db file (in
-     * global epoch order, keeping each log's prefix-consistent slice
-     * and stopping at the first gap), persist the advanced anchor,
-     * truncate the logs, and start the engine. @p stats_before spans
-     * the whole recovery so the rebuilt forensics report sees the
-     * per-connection logs' recovery counters too.
+     * Open a workspace for an optimistic write transaction: wait
+     * until every commit up to publish sequence @p after_publish is
+     * logged (the commit a retry lost to), then pin the log at the
+     * logged commit horizon -- as beginRead() does -- and return a
+     * workspace that fetches through fetchCommittedPage() at it.
+     * Takes no writer lock.
      */
-    Status mwActivate(const StatsSnapshot &stats_before);
+    Status openWorkspace(std::uint64_t after_publish,
+                         std::unique_ptr<MwWorkspace> *out);
+
+    /** Release the pin of a workspace that will not commit. */
+    void closeWorkspace(const MwWorkspace &ws);
 
     /**
-     * Serve @p page_no as of published floor @p floor: the overlay
-     * version if one exists at or below the floor, else the .db base
-     * image. @p read_epoch (optional) gets the version's epoch, or
-     * @p floor when the base image is current.
+     * First half of a workspace commit; the caller holds the writer
+     * lock. Releases the workspace pin, then -- unless the database
+     * is poisoned -- validates the read set: Conflict, with the
+     * winning publish sequence in @p winner, when a page it read was
+     * published after the workspace began. Otherwise installs the
+     * dirty pages into the shared pager and opens them as the
+     * engine's write transaction, which commitFromConnection() then
+     * commits like any single-writer transaction.
      */
-    Status mwFetchPage(PageNo page_no, std::uint64_t floor, ByteSpan out,
-                       std::uint64_t *read_epoch);
-
-    /**
-     * Open an optimistic write transaction: record its begin floor in
-     * _mwActiveBegins (checkpoint clamp) and return it; @p db_size
-     * gets the database size at that floor and @p txn_seq the
-     * forensics transaction id for the eventual CommitAck. Waits for
-     * the published floor to reach @p min_floor (the connection's own
-     * last commit epoch) so every connection reads its own writes.
-     */
-    std::uint64_t mwBeginTxn(std::uint64_t min_floor,
-                             std::uint32_t *db_size,
-                             std::uint64_t *txn_seq);
-
-    /** Close a write transaction that did not publish an epoch
-     *  (rollback, conflict, empty write set, failed append). */
-    void mwEndTxn(std::uint64_t begin_floor);
-    /** Same, caller already holds _mwMutex. */
-    void mwEndTxnLocked(std::uint64_t begin_floor);
-
-    /**
-     * Validate + claim + append + publish one workspace commit from
-     * connection slot @p slot. Returns Conflict (no side effects
-     * beyond the conflict counter) when a read-set page was
-     * republished after the workspace's begin floor, with the
-     * winning epoch in @p epoch_out; poisons the engine if the append
-     * fails after its epoch was claimed.
-     */
-    Status mwCommitWorkspace(std::uint32_t slot, MwWorkspace &ws,
-                             const CommitOptions &opts,
-                             std::uint64_t txn_seq,
-                             std::uint64_t *epoch_out);
-
-    /**
-     * Group harden: wait until the published floor reaches @p target,
-     * then run ONE shared persist barrier. Every commit flushed its
-     * frame lines before publishing, so the single barrier makes all
-     * published epochs at or below the sampled floor durable.
-     */
-    Status mwHardenUpTo(std::uint64_t target, FrHardenReason reason);
-
-    /**
-     * Full multi-writer checkpoint: harden the published floor, write
-     * the newest overlay version of every page at or below the clamp
-     * floor (pins and active begins hold it back) to the .db file,
-     * fsync, persist the advanced anchor, prune the overlay, and
-     * truncate every log whose epochs are all covered.
-     */
-    Status mwCheckpoint();
-    /** Checkpoint body; caller holds _mwCkptMutex. */
-    Status mwCheckpointLocked();
-
-    /** Post-commit trigger: run mwCheckpoint() once the configured
-     *  frame threshold is crossed and no other round is active. A
-     *  failed round is counted, as in maybeCheckpointAfterCommit(). */
-    void mwMaybeCheckpoint();
-
-    /** Pin a read snapshot at the current published floor; @p db_size
-     *  gets the size at that floor. Waits for the floor to reach
-     *  @p min_floor first (a connection passes its last commit epoch
-     *  so its reads observe its own writes). */
-    std::uint64_t mwPinRead(std::uint32_t *db_size,
-                            std::uint64_t min_floor = 0);
-    void mwUnpinRead(std::uint64_t floor);
+    Status installWorkspace(const MwWorkspace &ws, std::uint64_t *winner);
 
     // ---- background checkpointer -----------------------------------
 
@@ -944,10 +861,41 @@ class Database
      */
     Status _poisoned = Status::ok();
     /**
-     * Commits published to the shared pager (markAllClean) whose
-     * group append has not finished. While non-zero a clean pager
-     * image may hold state the log does not, so copyPagerImage()
-     * declines every page. Guarded by the engine lock.
+     * Commits published to the shared pager so far; each one's entry
+     * carries its number, the publish sequence. The writer lock is
+     * held from publish to enqueue, so log order is publish order.
+     * Guarded by the engine lock.
+     */
+    std::uint64_t _publishSeq = 0;
+    /**
+     * Page -> publish sequence of the newest commit that published it
+     * (0 = none since open): what optimistic validation checks a
+     * workspace's read set against. It sees commits the moment they
+     * publish, before their group append logs them. Guarded by the
+     * engine lock.
+     */
+    std::vector<std::uint64_t> _pagePublishSeq;
+    /**
+     * Newest publish sequence whose group append finished -- logged,
+     * or failed and poisoned the database. Stored under the engine
+     * lock (so it agrees with the WAL's commitSeq there) and waited
+     * on under _commitQueueMutex.
+     */
+    std::atomic<std::uint64_t> _loggedPublishSeq{0};
+    /**
+     * The pages installWorkspace() installed for the open commit --
+     * then the pager's whole dirty set, so collectDirtyFrames() need
+     * not scan the cache. Guarded by the engine lock.
+     */
+    std::vector<PageNo> _installedPages;
+    /** Workspaces holding a pin (engine lock). */
+    std::uint32_t _openWorkspaces = 0;
+    /**
+     * Commits published to the shared pager (pages marked clean)
+     * whose group append has not finished. While non-zero a clean
+     * pager image may hold state the log does not, so
+     * copyPagerImage() declines every page. Guarded by the engine
+     * lock.
      */
     std::uint32_t _unloggedCommits = 0;
 
@@ -1009,94 +957,23 @@ class Database
     bool _durKick = false;
 
     std::uint32_t _openConnections = 0;  //!< guarded by _engineMutex
-    /** Next log slot to hand out; slot 0 is the root connection's. */
-    std::uint32_t _nextConnSlot = 1;     //!< guarded by _engineMutex
 
-    // ---- multi-writer engine state (DESIGN.md §13) ------------------
-
-    /** One per-connection NVRAM log and its append serialization. */
-    struct MwSlot
-    {
-        std::unique_ptr<NvwalLog> log;
-        /** Serializes appends by connections sharing this slot; held
-         *  while writeTxnEpoch + flushRuns run, released before the
-         *  epoch publishes under _mwMutex. Mutable so const block
-         *  accounting can sample the log. */
-        mutable std::mutex mutex;
-        std::uint64_t lastAppendedEpoch = 0;  //!< guarded by mutex
-    };
-
-    /** An epoch between claim and publish (guarded by _mwMutex). */
-    struct MwPending
-    {
-        std::uint64_t epoch = 0;
-        std::uint32_t slot = 0;
-        std::uint32_t dbSizePages = 0;
-        bool appended = false;
-    };
-
-    bool _mwActive = false;
-    NvOffset _mwMetaOff = kNullNvOffset;
-    std::uint64_t _mwGeneration = 0;
-    std::vector<std::unique_ptr<MwSlot>> _mwSlots;
-
-    /**
-     * Innermost multi-writer lock: epoch claim/publish, the overlay,
-     * page epochs, pins, active begins, pending queue, poison status,
-     * and (after activation) the flight recorder.
-     */
-    mutable std::mutex _mwMutex;
-    std::condition_variable _mwCv;
-    std::uint64_t _mwEpoch = 0;      //!< last epoch claimed
-    std::uint64_t _mwPublished = 0;  //!< contiguous published floor
-    std::uint64_t _mwHardened = 0;   //!< durable floor
-    std::uint64_t _mwEpochBase = 0;  //!< merged into the .db file
-    std::uint32_t _mwDbSize = 0;     //!< size at _mwPublished
-    /** Size at selected epochs <= _mwPublished (checkpoint clamp). */
-    std::map<std::uint64_t, std::uint32_t> _mwDbSizeByEpoch;
-    PageVersionMap _mwOverlay;
-    /** page -> newest published epoch (validation; pruned with the
-     *  overlay, so an absent page passes validation by design). */
-    std::map<PageNo, std::uint64_t> _mwPageEpochs;
-    std::deque<MwPending> _mwPending;
-    std::multiset<std::uint64_t> _mwPins;
-    std::multiset<std::uint64_t> _mwActiveBegins;
-    /** Post-claim append failure: every later commit/harden fails
-     *  with this until reopen (multi-writer twin of _poisoned). */
-    Status _mwPoisoned = Status::ok();
-    std::uint64_t _mwTxnSeq = 0;     //!< forensics ack attribution
-
-    /** Serializes group hardens (one barrier covers many epochs). */
-    std::mutex _mwHardenMutex;
-    /** Serializes checkpoint rounds; above _mwHardenMutex. */
-    std::mutex _mwCkptMutex;
-    /**
-     * Leaf lock serializing .db file access once the engine runs
-     * multi-threaded (checkpoint write-back vs. reader base-image
-     * fetches). Never held while acquiring any other lock.
-     */
-    mutable std::mutex _mwFileMutex;
-
-    /** Shared page-number cursor (= current db size in pages). */
-    std::atomic<std::uint32_t> _mwPageCursor{0};
-    /** Write-set page writes since the last checkpoint round. */
-    std::atomic<std::uint64_t> _mwPageWritesSinceCkpt{0};
     std::atomic<std::uint64_t> _engineGeneration{0};
 
-    /** Root of the default table (resolved once at activation; DDL is
-     *  refused in multi-writer mode, so it never moves). */
-    PageNo _mwDefaultRoot = kNoPage;
-    /** Internal connection (autoWriteTxn, log slot 0, not counted
-     *  in db.open_connections) behind the direct statement API, Table
-     *  writes and DDL, in both engines. Destroyed first in
-     *  ~Database. */
-    std::unique_ptr<Connection> _rootConn;
+    // ---- optimistic multi-writer state (DESIGN.md §13) ---------------
 
-    /** Inputs stashed by frOpenAndBuildReport so mwActivate can
-     *  rebuild the report after the cross-log merge. */
-    FlightRecording _frParsedRecording;
-    FrRecoveredWalState _frWalState;
-    StatsSnapshot _frStatsBefore;
+    /** Set once open has bootstrapped the catalog with multiWriter. */
+    bool _multiWriter = false;
+    /** Root of the default table (DDL is refused with multiWriter, so
+     *  it never moves). */
+    PageNo _defaultRoot = kNoPage;
+    /** Shared grow-only page-number cursor of the workspaces. */
+    std::atomic<std::uint32_t> _pageCursor{0};
+
+    /** Internal connection (autoWriteTxn, not counted in
+     *  db.open_connections) behind the direct statement API, Table
+     *  writes and DDL. Destroyed first in ~Database. */
+    std::unique_ptr<Connection> _rootConn;
 };
 
 } // namespace nvwal

@@ -246,8 +246,7 @@ FlightRecorder::parseRing(Pmem &pmem, NvOffset root, FlightRecording *out,
         const bool type_ok =
             raw.type >= static_cast<std::uint8_t>(
                             FrRecordType::RecorderOpen) &&
-            raw.type <= static_cast<std::uint8_t>(
-                            FrRecordType::MwTruncation);
+            raw.type <= kFrMaxRecordType;
         if (!checksum_ok || !slot_ok || !type_ok) {
             ++out->tornSlots;
             if (torn_slots != nullptr)
@@ -385,11 +384,8 @@ frRecordTypeName(std::uint8_t type)
     case FrRecordType::Prepare: return "prepare";
     case FrRecordType::Decision: return "decision";
     case FrRecordType::CounterSnapshot: return "counter_snapshot";
-    case FrRecordType::MwHarden: return "mw_harden";
-    case FrRecordType::MwLogHarden: return "mw_log_harden";
-    case FrRecordType::MwTruncation: return "mw_truncation";
     }
-    return "unknown";
+    return type <= kFrMaxRecordType ? "reserved" : "unknown";
 }
 
 RecoveryReport
@@ -407,9 +403,6 @@ buildRecoveryReport(const FlightRecording &recording,
     report.framesDiscarded = wal.framesDiscarded;
     report.lostMarks = wal.lostMarks;
     report.inDoubt = wal.inDoubt;
-    report.mwEnabled = wal.mwEnabled;
-    report.mwGeneration = wal.mwGeneration;
-    report.mwMergedEpoch = wal.mwMergedEpoch;
 
     if (!recording.present)
         return report;
@@ -491,33 +484,6 @@ buildRecoveryReport(const FlightRecording &recording,
                 }
             }
             break;
-        case FrRecordType::MwHarden:
-            // Commit epochs are absolute across reboots, so the
-            // hardened floor a durable MwHarden claims binds every
-            // later recovery — no checkpoint-round gate needed.
-            if (rec.durableClaim() && wal.mwEnabled &&
-                rec.b64 > wal.mwMergedEpoch) {
-                std::snprintf(buf, sizeof(buf),
-                              "mw harden #%llu claims epoch floor %llu "
-                              "durable but the merge recovered %llu",
-                              (unsigned long long)rec.seq,
-                              (unsigned long long)rec.b64,
-                              (unsigned long long)wal.mwMergedEpoch);
-                complain(buf);
-            }
-            break;
-        case FrRecordType::MwTruncation:
-            if (rec.durableClaim() && wal.mwEnabled &&
-                rec.a64 > wal.mwMergedEpoch) {
-                std::snprintf(buf, sizeof(buf),
-                              "mw truncation #%llu covered epoch base "
-                              "%llu but the merge recovered %llu",
-                              (unsigned long long)rec.seq,
-                              (unsigned long long)rec.a64,
-                              (unsigned long long)wal.mwMergedEpoch);
-                complain(buf);
-            }
-            break;
         default:
             break;
         }
@@ -555,10 +521,6 @@ buildRecoveryReport(const FlightRecording &recording,
             if (rec.a32 == ckpt32)
                 report.lastDurableMarks =
                     std::max(report.lastDurableMarks, rec.a64);
-            break;
-        case FrRecordType::MwHarden:
-            report.lastDurableEpoch =
-                std::max(report.lastDurableEpoch, rec.b64);
             break;
         case FrRecordType::Prepare:
             prepares.push_back(rec.a64);
@@ -680,9 +642,6 @@ recoveryReportJson(const RecoveryReport &report)
     w.member("framesDiscarded", report.framesDiscarded);
     w.member("lostMarks", report.lostMarks);
     writeIdArray(w, "inDoubt", report.inDoubt);
-    w.member("mwEnabled", report.mwEnabled);
-    w.member("mwGeneration", report.mwGeneration);
-    w.member("mwMergedEpoch", report.mwMergedEpoch);
     w.endObject();
 
     w.member("incarnationKnown", report.incarnationKnown);

@@ -85,24 +85,13 @@ enum class FrRecordType : std::uint8_t
     /** Periodic counter sample. a32=FNV-1a 32-bit hash of the
      *  canonical counter name, a64=value, b64=txn sequence. */
     CounterSnapshot = 11,
-    /** A multi-writer group harden across all per-connection logs
-     *  completed (DESIGN.md §13). a16=reason, a32=merge generation,
-     *  a64=published epoch floor at the barrier, b64=hardened epoch
-     *  floor after. Always a durable claim — commit epochs are
-     *  absolute across reboots, so the recovered merge horizon must
-     *  never fall below b64. */
-    MwHarden = 12,
-    /** One per-connection log's deferred ranges entered the group
-     *  flush batch. a16=log slot, a64=that log's newest flushed
-     *  (candidate) epoch, b64=its commit seq. Not durable — the
-     *  shared barrier had not run when this was stored. */
-    MwLogHarden = 13,
-    /** A per-connection log truncated after its epochs were merged or
-     *  checkpointed. a16=log slot, a32=merge generation, a64=epoch
-     *  base covered by the truncation, b64=the log's new checkpoint
-     *  round. Durable claim (the epoch base persisted first). */
-    MwTruncation = 14,
+    // 12-14: reserved. The retired per-connection-log engine wrote
+    // its group hardens, per-log flushes and log truncations here;
+    // rings from older media may still hold them (parsed, ignored).
 };
+
+/** Highest type code the ring parser accepts (the reserved 12-14). */
+inline constexpr std::uint8_t kFrMaxRecordType = 14;
 
 /** Reason codes for FrRecordType::Harden (a16). */
 enum class FrHardenReason : std::uint16_t
@@ -258,13 +247,6 @@ struct FrRecoveredWalState
     std::vector<std::uint64_t> inDoubt;
     /** Decision lookup in the recovered WAL (may be empty). */
     std::function<bool(std::uint64_t gtid, bool *commit)> lookupDecision;
-    /** Multi-writer mode (DESIGN.md §13): merge-generation counter
-     *  and the newest epoch the cross-log merge recovered. Epochs are
-     *  absolute across reboots, so MwHarden/MwTruncation claims from
-     *  ANY incarnation must sit at or below mwMergedEpoch. */
-    bool mwEnabled = false;
-    std::uint64_t mwGeneration = 0;
-    std::uint64_t mwMergedEpoch = 0;
 };
 
 /**
@@ -287,9 +269,6 @@ struct RecoveryReport
     std::uint64_t framesDiscarded = 0;
     std::uint64_t lostMarks = 0;
     std::vector<std::uint64_t> inDoubt;
-    bool mwEnabled = false;
-    std::uint64_t mwGeneration = 0;
-    std::uint64_t mwMergedEpoch = 0;
 
     // Derived from the crashed incarnation's slice of the ring.
     /** True when a RecorderOpen record survived, so the slice

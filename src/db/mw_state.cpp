@@ -1,84 +1,7 @@
 #include "mw_state.hpp"
 
-#include <algorithm>
-#include <cstdio>
-
 namespace nvwal
 {
-
-// ---- PageVersionMap ------------------------------------------------
-
-void
-PageVersionMap::publish(PageNo page_no, std::uint64_t epoch,
-                        ConstByteSpan image)
-{
-    std::vector<Version> &versions = _pages[page_no];
-    NVWAL_ASSERT(versions.empty() || versions.back().epoch < epoch,
-                 "same-page versions must publish in epoch order");
-    Version v;
-    v.epoch = epoch;
-    v.image.assign(image.data(), image.data() + image.size());
-    versions.push_back(std::move(v));
-}
-
-const ByteBuffer *
-PageVersionMap::readAt(PageNo page_no, std::uint64_t horizon,
-                       std::uint64_t *epoch_out) const
-{
-    const auto it = _pages.find(page_no);
-    if (it == _pages.end())
-        return nullptr;
-    const std::vector<Version> &versions = it->second;
-    // Newest version with epoch <= horizon.
-    auto pos = std::upper_bound(
-        versions.begin(), versions.end(), horizon,
-        [](std::uint64_t h, const Version &v) { return h < v.epoch; });
-    if (pos == versions.begin())
-        return nullptr;
-    --pos;
-    if (epoch_out != nullptr)
-        *epoch_out = pos->epoch;
-    return &pos->image;
-}
-
-std::map<PageNo, const ByteBuffer *>
-PageVersionMap::collectUpTo(std::uint64_t horizon) const
-{
-    std::map<PageNo, const ByteBuffer *> out;
-    for (const auto &[page_no, versions] : _pages) {
-        const ByteBuffer *image = readAt(page_no, horizon);
-        if (image != nullptr)
-            out[page_no] = image;
-    }
-    return out;
-}
-
-void
-PageVersionMap::pruneTo(std::uint64_t horizon)
-{
-    for (auto it = _pages.begin(); it != _pages.end();) {
-        std::vector<Version> &versions = it->second;
-        auto keep = std::upper_bound(
-            versions.begin(), versions.end(), horizon,
-            [](std::uint64_t h, const Version &v) { return h < v.epoch; });
-        versions.erase(versions.begin(), keep);
-        if (versions.empty())
-            it = _pages.erase(it);
-        else
-            ++it;
-    }
-}
-
-std::size_t
-PageVersionMap::versionCount() const
-{
-    std::size_t n = 0;
-    for (const auto &[page_no, versions] : _pages)
-        n += versions.size();
-    return n;
-}
-
-// ---- MwWorkspace ---------------------------------------------------
 
 Status
 MwWorkspace::getPage(PageNo page_no, CachedPage **out)
@@ -96,9 +19,8 @@ MwWorkspace::getPage(PageNo page_no, CachedPage **out)
         return Status::invalidArgument("page beyond transaction snapshot");
     auto page = std::make_unique<CachedPage>();
     page->buf.resize(_pageSize);
-    std::uint64_t read_epoch = _beginEpoch;
-    NVWAL_RETURN_IF_ERROR(_fetch(page_no, page->span(), &read_epoch));
-    _readSet.emplace(page_no, read_epoch);
+    NVWAL_RETURN_IF_ERROR(_fetch(page_no, page->span()));
+    _readSet.push_back(page_no);
     *out = page.get();
     _cache[page_no] = std::move(page);
     return Status::ok();
@@ -129,58 +51,11 @@ MwWorkspace::dirtyPageNos() const
     return out;
 }
 
-CachedPage *
-MwWorkspace::cached(PageNo page_no)
+const CachedPage *
+MwWorkspace::cached(PageNo page_no) const
 {
     auto it = _cache.find(page_no);
     return it == _cache.end() ? nullptr : it->second.get();
-}
-
-// ---- MwMeta --------------------------------------------------------
-
-void
-mwMetaStore(Pmem &pmem, NvOffset off, const MwMeta &meta)
-{
-    std::uint8_t buf[MwMeta::kSize];
-    storeU64(buf + 0, MwMeta::kMagic);
-    storeU32(buf + 8, MwMeta::kVersion);
-    storeU32(buf + 12, meta.writerLogs);
-    storeU64(buf + 16, meta.epochBase);
-    storeU64(buf + 24, meta.generation);
-    storeU32(buf + 32, meta.dbSizePages);
-    storeU32(buf + 36, 0);
-    pmem.memcpyToNvram(off, ConstByteSpan(buf, sizeof(buf)));
-    pmem.persistRangeEager(off, off + sizeof(buf));
-}
-
-Status
-mwMetaLoad(Pmem &pmem, NvOffset off, MwMeta *out)
-{
-    std::uint8_t buf[MwMeta::kSize];
-    pmem.readFromNvram(off, ByteSpan(buf, sizeof(buf)));
-    if (loadU64(buf + 0) != MwMeta::kMagic)
-        return Status::corruption("bad multi-writer anchor magic");
-    if (loadU32(buf + 8) != MwMeta::kVersion)
-        return Status::corruption("unknown multi-writer anchor version");
-    out->writerLogs = loadU32(buf + 12);
-    out->epochBase = loadU64(buf + 16);
-    out->generation = loadU64(buf + 24);
-    out->dbSizePages = loadU32(buf + 32);
-    return Status::ok();
-}
-
-std::string
-mwMetaNamespaceFor(const std::string &wal_namespace)
-{
-    return wal_namespace + "-mw";
-}
-
-std::string
-mwLogNamespaceFor(const std::string &wal_namespace, std::uint32_t slot)
-{
-    char suffix[8];
-    std::snprintf(suffix, sizeof(suffix), "-c%02u", slot);
-    return wal_namespace + suffix;
 }
 
 } // namespace nvwal

@@ -1,34 +1,21 @@
 /**
  * @file
- * Volatile and persistent state backing the multi-writer engine
- * (DESIGN.md §13): per-connection NVRAM logs append epoch-stamped
- * commits lock-free of each other, and these types hold the shared
- * DRAM overlay the published epochs are read through, the private
- * per-transaction workspace an optimistic writer mutates, and the
- * small persistent metadata blob the cross-log merge anchors on.
+ * The private workspace an optimistic multi-writer transaction runs
+ * its B-tree on (DESIGN.md §13).
  *
- *  - PageVersionMap: page -> ascending (epoch, full page image)
- *    versions. Commits publish here once their log append is
- *    complete; readers resolve a page as of a published epoch floor,
- *    falling back to the .db base image. Checkpointing writes the
- *    newest version at or below a durable floor back to the file and
- *    prunes everything it covered.
+ * A workspace is opened at a pinned commit horizon of the one NVWAL
+ * log. Pages are fetched copy-on-read through a fetcher (the
+ * database's committed-page path, which serves the shared pager's
+ * image when it provably equals the page at the horizon); every page
+ * fetched is recorded in the read set, which commit-time validation
+ * checks against the pages published since the workspace began. At
+ * commit the dirty pages are installed into the shared pager and go
+ * through the single-writer group-commit pipeline.
  *
- *  - MwWorkspace: the PageSource a multi-writer write transaction
- *    runs its B-tree on. Pages are fetched copy-on-read from the
- *    overlay/.db through a fetcher callback that also reports the
- *    epoch of the version read; the workspace records that epoch per
- *    page (the transaction's read set) so commit-time validation can
- *    detect pages republished since. Page allocation bumps a shared
- *    atomic cursor, so concurrent transactions never collide on page
- *    numbers; freed pages are leaked until a vacuum in single-writer
- *    mode reclaims them (grow-only by design).
- *
- *  - MwMeta: the per-database persistent anchor (heap namespace
- *    "<wal ns>-mw", docs/FORMAT.md §8): the epoch base every log's
- *    surviving commits are merged above, the merge generation, and
- *    the database size at the base. Persisted eagerly on every merge
- *    and multi-writer checkpoint, always before any log truncates.
+ * Page allocation bumps a shared atomic cursor, so concurrent
+ * transactions never collide on page numbers; freed pages are leaked
+ * until a vacuum in single-writer mode reclaims them (grow-only by
+ * design).
  */
 
 #ifndef NVWAL_DB_MW_STATE_HPP
@@ -44,57 +31,10 @@
 #include "common/status.hpp"
 #include "common/types.hpp"
 #include "pager/page_source.hpp"
-#include "pmem/pmem.hpp"
+#include "wal/write_ahead_log.hpp"
 
 namespace nvwal
 {
-
-/** Shared DRAM overlay of published-but-not-checkpointed pages. */
-class PageVersionMap
-{
-  public:
-    /** One published version of a page. */
-    struct Version
-    {
-        std::uint64_t epoch = 0;
-        ByteBuffer image;
-    };
-
-    /**
-     * Publish @p image as the state of @p page_no after @p epoch.
-     * Same-page epochs always arrive ascending: a later-epoch writer
-     * of the page must have read (and thus waited for) the earlier
-     * version, or it would have failed validation.
-     */
-    void publish(PageNo page_no, std::uint64_t epoch, ConstByteSpan image);
-
-    /**
-     * Newest version of @p page_no with epoch <= @p horizon, or
-     * nullptr when the .db base image is current for that horizon.
-     * @p epoch_out (optional) receives the version's epoch.
-     */
-    const ByteBuffer *readAt(PageNo page_no, std::uint64_t horizon,
-                             std::uint64_t *epoch_out = nullptr) const;
-
-    /**
-     * The checkpoint write-back set: for every page with a version at
-     * or below @p horizon, the newest such version's image.
-     */
-    std::map<PageNo, const ByteBuffer *>
-    collectUpTo(std::uint64_t horizon) const;
-
-    /** Drop every version with epoch <= @p horizon (now in the file). */
-    void pruneTo(std::uint64_t horizon);
-
-    /** Pages holding at least one version (tests, gauges). */
-    std::size_t pageCount() const { return _pages.size(); }
-
-    /** Total versions held (tests, gauges). */
-    std::size_t versionCount() const;
-
-  private:
-    std::map<PageNo, std::vector<Version>> _pages;
-};
 
 /**
  * Private PageSource of one optimistic write transaction. Confined to
@@ -104,21 +44,23 @@ class PageVersionMap
 class MwWorkspace : public PageSource
 {
   public:
-    /**
-     * Materialize @p page as of the transaction's begin floor and
-     * report the epoch of the version served (the begin floor itself
-     * when the .db base image was current).
-     */
-    using Fetcher = std::function<Status(PageNo page, ByteSpan out,
-                                         std::uint64_t *read_epoch)>;
+    /** Materialize a page as of the workspace's pinned horizon. */
+    using Fetcher = std::function<Status(PageNo page, ByteSpan out)>;
 
+    /**
+     * @p horizon is the pinned commit sequence the workspace reads
+     * at; @p begin_publish the newest publish sequence visible at it
+     * (commit-time validation compares read pages against it).
+     */
     MwWorkspace(std::uint32_t page_size, std::uint32_t reserved_bytes,
-                PageNo root_page, std::uint64_t begin_epoch,
-                std::uint32_t begin_db_size,
-                std::atomic<std::uint32_t> *page_cursor, Fetcher fetch)
+                PageNo root_page, CommitSeq horizon,
+                std::uint64_t begin_publish, std::uint32_t begin_db_size,
+                SimTime begin_ns, std::atomic<std::uint32_t> *page_cursor,
+                Fetcher fetch)
         : _pageSize(page_size), _reservedBytes(reserved_bytes),
-          _rootPage(root_page), _beginEpoch(begin_epoch),
-          _beginDbSize(begin_db_size), _pageCursor(page_cursor),
+          _rootPage(root_page), _horizon(horizon),
+          _beginPublish(begin_publish), _beginDbSize(begin_db_size),
+          _beginNs(begin_ns), _pageCursor(page_cursor),
           _fetch(std::move(fetch))
     {}
 
@@ -142,8 +84,14 @@ class MwWorkspace : public PageSource
     { return _pageSize - _reservedBytes; }
     PageNo rootPage() const override { return _rootPage; }
 
-    /** Published epoch floor pinned when the transaction began. */
-    std::uint64_t beginEpoch() const { return _beginEpoch; }
+    /** Commit sequence the workspace pinned at begin. */
+    CommitSeq horizon() const { return _horizon; }
+
+    /** Newest publish sequence visible at the horizon. */
+    std::uint64_t beginPublish() const { return _beginPublish; }
+
+    /** Sim time the transaction began (trace span start). */
+    SimTime beginNs() const { return _beginNs; }
 
     /** Database size in pages after this transaction commits. */
     std::uint32_t
@@ -152,72 +100,29 @@ class MwWorkspace : public PageSource
         return _maxAllocated > _beginDbSize ? _maxAllocated : _beginDbSize;
     }
 
-    /** page -> epoch of the version this transaction read. */
-    const std::map<PageNo, std::uint64_t> &readSet() const
-    { return _readSet; }
+    /** Pages fetched from the committed state (the read set). */
+    const std::vector<PageNo> &readSet() const { return _readSet; }
 
     /** Page numbers of all dirty workspace pages, ascending. */
     std::vector<PageNo> dirtyPageNos() const;
 
     /** Cached entry or nullptr (no fetch). */
-    CachedPage *cached(PageNo page_no);
+    const CachedPage *cached(PageNo page_no) const;
 
   private:
     std::uint32_t _pageSize;
     std::uint32_t _reservedBytes;
     PageNo _rootPage;
-    std::uint64_t _beginEpoch;
+    CommitSeq _horizon;
+    std::uint64_t _beginPublish;
     std::uint32_t _beginDbSize;
+    SimTime _beginNs;
     std::uint32_t _maxAllocated = 0;
     std::atomic<std::uint32_t> *_pageCursor;
     Fetcher _fetch;
     std::map<PageNo, std::unique_ptr<CachedPage>> _cache;
-    std::map<PageNo, std::uint64_t> _readSet;
+    std::vector<PageNo> _readSet;
 };
-
-/**
- * Persistent multi-writer anchor (one per database, heap namespace
- * "<wal ns>-mw"). 40-byte little-endian layout:
- *
- *   0   magic u64
- *   8   version u32
- *   12  writer log count u32
- *   16  epoch base u64 (every log's epochs <= this are in the .db)
- *   24  merge generation u64
- *   32  db size in pages at the epoch base u32
- *   36  reserved u32
- *
- * Individual u64/u32 fields update atomically on the simulated
- * device; the anchor is persisted eagerly (flush + barrier) before
- * any log truncation relies on it, and a crash between field stores
- * can only leave generation/dbSizePages stale -- epochBase itself is
- * a single word and the merge tolerates a stale size by taking the
- * max of the anchor, the file, and the replayed marks.
- */
-struct MwMeta
-{
-    static constexpr std::uint64_t kMagic = 0x31574d4c4157564eULL; // "NVWALMW1"
-    static constexpr std::uint32_t kVersion = 1;
-    static constexpr std::uint32_t kSize = 40;
-
-    std::uint32_t writerLogs = 0;
-    std::uint64_t epochBase = 0;
-    std::uint64_t generation = 0;
-    std::uint32_t dbSizePages = 0;
-};
-
-/** Store + eagerly persist @p meta at @p off. */
-void mwMetaStore(Pmem &pmem, NvOffset off, const MwMeta &meta);
-
-/** Load and validate the anchor at @p off. */
-Status mwMetaLoad(Pmem &pmem, NvOffset off, MwMeta *out);
-
-/** Heap namespace of the anchor ("nvwal" -> "nvwal-mw"). */
-std::string mwMetaNamespaceFor(const std::string &wal_namespace);
-
-/** Heap namespace of per-connection log @p slot ("nvwal-c03"). */
-std::string mwLogNamespaceFor(const std::string &wal_namespace,
-                              std::uint32_t slot);
 
 } // namespace nvwal
 

@@ -203,29 +203,23 @@ DbImage
 dumpAll(Database &db)
 {
     DbImage image;
-    if (db.config().multiWriter) {
-        // DDL is disabled in multi-writer mode, so the default table
-        // is the whole database; table handles are unavailable (the
-        // shared pager is bypassed) -- read through the statement API.
-        TableImage &content = image[Database::kDefaultTable];
-        NVWAL_CHECK_OK(db.scan(
-            INT64_MIN, INT64_MAX, [&](RowId k, ConstByteSpan v) {
-                content[k] = ByteBuffer(v.begin(), v.end());
-                return true;
-            }));
-        return image;
-    }
     std::vector<std::string> tables;
     NVWAL_CHECK_OK(db.listTables(&tables));
     for (const std::string &name : tables) {
+        TableImage &content = image[name];
+        const auto collect = [&](RowId k, ConstByteSpan v) {
+            content[k] = ByteBuffer(v.begin(), v.end());
+            return true;
+        };
+        // The default table through the statement API, which every
+        // admission mode serves (table handles are single-writer only).
+        if (name == Database::kDefaultTable) {
+            NVWAL_CHECK_OK(db.scan(INT64_MIN, INT64_MAX, collect));
+            continue;
+        }
         Table *table = nullptr;
         NVWAL_CHECK_OK(db.openTable(name, &table));
-        TableImage &content = image[name];
-        NVWAL_CHECK_OK(table->scan(
-            INT64_MIN, INT64_MAX, [&](RowId k, ConstByteSpan v) {
-                content[k] = ByteBuffer(v.begin(), v.end());
-                return true;
-            }));
+        NVWAL_CHECK_OK(table->scan(INT64_MIN, INT64_MAX, collect));
     }
     return image;
 }
@@ -329,7 +323,6 @@ checkInvariants(Env &env, Database &db, const std::vector<DbImage> &states,
                    " nodeCount=" + std::to_string(log->nodeCount());
         const std::uint64_t reachable =
             log->reachableNvramBlocks() +
-            db.mwReachableNvramBlocks() +
             recorderBlocks(env.heap, db.config().nvwal.heapNamespace);
         const std::uint64_t in_use =
             env.heap.countBlocks(BlockState::InUse);

@@ -54,14 +54,14 @@ struct WorkloadOp
         FlushAsync,
         // ---- multi-writer ops (DbConfig::multiWriter sweeps) --------
         // Each addresses one of several numbered connections, so a
-        // single replay thread drives interleaved transactions across
-        // distinct per-connection NVRAM logs deterministically.
+        // single replay thread drives interleaved optimistic
+        // transactions of distinct connections deterministically.
         /** Connection::begin() on connection @c conn. */
         ConnBegin,
         /** Connection::commit() (Group, waits for the harden). */
         ConnCommit,
-        /** commit({Async, waitForHarden=false}): published, not yet
-         *  hardened -- opens the cross-log loss window. */
+        /** commit({Async, waitForHarden=false}): logged, not yet
+         *  hardened -- opens the async loss window. */
         ConnCommitNoWait,
         /** Insert on connection @c conn's open transaction. */
         ConnInsert,
@@ -300,15 +300,14 @@ class Workload
      * The canonical multi-writer crash workload: @p writers
      * connections committing round-robin, each transaction two
      * inserts plus (after the first) an update of the key the
-     * *previous* connection wrote -- a cross-log same-page chain the
-     * epoch merge must order correctly at recovery. Transactions are
+     * *previous* connection wrote -- a cross-connection same-page
+     * chain recovery must keep in commit order. Transactions are
      * serial (no two open at once) so optimistic validation never
-     * aborts during replay; alternating connections still spread the
-     * epochs across all the per-connection logs. Even-indexed
-     * transactions commit without waiting for the harden, leaving
-     * published-but-unhardened epochs across several logs at once
-     * (the cross-log loss window); odd ones group-harden everything
-     * published; a final connHardenAll() per round drains the rest.
+     * aborts during replay. Even-indexed transactions commit without
+     * waiting for the harden, leaving logged-but-unhardened commits
+     * of several connections at once (the async loss window); odd
+     * ones harden everything logged; a final connHardenAll() per
+     * round drains the rest.
      */
     static Workload
     multiWriterTxns(int writers, int rounds, std::size_t value_bytes = 64)

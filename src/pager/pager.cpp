@@ -245,6 +245,17 @@ Pager::dirtyPageNos() const
 }
 
 void
+Pager::installPage(PageNo page_no, const CachedPage &page)
+{
+    NVWAL_ASSERT(page.buf.size() == _pageSize);
+    std::unique_ptr<CachedPage> &slot = _cache[page_no];
+    if (!slot)
+        slot = std::make_unique<CachedPage>();
+    NVWAL_ASSERT(!slot->isDirty(), "install over an uncommitted page");
+    *slot = page;
+}
+
+void
 Pager::markAllClean()
 {
     for (auto &[no, page] : _cache)

@@ -116,6 +116,15 @@ class Pager : public PageSource
     /** Page numbers of all dirty cached pages, ascending. */
     std::vector<PageNo> dirtyPageNos() const;
 
+    /**
+     * Replace the cached entry of @p page_no with a copy of @p page --
+     * image, dirty ranges and dirty-ratio history: how an optimistic
+     * multi-writer commit hands its validated workspace pages to the
+     * commit pipeline (DESIGN.md §13). The cached page must not be
+     * dirty.
+     */
+    void installPage(PageNo page_no, const CachedPage &page);
+
     /** Clear dirty marks after a successful commit. */
     void markAllClean();
 

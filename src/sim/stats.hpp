@@ -96,18 +96,20 @@ inline constexpr const char *kWalRecoveryFramesDiscarded =
 inline constexpr const char *kWalRecoveryLostMarks =
     "wal.recovery_lost_marks";
 
-// Multi-writer per-connection logs (DESIGN.md §13). Optimistic
-// commit-time validation failures, the recovery-time epoch merge
-// (transactions applied from per-connection logs vs. dropped because
-// an earlier epoch's log prefix was torn away), group hardens across
-// the per-connection logs, and transact() retries after a conflict.
+// Optimistic multi-writer transactions (DESIGN.md §13): commit-time
+// validation failures and transact() retries after a conflict.
 inline constexpr const char *kWalLogConflicts = "wal.log_conflicts";
+inline constexpr const char *kDbTxnConflictRetries =
+    "db.txn_conflict_retries";
+// Counters of the retired per-connection-log engine: its recovery-time
+// epoch merge and its group hardens. Multi-writer commits now go
+// through the one group-commit pipeline, so these always read 0; the
+// names survive because the e2ebench driver (frozen with the
+// benchmark) still reads them.
 inline constexpr const char *kWalEpochMergeTxns = "wal.epoch_merge_txns";
 inline constexpr const char *kWalEpochMergeGapDiscarded =
     "wal.epoch_merge_gap_discarded";
 inline constexpr const char *kWalMwHardens = "wal.mw_hardens";
-inline constexpr const char *kDbTxnConflictRetries =
-    "db.txn_conflict_retries";
 
 // NVRAM flight recorder (DESIGN.md §12, docs/OBSERVABILITY.md §7).
 // Records appended to the persistent telemetry ring, slots whose

@@ -8,7 +8,7 @@
  * both byte-diff and promoted full-page frames (the stride-1
  * pessimistic sweep includes a power-off between every full-page
  * frame append and its commit mark), plus a multi-writer reopen
- * whose per-connection epoch logs mix both granularities.
+ * whose optimistic commits mix both granularities.
  */
 
 #include <gtest/gtest.h>
@@ -372,9 +372,9 @@ TEST(AdaptiveGranularityCrash, AdversarialSweepMultiSeed)
 }
 
 /**
- * Multi-writer: per-connection epoch logs holding a mix of diff and
- * promoted full-page frames merge correctly at reopen (epoch order,
- * newest value wins, integrity intact).
+ * Multi-writer: commits from two optimistic connections holding a mix
+ * of diff and promoted full-page frames recover correctly at reopen
+ * (commit order, newest value wins, integrity intact).
  */
 TEST(AdaptiveGranularityCrash, MultiWriterMixedGranularityReopen)
 {
@@ -384,7 +384,6 @@ TEST(AdaptiveGranularityCrash, MultiWriterMixedGranularityReopen)
     DbConfig config;
     config.walMode = WalMode::Nvwal;
     config.multiWriter = true;
-    config.writerLogs = 3;
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
 
@@ -405,7 +404,7 @@ TEST(AdaptiveGranularityCrash, MultiWriterMixedGranularityReopen)
     no_wait.durability = Durability::Async;
     no_wait.waitForHarden = false;
 
-    // Alternate connections; even rounds write heavy epochs (the
+    // Alternate connections; even rounds write heavy commits (the
     // adaptive decision promotes them), odd rounds small diffs, and
     // the tail stays un-hardened (clean close, not a crash).
     for (int round = 0; round < 6; ++round) {
@@ -436,7 +435,6 @@ TEST(AdaptiveGranularityCrash, MultiWriterMixedGranularityReopen)
 
     NVWAL_CHECK_OK(Database::open(env, config, &db));
     EXPECT_TRUE(db->multiWriterActive());
-    EXPECT_GT(db->statValue(stats::kWalEpochMergeTxns), 0u);
     ByteBuffer out;
     NVWAL_CHECK_OK(db->get(9000, &out));
     EXPECT_EQ(out, testutil::makeValue(1500, 14));  // round 4's update

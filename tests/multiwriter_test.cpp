@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for the multi-writer engine (DESIGN.md §13) and the §13
- * Connection API: CommitOptions, ConnectOptions::autoWriteTxn,
+ * Tests for optimistic multi-writer transactions (DESIGN.md §13) and
+ * the §13 Connection API: CommitOptions, ConnectOptions::autoWriteTxn,
  * ValueView statements, transact() retry loops, optimistic conflict
- * detection across per-connection NVRAM logs, the cached casual
- * snapshot, epoch-ordered recovery merges, and the multi-writer
- * crash-point sweeps (pessimistic and adversarial).
+ * detection on the one group-commit pipeline, the cached casual
+ * snapshot, reopen after interleaved commits, a seeded model check of
+ * workspace reads and validation, and the multi-writer crash-point
+ * sweeps (pessimistic and adversarial).
  *
  * Threaded tests only assert interleaving-independent properties:
  * conservation of committed transactions, zero conflicts for
@@ -15,9 +16,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
+#include "btree/btree.hpp"
+#include "db/catalog_codec.hpp"
 #include "db/connection.hpp"
 #include "faultsim/crash_sweep.hpp"
 #include "test_util.hpp"
@@ -28,12 +34,11 @@ namespace
 {
 
 DbConfig
-mwConfig(std::uint32_t writer_logs = 4)
+mwConfig()
 {
     DbConfig config;
     config.walMode = WalMode::Nvwal;
     config.multiWriter = true;
-    config.writerLogs = writer_logs;
     return config;
 }
 
@@ -203,18 +208,17 @@ TEST(Multiwriter, CommitsAcrossConnectionsAndGuardsDdl)
 {
     Env env(envConfig());
     std::unique_ptr<Database> db;
-    NVWAL_CHECK_OK(Database::open(env, mwConfig(4), &db));
+    NVWAL_CHECK_OK(Database::open(env, mwConfig(), &db));
     EXPECT_TRUE(db->multiWriterActive());
 
     // The direct statement API runs through the internal root
-    // connection (autocommit epochs).
+    // connection (autocommit transactions).
     NVWAL_CHECK_OK(db->insert(1, testutil::spanOf(rowValue(1))));
 
     std::unique_ptr<Connection> a;
     std::unique_ptr<Connection> b;
     NVWAL_CHECK_OK(db->connect(&a));
     NVWAL_CHECK_OK(db->connect(&b));
-    EXPECT_NE(a->slot(), b->slot());
 
     NVWAL_CHECK_OK(a->begin());
     NVWAL_CHECK_OK(a->insert(2, testutil::spanOf(rowValue(2))));
@@ -232,8 +236,7 @@ TEST(Multiwriter, CommitsAcrossConnectionsAndGuardsDdl)
         NVWAL_CHECK_OK(db->get(k, &out));
         EXPECT_EQ(out, rowValue(k));
     }
-    EXPECT_EQ(db->mwPublishedEpoch(), db->mwHardenedEpoch());
-    EXPECT_GT(db->statValue(stats::kWalMwHardens), 0u);
+    EXPECT_EQ(db->asyncAcksPending(), 0u);
 
     // Single-writer-only surfaces are cleanly rejected, not wedged.
     EXPECT_TRUE(db->createTable("side").isUnsupported());
@@ -247,7 +250,7 @@ TEST(Multiwriter, SnapshotReadsPinTheEpochFloor)
 {
     Env env(envConfig());
     std::unique_ptr<Database> db;
-    NVWAL_CHECK_OK(Database::open(env, mwConfig(2), &db));
+    NVWAL_CHECK_OK(Database::open(env, mwConfig(), &db));
     for (RowId k = 1; k <= 10; ++k)
         NVWAL_CHECK_OK(db->insert(k, testutil::spanOf(rowValue(k))));
 
@@ -281,7 +284,7 @@ TEST(Multiwriter, ConflictSurfacesAndTransactRetries)
 {
     Env env(envConfig());
     std::unique_ptr<Database> db;
-    NVWAL_CHECK_OK(Database::open(env, mwConfig(4), &db));
+    NVWAL_CHECK_OK(Database::open(env, mwConfig(), &db));
     NVWAL_CHECK_OK(db->insert(1, testutil::spanOf(rowValue(1))));
 
     std::unique_ptr<Connection> a;
@@ -359,7 +362,7 @@ TEST(Multiwriter, DisjointWriterThreadsCommitWithoutConflicts)
 
     Env env(envConfig());
     std::unique_ptr<Database> db;
-    NVWAL_CHECK_OK(Database::open(env, mwConfig(8), &db));
+    NVWAL_CHECK_OK(Database::open(env, mwConfig(), &db));
     NVWAL_CHECK_OK(db->begin());
     for (int t = 0; t < kThreads; ++t)
         for (int i = 0; i < kSeeded; ++i) {
@@ -409,7 +412,7 @@ TEST(Multiwriter, DisjointWriterThreadsCommitWithoutConflicts)
         NVWAL_CHECK_OK(results[t]);
 
     NVWAL_CHECK_OK(db->flushAsyncCommits());
-    EXPECT_EQ(db->mwPublishedEpoch(), db->mwHardenedEpoch());
+    EXPECT_EQ(db->asyncAcksPending(), 0u);
     EXPECT_EQ(db->statValue(stats::kWalLogConflicts), 0u);
     EXPECT_EQ(db->statValue(stats::kDbTxnConflictRetries), 0u);
 
@@ -440,7 +443,7 @@ TEST(Multiwriter, OverlappingWriterThreadsRetryThrough)
 
     Env env(envConfig());
     std::unique_ptr<Database> db;
-    NVWAL_CHECK_OK(Database::open(env, mwConfig(4), &db));
+    NVWAL_CHECK_OK(Database::open(env, mwConfig(), &db));
     NVWAL_CHECK_OK(db->begin());
     for (RowId k = 0; k < kKeys; ++k)
         NVWAL_CHECK_OK(db->insert(k, testutil::spanOf(rowValue(k))));
@@ -499,7 +502,7 @@ TEST(Multiwriter, ReopenMergesEpochLogsByGlobalOrder)
 {
     EnvConfig env_config = envConfig();
     Env env(env_config);
-    DbConfig config = mwConfig(3);
+    DbConfig config = mwConfig();
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
 
@@ -511,9 +514,9 @@ TEST(Multiwriter, ReopenMergesEpochLogsByGlobalOrder)
     no_wait.durability = Durability::Async;
     no_wait.waitForHarden = false;
 
-    // Interleave epochs across two logs, updating the same key from
-    // both so the recovery merge must respect the global epoch order,
-    // and leave the tail un-hardened (clean close, not a crash).
+    // Interleave commits from two connections, updating the same key
+    // from both so recovery must keep their commit order, and leave
+    // the tail un-hardened (clean close, not a crash).
     for (int round = 0; round < 6; ++round) {
         Connection &conn = (round % 2 == 0) ? *a : *b;
         NVWAL_CHECK_OK(conn.begin());
@@ -527,11 +530,10 @@ TEST(Multiwriter, ReopenMergesEpochLogsByGlobalOrder)
     b.reset();
     db.reset();
 
-    // Reopen: the per-connection logs still hold the epochs; the
-    // merge replays them in epoch order above the anchored base.
+    // Reopen: the log still holds the commits; recovery replays them
+    // in log order, which is commit order.
     NVWAL_CHECK_OK(Database::open(env, config, &db));
     EXPECT_TRUE(db->multiWriterActive());
-    EXPECT_GT(db->statValue(stats::kWalEpochMergeTxns), 0u);
     std::uint64_t n = 0;
     NVWAL_CHECK_OK(db->count(&n));
     EXPECT_EQ(n, 6u);
@@ -545,31 +547,343 @@ TEST(Multiwriter, ReopenMergesEpochLogsByGlobalOrder)
     NVWAL_CHECK_OK(db->verifyIntegrity());
     db.reset();
 
-    // The anchored log layout is part of the format: a mismatched
-    // writerLogs is a configuration error, not silent re-sharding.
-    DbConfig wrong = config;
-    wrong.writerLogs = 8;
-    EXPECT_EQ(Database::open(env, wrong, &db).code(),
-              StatusCode::InvalidArgument);
-    db.reset();
-
-    // The rejected open left the layout intact.
+    // A second reopen keeps the same state and accepts new commits.
     NVWAL_CHECK_OK(Database::open(env, config, &db));
     NVWAL_CHECK_OK(db->get(100, &out));
     EXPECT_EQ(out, rowValue(100, 5));
     NVWAL_CHECK_OK(db->insert(999, testutil::spanOf(rowValue(999))));
 }
 
+/**
+ * Four writer threads on disjoint ranges with the background
+ * checkpointer draining the one log behind them: every committed
+ * update must survive the concurrent write-back, the checkpointer must
+ * drain the log once the writers stop, and an incremental step must
+ * stay incremental.
+ */
+TEST(Multiwriter, BackgroundCheckpointerDrainsUnderWriterThreads)
+{
+    constexpr int kThreads = 4;
+    constexpr RowId kRangeStride = 100000;
+    constexpr int kSeeded = 256;    // per range
+    constexpr int kMargin = 64;     // > leaf capacity: no shared leaf
+    constexpr int kTxnsPerThread = 32;
+    constexpr int kUpdatesPerTxn = 4;
+    constexpr std::uint64_t kThreshold = 64;
+
+    Env env(envConfig());
+    DbConfig config = mwConfig();
+    config.backgroundCheckpointer = true;
+    config.checkpointThreshold = kThreshold;
+    config.checkpointStepPages = 4;
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, config, &db));
+    std::map<RowId, ByteBuffer> oracle;
+    NVWAL_CHECK_OK(db->begin());
+    for (int t = 0; t < kThreads; ++t)
+        for (int i = 0; i < kSeeded; ++i) {
+            const RowId key = t * kRangeStride + i;
+            oracle[key] = rowValue(key);
+            NVWAL_CHECK_OK(db->insert(key, testutil::spanOf(oracle[key])));
+        }
+    NVWAL_CHECK_OK(db->commit());
+
+    std::vector<std::unique_ptr<Connection>> conns(kThreads);
+    for (int t = 0; t < kThreads; ++t)
+        NVWAL_CHECK_OK(db->connect(&conns[t]));
+    const auto updated_key = [](int t, int txn, int u) -> RowId {
+        return t * kRangeStride + kMargin + txn * kUpdatesPerTxn + u;
+    };
+
+    std::vector<Status> results(kThreads, Status::ok());
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int txn = 0; txn < kTxnsPerThread; ++txn) {
+                const Status s = conns[t]->transact(
+                    [&](Connection &c) -> Status {
+                        for (int u = 0; u < kUpdatesPerTxn; ++u) {
+                            const RowId key = updated_key(t, txn, u);
+                            NVWAL_RETURN_IF_ERROR(c.update(
+                                key, testutil::spanOf(rowValue(key, 7))));
+                        }
+                        return Status::ok();
+                    });
+                if (!s.isOk()) {
+                    results[t] = s;
+                    return;
+                }
+            }
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    for (int t = 0; t < kThreads; ++t)
+        NVWAL_CHECK_OK(results[t]);
+    for (int t = 0; t < kThreads; ++t)
+        for (int txn = 0; txn < kTxnsPerThread; ++txn)
+            for (int u = 0; u < kUpdatesPerTxn; ++u) {
+                const RowId key = updated_key(t, txn, u);
+                oracle[key] = rowValue(key, 7);
+            }
+
+    std::map<RowId, ByteBuffer> seen;
+    NVWAL_CHECK_OK(db->scan(INT64_MIN, INT64_MAX,
+                            [&](RowId key, ConstByteSpan v) {
+                                seen[key] = ByteBuffer(v.begin(), v.end());
+                                return true;
+                            }));
+    EXPECT_TRUE(seen == oracle);
+    EXPECT_GT(db->statValue(stats::kCheckpointerSteps), 0u);
+
+    // The last commit's wakeup finds no workspace pinning the log, so
+    // the checkpointer drains it without further commits.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (db->walPageWritesSinceCheckpoint() >= kThreshold &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_LT(db->walPageWritesSinceCheckpoint(), kThreshold);
+
+    // One update per range dirties four leaves, below the threshold,
+    // so no background round races the step: one page per step leaves
+    // the round unfinished.
+    NVWAL_CHECK_OK(db->checkpoint());
+    NVWAL_CHECK_OK(db->begin());
+    for (int t = 0; t < kThreads; ++t) {
+        const RowId key = t * kRangeStride;
+        NVWAL_CHECK_OK(db->update(key, testutil::spanOf(rowValue(key, 9))));
+    }
+    NVWAL_CHECK_OK(db->commit());
+    bool done = true;
+    NVWAL_CHECK_OK(db->checkpointStep(1, &done));
+    EXPECT_FALSE(done);
+    NVWAL_CHECK_OK(db->verifyIntegrity());
+}
+
+/** PageSource that forwards to another and records the pages fetched. */
+class RecordingSource : public PageSource
+{
+  public:
+    explicit RecordingSource(PageSource &inner) : _inner(inner) {}
+
+    Status
+    getPage(PageNo page_no, CachedPage **out) override
+    {
+        pages.push_back(page_no);
+        return _inner.getPage(page_no, out);
+    }
+    std::uint32_t pageSize() const override { return _inner.pageSize(); }
+    std::uint32_t usableSize() const override
+    { return _inner.usableSize(); }
+    PageNo rootPage() const override { return _inner.rootPage(); }
+
+    std::vector<PageNo> pages;
+
+  private:
+    PageSource &_inner;
+};
+
+/**
+ * Seeded model check of the workspace read path and validation: three
+ * connections interleave begin, read, update, commit, rollback and
+ * incremental checkpoint steps, holding their workspaces (and so their
+ * pins) across each other's commits. Every read inside a transaction
+ * must equal the oracle state at the transaction's begin (or its own
+ * write), every read outside one the newest state, and a commit must
+ * return Conflict exactly when it wrote something and a page it read
+ * was installed after its begin. Same-size updates keep the tree's
+ * shape fixed, so each key's root-to-leaf path is known up front.
+ */
+TEST(Multiwriter, InterleavedConnectionsMatchOracleAtEveryBegin)
+{
+    constexpr RowId kKeys = 96;
+    constexpr std::size_t kValueBytes = 200;
+    constexpr int kConns = 3;
+    constexpr int kSteps = 3000;
+
+    const auto value = [](RowId key, std::uint64_t version) {
+        return testutil::makeValue(
+            kValueBytes, static_cast<std::uint64_t>(key) * 1000003 + version);
+    };
+    Env env(envConfig());
+    DbConfig config = mwConfig();
+    // Small enough that auto-checkpoints run under open workspaces.
+    config.checkpointThreshold = 24;
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, config, &db));
+    NVWAL_CHECK_OK(db->begin());
+    for (RowId key = 0; key < kKeys; ++key)
+        NVWAL_CHECK_OK(db->insert(key, testutil::spanOf(value(key, 0))));
+    NVWAL_CHECK_OK(db->commit());
+
+    // Root-to-leaf page path of every key, read off the shared pager.
+    const auto key_paths = [&] {
+        PageNo root = kNoPage;
+        BTree catalog(db->pager(), db->pager().rootPage());
+        NVWAL_CHECK_OK(scanCatalog(
+            catalog, [&](RowId, PageNo table_root, const std::string &name) {
+                if (name == Database::kDefaultTable)
+                    root = table_root;
+                return true;
+            }));
+        std::vector<std::vector<PageNo>> paths(kKeys);
+        for (RowId key = 0; key < kKeys; ++key) {
+            RecordingSource rec(db->pager());
+            BTree tree(rec, root);
+            ByteBuffer out;
+            NVWAL_CHECK_OK(tree.get(key, &out));
+            paths[static_cast<std::size_t>(key)] = rec.pages;
+        }
+        return paths;
+    };
+    const std::vector<std::vector<PageNo>> paths = key_paths();
+
+    // states[k]: every key's version after k commits; installed[k]: the
+    // leaves commit k wrote.
+    std::vector<std::vector<std::uint64_t>> states(
+        1, std::vector<std::uint64_t>(kKeys, 0));
+    std::vector<std::set<PageNo>> installed(1);
+    struct TxnModel
+    {
+        bool open = false;
+        std::size_t begin = 0;  //!< index into states
+        std::map<RowId, std::uint64_t> writes;
+        std::set<PageNo> read;
+    };
+    std::vector<std::unique_ptr<Connection>> conns(kConns);
+    std::vector<TxnModel> models(kConns);
+    for (auto &conn : conns)
+        NVWAL_CHECK_OK(db->connect(&conn));
+
+    Rng rng(0x5EED13);
+    std::uint64_t next_version = 1;
+    int conflicts = 0;
+    int commits = 0;
+    const auto random_key = [&] {
+        return static_cast<RowId>(rng.nextBelow(kKeys));
+    };
+    const auto commit = [&](int c, int step) {
+        TxnModel &m = models[static_cast<std::size_t>(c)];
+        bool lost = false;
+        if (!m.writes.empty())
+            for (std::size_t k = m.begin + 1; k < states.size(); ++k)
+                for (PageNo page : installed[k])
+                    lost |= m.read.count(page) != 0;
+        CommitOptions options;
+        if (rng.nextBelow(3) == 0) {
+            options.durability = Durability::Async;
+            options.waitForHarden = false;
+        }
+        const Status s = conns[static_cast<std::size_t>(c)]->commit(options);
+        if (lost) {
+            EXPECT_TRUE(s.isConflict()) << "step " << step << ": "
+                                        << s.toString();
+            ++conflicts;
+        } else {
+            ASSERT_TRUE(s.isOk()) << "step " << step << ": " << s.toString();
+            if (!m.writes.empty()) {
+                std::vector<std::uint64_t> next = states.back();
+                std::set<PageNo> leaves;
+                for (const auto &[key, version] : m.writes) {
+                    next[static_cast<std::size_t>(key)] = version;
+                    leaves.insert(paths[static_cast<std::size_t>(key)].back());
+                }
+                states.push_back(std::move(next));
+                installed.push_back(std::move(leaves));
+                ++commits;
+            }
+        }
+        m = TxnModel{};
+    };
+
+    for (int step = 0; step < kSteps; ++step) {
+        const int c = static_cast<int>(rng.nextBelow(kConns));
+        Connection &conn = *conns[static_cast<std::size_t>(c)];
+        TxnModel &m = models[static_cast<std::size_t>(c)];
+        const std::uint64_t roll = rng.nextBelow(100);
+        ByteBuffer out;
+        if (roll >= 88) {
+            bool done = false;
+            NVWAL_CHECK_OK(db->checkpointStep(
+                static_cast<std::uint32_t>(1 + rng.nextBelow(8)), &done));
+        } else if (!m.open && roll < 50) {
+            NVWAL_CHECK_OK(conn.begin());
+            m.open = true;
+            m.begin = states.size() - 1;
+        } else if (!m.open) {
+            const RowId key = random_key();
+            NVWAL_CHECK_OK(conn.get(key, &out));
+            ASSERT_EQ(out, value(key, states.back()[static_cast<std::size_t>(
+                                          key)]))
+                << "casual read of key " << key << " at step " << step;
+        } else if (roll < 35) {
+            const RowId key = random_key();
+            NVWAL_CHECK_OK(conn.get(key, &out));
+            const auto own = m.writes.find(key);
+            const std::uint64_t want =
+                own != m.writes.end()
+                    ? own->second
+                    : states[m.begin][static_cast<std::size_t>(key)];
+            ASSERT_EQ(out, value(key, want))
+                << "read of key " << key << " at step " << step;
+            const auto &path = paths[static_cast<std::size_t>(key)];
+            m.read.insert(path.begin(), path.end());
+        } else if (roll < 65) {
+            const RowId key = random_key();
+            const std::uint64_t version = next_version++;
+            NVWAL_CHECK_OK(
+                conn.update(key, testutil::spanOf(value(key, version))));
+            m.writes[key] = version;
+            const auto &path = paths[static_cast<std::size_t>(key)];
+            m.read.insert(path.begin(), path.end());
+        } else if (roll < 85) {
+            commit(c, step);
+        } else {
+            NVWAL_CHECK_OK(conn.rollback());
+            m = TxnModel{};
+        }
+    }
+    for (int c = 0; c < kConns; ++c)
+        if (models[static_cast<std::size_t>(c)].open)
+            commit(c, kSteps);
+    EXPECT_GT(conflicts, 0);
+    EXPECT_GT(commits, 100);
+    NVWAL_CHECK_OK(db->flushAsyncCommits());
+
+    const auto expect_newest = [&](const char *when) {
+        std::uint64_t n = 0;
+        NVWAL_CHECK_OK(db->scan(INT64_MIN, INT64_MAX,
+                                [&](RowId key, ConstByteSpan v) {
+                                    EXPECT_EQ(ByteBuffer(v.begin(), v.end()),
+                                              value(key, states.back()[
+                                                  static_cast<std::size_t>(
+                                                      key)]))
+                                        << when << ": key " << key;
+                                    ++n;
+                                    return true;
+                                }));
+        EXPECT_EQ(n, static_cast<std::uint64_t>(kKeys)) << when;
+        NVWAL_CHECK_OK(db->verifyIntegrity());
+    };
+    expect_newest("before reopen");
+    EXPECT_EQ(key_paths(), paths);  // the model's premise held
+    conns.clear();
+    db.reset();
+    NVWAL_CHECK_OK(Database::open(env, config, &db));
+    expect_newest("after reopen");
+}
+
 // ---- multi-writer crash sweeps -------------------------------------
 
 faultsim::SweepConfig
-mwSweepConfig(std::uint32_t writer_logs)
+mwSweepConfig()
 {
     faultsim::SweepConfig config;
     config.env.cost = CostModel::tuna(500);
     config.env.nvramBytes = 8 << 20;
     config.env.flashBlocks = 2048;
-    config.db = mwConfig(writer_logs);
+    config.db = mwConfig();
     config.db.nvwal.nvBlockSize = 4096;
     config.warmup = faultsim::Workload::standardTxns(0, 1);
     return config;
@@ -577,14 +891,14 @@ mwSweepConfig(std::uint32_t writer_logs)
 
 /**
  * Exhaustive pessimistic sweep over interleaved multi-writer
- * transactions: every device op of every per-connection log append,
- * publish, group harden, and epoch merge is a crash point -- in
- * particular the window between one log's harden and the epoch
- * publish, where the other logs' epochs are still in flight.
+ * transactions: every device op of every commit append, async harden
+ * and checkpoint is a crash point -- in particular the window where
+ * no-wait commits from several connections are logged but not yet
+ * hardened.
  */
 TEST(Multiwriter, CrashSweepPessimisticEveryDeviceOp)
 {
-    faultsim::SweepConfig config = mwSweepConfig(2);
+    faultsim::SweepConfig config = mwSweepConfig();
     config.workload = faultsim::Workload::multiWriterTxns(2, 2);
     config.policies.push_back(faultsim::PolicyRun{});
 
@@ -595,8 +909,8 @@ TEST(Multiwriter, CrashSweepPessimisticEveryDeviceOp)
     EXPECT_GT(report.totalOps, 0u);
     EXPECT_EQ(report.replays, report.crashes);
     EXPECT_EQ(report.commitEvents, 4u);
-    // No-wait commits leave published-but-unhardened epochs, so some
-    // crash points must land inside the cross-log loss window.
+    // No-wait commits leave logged-but-unhardened epochs, so some
+    // crash points must land inside the async loss window.
     EXPECT_GT(report.asyncReplays, 0u);
     // Forensics: every recovery parsed the surviving recorder ring.
     EXPECT_EQ(report.forensicsChecked, report.crashes);
@@ -605,13 +919,12 @@ TEST(Multiwriter, CrashSweepPessimisticEveryDeviceOp)
 
 /**
  * Adversarial multi-seed sweep over three writers: random cache-line
- * survival across several per-connection log tails at once must
- * still recover to an epoch-ordered committed prefix above the
- * durable floor.
+ * survival across the un-hardened commits of several connections
+ * must still recover to a committed prefix above the durable floor.
  */
 TEST(Multiwriter, CrashSweepAdversarialMultiSeed)
 {
-    faultsim::SweepConfig config = mwSweepConfig(3);
+    faultsim::SweepConfig config = mwSweepConfig();
     config.workload = faultsim::Workload::multiWriterTxns(3, 2);
     config.policies.push_back(
         faultsim::PolicyRun{FailurePolicy::Adversarial, {1, 2, 3, 4},

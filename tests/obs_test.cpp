@@ -337,13 +337,12 @@ TEST(Obs, CommitSpanCoversItsWalAppendOnBothHandles)
 
 TEST(Obs, MultiWriterCheckpointRoundsEmitOneSpanEach)
 {
-    // Auto-checkpoint rounds of the multi-writer engine are traced
+    // Auto-checkpoint rounds after multi-writer commits are traced
     // like single-writer rounds: one wal.checkpoint span per round.
     Env env;
     DbConfig config;
     config.walMode = WalMode::Nvwal;
     config.multiWriter = true;
-    config.writerLogs = 2;
     config.checkpointThreshold = 4;
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
