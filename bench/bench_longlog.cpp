@@ -93,7 +93,7 @@ commitDiff(NvwalLog &log, ByteBuffer &page, int i)
     diff.mark(off, off + 8);
     std::vector<FrameWrite> w{FrameWrite{
         kPageNo, ConstByteSpan(page.data(), page.size()), &diff}};
-    NVWAL_CHECK_OK(log.writeFrames(w, true, kPageNo + 1));
+    NVWAL_CHECK_OK(log.writeFrameGroup({{w, kPageNo + 1}}));
 }
 
 void
@@ -107,7 +107,7 @@ commitHeavy(NvwalLog &log, ByteBuffer &page, int i)
     heavy.mark(0, 3 * kPageSize / 4);
     std::vector<FrameWrite> w{FrameWrite{
         kPageNo, ConstByteSpan(page.data(), page.size()), &heavy}};
-    NVWAL_CHECK_OK(log.writeFrames(w, true, kPageNo + 1));
+    NVWAL_CHECK_OK(log.writeFrameGroup({{w, kPageNo + 1}}));
 }
 
 ReadProfile
@@ -158,7 +158,7 @@ runPinned(int frames, int reads)
     full.mark(0, kPageSize);
     std::vector<FrameWrite> w{FrameWrite{
         kPageNo, ConstByteSpan(page.data(), page.size()), &full}};
-    NVWAL_CHECK_OK(rig.log.writeFrames(w, true, kPageNo + 1));
+    NVWAL_CHECK_OK(rig.log.writeFrameGroup({{w, kPageNo + 1}}));
     const CommitSeq horizon = rig.log.commitSeq();
     rig.log.pinSnapshot(horizon);
 

@@ -260,7 +260,7 @@ BM_WalReadHotPage(benchmark::State &state)
     std::vector<FrameWrite> frames{
         FrameWrite{page_no, ConstByteSpan(page.data(), page.size()),
                    &full}};
-    NVWAL_CHECK_OK(log.writeFrames(frames, true, page_no));
+    NVWAL_CHECK_OK(log.writeFrameGroup({{frames, page_no}}));
     for (int i = 0; i < 16; ++i) {
         page[static_cast<std::size_t>(64 * i)] ^= 0xFF;
         DirtyRanges diff;
@@ -269,7 +269,7 @@ BM_WalReadHotPage(benchmark::State &state)
         std::vector<FrameWrite> w{
             FrameWrite{page_no,
                        ConstByteSpan(page.data(), page.size()), &diff}};
-        NVWAL_CHECK_OK(log.writeFrames(w, true, page_no));
+        NVWAL_CHECK_OK(log.writeFrameGroup({{w, page_no}}));
     }
 
     ByteBuffer out(4096);
@@ -310,7 +310,7 @@ BM_WalReadColdLongChain(benchmark::State &state)
     std::vector<FrameWrite> frames{
         FrameWrite{page_no, ConstByteSpan(page.data(), page.size()),
                    &full}};
-    NVWAL_CHECK_OK(log.writeFrames(frames, true, page_no));
+    NVWAL_CHECK_OK(log.writeFrameGroup({{frames, page_no}}));
     const CommitSeq horizon = log.commitSeq();
     log.pinSnapshot(horizon);
     for (int i = 0; i < chain; ++i) {
@@ -321,7 +321,7 @@ BM_WalReadColdLongChain(benchmark::State &state)
         std::vector<FrameWrite> w{
             FrameWrite{page_no,
                        ConstByteSpan(page.data(), page.size()), &diff}};
-        NVWAL_CHECK_OK(log.writeFrames(w, true, page_no));
+        NVWAL_CHECK_OK(log.writeFrameGroup({{w, page_no}}));
     }
 
     ByteBuffer out(4096);

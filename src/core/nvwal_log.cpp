@@ -82,6 +82,22 @@ NvwalLog::noteCommitted(std::vector<FrameRef>::const_iterator begin,
 }
 
 void
+NvwalLog::publishCommitted(std::vector<FrameRef>::iterator begin,
+                           std::vector<FrameRef>::iterator end)
+{
+    // Pages committed while an incremental checkpoint round is
+    // active must be written back (again) before that round may
+    // truncate the log.
+    const CommitSeq seq = ++_commitSeq;
+    for (auto it = begin; it != end; ++it) {
+        it->seq = seq;
+        indexFrame(*it);
+        if (_ckptRoundActive)
+            _ckptPending.insert(it->pageNo);
+    }
+}
+
+void
 NvwalLog::persistU64(NvOffset off, std::uint64_t value)
 {
     _pmem.storeU64(off, value);
@@ -345,63 +361,6 @@ NvwalLog::logTxnFrames(const std::vector<FrameWrite> &frames,
     return Status::ok();
 }
 
-Status
-NvwalLog::writeFrames(const std::vector<FrameWrite> &frames, bool commit,
-                      std::uint32_t db_size_pages)
-{
-    // Phase 1 -- logging: memcpy WAL frames into NVRAM (Algorithm 1
-    // lines 1-20). Eager mode synchronizes after every frame; lazy
-    // and checksum-async modes defer.
-    std::vector<FrameRef> refs;
-    const SimTime log_begin = _pmem.clock().now();
-    NVWAL_RETURN_IF_ERROR(logTxnFrames(frames, &refs));
-
-    syncRefs(refs, /*force=*/false);
-
-    if (!frames.empty()) {
-        _stats.tracer().complete("wal.log_write", "wal", log_begin,
-                                 "frames", refs.size());
-        _logWriteHist.record(_pmem.clock().now() - log_begin);
-    }
-
-    _pendingRefs.insert(_pendingRefs.end(), refs.begin(), refs.end());
-    if (!commit)
-        return Status::ok();
-    if (_pendingRefs.empty()) {
-        // A commit that dirtied no pages still carries the database
-        // size (e.g. a truncating vacuum): record it, or the next
-        // commit mark would persist a stale size.
-        _dbSizePages = db_size_pages;
-        return Status::ok();
-    }
-
-    // An eager-mode commit mark promises everything below it is
-    // durable; unhardened async frames chained earlier would break
-    // that promise if torn. (Lazy merged them in syncRefs above;
-    // ChecksumAsync promises nothing, so it defers as designed.)
-    if (_config.syncMode == SyncMode::Eager && !_unhardenedRuns.empty())
-        NVWAL_RETURN_IF_ERROR(harden());
-
-    persistCommitMark(_pendingRefs.back(), db_size_pages,
-                      _pendingRefs.size());
-
-    // Publish in the volatile index under a fresh commit sequence.
-    // Pages committed while an incremental checkpoint round is
-    // active must be written back (again) before that round may
-    // truncate the log.
-    const CommitSeq seq = ++_commitSeq;
-    for (FrameRef &ref : _pendingRefs) {
-        ref.seq = seq;
-        indexFrame(ref);
-        if (_ckptRoundActive)
-            _ckptPending.insert(ref.pageNo);
-    }
-    noteCommitted(_pendingRefs.begin(), _pendingRefs.end());
-    _pendingRefs.clear();
-    _dbSizePages = db_size_pages;
-    return Status::ok();
-}
-
 void
 NvwalLog::syncRefs(const std::vector<FrameRef> &refs, bool force)
 {
@@ -519,9 +478,6 @@ NvwalLog::harden()
 Status
 NvwalLog::writeFrameGroupAsync(const std::vector<TxnFrames> &txns)
 {
-    NVWAL_ASSERT(_pendingRefs.empty(),
-                 "async commit with an open single-writer transaction");
-
     // Checksum commit (paper §3.2 / Figure 4(d)) stretched into a
     // durability epoch: append every transaction's frames and set a
     // commit mark per transaction, with no flush or barrier at all.
@@ -556,13 +512,7 @@ NvwalLog::writeFrameGroupAsync(const std::vector<TxnFrames> &txns)
             continue;  // a transaction that dirtied nothing
         _pmem.storeU64(refs[end - 1].off + 8,
                        kCommitFlag | txns[t].dbSizePages);
-        const CommitSeq seq = ++_commitSeq;
-        for (std::size_t i = begin; i < end; ++i) {
-            refs[i].seq = seq;
-            indexFrame(refs[i]);
-            if (_ckptRoundActive)
-                _ckptPending.insert(refs[i].pageNo);
-        }
+        publishCommitted(refs.begin() + begin, refs.begin() + end);
         noteCommitted(refs.begin() + begin, refs.begin() + end);
         begin = end;
     }
@@ -599,9 +549,6 @@ NvwalLog::persistCommitMark(const FrameRef &last,
 Status
 NvwalLog::writeFrameGroup(const std::vector<TxnFrames> &txns)
 {
-    NVWAL_ASSERT(_pendingRefs.empty(),
-                 "group commit with an open single-writer transaction");
-
     // Phase 1 -- log every transaction's frames back to back, each
     // transaction marshalled contiguously. Eager mode still
     // synchronizes per frame; Lazy defers to one barrier pair
@@ -626,8 +573,10 @@ NvwalLog::writeFrameGroup(const std::vector<TxnFrames> &txns)
                              "frames", refs.size());
     _logWriteHist.record(_pmem.clock().now() - log_begin);
 
-    // See writeFrames: an eager-mode mark must not sit above an
-    // unhardened async prefix.
+    // An eager-mode commit mark promises everything below it is
+    // durable; unhardened async frames chained earlier would break
+    // that promise if torn. (Lazy merged them in syncRefs above;
+    // ChecksumAsync promises nothing, so it defers as designed.)
     if (_config.syncMode == SyncMode::Eager && !_unhardenedRuns.empty())
         NVWAL_RETURN_IF_ERROR(harden());
 
@@ -646,13 +595,7 @@ NvwalLog::writeFrameGroup(const std::vector<TxnFrames> &txns)
         const std::size_t end = txn_end[t];
         if (end == begin)
             continue;  // a transaction that dirtied nothing
-        const CommitSeq seq = ++_commitSeq;
-        for (std::size_t i = begin; i < end; ++i) {
-            refs[i].seq = seq;
-            indexFrame(refs[i]);
-            if (_ckptRoundActive)
-                _ckptPending.insert(refs[i].pageNo);
-        }
+        publishCommitted(refs.begin() + begin, refs.begin() + end);
         begin = end;
     }
     // Counted over the whole group, the unit recovery sees: a page
@@ -682,8 +625,6 @@ NvwalLog::placeControlFrame(std::uint32_t type, std::uint64_t gtid,
 Status
 NvwalLog::writePrepare(std::uint64_t gtid, const TxnFrames &txn)
 {
-    NVWAL_ASSERT(_pendingRefs.empty(),
-                 "prepare with an open single-writer transaction");
     if (_staged.count(gtid) != 0)
         return Status::invalidArgument(
             "gtid already prepared in this log: " + std::to_string(gtid));
@@ -731,13 +672,7 @@ NvwalLog::applyDecision(std::uint64_t gtid, bool commit)
     if (commit) {
         // The staged frames become visible under one fresh sequence,
         // exactly like a group commit's atomicity unit.
-        const CommitSeq seq = ++_commitSeq;
-        for (FrameRef &ref : it->second.refs) {
-            ref.seq = seq;
-            indexFrame(ref);
-            if (_ckptRoundActive)
-                _ckptPending.insert(ref.pageNo);
-        }
+        publishCommitted(it->second.refs.begin(), it->second.refs.end());
         noteCommitted(it->second.refs.begin(), it->second.refs.end());
         _dbSizePages = it->second.dbSizePages;
     }
@@ -749,8 +684,6 @@ NvwalLog::applyDecision(std::uint64_t gtid, bool commit)
 Status
 NvwalLog::writeDecision(std::uint64_t gtid, bool commit)
 {
-    NVWAL_ASSERT(_pendingRefs.empty(),
-                 "decision with an open single-writer transaction");
     FrameRef ctrl;
     NVWAL_RETURN_IF_ERROR(placeControlFrame(
         commit ? kCtrlCommit : kCtrlAbort, gtid, 0, &ctrl));
@@ -945,8 +878,6 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
 {
     TraceSpan span(_stats.tracer(), "wal.checkpoint_step", "wal");
     *done = false;
-    NVWAL_ASSERT(_pendingRefs.empty(),
-                 "checkpoint with an open transaction");
     // Write-back must never outrun the durable log: if the .db base
     // advanced past frames that could still tear, a post-crash
     // recovery would mix a newer base with an older log prefix.
@@ -974,9 +905,9 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
     // ascending page order (the map already is), so the block device
     // sees one sequential sweep instead of a scatter (Fig. 8). Pages
     // committed while the round is in progress land in _ckptPending
-    // (see writeFrames) and are drained by ascending catch-up passes,
-    // so the round only finishes when the write-back has caught up
-    // with the log.
+    // (see publishCommitted) and are drained by ascending catch-up
+    // passes, so the round only finishes when the write-back has
+    // caught up with the log.
     if (!_ckptRoundActive) {
         _ckptQueue.clear();
         _ckptQueue.reserve(_pageIndex.size());
@@ -1139,7 +1070,6 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
     _pageIndex.clear();
     _indexedFrames = 0;
     publishIndexGauge();
-    _pendingRefs.clear();
     _ckptRoundActive = false;
     _ckptQueue.clear();
     _ckptQueuePos = 0;

@@ -98,8 +98,6 @@ class NvwalLog : public WriteAheadLog
              std::uint32_t page_size, std::uint32_t reserved_bytes,
              NvwalConfig config, MetricsRegistry &stats);
 
-    Status writeFrames(const std::vector<FrameWrite> &frames, bool commit,
-                       std::uint32_t db_size_pages) override;
     Status writeFrameGroup(const std::vector<TxnFrames> &txns) override;
     bool supportsAsyncCommits() const override { return true; }
     Status writeFrameGroupAsync(const std::vector<TxnFrames> &txns) override;
@@ -327,6 +325,14 @@ class NvwalLog : public WriteAheadLog
                        std::vector<FrameRef>::const_iterator end);
 
     /**
+     * Publish one commit unit's frames [@p begin, @p end) under a
+     * fresh commit sequence: stamp and index them, and queue their
+     * pages for the active incremental checkpoint round.
+     */
+    void publishCommitted(std::vector<FrameRef>::iterator begin,
+                          std::vector<FrameRef>::iterator end);
+
+    /**
      * Restart the checksum chain at _chainSeed and zero the
      * since-checkpoint frame, page-write and node counters
      * (truncation and recovery).
@@ -439,8 +445,6 @@ class NvwalLog : public WriteAheadLog
      * and not yet flushed; coalesced in place when they pile up.
      */
     std::vector<std::pair<NvOffset, NvOffset>> _unhardenedRuns;
-    /** Frames logged but not yet covered by a commit mark. */
-    std::vector<FrameRef> _pendingRefs;
     /**
      * Prepared-but-undecided transactions by gtid. At most one entry
      * in steady state (the coordinator holds this shard's writer

@@ -610,13 +610,11 @@ Database::appendGroup(const std::vector<GroupEntry *> &batch)
     _env.stats.add(stats::kGroupCommitTxns, batch.size());
     _env.stats.recordNs(stats::kHistGroupCommitSize, batch.size());
     _env.stats.setGauge(stats::kGaugeCommitQueueDepth, batch.size());
-    std::uint32_t commits = 0;
     {
         std::uint64_t newest_txn = 0;
         for (const GroupEntry *e : batch) {
             if (e->kind != GroupEntry::Kind::Commit)
                 continue;
-            ++commits;
             if (e->txnSeq > newest_txn)
                 newest_txn = e->txnSeq;
         }
@@ -708,8 +706,6 @@ Database::appendGroup(const std::vector<GroupEntry *> &batch)
     // Every published commit of the batch is settled: logged, or
     // covered by the poison below. Batches append in publish order,
     // so the batch's last publish sequence is the newest settled one.
-    NVWAL_ASSERT(_unloggedCommits >= commits);
-    _unloggedCommits -= commits;
     for (const GroupEntry *e : batch)
         if (e->publishSeq != 0)
             _loggedPublishSeq.store(e->publishSeq,
@@ -952,7 +948,6 @@ Database::commitFromConnection(std::unique_lock<std::mutex> *writer_lock,
                 _pagePublishSeq[f.pageNo] = entry.publishSeq;
                 _pager->cached(f.pageNo)->dirty.clear();
             }
-            ++_unloggedCommits;
         }
         _inTxn = false;
     }
@@ -1087,8 +1082,9 @@ Database::copyPagerImage(PageNo page_no, CommitSeq horizon, ByteSpan out)
 {
     // The clean pager image is the newest logged version of the page
     // unless a published commit is not logged (in flight, or lost to
-    // a failed append).
-    if (!_poisoned.isOk() || _unloggedCommits != 0)
+    // a failed append). Both sequences settle under the engine lock.
+    if (!_poisoned.isOk() ||
+        _publishSeq != _loggedPublishSeq.load(std::memory_order_relaxed))
         return false;
     const CachedPage *page = _pager->cached(page_no);
     if (page == nullptr || page->isDirty())

@@ -879,7 +879,9 @@ class Database
      * Newest publish sequence whose group append finished -- logged,
      * or failed and poisoned the database. Stored under the engine
      * lock (so it agrees with the WAL's commitSeq there) and waited
-     * on under _commitQueueMutex.
+     * on under _commitQueueMutex. While it trails _publishSeq a clean
+     * pager image may hold state the log does not, so
+     * copyPagerImage() declines every page.
      */
     std::atomic<std::uint64_t> _loggedPublishSeq{0};
     /**
@@ -890,15 +892,6 @@ class Database
     std::vector<PageNo> _installedPages;
     /** Workspaces holding a pin (engine lock). */
     std::uint32_t _openWorkspaces = 0;
-    /**
-     * Commits published to the shared pager (pages marked clean)
-     * whose group append has not finished. While non-zero a clean
-     * pager image may hold state the log does not, so
-     * copyPagerImage() declines every page. Guarded by the engine
-     * lock.
-     */
-    std::uint32_t _unloggedCommits = 0;
-
     // ---- concurrency state ------------------------------------------
 
     /** Serializes write transactions (begin .. commit/rollback). */

@@ -224,30 +224,6 @@ dumpAll(Database &db)
     return image;
 }
 
-/** Distinct adversarial draw sequence per (seed, crash point). */
-std::uint64_t
-mixSeed(std::uint64_t seed, std::uint64_t point)
-{
-    return seed + 0x9e3779b97f4a7c15ULL * (point + 1);
-}
-
-/**
- * Blocks of the flight-recorder ring under @p wal_namespace: InUse
- * but deliberately not reachable from the log's persistent structure,
- * so the leak invariant must account for them separately.
- */
-std::uint64_t
-recorderBlocks(const NvHeap &heap, const std::string &wal_namespace)
-{
-    NvOffset root = kNullNvOffset;
-    if (!heap.getRoot(FlightRecorder::namespaceFor(wal_namespace), &root)
-             .isOk())
-        return 0;
-    if (heap.blockStateAt(root) != BlockState::InUse)
-        return 0;
-    return heap.extentBlocksAt(root);
-}
-
 /**
  * Check every post-recovery invariant; returns an empty string when
  * all hold, else the first violation's description.
@@ -345,6 +321,24 @@ failurePolicyName(FailurePolicy policy)
       case FailurePolicy::AllSurvive: return "all-survive";
     }
     return "unknown";
+}
+
+std::uint64_t
+mixSeed(std::uint64_t seed, std::uint64_t point)
+{
+    return seed + 0x9e3779b97f4a7c15ULL * (point + 1);
+}
+
+std::uint64_t
+recorderBlocks(const NvHeap &heap, const std::string &wal_namespace)
+{
+    NvOffset root = kNullNvOffset;
+    if (!heap.getRoot(FlightRecorder::namespaceFor(wal_namespace), &root)
+             .isOk())
+        return 0;
+    if (heap.blockStateAt(root) != BlockState::InUse)
+        return 0;
+    return heap.extentBlocksAt(root);
 }
 
 std::string

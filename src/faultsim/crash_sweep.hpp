@@ -154,6 +154,18 @@ struct SweepReport
 /** Human-readable policy name ("pessimistic"/"adversarial"/...). */
 const char *failurePolicyName(FailurePolicy policy);
 
+/** Distinct adversarial draw sequence per (seed, crash point). */
+std::uint64_t mixSeed(std::uint64_t seed, std::uint64_t point);
+
+/**
+ * Heap blocks of the flight-recorder ring under @p wal_namespace (0
+ * when the recorder namespace was never bound): InUse but reachable
+ * from its own heap root, not from the log's persistent structure,
+ * so the leak invariant must account for them separately.
+ */
+std::uint64_t recorderBlocks(const NvHeap &heap,
+                             const std::string &wal_namespace);
+
 /** The sweep driver. See the file comment for the methodology. */
 class CrashSweep
 {

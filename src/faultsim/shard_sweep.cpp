@@ -39,29 +39,6 @@ applyStep(ShardedDatabase &db, ShardedConnection &conn,
     return conn.runAtomic(step.ops);
 }
 
-/** Distinct adversarial draw sequence per (seed, crash point). */
-std::uint64_t
-mixSeed(std::uint64_t seed, std::uint64_t point)
-{
-    return seed + 0x9e3779b97f4a7c15ULL * (point + 1);
-}
-
-/** Heap blocks held by one shard's flight-recorder ring (0 when the
- *  recorder namespace was never bound). The ring is reachable from
- *  its own heap root, not from the log, so the leak check must
- *  account for it separately. */
-std::uint64_t
-recorderBlocks(const NvHeap &heap, const std::string &wal_namespace)
-{
-    NvOffset root = kNullNvOffset;
-    if (!heap.getRoot(FlightRecorder::namespaceFor(wal_namespace), &root)
-             .isOk())
-        return 0;
-    if (heap.blockStateAt(root) != BlockState::InUse)
-        return 0;
-    return heap.extentBlocksAt(root);
-}
-
 /**
  * Post-recovery invariants over the whole shard set; empty string
  * when all hold, else the first violation's description.

@@ -73,54 +73,53 @@ FileWal::recoveredPreallocFrames() const
 }
 
 Status
-FileWal::writeFrames(const std::vector<FrameWrite> &frames, bool commit,
-                     std::uint32_t db_size_pages)
+FileWal::writeFrameGroup(const std::vector<TxnFrames> &txns)
 {
-    if (frames.empty())
-        return Status::ok();
-    if (!_fs.exists(_walName))
-        NVWAL_RETURN_IF_ERROR(_fs.create(_walName));
-    NVWAL_RETURN_IF_ERROR(ensureHeader());
-    NVWAL_RETURN_IF_ERROR(ensurePrealloc(_frameCount + frames.size()));
+    // The SQLite WAL has no group commit: each transaction ends in
+    // its own commit frame and pays its own fsync.
+    for (const TxnFrames &txn : txns) {
+        const std::vector<FrameWrite> &frames = txn.frames;
+        if (frames.empty())
+            continue;
+        if (!_fs.exists(_walName))
+            NVWAL_RETURN_IF_ERROR(_fs.create(_walName));
+        NVWAL_RETURN_IF_ERROR(ensureHeader());
+        NVWAL_RETURN_IF_ERROR(ensurePrealloc(_frameCount + frames.size()));
 
-    ByteBuffer frame(frameSize());
-    const std::uint64_t first_frame = _frameCount;
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-        const FrameWrite &fw = frames[i];
-        NVWAL_ASSERT(fw.page.size() == _pageSize);
-        const bool is_commit_frame = commit && i + 1 == frames.size();
+        ByteBuffer frame(frameSize());
+        const std::uint64_t first_frame = _frameCount;
+        for (std::size_t i = 0; i < frames.size(); ++i) {
+            const FrameWrite &fw = frames[i];
+            NVWAL_ASSERT(fw.page.size() == _pageSize);
+            const bool is_commit_frame = i + 1 == frames.size();
 
-        std::memset(frame.data(), 0, kFrameHeaderSize);
-        storeU32(frame.data(), fw.pageNo);
-        storeU32(frame.data() + 4, is_commit_frame ? db_size_pages : 0);
-        std::memcpy(frame.data() + kFrameHeaderSize, fw.page.data(),
-                    contentSize());
-        _checksum.update(ConstByteSpan(frame.data(), 16));
-        _checksum.update(
-            ConstByteSpan(frame.data() + kFrameHeaderSize, contentSize()));
-        storeU64(frame.data() + 16, _checksum.value());
+            std::memset(frame.data(), 0, kFrameHeaderSize);
+            storeU32(frame.data(), fw.pageNo);
+            storeU32(frame.data() + 4,
+                     is_commit_frame ? txn.dbSizePages : 0);
+            std::memcpy(frame.data() + kFrameHeaderSize, fw.page.data(),
+                        contentSize());
+            _checksum.update(ConstByteSpan(frame.data(), 16));
+            _checksum.update(ConstByteSpan(
+                frame.data() + kFrameHeaderSize, contentSize()));
+            storeU64(frame.data() + 16, _checksum.value());
 
-        NVWAL_RETURN_IF_ERROR(
-            _fs.pwrite(_walName, frameOffset(_frameCount),
-                       ConstByteSpan(frame.data(), frame.size())));
-        _frameCount++;
-        _stats.add(stats::kWalFullPageFrames);
+            NVWAL_RETURN_IF_ERROR(
+                _fs.pwrite(_walName, frameOffset(_frameCount),
+                           ConstByteSpan(frame.data(), frame.size())));
+            _frameCount++;
+            _stats.add(stats::kWalFullPageFrames);
+        }
+        NVWAL_RETURN_IF_ERROR(_fs.fsync(_walName));
+
+        // Publish the transaction in the volatile index under a fresh
+        // commit sequence.
+        const CommitSeq seq = ++_commitSeq;
+        for (std::size_t i = 0; i < frames.size(); ++i)
+            _pageIndex[frames[i].pageNo].push_back(
+                Version{seq, first_frame + i});
+        _dbSizePages = txn.dbSizePages;
     }
-
-    for (std::size_t i = 0; i < frames.size(); ++i)
-        _pendingPublish.emplace_back(frames[i].pageNo, first_frame + i);
-    if (!commit)
-        return Status::ok();
-    NVWAL_RETURN_IF_ERROR(_fs.fsync(_walName));
-
-    // Publish the transaction (including frames queued by earlier
-    // commit=false appends) in the volatile index under a fresh
-    // commit sequence.
-    const CommitSeq seq = ++_commitSeq;
-    for (const auto &[page_no, frame_idx] : _pendingPublish)
-        _pageIndex[page_no].push_back(Version{seq, frame_idx});
-    _pendingPublish.clear();
-    _dbSizePages = db_size_pages;
     return Status::ok();
 }
 
@@ -221,7 +220,6 @@ FileWal::recover(std::uint32_t *db_size_pages)
     _frameCount = 0;
     _checksum.reset();
     _pageIndex.clear();
-    _pendingPublish.clear();
     _dbSizePages = 0;
     NVWAL_ASSERT(!hasPins(), "recovery with an open snapshot");
     _commitSeq = 0;

@@ -55,8 +55,7 @@ class FileWal : public WriteAheadLog
             std::uint32_t page_size, std::uint32_t reserved_bytes,
             FileWalConfig config, MetricsRegistry &stats);
 
-    Status writeFrames(const std::vector<FrameWrite> &frames, bool commit,
-                       std::uint32_t db_size_pages) override;
+    Status writeFrameGroup(const std::vector<TxnFrames> &txns) override;
     Status readPage(PageNo page_no, ByteSpan out) override;
     Status readPageAt(PageNo page_no, ByteSpan out,
                       CommitSeq horizon) override;
@@ -110,7 +109,7 @@ class FileWal : public WriteAheadLog
     MetricsRegistry &_stats;
 
     bool _headerWritten = false;
-    std::uint64_t _frameCount = 0;           //!< committed+pending frames
+    std::uint64_t _frameCount = 0;           //!< frames appended
     std::uint64_t _preallocFrames;
     CumulativeChecksum _checksum;
     std::uint32_t _dbSizePages = 0;          //!< last committed size
@@ -121,8 +120,6 @@ class FileWal : public WriteAheadLog
      * snapshots via readPageAt and are dropped at checkpoint.
      */
     std::map<PageNo, std::vector<Version>> _pageIndex;
-    /** Frames appended with commit=false, published at the commit. */
-    std::vector<std::pair<PageNo, std::uint64_t>> _pendingPublish;
 };
 
 } // namespace nvwal

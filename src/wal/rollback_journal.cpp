@@ -19,59 +19,62 @@ RollbackJournal::recordOffset(std::uint64_t idx) const
 }
 
 Status
-RollbackJournal::writeFrames(const std::vector<FrameWrite> &frames,
-                             bool commit, std::uint32_t db_size_pages)
+RollbackJournal::writeFrameGroup(const std::vector<TxnFrames> &txns)
 {
-    if (frames.empty())
-        return Status::ok();
-    NVWAL_ASSERT(commit, "rollback journal only supports full commits");
-
-    // Phase 1 -- journal the pre-images of every page this
-    // transaction will overwrite, plus the old database size, then
-    // fsync the journal. Only pages that exist in the file need a
-    // pre-image; growth is undone by truncation.
-    const std::uint32_t old_pages = _dbFile.pageCount();
-    std::uint8_t header[kHeaderSize];
-    std::memset(header, 0, sizeof(header));
-    storeU64(header, kMagic);
-    storeU32(header + 8, old_pages);
-    std::uint32_t n_records = 0;
-    for (const FrameWrite &fw : frames) {
-        if (fw.pageNo <= old_pages)
-            ++n_records;
-    }
-    storeU32(header + 12, n_records);
-    NVWAL_RETURN_IF_ERROR(
-        _fs.pwrite(_journalName, 0, ConstByteSpan(header, sizeof(header))));
-
-    ByteBuffer record(4 + _pageSize);
-    std::uint64_t idx = 0;
-    for (const FrameWrite &fw : frames) {
-        if (fw.pageNo > old_pages)
+    // Each transaction runs the whole protocol with its own fsyncs:
+    // the journal has no group commit.
+    for (const TxnFrames &txn : txns) {
+        const std::vector<FrameWrite> &frames = txn.frames;
+        if (frames.empty())
             continue;
-        storeU32(record.data(), fw.pageNo);
-        NVWAL_RETURN_IF_ERROR(_dbFile.readPage(
-            fw.pageNo, ByteSpan(record.data() + 4, _pageSize)));
-        NVWAL_RETURN_IF_ERROR(
-            _fs.pwrite(_journalName, recordOffset(idx),
-                       ConstByteSpan(record.data(), record.size())));
-        ++idx;
-    }
-    NVWAL_RETURN_IF_ERROR(_fs.fsync(_journalName));
 
-    // Phase 2 -- write the new page images into the database file
-    // and fsync it ("the EXT4 filesystem journals the database
-    // journaling operation", section 1: both fsyncs pay EXT4
-    // ordered-journal traffic on top).
-    for (const FrameWrite &fw : frames) {
-        NVWAL_ASSERT(fw.page.size() == _pageSize);
-        NVWAL_RETURN_IF_ERROR(_dbFile.writePage(fw.pageNo, fw.page));
-    }
-    NVWAL_RETURN_IF_ERROR(_dbFile.sync());
-    (void)db_size_pages;
+        // Phase 1 -- journal the pre-images of every page this
+        // transaction will overwrite, plus the old database size,
+        // then fsync the journal. Only pages that exist in the file
+        // need a pre-image; growth is undone by truncation.
+        const std::uint32_t old_pages = _dbFile.pageCount();
+        std::uint8_t header[kHeaderSize];
+        std::memset(header, 0, sizeof(header));
+        storeU64(header, kMagic);
+        storeU32(header + 8, old_pages);
+        std::uint32_t n_records = 0;
+        for (const FrameWrite &fw : frames) {
+            if (fw.pageNo <= old_pages)
+                ++n_records;
+        }
+        storeU32(header + 12, n_records);
+        NVWAL_RETURN_IF_ERROR(_fs.pwrite(
+            _journalName, 0, ConstByteSpan(header, sizeof(header))));
 
-    // Phase 3 -- invalidate the journal (DELETE mode removes it).
-    return _fs.remove(_journalName);
+        ByteBuffer record(4 + _pageSize);
+        std::uint64_t idx = 0;
+        for (const FrameWrite &fw : frames) {
+            if (fw.pageNo > old_pages)
+                continue;
+            storeU32(record.data(), fw.pageNo);
+            NVWAL_RETURN_IF_ERROR(_dbFile.readPage(
+                fw.pageNo, ByteSpan(record.data() + 4, _pageSize)));
+            NVWAL_RETURN_IF_ERROR(
+                _fs.pwrite(_journalName, recordOffset(idx),
+                           ConstByteSpan(record.data(), record.size())));
+            ++idx;
+        }
+        NVWAL_RETURN_IF_ERROR(_fs.fsync(_journalName));
+
+        // Phase 2 -- write the new page images into the database
+        // file and fsync it ("the EXT4 filesystem journals the
+        // database journaling operation", section 1: both fsyncs pay
+        // EXT4 ordered-journal traffic on top).
+        for (const FrameWrite &fw : frames) {
+            NVWAL_ASSERT(fw.page.size() == _pageSize);
+            NVWAL_RETURN_IF_ERROR(_dbFile.writePage(fw.pageNo, fw.page));
+        }
+        NVWAL_RETURN_IF_ERROR(_dbFile.sync());
+
+        // Phase 3 -- invalidate the journal (DELETE mode removes it).
+        NVWAL_RETURN_IF_ERROR(_fs.remove(_journalName));
+    }
+    return Status::ok();
 }
 
 Status

@@ -44,8 +44,7 @@ class RollbackJournal : public WriteAheadLog
                     DbFile &db_file, std::uint32_t page_size,
                     MetricsRegistry &stats);
 
-    Status writeFrames(const std::vector<FrameWrite> &frames, bool commit,
-                       std::uint32_t db_size_pages) override;
+    Status writeFrameGroup(const std::vector<TxnFrames> &txns) override;
     Status readPage(PageNo page_no, ByteSpan out) override;
     Status checkpoint() override;
     Status recover(std::uint32_t *db_size_pages) override;

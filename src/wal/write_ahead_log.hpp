@@ -6,7 +6,14 @@
  *  - FileWal (src/wal): SQLite-style WAL file on the journaling file
  *    system, in stock or optimized (aligned frames + pre-allocation)
  *    flavors -- the paper's baselines.
+ *  - RollbackJournal (src/wal): SQLite's DELETE-mode journal.
  *  - NvwalLog (src/core): the paper's NVRAM write-ahead log.
+ *
+ * Appends: writeFrameGroup() is the one synchronous append. Every
+ * call ends in a commit mark covering all it appended, so no log
+ * carries uncommitted frames from one call to the next. NvwalLog
+ * adds the unflushed writeFrameGroupAsync() + harden() pair and the
+ * two-phase writePrepare()/writeDecision() records.
  *
  * Snapshot reads: every committed transaction is assigned a
  * monotonically increasing CommitSeq. A reader opens a snapshot by
@@ -70,30 +77,16 @@ class WriteAheadLog
     virtual ~WriteAheadLog() = default;
 
     /**
-     * Append frames for @p frames and, if @p commit, a commit mark
-     * carrying @p db_size_pages (the database size in pages after
-     * this transaction), then make everything durable.
+     * Group commit, the one synchronous append: append every
+     * transaction in @p txns, in order, and make the whole batch
+     * durable before returning. Each TxnFrames carries the database
+     * size in pages after that transaction. NvwalLog covers the batch
+     * with one barrier pair and one commit mark (the paper's lazy
+     * sync stretched across transactions), so recovery keeps all of
+     * it or none; the file-based logs commit each transaction
+     * separately.
      */
-    virtual Status writeFrames(const std::vector<FrameWrite> &frames,
-                               bool commit,
-                               std::uint32_t db_size_pages) = 0;
-
-    /**
-     * Group commit: append every transaction in @p txns, in order,
-     * and make the whole batch durable at once. Implementations that
-     * can amortize the persist barriers over the batch (the paper's
-     * lazy sync stretched across transactions) override this; the
-     * default commits each transaction separately.
-     */
-    virtual Status
-    writeFrameGroup(const std::vector<TxnFrames> &txns)
-    {
-        for (const TxnFrames &txn : txns) {
-            NVWAL_RETURN_IF_ERROR(
-                writeFrames(txn.frames, true, txn.dbSizePages));
-        }
-        return Status::ok();
-    }
+    virtual Status writeFrameGroup(const std::vector<TxnFrames> &txns) = 0;
 
     /** Whether writeFrameGroupAsync()/harden() are usable. */
     virtual bool supportsAsyncCommits() const { return false; }

@@ -73,7 +73,7 @@ class AdaptiveGranularityTest : public ::testing::Test
         ranges.mark(0, dirty_bytes);
         std::vector<FrameWrite> frames{FrameWrite{
             3, testutil::spanOf(page), &ranges, observed_pct}};
-        NVWAL_CHECK_OK(log->writeFrames(frames, true, 4));
+        NVWAL_CHECK_OK(log->writeFrameGroup({{frames, 4}}));
     }
 
     std::uint64_t promoted() const

@@ -60,7 +60,7 @@ class FileWalTest : public ::testing::TestWithParam<bool>
         ranges.mark(0, kPageSize - reserved);
         std::vector<FrameWrite> frames{
             FrameWrite{no, testutil::spanOf(page), &ranges}};
-        return wal->writeFrames(frames, true, db_size);
+        return wal->writeFrameGroup({{frames, db_size}});
     }
 
     Env env;
@@ -98,18 +98,6 @@ TEST_P(FileWalTest, LatestCommittedVersionWins)
     EXPECT_EQ(out, v2);
 }
 
-TEST_P(FileWalTest, UncommittedFramesAreInvisible)
-{
-    const ByteBuffer page = makePage(5);
-    DirtyRanges ranges;
-    ranges.mark(0, kPageSize - reserved);
-    std::vector<FrameWrite> frames{
-        FrameWrite{4, testutil::spanOf(page), &ranges}};
-    NVWAL_CHECK_OK(wal->writeFrames(frames, false, 0));
-    ByteBuffer out(kPageSize);
-    EXPECT_TRUE(wal->readPage(4, ByteSpan(out.data(), out.size())).isNotFound());
-}
-
 TEST_P(FileWalTest, RecoverRebuildsIndex)
 {
     const ByteBuffer p3 = makePage(3);
@@ -135,23 +123,47 @@ TEST_P(FileWalTest, RecoverAfterCrashDropsUnsyncedTail)
     const ByteBuffer p3 = makePage(6);
     NVWAL_CHECK_OK(commitPage(3, p3, 3));  // fsynced
 
-    // A second commit whose fsync never happened: simulate by
-    // writing frames without commit (no fsync) and crashing.
+    // A second commit whose fsync never happened: append a
+    // well-formed commit frame for page 4, chained onto the first
+    // frame's checksum, without fsync.
+    const std::uint64_t header_region =
+        config.optimized ? kPageSize : FileWal::kFileHeaderSize;
+    const std::uint32_t content = kPageSize - reserved;
+    const std::uint64_t frame_size = FileWal::kFrameHeaderSize + content;
+    ByteBuffer frame(frame_size);
+    NVWAL_CHECK_OK(env.fs.pread("t.db-wal", header_region,
+                                ByteSpan(frame.data(), frame.size())));
+    CumulativeChecksum chain(loadU64(frame.data() + 16));
     const ByteBuffer p4 = makePage(7);
-    DirtyRanges ranges;
-    ranges.mark(0, kPageSize - reserved);
-    std::vector<FrameWrite> frames{
-        FrameWrite{4, testutil::spanOf(p4), &ranges}};
-    NVWAL_CHECK_OK(wal->writeFrames(frames, false, 0));
+    std::memset(frame.data(), 0, FileWal::kFrameHeaderSize);
+    storeU32(frame.data(), 4);      // page number
+    storeU32(frame.data() + 4, 4);  // db size: a commit frame
+    std::memcpy(frame.data() + FileWal::kFrameHeaderSize, p4.data(),
+                content);
+    chain.update(ConstByteSpan(frame.data(), 16));
+    chain.update(ConstByteSpan(frame.data() + FileWal::kFrameHeaderSize,
+                               content));
+    storeU64(frame.data() + 16, chain.value());
+    NVWAL_CHECK_OK(env.fs.pwrite("t.db-wal", header_region + frame_size,
+                                 ConstByteSpan(frame.data(), frame.size())));
+
+    // The frame is well formed: recovery before the crash takes it.
+    std::uint32_t db_size = 0;
+    {
+        FileWal before_crash(env.fs, "t.db-wal", dbFile, kPageSize,
+                             reserved, config, env.stats);
+        NVWAL_CHECK_OK(before_crash.recover(&db_size));
+        EXPECT_EQ(db_size, 4u);
+    }
     env.fs.crash();
 
     FileWal fresh(env.fs, "t.db-wal", dbFile, kPageSize, reserved, config,
                   env.stats);
-    std::uint32_t db_size = 0;
     NVWAL_CHECK_OK(fresh.recover(&db_size));
     EXPECT_EQ(db_size, 3u);
     ByteBuffer out(kPageSize);
-    EXPECT_TRUE(fresh.readPage(3, ByteSpan(out.data(), out.size())).isOk());
+    ASSERT_TRUE(fresh.readPage(3, ByteSpan(out.data(), out.size())).isOk());
+    EXPECT_EQ(out, p3);
     EXPECT_TRUE(fresh.readPage(4, ByteSpan(out.data(), out.size())).isNotFound());
 }
 
@@ -239,7 +251,7 @@ TEST(FileWalIoVolume, OptimizedModeWritesFewerJournalBlocks)
         for (int i = 0; i < 10; ++i) {
             std::vector<FrameWrite> frames{FrameWrite{
                 3, testutil::spanOf(page), &ranges}};
-            NVWAL_CHECK_OK(wal.writeFrames(frames, true, 3));
+            NVWAL_CHECK_OK(wal.writeFrameGroup({{frames, 3}}));
         }
         return env.stats.get(stats::kJournalBlocksWritten);
     };
@@ -273,7 +285,7 @@ TEST(FileWalIoVolume, StockFramesAreMisaligned)
         for (int i = 0; i < 10; ++i) {
             std::vector<FrameWrite> frames{FrameWrite{
                 3, testutil::spanOf(page), &ranges}};
-            NVWAL_CHECK_OK(wal.writeFrames(frames, true, 3));
+            NVWAL_CHECK_OK(wal.writeFrameGroup({{frames, 3}}));
         }
         return env.flash.bytesWritten(IoTag::WalFile);
     };

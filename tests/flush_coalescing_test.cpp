@@ -83,7 +83,7 @@ TEST_F(FlushCoalescingTest, SharedLineDiffsFlushOnceAndCoalesce)
     const auto deduped0 = env.stats.get(stats::kPmemFlushLinesDeduped);
     std::vector<FrameWrite> frames{
         FrameWrite{3, testutil::spanOf(page), &ranges}};
-    NVWAL_CHECK_OK(log->writeFrames(frames, true, 3));
+    NVWAL_CHECK_OK(log->writeFrameGroup({{frames, 3}}));
 
     // Two frames, one merged flush run.
     EXPECT_EQ(env.stats.get(stats::kWalFlushRangesCoalesced) - coalesced0,
@@ -114,7 +114,7 @@ TEST_F(FlushCoalescingTest, StraddlingDiffSurvivesPessimisticCrash)
     ranges.mark(27, 77);
     std::vector<FrameWrite> frames{
         FrameWrite{5, testutil::spanOf(page), &ranges}};
-    NVWAL_CHECK_OK(log->writeFrames(frames, true, 5));
+    NVWAL_CHECK_OK(log->writeFrameGroup({{frames, 5}}));
 
     env.powerFail(FailurePolicy::Pessimistic);
 
@@ -150,7 +150,7 @@ TEST_F(FlushCoalescingTest, MarshalledTxnCollapsesToOneFlushRun)
     std::vector<FrameWrite> frames{
         FrameWrite{3, testutil::spanOf(p3), &full},
         FrameWrite{4, testutil::spanOf(p4), &full}};
-    NVWAL_CHECK_OK(log->writeFrames(frames, true, 4));
+    NVWAL_CHECK_OK(log->writeFrameGroup({{frames, 4}}));
 
     // Two full-page frames merged into one run. Frames are 8-byte
     // aligned, so the only line both frames can touch is the one
@@ -187,7 +187,7 @@ TEST_F(FlushCoalescingTest, EagerBatchUnaffected)
     const auto deduped0 = env.stats.get(stats::kPmemFlushLinesDeduped);
     std::vector<FrameWrite> frames{
         FrameWrite{3, testutil::spanOf(page), &ranges}};
-    NVWAL_CHECK_OK(log->writeFrames(frames, true, 3));
+    NVWAL_CHECK_OK(log->writeFrameGroup({{frames, 3}}));
 
     EXPECT_EQ(env.stats.get(stats::kWalFlushRangesCoalesced) - coalesced0,
               0u);

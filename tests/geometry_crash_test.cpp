@@ -119,7 +119,7 @@ TEST(NodeBoundary, ExactFitFramesRecover)
         std::vector<FrameWrite> frames{
             FrameWrite{2, testutil::spanOf(page), &r1},
             FrameWrite{3, testutil::spanOf(page), &r2}};
-        NVWAL_CHECK_OK(log.writeFrames(frames, true, 3));
+        NVWAL_CHECK_OK(log.writeFrameGroup({{frames, 3}}));
 
         env.powerFail(FailurePolicy::Pessimistic);
         NvwalLog fresh(env.heap, env.pmem, db_file, 4096, 24, config,

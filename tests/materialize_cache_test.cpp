@@ -67,7 +67,7 @@ class MaterializeCacheTest : public ::testing::Test
         full.mark(0, kPageSize);
         std::vector<FrameWrite> frames{
             FrameWrite{no, testutil::spanOf(page), &full}};
-        NVWAL_CHECK_OK(log->writeFrames(frames, true, db_size));
+        NVWAL_CHECK_OK(log->writeFrameGroup({{frames, db_size}}));
     }
 
     /** Commit a small diff of @p page at byte 100. */
@@ -78,7 +78,7 @@ class MaterializeCacheTest : public ::testing::Test
         diff.mark(100, 108);
         std::vector<FrameWrite> frames{
             FrameWrite{no, testutil::spanOf(page), &diff}};
-        NVWAL_CHECK_OK(log->writeFrames(frames, true, db_size));
+        NVWAL_CHECK_OK(log->writeFrameGroup({{frames, db_size}}));
     }
 
     std::uint64_t
@@ -474,7 +474,7 @@ TEST_F(MaterializeCacheTest, RandomCommitsMatchOracleAtEveryPin)
                 frames.push_back(
                     FrameWrite{no, testutil::spanOf(images.back()), &dirty});
             }
-            NVWAL_CHECK_OK(log->writeFrames(frames, true, kPages));
+            NVWAL_CHECK_OK(log->writeFrameGroup({{frames, kPages}}));
             const CommitSeq seq = log->commitSeq();
             std::size_t k = 0;
             for (const PageNo no : chosen)

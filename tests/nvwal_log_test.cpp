@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <map>
 #include <string_view>
 #include <type_traits>
 
@@ -99,7 +100,7 @@ class NvwalLogTest : public ::testing::TestWithParam<SchemeParam>
     {
         std::vector<FrameWrite> frames{
             FrameWrite{no, testutil::spanOf(page), &ranges}};
-        return log->writeFrames(frames, true, db_size);
+        return log->writeFrameGroup({{frames, db_size}});
     }
 
     Status
@@ -180,31 +181,121 @@ TEST_P(NvwalLogTest, CommittedStateSurvivesPessimisticPowerFailure)
 
 TEST_P(NvwalLogTest, UncommittedFramesDiscardedOnRecovery)
 {
+    // Crash a two-transaction group append at every NVRAM op. The
+    // group carries one commit mark, so recovery must yield exactly
+    // the state before the group or after it -- never the first
+    // transaction alone. Frames past the last surviving mark are
+    // discarded even when they are durable and chain-valid (Lazy and
+    // Eager flush them before the mark; the all-survive policy keeps
+    // every store), and the nodes holding them are freed and
+    // recounted.
     const ByteBuffer p3 = makePage(5);
-    NVWAL_CHECK_OK(commitFullPage(3, p3, 3));
-    // Frames without a commit mark...
-    const ByteBuffer p4 = makePage(6);
-    DirtyRanges ranges;
-    ranges.mark(0, kPageSize);
-    std::vector<FrameWrite> frames{
-        FrameWrite{4, testutil::spanOf(p4), &ranges}};
-    NVWAL_CHECK_OK(log->writeFrames(frames, false, 0));
+    const ByteBuffer p4a = makePage(6);
+    const ByteBuffer p4b = makePage(7);
+    const ByteBuffer p5 = makePage(8);
+    DirtyRanges full;
+    full.mark(0, kPageSize);
+    const std::vector<TxnFrames> group{
+        {{FrameWrite{4, testutil::spanOf(p4a), &full}}, 4},
+        {{FrameWrite{4, testutil::spanOf(p4b), &full},
+          FrameWrite{5, testutil::spanOf(p5), &full}},
+         5}};
+    using Image = std::map<PageNo, ByteBuffer>;
+    const Image pre{{3, p3}};
+    const Image post{{3, p3}, {4, p4b}, {5, p5}};
 
-    env.powerFail(FailurePolicy::AllSurvive);
-    std::uint32_t db_size = 0;
-    auto fresh = reopen(&db_size);
-    EXPECT_EQ(db_size, 3u);
-    ByteBuffer out(kPageSize);
-    EXPECT_TRUE(fresh->readPage(3, ByteSpan(out.data(), out.size())).isOk());
-    EXPECT_TRUE(fresh->readPage(4, ByteSpan(out.data(), out.size())).isNotFound());
-    // The log accepts new commits after discarding the tail.
-    const ByteBuffer p5 = makePage(7);
-    DirtyRanges r5;
-    r5.mark(0, kPageSize);
-    std::vector<FrameWrite> f5{FrameWrite{5, testutil::spanOf(p5), &r5}};
-    NVWAL_CHECK_OK(fresh->writeFrames(f5, true, 5));
-    ASSERT_TRUE(fresh->readPage(5, ByteSpan(out.data(), out.size())).isOk());
-    EXPECT_EQ(out, p5);
+    for (FailurePolicy policy :
+         {FailurePolicy::Pessimistic, FailurePolicy::AllSurvive}) {
+        std::uint64_t truncating_points = 0;
+        bool completed = false;
+        for (std::uint64_t at = 1; !completed; ++at) {
+            SCOPED_TRACE(testing::Message()
+                         << "policy " << static_cast<int>(policy)
+                         << " op " << at);
+            EnvConfig env_config = makeEnvConfig();
+            env_config.nvramBytes = 1ull << 20;
+            env_config.flashBlocks = 1ull << 11;
+            Env crash_env(env_config);
+            DbFile db_file(crash_env.fs, "t.db", kPageSize);
+            NVWAL_CHECK_OK(db_file.open());
+            const auto open_log = [&](std::uint32_t *db_size) {
+                auto l = std::make_unique<NvwalLog>(
+                    crash_env.heap, crash_env.pmem, db_file, kPageSize,
+                    kReserved, config, crash_env.stats);
+                NVWAL_CHECK_OK(l->recover(db_size));
+                return l;
+            };
+            std::uint32_t db_size = 0;
+            {
+                auto seed_log = open_log(&db_size);
+                NVWAL_CHECK_OK(seed_log->writeFrameGroup(
+                    {{{FrameWrite{3, testutil::spanOf(p3), &full}}, 3}}));
+            }
+            // A clean reboot makes the seed durable under every sync
+            // mode, so each crash point has one pre-group state.
+            crash_env.powerFail(FailurePolicy::AllSurvive);
+            auto victim = open_log(&db_size);
+            const std::uint64_t pre_nodes = victim->nodeCount();
+
+            crash_env.nvramDevice.setScheduledCrashPolicy(policy);
+            crash_env.nvramDevice.scheduleCrashAtOp(at);
+            try {
+                NVWAL_CHECK_OK(victim->writeFrameGroup(group));
+                completed = true;
+            } catch (const PowerFailure &) {
+                crash_env.fs.crash();
+                NVWAL_CHECK_OK(crash_env.heap.attach());
+            }
+            crash_env.nvramDevice.scheduleCrashAtOp(0);
+            victim.reset();
+
+            const std::uint64_t in_use_before =
+                crash_env.heap.countBlocks(BlockState::InUse);
+            auto fresh = open_log(&db_size);
+            if (crash_env.heap.countBlocks(BlockState::InUse) <
+                in_use_before)
+                ++truncating_points;
+            Image got;
+            ByteBuffer out(kPageSize);
+            for (PageNo no = 3; no <= 5; ++no) {
+                const Status read =
+                    fresh->readPage(no, ByteSpan(out.data(), out.size()));
+                if (read.isNotFound())
+                    continue;
+                NVWAL_CHECK_OK(read);
+                got[no] = out;
+            }
+            const bool is_pre = db_size == 3 && got == pre;
+            const bool is_post = db_size == 5 && got == post;
+            EXPECT_TRUE(is_pre || is_post) << "db size " << db_size;
+            if (completed) {
+                EXPECT_TRUE(is_post);
+            }
+            if (is_pre) {
+                // Tail nodes past the pre-group mark are freed.
+                EXPECT_EQ(fresh->nodeCount(), pre_nodes);
+            }
+            EXPECT_EQ(crash_env.heap.countBlocks(BlockState::Pending), 0u);
+            EXPECT_EQ(crash_env.heap.countBlocks(BlockState::InUse),
+                      fresh->reachableNvramBlocks());
+            EXPECT_EQ(fresh->nodesSinceCheckpoint(), fresh->nodeCount());
+            if (!config.userHeap) {
+                EXPECT_DOUBLE_EQ(fresh->framesPerNode(), 1.0);
+            }
+
+            // The log accepts new commits after discarding the tail.
+            const ByteBuffer p7 = makePage(10);
+            NVWAL_CHECK_OK(fresh->writeFrameGroup(
+                {{{FrameWrite{7, testutil::spanOf(p7), &full}}, 7}}));
+            ASSERT_TRUE(
+                fresh->readPage(7, ByteSpan(out.data(), out.size())).isOk());
+            EXPECT_EQ(out, p7);
+            EXPECT_EQ(fresh->nodesSinceCheckpoint(), fresh->nodeCount());
+        }
+        // Some crash point left linked nodes past the last mark that
+        // recovery had to free.
+        EXPECT_GT(truncating_points, 0u);
+    }
 }
 
 TEST_P(NvwalLogTest, CheckpointWritesBackTruncatesAndFreesNvram)
@@ -262,7 +353,7 @@ TEST_P(NvwalLogTest, MultiPageTransactionIsAtomic)
         frames.push_back(FrameWrite{no, testutil::spanOf(pages.back()),
                                     &ranges[no - 3]});
     }
-    NVWAL_CHECK_OK(log->writeFrames(frames, true, 8));
+    NVWAL_CHECK_OK(log->writeFrameGroup({{frames, 8}}));
 
     env.powerFail(config.syncMode == SyncMode::ChecksumAsync
                       ? FailurePolicy::AllSurvive
@@ -287,12 +378,14 @@ TEST_P(NvwalLogTest, EmptyCommitStillRecordsDatabaseSize)
     // observed the database at a possibly larger size; dropping the
     // update would leave committedDbSize() stale and truncate the
     // tail on the next pager resync.
-    NVWAL_CHECK_OK(log->writeFrames({}, true, 9));
+    NVWAL_CHECK_OK(log->writeFrameGroup({{{}, 9}}));
     EXPECT_EQ(log->committedDbSize(), 9u);
 
-    // Same hazard on the group path with an all-empty group.
-    std::vector<TxnFrames> txns(1);
-    txns[0].dbSizePages = 11;
+    // Same hazard with a group of several empty transactions: the
+    // last one's size wins.
+    std::vector<TxnFrames> txns(2);
+    txns[0].dbSizePages = 10;
+    txns[1].dbSizePages = 11;
     NVWAL_CHECK_OK(log->writeFrameGroup(txns));
     EXPECT_EQ(log->committedDbSize(), 11u);
 }
@@ -415,7 +508,7 @@ TEST_F(NvwalSchemeTest, DiffLoggingWritesFarFewerBytes)
         const auto before = env.stats.get(stats::kNvramBytesLogged);
         std::vector<FrameWrite> frames{
             FrameWrite{3, testutil::spanOf(page), &ranges}};
-        NVWAL_CHECK_OK(log->writeFrames(frames, true, 3));
+        NVWAL_CHECK_OK(log->writeFrameGroup({{frames, 3}}));
         NVWAL_CHECK_OK(log->checkpoint());
         return env.stats.get(stats::kNvramBytesLogged) - before;
     };
@@ -436,7 +529,7 @@ TEST_F(NvwalSchemeTest, UserHeapAmortizesHeapCalls)
             ranges.mark(0, 400);
             std::vector<FrameWrite> frames{
                 FrameWrite{3, testutil::spanOf(page), &ranges}};
-            NVWAL_CHECK_OK(log->writeFrames(frames, true, 3));
+            NVWAL_CHECK_OK(log->writeFrameGroup({{frames, 3}}));
         }
         const auto calls = env.stats.get(stats::kHeapCalls) - before;
         NVWAL_CHECK_OK(log->checkpoint());
@@ -459,7 +552,7 @@ TEST_F(NvwalSchemeTest, UserHeapPacksMultipleFramesPerBlock)
         ranges.mark(0, 1200);
         std::vector<FrameWrite> frames{
             FrameWrite{3, testutil::spanOf(page), &ranges}};
-        NVWAL_CHECK_OK(log->writeFrames(frames, true, 3));
+        NVWAL_CHECK_OK(log->writeFrameGroup({{frames, 3}}));
     }
     EXPECT_GT(log->framesPerNode(), 2.0);
 }
@@ -475,7 +568,7 @@ TEST_F(NvwalSchemeTest, LazyFlushesAllFrameLines)
     const auto before = env.stats.get(stats::kNvramLinesFlushed);
     std::vector<FrameWrite> frames{
         FrameWrite{3, testutil::spanOf(page), &ranges}};
-    NVWAL_CHECK_OK(log->writeFrames(frames, true, 3));
+    NVWAL_CHECK_OK(log->writeFrameGroup({{frames, 3}}));
     const auto flushed =
         env.stats.get(stats::kNvramLinesFlushed) - before;
     // ~ a full page of lines (4096/32 = 128) plus headers/metadata.
@@ -491,7 +584,7 @@ TEST_F(NvwalSchemeTest, ChecksumAsyncFlushesAlmostNothing)
     const auto before = env.stats.get(stats::kNvramLinesFlushed);
     std::vector<FrameWrite> frames{
         FrameWrite{3, testutil::spanOf(page), &ranges}};
-    NVWAL_CHECK_OK(log->writeFrames(frames, true, 3));
+    NVWAL_CHECK_OK(log->writeFrameGroup({{frames, 3}}));
     const auto flushed =
         env.stats.get(stats::kNvramLinesFlushed) - before;
     // Only the commit-mark/checksum line plus block-allocation
@@ -517,7 +610,7 @@ TEST_F(NvwalSchemeTest, EagerIsSlowerThanLazy)
             frames.push_back(FrameWrite{no, testutil::spanOf(page),
                                         &all_ranges[no - 3]});
         }
-        NVWAL_CHECK_OK(log->writeFrames(frames, true, 11));
+        NVWAL_CHECK_OK(log->writeFrameGroup({{frames, 11}}));
         const SimTime elapsed = env.clock.now() - start;
         NVWAL_CHECK_OK(log->checkpoint());
         return elapsed;
@@ -538,7 +631,7 @@ TEST_F(NvwalSchemeTest, ChecksumAsyncDetectsLostFramesProbabilistically)
     ranges.mark(0, kPageSize);
     std::vector<FrameWrite> frames{
         FrameWrite{3, testutil::spanOf(p3), &ranges}};
-    NVWAL_CHECK_OK(log->writeFrames(frames, true, 3));
+    NVWAL_CHECK_OK(log->writeFrameGroup({{frames, 3}}));
 
     // Pessimistic failure: the frame payload (never flushed) is
     // gone; the flushed commit/checksum line may or may not be in
@@ -563,43 +656,90 @@ TEST_F(NvwalSchemeTest, NodeCountRecountedAfterTailTruncation)
     // recount _nodesSinceCheckpoint from the surviving chain. It used
     // to keep the walk's count (which included the freed tail), so
     // framesPerNode() and the next checkpoint's node accounting were
-    // skewed until the following checkpoint.
-    auto log = makeLog(SyncMode::Lazy, false, false);  // 1 frame/node
+    // skewed until the following checkpoint. Crash a three-transaction
+    // group append at every NVRAM op: Lazy flushes the three frames
+    // before the group's one commit mark, so some crash point leaves
+    // all three tail nodes durable and linked but uncommitted, and
+    // recovery must truncate (and free) them.
     const ByteBuffer page = makePage(4);
     DirtyRanges ranges;
     ranges.mark(0, kPageSize);
-    std::vector<FrameWrite> committed{
-        FrameWrite{2, testutil::spanOf(page), &ranges}};
-    NVWAL_CHECK_OK(log->writeFrames(committed, true, 2));
-    // Three uncommitted frames: Lazy flushes them to NVRAM on every
-    // call, so after a pessimistic failure the nodes are durable but
-    // must be truncated (and freed) by recovery.
-    for (PageNo no = 3; no <= 5; ++no) {
-        std::vector<FrameWrite> frames{
-            FrameWrite{no, testutil::spanOf(page), &ranges}};
-        NVWAL_CHECK_OK(log->writeFrames(frames, false, no));
-    }
-    EXPECT_EQ(log->nodeCount(), 4u);
-
-    env.powerFail(FailurePolicy::Pessimistic);
+    std::vector<TxnFrames> group;
+    for (PageNo no = 3; no <= 5; ++no)
+        group.push_back({{FrameWrite{no, testutil::spanOf(page), &ranges}},
+                         no});
     NvwalConfig config;
     config.syncMode = SyncMode::Lazy;
     config.diffLogging = false;
-    config.userHeap = false;
-    NvwalLog fresh(env.heap, env.pmem, dbFile, kPageSize, kReserved,
-                   config, env.stats);
-    std::uint32_t db_size = 0;
-    NVWAL_CHECK_OK(fresh.recover(&db_size));
-    EXPECT_EQ(db_size, 2u);
-    EXPECT_EQ(fresh.nodeCount(), 1u);
-    EXPECT_EQ(fresh.nodesSinceCheckpoint(), fresh.nodeCount());
-    EXPECT_DOUBLE_EQ(fresh.framesPerNode(), 1.0);
+    config.userHeap = false;  // 1 frame/node
 
-    // The invariant must keep holding as the log grows again.
-    std::vector<FrameWrite> more{
-        FrameWrite{3, testutil::spanOf(page), &ranges}};
-    NVWAL_CHECK_OK(fresh.writeFrames(more, true, 3));
-    EXPECT_EQ(fresh.nodesSinceCheckpoint(), fresh.nodeCount());
+    std::uint64_t max_freed = 0;
+    std::uint64_t node_blocks = 0;
+    bool completed = false;
+    for (std::uint64_t at = 1; !completed; ++at) {
+        SCOPED_TRACE(testing::Message() << "op " << at);
+        EnvConfig env_config = makeEnvConfig();
+        env_config.nvramBytes = 1ull << 20;
+        env_config.flashBlocks = 1ull << 11;
+        Env crash_env(env_config);
+        DbFile db_file(crash_env.fs, "t.db", kPageSize);
+        NVWAL_CHECK_OK(db_file.open());
+        const auto open_log = [&](std::uint32_t *db_size) {
+            auto l = std::make_unique<NvwalLog>(
+                crash_env.heap, crash_env.pmem, db_file, kPageSize,
+                kReserved, config, crash_env.stats);
+            NVWAL_CHECK_OK(l->recover(db_size));
+            return l;
+        };
+        std::uint32_t db_size = 0;
+        auto log = open_log(&db_size);
+        const std::uint64_t header_blocks =
+            crash_env.heap.countBlocks(BlockState::InUse);
+        NVWAL_CHECK_OK(log->writeFrameGroup(
+            {{{FrameWrite{2, testutil::spanOf(page), &ranges}}, 2}}));
+        EXPECT_EQ(log->nodeCount(), 1u);
+        // A full-page node may span more than one heap block.
+        node_blocks =
+            crash_env.heap.countBlocks(BlockState::InUse) - header_blocks;
+
+        crash_env.nvramDevice.setScheduledCrashPolicy(
+            FailurePolicy::Pessimistic);
+        crash_env.nvramDevice.scheduleCrashAtOp(at);
+        try {
+            NVWAL_CHECK_OK(log->writeFrameGroup(group));
+            completed = true;
+        } catch (const PowerFailure &) {
+            crash_env.fs.crash();
+            NVWAL_CHECK_OK(crash_env.heap.attach());
+        }
+        crash_env.nvramDevice.scheduleCrashAtOp(0);
+        log.reset();
+        if (completed)
+            break;
+
+        const std::uint64_t in_use_before =
+            crash_env.heap.countBlocks(BlockState::InUse);
+        auto fresh = open_log(&db_size);
+        const std::uint64_t in_use_after =
+            crash_env.heap.countBlocks(BlockState::InUse);
+        ASSERT_GE(in_use_before, in_use_after);
+        max_freed = std::max(max_freed, in_use_before - in_use_after);
+        EXPECT_EQ(db_size, 2u);
+        EXPECT_EQ(fresh->nodeCount(), 1u);
+        EXPECT_EQ(fresh->nodesSinceCheckpoint(), fresh->nodeCount());
+        EXPECT_DOUBLE_EQ(fresh->framesPerNode(), 1.0);
+        EXPECT_EQ(crash_env.heap.countBlocks(BlockState::InUse),
+                  fresh->reachableNvramBlocks());
+
+        // The invariant must keep holding as the log grows again.
+        NVWAL_CHECK_OK(fresh->writeFrameGroup(
+            {{{FrameWrite{3, testutil::spanOf(page), &ranges}}, 3}}));
+        EXPECT_EQ(fresh->nodesSinceCheckpoint(), fresh->nodeCount());
+    }
+    // Some crash point left all three tail nodes durable, and recovery
+    // freed every one of them.
+    EXPECT_GT(node_blocks, 0u);
+    EXPECT_EQ(max_freed, 3 * node_blocks);
 }
 
 TEST(NvwalBaseline, NodeAllocationIsCrashAtomic)
@@ -632,7 +772,7 @@ TEST(NvwalBaseline, NodeAllocationIsCrashAtomic)
         ranges.mark(0, kPageSize);
         std::vector<FrameWrite> seed{
             FrameWrite{2, testutil::spanOf(page), &ranges}};
-        NVWAL_CHECK_OK(log.writeFrames(seed, true, 2));
+        NVWAL_CHECK_OK(log.writeFrameGroup({{seed, 2}}));
 
         env.nvramDevice.setScheduledCrashPolicy(
             FailurePolicy::Pessimistic);
@@ -640,7 +780,7 @@ TEST(NvwalBaseline, NodeAllocationIsCrashAtomic)
         try {
             std::vector<FrameWrite> victim{
                 FrameWrite{3, testutil::spanOf(page), &ranges}};
-            NVWAL_CHECK_OK(log.writeFrames(victim, true, 3));
+            NVWAL_CHECK_OK(log.writeFrameGroup({{victim, 3}}));
             completed = true;
         } catch (const PowerFailure &) {
             env.fs.crash();

@@ -582,7 +582,7 @@ TEST(NvwalSharedHeap, ReusedBlockNeverValidatesAnotherLogsFrames)
         ranges.mark(0, 200);
         std::vector<FrameWrite> frames{
             FrameWrite{3, testutil::spanOf(page), &ranges}};
-        NVWAL_CHECK_OK(a.writeFrames(frames, true, 3));
+        NVWAL_CHECK_OK(a.writeFrameGroup({{frames, 3}}));
         NvOffset a_header = kNullNvOffset;
         NVWAL_CHECK_OK(env.heap.getRoot("nvwal-a", &a_header));
         const NvOffset a_node = env.nvramDevice.readU64(a_header + 24);
@@ -594,7 +594,7 @@ TEST(NvwalSharedHeap, ReusedBlockNeverValidatesAnotherLogsFrames)
         env.nvramDevice.scheduleCrashAtOp(at);
         bool crashed = false;
         try {
-            NVWAL_CHECK_OK(b->writeFrames(frames, true, 3));
+            NVWAL_CHECK_OK(b->writeFrameGroup({{frames, 3}}));
             completed = true;
         } catch (const PowerFailure &) {
             crashed = true;

@@ -5,8 +5,8 @@
  * variants) must satisfy the same behavioural contract the Database
  * layer depends on:
  *
- *  - writeFrames(commit=true) makes the frames readable (readPage)
- *    or directly durable in the .db file;
+ *  - writeFrameGroup() makes each transaction's frames readable
+ *    (readPage) or directly durable in the .db file;
  *  - the latest committed version of a page wins;
  *  - recover() on a fresh object reproduces the committed state and
  *    reports the last committed database size;
@@ -142,7 +142,7 @@ class WalConformance : public ::testing::TestWithParam<std::string>
                 ConstByteSpan(pages[i].second->data(), kPageSize),
                 &ranges[i]});
         }
-        return wal->writeFrames(frames, true, db_size);
+        return wal->writeFrameGroup({{frames, db_size}});
     }
 
     /** Latest committed page content via log-then-file. */
