@@ -195,6 +195,23 @@ NvwalLog::appendNode(std::uint32_t min_payload)
 }
 
 Status
+NvwalLog::freeChain(NvOffset link_field)
+{
+    const NvramDevice &dev = _pmem.device();
+    std::vector<NvOffset> nodes;
+    NvOffset node = dev.readU64(link_field);
+    while (node != kNullNvOffset &&
+           _heap.blockStateAt(node) == BlockState::InUse) {
+        nodes.push_back(node);
+        node = dev.readU64(node);
+    }
+    for (auto it = nodes.rbegin(); it != nodes.rend(); ++it)
+        NVWAL_RETURN_IF_ERROR(_heap.nvFree(*it));
+    persistU64(link_field, kNullNvOffset);
+    return Status::ok();
+}
+
+Status
 NvwalLog::placeFrame(PageNo page_no, std::uint16_t page_offset,
                      ConstByteSpan payload, NvOffset *frame_off)
 {
@@ -398,6 +415,17 @@ NvwalLog::syncRefs(const std::vector<FrameRef> &refs, bool force)
     runs.insert(runs.end(), _unhardenedRuns.begin(),
                 _unhardenedRuns.end());
     const std::uint64_t inputs = runs.size();
+    const std::uint64_t flushed_lines = persistRuns(runs);
+    _stats.add(stats::kWalFlushRangesCoalesced, inputs - runs.size());
+    _stats.add(stats::kPmemFlushLinesDeduped,
+               naive_lines - flushed_lines);
+    _unhardenedRuns.clear();
+    _hardenedSeq = _commitSeq;
+}
+
+std::uint64_t
+NvwalLog::persistRuns(std::vector<std::pair<NvOffset, NvOffset>> &runs)
+{
     std::sort(runs.begin(), runs.end());
     std::size_t last = 0;
     for (std::size_t i = 1; i < runs.size(); ++i) {
@@ -409,6 +437,7 @@ NvwalLog::syncRefs(const std::vector<FrameRef> &refs, bool force)
     }
     runs.resize(last + 1);
 
+    const std::uint64_t line = _pmem.cost().cacheLineSize;
     std::uint64_t flushed_lines = 0;
     _pmem.memoryBarrier();
     for (const auto &run : runs) {
@@ -417,11 +446,7 @@ NvwalLog::syncRefs(const std::vector<FrameRef> &refs, bool force)
     }
     _pmem.memoryBarrier();
     _pmem.persistBarrier();
-    _stats.add(stats::kWalFlushRangesCoalesced, inputs - runs.size());
-    _stats.add(stats::kPmemFlushLinesDeduped,
-               naive_lines - flushed_lines);
-    _unhardenedRuns.clear();
-    _hardenedSeq = _commitSeq;
+    return flushed_lines;
 }
 
 void
@@ -446,28 +471,13 @@ NvwalLog::harden()
 {
     if (_unhardenedRuns.empty()) {
         _hardenedSeq = _commitSeq;
-            return Status::ok();
+        return Status::ok();
     }
     // One barrier pair for every range appended since the last
     // harden, however many transactions they span: this is where the
     // epoch pipeline's persist-barrier amortization comes from.
     const SimTime begin = _pmem.clock().now();
-    std::sort(_unhardenedRuns.begin(), _unhardenedRuns.end());
-    std::size_t last = 0;
-    for (std::size_t i = 1; i < _unhardenedRuns.size(); ++i) {
-        if (_unhardenedRuns[i].first <= _unhardenedRuns[last].second)
-            _unhardenedRuns[last].second =
-                std::max(_unhardenedRuns[last].second,
-                         _unhardenedRuns[i].second);
-        else
-            _unhardenedRuns[++last] = _unhardenedRuns[i];
-    }
-    _unhardenedRuns.resize(last + 1);
-    _pmem.memoryBarrier();
-    for (const auto &run : _unhardenedRuns)
-        _pmem.cacheLineFlush(run.first, run.second);
-    _pmem.memoryBarrier();
-    _pmem.persistBarrier();
+    persistRuns(_unhardenedRuns);
     _unhardenedRuns.clear();
     _hardenedSeq = _commitSeq;
     _stats.add(stats::kWalHardenBatches);
@@ -1037,15 +1047,7 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
 
     // Truncate the NVRAM log: free nodes from the end of the list to
     // the beginning (section 4.3), then clear the head pointer.
-    std::vector<NvOffset> nodes;
-    NvOffset node = _pmem.device().readU64(firstNodeFieldOff());
-    while (node != kNullNvOffset) {
-        nodes.push_back(node);
-        node = _pmem.device().readU64(node);
-    }
-    for (auto it = nodes.rbegin(); it != nodes.rend(); ++it)
-        NVWAL_RETURN_IF_ERROR(_heap.nvFree(*it));
-    persistU64(firstNodeFieldOff(), kNullNvOffset);
+    NVWAL_RETURN_IF_ERROR(freeChain(firstNodeFieldOff()));
 
     // Every page's frames are gone and the .db file holds its newest
     // image, so the whole volatile index goes with them.
@@ -1354,21 +1356,8 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
 
         // Free any nodes past the commit point (they hold only
         // uncommitted frames) and cut the chain there.
-        NvOffset extra = dev.readU64(_tailNode);
-        if (extra != kNullNvOffset) {
-            std::vector<NvOffset> tail_nodes;
-            NvOffset n = extra;
-            while (n != kNullNvOffset &&
-                   _heap.blockStateAt(n) == BlockState::InUse) {
-                tail_nodes.push_back(n);
-                n = dev.readU64(n);
-            }
-            for (auto it = tail_nodes.rbegin(); it != tail_nodes.rend();
-                 ++it) {
-                NVWAL_RETURN_IF_ERROR(_heap.nvFree(*it));
-            }
-            persistU64(_tailNode, kNullNvOffset);
-        }
+        if (dev.readU64(_tailNode) != kNullNvOffset)
+            NVWAL_RETURN_IF_ERROR(freeChain(_tailNode));
         // The walk counted every node it visited, including the
         // freed tail nodes and any dangling reference it cut off.
         // Recount from the (now truncated) chain so framesPerNode()
@@ -1376,16 +1365,7 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
         _nodesSinceCheckpoint = nodeCount();
     } else {
         // No committed transaction: drop the whole chain.
-        std::vector<NvOffset> all_nodes;
-        NvOffset n = dev.readU64(firstNodeFieldOff());
-        while (n != kNullNvOffset &&
-               _heap.blockStateAt(n) == BlockState::InUse) {
-            all_nodes.push_back(n);
-            n = dev.readU64(n);
-        }
-        for (auto it = all_nodes.rbegin(); it != all_nodes.rend(); ++it)
-            NVWAL_RETURN_IF_ERROR(_heap.nvFree(*it));
-        persistU64(firstNodeFieldOff(), kNullNvOffset);
+        NVWAL_RETURN_IF_ERROR(freeChain(firstNodeFieldOff()));
         _linkFieldOff = firstNodeFieldOff();
         _nodesSinceCheckpoint = 0;
     }

@@ -288,6 +288,13 @@ class NvwalLog : public WriteAheadLog
     /** Allocate + link a new log node with >= @p min_payload bytes. */
     Status appendNode(std::uint32_t min_payload);
 
+    /**
+     * Free the node chain hanging off the link field at @p link_field
+     * tail first (section 4.3), then persist a null link there. The
+     * walk stops early at a node the heap does not hold in use.
+     */
+    Status freeChain(NvOffset link_field);
+
     /** Place one frame; returns its header offset. */
     Status placeFrame(PageNo page_no, std::uint16_t page_offset,
                       ConstByteSpan payload, NvOffset *frame_off);
@@ -364,6 +371,14 @@ class NvwalLog : public WriteAheadLog
      * under its own durable mark.
      */
     void syncRefs(const std::vector<FrameRef> &refs, bool force);
+
+    /**
+     * Sort and merge @p runs in place, then make them durable: one
+     * dmb, a flush per merged run, a closing dmb and one persist
+     * barrier. Returns the cache lines flushed.
+     */
+    std::uint64_t
+    persistRuns(std::vector<std::pair<NvOffset, NvOffset>> &runs);
 
     /** Record @p ref's NVRAM range as appended-but-unflushed. */
     void deferSyncRef(const FrameRef &ref);

@@ -116,9 +116,6 @@ validateDbConfig(const DbConfig &config)
     if (config.asyncMaxEpochs == 0)
         return Status::invalidArgument(
             "asyncMaxEpochs must be >= 1 (the staleness bound)");
-    if (config.backgroundDurability && config.walMode != WalMode::Nvwal)
-        return Status::invalidArgument(
-            "background durability requires the NVRAM WAL");
     if (config.walMode == WalMode::Nvwal) {
         const std::string &ns = config.nvwal.heapNamespace;
         if (ns.empty() || ns.size() > NvHeap::kNamespaceNameLen)
@@ -131,7 +128,7 @@ validateDbConfig(const DbConfig &config)
         if (config.walMode != WalMode::Nvwal)
             return Status::invalidArgument(
                 "multi-writer mode requires WalMode::Nvwal");
-        if (config.shardMember)
+        if (config.shard.has_value())
             return Status::invalidArgument(
                 "multi-writer mode cannot run on a shard member");
     }
@@ -152,12 +149,11 @@ Database::~Database()
     // The root connection holds engine references; destroy it before
     // any engine state goes away.
     _rootConn.reset();
-    // Stop the durability thread first and abandon any still-pending
-    // async epochs: a destructor must not issue media operations (the
-    // handle may be torn down after a simulated crash), so commits
-    // that were never flushed simply fall inside the documented
-    // bounded loss window. Clean shutdowns call flushAsyncCommits().
-    stopDurability();
+    // A destructor must not issue media operations (the handle may be
+    // torn down after a simulated crash), so still-pending async
+    // epochs are abandoned: commits that were never flushed fall
+    // inside the documented bounded loss window. Clean shutdowns call
+    // flushAsyncCommits().
     stopCheckpointer();
 }
 
@@ -263,9 +259,6 @@ Database::openInternal()
 
     if (_config.backgroundCheckpointer && !_checkpointer.joinable())
         _checkpointer = std::thread(&Database::checkpointerMain, this);
-    if (_config.backgroundDurability && _wal->supportsAsyncCommits() &&
-        !_durabilityThread.joinable())
-        _durabilityThread = std::thread(&Database::durabilityMain, this);
     return Status::ok();
 }
 
@@ -332,22 +325,14 @@ Database::frMaybeSnapshotCounters()
     if (++_frBatchesSinceSnapshot < _config.frSnapshotEveryBatches)
         return;
     _frBatchesSinceSnapshot = 0;
-    static const char *const kDefaultSet[] = {
+    static const char *const kSampledCounters[] = {
         stats::kTxnsCommitted,   stats::kPersistBarriers,
         stats::kFlushSyscalls,   stats::kNvramBytesLogged,
         stats::kCheckpoints,
     };
-    auto sample = [&](const std::string &name) {
+    for (const char *name : kSampledCounters)
         frRecord(FrRecordType::CounterSnapshot, 0, 0,
                  frCounterNameHash(name), _env.stats.get(name), _txnSeq);
-    };
-    if (_config.frSnapshotCounters.empty()) {
-        for (const char *name : kDefaultSet)
-            sample(name);
-    } else {
-        for (const std::string &name : _config.frSnapshotCounters)
-            sample(name);
-    }
 }
 
 void
@@ -363,7 +348,7 @@ Database::frOpenAndBuildReport(const StatsSnapshot &stats_before)
     auto recorder = std::make_unique<FlightRecorder>(
         _env.heap, _env.pmem, _env.stats,
         FlightRecorder::namespaceFor(_config.nvwal.heapNamespace),
-        _config.frRingRecords, _config.frShard);
+        _config.frRingRecords, _config.shard.value_or(0));
     FlightRecording parsed;
     if (!recorder->openOrCreate(&parsed).isOk()) {
         // E.g. all heap namespace slots taken: run with the recorder
@@ -394,7 +379,7 @@ Database::frOpenAndBuildReport(const StatsSnapshot &stats_before)
     _recoveryReport = buildRecoveryReport(parsed, wal_state);
     _recoveryReport.recorderEnabled = true;
     _recoveryReport.heapNamespace = _flightRecorder->heapNamespace();
-    _recoveryReport.shard = _config.frShard;
+    _recoveryReport.shard = _config.shard.value_or(0);
 
     // Delimit this incarnation in the ring. Recovered commit
     // sequences restart at marks-since-truncation, so the base is 0.
@@ -1334,7 +1319,6 @@ Database::completePendingAcks()
                            static_cast<std::ptrdiff_t>(completed));
     _env.stats.add(stats::kWalEpochsHardened, completed);
     _env.stats.setGauge(stats::kGaugeAsyncAcksPending, _asyncAcksPending);
-    _asyncCv.notify_all();
     return completed;
 }
 
@@ -1354,10 +1338,6 @@ Database::maybeHardenAsync()
     }
     if (!over_epochs && !over_age)
         return Status::ok();
-    if (_config.backgroundDurability) {
-        kickDurability();
-        return Status::ok();
-    }
     return hardenPendingAsync(over_epochs ? FrHardenReason::WindowEpochs
                                           : FrHardenReason::WindowStaleness);
 }
@@ -1390,19 +1370,8 @@ Database::waitForAsyncEpoch(std::uint64_t epoch)
         std::lock_guard<std::mutex> a(_asyncMutex);
         if (_hardenedEpoch >= epoch)
             return Status::ok();
-        if (_asyncAbandoned)
-            return Status::busy("database is shutting down");
     }
-    if (!_config.backgroundDurability)
-        return flushAsyncCommits();
-    kickDurability();
-    std::unique_lock<std::mutex> a(_asyncMutex);
-    _asyncCv.wait(a, [&] {
-        return _hardenedEpoch >= epoch || _asyncAbandoned;
-    });
-    return _hardenedEpoch >= epoch
-               ? Status::ok()
-               : Status::busy("shutdown before the epoch hardened");
+    return flushAsyncCommits();
 }
 
 std::uint64_t
@@ -1423,61 +1392,6 @@ std::uint64_t
 Database::lastCommitEpoch() const
 {
     return _rootConn->lastCommitEpoch();
-}
-
-// ---- background durability thread -----------------------------------
-
-void
-Database::durabilityMain()
-{
-    std::unique_lock<std::mutex> l(_durMutex);
-    for (;;) {
-        // Periodic drain: the 500us timeout retires epochs that age
-        // past the staleness window even when no commit kicks.
-        _durCv.wait_for(l, std::chrono::microseconds(500),
-                        [&] { return _durStop || _durKick; });
-        if (_durStop)
-            return;
-        _durKick = false;
-        l.unlock();
-
-        bool pending;
-        {
-            std::lock_guard<std::mutex> a(_asyncMutex);
-            pending = !_asyncEpochs.empty();
-        }
-        if (pending) {
-            std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-            if (_poisoned.isOk())
-                (void)hardenPendingAsync(FrHardenReason::Background);
-        }
-        l.lock();
-    }
-}
-
-void
-Database::kickDurability()
-{
-    std::lock_guard<std::mutex> g(_durMutex);
-    _durKick = true;
-    _durCv.notify_all();
-}
-
-void
-Database::stopDurability()
-{
-    {
-        std::lock_guard<std::mutex> g(_durMutex);
-        _durStop = true;
-        _durCv.notify_all();
-    }
-    if (_durabilityThread.joinable())
-        _durabilityThread.join();
-    // Whatever is still pending will never harden through this
-    // handle; wake waiters so they observe the abandonment.
-    std::lock_guard<std::mutex> a(_asyncMutex);
-    _asyncAbandoned = true;
-    _asyncCv.notify_all();
 }
 
 // ---- optimistic multi-writer transactions (DESIGN.md §13) -----------
@@ -1649,7 +1563,7 @@ Database::vacuum()
         return Status::busy("cannot vacuum inside a transaction");
     if (_wal->hasPins())
         return Status::busy("open snapshots pin the log");
-    if (_config.shardMember)
+    if (_config.shard.has_value())
         return Status::unsupported(
             "vacuum on a shard member: the reopen would re-recover the "
             "shared NVRAM heap under the other shards");

@@ -194,20 +194,14 @@ struct DbConfig
      */
     std::uint64_t asyncMaxStalenessNs = 1000000;  // 1 ms
     /**
-     * Retire pending epochs from a background durability thread
-     * (NVLog-style background syncing) instead of inline at the
-     * staleness bound. Off by default: the crash-sweep harness needs
-     * the deterministic inline schedule.
-     */
-    bool backgroundDurability = false;
-    /**
-     * Set by ShardedDatabase on every member it opens. Members share
+     * Shard ordinal, set by ShardedDatabase on every member it opens
+     * and stamped into the flight-recorder ring header. Members share
      * one Env (and so one NVRAM heap): whole-heap maintenance that is
      * safe on a standalone database -- vacuum()'s reopen-driven heap
      * recovery in particular -- would reclaim blocks other shards
      * hold in flight, so it is refused while this is set.
      */
-    bool shardMember = false;
+    std::optional<std::uint32_t> shard;
     /**
      * NVRAM flight recorder (DESIGN.md §12): a persistent telemetry
      * ring next to the WAL, appended with plain stores only (zero
@@ -219,19 +213,10 @@ struct DbConfig
     /** Ring capacity in 40-byte records (clamped to >= 16). */
     std::uint32_t frRingRecords = 512;
     /**
-     * Sample the counter set below into CounterSnapshot records every
-     * N committed group batches. 0 disables sampling.
+     * Sample a small fixed counter set into CounterSnapshot records
+     * every N committed group batches. 0 disables sampling.
      */
     std::uint32_t frSnapshotEveryBatches = 64;
-    /**
-     * Counters sampled by the periodic snapshot. Empty picks a small
-     * default set; every name must resolve via frCounterNameForHash
-     * to decode symbolically in forensics output.
-     */
-    std::vector<std::string> frSnapshotCounters;
-    /** Shard ordinal stamped into the ring header (set by the shard
-     *  layer together with shardMember). */
-    std::uint32_t frShard = 0;
     /**
      * Optimistic multi-writer admission (DESIGN.md §13): a write
      * transaction runs in a private workspace pinned at a commit
@@ -408,9 +393,8 @@ class Database
     Status flushAsyncCommits();
 
     /**
-     * Block until epoch @p epoch is hardened. Without a background
-     * durability thread this hardens inline (equivalent to
-     * flushAsyncCommits() when the epoch is still pending).
+     * Return once epoch @p epoch is hardened: ok at once when it
+     * already is (or is 0), otherwise flushAsyncCommits() inline.
      */
     Status waitForAsyncEpoch(std::uint64_t epoch);
 
@@ -729,7 +713,7 @@ class Database
 
     /**
      * Complete the acks of every pending epoch at or below the WAL's
-     * hardenedSeq() (counters, gauge, cv). Caller holds the engine
+     * hardenedSeq() (counters, gauge). Caller holds the engine
      * lock; called after anything that may have advanced the horizon
      * (harden, strict append, checkpoint). Returns the number of
      * epochs retired.
@@ -737,10 +721,9 @@ class Database
     std::size_t completePendingAcks();
 
     /**
-     * Enforce the bounded-staleness window: harden inline (or kick
-     * the durability thread) when the pending-epoch count or the
-     * oldest epoch's age crosses the configured bound. Caller holds
-     * the engine lock.
+     * Enforce the bounded-staleness window: harden inline when the
+     * pending-epoch count or the oldest epoch's age crosses the
+     * configured bound. Caller holds the engine lock.
      */
     Status maybeHardenAsync();
 
@@ -750,12 +733,6 @@ class Database
      * hardened horizon moved. Caller holds the engine lock.
      */
     Status hardenPendingAsync(FrHardenReason reason);
-
-    // ---- background durability thread -------------------------------
-
-    void durabilityMain();
-    void kickDurability();
-    void stopDurability();
 
     // ---- Connection entry points (writer lock held by the caller) --
 
@@ -936,18 +913,10 @@ class Database
      * the engine lock).
      */
     mutable std::mutex _asyncMutex;
-    std::condition_variable _asyncCv;
     std::vector<AsyncEpoch> _asyncEpochs;     //!< pending, FIFO
     std::uint64_t _epochSequencer = 0;        //!< last epoch issued
     std::uint64_t _hardenedEpoch = 0;         //!< newest completed
     std::uint64_t _asyncAcksPending = 0;
-    bool _asyncAbandoned = false;             //!< shutdown: stop waits
-
-    std::thread _durabilityThread;
-    std::mutex _durMutex;
-    std::condition_variable _durCv;
-    bool _durStop = false;
-    bool _durKick = false;
 
     std::uint32_t _openConnections = 0;  //!< guarded by _engineMutex
 

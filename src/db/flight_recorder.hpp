@@ -101,7 +101,7 @@ enum class FrHardenReason : std::uint16_t
     WindowStaleness = 2, //!< asyncMaxStalenessNs forced a harden
     Explicit = 3,      //!< flushAsyncCommits()/waitForAsyncEpoch()
     Checkpoint = 4,    //!< checkpoint merged pending async ranges
-    Background = 5,    //!< background durability thread
+    Background = 5,    //!< reserved: no longer written
 };
 
 /** Bit in FrRecord::flags: the record's claim was already durable

@@ -145,8 +145,7 @@ class MetricsRegistry
      * Histogram's copy constructor locks that histogram in turn), so
      * exporting is safe mid-recording. Replaces the former unlocked
      * const-reference accessor, which silently required a quiescent
-     * registry — a contract the background checkpointer and
-     * durability threads violate.
+     * registry — a contract the background checkpointer violates.
      */
     std::map<std::string, Histogram>
     histogramsSnapshot() const

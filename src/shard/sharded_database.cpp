@@ -65,7 +65,7 @@ ShardedDatabase::validateConfig(const ShardConfig &config)
     DbConfig probe = config.dbTemplate;
     probe.name = shardDbName(config, 0);
     probe.nvwal.heapNamespace = shardHeapNamespace(0);
-    probe.shardMember = true;
+    probe.shard = 0;
     return validateDbConfig(probe);
 }
 
@@ -81,8 +81,7 @@ ShardedDatabase::open(Env &env, ShardConfig config,
         DbConfig member = db->_config.dbTemplate;
         member.name = shardDbName(db->_config, k);
         member.nvwal.heapNamespace = shardHeapNamespace(k);
-        member.shardMember = true;
-        member.frShard = k;
+        member.shard = k;
         std::unique_ptr<Database> shard;
         NVWAL_RETURN_IF_ERROR(Database::open(env, member, &shard));
         db->_shards.push_back(std::move(shard));

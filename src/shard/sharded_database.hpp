@@ -55,8 +55,8 @@ struct ShardConfig
     /**
      * Per-shard engine configuration. name and nvwal.heapNamespace
      * are derived per shard and must be left at their defaults;
-     * walMode must be Nvwal (2PC needs the NVRAM log). shardMember
-     * is set automatically.
+     * walMode must be Nvwal (2PC needs the NVRAM log). shard is
+     * set automatically.
      */
     DbConfig dbTemplate;
 };

@@ -5,12 +5,14 @@
  * bounded-staleness window, prefix-consistent recovery with torn
  * frame classification, and the crash sweeps that audit the
  * probabilistic-consistency claim. The AsyncConcurrency suite runs
- * the background durability thread against concurrent committers and
- * is part of the TSan CI job.
+ * concurrent async committers that harden each other's epochs inline
+ * (with the background checkpointer alongside) and is part of the
+ * TSan CI job.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <thread>
 
 #include "db/connection.hpp"
@@ -361,13 +363,95 @@ TEST(FaultSimAsync, MixedSyncAndAsyncCommitsKeepTheFloor)
     EXPECT_LE(report.maxLossEvents, 1u);
 }
 
-// ---- background durability thread (TSan-covered) --------------------
+/**
+ * Run @p w on @p db without a crash. Covers the op kinds the async
+ * sweeps below script.
+ */
+Status
+replayWorkload(Database &db, const faultsim::Workload &w)
+{
+    for (std::size_t i = 0; i < w.size(); ++i) {
+        const faultsim::WorkloadOp &op = w.op(i);
+        const ConstByteSpan value(op.value.data(), op.value.size());
+        bool done = false;
+        switch (op.kind) {
+          case faultsim::WorkloadOp::Kind::Begin:
+            NVWAL_RETURN_IF_ERROR(db.begin());
+            break;
+          case faultsim::WorkloadOp::Kind::Insert:
+            NVWAL_RETURN_IF_ERROR(db.insert(op.key, value));
+            break;
+          case faultsim::WorkloadOp::Kind::Update:
+            NVWAL_RETURN_IF_ERROR(db.update(op.key, value));
+            break;
+          case faultsim::WorkloadOp::Kind::Commit:
+            NVWAL_RETURN_IF_ERROR(db.commit());
+            break;
+          case faultsim::WorkloadOp::Kind::CommitAsync:
+            NVWAL_RETURN_IF_ERROR(db.commit(Durability::Async));
+            break;
+          case faultsim::WorkloadOp::Kind::CheckpointStep:
+            NVWAL_RETURN_IF_ERROR(db.checkpointStep(0, &done));
+            break;
+          default:
+            return Status::invalidArgument("op kind not replayed here");
+        }
+    }
+    return Status::ok();
+}
 
-TEST(AsyncConcurrency, BackgroundThreadHardensConcurrentCommits)
+TEST(FaultSimAsync, StalenessAndCheckpointHardensKeepTheWindow)
+{
+    // The two inline retire paths the sweeps above leave out: the age
+    // bound in the group append (every other sweep disables it) and a
+    // checkpoint step hardening the pending epochs before write-back.
+    faultsim::SweepConfig config = sweepBase();
+    config.db.asyncMaxEpochs = 2;
+    // 100 us: shorter than one commit's simulated time, so each async
+    // commit leaves its epoch pending and the next one ages it out.
+    config.db.asyncMaxStalenessNs = 100000;
+    config.warmup = faultsim::Workload::standardTxns(0, 1);
+    config.workload = faultsim::Workload::asyncTxns(1, 3);
+    config.workload.phase("checkpoint steps");
+    config.workload.checkpointStep();
+    config.workload.checkpointStep();
+    config.policies.push_back(faultsim::PolicyRun{});
+    config.policies.push_back(
+        faultsim::PolicyRun{FailurePolicy::Adversarial, {1, 2}, 0.5});
+
+    faultsim::SweepReport report;
+    NVWAL_CHECK_OK(faultsim::CrashSweep(config).run(&report));
+    EXPECT_TRUE(report.ok()) << report.summary();
+    EXPECT_GT(report.asyncReplays, 0u);
+    EXPECT_LE(report.maxLossEvents, config.db.asyncMaxEpochs);
+
+    // Without a crash, the same workload retires its epochs through
+    // both paths, and the flight recorder names each.
+    Env env(config.env);
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, config.db, &db));
+    NVWAL_CHECK_OK(replayWorkload(*db, config.warmup));
+    NVWAL_CHECK_OK(db->checkpoint());
+    NVWAL_CHECK_OK(replayWorkload(*db, config.workload));
+    EXPECT_EQ(db->asyncAcksPending(), 0u);
+    db.reset();
+    NVWAL_CHECK_OK(Database::open(env, config.db, &db));
+    const RecoveryReport &recovery = db->recoveryReport();
+    ASSERT_TRUE(recovery.parsed);
+    std::map<FrHardenReason, std::uint64_t> hardens;
+    for (const FrRecord &r : recovery.recording.records)
+        if (r.type == static_cast<std::uint8_t>(FrRecordType::Harden))
+            ++hardens[static_cast<FrHardenReason>(r.a16)];
+    EXPECT_GE(hardens[FrHardenReason::WindowStaleness], 1u);
+    EXPECT_GE(hardens[FrHardenReason::Checkpoint], 1u);
+}
+
+// ---- concurrent async committers (TSan-covered) ---------------------
+
+TEST(AsyncConcurrency, ConcurrentWaitersHardenTheirEpochs)
 {
     Env env(makeEnvConfig());
     DbConfig config = asyncConfig();
-    config.backgroundDurability = true;
     config.asyncMaxEpochs = 4;
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
@@ -388,8 +472,9 @@ TEST(AsyncConcurrency, BackgroundThreadHardensConcurrentCommits)
                     .durability = Durability::Async,
                     .waitForHarden = false}));
             }
-            // Wait for this connection's newest epoch: the background
-            // thread (or a neighbours' forced harden) completes it.
+            // Wait for this connection's newest epoch: a neighbour's
+            // forced harden may already have completed it, otherwise
+            // the wait hardens it inline.
             NVWAL_CHECK_OK(
                 db->waitForAsyncEpoch(conn->lastCommitEpoch()));
         });
@@ -410,7 +495,6 @@ TEST(AsyncConcurrency, MixedDurabilityLevelsAcrossThreads)
 {
     Env env(makeEnvConfig());
     DbConfig config = asyncConfig();
-    config.backgroundDurability = true;
     config.backgroundCheckpointer = true;
     config.incrementalCheckpoint = true;
     config.checkpointStepPages = 8;

@@ -3,9 +3,8 @@
  * Thread-safety tests for the observability exporters: snapshot(),
  * histogramsSnapshot(), gaugesSnapshot() and metricsJson() are the
  * only way to read the registry, and they must be safe to call from
- * a monitoring thread while committers, the background checkpointer
- * and the background durability thread mutate counters, gauges and
- * histograms. The suite name is part of the TSan CI matrix
+ * a monitoring thread while committers and the background
+ * checkpointer mutate counters, gauges and histograms. The suite name is part of the TSan CI matrix
  * (ci.yml runs -R "Concurrency|...").
  */
 
@@ -37,7 +36,6 @@ TEST(MetricsExportConcurrency, SnapshotsRaceCleanlyWithBackgroundWork)
     config.nvwal.diffLogging = true;
     config.nvwal.userHeap = true;
     config.backgroundCheckpointer = true;
-    config.backgroundDurability = true;
     config.checkpointThreshold = 16;  // keep the checkpointer busy
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
