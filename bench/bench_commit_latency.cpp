@@ -7,11 +7,19 @@
  * incremental-checkpoint extension bounds it, at a small throughput
  * cost.
  *
+ * It also measures commit bookkeeping against cache size: the host
+ * cost of a one-dirty-page commit over 1,000 and 10,000 resident
+ * pages (`resident_scaling.N` records, `host_ns_per_commit`) and
+ * their ratio (`flatness`, `host_ns_ratio`), gated by
+ * bench/baselines/commit_bounds.json. The pager walks only its dirty
+ * set (DESIGN.md §17), so the ratio stays near 1.
+ *
  * `--json <path>` exports the per-configuration percentiles and
  * counter deltas; `--smoke` shrinks the run for CI validation.
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -85,6 +93,129 @@ run(bool incremental, int txns)
     return p;
 }
 
+/**
+ * A database whose pager holds at least @p resident_pages pages, all
+ * clean, with one hot row whose update dirties exactly one leaf. The
+ * pager never evicts on its own, so every page the load wrote stays
+ * resident.
+ */
+struct ResidentDb
+{
+    static constexpr std::uint32_t kValueBytes = 1000;
+
+    explicit ResidentDb(std::uint32_t resident_pages)
+        : env(makeEnvConfig())
+    {
+        DbConfig config;
+        config.walMode = WalMode::Nvwal;
+        NVWAL_CHECK_OK(Database::open(env, config, &db));
+        const ByteBuffer value(kValueBytes, 0x5a);
+        RowId key = 0;
+        while (db->pager().pageCount() < resident_pages) {
+            NVWAL_CHECK_OK(db->begin());
+            for (int i = 0; i < 32; ++i, ++key)
+                NVWAL_CHECK_OK(db->insert(
+                    key, ConstByteSpan(value.data(), value.size())));
+            NVWAL_CHECK_OK(db->commit());
+        }
+        residentPages = db->pager().pageCount();
+    }
+
+    static EnvConfig
+    makeEnvConfig()
+    {
+        EnvConfig c;
+        c.cost = CostModel::nexus5(2000);
+        c.nvramBytes = 128ull << 20;
+        c.flashBlocks = 1ull << 15;
+        return c;
+    }
+
+    /** Host ns of each of @p commits one-row-update commits. */
+    void
+    measure(int commits, std::vector<std::uint64_t> *out)
+    {
+        for (int i = 0; i < commits; ++i) {
+            const ByteBuffer value(kValueBytes,
+                                   static_cast<std::uint8_t>(++_tag));
+            NVWAL_CHECK_OK(db->begin());
+            NVWAL_CHECK_OK(
+                db->update(0, ConstByteSpan(value.data(), value.size())));
+            const auto start = std::chrono::steady_clock::now();
+            NVWAL_CHECK_OK(db->commit());
+            out->push_back(static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - start)
+                    .count()));
+        }
+    }
+
+    Env env;
+    std::unique_ptr<Database> db;
+    std::uint32_t residentPages = 0;
+
+  private:
+    std::uint64_t _tag = 0;
+};
+
+double
+median(std::vector<std::uint64_t> v)
+{
+    std::sort(v.begin(), v.end());
+    return static_cast<double>(v[v.size() / 2]);
+}
+
+/**
+ * One-dirty-page commit cost over a small and a large resident cache.
+ * The two databases are measured in alternating batches so host
+ * drift (frequency, neighbours) lands on both alike.
+ */
+void
+runResidentScaling(bool smoke, BenchJson *json)
+{
+    constexpr std::uint32_t kSizes[] = {1000, 10000};
+    const int batches = smoke ? 5 : 20;
+    constexpr int kCommitsPerBatch = 100;
+
+    std::vector<std::unique_ptr<ResidentDb>> dbs;
+    for (std::uint32_t pages : kSizes)
+        dbs.push_back(std::make_unique<ResidentDb>(pages));
+    std::vector<std::vector<std::uint64_t>> samples(dbs.size());
+    for (int b = 0; b < batches; ++b)
+        for (std::size_t i = 0; i < dbs.size(); ++i)
+            dbs[i]->measure(kCommitsPerBatch, &samples[i]);
+
+    TablePrinter table("Commit bookkeeping vs cache size: one dirty "
+                       "page per commit (host time, median)");
+    table.setHeader({"resident pages", "commits", "host ns/commit"});
+    std::vector<double> medians;
+    for (std::size_t i = 0; i < dbs.size(); ++i) {
+        medians.push_back(median(samples[i]));
+        table.addRow({std::to_string(dbs[i]->residentPages),
+                      std::to_string(samples[i].size()),
+                      TablePrinter::num(medians.back(), 0)});
+
+        BenchRecord rec;
+        rec.name = "resident_scaling." + std::to_string(kSizes[i]);
+        rec.scheme = "NVWAL LS";
+        rec.params["resident_pages"] = dbs[i]->residentPages;
+        rec.params["commits"] = samples[i].size();
+        rec.params["dirty_pages_per_commit"] = 1;
+        rec.values["host_ns_per_commit"] = medians.back();
+        json->add(std::move(rec));
+    }
+    table.print();
+    const double ratio = medians.back() / medians.front();
+    std::printf("\nhost cost ratio, %u -> %u resident pages: %.2fx "
+                "(flat when commit walks only the dirty pages)\n",
+                kSizes[0], kSizes[1], ratio);
+
+    BenchRecord flat;
+    flat.name = "flatness";
+    flat.values["host_ns_ratio"] = ratio;
+    json->add(std::move(flat));
+}
+
 } // namespace
 
 int
@@ -124,7 +255,8 @@ main(int argc, char **argv)
     table.print();
     std::printf("\nthe full checkpoint hits one commit with the whole "
                 "write-back + fsync bill; incremental steps bound the "
-                "worst commit at a small throughput cost.\n");
+                "worst commit at a small throughput cost.\n\n");
+    runResidentScaling(args.smoke, &json);
     json.write();
     return 0;
 }

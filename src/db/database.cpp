@@ -551,12 +551,9 @@ Database::endWriteIntent()
 bool
 Database::collectDirtyFrames(GroupEntry *entry)
 {
-    // A workspace commit knows its dirty set; any other transaction
-    // dirtied the cache in place and is found by a scan.
-    std::vector<PageNo> dirty;
-    dirty.swap(_installedPages);
-    if (dirty.empty())
-        dirty = _pager->dirtyPageNos();
+    // The pager's dirty set holds the pages this transaction wrote in
+    // place or installed from its workspace.
+    const std::vector<PageNo> dirty = _pager->dirtyPageNos();
     entry->frames.clear();
     entry->frames.reserve(dirty.size());
     for (PageNo no : dirty) {
@@ -813,7 +810,6 @@ void
 Database::rollbackBody()
 {
     _pager->discardDirty(_txnStartPageCount);
-    _installedPages.clear();
     _inTxn = false;
     _env.stats.tracer().instant("txn.rollback", "db");
     _env.stats.tracer().setCurrentTxn(0);
@@ -921,18 +917,19 @@ Database::commitFromConnection(std::unique_lock<std::mutex> *writer_lock,
         _env.clock.advance(_env.cost.cpuTxnNs);
         have_entry = collectDirtyFrames(&entry);
         entry.txnSeq = _txnSeq;
-        // Publish to the shared cache now (mark the collected pages
-        // clean): the next writer overlaps its transaction body with
-        // this batch's durability. The publish sequence stamps every
-        // page it wrote, for optimistic validation.
+        // Publish to the shared cache now (the collected pages are the
+        // whole dirty set; mark them clean): the next writer overlaps
+        // its transaction body with this batch's durability. The
+        // publish sequence stamps every page it wrote, for optimistic
+        // validation.
         if (have_entry) {
             entry.publishSeq = ++_publishSeq;
             for (const GroupEntry::Frame &f : entry.frames) {
                 if (f.pageNo >= _pagePublishSeq.size())
                     _pagePublishSeq.resize(f.pageNo + 1, 0);
                 _pagePublishSeq[f.pageNo] = entry.publishSeq;
-                _pager->cached(f.pageNo)->dirty.clear();
             }
+            _pager->markAllClean();
         }
         _inTxn = false;
     }
@@ -1483,7 +1480,6 @@ Database::installWorkspace(const MwWorkspace &ws, std::uint64_t *winner)
     _txnStartPageCount = _pager->pageCount();
     for (PageNo page_no : dirty)
         _pager->installPage(page_no, *ws.cached(page_no));
-    _installedPages = dirty;
     if (ws.dbSizePages() > _pager->pageCount())
         _pager->setPageCount(ws.dbSizePages());
     ++_txnSeq;

@@ -861,12 +861,6 @@ class Database
      * copyPagerImage() declines every page.
      */
     std::atomic<std::uint64_t> _loggedPublishSeq{0};
-    /**
-     * The pages installWorkspace() installed for the open commit --
-     * then the pager's whole dirty set, so collectDirtyFrames() need
-     * not scan the cache. Guarded by the engine lock.
-     */
-    std::vector<PageNo> _installedPages;
     /** Workspaces holding a pin (engine lock). */
     std::uint32_t _openWorkspaces = 0;
     // ---- concurrency state ------------------------------------------

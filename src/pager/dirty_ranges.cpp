@@ -7,11 +7,36 @@
 namespace nvwal
 {
 
+DirtyRanges &
+DirtyRanges::operator=(const DirtyRanges &other)
+{
+    _mergeGap = other._mergeGap;
+    _maxRanges = other._maxRanges;
+    _ranges = other._ranges;
+    if (_set != nullptr) {
+        if (_ranges.empty())
+            _set->erase(_pageNo);
+        else
+            _set->insert(_pageNo);
+    }
+    return *this;
+}
+
+void
+DirtyRanges::clear()
+{
+    _ranges.clear();
+    if (_set != nullptr)
+        _set->erase(_pageNo);
+}
+
 void
 DirtyRanges::mark(std::uint32_t lo, std::uint32_t hi)
 {
     if (lo >= hi)
         return;
+    if (_ranges.empty() && _set != nullptr)
+        _set->insert(_pageNo);
 
     // Find the insertion window: every existing range that overlaps
     // or sits within the merge gap of [lo, hi) gets absorbed.

@@ -10,14 +10,23 @@
  * frame. Nearby ranges are merged (logging a few clean gap bytes is
  * cheaper than another 32-byte frame header), and the range count is
  * capped so tracking stays O(1) per page.
+ *
+ * A page resident in the Pager is also linked to the pager's dirty
+ * set (DESIGN.md §17): the mark that takes it from clean to dirty
+ * enters its page number, and clearing the marks removes it, so
+ * commit bookkeeping walks the dirty pages rather than the cache.
+ * A copy never carries that link: workspace pages, snapshot entries
+ * and logged frames copy ranges without ever touching the pager.
  */
 
 #ifndef NVWAL_PAGER_DIRTY_RANGES_HPP
 #define NVWAL_PAGER_DIRTY_RANGES_HPP
 
+#include <set>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/types.hpp"
 
 namespace nvwal
 {
@@ -26,6 +35,9 @@ namespace nvwal
 class DirtyRanges
 {
   public:
+    /** Ascending page numbers of one page cache's dirty pages. */
+    using Set = std::set<PageNo>;
+
     /**
      * @param merge_gap Adjacent ranges closer than this are merged.
      * @param max_ranges Hard cap; the closest pair is merged when a
@@ -36,7 +48,19 @@ class DirtyRanges
         : _mergeGap(merge_gap), _maxRanges(max_ranges)
     {}
 
-    /** Mark [lo, hi) dirty. */
+    /** Copies the ranges and parameters; the copy is unlinked. */
+    DirtyRanges(const DirtyRanges &other)
+        : _mergeGap(other._mergeGap), _maxRanges(other._maxRanges),
+          _ranges(other._ranges)
+    {}
+
+    /**
+     * Copies the ranges and parameters but keeps this object's own
+     * link, entering or leaving its set to match the new ranges.
+     */
+    DirtyRanges &operator=(const DirtyRanges &other);
+
+    /** Mark [lo, hi) dirty; a clean linked page enters its set. */
     void mark(std::uint32_t lo, std::uint32_t hi);
 
     /** True if no byte is dirty. */
@@ -51,14 +75,27 @@ class DirtyRanges
     /** Smallest single range covering everything (empty if clean). */
     ByteRange bounding() const;
 
-    void clear() { _ranges.clear(); }
+    /** Drop every range; a linked page leaves its set. */
+    void clear();
 
   private:
+    friend class Pager;
+
+    /** Tie these ranges to @p page_no's entry in @p set. */
+    void
+    link(Set *set, PageNo page_no)
+    {
+        _set = set;
+        _pageNo = page_no;
+    }
+
     void enforceCap();
 
     std::uint32_t _mergeGap;
     std::uint32_t _maxRanges;
     std::vector<ByteRange> _ranges;
+    Set *_set = nullptr;
+    PageNo _pageNo = kNoPage;
 };
 
 } // namespace nvwal

@@ -75,6 +75,7 @@ Pager::getPage(PageNo page_no, CachedPage **out)
 
     auto page = std::make_unique<CachedPage>();
     page->buf.resize(_pageSize);
+    page->dirty.link(&_dirty, page_no);
     bool from_wal = false;
     if (_walReader) {
         const Status wal = _walReader(page_no, page->span());
@@ -163,15 +164,24 @@ Pager::allocatePage(CachedPage **out, PageNo *page_no)
     }
 
     no = ++_pageCount;
-    auto page = std::make_unique<CachedPage>();
-    page->buf.resize(_pageSize, 0);
+    CachedPage *page = insertPage(no);
     // A fresh page is logically all-dirty: its first WAL frame must
     // carry the full content.
     page->dirty.mark(0, _pageSize - _reservedBytes);
-    *out = page.get();
+    *out = page;
     *page_no = no;
-    _cache[no] = std::move(page);
     return Status::ok();
+}
+
+CachedPage *
+Pager::insertPage(PageNo page_no)
+{
+    std::unique_ptr<CachedPage> &slot = _cache[page_no];
+    NVWAL_ASSERT(!slot, "page already cached");
+    slot = std::make_unique<CachedPage>();
+    slot->buf.resize(_pageSize, 0);
+    slot->dirty.link(&_dirty, page_no);
+    return slot.get();
 }
 
 Status
@@ -233,44 +243,32 @@ Pager::cached(PageNo page_no)
     return it == _cache.end() ? nullptr : it->second.get();
 }
 
-std::vector<PageNo>
-Pager::dirtyPageNos() const
-{
-    std::vector<PageNo> out;
-    for (const auto &[no, page] : _cache) {
-        if (page->isDirty())
-            out.push_back(no);
-    }
-    return out;  // std::map iteration is already ascending
-}
-
 void
 Pager::installPage(PageNo page_no, const CachedPage &page)
 {
     NVWAL_ASSERT(page.buf.size() == _pageSize);
-    std::unique_ptr<CachedPage> &slot = _cache[page_no];
-    if (!slot)
-        slot = std::make_unique<CachedPage>();
+    CachedPage *slot = cached(page_no);
+    if (slot == nullptr)
+        slot = insertPage(page_no);
     NVWAL_ASSERT(!slot->isDirty(), "install over an uncommitted page");
+    // The slot keeps its own link; the copied ranges enter it into
+    // the dirty set.
     *slot = page;
 }
 
 void
 Pager::markAllClean()
 {
-    for (auto &[no, page] : _cache)
-        page->dirty.clear();
+    while (!_dirty.empty())
+        _cache.at(*_dirty.begin())->dirty.clear();
 }
 
 void
 Pager::discardDirty(std::uint32_t restore_page_count)
 {
-    for (auto it = _cache.begin(); it != _cache.end();) {
-        if (it->second->isDirty())
-            it = _cache.erase(it);
-        else
-            ++it;
-    }
+    for (PageNo no : _dirty)
+        _cache.erase(no);
+    _dirty.clear();
     _pageCount = restore_page_count;
 }
 
@@ -288,7 +286,7 @@ Pager::dropCleanPages()
 void
 Pager::reset()
 {
-    NVWAL_ASSERT(dirtyPageNos().empty(),
+    NVWAL_ASSERT(_dirty.empty(),
                  "reset with dirty pages would lose data");
     _cache.clear();
 }
@@ -296,13 +294,13 @@ Pager::reset()
 Status
 Pager::flushAllToFile()
 {
-    for (auto &[no, page] : _cache) {
-        if (!page->isDirty())
-            continue;
-        NVWAL_RETURN_IF_ERROR(_dbFile.writePage(no, page->cspan()));
+    while (!_dirty.empty()) {
+        const PageNo no = *_dirty.begin();
+        CachedPage &page = *_cache.at(no);
+        NVWAL_RETURN_IF_ERROR(_dbFile.writePage(no, page.cspan()));
         if (_stats != nullptr)
             _stats->add(stats::kPagerWrites);
-        page->dirty.clear();
+        page.dirty.clear();
     }
     return Status::ok();
 }

@@ -8,7 +8,9 @@
  * in the log until checkpoint), then fall back to the .db file.
  * Transactions mutate cached pages through B-tree code that marks
  * dirty ranges; at commit the database collects the dirty set and
- * hands it to the active WriteAheadLog implementation.
+ * hands it to the active WriteAheadLog implementation. The pager
+ * keeps that set itself (DESIGN.md §17), so every dirty-page walk
+ * costs O(dirty pages), not O(resident pages).
  */
 
 #ifndef NVWAL_PAGER_PAGER_HPP
@@ -64,6 +66,10 @@ class Pager : public PageSource
     Pager(DbFile &db_file, std::uint32_t page_size,
           std::uint32_t reserved_bytes, MetricsRegistry *stats = nullptr);
 
+    // Cached pages point at _dirty; a copied pager would corrupt it.
+    Pager(const Pager &) = delete;
+    Pager &operator=(const Pager &) = delete;
+
     /**
      * Open the database: create header page (1) and root page (2)
      * directly in the file when it is empty, otherwise validate the
@@ -114,18 +120,19 @@ class Pager : public PageSource
     CachedPage *cached(PageNo page_no);
 
     /** Page numbers of all dirty cached pages, ascending. */
-    std::vector<PageNo> dirtyPageNos() const;
+    std::vector<PageNo> dirtyPageNos() const
+    { return {_dirty.begin(), _dirty.end()}; }
 
     /**
      * Replace the cached entry of @p page_no with a copy of @p page --
      * image, dirty ranges and dirty-ratio history: how an optimistic
      * multi-writer commit hands its validated workspace pages to the
-     * commit pipeline (DESIGN.md §13). The cached page must not be
-     * dirty.
+     * commit pipeline (DESIGN.md §13). A dirty image enters the dirty
+     * set. The cached page must not be dirty.
      */
     void installPage(PageNo page_no, const CachedPage &page);
 
-    /** Clear dirty marks after a successful commit. */
+    /** Clear every dirty mark: the pages were committed or published. */
     void markAllClean();
 
     /**
@@ -154,6 +161,9 @@ class Pager : public PageSource
     Status popFreePage(CachedPage *header, PageNo *page_no,
                        bool *found);
 
+    /** Cache a fresh zeroed page, linked to the dirty set. */
+    CachedPage *insertPage(PageNo page_no);
+
     DbFile &_dbFile;
     std::uint32_t _pageSize;
     std::uint32_t _reservedBytes;
@@ -161,6 +171,12 @@ class Pager : public PageSource
     std::uint32_t _pageCount = 0;
     WalReader _walReader;
     std::map<PageNo, std::unique_ptr<CachedPage>> _cache;
+    /**
+     * Exactly the cached pages with dirty marks: each page's
+     * DirtyRanges enters itself on its first mark and leaves on
+     * clear() (DESIGN.md §17).
+     */
+    DirtyRanges::Set _dirty;
 };
 
 } // namespace nvwal

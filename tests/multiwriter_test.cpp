@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <set>
@@ -494,6 +495,104 @@ TEST(Multiwriter, OverlappingWriterThreadsRetryThrough)
             known |= out ==
                      rowValue(k, 1000 + static_cast<std::uint64_t>(t));
         EXPECT_TRUE(known) << "key " << k << " holds a torn value";
+    }
+    NVWAL_CHECK_OK(db->verifyIntegrity());
+}
+
+/**
+ * Workspace pages are private copies (DESIGN.md §17): writer threads
+ * marking them outside the engine lock never touch the pager's dirty
+ * set, which the root connection's commits fill and drain meanwhile.
+ * The workers only roll back until the root is done, so the root can
+ * read the set between its own commits; TSan coverage for the copy
+ * rule.
+ */
+TEST(Multiwriter, WorkspaceMarksNeverReachThePagerDirtySet)
+{
+    constexpr int kThreads = 3;
+    constexpr RowId kRangeStride = 100000;
+    constexpr int kSeeded = 128;     // per range; range kThreads is the root's
+    constexpr int kRootCommits = 32;
+    constexpr int kUpdatesPerTxn = 4;
+
+    Env env(envConfig());
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, mwConfig(), &db));
+    NVWAL_CHECK_OK(db->begin());
+    for (int t = 0; t <= kThreads; ++t)
+        for (int i = 0; i < kSeeded; ++i) {
+            const RowId key = t * kRangeStride + i;
+            NVWAL_CHECK_OK(db->insert(key, testutil::spanOf(rowValue(key))));
+        }
+    NVWAL_CHECK_OK(db->commit());
+    ASSERT_TRUE(db->pager().dirtyPageNos().empty());
+
+    std::vector<std::unique_ptr<Connection>> conns(kThreads);
+    for (int t = 0; t < kThreads; ++t)
+        NVWAL_CHECK_OK(db->connect(&conns[t]));
+
+    std::atomic<int> dirtying{0};
+    std::atomic<bool> root_done{false};
+    std::vector<Status> results(kThreads, Status::ok());
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            Connection &conn = *conns[t];
+            const auto updateRange = [&](Connection &c, std::uint64_t tag) {
+                for (int u = 0; u < kUpdatesPerTxn; ++u) {
+                    const RowId key = t * kRangeStride + u * 16;
+                    NVWAL_RETURN_IF_ERROR(c.update(
+                        key, testutil::spanOf(rowValue(key, tag))));
+                }
+                return Status::ok();
+            };
+            bool announced = false;
+            while (!root_done.load()) {
+                Status s = conn.begin();
+                if (s.isOk())
+                    s = updateRange(conn, 1);
+                if (!announced) {
+                    dirtying.fetch_add(1);
+                    announced = true;
+                }
+                const Status r = conn.rollback();
+                if (!s.isOk() || !r.isOk()) {
+                    results[t] = s.isOk() ? r : s;
+                    return;
+                }
+            }
+            // The root is done: commit one transaction for real.
+            results[t] = conn.transact(
+                [&](Connection &c) { return updateRange(c, 2); });
+        });
+    }
+
+    while (dirtying.load() < kThreads)
+        std::this_thread::yield();
+    for (int i = 0; i < kRootCommits; ++i) {
+        const RowId key = kThreads * kRangeStride + i;
+        NVWAL_CHECK_OK(db->update(key, testutil::spanOf(rowValue(key, 3))));
+        ASSERT_TRUE(db->pager().dirtyPageNos().empty())
+            << "after root commit " << i;
+    }
+    root_done.store(true);
+    for (auto &thread : threads)
+        thread.join();
+    for (int t = 0; t < kThreads; ++t)
+        NVWAL_CHECK_OK(results[t]);
+    EXPECT_TRUE(db->pager().dirtyPageNos().empty());
+
+    ByteBuffer out;
+    for (int t = 0; t < kThreads; ++t)
+        for (int u = 0; u < kUpdatesPerTxn; ++u) {
+            const RowId key = t * kRangeStride + u * 16;
+            NVWAL_CHECK_OK(db->get(key, &out));
+            EXPECT_EQ(out, rowValue(key, 2));
+        }
+    for (int i = 0; i < kRootCommits; ++i) {
+        const RowId key = kThreads * kRangeStride + i;
+        NVWAL_CHECK_OK(db->get(key, &out));
+        EXPECT_EQ(out, rowValue(key, 3));
     }
     NVWAL_CHECK_OK(db->verifyIntegrity());
 }
