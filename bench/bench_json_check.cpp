@@ -10,8 +10,7 @@
  *
  * `--forensics` switches to the crash-forensics schema emitted by
  * `nvwal_inspect --forensics-json` (docs/OBSERVABILITY.md section 7):
- * a single {"forensics": {...}} post-mortem, or the sharded
- * {"shards": [...], "timeline": [...]} merge.
+ * a single {"forensics": {...}} post-mortem.
  *
  * Usage: bench_json_check [--forensics] <file.json> [<file.json> ...]
  */
@@ -175,44 +174,7 @@ checkForensicsFile(const std::string &file)
         fail(file, "top level is not an object");
         return;
     }
-    if (doc.find("forensics") != nullptr) {
-        checkForensicsReport(file, doc, "top");
-        return;
-    }
-    // The sharded merge: per-shard post-mortems + the gtid timeline.
-    const JsonValue *shards = requireMember(
-        file, doc, "shards", JsonValue::Type::Array, "top");
-    if (shards != nullptr) {
-        if (shards->array.empty())
-            fail(file, "shards array is empty");
-        for (std::size_t i = 0; i < shards->array.size(); ++i)
-            checkForensicsReport(file, shards->array[i],
-                                 "shards[" + std::to_string(i) + "]");
-    }
-    const JsonValue *timeline = requireMember(
-        file, doc, "timeline", JsonValue::Type::Array, "top");
-    if (timeline == nullptr)
-        return;
-    for (std::size_t i = 0; i < timeline->array.size(); ++i) {
-        const JsonValue &t = timeline->array[i];
-        const std::string where = "timeline[" + std::to_string(i) + "]";
-        if (!t.isObject()) {
-            fail(file, where + ": not an object");
-            continue;
-        }
-        requireMember(file, t, "gtid", JsonValue::Type::Number, where);
-        for (const char *k :
-             {"prepared_shards", "committed_shards", "aborted_shards"}) {
-            const JsonValue *arr = requireMember(
-                file, t, k, JsonValue::Type::Array, where);
-            if (arr == nullptr)
-                continue;
-            for (const JsonValue &s : arr->array)
-                if (!s.isNumber())
-                    fail(file, where + "." + k +
-                                   ": non-numeric shard id");
-        }
-    }
+    checkForensicsReport(file, doc, "top");
 }
 
 void

@@ -8,9 +8,9 @@
  *
  * `writers.N` is MODELED: the curve runs on one thread and charges
  * each writer's transactions to its own busy-time account (the sim
- * clock advances only while that writer runs), the same way
- * bench_sharded models independent devices; the modeled makespan is
- * max(busy_i) + the shared tail harden.
+ * clock advances only while that writer runs), as if every writer
+ * had its own device; the modeled makespan is max(busy_i) + the
+ * shared tail harden.
  *
  * `threads.N` is MEASURED: N real std::thread writers on disjoint
  * ranges commit Group transactions concurrently, and the record

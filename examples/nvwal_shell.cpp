@@ -14,26 +14,17 @@
  *   nvwal> get 2
  *   (not found)            # the open transaction was rolled back
  *
- * `--shards N` opens a sharded store instead (DESIGN.md section 10):
- * single-key statements route by key, `minsert` commits a multi-key
- * batch atomically (two-phase commit when it spans shards), `shard k`
- * selects which shard `inspect`/`page` look at, and `stats`/`metrics`
- * aggregate over the whole shard set in stable key order.
- *
  * Feed it a script on stdin for reproducible demos:
  *   printf 'insert 1 hi\nstats\n' | ./build/examples/nvwal_shell
  */
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "db/inspect.hpp"
-#include "shard/sharded_connection.hpp"
-#include "shard/sharded_database.hpp"
 
 using namespace nvwal;
 
@@ -66,52 +57,13 @@ const char *kHelp =
     "  trace dump <path>     write a Chrome trace_event JSON file\n"
     "  help, quit\n";
 
-const char *kShardHelp =
-    "sharded-store commands (--shards N):\n"
-    "  minsert <k> <text> [<k> <text> ...]\n"
-    "                        atomic multi-key insert (2PC when the\n"
-    "                        keys span shards)\n"
-    "  route <key>           which shard a key routes to\n"
-    "  shard [k]             show / select the shard that inspect and\n"
-    "                        page operate on\n"
-    "(tables and explicit begin/commit/rollback are single-store\n"
-    " features; statements route to the owning shard and autocommit)\n";
-
 struct Shell
 {
-    Shell(Env &env, std::uint32_t shards) : env(env), shards(shards)
-    {
-        reopen();
-    }
-
-    bool sharded() const { return shards > 0; }
+    explicit Shell(Env &env) : env(env) { reopen(); }
 
     void
     reopen()
     {
-        if (sharded()) {
-            sconn.reset();
-            sdb.reset();
-            ShardConfig config;
-            config.baseName = "shell";
-            config.shardCount = shards;
-            NVWAL_CHECK_OK(ShardedDatabase::open(env, config, &sdb));
-            NVWAL_CHECK_OK(sdb->connect(&sconn));
-            for (const InDoubtResolution &r : sdb->resolutions()) {
-                std::printf(
-                    "  in-doubt gtid %llu on shard %u: %s (%s)\n",
-                    static_cast<unsigned long long>(r.gtid), r.shard,
-                    r.committed ? "committed" : "aborted",
-                    r.decidedByShard < 0
-                        ? "presumed abort"
-                        : ("decision record on shard " +
-                           std::to_string(r.decidedByShard))
-                              .c_str());
-            }
-            if (curShard >= shards)
-                curShard = 0;
-            return;
-        }
         db.reset();
         DbConfig config;
         config.name = "shell.db";
@@ -142,12 +94,8 @@ struct Shell
     }
 
     Env &env;
-    std::uint32_t shards;
     std::unique_ptr<Database> db;
     std::string table;
-    std::unique_ptr<ShardedDatabase> sdb;
-    std::unique_ptr<ShardedConnection> sconn;
-    std::uint32_t curShard = 0;
 };
 
 std::string
@@ -157,48 +105,23 @@ textOf(ConstByteSpan v)
                        v.size());
 }
 
-/** Per-shard structural summaries, ascending shard order. */
-void
-printShardReports(Shell &shell)
-{
-    for (std::uint32_t k = 0; k < shell.sdb->shardCount(); ++k) {
-        std::printf("-- shard %02u (%s) --\n", k,
-                    ShardedDatabase::shardDbName(shell.sdb->config(), k)
-                        .c_str());
-        DatabaseReport report;
-        NVWAL_CHECK_OK(
-            collectDatabaseReport(shell.sdb->shard(k), &report));
-        printDatabaseReport(report);
-    }
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::uint32_t shards = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-            shards = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-        } else {
-            std::fprintf(stderr, "usage: %s [--shards N]\n", argv[0]);
-            return 2;
-        }
+    if (argc > 1) {
+        std::fprintf(stderr, "usage: %s\n", argv[0]);
+        return 2;
     }
 
     EnvConfig env_config;
     env_config.cost = CostModel::nexus5(2000);
     Env env(env_config);
-    Shell shell(env, shards);
+    Shell shell(env);
 
-    if (shell.sharded())
-        std::printf("NVWAL shell -- %u shards, simulated Nexus 5 + "
-                    "2us NVRAM. 'help' for commands.\n",
-                    shards);
-    else
-        std::printf("NVWAL shell -- simulated Nexus 5 + 2us NVRAM. "
-                    "'help' for commands.\n");
+    std::printf("NVWAL shell -- simulated Nexus 5 + 2us NVRAM. "
+                "'help' for commands.\n");
     std::string line;
     while (true) {
         std::printf("nvwal> ");
@@ -214,8 +137,6 @@ main(int argc, char **argv)
             break;
         if (cmd == "help") {
             std::printf("%s", kHelp);
-            if (shell.sharded())
-                std::printf("%s", kShardHelp);
         } else if (cmd == "insert" || cmd == "update") {
             RowId key;
             std::string rest;
@@ -228,12 +149,6 @@ main(int argc, char **argv)
             const ConstByteSpan value(
                 reinterpret_cast<const std::uint8_t *>(rest.data()),
                 rest.size());
-            if (shell.sharded()) {
-                shell.report(cmd == "insert"
-                                 ? shell.sconn->insert(key, value)
-                                 : shell.sconn->update(key, value));
-                continue;
-            }
             Table *t = shell.current();
             if (t == nullptr)
                 continue;
@@ -245,10 +160,6 @@ main(int argc, char **argv)
                 std::printf("usage: delete <key>\n");
                 continue;
             }
-            if (shell.sharded()) {
-                shell.report(shell.sconn->remove(key));
-                continue;
-            }
             Table *t = shell.current();
             if (t != nullptr)
                 shell.report(t->remove(key));
@@ -258,16 +169,11 @@ main(int argc, char **argv)
                 std::printf("usage: get <key>\n");
                 continue;
             }
+            Table *t = shell.current();
+            if (t == nullptr)
+                continue;
             ByteBuffer out;
-            Status s;
-            if (shell.sharded()) {
-                s = shell.sconn->get(key, &out);
-            } else {
-                Table *t = shell.current();
-                if (t == nullptr)
-                    continue;
-                s = t->get(key, &out);
-            }
+            const Status s = t->get(key, &out);
             if (s.isOk()) {
                 std::printf("%s\n",
                             textOf(ConstByteSpan(out.data(), out.size()))
@@ -282,153 +188,74 @@ main(int argc, char **argv)
             RowId hi = INT64_MAX;
             in >> lo >> hi;
             int rows = 0;
-            const auto visit = [&](RowId k, ConstByteSpan v) {
-                if (shell.sharded())
-                    std::printf("  %lld = %s  (shard %u)\n",
-                                static_cast<long long>(k),
-                                textOf(v).c_str(), shell.sdb->shardOf(k));
-                else
-                    std::printf("  %lld = %s\n",
-                                static_cast<long long>(k),
-                                textOf(v).c_str());
+            Table *t = shell.current();
+            if (t == nullptr)
+                continue;
+            const Status s = t->scan(lo, hi, [&](RowId k, ConstByteSpan v) {
+                std::printf("  %lld = %s\n", static_cast<long long>(k),
+                            textOf(v).c_str());
                 return ++rows < 100;
-            };
-            Status s;
-            if (shell.sharded()) {
-                s = shell.sconn->scan(lo, hi, visit);
-            } else {
-                Table *t = shell.current();
-                if (t == nullptr)
-                    continue;
-                s = t->scan(lo, hi, visit);
-            }
+            });
             if (!s.isOk())
                 shell.report(s);
             else if (rows >= 100)
                 std::printf("  ... (truncated at 100 rows)\n");
         } else if (cmd == "count") {
+            Table *t = shell.current();
+            if (t == nullptr)
+                continue;
             std::uint64_t n = 0;
-            if (shell.sharded()) {
-                NVWAL_CHECK_OK(shell.sconn->count(&n));
-            } else {
-                Table *t = shell.current();
-                if (t == nullptr)
-                    continue;
-                NVWAL_CHECK_OK(t->count(&n));
-            }
+            NVWAL_CHECK_OK(t->count(&n));
             std::printf("%llu\n", static_cast<unsigned long long>(n));
-        } else if (cmd == "minsert") {
-            if (!shell.sharded()) {
-                std::printf("minsert needs --shards\n");
-                continue;
+        } else if (cmd == "begin") {
+            shell.report(shell.db->begin());
+        } else if (cmd == "commit") {
+            shell.report(shell.db->commit());
+        } else if (cmd == "rollback") {
+            shell.report(shell.db->rollback());
+        } else if (cmd == "tables") {
+            std::vector<std::string> names;
+            NVWAL_CHECK_OK(shell.db->listTables(&names));
+            for (const std::string &name : names) {
+                std::printf("  %s%s\n", name.c_str(),
+                            name == shell.table ? " (current)" : "");
             }
-            std::vector<ShardedConnection::Op> ops;
-            RowId key;
-            std::string text;
-            while (in >> key >> text)
-                ops.push_back(ShardedConnection::Op::insert(key, text));
-            if (ops.empty()) {
-                std::printf(
-                    "usage: minsert <key> <text> [<key> <text> ...]\n");
-                continue;
-            }
-            shell.report(shell.sconn->runAtomic(ops));
-        } else if (cmd == "route") {
-            RowId key;
-            if (!shell.sharded() || !(in >> key)) {
-                std::printf("usage (sharded mode): route <key>\n");
-                continue;
-            }
-            std::printf("shard %u\n", shell.sdb->shardOf(key));
-        } else if (cmd == "shard") {
-            if (!shell.sharded()) {
-                std::printf("shard needs --shards\n");
-                continue;
-            }
-            std::uint32_t k;
-            if (in >> k) {
-                if (k >= shell.sdb->shardCount()) {
-                    std::printf("error: shard out of range\n");
-                    continue;
-                }
-                shell.curShard = k;
-            }
-            std::printf("current shard: %u of %u\n", shell.curShard,
-                        shell.sdb->shardCount());
-        } else if (cmd == "begin" || cmd == "commit" ||
-                   cmd == "rollback" || cmd == "tables" ||
-                   cmd == "create" || cmd == "drop" || cmd == "use" ||
-                   cmd == "vacuum") {
-            if (shell.sharded()) {
-                std::printf("'%s' is a single-store command; use "
-                            "minsert for atomic multi-key writes\n",
-                            cmd.c_str());
-                continue;
-            }
-            if (cmd == "begin") {
-                shell.report(shell.db->begin());
-            } else if (cmd == "commit") {
-                shell.report(shell.db->commit());
-            } else if (cmd == "rollback") {
-                shell.report(shell.db->rollback());
-            } else if (cmd == "tables") {
-                std::vector<std::string> names;
-                NVWAL_CHECK_OK(shell.db->listTables(&names));
-                for (const std::string &name : names) {
-                    std::printf("  %s%s\n", name.c_str(),
-                                name == shell.table ? " (current)" : "");
-                }
-            } else if (cmd == "create") {
-                std::string name;
-                in >> name;
-                shell.report(shell.db->createTable(name));
-            } else if (cmd == "drop") {
-                std::string name;
-                in >> name;
-                const Status s = shell.db->dropTable(name);
-                if (s.isOk() && name == shell.table)
-                    shell.table = Database::kDefaultTable;
-                shell.report(s);
-            } else if (cmd == "use") {
-                std::string name;
-                in >> name;
-                Table *t = nullptr;
-                const Status s = shell.db->openTable(name, &t);
-                if (s.isOk())
-                    shell.table = name;
-                shell.report(s);
-            } else {
-                shell.report(shell.db->vacuum());
-            }
+        } else if (cmd == "create") {
+            std::string name;
+            in >> name;
+            shell.report(shell.db->createTable(name));
+        } else if (cmd == "drop") {
+            std::string name;
+            in >> name;
+            const Status s = shell.db->dropTable(name);
+            if (s.isOk() && name == shell.table)
+                shell.table = Database::kDefaultTable;
+            shell.report(s);
+        } else if (cmd == "use") {
+            std::string name;
+            in >> name;
+            Table *t = nullptr;
+            const Status s = shell.db->openTable(name, &t);
+            if (s.isOk())
+                shell.table = name;
+            shell.report(s);
+        } else if (cmd == "vacuum") {
+            shell.report(shell.db->vacuum());
         } else if (cmd == "checkpoint") {
-            shell.report(shell.sharded() ? shell.sdb->checkpointAll()
-                                         : shell.db->checkpoint());
+            shell.report(shell.db->checkpoint());
         } else if (cmd == "crash") {
             std::string policy;
             in >> policy;
-            // The connection references the dying engines.
-            if (shell.sharded())
-                shell.sconn.reset();
             env.powerFail(policy == "adversarial"
                               ? FailurePolicy::Adversarial
                               : FailurePolicy::Pessimistic,
                           0.5);
             shell.reopen();
-            std::printf("power failure injected; %s recovered\n",
-                        shell.sharded() ? "shard set" : "database");
+            std::printf("power failure injected; database recovered\n");
         } else if (cmd == "inspect") {
             NvwalMediaReport media;
-            if (shell.sharded()) {
-                std::printf("-- shard %02u media --\n", shell.curShard);
-                NVWAL_CHECK_OK(collectNvwalMediaReport(
-                    env,
-                    shell.sdb->shard(shell.curShard).pager().pageSize(),
-                    &media,
-                    ShardedDatabase::shardHeapNamespace(shell.curShard)));
-            } else {
-                NVWAL_CHECK_OK(collectNvwalMediaReport(
-                    env, shell.db->pager().pageSize(), &media));
-            }
+            NVWAL_CHECK_OK(collectNvwalMediaReport(
+                env, shell.db->pager().pageSize(), &media));
             printNvwalMediaReport(media);
         } else if (cmd == "page") {
             PageNo no = 0;
@@ -436,59 +263,24 @@ main(int argc, char **argv)
                 std::printf("usage: page <no>\n");
                 continue;
             }
-            Pager &pager = shell.sharded()
-                               ? shell.sdb->shard(shell.curShard).pager()
-                               : shell.db->pager();
-            const Status s = printPage(pager, no);
+            const Status s = printPage(shell.db->pager(), no);
             if (!s.isOk())
                 shell.report(s);
         } else if (cmd == "stats") {
-            if (shell.sharded()) {
-                printShardReports(shell);
-            } else {
-                DatabaseReport report;
-                NVWAL_CHECK_OK(collectDatabaseReport(*shell.db, &report));
-                printDatabaseReport(report);
-            }
+            DatabaseReport report;
+            NVWAL_CHECK_OK(collectDatabaseReport(*shell.db, &report));
+            printDatabaseReport(report);
             std::printf("simulated time: %.3f ms\n",
                         static_cast<double>(env.clock.now()) / 1e6);
             // Counters then histograms, each in the stable
-            // lexicographic order documented in docs/MODEL.md. In
-            // sharded mode the one registry already aggregates the
-            // whole shard set (shard.* counters, zero-padded
-            // shard.commit_ns.sNN histograms).
+            // lexicographic order documented in docs/MODEL.md.
             printCounters(env.stats);
             printHistograms(env.stats);
         } else if (cmd == "forensics") {
             std::string sub;
             in >> sub;
             const bool json = sub == "json";
-            if (shell.sharded()) {
-                for (std::uint32_t k = 0; k < shell.sdb->shardCount();
-                     ++k) {
-                    if (json) {
-                        std::printf("%s\n",
-                                    recoveryReportJson(
-                                        shell.sdb->shardRecoveryReport(k))
-                                        .c_str());
-                        continue;
-                    }
-                    std::printf("-- shard %02u post-mortem --\n", k);
-                    printRecoveryReport(shell.sdb->shardRecoveryReport(k),
-                                        stdout);
-                }
-                if (!json) {
-                    for (const GtidTimeline &t :
-                         shell.sdb->forensicsTimeline())
-                        std::printf(
-                            "  gtid %llu: %zu prepared, %zu commit / "
-                            "%zu abort decision(s) on the rings\n",
-                            static_cast<unsigned long long>(t.gtid),
-                            t.preparedShards.size(),
-                            t.committedShards.size(),
-                            t.abortedShards.size());
-                }
-            } else if (json) {
+            if (json) {
                 std::printf(
                     "%s\n",
                     recoveryReportJson(shell.db->recoveryReport())

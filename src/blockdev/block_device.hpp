@@ -48,10 +48,10 @@ struct TraceEntry
 /**
  * Flash block device with per-block program/read latencies.
  *
- * Thread-safety: shards of a sharded engine checkpoint through one
- * shared device concurrently, so the media, trace, and per-tag byte
- * counters are mutex-guarded. trace() hands out a reference and
- * requires a quiescent device (report paths only).
+ * Thread-safety: databases sharing one Env checkpoint through one
+ * device under independent engine locks, so the media, trace, and
+ * per-tag byte counters are mutex-guarded. trace() hands out a
+ * reference and requires a quiescent device (report paths only).
  */
 class BlockDevice
 {

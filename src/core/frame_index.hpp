@@ -20,8 +20,8 @@
  *
  * The O(1) anchor maintenance leans on an engine-wide invariant:
  * frames are always inserted in nondecreasing sequence order (live
- * commits take ++commitSeq under the writer lock, 2PC decisions
- * assign a fresh sequence, and recovery replays the log in order),
+ * commits take ++commitSeq under the writer lock, and recovery
+ * replays the log in order),
  * so once a newer leaf exists, an older leaf is immutable and its
  * frozen anchorSeq stays correct forever. insert() asserts the
  * invariant.

@@ -96,9 +96,8 @@ struct NvwalConfig
 
     /**
      * NvHeap namespace the log's header root is published under.
-     * Every log sharing one heap needs a distinct name (the sharded
-     * engine binds "nvwal-s00", "nvwal-s01", ... -- DESIGN.md §10);
-     * the default keeps single-database media layouts unchanged.
+     * Every log sharing one heap needs a distinct name; the default
+     * keeps single-database media layouts unchanged.
      * Must fit NvHeap::kNamespaceNameLen.
      */
     std::string heapNamespace = "nvwal";

@@ -379,9 +379,9 @@ NvwalLog::logTxnFrames(const std::vector<FrameWrite> &frames,
 }
 
 void
-NvwalLog::syncRefs(const std::vector<FrameRef> &refs, bool force)
+NvwalLog::syncRefs(const std::vector<FrameRef> &refs)
 {
-    if (_config.syncMode != SyncMode::Lazy && !force)
+    if (_config.syncMode != SyncMode::Lazy)
         return;
     if (refs.empty() && _unhardenedRuns.empty())
         return;
@@ -578,7 +578,7 @@ NvwalLog::writeFrameGroup(const std::vector<TxnFrames> &txns)
         return Status::ok();
     }
 
-    syncRefs(refs, /*force=*/false);
+    syncRefs(refs);
     _stats.tracer().complete("wal.log_write", "wal", log_begin,
                              "frames", refs.size());
     _logWriteHist.record(_pmem.clock().now() - log_begin);
@@ -613,135 +613,6 @@ NvwalLog::writeFrameGroup(const std::vector<TxnFrames> &txns)
     noteCommitted(refs.begin(), refs.end());
     _dbSizePages = txns.back().dbSizePages;
     return Status::ok();
-}
-
-Status
-NvwalLog::placeControlFrame(std::uint32_t type, std::uint64_t gtid,
-                            std::uint32_t db_size_pages, FrameRef *out)
-{
-    std::uint8_t payload[kControlPayloadSize];
-    storeU32(payload, kControlMagic);
-    storeU32(payload + 4, type);
-    storeU64(payload + 8, gtid);
-    storeU32(payload + 16, db_size_pages);
-    storeU32(payload + 20, 0);
-    NvOffset off;
-    NVWAL_RETURN_IF_ERROR(placeFrame(
-        kControlPage, 0, ConstByteSpan(payload, sizeof(payload)), &off));
-    *out = FrameRef{off, kControlPage, 0, kControlPayloadSize, 0};
-    return Status::ok();
-}
-
-Status
-NvwalLog::writePrepare(std::uint64_t gtid, const TxnFrames &txn)
-{
-    if (_staged.count(gtid) != 0)
-        return Status::invalidArgument(
-            "gtid already prepared in this log: " + std::to_string(gtid));
-
-    // Phase 1 of 2PC is phase 1+2 of a normal commit, with the
-    // commit mark carried by a PREPARE control frame appended after
-    // the data: the whole unit becomes durable (and chain-valid)
-    // atomically, but the data frames stay staged -- invisible to
-    // readers and checkpoints -- until the decision record lands.
-    std::vector<FrameRef> refs;
-    const SimTime log_begin = _pmem.clock().now();
-    NVWAL_RETURN_IF_ERROR(logTxnFrames(txn.frames, &refs));
-    FrameRef ctrl;
-    NVWAL_RETURN_IF_ERROR(placeControlFrame(kCtrlPrepare, gtid,
-                                            txn.dbSizePages, &ctrl));
-    std::vector<FrameRef> unit = refs;
-    unit.push_back(ctrl);
-    // 2PC records harden eagerly under EVERY sync mode, pending
-    // async ranges included: a prepared unit that could tear would
-    // let recovery re-stage garbage that a COMMIT decision then
-    // applies, and an in-doubt shard resolves by reading other
-    // participants' decision records -- neither may be probabilistic.
-    syncRefs(unit, /*force=*/true);
-    _stats.tracer().complete("wal.log_write", "wal", log_begin,
-                             "frames", unit.size());
-    _logWriteHist.record(_pmem.clock().now() - log_begin);
-
-    persistCommitMark(ctrl, txn.dbSizePages, unit.size());
-
-    _staged[gtid] = StagedTxn{std::move(refs), txn.dbSizePages};
-    _maxSeenGtid = std::max(_maxSeenGtid, gtid);
-    _stats.add(stats::kWalPrepareRecords);
-    _stats.tracer().instant("wal.prepare", "wal", "gtid", gtid);
-    return Status::ok();
-}
-
-void
-NvwalLog::applyDecision(std::uint64_t gtid, bool commit)
-{
-    _decisions[gtid] = commit;
-    _maxSeenGtid = std::max(_maxSeenGtid, gtid);
-    auto it = _staged.find(gtid);
-    if (it == _staged.end())
-        return;
-    if (commit) {
-        // The staged frames become visible under one fresh sequence,
-        // exactly like a group commit's atomicity unit.
-        publishCommitted(it->second.refs.begin(), it->second.refs.end());
-        noteCommitted(it->second.refs.begin(), it->second.refs.end());
-        _dbSizePages = it->second.dbSizePages;
-    }
-    // Aborted frames stay as dead bytes until truncation; they are
-    // unreachable from the page index, so reads never see them.
-    _staged.erase(it);
-}
-
-Status
-NvwalLog::writeDecision(std::uint64_t gtid, bool commit)
-{
-    FrameRef ctrl;
-    NVWAL_RETURN_IF_ERROR(placeControlFrame(
-        commit ? kCtrlCommit : kCtrlAbort, gtid, 0, &ctrl));
-    std::vector<FrameRef> unit{ctrl};
-    // Decisions are the 2PC ground truth; like prepares they flush
-    // eagerly under every sync mode (see writePrepare).
-    syncRefs(unit, /*force=*/true);
-    // The decision's own mark carries the database size that results
-    // from it, keeping the "last mark's size" recovery rule uniform.
-    const auto staged = _staged.find(gtid);
-    const std::uint32_t db_size =
-        commit && staged != _staged.end() ? staged->second.dbSizePages
-                                          : _dbSizePages;
-    persistCommitMark(ctrl, db_size, 1);
-
-    applyDecision(gtid, commit);
-    _stats.add(stats::kWalDecisionRecords);
-    _stats.tracer().instant("wal.decision", "wal", "gtid", gtid);
-    return Status::ok();
-}
-
-Status
-NvwalLog::resolveInDoubt(std::uint64_t gtid, bool commit)
-{
-    if (_staged.find(gtid) == _staged.end())
-        return Status::notFound("gtid not in doubt: " +
-                                std::to_string(gtid));
-    return writeDecision(gtid, commit);
-}
-
-std::vector<std::uint64_t>
-NvwalLog::inDoubtTransactions() const
-{
-    std::vector<std::uint64_t> gtids;
-    gtids.reserve(_staged.size());
-    for (const auto &[gtid, txn] : _staged)
-        gtids.push_back(gtid);
-    return gtids;
-}
-
-bool
-NvwalLog::lookupDecision(std::uint64_t gtid, bool *commit) const
-{
-    const auto it = _decisions.find(gtid);
-    if (it == _decisions.end())
-        return false;
-    *commit = it->second;
-    return true;
 }
 
 void
@@ -895,8 +766,8 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
     if (!_unhardenedRuns.empty())
         NVWAL_RETURN_IF_ERROR(harden());
     // Trivially done only when the chain itself is empty: a log can
-    // hold zero indexed frames yet still own nodes (pure 2PC control
-    // records, aborted staged frames) that a full round must free.
+    // hold zero indexed frames yet still own nodes that a full round
+    // must free.
     if (_indexedFrames == 0 && _nodesSinceCheckpoint == 0) {
         _ckptRoundActive = false;
         _ckptQueue.clear();
@@ -1024,17 +895,6 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
         _stats.add(stats::kCheckpointsPinBlocked);
         return Status::ok();
     }
-    if (!_staged.empty() || _twoPhaseHolds > 0) {
-        // A prepared-but-undecided transaction (or a coordinator
-        // mid-protocol) pins the log the same way a snapshot does:
-        // truncating would destroy the staged frames -- and, on other
-        // participants, the decision records an in-doubt shard needs
-        // to resolve after a crash. Write-back is complete; only the
-        // truncation is deferred to a later round.
-        _stats.add(stats::kWalCkptTwoPhaseBlocked);
-        return Status::ok();
-    }
-
     // Open a new checkpoint epoch *before* truncating: every logged
     // frame carries the epoch id, so bumping it atomically
     // invalidates the whole log. Without this, a crash midway
@@ -1089,10 +949,6 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
     // async pipeline restarts empty.
     _unhardenedRuns.clear();
     _hardenedSeq = 0;
-    _staged.clear();
-    _decisions.clear();
-    _maxSeenGtid = 0;
-    _twoPhaseHolds = 0;
 
     // The heap manager reclaims pending blocks first (section 4.3,
     // failure case 1): a block that was allocated but never linked
@@ -1125,11 +981,9 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
     NvramDevice &dev = _pmem.device();
 
     // Walk the node chain, validating the frame checksum chain.
-    // Frames after the last valid *durable mark* -- a data commit, a
-    // PREPARE, or a DECISION, all of which carry a commit word --
-    // belong to a unit that never became durable and are discarded.
-    // The tail restores at the last mark, not the last data commit:
-    // a staged PREPARE past the last commit must survive.
+    // Frames after the last valid commit mark belong to a unit that
+    // never became durable and are discarded; the tail restores at
+    // that mark.
     struct Mark
     {
         NvOffset node = kNullNvOffset;
@@ -1140,7 +994,6 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
     };
     Mark last_mark;
     bool any_mark = false;
-    std::uint32_t recovered_db_size = 0;
     std::uint64_t page_writes = 0;
     std::vector<FrameRef> pending;
     std::vector<FrameRef> committed;
@@ -1242,79 +1095,27 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
             const NvOffset frame_off = node + pos;
             pos = static_cast<std::uint32_t>(
                 alignUp(pos + kFrameHeaderSize + size, 8));
-            bool mark = false;
-            if (page_no == kControlPage) {
-                // A 2PC control frame (chained like any frame). Its
-                // payload is already in `payload`.
-                if (size != kControlPayloadSize ||
-                    loadU32(payload.data()) != kControlMagic) {
-                    // Chain-valid bytes that are not a record we
-                    // ever wrote: treat as damage, end the prefix.
-                    enterDiscardMode(stored_chain, commit_word);
-                    continue;
-                }
-                const std::uint32_t type = loadU32(payload.data() + 4);
-                const std::uint64_t gtid = loadU64(payload.data() + 8);
-                const std::uint32_t txn_db_size =
-                    loadU32(payload.data() + 16);
-                _maxSeenGtid = std::max(_maxSeenGtid, gtid);
-                if (commit_word != 0) {
-                    mark = true;
-                    if (type == kCtrlPrepare) {
-                        // Re-stage: durable, undecided, invisible.
-                        _staged[gtid] =
-                            StagedTxn{std::move(pending), txn_db_size};
-                        pending.clear();
-                    } else {
-                        const bool commit = type == kCtrlCommit;
-                        _decisions[gtid] = commit;
-                        auto it = _staged.find(gtid);
-                        if (it != _staged.end()) {
-                            if (commit) {
-                                const CommitSeq seq = ++_commitSeq;
-                                for (FrameRef &ref : it->second.refs)
-                                    ref.seq = seq;
-                                page_writes += countPageWrites(
-                                    it->second.refs.begin(),
-                                    it->second.refs.end());
-                                committed.insert(
-                                    committed.end(),
-                                    it->second.refs.begin(),
-                                    it->second.refs.end());
-                                recovered_db_size =
-                                    it->second.dbSizePages;
-                            }
-                            _staged.erase(it);
-                        }
-                    }
-                }
-            } else {
-                pending.push_back(FrameRef{frame_off, page_no, page_off,
-                                           size, 0});
-                if (commit_word != 0) {
-                    // Every frame up to this mark committed together;
-                    // a group commit recovers as one sequence, which
-                    // is exactly its atomicity unit.
-                    mark = true;
-                    const CommitSeq seq = ++_commitSeq;
-                    for (FrameRef &ref : pending)
-                        ref.seq = seq;
-                    page_writes +=
-                        countPageWrites(pending.begin(), pending.end());
-                    committed.insert(committed.end(), pending.begin(),
-                                     pending.end());
-                    pending.clear();
-                    recovered_db_size = static_cast<std::uint32_t>(
-                        commit_word & ~kCommitFlag);
-                }
-            }
-            if (mark) {
+            pending.push_back(FrameRef{frame_off, page_no, page_off,
+                                       size, 0});
+            if (commit_word != 0) {
+                // Every frame up to this mark committed together; a
+                // group commit recovers as one sequence, which is
+                // exactly its atomicity unit.
+                const CommitSeq seq = ++_commitSeq;
+                for (FrameRef &ref : pending)
+                    ref.seq = seq;
+                page_writes +=
+                    countPageWrites(pending.begin(), pending.end());
+                committed.insert(committed.end(), pending.begin(),
+                                 pending.end());
+                pending.clear();
                 any_mark = true;
                 last_mark.node = node;
                 last_mark.used = pos;
                 last_mark.capacity = capacity;
                 last_mark.chain = chain;
-                last_mark.dbSize = recovered_db_size;
+                last_mark.dbSize = static_cast<std::uint32_t>(
+                    commit_word & ~kCommitFlag);
             }
         }
         _nodesSinceCheckpoint++;

@@ -38,19 +38,6 @@
  * frames up to the last frame whose chain verifies and whose commit
  * word is set; everything after is discarded and the heap reclaims
  * pending blocks (section 4.3).
- *
- * Two-phase commit records (DESIGN.md §10): a control frame is an
- * ordinary chained frame whose page number is kControlPage and whose
- * 24-byte payload encodes {magic u32, type u32, gtid u64,
- * dbSizePages u32, pad u32}. A PREPARE unit is the transaction's
- * data frames followed by a PREPARE control frame; the commit word
- * is set on the control frame, making the unit durable, but the
- * data frames are *staged* (not applied) until a COMMIT/ABORT
- * DECISION control frame for the same gtid lands. Recovery
- * re-stages surviving PREPAREs whose decision is missing; the shard
- * router resolves them across participant logs (presumed-abort).
- * Checkpoint truncation is deferred while staged transactions or
- * coordinator holds exist, so decision records stay findable.
  */
 
 #ifndef NVWAL_CORE_NVWAL_LOG_HPP
@@ -77,22 +64,10 @@ namespace nvwal
 class NvwalLog : public WriteAheadLog
 {
   public:
-    static constexpr std::uint64_t kMagic = 0x3230304c4157564eULL;
+    static constexpr std::uint64_t kMagic = 0x3330304c4157564eULL;
     static constexpr std::uint32_t kFrameHeaderSize = 32;
     static constexpr std::uint32_t kNodeHeaderSize = 8;
     static constexpr std::uint64_t kCommitFlag = 1ULL << 63;
-
-    /**
-     * Frame page number marking a 2PC control frame. Distinct from
-     * kNoPage (0), which recovery treats as "no frame here"; real
-     * pages are allocated sequentially from 1 and can never reach it.
-     */
-    static constexpr PageNo kControlPage = ~static_cast<PageNo>(0);
-    static constexpr std::uint32_t kControlMagic = 0x43325043; // "C2PC"
-    static constexpr std::uint32_t kCtrlPrepare = 1;
-    static constexpr std::uint32_t kCtrlCommit = 2;
-    static constexpr std::uint32_t kCtrlAbort = 3;
-    static constexpr std::uint32_t kControlPayloadSize = 24;
 
     NvwalLog(NvHeap &heap, Pmem &pmem, DbFile &db_file,
              std::uint32_t page_size, std::uint32_t reserved_bytes,
@@ -127,30 +102,12 @@ class NvwalLog : public WriteAheadLog
     /**
      * Where a log's cumulative checksum chain starts after every
      * truncation: FNV-1a 64 of its heap namespace. Logs sharing one
-     * heap (shards) all restart their chains
-     * after truncations with colliding checkpoint ids; a common seed
-     * would let one log validate another's stale frames in a block
-     * it reused.
+     * heap (distinct NvwalConfig::heapNamespace) all restart their
+     * chains after truncations with colliding checkpoint ids; a
+     * common seed would let one log validate another's stale frames
+     * in a block it reused.
      */
     static std::uint64_t chainSeed(const std::string &heap_namespace);
-
-    // ---- two-phase commit (DESIGN.md §10) --------------------------
-
-    bool supportsTwoPhase() const override { return true; }
-    Status writePrepare(std::uint64_t gtid,
-                        const TxnFrames &txn) override;
-    Status writeDecision(std::uint64_t gtid, bool commit) override;
-    Status resolveInDoubt(std::uint64_t gtid, bool commit) override;
-    std::vector<std::uint64_t> inDoubtTransactions() const override;
-    bool lookupDecision(std::uint64_t gtid, bool *commit) const override;
-    std::uint64_t maxSeenGtid() const override { return _maxSeenGtid; }
-    void acquireTwoPhaseHold() override { ++_twoPhaseHolds; }
-    void
-    releaseTwoPhaseHold() override
-    {
-        NVWAL_ASSERT(_twoPhaseHolds > 0);
-        --_twoPhaseHolds;
-    }
 
     const NvwalConfig &config() const { return _config; }
 
@@ -262,18 +219,6 @@ class NvwalLog : public WriteAheadLog
         ConstByteSpan payload;
     };
 
-    /**
-     * A prepared transaction: durable in the log (its PREPARE unit
-     * carries a commit mark) but not applied -- the refs are absent
-     * from _pageIndex until a commit decision assigns them a
-     * sequence, or an abort decision drops them.
-     */
-    struct StagedTxn
-    {
-        std::vector<FrameRef> refs;
-        std::uint32_t dbSizePages = 0;
-    };
-
     NvOffset headerFieldOff(std::uint32_t field) const
     { return _headerOff + field; }
     NvOffset firstNodeFieldOff() const { return headerFieldOff(24); }
@@ -363,14 +308,13 @@ class NvwalLog : public WriteAheadLog
                            CommitSeq *effective_out = nullptr);
 
     /**
-     * Make @p refs durable when the sync mode is Lazy or @p force is
-     * set (2PC records harden eagerly under every mode). Any ranges
+     * Make @p refs durable when the sync mode is Lazy. Any ranges
      * still pending from earlier async appends are merged into the
      * same coalesced flush batch, so a strict commit chained after
      * unhardened async commits never leaves a torn-prone prefix
      * under its own durable mark.
      */
-    void syncRefs(const std::vector<FrameRef> &refs, bool force);
+    void syncRefs(const std::vector<FrameRef> &refs);
 
     /**
      * Sort and merge @p runs in place, then make them durable: one
@@ -387,18 +331,6 @@ class NvwalLog : public WriteAheadLog
     void persistCommitMark(const FrameRef &last,
                            std::uint32_t db_size_pages,
                            std::uint64_t frame_count);
-
-    /** Place one 2PC control frame (chained like any frame). */
-    Status placeControlFrame(std::uint32_t type, std::uint64_t gtid,
-                             std::uint32_t db_size_pages, FrameRef *out);
-
-    /**
-     * Volatile half of a decision: apply (fresh commit sequence,
-     * index, size update) or discard the staged refs of @p gtid, and
-     * remember the decision for cross-shard lookups. No-op when the
-     * gtid is not staged (its prepare was already resolved).
-     */
-    void applyDecision(std::uint64_t gtid, bool commit);
 
     /**
      * The commit horizon a checkpoint round may write back to the
@@ -460,19 +392,6 @@ class NvwalLog : public WriteAheadLog
      * and not yet flushed; coalesced in place when they pile up.
      */
     std::vector<std::pair<NvOffset, NvOffset>> _unhardenedRuns;
-    /**
-     * Prepared-but-undecided transactions by gtid. At most one entry
-     * in steady state (the coordinator holds this shard's writer
-     * lock from prepare to decision); recovery may briefly hold the
-     * re-staged in-doubt set until the router resolves it.
-     */
-    std::map<std::uint64_t, StagedTxn> _staged;
-    /** Durable decisions seen (live writes + recovery walk). */
-    std::map<std::uint64_t, bool> _decisions;
-    /** Largest gtid in any surviving PREPARE/DECISION record. */
-    std::uint64_t _maxSeenGtid = 0;
-    /** Open coordinator truncation guards (see acquireTwoPhaseHold). */
-    std::uint32_t _twoPhaseHolds = 0;
     CommittedPageSource _committedPageSource;
     /**
      * The in-progress incremental checkpoint round. The round drains

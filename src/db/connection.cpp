@@ -332,33 +332,6 @@ Connection::rollback()
     return _db.rollbackFromConnection(&_writerLock);
 }
 
-Status
-Connection::prepare(std::uint64_t gtid)
-{
-    if (_db._multiWriter)
-        return Status::unsupported(
-            "two-phase commit is not available in multi-writer mode");
-    if (!_inWrite)
-        return Status::invalidArgument(
-            "no write transaction to prepare");
-    // The transaction stays open and this connection keeps the writer
-    // slot until decide(): a prepared shard admits no other writer.
-    return _db.prepareFromConnection(gtid);
-}
-
-Status
-Connection::decide(std::uint64_t gtid, bool commit)
-{
-    if (_db._multiWriter)
-        return Status::unsupported(
-            "two-phase commit is not available in multi-writer mode");
-    if (!_inWrite)
-        return Status::invalidArgument(
-            "no prepared transaction to decide");
-    _inWrite = false;
-    return _db.decideFromConnection(gtid, commit, &_writerLock);
-}
-
 // ---- statements ----------------------------------------------------
 
 Status

@@ -160,22 +160,6 @@ class Connection
      */
     std::uint64_t lastCommitEpoch() const { return _lastCommitEpoch; }
 
-    // ---- two-phase commit (cross-shard transactions) ----------------
-
-    /**
-     * 2PC phase 1: persist this shard's slice of cross-shard
-     * transaction @p gtid as a durable, undecided PREPARE record.
-     * The write transaction stays open (and this connection keeps
-     * the writer slot) until decide(). NVWAL single-writer mode only.
-     */
-    Status prepare(std::uint64_t gtid);
-
-    /**
-     * 2PC phase 2: persist the COMMIT/ABORT decision for @p gtid and
-     * close the write transaction accordingly.
-     */
-    Status decide(std::uint64_t gtid, bool commit);
-
     // ---- statements (default table) ---------------------------------
     // Reads use the open snapshot (or the cached casual one); writes
     // require an open write transaction, unless the connection was

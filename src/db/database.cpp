@@ -128,9 +128,6 @@ validateDbConfig(const DbConfig &config)
         if (config.walMode != WalMode::Nvwal)
             return Status::invalidArgument(
                 "multi-writer mode requires WalMode::Nvwal");
-        if (config.shard.has_value())
-            return Status::invalidArgument(
-                "multi-writer mode cannot run on a shard member");
     }
     return Status::ok();
 }
@@ -348,7 +345,7 @@ Database::frOpenAndBuildReport(const StatsSnapshot &stats_before)
     auto recorder = std::make_unique<FlightRecorder>(
         _env.heap, _env.pmem, _env.stats,
         FlightRecorder::namespaceFor(_config.nvwal.heapNamespace),
-        _config.frRingRecords, _config.shard.value_or(0));
+        _config.frRingRecords);
     FlightRecording parsed;
     if (!recorder->openOrCreate(&parsed).isOk()) {
         // E.g. all heap namespace slots taken: run with the recorder
@@ -371,15 +368,10 @@ Database::frOpenAndBuildReport(const StatsSnapshot &stats_before)
     wal_state.tornFramesDetected = delta(stats::kWalTornFramesDetected);
     wal_state.framesDiscarded = delta(stats::kWalRecoveryFramesDiscarded);
     wal_state.lostMarks = delta(stats::kWalRecoveryLostMarks);
-    wal_state.inDoubt = _wal->inDoubtTransactions();
-    wal_state.lookupDecision = [this](std::uint64_t gtid, bool *commit) {
-        return _wal->lookupDecision(gtid, commit);
-    };
 
     _recoveryReport = buildRecoveryReport(parsed, wal_state);
     _recoveryReport.recorderEnabled = true;
     _recoveryReport.heapNamespace = _flightRecorder->heapNamespace();
-    _recoveryReport.shard = _config.shard.value_or(0);
 
     // Delimit this incarnation in the ring. Recovered commit
     // sequences restart at marks-since-truncation, so the base is 0.
@@ -594,114 +586,72 @@ Database::appendGroup(const std::vector<GroupEntry *> &batch)
     _env.stats.setGauge(stats::kGaugeCommitQueueDepth, batch.size());
     {
         std::uint64_t newest_txn = 0;
-        for (const GroupEntry *e : batch) {
-            if (e->kind != GroupEntry::Kind::Commit)
-                continue;
-            if (e->txnSeq > newest_txn)
-                newest_txn = e->txnSeq;
-        }
+        for (const GroupEntry *e : batch)
+            newest_txn = std::max(newest_txn, e->txnSeq);
         frRecord(FrRecordType::GroupBatch, 0, 0,
                  static_cast<std::uint32_t>(batch.size()), newest_txn);
     }
 
-    // The queue interleaves plain commits with 2PC records. Append
-    // each maximal run of commits as one WAL group (one barrier pair
-    // for the run); PREPARE/DECISION records go through their own WAL
-    // entry points, in queue order, so a participant's records land
-    // exactly where the writer-lock order put them.
     Status s = Status::ok();
     std::size_t i = 0;
     while (s.isOk() && i < batch.size()) {
-        GroupEntry *e = batch[i];
-        switch (e->kind) {
-          case GroupEntry::Kind::Commit: {
-            // Runs are split by durability: a sync run costs one
-            // barrier pair for the whole run, an async run costs none
-            // (its epoch hardens later). Mixing them would either
-            // harden the async commits early or strand the sync ones.
-            const bool async = e->async;
-            std::vector<TxnFrames> txns;
-            std::vector<GroupEntry *> run;
-            while (i < batch.size() &&
-                   batch[i]->kind == GroupEntry::Kind::Commit &&
-                   batch[i]->async == async) {
-                txns.push_back(entryToTxn(*batch[i]));
-                run.push_back(batch[i]);
-                ++i;
-            }
-            if (async) {
-                s = _wal->writeFrameGroupAsync(txns);
-                if (s.isOk()) {
-                    const std::uint64_t epoch = registerAsyncEpoch(
-                        static_cast<std::uint32_t>(run.size()));
-                    for (GroupEntry *ge : run) {
-                        ge->epoch = epoch;
-                        // No durable claim: the ack only becomes
-                        // guaranteed when the epoch hardens.
-                        frRecord(FrRecordType::CommitAck, 0, 2,
-                                 frCheckpointId32(), ge->txnSeq, epoch);
-                    }
-                    _env.stats.add(stats::kDbAsyncCommits, run.size());
-                }
-            } else {
-                s = _wal->writeFrameGroup(txns);
-                if (s.isOk()) {
-                    // Under Eager/Lazy the strict group's barrier
-                    // pair already ran, so the run's commit marks are
-                    // durable when the records below are stored: a
-                    // durable claim. ChecksumAsync acks before any
-                    // barrier (§4.2 checksum commits) -- a crash may
-                    // keep this record yet lose the marks, so no
-                    // claim is stamped.
-                    const bool hardened =
-                        _config.nvwal.syncMode != SyncMode::ChecksumAsync;
-                    const std::uint64_t marks =
-                        _wal->commitSeq() - _frMarksBase;
-                    for (const GroupEntry *ge : run)
-                        frRecord(FrRecordType::CommitAck,
-                                 hardened ? kFrFlagDurableClaim : 0, 0,
-                                 frCheckpointId32(), ge->txnSeq, marks);
-                }
-            }
-            break;
-          }
-          case GroupEntry::Kind::Prepare: {
-            const TxnFrames txn = entryToTxn(*e);
-            s = _wal->writePrepare(e->gtid, txn);
-            if (s.isOk())
-                // 2PC control frames flush eagerly: durable claim.
-                frRecord(FrRecordType::Prepare, kFrFlagDurableClaim, 0,
-                         frCheckpointId32(), e->gtid);
+        // Runs are split by durability: a sync run costs one
+        // barrier pair for the whole run, an async run costs none
+        // (its epoch hardens later). Mixing them would either
+        // harden the async commits early or strand the sync ones.
+        const bool async = batch[i]->async;
+        std::vector<TxnFrames> txns;
+        std::vector<GroupEntry *> run;
+        while (i < batch.size() && batch[i]->async == async) {
+            txns.push_back(entryToTxn(*batch[i]));
+            run.push_back(batch[i]);
             ++i;
-            break;
-          }
-          case GroupEntry::Kind::Decision:
-            s = _wal->writeDecision(e->gtid, e->decisionCommit);
-            if (s.isOk())
-                frRecord(FrRecordType::Decision, kFrFlagDurableClaim,
-                         e->decisionCommit ? 1 : 0, frCheckpointId32(),
-                         e->gtid);
-            ++i;
-            break;
+        }
+        if (async) {
+            s = _wal->writeFrameGroupAsync(txns);
+            if (s.isOk()) {
+                const std::uint64_t epoch = registerAsyncEpoch(
+                    static_cast<std::uint32_t>(run.size()));
+                for (GroupEntry *ge : run) {
+                    ge->epoch = epoch;
+                    // No durable claim: the ack only becomes
+                    // guaranteed when the epoch hardens.
+                    frRecord(FrRecordType::CommitAck, 0, 2,
+                             frCheckpointId32(), ge->txnSeq, epoch);
+                }
+                _env.stats.add(stats::kDbAsyncCommits, run.size());
+            }
+        } else {
+            s = _wal->writeFrameGroup(txns);
+            if (s.isOk()) {
+                // Under Eager/Lazy the strict group's barrier
+                // pair already ran, so the run's commit marks are
+                // durable when the records below are stored: a
+                // durable claim. ChecksumAsync acks before any
+                // barrier (§4.2 checksum commits) -- a crash may
+                // keep this record yet lose the marks, so no
+                // claim is stamped.
+                const bool hardened =
+                    _config.nvwal.syncMode != SyncMode::ChecksumAsync;
+                const std::uint64_t marks =
+                    _wal->commitSeq() - _frMarksBase;
+                for (const GroupEntry *ge : run)
+                    frRecord(FrRecordType::CommitAck,
+                             hardened ? kFrFlagDurableClaim : 0, 0,
+                             frCheckpointId32(), ge->txnSeq, marks);
+            }
         }
     }
-    // Every published commit of the batch is settled: logged, or
-    // covered by the poison below. Batches append in publish order,
-    // so the batch's last publish sequence is the newest settled one.
-    for (const GroupEntry *e : batch)
-        if (e->publishSeq != 0)
-            _loggedPublishSeq.store(e->publishSeq,
-                                    std::memory_order_release);
+    // Every commit of the batch is settled: logged, or covered by
+    // the poison below. Batches append in publish order, so the
+    // batch's last publish sequence is the newest settled one.
+    _loggedPublishSeq.store(batch.back()->publishSeq,
+                            std::memory_order_release);
     if (!s.isOk()) {
-        for (const GroupEntry *e : batch) {
-            if (e->finalized) {
-                // The transaction was already published to the shared
-                // cache; there is no way back for it or anything that
-                // read its pages since.
-                _poisoned = s;
-                break;
-            }
-        }
+        // Every transaction was already published to the shared
+        // cache; there is no way back for it or anything that read
+        // its pages since.
+        _poisoned = s;
         return s;
     }
     // A sync run after an async one merges the pending unflushed
@@ -723,8 +673,7 @@ Database::submitAndWait(GroupEntry *entry,
     _commitCv.notify_all();
     // The entry is ordered in the queue; only now may the next writer
     // begin (WAL append order must equal writer-lock order).
-    if (release_after_enqueue != nullptr)
-        release_after_enqueue->unlock();
+    release_after_enqueue->unlock();
 
     if (_groupLeaderActive) {
         _commitCv.wait(q, [&] { return entry->done; });
@@ -892,7 +841,6 @@ Database::commitFromConnection(std::unique_lock<std::mutex> *writer_lock,
                                std::uint64_t *ack_epoch)
 {
     GroupEntry entry;
-    entry.finalized = true;
     entry.async = durability == Durability::Async;
     *ack_epoch = 0;
     bool have_entry = false;
@@ -980,83 +928,6 @@ Database::rollbackFromConnection(std::unique_lock<std::mutex> *writer_lock)
     return Status::ok();
 }
 
-Status
-Database::prepareFromConnection(std::uint64_t gtid)
-{
-    GroupEntry entry;
-    entry.kind = GroupEntry::Kind::Prepare;
-    entry.gtid = gtid;
-    {
-        std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-        NVWAL_ASSERT(_inTxn, "connection prepare without open txn");
-        NVWAL_RETURN_IF_ERROR(_poisoned);
-        if (!_wal->supportsTwoPhase())
-            return Status::unsupported(
-                "WAL mode has no two-phase commit");
-        _env.clock.advance(_env.cost.cpuTxnNs);
-        // An empty frame set is fine: the PREPARE record alone still
-        // makes this shard a voting participant.
-        (void)collectDirtyFrames(&entry);
-        entry.txnSeq = _txnSeq;
-    }
-    // Unlike a commit, the writer lock is kept and the pages stay
-    // dirty: the transaction remains open (invisible, undecided)
-    // until decideFromConnection. On failure nothing was staged and
-    // the caller rolls back normally.
-    return submitAndWait(&entry, nullptr);
-}
-
-Status
-Database::decideFromConnection(std::uint64_t gtid, bool commit,
-                               std::unique_lock<std::mutex> *writer_lock)
-{
-    GroupEntry entry;
-    entry.kind = GroupEntry::Kind::Decision;
-    entry.gtid = gtid;
-    entry.decisionCommit = commit;
-    // A failed decision append leaves the durable outcome unknown
-    // (the record may or may not have reached NVRAM); poison rather
-    // than pretend the transaction is retryable.
-    entry.finalized = true;
-    {
-        std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-        NVWAL_ASSERT(_inTxn, "connection decide without open txn");
-        if (!_poisoned.isOk()) {
-            (void)rollbackFromConnection(writer_lock);
-            return _poisoned;
-        }
-        _env.clock.advance(_env.cost.cpuTxnNs);
-    }
-
-    const Status s = submitAndWait(&entry, nullptr);
-
-    {
-        std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-        if (s.isOk() && commit) {
-            // The staged frames are applied in the WAL; publish the
-            // local page images that produced them.
-            _pager->markAllClean();
-            _inTxn = false;
-            _env.stats.add(stats::kTxnsCommitted);
-            _env.stats.tracer().complete("db.txn", "db", _txnBeginNs);
-            _env.stats.tracer().setCurrentTxn(0);
-        } else {
-            // Abort decision, or an append whose outcome is unknown
-            // (the database is poisoned by then): discard the local
-            // changes either way.
-            rollbackBody();
-        }
-    }
-    writer_lock->unlock();
-    endWriteIntent();
-
-    if (!s.isOk())
-        return s;
-    std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-    maybeCheckpointAfterCommit();
-    return Status::ok();
-}
-
 // ---- committed-page fetches (DESIGN.md §16) -------------------------
 
 bool
@@ -1109,69 +980,6 @@ Database::rebuildCommittedPage(PageNo page_no, CommitSeq horizon,
     if (page_no <= _dbFile->pageCount())
         return _dbFile->readPage(page_no, out);
     return Status::corruption("snapshot page missing from WAL and file");
-}
-
-// ---- two-phase commit (shard-layer entry points) --------------------
-
-Status
-Database::resolvePreparedTxn(std::uint64_t gtid, bool commit)
-{
-    if (_multiWriter)
-        return Status::unsupported(
-            "two-phase commit is not available in multi-writer mode");
-    std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-    if (_inTxn)
-        return Status::busy(
-            "cannot resolve an in-doubt txn inside a transaction");
-    NVWAL_RETURN_IF_ERROR(_wal->resolveInDoubt(gtid, commit));
-    frRecord(FrRecordType::Decision, kFrFlagDurableClaim, commit ? 1 : 0,
-             frCheckpointId32(), gtid);
-    if (commit) {
-        // Frames that were invisible through recovery just became
-        // committed; resynchronize the pager with the log so reads
-        // see them.
-        const std::uint32_t pages = _wal->committedDbSize();
-        if (pages != 0)
-            _pager->setPageCount(pages);
-        _pager->dropCleanPages();
-        _tables.clear();
-    }
-    return Status::ok();
-}
-
-std::vector<std::uint64_t>
-Database::inDoubtTransactions() const
-{
-    std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-    return _wal->inDoubtTransactions();
-}
-
-bool
-Database::lookupDecision(std::uint64_t gtid, bool *commit) const
-{
-    std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-    return _wal->lookupDecision(gtid, commit);
-}
-
-std::uint64_t
-Database::walMaxSeenGtid() const
-{
-    std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-    return _wal->maxSeenGtid();
-}
-
-void
-Database::holdWalForTwoPhase()
-{
-    std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-    _wal->acquireTwoPhaseHold();
-}
-
-void
-Database::releaseWalTwoPhaseHold()
-{
-    std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-    _wal->releaseTwoPhaseHold();
 }
 
 // ---- statements ----------------------------------------------------
@@ -1559,10 +1367,6 @@ Database::vacuum()
         return Status::busy("cannot vacuum inside a transaction");
     if (_wal->hasPins())
         return Status::busy("open snapshots pin the log");
-    if (_config.shard.has_value())
-        return Status::unsupported(
-            "vacuum on a shard member: the reopen would re-recover the "
-            "shared NVRAM heap under the other shards");
     // Make the .db file current and the log empty so the rebuild
     // can read pages straight from the file image.
     NVWAL_RETURN_IF_ERROR(checkpoint());

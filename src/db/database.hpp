@@ -194,15 +194,6 @@ struct DbConfig
      */
     std::uint64_t asyncMaxStalenessNs = 1000000;  // 1 ms
     /**
-     * Shard ordinal, set by ShardedDatabase on every member it opens
-     * and stamped into the flight-recorder ring header. Members share
-     * one Env (and so one NVRAM heap): whole-heap maintenance that is
-     * safe on a standalone database -- vacuum()'s reopen-driven heap
-     * recovery in particular -- would reclaim blocks other shards
-     * hold in flight, so it is refused while this is set.
-     */
-    std::optional<std::uint32_t> shard;
-    /**
      * NVRAM flight recorder (DESIGN.md §12): a persistent telemetry
      * ring next to the WAL, appended with plain stores only (zero
      * flushes/barriers on every commit path) and parsed into a
@@ -224,8 +215,8 @@ struct DbConfig
      * validates the pages it read before installing its own into the
      * shared pager and going through the one group-commit pipeline;
      * a lost race returns StatusCode::Conflict. Requires
-     * WalMode::Nvwal; incompatible with shard membership. DDL, table
-     * handles, two-phase commit and vacuum stay single-writer only.
+     * WalMode::Nvwal. DDL, table handles and vacuum stay
+     * single-writer only.
      */
     bool multiWriter = false;
     /**
@@ -441,30 +432,6 @@ class Database
      */
     Status verifyIntegrity();
 
-    // ---- two-phase commit (engine-locked; used by the shard layer) --
-
-    /**
-     * Resolve a transaction recovery left in doubt: persist the
-     * decision in this database's WAL and apply or discard the
-     * staged frames. On commit the pager is resynchronized with the
-     * log (page count, dropped clean pages) so the applied frames
-     * become visible. NotFound when @p gtid is not in doubt here.
-     */
-    Status resolvePreparedTxn(std::uint64_t gtid, bool commit);
-
-    /** Gtids of recovered PREPAREs still awaiting a decision. */
-    std::vector<std::uint64_t> inDoubtTransactions() const;
-
-    /** Durable decision lookup for @p gtid (see WAL counterpart). */
-    bool lookupDecision(std::uint64_t gtid, bool *commit) const;
-
-    /** Largest gtid in any surviving PREPARE/DECISION record. */
-    std::uint64_t walMaxSeenGtid() const;
-
-    /** Truncation guard passthroughs (WriteAheadLog::acquire...). */
-    void holdWalForTwoPhase();
-    void releaseWalTwoPhaseHold();
-
     // ---- crash forensics (DESIGN.md §12) ----------------------------
 
     /**
@@ -556,38 +523,16 @@ class Database
             /** Pager-observed dirty-ratio EWMA (see FrameWrite). */
             std::uint8_t observedDirtyPct = 0;
         };
-        /**
-         * What the leader appends for this entry: a plain commit
-         * (frames + commit mark), a 2PC PREPARE (frames + PREPARE
-         * record under gtid), or a 2PC DECISION record (no frames).
-         */
-        enum class Kind
-        {
-            Commit,
-            Prepare,
-            Decision,
-        };
-        Kind kind = Kind::Commit;
-        std::uint64_t gtid = 0;          //!< Prepare/Decision only
-        bool decisionCommit = false;     //!< Decision only
-        /** Async commits append without barriers (Commit kind only). */
+        /** Async commits append without barriers. */
         bool async = false;
         /** Out: epoch assigned to an async entry by the leader. */
         std::uint64_t epoch = 0;
         /** Transaction sequence at begin (flight-recorder ack id). */
         std::uint64_t txnSeq = 0;
-        /** Publish sequence of a Commit entry (0 when it published
-         *  nothing to the shared pager). */
+        /** Publish sequence of the transaction's pages. */
         std::uint64_t publishSeq = 0;
         std::vector<Frame> frames;
         std::uint32_t dbSizePages = 0;
-        /**
-         * True when the owner already published the transaction to
-         * the shared cache (marked pages clean) before durability; a
-         * failed append then poisons the database instead of being
-         * retryable.
-         */
-        bool finalized = false;
         bool done = false;        //!< guarded by _commitQueueMutex
         Status status;
     };
@@ -631,8 +576,8 @@ class Database
      * Queue @p entry and drive it to durability: the first committer
      * becomes the leader and appends every queued transaction as one
      * WAL group (one barrier pair for the whole batch); the rest wait
-     * as followers. @p release_after_enqueue, when non-null, is the
-     * caller's write lock, released as soon as the entry is queued so
+     * as followers. @p release_after_enqueue is the caller's write
+     * lock, released as soon as the entry is queued so
      * the next writer can overlap its transaction body with this
      * batch -- that release order (queue, then unlock) is what keeps
      * WAL append order equal to writer-lock order.
@@ -749,21 +694,6 @@ class Database
                                 Durability durability,
                                 std::uint64_t *ack_epoch);
     Status rollbackFromConnection(std::unique_lock<std::mutex> *writer_lock);
-    /**
-     * 2PC phase 1: persist the open transaction's frames plus a
-     * PREPARE record for @p gtid through the group-commit queue. The
-     * transaction stays open and the caller KEEPS the writer lock --
-     * the shard remains write-locked until decideFromConnection, so
-     * at most one staged transaction exists per shard.
-     */
-    Status prepareFromConnection(std::uint64_t gtid);
-    /**
-     * 2PC phase 2: persist the DECISION record for @p gtid, apply or
-     * roll back the local transaction accordingly, then release
-     * @p writer_lock. Ends the write transaction either way.
-     */
-    Status decideFromConnection(std::uint64_t gtid, bool commit,
-                                std::unique_lock<std::mutex> *writer_lock);
     /** A user Connection closed (open-connection gauge). */
     void releaseConnection();
 

@@ -37,7 +37,7 @@ struct RawHeader
     std::uint32_t version;
     std::uint32_t recordSize;
     std::uint32_t capacity;
-    std::uint32_t shard;
+    std::uint32_t reserved0;  //!< written 0
     /** Plain-stored convenience hint only: the parser derives the
      *  true next sequence by scanning the slots, never from here. */
     std::uint64_t nextSeqHint;
@@ -86,10 +86,10 @@ slotOffset(NvOffset root, std::uint64_t slot)
 FlightRecorder::FlightRecorder(NvHeap &heap, Pmem &pmem,
                                MetricsRegistry &stats,
                                std::string heap_namespace,
-                               std::uint32_t capacity, std::uint32_t shard)
+                               std::uint32_t capacity)
     : _heap(heap), _pmem(pmem), _stats(stats),
       _namespace(std::move(heap_namespace)),
-      _capacity(std::max(capacity, kMinCapacity)), _shard(shard)
+      _capacity(std::max(capacity, kMinCapacity))
 {
 }
 
@@ -144,7 +144,7 @@ FlightRecorder::createRing()
     header.version = kVersion;
     header.recordSize = kRecordSize;
     header.capacity = _capacity;
-    header.shard = _shard;
+    header.reserved0 = 0;
     header.nextSeqHint = 0;
     _pmem.memcpyToNvram(
         off, ConstByteSpan(reinterpret_cast<const std::uint8_t *>(&header),
@@ -232,7 +232,6 @@ FlightRecorder::parseRing(Pmem &pmem, NvOffset root, FlightRecording *out,
 
     out->present = true;
     out->capacity = header.capacity;
-    out->shard = header.shard;
 
     for (std::uint32_t slot = 0; slot < header.capacity; ++slot) {
         RawRecord raw{};
@@ -360,7 +359,6 @@ frCounterNameForHash(std::uint32_t hash)
         stats::kNvramFramesWritten, stats::kCheckpoints,
         stats::kDbAsyncCommits,    stats::kWalEpochsHardened,
         stats::kGroupCommits,      stats::kFrRecordsWritten,
-        stats::kShardTxnsCross,    stats::kWalPrepareRecords,
     };
     for (const char *name : kKnown) {
         if (frCounterNameHash(name) == hash)
@@ -381,8 +379,6 @@ frRecordTypeName(std::uint8_t type)
     case FrRecordType::CheckpointEnd: return "checkpoint_end";
     case FrRecordType::Truncation: return "truncation";
     case FrRecordType::GroupBatch: return "group_batch";
-    case FrRecordType::Prepare: return "prepare";
-    case FrRecordType::Decision: return "decision";
     case FrRecordType::CounterSnapshot: return "counter_snapshot";
     }
     return type <= kFrMaxRecordType ? "reserved" : "unknown";
@@ -402,17 +398,12 @@ buildRecoveryReport(const FlightRecording &recording,
     report.tornFramesDetected = wal.tornFramesDetected;
     report.framesDiscarded = wal.framesDiscarded;
     report.lostMarks = wal.lostMarks;
-    report.inDoubt = wal.inDoubt;
 
     if (!recording.present)
         return report;
 
     const auto ckpt32 =
         static_cast<std::uint32_t>(wal.recoveredCheckpointId);
-    const auto in_doubt = [&wal](std::uint64_t gtid) {
-        return std::find(wal.inDoubt.begin(), wal.inDoubt.end(), gtid) !=
-               wal.inDoubt.end();
-    };
     const auto complain = [&report](std::string msg)
     { report.inconsistencies.push_back(std::move(msg)); };
 
@@ -458,32 +449,6 @@ buildRecoveryReport(const FlightRecording &recording,
                 complain(buf);
             }
             break;
-        case FrRecordType::Decision:
-            if (rec.durableClaim() && rec.a32 == ckpt32 &&
-                in_doubt(rec.a64)) {
-                std::snprintf(buf, sizeof(buf),
-                              "decision #%llu for gtid %llu is durable "
-                              "but recovery left it in doubt",
-                              (unsigned long long)rec.seq,
-                              (unsigned long long)rec.a64);
-                complain(buf);
-            }
-            break;
-        case FrRecordType::Prepare:
-            if (rec.durableClaim() && rec.a32 == ckpt32 &&
-                !in_doubt(rec.a64) && wal.lookupDecision) {
-                bool commit = false;
-                if (!wal.lookupDecision(rec.a64, &commit)) {
-                    std::snprintf(buf, sizeof(buf),
-                                  "prepare #%llu for gtid %llu is durable "
-                                  "but recovery knows neither the txn "
-                                  "nor a decision",
-                                  (unsigned long long)rec.seq,
-                                  (unsigned long long)rec.a64);
-                    complain(buf);
-                }
-            }
-            break;
         default:
             break;
         }
@@ -499,8 +464,6 @@ buildRecoveryReport(const FlightRecording &recording,
 
     std::vector<std::uint64_t> begins;
     std::vector<std::uint64_t> acked;
-    std::vector<std::uint64_t> prepares;
-    std::vector<std::uint64_t> decisions;
     for (std::size_t i = recording.lastOpenIndex + 1;
          i < recording.records.size(); ++i) {
         const FrRecord &rec = recording.records[i];
@@ -522,12 +485,6 @@ buildRecoveryReport(const FlightRecording &recording,
                 report.lastDurableMarks =
                     std::max(report.lastDurableMarks, rec.a64);
             break;
-        case FrRecordType::Prepare:
-            prepares.push_back(rec.a64);
-            break;
-        case FrRecordType::Decision:
-            decisions.push_back(rec.a64);
-            break;
         default:
             break;
         }
@@ -536,63 +493,10 @@ buildRecoveryReport(const FlightRecording &recording,
         if (std::find(acked.begin(), acked.end(), txn) == acked.end())
             report.possiblyInFlight.push_back(txn);
     }
-    for (const std::uint64_t gtid : prepares) {
-        if (std::find(decisions.begin(), decisions.end(), gtid) ==
-            decisions.end())
-            report.stagedPrepares.push_back(gtid);
-    }
     std::sort(report.possiblyInFlight.begin(),
               report.possiblyInFlight.end());
-    std::sort(report.stagedPrepares.begin(), report.stagedPrepares.end());
 
     return report;
-}
-
-std::vector<GtidTimeline>
-buildCrossShardTimeline(const std::vector<const FlightRecording *> &rings)
-{
-    std::vector<GtidTimeline> timeline;
-    const auto entryFor = [&](std::uint64_t gtid) -> GtidTimeline & {
-        for (GtidTimeline &t : timeline)
-            if (t.gtid == gtid)
-                return t;
-        timeline.emplace_back();
-        timeline.back().gtid = gtid;
-        return timeline.back();
-    };
-    for (const FlightRecording *ring : rings) {
-        if (ring == nullptr || !ring->present)
-            continue;
-        for (const FrRecord &rec : ring->records) {
-            switch (static_cast<FrRecordType>(rec.type)) {
-              case FrRecordType::Prepare:
-                entryFor(rec.a64).preparedShards.push_back(ring->shard);
-                break;
-              case FrRecordType::Decision: {
-                GtidTimeline &t = entryFor(rec.a64);
-                (rec.a16 != 0 ? t.committedShards : t.abortedShards)
-                    .push_back(ring->shard);
-                break;
-              }
-              default:
-                break;
-            }
-        }
-    }
-    std::sort(timeline.begin(), timeline.end(),
-              [](const GtidTimeline &a, const GtidTimeline &b) {
-                  return a.gtid < b.gtid;
-              });
-    for (GtidTimeline &t : timeline) {
-        const auto dedup = [](std::vector<std::uint32_t> *v) {
-            std::sort(v->begin(), v->end());
-            v->erase(std::unique(v->begin(), v->end()), v->end());
-        };
-        dedup(&t.preparedShards);
-        dedup(&t.committedShards);
-        dedup(&t.abortedShards);
-    }
-    return timeline;
 }
 
 namespace
@@ -621,7 +525,6 @@ recoveryReportJson(const RecoveryReport &report)
     w.member("recorderEnabled", report.recorderEnabled);
     w.member("parsed", report.parsed);
     w.member("namespace", report.heapNamespace);
-    w.member("shard", static_cast<std::uint64_t>(report.shard));
 
     w.key("ring");
     w.beginObject();
@@ -641,7 +544,6 @@ recoveryReportJson(const RecoveryReport &report)
     w.member("tornFramesDetected", report.tornFramesDetected);
     w.member("framesDiscarded", report.framesDiscarded);
     w.member("lostMarks", report.lostMarks);
-    writeIdArray(w, "inDoubt", report.inDoubt);
     w.endObject();
 
     w.member("incarnationKnown", report.incarnationKnown);
@@ -649,7 +551,6 @@ recoveryReportJson(const RecoveryReport &report)
     w.member("lastDurableMarks", report.lastDurableMarks);
     w.member("lastAckedTxn", report.lastAckedTxn);
     writeIdArray(w, "possiblyInFlight", report.possiblyInFlight);
-    writeIdArray(w, "stagedPrepares", report.stagedPrepares);
 
     w.key("inconsistencies");
     w.beginArray();
@@ -743,8 +644,6 @@ printRecoveryReport(const RecoveryReport &report, std::FILE *out)
         std::fprintf(out, "\n");
     };
     printIds("possibly in flight", report.possiblyInFlight);
-    printIds("staged prepares (no decision)", report.stagedPrepares);
-    printIds("in doubt after recovery", report.inDoubt);
     if (report.inconsistencies.empty()) {
         std::fprintf(out, "cross-check vs recovered WAL: consistent\n");
     } else {

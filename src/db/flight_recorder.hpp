@@ -5,8 +5,8 @@
  *
  * The engine appends compact 40-byte binary records — transaction
  * begin/ack, hardens with epoch + commit-mark counts, checkpoint
- * round start/end, truncations, group-commit batch sizes, 2PC
- * PREPARE/DECISION, periodic counter snapshots — into a fixed-size
+ * round start/end, truncations, group-commit batch sizes, periodic
+ * counter snapshots — into a fixed-size
  * ring carved out of the NVRAM heap under its own namespace, next to
  * the WAL. Records are written with plain stores and a per-record
  * checksum and are NEVER flushed or fenced on any commit path: the
@@ -33,7 +33,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -76,12 +75,8 @@ enum class FrRecordType : std::uint8_t
     /** A group-commit batch was appended. a32=batch size,
      *  a64=newest txn sequence in the batch. */
     GroupBatch = 8,
-    /** 2PC PREPARE persisted. a32=checkpoint round, a64=global txn
-     *  id. Durable claim (2PC control frames harden eagerly). */
-    Prepare = 9,
-    /** 2PC DECISION persisted. a16=1 commit / 0 abort,
-     *  a32=checkpoint round, a64=global txn id. Durable claim. */
-    Decision = 10,
+    // 9-10: retired. The deleted two-phase commit wrote its PREPARE
+    // and DECISION records here; never reuse the numbers.
     /** Periodic counter sample. a32=FNV-1a 32-bit hash of the
      *  canonical counter name, a64=value, b64=txn sequence. */
     CounterSnapshot = 11,
@@ -129,7 +124,6 @@ struct FlightRecording
 
     bool present = false;          //!< header found and valid
     std::uint32_t capacity = 0;    //!< slots in the ring
-    std::uint32_t shard = 0;       //!< shard id stamped at creation
     std::uint64_t nextSeq = 0;     //!< max valid seq + 1 (0 = empty)
     std::uint64_t validRecords = 0;
     std::uint64_t tornSlots = 0;   //!< nonzero slots failing checksum
@@ -155,8 +149,7 @@ class FlightRecorder
     static constexpr std::uint32_t kMinCapacity = 16;
 
     FlightRecorder(NvHeap &heap, Pmem &pmem, MetricsRegistry &stats,
-                   std::string heap_namespace, std::uint32_t capacity,
-                   std::uint32_t shard = 0);
+                   std::string heap_namespace, std::uint32_t capacity);
 
     /**
      * Attach to an existing ring under the namespace (parsing the
@@ -187,7 +180,7 @@ class FlightRecorder
     const std::string &heapNamespace() const { return _namespace; }
 
     /** Ring heap namespace derived from the WAL's ("nvwal" ->
-     *  "nvwal-fr", "nvwal-s03" -> "nvwal-s03-fr"). */
+     *  "nvwal-fr"). */
     static std::string namespaceFor(const std::string &wal_namespace);
 
     /**
@@ -214,7 +207,6 @@ class FlightRecorder
     MetricsRegistry &_stats;
     std::string _namespace;
     std::uint32_t _capacity;
-    std::uint32_t _shard;
     NvOffset _root = kNullNvOffset;
     std::uint64_t _nextSeq = 0;
     bool _ready = false;
@@ -243,10 +235,6 @@ struct FrRecoveredWalState
     std::uint64_t tornFramesDetected = 0;
     std::uint64_t framesDiscarded = 0;
     std::uint64_t lostMarks = 0;
-    /** 2PC transactions still in doubt right after recovery. */
-    std::vector<std::uint64_t> inDoubt;
-    /** Decision lookup in the recovered WAL (may be empty). */
-    std::function<bool(std::uint64_t gtid, bool *commit)> lookupDecision;
 };
 
 /**
@@ -258,7 +246,6 @@ struct RecoveryReport
     bool recorderEnabled = false;
     bool parsed = false;           //!< ring header found and decoded
     std::string heapNamespace;
-    std::uint32_t shard = 0;
     FlightRecording recording;     //!< surviving records, pre-scrub
 
     // Recovered-WAL ground truth (copied from FrRecoveredWalState).
@@ -268,7 +255,6 @@ struct RecoveryReport
     std::uint64_t tornFramesDetected = 0;
     std::uint64_t framesDiscarded = 0;
     std::uint64_t lostMarks = 0;
-    std::vector<std::uint64_t> inDoubt;
 
     // Derived from the crashed incarnation's slice of the ring.
     /** True when a RecorderOpen record survived, so the slice
@@ -280,8 +266,6 @@ struct RecoveryReport
     /** Transactions with a surviving begin and no surviving ack — an
      *  upper estimate: a lost ack record also lands a txn here. */
     std::vector<std::uint64_t> possiblyInFlight;
-    /** gtids with a surviving PREPARE and no surviving DECISION. */
-    std::vector<std::uint64_t> stagedPrepares;
 
     /**
      * Durable-claim records contradicted by the recovered WAL. Every
@@ -296,26 +280,6 @@ struct RecoveryReport
 /** Build the post-mortem from a parsed ring + recovered WAL state. */
 RecoveryReport buildRecoveryReport(const FlightRecording &recording,
                                    const FrRecoveredWalState &wal);
-
-/** One global transaction's merged 2PC history across shard rings. */
-struct GtidTimeline
-{
-    std::uint64_t gtid = 0;
-    std::vector<std::uint32_t> preparedShards;  //!< surviving PREPAREs
-    std::vector<std::uint32_t> committedShards; //!< commit decisions
-    std::vector<std::uint32_t> abortedShards;   //!< abort decisions
-};
-
-/**
- * Merge the Prepare/Decision records of several shard rings into one
- * gtid-keyed cross-shard timeline (ascending gtid). Shard ids come
- * from each recording's stamped shard field. A gtid with PREPAREs on
- * some shards and a commit decision on any is the signature of a
- * crash between the 2PC phases that recovery must have resolved to
- * commit everywhere (presumed abort otherwise).
- */
-std::vector<GtidTimeline>
-buildCrossShardTimeline(const std::vector<const FlightRecording *> &rings);
 
 /** Render the report as one JSON document ({"forensics": {...}}). */
 std::string recoveryReportJson(const RecoveryReport &report);

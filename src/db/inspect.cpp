@@ -79,13 +79,6 @@ collectNvwalMediaReport(Env &env, std::uint32_t page_size,
             frame.committed = commit_word != 0;
             frame.dbSizePages = static_cast<std::uint32_t>(
                 commit_word & ~NvwalLog::kCommitFlag);
-            frame.isControl = page_no == NvwalLog::kControlPage;
-            if (frame.isControl &&
-                size == NvwalLog::kControlPayloadSize &&
-                loadU32(payload.data()) == NvwalLog::kControlMagic) {
-                frame.ctrlType = loadU32(payload.data() + 4);
-                frame.gtid = loadU64(payload.data() + 8);
-            }
 
             CumulativeChecksum attempt = chain;
             attempt.update(ConstByteSpan(h, 8));
@@ -95,19 +88,7 @@ collectNvwalMediaReport(Env &env, std::uint32_t page_size,
                 !chain_broken && attempt.value() == loadU64(h + 24);
             if (frame.checksumValid) {
                 chain = attempt;
-                if (frame.isControl) {
-                    // 2PC record: a marked PREPARE stages the data
-                    // frames it covers (durable, invisible until a
-                    // decision); decisions carry no data run.
-                    if (frame.committed &&
-                        frame.ctrlType == NvwalLog::kCtrlPrepare) {
-                        out->prepareRecords++;
-                        out->stagedFrames += pending_run;
-                        pending_run = 0;
-                    } else if (frame.committed) {
-                        out->decisionRecords++;
-                    }
-                } else if (frame.committed) {
+                if (frame.committed) {
                     out->committedFrames += pending_run + 1;
                     pending_run = 0;
                 } else {
@@ -176,41 +157,18 @@ printNvwalMediaReport(const NvwalMediaReport &report, std::FILE *out)
                  static_cast<unsigned long long>(report.tornFrames),
                  static_cast<unsigned long long>(report.bytesUsed),
                  report.nodes.size());
-    if (report.prepareRecords + report.decisionRecords +
-            report.stagedFrames !=
-        0) {
-        std::fprintf(out,
-                     "2PC: %llu prepare record(s), %llu decision "
-                     "record(s), %llu staged frame(s)\n",
-                     static_cast<unsigned long long>(report.prepareRecords),
-                     static_cast<unsigned long long>(
-                         report.decisionRecords),
-                     static_cast<unsigned long long>(report.stagedFrames));
-    }
 
     TablePrinter frames("log frames");
     frames.setHeader({"node", "offset", "page", "in-page", "bytes",
                       "state"});
     for (std::size_t n = 0; n < report.nodes.size(); ++n) {
         for (const FrameInfo &f : report.nodes[n].frames) {
-            std::string state = !f.checksumValid ? "TORN"
+            const char *state = !f.checksumValid ? "TORN"
                                 : f.committed    ? "commit"
                                                  : "pending";
-            if (f.isControl && f.checksumValid) {
-                const char *kind =
-                    f.ctrlType == NvwalLog::kCtrlPrepare  ? "PREPARE"
-                    : f.ctrlType == NvwalLog::kCtrlCommit ? "COMMIT"
-                    : f.ctrlType == NvwalLog::kCtrlAbort  ? "ABORT"
-                                                          : "ctrl?";
-                state = std::string(kind) + " gtid=" +
-                        std::to_string(f.gtid) +
-                        (f.committed ? "" : " (unmarked)");
-            }
             frames.addRow({TablePrinter::num(std::uint64_t(n)),
                            TablePrinter::num(std::uint64_t(f.offset)),
-                           f.isControl
-                               ? "ctrl"
-                               : TablePrinter::num(std::uint64_t(f.pageNo)),
+                           TablePrinter::num(std::uint64_t(f.pageNo)),
                            TablePrinter::num(std::uint64_t(f.pageOffset)),
                            TablePrinter::num(std::uint64_t(f.size)),
                            state});

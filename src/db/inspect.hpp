@@ -32,10 +32,6 @@ struct FrameInfo
     bool committed;
     std::uint32_t dbSizePages;  //!< only meaningful when committed
     bool checksumValid;
-    /** 2PC control frame (pageNo == NvwalLog::kControlPage). */
-    bool isControl = false;
-    std::uint32_t ctrlType = 0;  //!< kCtrlPrepare/kCtrlCommit/kCtrlAbort
-    std::uint64_t gtid = 0;      //!< control frames only
 };
 
 /** One log node (NVRAM heap allocation) in the chain. */
@@ -56,11 +52,6 @@ struct NvwalMediaReport
     std::uint64_t committedFrames = 0;
     std::uint64_t uncommittedFrames = 0;
     std::uint64_t tornFrames = 0;  //!< checksum-invalid frames
-    /** Data frames owned by a PREPARE record (durable but invisible
-     *  until a decision lands; DESIGN.md section 10). */
-    std::uint64_t stagedFrames = 0;
-    std::uint64_t prepareRecords = 0;
-    std::uint64_t decisionRecords = 0;
     std::uint64_t bytesUsed = 0;
     // Heap-level summary.
     std::uint64_t heapBlocksFree = 0;
@@ -92,9 +83,8 @@ struct DatabaseReport
  * Walk the NVWAL persistent structures on @p env's NVRAM, using the
  * same header/frame format as NvwalLog but none of its code.
  * @p page_size must match the database's page size (frame geometry
- * validation needs it). @p heap_namespace selects which log to walk:
- * "nvwal" is the standalone default; shard k of a sharded store
- * publishes under ShardedDatabase::shardHeapNamespace(k).
+ * validation needs it). @p heap_namespace selects which log to walk
+ * (NvwalConfig::heapNamespace; "nvwal" is the default).
  */
 Status collectNvwalMediaReport(Env &env, std::uint32_t page_size,
                                NvwalMediaReport *out,

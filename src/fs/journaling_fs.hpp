@@ -37,8 +37,8 @@ namespace nvwal
  * EXT4-ordered-mode-like file system over a BlockDevice.
  *
  * Thread-safety: every public method takes an internal recursive
- * mutex; shards of a sharded engine write their .db files through
- * one shared file system. The fs locks before calling down into the
+ * mutex; databases sharing one Env write their .db files through
+ * one file system. The fs locks before calling down into the
  * BlockDevice, never the reverse.
  */
 class JournalingFs

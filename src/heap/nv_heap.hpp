@@ -49,11 +49,11 @@ enum class BlockState : std::uint8_t
 /**
  * Persistent heap manager over an NvramDevice.
  *
- * Thread-safety: sharded engines allocate log nodes from one shared
- * heap concurrently, so every public method takes an internal
- * recursive mutex (recover() nests attach()). The heap calls only
- * downward (Pmem, then the device), never back up, keeping the lock
- * order acyclic.
+ * Thread-safety: logs of databases sharing one Env allocate nodes
+ * from one heap concurrently, so every public method takes an
+ * internal recursive mutex (recover() nests attach()). The heap
+ * calls only downward (Pmem, then the device), never back up,
+ * keeping the lock order acyclic.
  */
 class NvHeap
 {

@@ -69,10 +69,10 @@ enum class FailurePolicy
 /**
  * Byte-addressable NVRAM with simulated cache-line persistence.
  *
- * Thread-safety: one device backs every shard of a sharded engine
- * (a single global op counter is what lets the crash sweep inject a
- * power failure at one cross-shard instant), so all public methods
- * take an internal recursive mutex. The lock order is strictly
+ * Thread-safety: one device backs every database sharing an Env (a
+ * single global op counter is what lets the crash sweep inject a
+ * power failure at one instant), so all public methods take an
+ * internal recursive mutex. The lock order is strictly
  * top-down — heap/pmem/fs lock before calling into the device, and
  * the device never calls back up — so no inversion is possible.
  */

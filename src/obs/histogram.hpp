@@ -29,7 +29,7 @@ namespace nvwal
  *
  * Internally synchronized: components cache `Histogram&` references
  * from a registry and record into them from whatever thread holds
- * their own engine lock, and with several sharded engines over one
+ * their own engine lock, and with several databases over one
  * platform registry those engines are *different* threads. The
  * per-record mutex is uncontended in the single-database case and
  * never charges the simulated clock.

@@ -9,9 +9,9 @@
  * directly; the canonical counter names live in `src/sim/stats.hpp`.
  *
  * Thread-safety: the registry's map structure is mutex-guarded and
- * Histogram objects are internally synchronized, because the sharded
- * engine shares one platform registry (Env::stats) across shards
- * whose engine locks are independent. Per-database registries still
+ * Histogram objects are internally synchronized, because databases
+ * sharing one Env share its platform registry (Env::stats) under
+ * independent engine locks. Per-database registries still
  * see every mutation under that database's engine lock, so the mutex
  * is uncontended there. Export paths read through the by-value
  * snapshot accessors (snapshot(), histogramsSnapshot(),

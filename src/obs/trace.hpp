@@ -61,7 +61,7 @@ struct TraceEvent
  * Thread-safety: the enabled gate and current-txn id are relaxed
  * atomics (the hot disabled path stays one load + branch) and the
  * ring itself is mutex-guarded, because a platform-level tracer may
- * be shared by several sharded engines committing concurrently.
+ * be shared by several databases committing concurrently.
  */
 class Tracer
 {

@@ -102,8 +102,9 @@ class Pmem
 
     /**
      * Guards _lastFlushCompletion (the only mutable Pmem state):
-     * sharded engines share one Pmem, so concurrent flush batches
-     * must schedule their drains against a consistent bank timeline.
+     * databases sharing one Env share one Pmem, so concurrent flush
+     * batches must schedule their drains against a consistent bank
+     * timeline.
      */
     std::mutex _mu;
 

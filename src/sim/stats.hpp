@@ -17,9 +17,6 @@
 #ifndef NVWAL_SIM_STATS_HPP
 #define NVWAL_SIM_STATS_HPP
 
-#include <cstdio>
-#include <string>
-
 #include "obs/metrics.hpp"
 
 namespace nvwal
@@ -64,22 +61,6 @@ inline constexpr const char *kGroupCommitTxns = "db.group_commit_txns";
 inline constexpr const char *kCheckpointerSteps = "db.checkpointer_steps";
 inline constexpr const char *kCheckpointsPinBlocked =
     "wal.checkpoints_pin_blocked";
-
-// Sharded engine and cross-shard two-phase commit (DESIGN.md §10,
-// docs/OBSERVABILITY.md §shard).
-inline constexpr const char *kShardTxnsSingle = "shard.txns_single";
-inline constexpr const char *kShardTxnsCross = "shard.txns_cross";
-inline constexpr const char *kShardCrossAborts = "shard.cross_aborts";
-inline constexpr const char *kShardIndoubtCommitted =
-    "shard.indoubt_committed";
-inline constexpr const char *kShardIndoubtAborted =
-    "shard.indoubt_aborted";
-/** PREPARE / DECISION control records persisted by the NVRAM log. */
-inline constexpr const char *kWalPrepareRecords = "wal.prepare_records";
-inline constexpr const char *kWalDecisionRecords = "wal.decision_records";
-/** Checkpoint rounds whose truncation a staged 2PC txn deferred. */
-inline constexpr const char *kWalCkptTwoPhaseBlocked =
-    "wal.checkpoints_2pc_blocked";
 
 // Asynchronous durability pipeline (DESIGN.md §11). Epoch batching of
 // persist barriers plus recovery-side checksum-commit classification:
@@ -132,7 +113,6 @@ inline constexpr const char *kGaugeAsyncAcksPending =
 inline constexpr const char *kGaugeOpenSnapshots = "db.open_snapshots";
 inline constexpr const char *kGaugeCommitQueueDepth =
     "db.commit_queue_depth";
-inline constexpr const char *kGaugeShardCount = "shard.count";
 
 // WAL allocation-path split: frames placed by the user-level bump
 // allocator in the tail node vs. frames that forced a heap-manager
@@ -212,22 +192,6 @@ inline constexpr const char *kHistCheckpointNs = "wal.checkpoint_ns";
 inline constexpr const char *kHistRecoverNs = "wal.recover_ns";
 inline constexpr const char *kHistHeapAllocNs = "heap.alloc_ns";
 inline constexpr const char *kHistPersistBarrierNs = "pmem.persist_barrier_ns";
-/** Sim ns from first PREPARE submit to last DECISION durable. */
-inline constexpr const char *kHistShardCrossCommitNs =
-    "shard.cross_commit_ns";
-
-/**
- * Per-shard commit-latency histogram label, e.g. "shard.commit_ns.s03".
- * Zero-padded so the registry's lexicographic print order equals
- * shard order in every aggregated stats/metrics dump.
- */
-inline std::string
-shardCommitHistName(std::uint32_t shard)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "shard.commit_ns.s%02u", shard);
-    return std::string(buf);
-}
 
 } // namespace stats
 

@@ -12,8 +12,7 @@
  * Appends: writeFrameGroup() is the one synchronous append. Every
  * call ends in a commit mark covering all it appended, so no log
  * carries uncommitted frames from one call to the next. NvwalLog
- * adds the unflushed writeFrameGroupAsync() + harden() pair and the
- * two-phase writePrepare()/writeDecision() records.
+ * adds the unflushed writeFrameGroupAsync() + harden() pair.
  *
  * Snapshot reads: every committed transaction is assigned a
  * monotonically increasing CommitSeq. A reader opens a snapshot by
@@ -218,90 +217,6 @@ class WriteAheadLog
 
     /** Scheme name for reports (e.g. "WAL", "NVWAL UH+LS+Diff"). */
     virtual const char *name() const = 0;
-
-    // ----- two-phase commit (cross-shard transactions) ---------------
-    //
-    // A participant shard persists its slice of a cross-shard
-    // transaction as a PREPARE record (data frames + a control frame
-    // carrying the global transaction id), durable but invisible: the
-    // frames are staged, not applied. The coordinator then persists a
-    // COMMIT or ABORT DECISION record in every participant, which
-    // applies or discards the staged frames. Recovery re-stages any
-    // PREPARE whose DECISION did not survive; the shard router
-    // resolves those by scanning the other participants' logs
-    // (presumed-abort when no decision record exists anywhere).
-    // Only NvwalLog implements this; file WALs report Unsupported.
-
-    /** Whether writePrepare()/writeDecision() are usable. */
-    virtual bool supportsTwoPhase() const { return false; }
-
-    /**
-     * Phase 1: persist @p txn's frames plus a PREPARE record for
-     * @p gtid, atomically (all durable or none recoverable). The
-     * frames stay invisible to readers until the decision.
-     */
-    virtual Status
-    writePrepare(std::uint64_t gtid, const TxnFrames &txn)
-    {
-        (void)gtid;
-        (void)txn;
-        return Status::unsupported("WAL has no two-phase commit");
-    }
-
-    /**
-     * Phase 2: persist the DECISION record for @p gtid, then apply
-     * (@p commit) or discard the staged frames.
-     */
-    virtual Status
-    writeDecision(std::uint64_t gtid, bool commit)
-    {
-        (void)gtid;
-        (void)commit;
-        return Status::unsupported("WAL has no two-phase commit");
-    }
-
-    /**
-     * Resolve a transaction left in doubt by recovery: persist the
-     * decision in this log, then apply or discard its staged frames.
-     * NotFound when @p gtid is not in doubt here.
-     */
-    virtual Status
-    resolveInDoubt(std::uint64_t gtid, bool commit)
-    {
-        (void)gtid;
-        (void)commit;
-        return Status::unsupported("WAL has no two-phase commit");
-    }
-
-    /** Gtids of recovered PREPAREs still awaiting a decision. */
-    virtual std::vector<std::uint64_t> inDoubtTransactions() const
-    { return {}; }
-
-    /**
-     * Look up a persisted decision for @p gtid in this log; true
-     * (with @p commit set) when one exists.
-     */
-    virtual bool
-    lookupDecision(std::uint64_t gtid, bool *commit) const
-    {
-        (void)gtid;
-        (void)commit;
-        return false;
-    }
-
-    /** Largest gtid in any surviving PREPARE/DECISION record. */
-    virtual std::uint64_t maxSeenGtid() const { return 0; }
-
-    /**
-     * Hold/release a truncation guard: while any hold is open the
-     * log must not truncate (checkpoint rounds finish write-back but
-     * retain the records). The coordinator holds every participant
-     * from before the first PREPARE until all DECISIONs are durable,
-     * so an in-doubt shard can always find the others' decision
-     * records after a crash. Balanced; holds are volatile.
-     */
-    virtual void acquireTwoPhaseHold() {}
-    virtual void releaseTwoPhaseHold() {}
 
     // ----- snapshot pin bookkeeping (shared by implementations) -----
 

@@ -201,6 +201,41 @@ TEST(HeaderCorruption, NvwalHeaderMagicDamageIsReported)
     EXPECT_TRUE(open.isCorruption()) << open.toString();
 }
 
+TEST(HeaderCorruption, Version2LogIsRefusedNotMisread)
+{
+    // Version 2 logs could hold two-phase-commit control frames
+    // (page 0xFFFFFFFF); the current reader has no such frame and
+    // would replay one as data, so a version-2 header must be
+    // refused with Corruption by both readers.
+    EnvConfig env_config;
+    env_config.cost = CostModel::tuna(500);
+    env_config.nvramBytes = 8 << 20;
+    env_config.flashBlocks = 2048;
+    Env env(env_config);
+    DbConfig config;
+    config.walMode = WalMode::Nvwal;
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, config, &db));
+    NVWAL_CHECK_OK(db->insert(1, "x"));
+    db.reset();
+    env.powerFail(FailurePolicy::Pessimistic);
+
+    NvOffset header_off;
+    NVWAL_CHECK_OK(env.heap.getRoot("nvwal", &header_off));
+    const std::uint8_t v2_magic[8] = {'N', 'V', 'W', 'A', 'L', '0', '0', '2'};
+    env.nvramDevice.write(header_off, ConstByteSpan(v2_magic, 8));
+    env.nvramDevice.flushLine(header_off);
+    env.nvramDevice.drainPersistQueue();
+
+    NvwalMediaReport media;
+    const Status inspected =
+        collectNvwalMediaReport(env, config.pageSize, &media);
+    EXPECT_TRUE(inspected.isCorruption()) << inspected.toString();
+    std::unique_ptr<Database> recovered;
+    const Status open = Database::open(env, config, &recovered);
+    EXPECT_TRUE(open.isCorruption()) << open.toString();
+}
+
 TEST(HeaderCorruption, DbHeaderMagicDamageIsReported)
 {
     EnvConfig env_config;

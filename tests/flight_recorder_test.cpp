@@ -4,8 +4,8 @@
  * (DESIGN.md §12): ring survival and torn-slot scrubbing across
  * power failures, the zero-cost contract (recorder on/off must issue
  * identical persist barriers and flush syscalls), the recovery
- * report's durable-claim cross-checks, the merged cross-shard 2PC
- * timeline, and the sweep-level forensics audit.
+ * report's durable-claim cross-checks, and the sweep-level forensics
+ * audit.
  */
 
 #include <gtest/gtest.h>
@@ -341,7 +341,7 @@ TEST(FlightRecorder, JsonReportCarriesTheDocumentedKeys)
     for (const char *key :
          {"\"forensics\"", "\"recorderEnabled\"", "\"ring\"",
           "\"recovered\"", "\"incarnationKnown\"", "\"possiblyInFlight\"",
-          "\"stagedPrepares\"", "\"inconsistencies\"", "\"events\""})
+          "\"inconsistencies\"", "\"events\""})
         EXPECT_NE(doc.find(key), std::string::npos) << key;
 }
 
@@ -399,57 +399,6 @@ TEST(FlightRecorder, RecorderAddsZeroBarriersAndZeroFlushes)
         EXPECT_EQ(flushes_on, flushes_off)
             << "sync mode " << static_cast<int>(mode);
     }
-}
-
-// ---- the cross-shard timeline --------------------------------------
-
-FlightRecording
-syntheticRing(std::uint32_t shard, std::vector<FrRecord> records)
-{
-    FlightRecording rec;
-    rec.present = true;
-    rec.shard = shard;
-    rec.records = std::move(records);
-    rec.validRecords = rec.records.size();
-    return rec;
-}
-
-FrRecord
-record2pc(FrRecordType type, std::uint64_t gtid, bool commit = false)
-{
-    FrRecord r;
-    r.type = static_cast<std::uint8_t>(type);
-    r.flags = kFrFlagDurableClaim;
-    r.a16 = commit ? 1 : 0;
-    r.a64 = gtid;
-    return r;
-}
-
-TEST(FlightRecorder, CrossShardTimelineMergesByGtid)
-{
-    const FlightRecording s0 = syntheticRing(
-        0, {record2pc(FrRecordType::Prepare, 7),
-            record2pc(FrRecordType::Decision, 7, /*commit=*/true)});
-    const FlightRecording s1 = syntheticRing(
-        1, {record2pc(FrRecordType::Prepare, 7),
-            record2pc(FrRecordType::Prepare, 9),
-            record2pc(FrRecordType::Decision, 9, /*commit=*/false)});
-
-    const std::vector<GtidTimeline> timeline =
-        buildCrossShardTimeline({&s0, &s1});
-    ASSERT_EQ(timeline.size(), 2u);
-    EXPECT_EQ(timeline[0].gtid, 7u);
-    EXPECT_EQ(timeline[0].preparedShards,
-              (std::vector<std::uint32_t>{0, 1}));
-    EXPECT_EQ(timeline[0].committedShards,
-              (std::vector<std::uint32_t>{0}));
-    EXPECT_TRUE(timeline[0].abortedShards.empty());
-    EXPECT_EQ(timeline[1].gtid, 9u);
-    EXPECT_EQ(timeline[1].preparedShards,
-              (std::vector<std::uint32_t>{1}));
-    EXPECT_EQ(timeline[1].abortedShards,
-              (std::vector<std::uint32_t>{1}));
-    EXPECT_TRUE(buildCrossShardTimeline({}).empty());
 }
 
 // ---- sweep-level forensics audit -----------------------------------

@@ -243,7 +243,6 @@ TEST(Multiwriter, CommitsAcrossConnectionsAndGuardsDdl)
     EXPECT_TRUE(db->createTable("side").isUnsupported());
     EXPECT_TRUE(db->dropTable("side").isUnsupported());
     EXPECT_TRUE(db->vacuum().isUnsupported());
-    EXPECT_TRUE(a->prepare(7).isUnsupported());
     NVWAL_CHECK_OK(db->verifyIntegrity());
 }
 

@@ -4,10 +4,9 @@
  * exactly its dirty cached pages, so commit bookkeeping never walks
  * the resident cache. Copies of a page or of its dirty ranges never
  * join the set, and a seeded model check drives every path that
- * fills or drains it -- statements, commit, rollback, two-phase
- * prepare and decide, a multi-writer workspace install, checkpoint
- * with eviction, and vacuum -- comparing the set with a full cache
- * scan after each operation.
+ * fills or drains it -- statements, commit, rollback, a multi-writer
+ * workspace install, checkpoint with eviction, and vacuum --
+ * comparing the set with a full cache scan after each operation.
  */
 
 #include <gtest/gtest.h>
@@ -109,7 +108,6 @@ TEST(PagerDirtySet, RandomOpsMatchFullScan)
     std::map<RowId, ByteBuffer> committed;
     std::map<RowId, ByteBuffer> pending;
     bool in_txn = false;
-    std::uint64_t gtid = 0;
 
     const auto expectSetMatches = [&](const std::string &op, int step) {
         Pager &pager = db->pager();
@@ -158,19 +156,6 @@ TEST(PagerDirtySet, RandomOpsMatchFullScan)
                 op = "rollback";
                 NVWAL_CHECK_OK(conn->rollback());
                 pending = committed;
-                in_txn = false;
-                expectClean(op, step);
-            } else if (roll < 90) {
-                const bool commit = rng.nextBelow(2) == 0;
-                op = commit ? "prepare+commit" : "prepare+abort";
-                NVWAL_CHECK_OK(conn->prepare(++gtid));
-                // Prepared pages stay dirty until the decision.
-                expectSetMatches("prepare", step);
-                NVWAL_CHECK_OK(conn->decide(gtid, commit));
-                if (commit)
-                    committed = pending;
-                else
-                    pending = committed;
                 in_txn = false;
                 expectClean(op, step);
             } else {

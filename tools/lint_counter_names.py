@@ -8,7 +8,7 @@ This lint enforces the three directions that rot silently:
 
   1. every canonical constant in stats.hpp is documented in
      docs/MODEL.md or docs/OBSERVABILITY.md (wildcard rows like
-     `time.*_ns` and `shard.commit_ns.sNN` count);
+     `time.*_ns` count);
   2. no source file hardcodes a metric-looking string literal that
      is not a canonical name -- typos like "fr.record_written"
      would otherwise export a counter nobody documented or gated
@@ -30,11 +30,6 @@ REPO = Path(__file__).resolve().parent.parent
 STATS_HPP = REPO / "src" / "sim" / "stats.hpp"
 DOCS = [REPO / "docs" / "MODEL.md", REPO / "docs" / "OBSERVABILITY.md"]
 SOURCE_DIRS = ["src", "tests", "bench", "examples"]
-
-# shardCommitHistName() in stats.hpp formats "shard.commit_ns.s%02u";
-# docs write the family as shard.commit_ns.sNN.
-DYNAMIC_NAME = re.compile(r"^shard\.commit_ns\.s\d+$")
-DYNAMIC_DOC_TOKEN = "shard.commit_ns.sNN"
 
 
 def parse_canonical_names():
@@ -112,8 +107,7 @@ def main():
         rel = path.relative_to(REPO)
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
             for name in candidates(line):
-                if (name in canonical or name in span_names
-                        or DYNAMIC_NAME.match(name)):
+                if name in canonical or name in span_names:
                     continue
                 errors.append(
                     f"{rel}:{lineno}: metric literal \"{name}\" is "
@@ -137,11 +131,7 @@ def main():
 
     # -- docs must not keep rows for renamed-away names --------------
     for tok in sorted(doc_tokens):
-        if "*" in tok or tok == DYNAMIC_DOC_TOKEN:
-            continue
-        if tok in canonical or DYNAMIC_NAME.match(tok):
-            continue
-        if tok in span_names:
+        if "*" in tok or tok in canonical or tok in span_names:
             continue
         errors.append(
             f"docs: `{tok}` is neither a canonical name in "
