@@ -100,6 +100,62 @@ BM_CumulativeChecksum4K(benchmark::State &state)
 BENCHMARK(BM_CumulativeChecksum4K);
 
 void
+BM_NvramLineCycle(benchmark::State &state)
+{
+    // The device's host cost per commit-sized persist: store 8 lines,
+    // flush each, drain the queue -- the lazy-sync pattern of one
+    // small NVWAL commit. The window walks a 32 MiB device, as the
+    // e2ebench platform configures it.
+    MetricsRegistry stats;
+    NvramDevice dev(std::size_t{32} << 20, 64, stats);
+    const ByteBuffer line(64, 0x5C);
+    const NvOffset window = 8 * 64;
+    NvOffset base = 0;
+    for (auto _ : state) {
+        for (NvOffset off = base; off < base + window; off += 64)
+            dev.write(off, ConstByteSpan(line.data(), line.size()));
+        for (NvOffset off = base; off < base + window; off += 64)
+            dev.flushLine(off);
+        dev.drainPersistQueue();
+        base = (base + window) % (dev.size() - window);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            8);
+}
+BENCHMARK(BM_NvramLineCycle);
+
+void
+BM_PagerGetHit(benchmark::State &state)
+{
+    // A page-table hit: the lookup every B-tree descent repeats.
+    // 256 resident pages, visited in a seeded random order.
+    Env env;
+    DbFile file(env.fs, "hit.db", 4096);
+    Pager pager(file, 4096, 0, &env.stats);
+    NVWAL_CHECK_OK(pager.open());
+    for (int i = 0; i < 254; ++i) {
+        CachedPage *page;
+        PageNo no;
+        NVWAL_CHECK_OK(pager.allocatePage(&page, &no));
+    }
+    NVWAL_CHECK_OK(pager.flushAllToFile());
+    std::vector<PageNo> order(pager.pageCount());
+    Rng rng(0x9A6E);
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = static_cast<PageNo>(1 + rng.nextBelow(order.size()));
+    std::size_t at = 0;
+    for (auto _ : state) {
+        CachedPage *page;
+        NVWAL_CHECK_OK(pager.getPage(order[at], &page));
+        benchmark::DoNotOptimize(page);
+        at = (at + 1) % order.size();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PagerGetHit);
+
+void
 BM_BTreeInsertWallClock(benchmark::State &state)
 {
     EnvConfig env_config;

@@ -32,8 +32,10 @@
  *   2. _engineMutex  -- the big engine lock guarding the pager, WAL,
  *      catalog, tables, and MetricsRegistry (recursive: public
  *      operations nest);
- *   3. _commitQueueMutex / _ckptMutex -- leaf locks, never held while
- *      acquiring the ones above.
+ *   3. _commitQueueMutex / _ckptMutex / _asyncMutex -- leaf locks,
+ *      never held while acquiring the ones above;
+ *   4. the Env's heap, Pmem and NvramDevice locks, in that order; the
+ *      device's plain mutex is the bottom leaf (DESIGN.md §8.1).
  * The simulated clock is atomic and is the only lock-free piece of
  * shared engine state; snapshot readers otherwise run on private
  * SnapshotCaches and take the engine lock only to fetch a missing

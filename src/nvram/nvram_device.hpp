@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <exception>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -71,10 +70,22 @@ enum class FailurePolicy
  *
  * Thread-safety: one device backs every database sharing an Env (a
  * single global op counter is what lets the crash sweep inject a
- * power failure at one instant), so all public methods take an
- * internal recursive mutex. The lock order is strictly
- * top-down — heap/pmem/fs lock before calling into the device, and
- * the device never calls back up — so no inversion is possible.
+ * power failure at one instant), so all public methods take one
+ * internal plain mutex. It is the bottom leaf of the lock order
+ * (DESIGN.md §8.1): heap and pmem lock before calling into the
+ * device, the device never calls back up, and no public method
+ * re-enters another, so no inversion or self-deadlock is possible.
+ *
+ * Storage: a volatile line image lives in one slab slot. A 4-byte
+ * per-line index names the line's newest image, the one a read sees.
+ * The index covers lines up to the highest one ever stored to, so
+ * its footprint follows the span in use, not the device size. The
+ * dirty and queued slots are kept in two lists with O(1) removal. A
+ * line can be dirty and queued at once (stored to again after its
+ * flush): its dirty slot then links the queued one, and flushing it
+ * replaces the queued image. Walks that draw from the adversarial
+ * RNG visit lines in ascending order, so a seed alone fixes the
+ * outcome.
  */
 class NvramDevice
 {
@@ -139,7 +150,7 @@ class NvramDevice
     std::uint64_t
     opCount() const
     {
-        std::lock_guard<std::recursive_mutex> g(_mu);
+        std::lock_guard<std::mutex> g(_mu);
         return _opCount;
     }
 
@@ -154,16 +165,16 @@ class NvramDevice
     std::size_t
     dirtyLineCount() const
     {
-        std::lock_guard<std::recursive_mutex> g(_mu);
-        return _cache.size();
+        std::lock_guard<std::mutex> g(_mu);
+        return _dirtyList.size();
     }
 
     /** Number of flushed-but-undrained lines; test introspection. */
     std::size_t
     queuedLineCount() const
     {
-        std::lock_guard<std::recursive_mutex> g(_mu);
-        return _queue.size();
+        std::lock_guard<std::mutex> g(_mu);
+        return _queuedList.size();
     }
 
     /** Direct durable-media peek, bypassing the cache (tests). */
@@ -171,10 +182,14 @@ class NvramDevice
 
     // ---- image snapshot / restore ----------------------------------
 
-    /** One simulated cache line (full _lineSize bytes, tail padded). */
-    struct Line
+    /**
+     * Volatile line images in ascending line order: @p images holds
+     * _lineSize bytes (tail padded) per entry of @p lines.
+     */
+    struct LineImages
     {
-        ByteBuffer data;
+        std::vector<std::uint64_t> lines;
+        ByteBuffer images;
     };
 
     /**
@@ -186,8 +201,8 @@ class NvramDevice
     struct Snapshot
     {
         ByteBuffer durable;
-        std::unordered_map<std::uint64_t, Line> cache;
-        std::unordered_map<std::uint64_t, Line> queue;
+        LineImages dirty;
+        LineImages queued;
         std::uint64_t opCount = 0;
         Rng rng{0};
     };
@@ -201,32 +216,86 @@ class NvramDevice
     void
     reseed(std::uint64_t seed)
     {
-        std::lock_guard<std::recursive_mutex> g(_mu);
+        std::lock_guard<std::mutex> g(_mu);
         _rng = Rng(seed);
     }
 
   private:
+    /** Index of a line image in _slab. */
+    using Slot = std::uint32_t;
+
+    /** Which line a slot holds and where it sits in its list. */
+    struct SlotInfo
+    {
+        std::uint64_t line;
+        std::uint32_t pos;
+        /** Dirty slot only: its line's queued slot + 1 (0 = none). */
+        Slot older;
+        bool queued;
+    };
+
     std::uint64_t lineIndex(NvOffset addr) const { return addr / _lineSize; }
 
     /** Bytes of line @p line_idx that exist on the media (the last
      *  line of a non-line-multiple device is partial). */
     std::size_t lineSpanBytes(std::uint64_t line_idx) const;
 
-    void countOp();
-    void applyLineToDurable(std::uint64_t line_idx, const ByteBuffer &data);
+    std::uint8_t *
+    image(Slot s)
+    {
+        return _slab.data() + static_cast<std::size_t>(s) * _lineSize;
+    }
 
-    /** Recursive: write() nests under writeU64(), powerFail() under
-     *  countOp(). Guards every member below. */
-    mutable std::recursive_mutex _mu;
+    const std::uint8_t *
+    image(Slot s) const
+    {
+        return _slab.data() + static_cast<std::size_t>(s) * _lineSize;
+    }
+
+    /** @p line_idx's entry in _newest, growing the index to reach it. */
+    Slot &newestSlot(std::uint64_t line_idx);
+
+    // The *Locked helpers expect _mu held; public methods lock once
+    // and call only these.
+    void countOpLocked();
+    void writeLocked(NvOffset off, ConstByteSpan data);
+    void readLocked(NvOffset off, ByteSpan out) const;
+    void powerFailLocked(FailurePolicy policy, double survive_prob);
+
+    Slot allocSlot(std::uint64_t line_idx);
+    void listPush(std::vector<Slot> &list, Slot s);
+    void listRemove(std::vector<Slot> &list, Slot s);
+    /** Move dirty slot @p s into the persist queue, replacing (and
+     *  freeing) its line's older queued image. */
+    void queueDirtySlot(Slot s);
+    /** @p list's slots ordered by ascending line. */
+    std::vector<Slot> byLine(const std::vector<Slot> &list) const;
+    void applyLineToDurable(std::uint64_t line_idx, const std::uint8_t *data);
+    LineImages collect(const std::vector<Slot> &list) const;
+    /** Load @p from into @p list as each line's newest image. */
+    void restoreImages(const LineImages &from, std::vector<Slot> &list,
+                       bool queued);
+    /** Drop every dirty and queued line (the media is untouched). */
+    void clearVolatile();
+
+    /** Plain, never re-entered. Guards every member below. */
+    mutable std::mutex _mu;
     ByteBuffer _durable;
     std::uint32_t _lineSize;
     MetricsRegistry &_stats;
     Rng _rng;
 
-    /** Dirty lines not yet flushed (volatile). */
-    std::unordered_map<std::uint64_t, Line> _cache;
-    /** Flushed line snapshots awaiting a persist barrier. */
-    std::unordered_map<std::uint64_t, Line> _queue;
+    /** Per line, its newest image's slot + 1 (0 = clean); lines past
+     *  the end are clean. */
+    std::vector<Slot> _newest;
+    /** Line images, _lineSize bytes per slot; never shrinks. */
+    ByteBuffer _slab;
+    std::vector<SlotInfo> _slotInfo;
+    std::vector<Slot> _freeSlots;
+    /** Slots of dirty (unflushed, volatile) lines. */
+    std::vector<Slot> _dirtyList;
+    /** Slots of flushed line snapshots awaiting a persist barrier. */
+    std::vector<Slot> _queuedList;
 
     std::uint64_t _opCount = 0;
     std::uint64_t _crashAtOp = 0;
@@ -238,7 +307,7 @@ class NvramDevice
     void
     setScheduledCrashPolicy(FailurePolicy policy, double survive_prob = 0.5)
     {
-        std::lock_guard<std::recursive_mutex> g(_mu);
+        std::lock_guard<std::mutex> g(_mu);
         _pendingPolicy = policy;
         _pendingSurviveProb = survive_prob;
     }

@@ -62,11 +62,10 @@ Status
 Pager::getPage(PageNo page_no, CachedPage **out)
 {
     NVWAL_ASSERT(page_no != kNoPage);
-    auto it = _cache.find(page_no);
-    if (it != _cache.end()) {
+    if (CachedPage *hit = cached(page_no)) {
         if (_stats != nullptr)
             _stats->add(stats::kPagerCacheHits);
-        *out = it->second.get();
+        *out = hit;
         return Status::ok();
     }
     if (page_no > _pageCount) {
@@ -102,7 +101,7 @@ Pager::getPage(PageNo page_no, CachedPage **out)
         }
     }
     *out = page.get();
-    _cache[page_no] = std::move(page);
+    slot(page_no) = std::move(page);
     return Status::ok();
 }
 
@@ -173,15 +172,23 @@ Pager::allocatePage(CachedPage **out, PageNo *page_no)
     return Status::ok();
 }
 
+std::unique_ptr<CachedPage> &
+Pager::slot(PageNo page_no)
+{
+    if (page_no >= _cache.size())
+        _cache.resize(static_cast<std::size_t>(page_no) + 1);
+    return _cache[page_no];
+}
+
 CachedPage *
 Pager::insertPage(PageNo page_no)
 {
-    std::unique_ptr<CachedPage> &slot = _cache[page_no];
-    NVWAL_ASSERT(!slot, "page already cached");
-    slot = std::make_unique<CachedPage>();
-    slot->buf.resize(_pageSize, 0);
-    slot->dirty.link(&_dirty, page_no);
-    return slot.get();
+    std::unique_ptr<CachedPage> &entry = slot(page_no);
+    NVWAL_ASSERT(!entry, "page already cached");
+    entry = std::make_unique<CachedPage>();
+    entry->buf.resize(_pageSize, 0);
+    entry->dirty.link(&_dirty, page_no);
+    return entry.get();
 }
 
 Status
@@ -236,13 +243,6 @@ Pager::freePageCount()
     return loadU32(header->buf.data() + DbHeader::kFreelistCountOff);
 }
 
-CachedPage *
-Pager::cached(PageNo page_no)
-{
-    auto it = _cache.find(page_no);
-    return it == _cache.end() ? nullptr : it->second.get();
-}
-
 void
 Pager::installPage(PageNo page_no, const CachedPage &page)
 {
@@ -260,26 +260,27 @@ void
 Pager::markAllClean()
 {
     while (!_dirty.empty())
-        _cache.at(*_dirty.begin())->dirty.clear();
+        _cache[*_dirty.begin()]->dirty.clear();
 }
 
 void
 Pager::discardDirty(std::uint32_t restore_page_count)
 {
     for (PageNo no : _dirty)
-        _cache.erase(no);
+        _cache[no].reset();
     _dirty.clear();
     _pageCount = restore_page_count;
+    // Pages past the restored count no longer exist.
+    if (_cache.size() > static_cast<std::size_t>(restore_page_count) + 1)
+        _cache.resize(static_cast<std::size_t>(restore_page_count) + 1);
 }
 
 void
 Pager::dropCleanPages()
 {
-    for (auto it = _cache.begin(); it != _cache.end();) {
-        if (!it->second->isDirty())
-            it = _cache.erase(it);
-        else
-            ++it;
+    for (std::unique_ptr<CachedPage> &page : _cache) {
+        if (page && !page->isDirty())
+            page.reset();
     }
 }
 
@@ -296,7 +297,7 @@ Pager::flushAllToFile()
 {
     while (!_dirty.empty()) {
         const PageNo no = *_dirty.begin();
-        CachedPage &page = *_cache.at(no);
+        CachedPage &page = *_cache[no];
         NVWAL_RETURN_IF_ERROR(_dbFile.writePage(no, page.cspan()));
         if (_stats != nullptr)
             _stats->add(stats::kPagerWrites);

@@ -17,7 +17,6 @@
 #define NVWAL_PAGER_PAGER_HPP
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -117,7 +116,11 @@ class Pager : public PageSource
     std::uint32_t freePageCount();
 
     /** Cached entry or nullptr (no I/O). */
-    CachedPage *cached(PageNo page_no);
+    CachedPage *
+    cached(PageNo page_no)
+    {
+        return page_no < _cache.size() ? _cache[page_no].get() : nullptr;
+    }
 
     /** Page numbers of all dirty cached pages, ascending. */
     std::vector<PageNo> dirtyPageNos() const
@@ -164,13 +167,21 @@ class Pager : public PageSource
     /** Cache a fresh zeroed page, linked to the dirty set. */
     CachedPage *insertPage(PageNo page_no);
 
+    /** @p page_no's table entry, growing the table to reach it. */
+    std::unique_ptr<CachedPage> &slot(PageNo page_no);
+
     DbFile &_dbFile;
     std::uint32_t _pageSize;
     std::uint32_t _reservedBytes;
     MetricsRegistry *_stats;
     std::uint32_t _pageCount = 0;
     WalReader _walReader;
-    std::map<PageNo, std::unique_ptr<CachedPage>> _cache;
+    /**
+     * The page table, indexed by page number: pages are dense from 1
+     * to pageCount() (entry 0 stays empty), so a lookup is index
+     * arithmetic. Null entries are pages not resident.
+     */
+    std::vector<std::unique_ptr<CachedPage>> _cache;
     /**
      * Exactly the cached pages with dirty marks: each page's
      * DirtyRanges enters itself on its first mark and leaves on
