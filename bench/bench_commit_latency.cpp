@@ -14,6 +14,14 @@
  * bench/baselines/commit_bounds.json. The pager walks only its dirty
  * set (DESIGN.md §17), so the ratio stays near 1.
  *
+ * Last, the registry's cost on the hottest recording site: host ns
+ * per Pager::getPage hit with the metrics registry attached (each hit
+ * adds `pager.cache_hits`) and detached (`pager_hit.attached` /
+ * `pager_hit.detached`, `host_ns_per_hit`), and their ratio
+ * (`metrics_overhead`, `host_ns_ratio`), gated by
+ * bench/baselines/metrics_bounds.json. A counter add on an interned
+ * slot is one relaxed atomic add (DESIGN.md §19).
+ *
  * `--json <path>` exports the per-configuration percentiles and
  * counter deltas; `--smoke` shrinks the run for CI validation.
  */
@@ -216,6 +224,85 @@ runResidentScaling(bool smoke, BenchJson *json)
     json->add(std::move(flat));
 }
 
+/** Host ns per hit over one batch of @p hits lookups on @p p. */
+double
+batchNsPerHit(HitPager &p, int hits)
+{
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < hits; ++i) {
+        CachedPage *page;
+        NVWAL_CHECK_OK(p.pager.getPage(p.next(), &page));
+    }
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+    return static_cast<double>(ns) / hits;
+}
+
+/**
+ * Page-hit cost with and without the metrics registry, in
+ * alternating batches so host drift lands on both alike.
+ */
+void
+runMetricsOverhead(bool smoke, BenchJson *json)
+{
+    const int batches = smoke ? 5 : 41;
+    constexpr int kHitsPerBatch = 100000;
+
+    Env env;
+    HitPager attached(env, "hit_attached.db", &env.stats);
+    HitPager detached(env, "hit_detached.db", nullptr);
+    const StatsSnapshot before = env.stats.snapshot();
+    std::vector<double> with_ns, without_ns;
+    for (int b = 0; b < batches; ++b) {
+        with_ns.push_back(batchNsPerHit(attached, kHitsPerBatch));
+        without_ns.push_back(batchNsPerHit(detached, kHitsPerBatch));
+    }
+    const StatsSnapshot delta =
+        MetricsRegistry::delta(before, env.stats.snapshot());
+    const auto median_of = [](std::vector<double> v) {
+        std::sort(v.begin(), v.end());
+        return v[v.size() / 2];
+    };
+    const double with_median = median_of(with_ns);
+    const double without_median = median_of(without_ns);
+    const double ratio = with_median / without_median;
+
+    TablePrinter table("Metrics registry cost on a page-cache hit "
+                       "(host time, median of alternating batches)");
+    table.setHeader({"registry", "hits", "host ns/hit"});
+    table.addRow({"attached",
+                  std::to_string(static_cast<std::uint64_t>(batches) *
+                                 kHitsPerBatch),
+                  TablePrinter::num(with_median, 2)});
+    table.addRow({"detached",
+                  std::to_string(static_cast<std::uint64_t>(batches) *
+                                 kHitsPerBatch),
+                  TablePrinter::num(without_median, 2)});
+    table.print();
+    std::printf("\nregistry overhead ratio: %.2fx (one relaxed atomic "
+                "add per hit)\n",
+                ratio);
+
+    for (const bool with_registry : {true, false}) {
+        BenchRecord rec;
+        rec.name = with_registry ? "pager_hit.attached"
+                                 : "pager_hit.detached";
+        rec.params["resident_pages"] = attached.pager.pageCount();
+        rec.params["hits"] =
+            static_cast<std::uint64_t>(batches) * kHitsPerBatch;
+        rec.values["host_ns_per_hit"] =
+            with_registry ? with_median : without_median;
+        if (with_registry)
+            rec.counters = delta;
+        json->add(std::move(rec));
+    }
+    BenchRecord overhead;
+    overhead.name = "metrics_overhead";
+    overhead.values["host_ns_ratio"] = ratio;
+    json->add(std::move(overhead));
+}
+
 } // namespace
 
 int
@@ -257,6 +344,8 @@ main(int argc, char **argv)
                 "write-back + fsync bill; incremental steps bound the "
                 "worst commit at a small throughput cost.\n\n");
     runResidentScaling(args.smoke, &json);
+    std::printf("\n");
+    runMetricsOverhead(args.smoke, &json);
     json.write();
     return 0;
 }

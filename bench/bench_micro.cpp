@@ -128,28 +128,13 @@ BENCHMARK(BM_NvramLineCycle);
 void
 BM_PagerGetHit(benchmark::State &state)
 {
-    // A page-table hit: the lookup every B-tree descent repeats.
-    // 256 resident pages, visited in a seeded random order.
+    // A page-table hit with the registry attached.
     Env env;
-    DbFile file(env.fs, "hit.db", 4096);
-    Pager pager(file, 4096, 0, &env.stats);
-    NVWAL_CHECK_OK(pager.open());
-    for (int i = 0; i < 254; ++i) {
-        CachedPage *page;
-        PageNo no;
-        NVWAL_CHECK_OK(pager.allocatePage(&page, &no));
-    }
-    NVWAL_CHECK_OK(pager.flushAllToFile());
-    std::vector<PageNo> order(pager.pageCount());
-    Rng rng(0x9A6E);
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = static_cast<PageNo>(1 + rng.nextBelow(order.size()));
-    std::size_t at = 0;
+    HitPager hits(env, "hit.db", &env.stats);
     for (auto _ : state) {
         CachedPage *page;
-        NVWAL_CHECK_OK(pager.getPage(order[at], &page));
+        NVWAL_CHECK_OK(hits.pager.getPage(hits.next(), &page));
         benchmark::DoNotOptimize(page);
-        at = (at + 1) % order.size();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

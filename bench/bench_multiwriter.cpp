@@ -319,7 +319,7 @@ runOverlap(int writers, int rounds, StatsSnapshot *delta)
         }
     }
     *delta = MetricsRegistry::delta(before, env.stats.snapshot());
-    const auto it = delta->find(stats::kWalLogConflicts);
+    const auto it = delta->find(stats::kWalLogConflicts.c_str());
     const double conflicts =
         it == delta->end() ? 0.0 : static_cast<double>(it->second);
     return conflicts / committed;

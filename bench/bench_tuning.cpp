@@ -60,7 +60,7 @@ main()
                 {TablePrinter::num(std::uint64_t(block)),
                  TablePrinter::num(1000.0 / seconds, 0),
                  TablePrinter::num(
-                     static_cast<double>(delta.at(stats::kHeapCalls)) /
+                     static_cast<double>(delta.at(stats::kHeapCalls.c_str())) /
                          1000.0,
                      2),
                  TablePrinter::num(log.framesPerNode(), 1)});

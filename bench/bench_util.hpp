@@ -373,6 +373,45 @@ class BenchJson
     std::vector<BenchRecord> _records;
 };
 
+/**
+ * A pager holding 256 clean resident pages, visited in a seeded
+ * random order, so every getPage is a hit: the lookup every B-tree
+ * descent repeats. @p stats attaches a registry (each hit adds
+ * `pager.cache_hits`); nullptr runs the same pager with none.
+ */
+struct HitPager
+{
+    HitPager(Env &env, const std::string &path, MetricsRegistry *stats)
+        : file(env.fs, path, 4096), pager(file, 4096, 0, stats)
+    {
+        NVWAL_CHECK_OK(pager.open());
+        for (int i = 0; i < 254; ++i) {
+            CachedPage *page;
+            PageNo no;
+            NVWAL_CHECK_OK(pager.allocatePage(&page, &no));
+        }
+        NVWAL_CHECK_OK(pager.flushAllToFile());
+        order.resize(pager.pageCount());
+        Rng rng(0x9A6E);
+        for (std::size_t i = 0; i < order.size(); ++i)
+            order[i] = static_cast<PageNo>(1 + rng.nextBelow(order.size()));
+    }
+
+    /** The next page of the visiting order. */
+    PageNo
+    next()
+    {
+        const PageNo no = order[at];
+        at = (at + 1) % order.size();
+        return no;
+    }
+
+    DbFile file;
+    Pager pager;
+    std::vector<PageNo> order;
+    std::size_t at = 0;
+};
+
 } // namespace nvwal::bench
 
 #endif // NVWAL_BENCH_BENCH_UTIL_HPP

@@ -322,14 +322,15 @@ Database::frMaybeSnapshotCounters()
     if (++_frBatchesSinceSnapshot < _config.frSnapshotEveryBatches)
         return;
     _frBatchesSinceSnapshot = 0;
-    static const char *const kSampledCounters[] = {
+    static constexpr MetricName kSampledCounters[] = {
         stats::kTxnsCommitted,   stats::kPersistBarriers,
         stats::kFlushSyscalls,   stats::kNvramBytesLogged,
         stats::kCheckpoints,
     };
-    for (const char *name : kSampledCounters)
+    for (const MetricName name : kSampledCounters)
         frRecord(FrRecordType::CounterSnapshot, 0, 0,
-                 frCounterNameHash(name), _env.stats.get(name), _txnSeq);
+                 frCounterNameHash(name.c_str()), _env.stats.get(name),
+                 _txnSeq);
 }
 
 void
@@ -1073,14 +1074,14 @@ Database::walPageWritesSinceCheckpoint() const
 }
 
 std::uint64_t
-Database::statValue(const std::string &name) const
+Database::statValue(MetricName name) const
 {
     std::lock_guard<std::recursive_mutex> eng(_engineMutex);
     return _env.stats.get(name);
 }
 
 std::uint64_t
-Database::statGauge(const std::string &name) const
+Database::statGauge(MetricName name) const
 {
     std::lock_guard<std::recursive_mutex> eng(_engineMutex);
     return _env.stats.gauge(name);

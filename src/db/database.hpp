@@ -486,11 +486,11 @@ class Database
     Status rebuildCommittedPage(PageNo page_no, CommitSeq horizon,
                                 ByteSpan out);
 
-    /** Engine-locked read of a metrics counter (see statValue note). */
-    std::uint64_t statValue(const std::string &name) const;
+    /** Engine-locked read of a metrics counter. */
+    std::uint64_t statValue(MetricName name) const;
 
     /** Engine-locked read of a metrics gauge. */
-    std::uint64_t statGauge(const std::string &name) const;
+    std::uint64_t statGauge(MetricName name) const;
 
     /** True when write transactions run with optimistic admission
      *  (DbConfig::multiWriter, once the database is open). */

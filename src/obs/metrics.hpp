@@ -6,30 +6,46 @@
  * counters, snapshot/delta) and extends it with log-bucketed latency
  * histograms (Histogram), point-in-time gauges, and an owned
  * per-transaction Tracer. Every component takes a `MetricsRegistry&`
- * directly; the canonical counter names live in `src/sim/stats.hpp`.
+ * directly; the canonical names live in `src/sim/stats.hpp`.
  *
- * Thread-safety: the registry's map structure is mutex-guarded and
- * Histogram objects are internally synchronized, because databases
- * sharing one Env share its platform registry (Env::stats) under
- * independent engine locks. Per-database registries still
- * see every mutation under that database's engine lock, so the mutex
- * is uncontended there. Export paths read through the by-value
- * snapshot accessors (snapshot(), histogramsSnapshot(),
- * gaugesSnapshot()), which copy under the registry mutex and are
- * therefore safe while background threads are actively recording —
- * there is no quiescence requirement anywhere in the export API.
+ * Metric slots: every canonical name (a stats::kX MetricName) owns a
+ * dense slot, so recording under one is array indexing. A counter add
+ * is one relaxed atomic add, a gauge set one relaxed store, and a
+ * histogram lookup returns the slot's own Histogram. No string, map
+ * or registry mutex is on any engine path. Names given as strings
+ * (tests, shell commands) resolve to the same slot when canonical;
+ * any other string is an ad-hoc metric kept in a mutex-guarded map.
+ * The exported views (snapshot(), gaugesSnapshot(),
+ * histogramsSnapshot(), metricsJson()) merge both, and list a
+ * canonical counter or gauge only once it has been recorded (an
+ * add of 0 counts), exactly as a map created on first use would.
+ *
+ * Thread-safety: every operation may run on any thread at any time.
+ * Databases sharing one Env record into its platform registry
+ * (Env::stats) from their own threads, and a database's group-commit
+ * leader, background checkpointer, snapshot readers and optimistic
+ * writers record concurrently. Slot counters and gauges are relaxed
+ * atomics, Histogram objects are internally synchronized, and the
+ * ad-hoc maps sit behind the registry mutex. Export paths copy by
+ * value, so exporting is safe while other threads record — there is
+ * no quiescence requirement anywhere in the export API. Each counter
+ * in a snapshot is read atomically, but a snapshot taken while
+ * another thread records is not a cut across counters: one
+ * transaction's increments may be half in it.
  *
  * Reference stability contract: `histogram(name)` returns a reference
  * that stays valid for the registry's lifetime — components cache it
  * at construction for hot paths. `clear()` therefore resets histogram
- * objects in place instead of erasing map entries.
+ * objects in place instead of erasing them.
  */
 
 #ifndef NVWAL_OBS_METRICS_HPP
 #define NVWAL_OBS_METRICS_HPP
 
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 
@@ -42,50 +58,75 @@ namespace nvwal
 /** Snapshot of all counters at a point in time. */
 using StatsSnapshot = std::map<std::string, std::uint64_t>;
 
+/**
+ * A canonical metric name: its dotted string plus its registry slot.
+ * Only the list in src/sim/stats.hpp mints these (as stats::kX). It
+ * converts to `const char *`, and compares equal to a std::string
+ * holding the same text.
+ */
+class MetricName
+{
+  public:
+    constexpr MetricName(const char *name, std::uint32_t slot)
+        : _name(name), _slot(slot)
+    {
+    }
+
+    constexpr const char *c_str() const { return _name; }
+    constexpr std::uint32_t slot() const { return _slot; }
+    constexpr operator const char *() const { return _name; }
+
+    friend bool
+    operator==(const std::string &lhs, MetricName rhs)
+    {
+        return lhs == rhs._name;
+    }
+
+  private:
+    const char *_name;
+    std::uint32_t _slot;
+};
+
 /** Counters, histograms, gauges, and the transaction tracer. */
 class MetricsRegistry
 {
   public:
+    MetricsRegistry();
+
     // ---- counters ------------------------------------------------
 
     /** Add @p delta to counter @p name (creating it at zero). */
     void
-    add(const std::string &name, std::uint64_t delta = 1)
+    add(MetricName name, std::uint64_t delta = 1)
     {
-        std::lock_guard<std::mutex> g(_mu);
-        _counters[name] += delta;
+        Slot &s = _slots[name.slot()];
+        if (delta != 0)
+            s.counter.fetch_add(delta, std::memory_order_relaxed);
+        else if (!s.counterUsed.load(std::memory_order_relaxed))
+            s.counterUsed.store(true, std::memory_order_relaxed);
     }
+
+    /** By-string add: canonical names land in their slot. */
+    void add(const std::string &name, std::uint64_t delta = 1);
 
     /** Current value of @p name (zero if never touched). */
     std::uint64_t
-    get(const std::string &name) const
+    get(MetricName name) const
     {
-        std::lock_guard<std::mutex> g(_mu);
-        auto it = _counters.find(name);
-        return it == _counters.end() ? 0 : it->second;
+        return _slots[name.slot()].counter.load(std::memory_order_relaxed);
     }
+
+    std::uint64_t get(const std::string &name) const;
 
     /**
      * Copy of every counter. When the tracer ring has wrapped the
-     * result also carries the derived counter "trace.events_dropped"
-     * (stats::kTraceEventsDropped — the literal is repeated here
-     * because stats.hpp includes this header), so ring overflow is
-     * visible in every metrics export without a tracer query. The
-     * key is omitted while zero to keep exact-counter expectations
-     * in existing tests and deltas untouched.
+     * result also carries the derived counter
+     * stats::kTraceEventsDropped, so ring overflow is visible in every
+     * metrics export without a tracer query. The key is omitted while
+     * zero to keep exact-counter expectations in existing tests and
+     * deltas untouched.
      */
-    StatsSnapshot snapshot() const
-    {
-        StatsSnapshot out;
-        {
-            std::lock_guard<std::mutex> g(_mu);
-            out = _counters;
-        }
-        const std::uint64_t dropped = _tracer.dropped();
-        if (dropped > 0)
-            out["trace.events_dropped"] = dropped;
-        return out;
-    }
+    StatsSnapshot snapshot() const;
 
     /**
      * Per-counter difference @p now - @p before. Keys present on only
@@ -118,22 +159,27 @@ class MetricsRegistry
      * Histogram named @p name, created empty on first use. The
      * returned reference stays valid for the registry's lifetime.
      */
-    Histogram &histogram(const std::string &name)
+    Histogram &
+    histogram(MetricName name)
     {
-        std::lock_guard<std::mutex> g(_mu);
-        return _histograms[name];
+        Slot &s = _slots[name.slot()];
+        if (!s.histogramUsed.load(std::memory_order_relaxed))
+            s.histogramUsed.store(true, std::memory_order_relaxed);
+        return s.histogram;
     }
+
+    Histogram &histogram(const std::string &name);
 
     /** Existing histogram or nullptr (read-side lookup). */
-    const Histogram *
-    findHistogram(const std::string &name) const
-    {
-        std::lock_guard<std::mutex> g(_mu);
-        auto it = _histograms.find(name);
-        return it == _histograms.end() ? nullptr : &it->second;
-    }
+    const Histogram *findHistogram(const std::string &name) const;
 
     /** One-shot sample into histogram @p name. */
+    void
+    recordNs(MetricName name, std::uint64_t ns)
+    {
+        histogram(name).record(ns);
+    }
+
     void
     recordNs(const std::string &name, std::uint64_t ns)
     {
@@ -141,44 +187,36 @@ class MetricsRegistry
     }
 
     /**
-     * Copy of every histogram, taken under the registry mutex (each
-     * Histogram's copy constructor locks that histogram in turn), so
-     * exporting is safe mid-recording. Replaces the former unlocked
-     * const-reference accessor, which silently required a quiescent
-     * registry — a contract the background checkpointer violates.
+     * Copy of every histogram created so far (each Histogram's copy
+     * constructor locks that histogram), so exporting is safe
+     * mid-recording.
      */
-    std::map<std::string, Histogram>
-    histogramsSnapshot() const
-    {
-        std::lock_guard<std::mutex> g(_mu);
-        return _histograms;
-    }
+    std::map<std::string, Histogram> histogramsSnapshot() const;
 
     // ---- gauges ----------------------------------------------------
 
     /** Set gauge @p name to @p value (last-write-wins, not a sum). */
     void
-    setGauge(const std::string &name, std::uint64_t value)
+    setGauge(MetricName name, std::uint64_t value)
     {
-        std::lock_guard<std::mutex> g(_mu);
-        _gauges[name] = value;
+        Slot &s = _slots[name.slot()];
+        s.gauge.store(value, std::memory_order_relaxed);
+        if (!s.gaugeUsed.load(std::memory_order_relaxed))
+            s.gaugeUsed.store(true, std::memory_order_relaxed);
     }
+
+    void setGauge(const std::string &name, std::uint64_t value);
 
     std::uint64_t
-    gauge(const std::string &name) const
+    gauge(MetricName name) const
     {
-        std::lock_guard<std::mutex> g(_mu);
-        auto it = _gauges.find(name);
-        return it == _gauges.end() ? 0 : it->second;
+        return _slots[name.slot()].gauge.load(std::memory_order_relaxed);
     }
 
-    /** Copy of every gauge, taken under the registry mutex. */
-    std::map<std::string, std::uint64_t>
-    gaugesSnapshot() const
-    {
-        std::lock_guard<std::mutex> g(_mu);
-        return _gauges;
-    }
+    std::uint64_t gauge(const std::string &name) const;
+
+    /** Copy of every gauge set so far. */
+    std::map<std::string, std::uint64_t> gaugesSnapshot() const;
 
     // ---- tracer ----------------------------------------------------
 
@@ -190,17 +228,29 @@ class MetricsRegistry
      * (histogram references handed out earlier remain valid). The
      * tracer is left alone; clear it explicitly via tracer().clear().
      */
-    void
-    clear()
-    {
-        std::lock_guard<std::mutex> g(_mu);
-        _counters.clear();
-        _gauges.clear();
-        for (auto &[name, hist] : _histograms)
-            hist.clear();
-    }
+    void clear();
 
   private:
+    /**
+     * One canonical name's storage. The used flags record that the
+     * name was used, so exports list exactly the names a map created
+     * on first use would hold: a counter appears once added to (even
+     * by 0), a gauge once set, a histogram once looked up.
+     */
+    struct Slot
+    {
+        std::atomic<std::uint64_t> counter{0};
+        std::atomic<std::uint64_t> gauge{0};
+        std::atomic<bool> counterUsed{false};
+        std::atomic<bool> gaugeUsed{false};
+        std::atomic<bool> histogramUsed{false};
+        Histogram histogram;
+    };
+
+    /** One Slot per canonical name, indexed by MetricName::slot(). */
+    std::unique_ptr<Slot[]> _slots;
+
+    /** Guards the ad-hoc (non-canonical) maps below. */
     mutable std::mutex _mu;
     StatsSnapshot _counters;
     std::map<std::string, Histogram> _histograms;

@@ -251,7 +251,7 @@ TEST(FlightRecorder, CounterSnapshotsCarryResolvableNames)
             << "unresolvable counter hash in snapshot record";
     }
     EXPECT_EQ(frCounterNameForHash(frCounterNameHash(
-                  stats::kPersistBarriers)),
+                  stats::kPersistBarriers.c_str())),
               std::string(stats::kPersistBarriers));
 }
 

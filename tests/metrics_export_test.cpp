@@ -88,7 +88,7 @@ TEST(MetricsExportConcurrency, SnapshotsRaceCleanlyWithBackgroundWork)
     // The workload really exercised the racy paths the exporters
     // snapshot against.
     const StatsSnapshot final_counters = env.stats.snapshot();
-    EXPECT_GE(final_counters.at(stats::kTxnsCommitted),
+    EXPECT_GE(final_counters.at(stats::kTxnsCommitted.c_str()),
               static_cast<std::uint64_t>(kWriters) * kTxnsPerWriter);
     EXPECT_GT(env.stats.get(stats::kFrRecordsWritten), 0u);
     db.reset();
@@ -111,8 +111,8 @@ TEST(MetricsExportConcurrency, DroppedTraceEventsSurfaceInSnapshots)
 
     ASSERT_GT(env.stats.tracer().dropped(), 0u);
     const StatsSnapshot counters = env.stats.snapshot();
-    ASSERT_TRUE(counters.count(stats::kTraceEventsDropped));
-    EXPECT_EQ(counters.at(stats::kTraceEventsDropped),
+    ASSERT_TRUE(counters.count(stats::kTraceEventsDropped.c_str()));
+    EXPECT_EQ(counters.at(stats::kTraceEventsDropped.c_str()),
               env.stats.tracer().dropped());
     const std::string doc = metricsJson(env.stats);
     EXPECT_NE(doc.find(stats::kTraceEventsDropped), std::string::npos);

@@ -6,10 +6,15 @@
  * export parsed back by the repo's own strict JSON parser, the
  * counter-delta missing-key semantics, metrics JSON round-trips, and
  * the no-perturbation guarantee: a crash-point sweep with tracing
- * enabled recovers exactly what the untraced sweep recovers.
+ * enabled recovers exactly what the untraced sweep recovers. The
+ * registry's slot path is model-checked against a plain std::map and
+ * summed across threads.
  */
 
 #include <algorithm>
+#include <atomic>
+#include <iterator>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -188,6 +193,246 @@ TEST(Metrics, JsonDumpParsesBack)
     EXPECT_EQ(lat->find("max")->number, 3000.0);
     ASSERT_TRUE(lat->find("buckets")->isArray());
     EXPECT_EQ(lat->find("buckets")->array.size(), 2u);
+}
+
+/**
+ * The registry as a plain std::map model: what the parent map-only
+ * registry held after the same operations. Histograms are modeled by
+ * key, count and sum.
+ */
+struct MetricsOracle
+{
+    struct Hist
+    {
+        std::uint64_t count = 0;
+        std::uint64_t sum = 0;
+    };
+
+    StatsSnapshot counters;
+    std::map<std::string, std::uint64_t> gauges;
+    std::map<std::string, Hist> hists;
+
+    void
+    clear()
+    {
+        counters.clear();
+        gauges.clear();
+        for (auto &[name, hist] : hists)
+            hist = Hist{};
+    }
+};
+
+/** delta() spelled out independently of MetricsRegistry::delta. */
+StatsSnapshot
+oracleDelta(const StatsSnapshot &before, const StatsSnapshot &now)
+{
+    StatsSnapshot d;
+    for (const auto &[name, value] : before)
+        d[name] = 0;
+    for (const auto &[name, value] : now) {
+        const std::uint64_t base =
+            before.count(name) ? before.at(name) : 0;
+        d[name] = value > base ? value - base : 0;
+    }
+    return d;
+}
+
+void
+expectRegistryMatches(const MetricsRegistry &metrics,
+                      const MetricsOracle &oracle, int op)
+{
+    SCOPED_TRACE("after op " + std::to_string(op));
+    ASSERT_EQ(metrics.snapshot(), oracle.counters);
+    ASSERT_EQ(metrics.gaugesSnapshot(), oracle.gauges);
+    for (const MetricName name : stats::kAllMetrics) {
+        const std::string s = name.c_str();
+        const std::uint64_t want =
+            oracle.counters.count(s) ? oracle.counters.at(s) : 0;
+        ASSERT_EQ(metrics.get(name), want) << s;
+        ASSERT_EQ(metrics.get(s), want) << s;
+        const std::uint64_t gauge =
+            oracle.gauges.count(s) ? oracle.gauges.at(s) : 0;
+        ASSERT_EQ(metrics.gauge(name), gauge) << s;
+        ASSERT_EQ(metrics.gauge(s), gauge) << s;
+        ASSERT_EQ(metrics.findHistogram(s) != nullptr,
+                  oracle.hists.count(s) == 1)
+            << s;
+    }
+    const auto hists = metrics.histogramsSnapshot();
+    ASSERT_EQ(hists.size(), oracle.hists.size());
+    for (const auto &[name, want] : oracle.hists) {
+        ASSERT_TRUE(hists.count(name)) << name;
+        ASSERT_EQ(hists.at(name).count(), want.count) << name;
+        ASSERT_EQ(hists.at(name).sum(), want.sum) << name;
+    }
+
+    JsonValue doc;
+    ASSERT_TRUE(parseJson(metricsJson(metrics), &doc).isOk());
+    const JsonValue *counters = doc.find("counters");
+    ASSERT_EQ(counters->object.size(), oracle.counters.size());
+    for (const auto &[name, value] : oracle.counters)
+        ASSERT_EQ(counters->find(name)->number,
+                  static_cast<double>(value))
+            << name;
+    const JsonValue *gauges = doc.find("gauges");
+    ASSERT_EQ(gauges->object.size(), oracle.gauges.size());
+    for (const auto &[name, value] : oracle.gauges)
+        ASSERT_EQ(gauges->find(name)->number, static_cast<double>(value))
+            << name;
+    std::size_t recorded = 0;
+    for (const auto &[name, want] : oracle.hists) {
+        const JsonValue *h = doc.find("histograms")->find(name);
+        if (want.count == 0) {
+            ASSERT_EQ(h, nullptr) << name;
+            continue;
+        }
+        ++recorded;
+        ASSERT_NE(h, nullptr) << name;
+        ASSERT_EQ(h->find("count")->number, static_cast<double>(want.count));
+        ASSERT_EQ(h->find("sum")->number, static_cast<double>(want.sum));
+    }
+    ASSERT_EQ(doc.find("histograms")->object.size(), recorded);
+}
+
+TEST(Metrics, InternedAndNamedCountersMatchAMapOracle)
+{
+    // Seeded random mix of every way a name reaches the registry:
+    // interned slots, canonical names spelled as strings, ad-hoc
+    // names, zero deltas (which must still create the key), gauges,
+    // histograms, clear() and delta(). After every operation each
+    // export must equal the map model.
+    const std::string adhoc[] = {"adhoc.alpha", "adhoc.beta", "x"};
+    Rng rng(0x5107);
+    MetricsRegistry metrics;
+    MetricsOracle oracle;
+    StatsSnapshot before = metrics.snapshot();
+    StatsSnapshot oracle_before = oracle.counters;
+
+    const auto pick_name = [&](bool *interned) -> std::string {
+        const std::uint64_t r = rng.nextBelow(10);
+        *interned = r < 6;
+        if (r < 8)
+            return stats::kAllMetrics[rng.nextBelow(stats::kMetricCount)]
+                .c_str();
+        return adhoc[rng.nextBelow(std::size(adhoc))];
+    };
+    const auto interned_of = [](const std::string &s) {
+        for (const MetricName name : stats::kAllMetrics)
+            if (s == name)
+                return name;
+        ADD_FAILURE() << s << " is not canonical";
+        return stats::kAllMetrics[0];
+    };
+
+    for (int op = 0; op < 3000; ++op) {
+        bool interned = false;
+        const std::string name = pick_name(&interned);
+        const std::uint64_t value =
+            rng.nextBelow(4) == 0 ? 0 : rng.nextBelow(1000);
+        switch (rng.nextBelow(20)) {
+          case 0:
+            metrics.clear();
+            oracle.clear();
+            break;
+          case 1:
+          case 2: {
+            const StatsSnapshot now = metrics.snapshot();
+            ASSERT_EQ(MetricsRegistry::delta(before, now),
+                      oracleDelta(oracle_before, oracle.counters));
+            before = now;
+            oracle_before = oracle.counters;
+            break;
+          }
+          case 3:
+          case 4:
+            if (interned)
+                metrics.setGauge(interned_of(name), value);
+            else
+                metrics.setGauge(name, value);
+            oracle.gauges[name] = value;
+            break;
+          case 5:
+          case 6:
+            if (interned)
+                metrics.recordNs(interned_of(name), value);
+            else
+                metrics.recordNs(name, value);
+            ++oracle.hists[name].count;
+            oracle.hists[name].sum += value;
+            break;
+          case 7:
+            if (interned)
+                metrics.histogram(interned_of(name));
+            else
+                metrics.histogram(name);
+            oracle.hists[name];
+            break;
+          default:
+            if (interned)
+                metrics.add(interned_of(name), value);
+            else
+                metrics.add(name, value);
+            oracle.counters[name] += value;
+            break;
+        }
+        expectRegistryMatches(metrics, oracle, op);
+        if (HasFatalFailure())
+            return;
+    }
+}
+
+TEST(MetricsConcurrency, InternedAddsFromThreadsSumExactly)
+{
+    // Four threads add to the same slots (and set one gauge) while a
+    // fifth exports; the writers start once the first export is done. Every export must see counters that never go
+    // backwards, and the final sums must be exact: relaxed slot adds
+    // lose nothing.
+    constexpr int kThreads = 4;
+    constexpr std::uint64_t kAdds = 20000;
+    MetricsRegistry metrics;
+    std::atomic<int> running{kThreads};
+    std::atomic<bool> exporting{false};
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t) {
+        writers.emplace_back([&, t] {
+            while (!exporting.load())
+                std::this_thread::yield();
+            for (std::uint64_t i = 0; i < kAdds; ++i) {
+                metrics.add(stats::kTxnsCommitted);
+                metrics.add(stats::kNvramBytesLogged, t + 1);
+                metrics.add(std::string(stats::kPagerCacheHits.c_str()));
+                metrics.setGauge(stats::kGaugeCommitQueueDepth, t);
+            }
+            running.fetch_sub(1);
+        });
+    }
+    std::uint64_t exports = 0;
+    std::thread exporter([&] {
+        std::uint64_t last = 0;
+        do {
+            const StatsSnapshot snap = metrics.snapshot();
+            const auto it = snap.find(stats::kTxnsCommitted.c_str());
+            const std::uint64_t now = it == snap.end() ? 0 : it->second;
+            EXPECT_GE(now, last);
+            last = now;
+            metricsJson(metrics);
+            ++exports;
+            exporting.store(true);
+        } while (running.load() > 0);
+    });
+    for (std::thread &w : writers)
+        w.join();
+    exporter.join();
+
+    EXPECT_GT(exports, 0u);
+    EXPECT_EQ(metrics.get(stats::kTxnsCommitted), kThreads * kAdds);
+    EXPECT_EQ(metrics.get(stats::kNvramBytesLogged),
+              kAdds * (kThreads * (kThreads + 1) / 2));
+    EXPECT_EQ(metrics.get(stats::kPagerCacheHits), kThreads * kAdds);
+    EXPECT_LT(metrics.gauge(stats::kGaugeCommitQueueDepth),
+              static_cast<std::uint64_t>(kThreads));
+    const StatsSnapshot snap = metrics.snapshot();
+    EXPECT_EQ(snap.size(), 3u);
 }
 
 // ---- tracer --------------------------------------------------------

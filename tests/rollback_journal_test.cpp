@@ -207,11 +207,11 @@ TEST(RollbackJournal, NeedsMoreFsyncsAndIoThanWal)
             std::uint64_t blocks;
             SimTime elapsed;
         };
-        return Result{delta.count(stats::kFsyncs)
-                          ? delta.at(stats::kFsyncs)
+        return Result{delta.count(stats::kFsyncs.c_str())
+                          ? delta.at(stats::kFsyncs.c_str())
                           : 0,
-                      delta.count(stats::kBlocksWritten)
-                          ? delta.at(stats::kBlocksWritten)
+                      delta.count(stats::kBlocksWritten.c_str())
+                          ? delta.at(stats::kBlocksWritten.c_str())
                           : 0,
                       env.clock.now() - start};
     };

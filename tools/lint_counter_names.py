@@ -4,7 +4,14 @@
 The registry contract (docs/MODEL.md section 6) is that every
 measurement point records under a canonical dotted name owned by
 src/sim/stats.hpp and that the docs tables stay in sync with it.
-This lint enforces the three directions that rot silently:
+This lint enforces one structural rule and the three directions
+that rot silently:
+
+  0. every canonical name has exactly one registry slot and no two
+     names share one: each name is one row of the
+     NVWAL_STATS_METRICS list (a row's position is its slot), no
+     identifier or dotted name appears in two rows, and stats.hpp
+     declares no name outside the list;
 
   1. every canonical constant in stats.hpp is documented in
      docs/MODEL.md or docs/OBSERVABILITY.md (wildcard rows like
@@ -32,15 +39,52 @@ DOCS = [REPO / "docs" / "MODEL.md", REPO / "docs" / "OBSERVABILITY.md"]
 SOURCE_DIRS = ["src", "tests", "bench", "examples"]
 
 
-def parse_canonical_names():
-    """String literals bound to constexpr char* constants."""
-    text = STATS_HPP.read_text()
-    # Declarations may break the line between '=' and the literal.
-    names = re.findall(
-        r"constexpr\s+const\s+char\s*\*\s*k\w+\s*=\s*\"([a-z0-9_.]+)\"",
-        text,
-    )
-    return set(names)
+LIST_MACRO = "NVWAL_STATS_METRICS"
+
+
+def metric_list(text):
+    """Body of the `#define NVWAL_STATS_METRICS(X)` list: the lines
+    joined by their trailing backslashes, up to the first line that
+    does not continue."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        if re.match(rf"#define\s+{LIST_MACRO}\(X\)", line):
+            body = []
+            while line.rstrip().endswith("\\"):
+                i += 1
+                line = lines[i]
+                body.append(line.rstrip().rstrip("\\"))
+            return "\n".join(body)
+    return ""
+
+
+def parse_canonical_rows():
+    """(identifier, dotted name) per list row, in slot order."""
+    return re.findall(r"\bX\(\s*(k\w+)\s*,\s*\"([a-z0-9_.]+)\"\s*\)",
+                      metric_list(STATS_HPP.read_text()))
+
+
+def slot_errors(rows):
+    """Rule 0: one slot per name, one name per slot."""
+    errors = []
+    seen_ids, seen_names = {}, {}
+    for slot, (ident, name) in enumerate(rows):
+        if ident in seen_ids:
+            errors.append(f"src/sim/stats.hpp: {ident} has two slots "
+                          f"({seen_ids[ident]} and {slot})")
+        if name in seen_names:
+            errors.append(f"src/sim/stats.hpp: \"{name}\" has two "
+                          f"slots ({seen_names[name]} and {slot})")
+        seen_ids.setdefault(ident, slot)
+        seen_names.setdefault(name, slot)
+    # A name declared outside the list would have no slot at all. List
+    # rows read `X(kName, "...")`, so only other declarations match.
+    for ident, name in re.findall(
+            r"\b(k\w+)\s*(?:=|\{)\s*\"([a-z0-9_.]+)\"",
+            STATS_HPP.read_text()):
+        errors.append(f"src/sim/stats.hpp: {ident} = \"{name}\" is "
+                      f"declared outside {LIST_MACRO} and has no slot")
+    return errors
 
 
 FILE_SUFFIXES = ("hpp", "cpp", "json", "db", "md", "py")
@@ -70,13 +114,14 @@ def inline_code(markdown):
 
 
 def main():
-    canonical = parse_canonical_names()
+    rows = parse_canonical_rows()
+    canonical = {name for _, name in rows}
     if len(canonical) < 20:
         print(f"lint: parsed only {len(canonical)} names from "
               f"{STATS_HPP}; parser out of date?")
         return 1
     prefixes = {n.split(".", 1)[0] for n in canonical}
-    errors = []
+    errors = slot_errors(rows)
 
     # -- sweep the sources: span names first, then stray literals ----
     # Tracer span names are a separate namespace recognised by their
@@ -140,7 +185,7 @@ def main():
     for e in errors:
         print(e)
     if not errors:
-        print(f"{len(canonical)} canonical names, "
+        print(f"{len(canonical)} canonical names in {len(rows)} slots, "
               f"{len(span_names)} tracer spans: docs and sources in "
               f"sync")
     return 1 if errors else 0
