@@ -50,7 +50,7 @@ struct LatencyProfile
 };
 
 LatencyProfile
-run(bool incremental, int txns)
+run(std::uint32_t step_pages, int txns)
 {
     EnvConfig env_config;
     env_config.cost = CostModel::nexus5(2000);
@@ -59,8 +59,7 @@ run(bool incremental, int txns)
     DbConfig config;
     config.walMode = WalMode::Nvwal;
     config.checkpointThreshold = 1000;  // SQLite default
-    config.incrementalCheckpoint = incremental;
-    config.checkpointStepPages = 4;
+    config.checkpointStepPages = step_pages;
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
 
@@ -317,8 +316,9 @@ main(int argc, char **argv)
                        "1000 frames");
     table.setHeader({"checkpointing", "txns/sec", "p50 (us)", "p95 (us)",
                      "p99 (us)", "max (us)"});
-    for (bool incremental : {false, true}) {
-        const LatencyProfile p = run(incremental, txns);
+    for (const std::uint32_t step_pages : {0u, 4u}) {
+        const bool incremental = step_pages != 0;
+        const LatencyProfile p = run(step_pages, txns);
         table.addRow({incremental ? "incremental (4 pages/commit)"
                                   : "full (blocking)",
                       TablePrinter::num(p.txnsPerSec, 0),
@@ -333,7 +333,7 @@ main(int argc, char **argv)
         rec.scheme = "NVWAL LS";
         rec.params["txns"] = static_cast<std::uint64_t>(txns);
         rec.params["checkpoint_threshold"] = 1000;
-        rec.params["incremental"] = incremental ? 1 : 0;
+        rec.params["checkpoint_step_pages"] = step_pages;
         rec.txnsPerSec = p.txnsPerSec;
         rec.latencyNs = p.latencyNs;
         rec.counters = p.delta;

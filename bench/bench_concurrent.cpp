@@ -154,7 +154,6 @@ runSingleWriter(int txns)
     DbConfig config;
     config.walMode = WalMode::Nvwal;
     config.checkpointThreshold = 1000;
-    config.incrementalCheckpoint = true;
     config.checkpointStepPages = 4;
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
@@ -200,12 +199,9 @@ runWriters(int threads, int txns_per_thread)
     DbConfig config;
     config.walMode = WalMode::Nvwal;
     config.checkpointThreshold = 1000;
-    config.incrementalCheckpoint = true;
+    // Checkpoints ride commits inline in 4-page steps, as in the
+    // single-writer section.
     config.checkpointStepPages = 4;
-    // The concurrency configuration under test: checkpoints drain on
-    // the background thread instead of riding commits inline, so the
-    // commit path's barrier count is the group-commit protocol's own.
-    config.backgroundCheckpointer = true;
     // Large pre-allocated log blocks (paper section 5.3): the
     // per-node heap persists would otherwise dominate the barrier
     // count and mask the group-commit amortization being measured.

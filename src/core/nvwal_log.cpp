@@ -744,14 +744,22 @@ Status
 NvwalLog::checkpoint()
 {
     TraceSpan span(_stats.tracer(), "wal.checkpoint", "wal");
-    const SimTime begin = _pmem.clock().now();
+    // A full round is timed from this call, even when it finishes a
+    // round that earlier steps opened.
+    _ckptBeginNs.reset();
     bool done = false;
     while (!done) {
         NVWAL_RETURN_IF_ERROR(
             checkpointStep(~static_cast<std::uint32_t>(0), &done));
     }
-    _checkpointHist.record(_pmem.clock().now() - begin);
     return Status::ok();
+}
+
+void
+NvwalLog::recordCheckpointRound()
+{
+    _checkpointHist.record(_pmem.clock().now() - *_ckptBeginNs);
+    _ckptBeginNs.reset();
 }
 
 Status
@@ -759,6 +767,8 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
 {
     TraceSpan span(_stats.tracer(), "wal.checkpoint_step", "wal");
     *done = false;
+    if (!_ckptBeginNs)
+        _ckptBeginNs = _pmem.clock().now();
     // Write-back must never outrun the durable log: if the .db base
     // advanced past frames that could still tear, a post-crash
     // recovery would mix a newer base with an older log prefix.
@@ -774,6 +784,7 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
         _ckptQueuePos = 0;
         _ckptPending.clear();
         *done = true;
+        recordCheckpointRound();
         return Status::ok();
     }
 
@@ -893,6 +904,7 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
         // file advanced to the target but the log retained. A later
         // round truncates once the pin releases.
         _stats.add(stats::kCheckpointsPinBlocked);
+        recordCheckpointRound();
         return Status::ok();
     }
     // Open a new checkpoint epoch *before* truncating: every logged
@@ -920,6 +932,7 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
     _tailCapacity = 0;
     _linkFieldOff = firstNodeFieldOff();
     _stats.add(stats::kCheckpoints);
+    recordCheckpointRound();
     return Status::ok();
 }
 
@@ -933,6 +946,7 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
     _indexedFrames = 0;
     publishIndexGauge();
     _ckptRoundActive = false;
+    _ckptBeginNs.reset();
     _ckptQueue.clear();
     _ckptQueuePos = 0;
     _ckptPending.clear();

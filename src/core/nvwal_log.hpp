@@ -46,6 +46,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -296,6 +297,8 @@ class NvwalLog : public WriteAheadLog
 
     /** Re-publish the wal.frame_index_nodes gauge after a change. */
     void publishIndexGauge();
+    /** Record the finished round's wal.checkpoint_ns sample. */
+    void recordCheckpointRound();
 
     /**
      * Shared page materialization: base .db image plus committed
@@ -403,6 +406,13 @@ class NvwalLog : public WriteAheadLog
      * partial write-backs are always crash-safe.
      */
     bool _ckptRoundActive = false;
+    /**
+     * Sim time at the start of the step that opened the round being
+     * timed. The step that reports done records one wal.checkpoint_ns
+     * sample from here, whether the round ran in one checkpoint() or
+     * in many bounded steps.
+     */
+    std::optional<SimTime> _ckptBeginNs;
     std::vector<PageNo> _ckptQueue;   //!< current pass, ascending
     std::size_t _ckptQueuePos = 0;    //!< next queue index to drain
     std::set<PageNo> _ckptPending;    //!< re-dirtied during the round

@@ -109,10 +109,6 @@ validateDbConfig(const DbConfig &config)
         *config.reservedBytes >= config.pageSize)
         return Status::invalidArgument(
             "reserved bytes must be smaller than the page size");
-    if ((config.incrementalCheckpoint || config.backgroundCheckpointer) &&
-        config.checkpointStepPages == 0)
-        return Status::invalidArgument(
-            "incremental checkpointing needs checkpointStepPages > 0");
     if (config.asyncMaxEpochs == 0)
         return Status::invalidArgument(
             "asyncMaxEpochs must be >= 1 (the staleness bound)");
@@ -151,7 +147,6 @@ Database::~Database()
     // epochs are abandoned: commits that were never flushed fall
     // inside the documented bounded loss window. Clean shutdowns call
     // flushAsyncCommits().
-    stopCheckpointer();
 }
 
 Status
@@ -253,9 +248,6 @@ Database::openInternal()
         _pageCursor.store(_pager->pageCount(), std::memory_order_relaxed);
         _multiWriter = true;
     }
-
-    if (_config.backgroundCheckpointer && !_checkpointer.joinable())
-        _checkpointer = std::thread(&Database::checkpointerMain, this);
     return Status::ok();
 }
 
@@ -721,10 +713,6 @@ Database::maybeCheckpointAfterCommit()
 {
     if (_wal->pageWritesSinceCheckpoint() < _config.checkpointThreshold)
         return;
-    if (_config.backgroundCheckpointer) {
-        kickCheckpointer();
-        return;
-    }
     // The committer released the writer lock at enqueue, so another
     // write transaction may already be open; checkpointing under it
     // would fail with Busy although this commit landed. Skip the
@@ -739,9 +727,7 @@ Database::maybeCheckpointAfterCommit()
     if (_openWorkspaces != 0 &&
         _wal->pageWritesSinceCheckpoint() < 2 * _config.checkpointThreshold)
         return;
-    const std::uint32_t step_pages =
-        _config.incrementalCheckpoint ? _config.checkpointStepPages : 0;
-    if (!checkpointRound(step_pages, nullptr).isOk()) {
+    if (!checkpointRound(_config.checkpointStepPages, nullptr).isOk()) {
         _env.stats.add(stats::kAutoCheckpointFailures);
         _env.stats.tracer().instant("db.auto_checkpoint_failed", "db");
     }
@@ -1032,8 +1018,11 @@ Database::checkpoint()
 Status
 Database::checkpointStep(std::uint32_t max_pages, bool *done)
 {
-    return checkpointRound(
-        max_pages != 0 ? max_pages : _config.checkpointStepPages, done);
+    if (max_pages == 0)
+        return Status::invalidArgument(
+            "checkpointStep needs max_pages > 0; checkpoint() runs a "
+            "full round");
+    return checkpointRound(max_pages, done);
 }
 
 Status
@@ -1296,64 +1285,6 @@ Database::installWorkspace(const MwWorkspace &ws, std::uint64_t *winner)
     _env.stats.tracer().setCurrentTxn(_txnSeq);
     frRecord(FrRecordType::TxnBegin, 0, 0, 0, _txnSeq);
     return Status::ok();
-}
-
-// ---- background checkpointer ---------------------------------------
-
-void
-Database::checkpointerMain()
-{
-    std::unique_lock<std::mutex> l(_ckptMutex);
-    for (;;) {
-        _ckptCv.wait(l, [&] { return _ckptStop || _ckptKick; });
-        if (_ckptStop)
-            return;
-        _ckptKick = false;
-        l.unlock();
-
-        // Drain: one bounded round per engine-lock acquisition, so
-        // foreground commits interleave instead of stalling behind a
-        // monolithic checkpoint. done=true also covers the
-        // pin-blocked case (round complete, truncation deferred);
-        // the next commit kicks again.
-        bool done = false;
-        while (!done) {
-            {
-                std::lock_guard<std::recursive_mutex> eng(_engineMutex);
-                if (_inTxn || _wal->framesSinceCheckpoint() == 0)
-                    break;
-                const Status s =
-                    checkpointRound(_config.checkpointStepPages, &done);
-                _env.stats.add(stats::kCheckpointerSteps);
-                if (!s.isOk())
-                    break;
-            }
-            std::lock_guard<std::mutex> g(_ckptMutex);
-            if (_ckptStop)
-                return;
-        }
-        l.lock();
-    }
-}
-
-void
-Database::kickCheckpointer()
-{
-    std::lock_guard<std::mutex> g(_ckptMutex);
-    _ckptKick = true;
-    _ckptCv.notify_all();
-}
-
-void
-Database::stopCheckpointer()
-{
-    {
-        std::lock_guard<std::mutex> g(_ckptMutex);
-        _ckptStop = true;
-        _ckptCv.notify_all();
-    }
-    if (_checkpointer.joinable())
-        _checkpointer.join();
 }
 
 Status

@@ -32,7 +32,7 @@
  *   2. _engineMutex  -- the big engine lock guarding the pager, WAL,
  *      catalog, tables, and MetricsRegistry (recursive: public
  *      operations nest);
- *   3. _commitQueueMutex / _ckptMutex / _asyncMutex -- leaf locks,
+ *   3. _commitQueueMutex / _asyncMutex -- leaf locks,
  *      never held while acquiring the ones above;
  *   4. the Env's heap, Pmem and NvramDevice locks, in that order; the
  *      device's plain mutex is the bottom leaf (DESIGN.md §8.1).
@@ -52,7 +52,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "btree/btree.hpp"
@@ -165,23 +164,13 @@ struct DbConfig
     std::uint64_t checkpointThreshold = 1000;
     bool autoCheckpoint = true;
     /**
-     * Incremental auto-checkpointing: instead of one blocking
-     * checkpoint at the threshold, write back at most
-     * checkpointStepPages pages after each commit until the log can
-     * be truncated. Bounds the per-commit latency spike.
+     * How an auto-checkpoint round runs once the threshold trips. 0
+     * runs the whole round inside the commit that tripped it (the
+     * paper's blocking checkpoint). N > 0 writes back at most N pages
+     * per commit until the log can be truncated, which bounds the
+     * per-commit latency spike at the cost of more fsyncs.
      */
-    bool incrementalCheckpoint = false;
-    std::uint32_t checkpointStepPages = 8;
-    /**
-     * Run a background checkpointer thread that drains the log with
-     * incremental checkpointStep() rounds whenever a commit pushes
-     * pageWritesSinceCheckpoint() past checkpointThreshold, so
-     * foreground commits never absorb the write-back. While it runs,
-     * the in-commit auto-checkpoint is replaced by a wakeup of the
-     * thread. Snapshot pins bound its progress (the WAL refuses to
-     * truncate past the oldest pin).
-     */
-    bool backgroundCheckpointer = false;
+    std::uint32_t checkpointStepPages = 0;
     /**
      * Bounded-staleness window for Durability::Async: a harden is
      * forced once this many epochs (async commit batches) are
@@ -411,10 +400,11 @@ class Database
     Status checkpoint();
 
     /**
-     * One incremental checkpoint round: write back at most
-     * @p max_pages pages (0 = the configured checkpointStepPages).
-     * Busy inside a write transaction. Snapshot pins clamp how far
-     * the .db file advances; see WriteAheadLog::checkpointStep().
+     * One incremental checkpoint step: write back at most
+     * @p max_pages pages, which must be > 0 (InvalidArgument
+     * otherwise; checkpoint() is the full round). Busy inside a
+     * write transaction. Snapshot pins clamp how far the .db file
+     * advances; see WriteAheadLog::checkpointStep().
      */
     Status checkpointStep(std::uint32_t max_pages, bool *done);
 
@@ -461,8 +451,8 @@ class Database
 
     /**
      * Engine-locked view of WAL page writes not yet checkpointed --
-     * the unit checkpointThreshold counts: safe to poll from any
-     * thread, e.g. to watch the background checkpointer drain.
+     * the unit checkpointThreshold counts: safe to call from any
+     * thread while other connections commit.
      * wal().pageWritesSinceCheckpoint() gives the same number (in
      * single-writer mode) but is only safe while nothing else runs.
      */
@@ -605,14 +595,16 @@ class Database
     Status appendGroup(const std::vector<GroupEntry *> &batch);
 
     /**
-     * Post-commit auto-checkpoint (inline or checkpointer wakeup).
-     * Caller holds the engine lock. A round that finds another write
-     * transaction open is skipped, not failed: the writer lock was
-     * released at enqueue, and the next commit re-trips the
-     * threshold. An open multi-writer workspace counts as one until
-     * the log reaches twice the threshold. A round that fails is counted and traced but never
-     * fails the commit, which is already durable (DESIGN.md §8.3);
-     * the next commit past the threshold retries it.
+     * Post-commit auto-checkpoint: one checkpointRound() of
+     * DbConfig::checkpointStepPages once the log has reached the
+     * threshold. Caller holds the engine lock. A round that finds
+     * another write transaction open is skipped, not failed: the
+     * writer lock was released at enqueue, and the next commit
+     * re-trips the threshold. An open multi-writer workspace counts
+     * as one until the log reaches twice the threshold. A round that
+     * fails is counted and traced but never fails the commit, which
+     * is already durable (DESIGN.md §8.3); the next commit past the
+     * threshold retries it.
      */
     void maybeCheckpointAfterCommit();
 
@@ -727,12 +719,6 @@ class Database
      */
     Status installWorkspace(const MwWorkspace &ws, std::uint64_t *winner);
 
-    // ---- background checkpointer -----------------------------------
-
-    void checkpointerMain();
-    void kickCheckpointer();
-    void stopCheckpointer();
-
     Env &_env;
     DbConfig _config;
     std::unique_ptr<DbFile> _dbFile;
@@ -817,12 +803,6 @@ class Database
      */
     std::atomic<std::uint32_t> _writeIntents{0};
 
-    std::thread _checkpointer;
-    std::mutex _ckptMutex;
-    std::condition_variable _ckptCv;
-    bool _ckptStop = false;
-    bool _ckptKick = false;
-
     // ---- durability-epoch pipeline ----------------------------------
 
     /** One batch of async commits awaiting its persist barrier. */
@@ -835,7 +815,7 @@ class Database
     };
     /**
      * Leaf lock guarding the epoch deque and ack bookkeeping (same
-     * tier as _commitQueueMutex/_ckptMutex: never held while taking
+     * tier as _commitQueueMutex: never held while taking
      * the engine lock).
      */
     mutable std::mutex _asyncMutex;

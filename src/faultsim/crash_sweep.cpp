@@ -65,7 +65,7 @@ applyOp(Database &db, ReplaySession &session, const WorkloadOp &op,
         return db.checkpoint();
       case WorkloadOp::Kind::CheckpointStep: {
         bool done = false;
-        return db.checkpointStep(0, &done);
+        return db.checkpointStep(kCheckpointStepPages, &done);
       }
       case WorkloadOp::Kind::SnapshotOpen:
         if (!session.conn)

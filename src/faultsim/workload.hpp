@@ -27,6 +27,9 @@
 namespace nvwal::faultsim
 {
 
+/** Pages one CheckpointStep op writes back at most. */
+inline constexpr std::uint32_t kCheckpointStepPages = 8;
+
 /** One scripted database operation. */
 struct WorkloadOp
 {
@@ -40,7 +43,7 @@ struct WorkloadOp
         CreateTable,
         DropTable,
         Checkpoint,
-        /** One incremental checkpointStep() (a checkpointer slice). */
+        /** One incremental checkpointStep() of kCheckpointStepPages. */
         CheckpointStep,
         /** Open a read snapshot on the harness connection. */
         SnapshotOpen,

@@ -23,8 +23,8 @@
  * Thread-safety: every operation may run on any thread at any time.
  * Databases sharing one Env record into its platform registry
  * (Env::stats) from their own threads, and a database's group-commit
- * leader, background checkpointer, snapshot readers and optimistic
- * writers record concurrently. Slot counters and gauges are relaxed
+ * leader, snapshot readers and optimistic writers record
+ * concurrently. Slot counters and gauges are relaxed
  * atomics, Histogram objects are internally synchronized, and the
  * ad-hoc maps sit behind the registry mutex. Export paths copy by
  * value, so exporting is safe while other threads record — there is

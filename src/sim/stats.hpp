@@ -58,8 +58,8 @@ namespace stats
     X(kTxnsCommitted, "db.txns_committed")                                    \
     X(kWalFullPageFrames, "wal.full_page_frames")                             \
                                                                               \
-    /* Concurrency layer: snapshot readers, group commit, the                 \
-     * background checkpointer (docs/OBSERVABILITY.md §concurrency). */       \
+    /* Concurrency layer: snapshot readers, group commit, pinned              \
+     * checkpoints (docs/OBSERVABILITY.md §concurrency). */                   \
     X(kSnapshotsOpened, "db.snapshots_opened")                                \
     X(kSnapshotReads, "db.snapshot_reads")                                    \
     X(kSnapshotCacheHits, "db.snapshot_cache_hits")                           \
@@ -68,7 +68,6 @@ namespace stats
     X(kSnapshotPagerFetches, "db.snapshot_pager_fetches")                     \
     X(kGroupCommits, "db.group_commits")                                      \
     X(kGroupCommitTxns, "db.group_commit_txns")                               \
-    X(kCheckpointerSteps, "db.checkpointer_steps")                            \
     X(kCheckpointsPinBlocked, "wal.checkpoints_pin_blocked")                  \
                                                                               \
     /* Asynchronous durability pipeline (DESIGN.md §11). Epoch                \

@@ -6,8 +6,8 @@
  * frame classification, and the crash sweeps that audit the
  * probabilistic-consistency claim. The AsyncConcurrency suite runs
  * concurrent async committers that harden each other's epochs inline
- * (with the background checkpointer alongside) and is part of the
- * TSan CI job.
+ * (with stepped checkpoint rounds riding their commits) and is part
+ * of the TSan CI job.
  */
 
 #include <gtest/gtest.h>
@@ -391,7 +391,8 @@ replayWorkload(Database &db, const faultsim::Workload &w)
             NVWAL_RETURN_IF_ERROR(db.commit(Durability::Async));
             break;
           case faultsim::WorkloadOp::Kind::CheckpointStep:
-            NVWAL_RETURN_IF_ERROR(db.checkpointStep(0, &done));
+            NVWAL_RETURN_IF_ERROR(
+                db.checkpointStep(faultsim::kCheckpointStepPages, &done));
             break;
           default:
             return Status::invalidArgument("op kind not replayed here");
@@ -495,10 +496,8 @@ TEST(AsyncConcurrency, MixedDurabilityLevelsAcrossThreads)
 {
     Env env(makeEnvConfig());
     DbConfig config = asyncConfig();
-    config.backgroundCheckpointer = true;
-    config.incrementalCheckpoint = true;
     config.checkpointStepPages = 8;
-    config.checkpointThreshold = 64;
+    config.checkpointThreshold = 16;
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
 

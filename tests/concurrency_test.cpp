@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the concurrent-connection surface: snapshot-isolated
- * readers, the group-commit queue under real writer threads, the
- * background checkpointer, and the crash-sweep harness replaying a
- * scripted reader + incremental checkpointer alongside committing
- * transactions.
+ * readers, the group-commit queue under real writer threads, inline
+ * checkpoint steps under a snapshot pin, and the crash-sweep harness
+ * replaying a scripted reader + incremental checkpoint steps
+ * alongside committing transactions.
  *
  * Threaded tests only assert properties that hold under every legal
  * interleaving (snapshot stability, prefix visibility, conservation
@@ -117,7 +117,7 @@ TEST(Concurrency, PinnedSnapshotBlocksTruncationThenDrains)
     // the snapshot needs.
     bool done = false;
     for (int round = 0; round < 100 && !done; ++round)
-        NVWAL_CHECK_OK(db->checkpointStep(0, &done));
+        NVWAL_CHECK_OK(db->checkpointStep(8, &done));
     EXPECT_TRUE(done);
     EXPECT_GE(db->statValue(stats::kCheckpointsPinBlocked), 1u);
     EXPECT_GT(db->walPageWritesSinceCheckpoint(), 0u);
@@ -136,7 +136,7 @@ TEST(Concurrency, PinnedSnapshotBlocksTruncationThenDrains)
     NVWAL_CHECK_OK(conn->endRead());
     done = false;
     for (int round = 0; round < 100 && !done; ++round)
-        NVWAL_CHECK_OK(db->checkpointStep(0, &done));
+        NVWAL_CHECK_OK(db->checkpointStep(8, &done));
     EXPECT_TRUE(done);
     EXPECT_EQ(db->walPageWritesSinceCheckpoint(), 0u);
     NVWAL_CHECK_OK(db->count(&n));
@@ -347,18 +347,18 @@ TEST(Concurrency, GroupCommitBatchesConcurrentWriters)
 /**
  * Writers on their own connections group-commit while readers take
  * fresh snapshots, whose cache misses may be served from the shared
- * pager (DESIGN.md §16), and a background checkpointer writes pages
- * back from it. Each transaction of writer w bumps its counter row w
- * to n and inserts row n of its range, so the rows sit in a
- * different leaf than the counter: a snapshot mixing a published but
- * not yet logged page with a page rebuilt at its horizon shows a
+ * pager (DESIGN.md §16), and the commits' inline checkpoint steps
+ * write pages back from it. Each transaction of writer w bumps its
+ * counter row w to n and inserts row n of its range, so the rows sit
+ * in a different leaf than the counter: a snapshot mixing a published
+ * but not yet logged page with a page rebuilt at its horizon shows a
  * counter that disagrees with the rows.
  */
 TEST(Concurrency, SnapshotReadersDuringGroupCommitSeeOnlyLoggedPages)
 {
     Env env(envConfig());
     DbConfig config = nvwalConfig();
-    config.backgroundCheckpointer = true;
+    config.checkpointStepPages = 4;
     config.checkpointThreshold = 32;
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
@@ -461,50 +461,11 @@ TEST(Concurrency, SnapshotReadersDuringGroupCommitSeeOnlyLoggedPages)
     }
 }
 
-// ---- threaded: background checkpointer -----------------------------
-
-TEST(Concurrency, BackgroundCheckpointerDrainsWhileCommitting)
-{
-    Env env(envConfig());
-    DbConfig config = nvwalConfig();
-    config.backgroundCheckpointer = true;
-    config.checkpointThreshold = 8;
-    std::unique_ptr<Database> db;
-    NVWAL_CHECK_OK(Database::open(env, config, &db));
-
-    for (RowId k = 1; k <= 60; ++k)
-        NVWAL_CHECK_OK(db->insert(k, testutil::spanOf(rowValue(k))));
-
-    // The checkpointer drains asynchronously; wait for it to catch
-    // up (a full drain after the last kick ends at zero frames, but
-    // the last few commits may land below the kick threshold).
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (db->walPageWritesSinceCheckpoint() >=
-               config.checkpointThreshold &&
-           std::chrono::steady_clock::now() < deadline)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-
-    EXPECT_LT(db->walPageWritesSinceCheckpoint(),
-              config.checkpointThreshold);
-    EXPECT_GT(db->statValue(stats::kCheckpointerSteps), 0u);
-    std::uint64_t n = 0;
-    NVWAL_CHECK_OK(db->count(&n));
-    EXPECT_EQ(n, 60u);
-    NVWAL_CHECK_OK(db->verifyIntegrity());
-
-    // Reopen: everything committed survives the restart.
-    db.reset();
-    NVWAL_CHECK_OK(Database::open(env, config, &db));
-    NVWAL_CHECK_OK(db->count(&n));
-    EXPECT_EQ(n, 60u);
-}
-
 TEST(Concurrency, CheckpointerRespectsSnapshotPin)
 {
     Env env(envConfig());
     DbConfig config = nvwalConfig();
-    config.backgroundCheckpointer = true;
+    config.checkpointStepPages = 4;
     config.checkpointThreshold = 4;
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
@@ -515,12 +476,15 @@ TEST(Concurrency, CheckpointerRespectsSnapshotPin)
     NVWAL_CHECK_OK(db->connect(&conn));
     NVWAL_CHECK_OK(conn->beginRead());
 
-    // Push the checkpointer well past its threshold with the pin
-    // held: it may write back up to the pin but never truncate past
-    // it, so the snapshot stays intact however long this runs.
+    // Every commit past the threshold runs one stepped round inline,
+    // with the pin held: a round may write back up to the pin but
+    // never truncate past it, so it finishes pin-blocked and the
+    // snapshot stays intact.
+    const std::uint64_t checkpoints = db->statValue(stats::kCheckpoints);
     for (RowId k = 6; k <= 40; ++k)
         NVWAL_CHECK_OK(db->insert(k, testutil::spanOf(rowValue(k))));
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_GT(db->statValue(stats::kCheckpointsPinBlocked), 0u);
+    EXPECT_EQ(db->statValue(stats::kCheckpoints), checkpoints);
 
     std::uint64_t n = 0;
     NVWAL_CHECK_OK(conn->count(&n));

@@ -10,9 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <thread>
-
 #include "db/database.hpp"
 #include "faultsim/crash_sweep.hpp"
 #include "test_util.hpp"
@@ -282,15 +279,17 @@ TEST(FlightRecorder, CheckpointRecordsBracketTheRound)
     }
 }
 
-TEST(FlightRecorder, BackgroundCheckpointRoundsRecordTheirHardens)
+TEST(FlightRecorder, SteppedCheckpointRoundsRecordTheirHardens)
 {
     // A checkpoint round that hardens pending async commits records
-    // Harden(Checkpoint) on every path, the background checkpointer's
-    // rounds included. Nothing else hardens here: the staleness
-    // window is out of reach and nothing flushes explicitly.
+    // Harden(Checkpoint) on every path, the inline stepped rounds
+    // included: each commit past the threshold runs one step, and the
+    // step hardens before it writes back. Nothing else hardens here:
+    // the staleness window is out of reach and nothing flushes
+    // explicitly.
     Env env(makeEnvConfig());
     DbConfig config = nvwalConfig();
-    config.backgroundCheckpointer = true;
+    config.checkpointStepPages = 4;
     config.checkpointThreshold = 20;
     config.asyncMaxEpochs = 1000;
     config.asyncMaxStalenessNs = 0;
@@ -302,17 +301,8 @@ TEST(FlightRecorder, BackgroundCheckpointRoundsRecordTheirHardens)
         NVWAL_CHECK_OK(db->insert(k, testutil::makeValue(64, k)));
         NVWAL_CHECK_OK(db->commit(Durability::Async));
     }
-    // The checkpointer drains behind the commits; wait until it has
-    // caught up and hardened some of them.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while ((db->hardenedEpoch() == 0 ||
-            db->walPageWritesSinceCheckpoint() >=
-                config.checkpointThreshold) &&
-           std::chrono::steady_clock::now() < deadline)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     ASSERT_GT(db->hardenedEpoch(), 0u);
-    ASSERT_GT(db->statValue(stats::kCheckpointerSteps), 0u);
+    ASSERT_GT(db->statValue(stats::kWalCkptPagesWritten), 0u);
     db.reset();
 
     NVWAL_CHECK_OK(Database::open(env, config, &db));

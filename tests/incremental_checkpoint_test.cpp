@@ -35,7 +35,6 @@ incrementalConfig()
     DbConfig config;
     config.walMode = WalMode::Nvwal;
     config.checkpointThreshold = 40;
-    config.incrementalCheckpoint = true;
     config.checkpointStepPages = 4;
     return config;
 }
@@ -124,6 +123,76 @@ TEST(IncrementalCheckpoint, ReDirtiedPagesAreWrittenBackAgain)
     EXPECT_EQ(n, 400u);
 }
 
+TEST(IncrementalCheckpoint, ZeroPageStepIsRejected)
+{
+    // checkpoint() is the full round; a zero-page step is a caller
+    // error, not a way to ask for one.
+    Env env(smallEnv());
+    DbConfig config;
+    config.walMode = WalMode::Nvwal;
+    config.autoCheckpoint = false;
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, config, &db));
+    for (RowId k = 0; k < 100; ++k) {
+        NVWAL_CHECK_OK(db->insert(
+            k, testutil::spanOf(testutil::makeValue(100, k))));
+    }
+    const std::uint64_t frames = db->wal().framesSinceCheckpoint();
+    const std::uint64_t page_writes = db->walPageWritesSinceCheckpoint();
+    ASSERT_GT(frames, 0u);
+
+    bool done = false;
+    const Status s = db->checkpointStep(0, &done);
+    EXPECT_EQ(s.code(), StatusCode::InvalidArgument) << s.toString();
+    EXPECT_FALSE(done);
+    EXPECT_EQ(db->wal().framesSinceCheckpoint(), frames);
+    EXPECT_EQ(db->walPageWritesSinceCheckpoint(), page_writes);
+    EXPECT_EQ(env.stats.get(stats::kWalCkptPagesWritten), 0u);
+    EXPECT_EQ(env.stats.histogram(stats::kHistCheckpointNs).count(), 0u);
+}
+
+TEST(IncrementalCheckpoint, SteppedRoundRecordsOneCheckpointSample)
+{
+    // wal.checkpoint_ns gets one sample per finished round however
+    // it ran: from the start of the step that opened the round to
+    // the end of the step that finished it.
+    Env env(smallEnv());
+    DbConfig config;
+    config.walMode = WalMode::Nvwal;
+    config.autoCheckpoint = false;
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, config, &db));
+    for (RowId k = 0; k < 400; ++k) {
+        NVWAL_CHECK_OK(db->insert(
+            k, testutil::spanOf(testutil::makeValue(100, k))));
+    }
+    const Histogram &hist = env.stats.histogram(stats::kHistCheckpointNs);
+
+    const SimTime begin = env.clock.now();
+    bool done = false;
+    int steps = 0;
+    while (!done) {
+        EXPECT_EQ(hist.count(), 0u);
+        NVWAL_CHECK_OK(db->wal().checkpointStep(2, &done));
+        ASSERT_LT(++steps, 1000);
+    }
+    EXPECT_GT(steps, 1);
+    EXPECT_EQ(hist.count(), 1u);
+    EXPECT_EQ(hist.sum(), env.clock.now() - begin);
+
+    // A full checkpoint() that finishes a round earlier steps opened
+    // is timed from its own call, as one sample.
+    for (RowId k = 0; k < 400; ++k)
+        NVWAL_CHECK_OK(db->remove(k));
+    NVWAL_CHECK_OK(db->wal().checkpointStep(2, &done));
+    ASSERT_FALSE(done);
+    const std::uint64_t sum_before = hist.sum();
+    const SimTime full_begin = env.clock.now();
+    NVWAL_CHECK_OK(db->wal().checkpoint());
+    EXPECT_EQ(hist.count(), 2u);
+    EXPECT_EQ(hist.sum() - sum_before, env.clock.now() - full_begin);
+}
+
 TEST(IncrementalCheckpoint, CrashDuringRoundIsRecoverable)
 {
     // Sweep crashes across incremental rounds (write-backs +
@@ -164,8 +233,7 @@ TEST(IncrementalCheckpoint, BoundsCommitLatencySpike)
         DbConfig config;
         config.walMode = WalMode::Nvwal;
         config.checkpointThreshold = 400;
-        config.incrementalCheckpoint = incremental;
-        config.checkpointStepPages = 2;
+        config.checkpointStepPages = incremental ? 2 : 0;
         std::unique_ptr<Database> db;
         NVWAL_CHECK_OK(Database::open(env, config, &db));
         SimTime worst = 0;

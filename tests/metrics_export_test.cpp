@@ -3,9 +3,9 @@
  * Thread-safety tests for the observability exporters: snapshot(),
  * histogramsSnapshot(), gaugesSnapshot() and metricsJson() are the
  * only way to read the registry, and they must be safe to call from
- * a monitoring thread while committers and the background
- * checkpointer mutate counters, gauges and histograms. The suite name is part of the TSan CI matrix
- * (ci.yml runs -R "Concurrency|...").
+ * a monitoring thread while committers and their inline checkpoint
+ * steps mutate counters, gauges and histograms. The suite name is
+ * part of the TSan CI matrix (ci.yml runs -R "Concurrency|...").
  */
 
 #include <gtest/gtest.h>
@@ -35,8 +35,8 @@ TEST(MetricsExportConcurrency, SnapshotsRaceCleanlyWithBackgroundWork)
     config.nvwal.syncMode = SyncMode::Lazy;
     config.nvwal.diffLogging = true;
     config.nvwal.userHeap = true;
-    config.backgroundCheckpointer = true;
-    config.checkpointThreshold = 16;  // keep the checkpointer busy
+    config.checkpointStepPages = 4;
+    config.checkpointThreshold = 16;  // keep the checkpoint steps busy
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
 
@@ -80,11 +80,18 @@ TEST(MetricsExportConcurrency, SnapshotsRaceCleanlyWithBackgroundWork)
     }
     for (std::thread &t : writers)
         t.join();
+    // A root commit past the threshold, with the writers gone, runs
+    // one checkpoint step while the exporter still reads.
+    NVWAL_CHECK_OK(db->begin());
+    for (RowId k = 1000000; k < 1000002; ++k)
+        NVWAL_CHECK_OK(db->insert(k, testutil::makeValue(9 * 4096, k)));
+    NVWAL_CHECK_OK(db->commit());
     NVWAL_CHECK_OK(db->flushAsyncCommits());
     stop.store(true, std::memory_order_relaxed);
     exporter.join();
 
     EXPECT_GT(exports.load(), 0u);
+    EXPECT_GT(env.stats.get(stats::kWalCkptPagesWritten), 0u);
     // The workload really exercised the racy paths the exporters
     // snapshot against.
     const StatsSnapshot final_counters = env.stats.snapshot();

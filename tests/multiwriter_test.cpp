@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <map>
 #include <set>
 #include <thread>
@@ -653,13 +652,13 @@ TEST(Multiwriter, ReopenMergesEpochLogsByGlobalOrder)
 }
 
 /**
- * Four writer threads on disjoint ranges with the background
- * checkpointer draining the one log behind them: every committed
- * update must survive the concurrent write-back, the checkpointer must
- * drain the log once the writers stop, and an incremental step must
- * stay incremental.
+ * Four writer threads on disjoint ranges whose commits run the inline
+ * checkpoint steps on the one log: every committed update must survive
+ * the concurrent write-back, a commit past the threshold with no
+ * workspace open must run one bounded step, and an incremental step
+ * must stay incremental.
  */
-TEST(Multiwriter, BackgroundCheckpointerDrainsUnderWriterThreads)
+TEST(Multiwriter, InlineCheckpointStepsDrainUnderWriterThreads)
 {
     constexpr int kThreads = 4;
     constexpr RowId kRangeStride = 100000;
@@ -671,7 +670,6 @@ TEST(Multiwriter, BackgroundCheckpointerDrainsUnderWriterThreads)
 
     Env env(envConfig());
     DbConfig config = mwConfig();
-    config.backgroundCheckpointer = true;
     config.checkpointThreshold = kThreshold;
     config.checkpointStepPages = 4;
     std::unique_ptr<Database> db;
@@ -732,21 +730,29 @@ TEST(Multiwriter, BackgroundCheckpointerDrainsUnderWriterThreads)
                                 return true;
                             }));
     EXPECT_TRUE(seen == oracle);
-    EXPECT_GT(db->statValue(stats::kCheckpointerSteps), 0u);
 
-    // The last commit's wakeup finds no workspace pinning the log, so
-    // the checkpointer drains it without further commits.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (db->walPageWritesSinceCheckpoint() >= kThreshold &&
-           std::chrono::steady_clock::now() < deadline)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    EXPECT_LT(db->walPageWritesSinceCheckpoint(), kThreshold);
+    // With the writers gone no workspace is open, so a root commit
+    // past the threshold runs one step of at most four pages. Each of
+    // these rows spills onto at least eight overflow pages, so the
+    // commit alone writes kThreshold pages.
+    const std::uint64_t written =
+        db->statValue(stats::kWalCkptPagesWritten);
+    NVWAL_CHECK_OK(db->begin());
+    for (RowId i = 0; i < static_cast<RowId>(kThreshold / 8); ++i) {
+        const RowId key = kThreads * kRangeStride + i;
+        NVWAL_CHECK_OK(db->insert(key, testutil::makeValue(9 * 4096, key)));
+    }
+    NVWAL_CHECK_OK(db->commit());
+    const std::uint64_t step_pages =
+        db->statValue(stats::kWalCkptPagesWritten) - written;
+    EXPECT_GT(step_pages, 0u);
+    EXPECT_LE(step_pages, 4u);
 
     // One update per range dirties four leaves, below the threshold,
-    // so no background round races the step: one page per step leaves
+    // so the commit runs no step of its own: one page per step leaves
     // the round unfinished.
     NVWAL_CHECK_OK(db->checkpoint());
+    EXPECT_EQ(db->walPageWritesSinceCheckpoint(), 0u);
     NVWAL_CHECK_OK(db->begin());
     for (int t = 0; t < kThreads; ++t) {
         const RowId key = t * kRangeStride;
