@@ -22,6 +22,15 @@
  * bench/baselines/metrics_bounds.json. A counter add on an interned
  * slot is one relaxed atomic add (DESIGN.md §19).
  *
+ * And the blocking checkpoint round's cost per written-back page:
+ * host ns and heap allocations per page (`checkpoint_round`,
+ * `host_ns_per_page`, `allocs_per_page`), the allocations gated by
+ * bench/baselines/checkpoint_bounds.json. Frame-index nodes come from
+ * a per-log pool and pages go straight into the file system's flat
+ * page cache, so a round makes no allocation per page (DESIGN.md
+ * §20). The binary links tests/support/alloc_counter.cpp, which
+ * counts every operator new.
+ *
  * `--json <path>` exports the per-configuration percentiles and
  * counter deltas; `--smoke` shrinks the run for CI validation.
  */
@@ -30,6 +39,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "alloc_counter.hpp"
 #include "bench_util.hpp"
 
 using namespace nvwal;
@@ -302,6 +312,96 @@ runMetricsOverhead(bool smoke, BenchJson *json)
     json->add(std::move(overhead));
 }
 
+/**
+ * Blocking checkpoint rounds over a 20,000-row table after 300
+ * transactions of 1-8 random row updates each: host ns and heap
+ * allocations per written-back page. One unmeasured round first, so
+ * every pool and buffer has grown.
+ */
+void
+runCheckpointRound(bool smoke, BenchJson *json)
+{
+    constexpr RowId kRows = 20000;
+    constexpr int kTxnsPerRound = 300;
+    const int rounds = smoke ? 2 : 10;
+
+    Env env(ResidentDb::makeEnvConfig());
+    DbConfig config;
+    config.walMode = WalMode::Nvwal;
+    config.autoCheckpoint = false;
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, config, &db));
+    ByteBuffer value(100, 0x5a);
+    for (RowId lo = 0; lo < kRows; lo += 1000) {
+        NVWAL_CHECK_OK(db->begin());
+        for (RowId k = lo; k < lo + 1000; ++k)
+            NVWAL_CHECK_OK(db->insert(k, value));
+        NVWAL_CHECK_OK(db->commit());
+    }
+    NVWAL_CHECK_OK(db->checkpoint());
+
+    Rng rng(25);
+    std::vector<double> ns_per_page;
+    std::uint64_t pages = 0;
+    std::uint64_t allocs = 0;
+    const StatsSnapshot before = env.stats.snapshot();
+    for (int round = 0; round <= rounds; ++round) {
+        for (int t = 0; t < kTxnsPerRound; ++t) {
+            NVWAL_CHECK_OK(db->begin());
+            const std::uint64_t statements = 1 + rng.nextBelow(8);
+            for (std::uint64_t s = 0; s < statements; ++s) {
+                value[0] = static_cast<std::uint8_t>(rng.next());
+                NVWAL_CHECK_OK(db->update(
+                    static_cast<RowId>(rng.nextBelow(kRows)), value));
+            }
+            NVWAL_CHECK_OK(db->commit());
+        }
+        const std::uint64_t pages_before =
+            db->statValue(stats::kWalCkptPagesWritten);
+        const std::uint64_t allocs_before = alloccount::allocations();
+        const auto start = std::chrono::steady_clock::now();
+        NVWAL_CHECK_OK(db->checkpoint());
+        const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+        const std::uint64_t round_allocs =
+            alloccount::allocations() - allocs_before;
+        const std::uint64_t round_pages =
+            db->statValue(stats::kWalCkptPagesWritten) - pages_before;
+        if (round == 0)
+            continue;  // warm-up
+        pages += round_pages;
+        allocs += round_allocs;
+        ns_per_page.push_back(static_cast<double>(ns) /
+                              static_cast<double>(round_pages));
+    }
+    std::sort(ns_per_page.begin(), ns_per_page.end());
+    const double host_ns = ns_per_page[ns_per_page.size() / 2];
+    const double allocs_per_page =
+        static_cast<double>(allocs) / static_cast<double>(pages);
+
+    TablePrinter table("Blocking checkpoint round, per written-back page "
+                       "(host time median; allocations over all rounds)");
+    table.setHeader({"rounds", "pages/round", "host ns/page",
+                     "allocs/page"});
+    table.addRow({std::to_string(rounds),
+                  TablePrinter::num(static_cast<double>(pages) / rounds, 1),
+                  TablePrinter::num(host_ns, 0),
+                  TablePrinter::num(allocs_per_page, 3)});
+    table.print();
+
+    BenchRecord rec;
+    rec.name = "checkpoint_round";
+    rec.scheme = "NVWAL LS";
+    rec.params["rounds"] = static_cast<std::uint64_t>(rounds);
+    rec.params["txns_per_round"] = kTxnsPerRound;
+    rec.params["pages"] = pages;
+    rec.values["host_ns_per_page"] = host_ns;
+    rec.values["allocs_per_page"] = allocs_per_page;
+    rec.counters = MetricsRegistry::delta(before, env.stats.snapshot());
+    json->add(std::move(rec));
+}
+
 } // namespace
 
 int
@@ -346,6 +446,8 @@ main(int argc, char **argv)
     runResidentScaling(args.smoke, &json);
     std::printf("\n");
     runMetricsOverhead(args.smoke, &json);
+    std::printf("\n");
+    runCheckpointRound(args.smoke, &json);
     json.write();
     return 0;
 }

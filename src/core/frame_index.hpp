@@ -33,6 +33,14 @@
  * ignore anchors <= prunedThrough() (the anchor's effects are in the
  * checkpointed base image anyway).
  *
+ * Node storage (DESIGN.md §20): an index bound to a FrameIndex::Pool
+ * takes its nodes and leaves from the pool and gives them back there,
+ * so a steady-state insert or prune never reaches the allocator, and
+ * a reused leaf keeps its slot vector's capacity. Pool::releaseAll()
+ * takes back every node at once; each index that used the pool must
+ * then forget() its tree instead of walking it. An unbound index uses
+ * new/delete.
+ *
  * Not thread-safe: every caller already holds the database engine
  * mutex, like the rest of the NvwalLog volatile index.
  */
@@ -41,6 +49,7 @@
 #define NVWAL_CORE_FRAME_INDEX_HPP
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -83,6 +92,87 @@ class FrameIndex
         CommitSeq anchorSeq = 0;
     };
 
+  private:
+    /**
+     * Interior node at level l >= 1: child i covers sequences
+     * [base + i * 16^(l-1), base + (i+1) * 16^(l-1)). Children of a
+     * level-1 node are Leafs.
+     */
+    struct Node
+    {
+        void *child[kFanout] = {nullptr};
+    };
+
+  public:
+    /**
+     * Node and leaf storage shared by many indexes (one per log):
+     * fixed-size chunks that are never moved or freed before the
+     * pool, a bump frontier over them and a free list. Counts only
+     * the nodes and leaves handed out, never the pooled ones.
+     */
+    class Pool
+    {
+      public:
+        Pool() = default;
+        Pool(const Pool &) = delete;
+        Pool &operator=(const Pool &) = delete;
+
+        /** Nodes and leaves currently handed out to indexes. */
+        std::uint64_t liveCount() const { return _live; }
+
+        /**
+         * Take back every node and leaf at once. Every index that
+         * used the pool must forget() its tree.
+         */
+        void
+        releaseAll()
+        {
+            _nodes.releaseAll();
+            _leaves.releaseAll();
+            _live = 0;
+        }
+
+      private:
+        friend class FrameIndex;
+
+        template <typename T>
+        struct Arena
+        {
+            static constexpr std::size_t kChunk = 64;
+            std::vector<std::unique_ptr<T[]>> chunks;
+            std::size_t used = 0;   //!< bump frontier over the chunks
+            std::vector<T *> free;
+
+            T *
+            take()
+            {
+                if (!free.empty()) {
+                    T *t = free.back();
+                    free.pop_back();
+                    return t;
+                }
+                if (used == chunks.size() * kChunk)
+                    chunks.push_back(std::make_unique<T[]>(kChunk));
+                T *t = &chunks[used / kChunk][used % kChunk];
+                ++used;
+                return t;
+            }
+
+            void give(T *t) { free.push_back(t); }
+
+            void
+            releaseAll()
+            {
+                used = 0;
+                free.clear();
+            }
+        };
+
+        Arena<Node> _nodes;
+        Arena<Leaf> _leaves;
+        std::uint64_t _live = 0;
+    };
+
     FrameIndex() = default;
     ~FrameIndex() { clear(); }
 
@@ -97,10 +187,10 @@ class FrameIndex
         if (this == &other)
             return *this;
         clear();
+        _pool = other._pool;
         _root = other._root;
         _height = other._height;
         _tail = other._tail;
-        _nodeGauge = other._nodeGauge;
         _nodeCount = other._nodeCount;
         _frameCount = other._frameCount;
         _leafCount = other._leafCount;
@@ -118,11 +208,15 @@ class FrameIndex
     }
 
     /**
-     * Point node accounting at an external counter (the log's
-     * wal.frame_index_nodes gauge); every node or leaf allocated or
-     * freed adjusts it. Must be bound before the first insert.
+     * Take nodes and leaves from @p pool from now on. Must be bound
+     * while the index is empty.
      */
-    void bindNodeGauge(std::uint64_t *gauge) { _nodeGauge = gauge; }
+    void
+    bindPool(Pool *pool)
+    {
+        NVWAL_ASSERT(_root == nullptr, "pool bound to a non-empty index");
+        _pool = pool;
+    }
 
     /** Append one frame under @p seq (nondecreasing across calls). */
     void
@@ -220,6 +314,26 @@ class FrameIndex
         _prunedThrough = 0;
     }
 
+    /**
+     * Drop the whole tree without freeing a node: its pool has taken
+     * (or is about to take) every node back through releaseAll().
+     * The index becomes empty and reusable, as after clear().
+     */
+    void
+    forget()
+    {
+        NVWAL_ASSERT(_pool != nullptr || _root == nullptr,
+                     "forget() on an index that owns its nodes");
+        _root = nullptr;
+        _nodeCount = 0;
+        _height = 0;
+        _tail = nullptr;
+        _frameCount = 0;
+        _leafCount = 0;
+        _lastFullSeq = 0;
+        _prunedThrough = 0;
+    }
+
     bool empty() const { return _leafCount == 0; }
     std::uint64_t frameCount() const { return _frameCount; }
     std::uint64_t leafCount() const { return _leafCount; }
@@ -230,16 +344,6 @@ class FrameIndex
     CommitSeq prunedThrough() const { return _prunedThrough; }
 
   private:
-    /**
-     * Interior node at level l >= 1: child i covers sequences
-     * [base + i * 16^(l-1), base + (i+1) * 16^(l-1)). Children of a
-     * level-1 node are Leafs.
-     */
-    struct Node
-    {
-        void *child[kFanout] = {nullptr};
-    };
-
     static std::uint32_t
     childIndex(CommitSeq key, std::uint32_t level)
     {
@@ -268,9 +372,12 @@ class FrameIndex
     allocNode()
     {
         ++_nodeCount;
-        if (_nodeGauge != nullptr)
-            ++*_nodeGauge;
-        return new Node();
+        if (_pool == nullptr)
+            return new Node();
+        ++_pool->_live;
+        Node *node = _pool->_nodes.take();
+        *node = Node{};
+        return node;
     }
 
     Leaf *
@@ -278,9 +385,17 @@ class FrameIndex
     {
         ++_nodeCount;
         ++_leafCount;
-        if (_nodeGauge != nullptr)
-            ++*_nodeGauge;
-        Leaf *leaf = new Leaf();
+        Leaf *leaf;
+        if (_pool == nullptr) {
+            leaf = new Leaf();
+        } else {
+            ++_pool->_live;
+            leaf = _pool->_leaves.take();
+            // A reused leaf keeps its slot vector's capacity.
+            leaf->slots.clear();
+            leaf->lastFull = -1;
+            leaf->anchorSeq = 0;
+        }
         leaf->seq = seq;
         return leaf;
     }
@@ -290,9 +405,12 @@ class FrameIndex
     {
         NVWAL_ASSERT(_nodeCount > 0);
         --_nodeCount;
-        if (_nodeGauge != nullptr)
-            --*_nodeGauge;
-        delete node;
+        if (_pool == nullptr) {
+            delete node;
+            return;
+        }
+        --_pool->_live;
+        _pool->_nodes.give(node);
     }
 
     void
@@ -301,9 +419,12 @@ class FrameIndex
         NVWAL_ASSERT(_nodeCount > 0 && _leafCount > 0);
         --_nodeCount;
         --_leafCount;
-        if (_nodeGauge != nullptr)
-            --*_nodeGauge;
-        delete leaf;
+        if (_pool == nullptr) {
+            delete leaf;
+            return;
+        }
+        --_pool->_live;
+        _pool->_leaves.give(leaf);
     }
 
     /** Create (and link) the leaf for @p seq; grows the tree. */
@@ -463,10 +584,10 @@ class FrameIndex
         return true;
     }
 
+    Pool *_pool = nullptr;       //!< node source; null = new/delete
     void *_root = nullptr;       //!< Node* (level == _height)
     std::uint32_t _height = 0;   //!< interior levels; 0 == empty
     Leaf *_tail = nullptr;       //!< newest leaf (append fast path)
-    std::uint64_t *_nodeGauge = nullptr;
     std::uint64_t _nodeCount = 0;
     std::uint64_t _frameCount = 0;
     std::uint64_t _leafCount = 0;

@@ -92,8 +92,13 @@ NvwalLog::publishCommitted(std::vector<FrameRef>::iterator begin,
     for (auto it = begin; it != end; ++it) {
         it->seq = seq;
         indexFrame(*it);
-        if (_ckptRoundActive)
-            _ckptPending.insert(it->pageNo);
+        if (_ckptRoundActive) {
+            PageEntry &entry = _pageIndex[it->pageNo];
+            if (!entry.pending) {
+                entry.pending = true;
+                _ckptPending.push_back(it->pageNo);
+            }
+        }
     }
 }
 
@@ -198,7 +203,8 @@ Status
 NvwalLog::freeChain(NvOffset link_field)
 {
     const NvramDevice &dev = _pmem.device();
-    std::vector<NvOffset> nodes;
+    std::vector<NvOffset> &nodes = _chainScratch;
+    nodes.clear();
     NvOffset node = dev.readU64(link_field);
     while (node != kNullNvOffset &&
            _heap.blockStateAt(node) == BlockState::InUse) {
@@ -289,11 +295,13 @@ NvwalLog::logTxnFrames(const std::vector<FrameWrite> &frames,
     // is known, then reserve one contiguous run in the tail node and
     // place the frames back to back. Contiguity is what lets
     // lazySyncRefs collapse the batch into a single flush range.
-    std::vector<PendingFrame> pending;
+    std::vector<PendingFrame> &pending = _pendingFrames;
+    pending.clear();
     std::uint32_t total = 0;
     for (const FrameWrite &fw : frames) {
         NVWAL_ASSERT(fw.page.size() == _pageSize);
-        std::vector<ByteRange> ranges;
+        std::vector<ByteRange> &ranges = _rangeScratch;
+        ranges.clear();
         if (_config.diffLogging) {
             NVWAL_ASSERT(fw.ranges != nullptr,
                          "diff logging needs dirty ranges");
@@ -400,8 +408,8 @@ NvwalLog::syncRefs(const std::vector<FrameRef> &refs)
     // crossing instead of one per frame, and a line shared by two
     // small diffs is flushed exactly once.
     const std::uint64_t line = _pmem.cost().cacheLineSize;
-    std::vector<std::pair<NvOffset, NvOffset>> runs;
-    runs.reserve(refs.size() + _unhardenedRuns.size());
+    std::vector<std::pair<NvOffset, NvOffset>> &runs = _runScratch;
+    runs.clear();
     std::uint64_t naive_lines = 0;
     for (const FrameRef &ref : refs) {
         const NvOffset lo = alignDown(ref.off, line);
@@ -486,6 +494,18 @@ NvwalLog::harden()
 }
 
 Status
+NvwalLog::logGroupFrames(const std::vector<TxnFrames> &txns)
+{
+    _refs.clear();
+    _txnEnd.clear();
+    for (const TxnFrames &txn : txns) {
+        NVWAL_RETURN_IF_ERROR(logTxnFrames(txn.frames, &_refs));
+        _txnEnd.push_back(_refs.size());
+    }
+    return Status::ok();
+}
+
+Status
 NvwalLog::writeFrameGroupAsync(const std::vector<TxnFrames> &txns)
 {
     // Checksum commit (paper §3.2 / Figure 4(d)) stretched into a
@@ -494,13 +514,9 @@ NvwalLog::writeFrameGroupAsync(const std::vector<TxnFrames> &txns)
     // The cumulative checksum chain is what recovery later uses to
     // decide how much of this survived; harden() retires the epoch
     // with one coalesced barrier pair.
-    std::vector<FrameRef> refs;
-    std::vector<std::size_t> txn_end;   //!< end index in refs, per txn
+    std::vector<FrameRef> &refs = _refs;
     const SimTime log_begin = _pmem.clock().now();
-    for (const TxnFrames &txn : txns) {
-        NVWAL_RETURN_IF_ERROR(logTxnFrames(txn.frames, &refs));
-        txn_end.push_back(refs.size());
-    }
+    NVWAL_RETURN_IF_ERROR(logGroupFrames(txns));
     if (refs.empty()) {
         if (!txns.empty())
             _dbSizePages = txns.back().dbSizePages;
@@ -517,7 +533,7 @@ NvwalLog::writeFrameGroupAsync(const std::vector<TxnFrames> &txns)
     // to keep.
     std::size_t begin = 0;
     for (std::size_t t = 0; t < txns.size(); ++t) {
-        const std::size_t end = txn_end[t];
+        const std::size_t end = _txnEnd[t];
         if (end == begin)
             continue;  // a transaction that dirtied nothing
         _pmem.storeU64(refs[end - 1].off + 8,
@@ -563,13 +579,9 @@ NvwalLog::writeFrameGroup(const std::vector<TxnFrames> &txns)
     // transaction marshalled contiguously. Eager mode still
     // synchronizes per frame; Lazy defers to one barrier pair
     // covering the whole group.
-    std::vector<FrameRef> refs;
-    std::vector<std::size_t> txn_end;   //!< end index in refs, per txn
+    std::vector<FrameRef> &refs = _refs;
     const SimTime log_begin = _pmem.clock().now();
-    for (const TxnFrames &txn : txns) {
-        NVWAL_RETURN_IF_ERROR(logTxnFrames(txn.frames, &refs));
-        txn_end.push_back(refs.size());
-    }
+    NVWAL_RETURN_IF_ERROR(logGroupFrames(txns));
     if (refs.empty()) {
         // Even an all-empty group carries the final database size
         // (same stale-size hazard as an empty single commit).
@@ -602,7 +614,7 @@ NvwalLog::writeFrameGroup(const std::vector<TxnFrames> &txns)
     // snapshots can still distinguish intra-group boundaries.
     std::size_t begin = 0;
     for (std::size_t t = 0; t < txns.size(); ++t) {
-        const std::size_t end = txn_end[t];
+        const std::size_t end = _txnEnd[t];
         if (end == begin)
             continue;  // a transaction that dirtied nothing
         publishCommitted(refs.begin() + begin, refs.begin() + end);
@@ -618,11 +630,8 @@ NvwalLog::writeFrameGroup(const std::vector<TxnFrames> &txns)
 void
 NvwalLog::indexFrame(const FrameRef &ref)
 {
-    const std::uint64_t nodes_before = _frameIndexNodes;
-    auto [it, inserted] = _pageIndex.try_emplace(ref.pageNo);
-    PageEntry &entry = it->second;
-    if (inserted)
-        entry.frames.bindNodeGauge(&_frameIndexNodes);
+    const std::uint64_t nodes_before = _indexPool.liveCount();
+    PageEntry &entry = entryFor(ref.pageNo);
     const bool full_page =
         ref.pageOffset == 0 && ref.size == _pageSize;
     if (full_page && !hasPins()) {
@@ -639,25 +648,65 @@ NvwalLog::indexFrame(const FrameRef &ref)
         ref.seq, FrameIndex::Slot{ref.off, ref.pageOffset, ref.size},
         full_page);
     ++_indexedFrames;
-    if (_frameIndexNodes != nodes_before)
+    if (_indexPool.liveCount() != nodes_before)
         publishIndexGauge();
+}
+
+NvwalLog::PageEntry &
+NvwalLog::entryFor(PageNo page_no)
+{
+    if (page_no >= _pageIndex.size())
+        _pageIndex.resize(static_cast<std::size_t>(page_no) + 1);
+    PageEntry &entry = _pageIndex[page_no];
+    if (!entry.listed) {
+        entry.listed = true;
+        entry.frames.bindPool(&_indexPool);
+        _listedPages.push_back(page_no);
+    }
+    return entry;
+}
+
+void
+NvwalLog::resetPageIndex()
+{
+    // Truncation drops every frame at once, so no tree is walked: each
+    // listed entry forgets its nodes and the pool takes them all back.
+    for (const PageNo page_no : _listedPages) {
+        PageEntry &entry = _pageIndex[page_no];
+        entry.frames.forget();
+        entry.baseSeq = 0;
+        entry.listed = false;
+        entry.pending = false;
+    }
+    _listedPages.clear();
+    _indexPool.releaseAll();
+    _indexedFrames = 0;
+    publishIndexGauge();
+}
+
+void
+NvwalLog::clearCkptPending()
+{
+    for (const PageNo page_no : _ckptPending)
+        _pageIndex[page_no].pending = false;
+    _ckptPending.clear();
 }
 
 void
 NvwalLog::publishIndexGauge()
 {
-    _stats.setGauge(stats::kWalFrameIndexNodes, _frameIndexNodes);
+    _stats.setGauge(stats::kWalFrameIndexNodes, _indexPool.liveCount());
 }
 
 Status
 NvwalLog::materializePage(PageNo page_no, ByteSpan out, CommitSeq horizon,
                           CommitSeq *effective_out)
 {
-    auto it = _pageIndex.find(page_no);
-    if (it == _pageIndex.end())
+    const PageEntry *found = findEntry(page_no);
+    if (found == nullptr)
         return Status::notFound("page not in WAL index");
     NVWAL_ASSERT(out.size() == _pageSize);
-    PageEntry &entry = it->second;
+    const PageEntry &entry = *found;
 
     // O(log) horizon lookup: the newest leaf at or below the horizon
     // in the page's radix frame index. The steps counter (descent
@@ -782,7 +831,7 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
         _ckptRoundActive = false;
         _ckptQueue.clear();
         _ckptQueuePos = 0;
-        _ckptPending.clear();
+        clearCkptPending();
         *done = true;
         recordCheckpointRound();
         return Status::ok();
@@ -794,20 +843,20 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
     const CommitSeq target = checkpointTarget();
 
     // Start a new round: snapshot the dirty-in-log page set in
-    // ascending page order (the map already is), so the block device
-    // sees one sequential sweep instead of a scatter (Fig. 8). Pages
-    // committed while the round is in progress land in _ckptPending
-    // (see publishCommitted) and are drained by ascending catch-up
-    // passes, so the round only finishes when the write-back has
-    // caught up with the log.
+    // ascending page order, so the block device sees one sequential
+    // sweep instead of a scatter (Fig. 8). Pages committed while the
+    // round is in progress land in _ckptPending (see
+    // publishCommitted) and are drained by ascending catch-up passes,
+    // so the round only finishes when the write-back has caught up
+    // with the log.
     if (!_ckptRoundActive) {
         _ckptQueue.clear();
-        _ckptQueue.reserve(_pageIndex.size());
-        for (const auto &[page_no, entry] : _pageIndex)
-            if (!entry.frames.empty())
+        for (const PageNo page_no : _listedPages)
+            if (!_pageIndex[page_no].frames.empty())
                 _ckptQueue.push_back(page_no);
+        std::sort(_ckptQueue.begin(), _ckptQueue.end());
         _ckptQueuePos = 0;
-        _ckptPending.clear();
+        clearCkptPending();
         _ckptLastWritten = kNoPage;
         _ckptRoundActive = true;
     }
@@ -818,8 +867,10 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
     // whose newest retained frame is visible at the target is asked
     // of the committed-page source first (the database's page cache,
     // DESIGN.md §16): its image then needs no base read and no
-    // replay. Otherwise the page is replayed at the target.
-    ByteBuffer page(_pageSize);
+    // replay. Otherwise the page is replayed at the target into a
+    // scratch page.
+    if (_ckptPage.size() != _pageSize)
+        _ckptPage.assign(_pageSize, 0);
     std::uint32_t written = 0;
     while (written < max_pages) {
         if (_ckptQueuePos == _ckptQueue.size()) {
@@ -828,17 +879,21 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
             // Catch-up pass over the pages re-dirtied mid-round,
             // again in ascending order.
             _ckptQueue.assign(_ckptPending.begin(), _ckptPending.end());
+            std::sort(_ckptQueue.begin(), _ckptQueue.end());
             _ckptQueuePos = 0;
-            _ckptPending.clear();
+            clearCkptPending();
         }
         const PageNo page_no = _ckptQueue[_ckptQueuePos++];
-        PageEntry &entry = _pageIndex.find(page_no)->second;
-        const ByteSpan out(page.data(), _pageSize);
+        PageEntry &entry = _pageIndex[page_no];
         CommitSeq effective = entry.frames.newestSeq();
-        if (effective != 0 && effective <= target && _committedPageSource &&
-            _committedPageSource(page_no, target, out)) {
+        ConstByteSpan image;
+        if (effective != 0 && effective <= target && _committedPageSource)
+            image = _committedPageSource(page_no, target);
+        if (!image.empty()) {
             _stats.add(stats::kWalCkptPagesFromPager);
         } else {
+            const ByteSpan out(_ckptPage.data(), _pageSize);
+            image = out;
             const Status read =
                 materializePage(page_no, out, target, &effective);
             if (read.isNotFound()) {
@@ -855,8 +910,7 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
             // past the clamped horizon); nothing to write.
             continue;
         }
-        NVWAL_RETURN_IF_ERROR(_dbFile.writePage(
-            page_no, ConstByteSpan(page.data(), _pageSize)));
+        NVWAL_RETURN_IF_ERROR(_dbFile.writePage(page_no, image));
         _stats.add(stats::kWalCkptPagesWritten);
         if (_ckptLastWritten != kNoPage && page_no > _ckptLastWritten)
             _stats.add(stats::kWalCkptSequentialWrites);
@@ -869,9 +923,9 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
         // reader can need them. This is what bounds index memory for
         // fully-checkpointed pages between truncations.
         entry.baseSeq = effective;
-        const std::uint64_t nodes_before = _frameIndexNodes;
+        const std::uint64_t nodes_before = _indexPool.liveCount();
         _indexedFrames -= entry.frames.pruneThrough(effective);
-        if (_frameIndexNodes != nodes_before)
+        if (_indexPool.liveCount() != nodes_before)
             publishIndexGauge();
     }
     if (_ckptQueuePos < _ckptQueue.size() || !_ckptPending.empty()) {
@@ -923,9 +977,7 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
 
     // Every page's frames are gone and the .db file holds its newest
     // image, so the whole volatile index goes with them.
-    _pageIndex.clear();
-    _indexedFrames = 0;
-    publishIndexGauge();
+    resetPageIndex();
     resetSinceCheckpoint();
     _tailNode = kNullNvOffset;
     _tailUsed = 0;
@@ -942,14 +994,12 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
     TraceSpan span(_stats.tracer(), "wal.recover", "wal");
     const SimTime recover_begin = _pmem.clock().now();
     *db_size_pages = 0;
-    _pageIndex.clear();
-    _indexedFrames = 0;
-    publishIndexGauge();
+    resetPageIndex();
     _ckptRoundActive = false;
     _ckptBeginNs.reset();
     _ckptQueue.clear();
     _ckptQueuePos = 0;
-    _ckptPending.clear();
+    clearCkptPending();
     resetSinceCheckpoint();
     _dbSizePages = 0;
     _tailNode = kNullNvOffset;

@@ -45,9 +45,7 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -85,8 +83,8 @@ class NvwalLog : public WriteAheadLog
     std::optional<CommitSeq>
     newestFrameSeq(PageNo page_no) const override
     {
-        const auto it = _pageIndex.find(page_no);
-        return it == _pageIndex.end() ? 0 : it->second.frames.newestSeq();
+        const PageEntry *entry = findEntry(page_no);
+        return entry == nullptr ? 0 : entry->frames.newestSeq();
     }
     CommitSeq commitSeq() const override { return _commitSeq; }
     std::uint32_t committedDbSize() const override { return _dbSizePages; }
@@ -113,13 +111,14 @@ class NvwalLog : public WriteAheadLog
     const NvwalConfig &config() const { return _config; }
 
     /**
-     * Copies the committed image of a page as of a commit horizon
-     * from a cache that already holds it, or returns false (nothing
-     * copied) when the cache cannot prove the image current at that
-     * horizon.
+     * Hands back the committed image of a page as of a commit horizon
+     * from a cache that already holds it (charging the simulated DRAM
+     * copy the caller is about to make), or an empty span when the
+     * cache cannot prove the image current at that horizon. The span
+     * stays valid until the caller's next call into the database.
      */
     using CommittedPageSource =
-        std::function<bool(PageNo, CommitSeq, ByteSpan)>;
+        std::function<ConstByteSpan(PageNo, CommitSeq)>;
 
     /**
      * Install the source checkpoint write-back asks before rebuilding
@@ -172,7 +171,7 @@ class NvwalLog : public WriteAheadLog
     std::uint64_t chainValue() const { return _chain.value(); }
 
     /** Live radix nodes across every per-page frame index. */
-    std::uint64_t frameIndexNodes() const { return _frameIndexNodes; }
+    std::uint64_t frameIndexNodes() const { return _indexPool.liveCount(); }
 
     /** Committed frames currently held in the volatile index. */
     std::uint64_t indexedFrames() const { return _indexedFrames; }
@@ -181,9 +180,8 @@ class NvwalLog : public WriteAheadLog
     std::uint64_t
     indexedFrames(PageNo page_no) const
     {
-        const auto it = _pageIndex.find(page_no);
-        return it == _pageIndex.end() ? 0
-                                      : it->second.frames.frameCount();
+        const PageEntry *entry = findEntry(page_no);
+        return entry == nullptr ? 0 : entry->frames.frameCount();
     }
 
     /**
@@ -194,8 +192,8 @@ class NvwalLog : public WriteAheadLog
     CommitSeq
     pageBaseSeq(PageNo page_no) const
     {
-        const auto it = _pageIndex.find(page_no);
-        return it == _pageIndex.end() ? 0 : it->second.baseSeq;
+        const PageEntry *entry = findEntry(page_no);
+        return entry == nullptr ? 0 : entry->baseSeq;
     }
 
   private:
@@ -256,6 +254,12 @@ class NvwalLog : public WriteAheadLog
                         std::vector<FrameRef> *refs);
 
     /**
+     * Log every transaction of a group back to back into _refs, with
+     * _txnEnd[t] the end index of transaction t's frames.
+     */
+    Status logGroupFrames(const std::vector<TxnFrames> &txns);
+
+    /**
      * Ensure the tail node can hold @p bytes contiguously (user-heap
      * mode only). Falls back to per-frame allocation when the heap
      * cannot produce one extent of that size.
@@ -294,6 +298,30 @@ class NvwalLog : public WriteAheadLog
 
     /** Apply one committed frame to the volatile page index. */
     void indexFrame(const FrameRef &ref);
+
+    struct PageEntry;
+
+    /** @p page_no's index entry, listing it on first use. */
+    PageEntry &entryFor(PageNo page_no);
+
+    /** @p page_no's listed index entry, or nullptr. */
+    const PageEntry *
+    findEntry(PageNo page_no) const
+    {
+        return page_no < _pageIndex.size() && _pageIndex[page_no].listed
+                   ? &_pageIndex[page_no]
+                   : nullptr;
+    }
+
+    /**
+     * Empty the volatile page index (truncation and recovery): reset
+     * only the listed entries and hand every radix node back to the
+     * pool at once.
+     */
+    void resetPageIndex();
+
+    /** Drop the round's re-dirtied page list and its flags. */
+    void clearCkptPending();
 
     /** Re-publish the wal.frame_index_nodes gauge after a change. */
     void publishIndexGauge();
@@ -415,8 +443,21 @@ class NvwalLog : public WriteAheadLog
     std::optional<SimTime> _ckptBeginNs;
     std::vector<PageNo> _ckptQueue;   //!< current pass, ascending
     std::size_t _ckptQueuePos = 0;    //!< next queue index to drain
-    std::set<PageNo> _ckptPending;    //!< re-dirtied during the round
+    /** Re-dirtied during the round, unordered (PageEntry::pending). */
+    std::vector<PageNo> _ckptPending;
     PageNo _ckptLastWritten = kNoPage; //!< previous write-back target
+    /** Scratch page for write-backs that replay the log. */
+    ByteBuffer _ckptPage;
+
+    // Commit-path scratch, reused across commits so a steady-state
+    // append never reaches the allocator (DESIGN.md §20).
+    std::vector<FrameRef> _refs;
+    std::vector<std::size_t> _txnEnd;   //!< end index in _refs, per txn
+    std::vector<PendingFrame> _pendingFrames;
+    std::vector<ByteRange> _rangeScratch;
+    std::vector<std::pair<NvOffset, NvOffset>> _runScratch;
+    std::vector<NvOffset> _chainScratch;   //!< freeChain's node list
+
     /**
      * One page's volatile read-path state: the radix frame index
      * over its retained committed frames (DESIGN.md §14), plus
@@ -428,13 +469,25 @@ class NvwalLog : public WriteAheadLog
     {
         FrameIndex frames;
         CommitSeq baseSeq = 0;
+        bool listed = false;    //!< in _listedPages
+        bool pending = false;   //!< in _ckptPending
     };
-    /** page -> committed-frame index + checkpointed base horizon. */
-    std::map<PageNo, PageEntry> _pageIndex;
+    /**
+     * Radix nodes and leaves of every page's index; outlives them.
+     * Its live count backs the wal.frame_index_nodes gauge.
+     */
+    FrameIndex::Pool _indexPool;
+    /**
+     * Indexed by page number. An entry is "listed" from the first
+     * frame indexed for its page until the next truncation; unlisted
+     * entries are empty with baseSeq 0. Sized to the largest page
+     * number ever indexed; it never shrinks.
+     */
+    std::vector<PageEntry> _pageIndex;
+    /** Listed pages, in first-index order; a round sorts its copy. */
+    std::vector<PageNo> _listedPages;
     /** Total frames held across every page's index. */
     std::uint64_t _indexedFrames = 0;
-    /** Live radix nodes across every page's index (gauge backing). */
-    std::uint64_t _frameIndexNodes = 0;
 };
 
 } // namespace nvwal

@@ -221,8 +221,8 @@ Database::openInternal()
     });
     if (_nvwalLog != nullptr)
         _nvwalLog->setCommittedPageSource(
-            [this](PageNo page_no, CommitSeq horizon, ByteSpan out) {
-                return copyPagerImage(page_no, horizon, out);
+            [this](PageNo page_no, CommitSeq horizon) {
+                return pagerImage(page_no, horizon);
             });
     NVWAL_RETURN_IF_ERROR(_pager->open());
     if (db_size_pages != 0)
@@ -537,36 +537,60 @@ bool
 Database::collectDirtyFrames(GroupEntry *entry)
 {
     // The pager's dirty set holds the pages this transaction wrote in
-    // place or installed from its workspace.
-    const std::vector<PageNo> dirty = _pager->dirtyPageNos();
-    entry->frames.clear();
-    entry->frames.reserve(dirty.size());
-    for (PageNo no : dirty) {
+    // place or installed from its workspace. Spare frames keep their
+    // buffers' capacity, so copying into them does not allocate.
+    NVWAL_ASSERT(entry->frames.empty());
+    if (entry->frames.capacity() == 0 && !_spareFrameLists.empty()) {
+        entry->frames = std::move(_spareFrameLists.back());
+        _spareFrameLists.pop_back();
+    }
+    for (const PageNo no : _pager->dirtySet()) {
         CachedPage *page = _pager->cached(no);
         NVWAL_ASSERT(page != nullptr, "dirty page not cached");
-        GroupEntry::Frame frame;
+        if (_spareFrames.empty()) {
+            entry->frames.emplace_back();
+        } else {
+            entry->frames.push_back(std::move(_spareFrames.back()));
+            _spareFrames.pop_back();
+        }
+        GroupEntry::Frame &frame = entry->frames.back();
         frame.pageNo = no;
-        frame.page = page->buf;
+        frame.page.assign(page->buf.begin(), page->buf.end());
         frame.ranges = page->dirty;
         frame.observedDirtyPct = page->noteDirtyRatio();
-        entry->frames.push_back(std::move(frame));
     }
     entry->dbSizePages = _pager->pageCount();
     return !entry->frames.empty();
 }
 
-TxnFrames
-Database::entryToTxn(const GroupEntry &e)
+void
+Database::recycleFrames(GroupEntry *entry)
 {
-    TxnFrames txn;
-    txn.dbSizePages = e.dbSizePages;
-    txn.frames.reserve(e.frames.size());
+    // Bounded, so one huge transaction does not pin its page copies
+    // for the rest of the database's life.
+    constexpr std::size_t kMaxSpareFrames = 64;
+    constexpr std::size_t kMaxSpareLists = 8;
+    for (GroupEntry::Frame &frame : entry->frames) {
+        if (_spareFrames.size() == kMaxSpareFrames)
+            break;
+        _spareFrames.push_back(std::move(frame));
+    }
+    entry->frames.clear();
+    if (entry->frames.capacity() != 0 &&
+        _spareFrameLists.size() < kMaxSpareLists)
+        _spareFrameLists.push_back(std::move(entry->frames));
+}
+
+void
+Database::entryToTxn(const GroupEntry &e, TxnFrames *txn)
+{
+    txn->dbSizePages = e.dbSizePages;
+    txn->frames.clear();
     for (const GroupEntry::Frame &f : e.frames) {
-        txn.frames.push_back(FrameWrite{
+        txn->frames.push_back(FrameWrite{
             f.pageNo, ConstByteSpan(f.page.data(), f.page.size()),
             &f.ranges, f.observedDirtyPct});
     }
-    return txn;
 }
 
 Status
@@ -593,13 +617,27 @@ Database::appendGroup(const std::vector<GroupEntry *> &batch)
         // (its epoch hardens later). Mixing them would either
         // harden the async commits early or strand the sync ones.
         const bool async = batch[i]->async;
-        std::vector<TxnFrames> txns;
-        std::vector<GroupEntry *> run;
-        while (i < batch.size() && batch[i]->async == async) {
-            txns.push_back(entryToTxn(*batch[i]));
-            run.push_back(batch[i]);
-            ++i;
+        std::vector<GroupEntry *> &run = _groupRun;
+        std::vector<TxnFrames> &txns = _groupTxns;
+        run.clear();
+        while (i < batch.size() && batch[i]->async == async)
+            run.push_back(batch[i++]);
+        // Size the WAL batch to the run through the spare list, so each
+        // TxnFrames keeps its frame vector's capacity.
+        while (txns.size() > run.size()) {
+            _spareTxns.push_back(std::move(txns.back()));
+            txns.pop_back();
         }
+        while (txns.size() < run.size()) {
+            if (_spareTxns.empty()) {
+                txns.emplace_back();
+                continue;
+            }
+            txns.push_back(std::move(_spareTxns.back()));
+            _spareTxns.pop_back();
+        }
+        for (std::size_t k = 0; k < run.size(); ++k)
+            entryToTxn(*run[k], &txns[k]);
         if (async) {
             s = _wal->writeFrameGroupAsync(txns);
             if (s.isOk()) {
@@ -693,7 +731,8 @@ Database::submitAndWait(GroupEntry *entry,
                 --intents;
             return _commitQueue.size() >= intents;
         });
-        std::vector<GroupEntry *> batch;
+        std::vector<GroupEntry *> &batch = _leaderBatch;
+        batch.clear();
         batch.swap(_commitQueue);
         q.unlock();
         const Status s = appendGroup(batch);
@@ -899,6 +938,7 @@ Database::commitFromConnection(std::unique_lock<std::mutex> *writer_lock,
     // next writer has begun meanwhile and owns the attribution.
     if (tracer.currentTxn() == entry.txnSeq)
         tracer.setCurrentTxn(0);
+    recycleFrames(&entry);
     return s;
 }
 
@@ -917,27 +957,37 @@ Database::rollbackFromConnection(std::unique_lock<std::mutex> *writer_lock)
 
 // ---- committed-page fetches (DESIGN.md §16) -------------------------
 
-bool
-Database::copyPagerImage(PageNo page_no, CommitSeq horizon, ByteSpan out)
+ConstByteSpan
+Database::pagerImage(PageNo page_no, CommitSeq horizon)
 {
     // The clean pager image is the newest logged version of the page
     // unless a published commit is not logged (in flight, or lost to
     // a failed append). Both sequences settle under the engine lock.
     if (!_poisoned.isOk() ||
         _publishSeq != _loggedPublishSeq.load(std::memory_order_relaxed))
-        return false;
+        return {};
     const CachedPage *page = _pager->cached(page_no);
     if (page == nullptr || page->isDirty())
-        return false;
+        return {};
     // The newest version is the version at the horizon only when no
     // retained commit past the horizon touched the page.
     const std::optional<CommitSeq> newest = _wal->newestFrameSeq(page_no);
     if (!newest || *newest > horizon)
-        return false;
-    NVWAL_ASSERT(out.size() == page->buf.size());
-    std::memcpy(out.data(), page->buf.data(), out.size());
+        return {};
     _env.clock.advance(static_cast<SimTime>(
-        _env.cost.memcpyDramNsPerByte * static_cast<double>(out.size())));
+        _env.cost.memcpyDramNsPerByte *
+        static_cast<double>(page->buf.size())));
+    return page->cspan();
+}
+
+bool
+Database::copyPagerImage(PageNo page_no, CommitSeq horizon, ByteSpan out)
+{
+    const ConstByteSpan image = pagerImage(page_no, horizon);
+    if (image.empty())
+        return false;
+    NVWAL_ASSERT(out.size() == image.size());
+    std::memcpy(out.data(), image.data(), out.size());
     return true;
 }
 

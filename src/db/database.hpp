@@ -549,20 +549,34 @@ class Database
     void rollbackBody();
 
     /**
-     * Copy the shared pager's image of @p page_no into @p out when it
-     * provably equals the committed page at @p horizon (DESIGN.md
-     * §16); false, with nothing copied, otherwise. Engine lock held.
-     * Also the committed-page source of NVWAL checkpoint write-back.
+     * The shared pager's clean image of @p page_no when it provably
+     * equals the committed page at @p horizon (DESIGN.md §16), else
+     * an empty span. Charges the simulated DRAM copy the caller makes
+     * of it. Engine lock held. Also the committed-page source of
+     * NVWAL checkpoint write-back, which copies the image straight
+     * into the file system's block.
      */
+    ConstByteSpan pagerImage(PageNo page_no, CommitSeq horizon);
+
+    /** pagerImage() copied into @p out; false, nothing copied, if none. */
     bool copyPagerImage(PageNo page_no, CommitSeq horizon, ByteSpan out);
 
     // ---- group commit ----------------------------------------------
 
-    /** Deep-copy the dirty page set; false when nothing is dirty. */
+    /**
+     * Deep-copy the dirty page set into frames taken from the spare
+     * pool; false when nothing is dirty. Engine lock held.
+     */
     bool collectDirtyFrames(GroupEntry *entry);
 
+    /**
+     * Return @p entry's frames and frame list to the spare pool, so
+     * the next commit reuses their buffers. Engine lock held.
+     */
+    void recycleFrames(GroupEntry *entry);
+
     /** Borrow a queued entry's pages as one WAL transaction. */
-    static TxnFrames entryToTxn(const GroupEntry &e);
+    static void entryToTxn(const GroupEntry &e, TxnFrames *txn);
 
     /**
      * Queue @p entry and drive it to durability: the first committer
@@ -795,6 +809,23 @@ class Database
     std::condition_variable _commitCv;
     std::vector<GroupEntry *> _commitQueue;
     bool _groupLeaderActive = false;
+    /**
+     * The active leader's batch, swapped with _commitQueue so both
+     * keep their capacity. Touched only by the leader.
+     */
+    std::vector<GroupEntry *> _leaderBatch;
+
+    // Commit-path scratch, reused so a steady-state commit does not
+    // reach the allocator (DESIGN.md §20). Engine lock.
+    /** Frames whose page buffers and range vectors await reuse. */
+    std::vector<GroupEntry::Frame> _spareFrames;
+    /** Empty frame lists that kept their capacity. */
+    std::vector<std::vector<GroupEntry::Frame>> _spareFrameLists;
+    /** appendGroup's current run, as entries and as WAL txns. */
+    std::vector<GroupEntry *> _groupRun;
+    std::vector<TxnFrames> _groupTxns;
+    /** TxnFrames whose frame vectors await reuse. */
+    std::vector<TxnFrames> _spareTxns;
     /**
      * Writers between begin-intent and transaction close. Atomic so
      * begin paths can register themselves before taking any lock;

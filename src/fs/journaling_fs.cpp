@@ -102,7 +102,83 @@ JournalingFs::ensureBlocks(Inode &inode, std::uint64_t file_blocks)
         inode.blocks.push_back(allocBlock());
         inode.allocDirty = true;
     }
+    if (inode.dirtySlot.size() < inode.blocks.size())
+        inode.dirtySlot.resize(inode.blocks.size(), kNoSlot);
     return Status::ok();
+}
+
+std::uint8_t *
+JournalingFs::dirtyBlock(Inode &inode, std::uint64_t blk, bool load)
+{
+    std::uint32_t &entry = inode.dirtySlot[blk];
+    if (entry != kNoSlot)
+        return slotData(entry - 1);
+    std::uint32_t slot;
+    if (!_freeSlots.empty()) {
+        slot = _freeSlots.back();
+        _freeSlots.pop_back();
+    } else {
+        if (_slotsUsed == _slotChunks.size() * kSlotsPerChunk) {
+            _slotChunks.push_back(
+                std::make_unique_for_overwrite<std::uint8_t[]>(
+                    static_cast<std::size_t>(kSlotsPerChunk) *
+                    _device.blockSize()));
+        }
+        slot = _slotsUsed++;
+    }
+    entry = slot + 1;
+    _slotsPeak = std::max(
+        _slotsPeak,
+        _slotsUsed - static_cast<std::uint32_t>(_freeSlots.size()));
+    inode.dirtyBlocks.push_back(blk);
+    std::uint8_t *data = slotData(slot);
+    if (load) {
+        _device.readBlock(inode.blocks[blk],
+                          ByteSpan(data, _device.blockSize()));
+    }
+    return data;
+}
+
+void
+JournalingFs::dropDirty(Inode &inode)
+{
+    for (const std::uint64_t blk : inode.dirtyBlocks) {
+        _freeSlots.push_back(inode.dirtySlot[blk] - 1);
+        inode.dirtySlot[blk] = kNoSlot;
+    }
+    inode.dirtyBlocks.clear();
+}
+
+void
+JournalingFs::freeInodeBlocks(Inode &inode)
+{
+    dropDirty(inode);
+    for (BlockNo b : inode.blocks)
+        _freeList.push_back(b);
+    for (BlockNo b : inode.pendingFree)
+        _freeList.push_back(b);
+    inode.blocks.clear();
+    inode.pendingFree.clear();
+}
+
+void
+JournalingFs::resetSlots()
+{
+    _slotsUsed = 0;
+    _freeSlots.clear();
+}
+
+void
+JournalingFs::trimSlots()
+{
+    if (_freeSlots.size() != _slotsUsed)
+        return;
+    const std::size_t keep =
+        (_slotsPeak + kSlotsPerChunk - 1) / kSlotsPerChunk;
+    if (_slotChunks.size() > keep)
+        _slotChunks.resize(keep);
+    resetSlots();
+    _slotsPeak = 0;
 }
 
 Status
@@ -128,16 +204,9 @@ JournalingFs::pwrite(const std::string &name, std::uint64_t off,
         const std::size_t chunk =
             std::min<std::size_t>(bs - in_blk, data.size() - pos);
 
-        auto [it, inserted] = inode->dirtyData.try_emplace(blk);
-        if (inserted) {
-            it->second.resize(bs);
-            // Read-modify-write of a partially overwritten block.
-            if (chunk < bs) {
-                _device.readBlock(inode->blocks[blk],
-                                  ByteSpan(it->second.data(), bs));
-            }
-        }
-        std::memcpy(it->second.data() + in_blk, data.data() + pos, chunk);
+        // Read-modify-write of a partially overwritten clean block.
+        std::uint8_t *block = dirtyBlock(*inode, blk, chunk < bs);
+        std::memcpy(block + in_blk, data.data() + pos, chunk);
         pos += chunk;
     }
     if (end > inode->size) {
@@ -175,14 +244,18 @@ JournalingFs::pread(const std::string &name, std::uint64_t off,
         const std::size_t chunk =
             std::min<std::size_t>(bs - in_blk, out.size() - pos);
 
-        auto it = inode->dirtyData.find(blk);
-        if (it != inode->dirtyData.end()) {
-            std::memcpy(out.data() + pos, it->second.data() + in_blk,
+        const std::uint32_t slot = inode->dirtySlot[blk];
+        if (slot != kNoSlot) {
+            std::memcpy(out.data() + pos, slotData(slot - 1) + in_blk,
                         chunk);
+        } else if (chunk == bs) {
+            _device.readBlock(inode->blocks[blk], out.subspan(pos, bs));
         } else {
-            ByteBuffer buf(bs);
-            _device.readBlock(inode->blocks[blk], ByteSpan(buf.data(), bs));
-            std::memcpy(out.data() + pos, buf.data() + in_blk, chunk);
+            _blockScratch.resize(bs);
+            _device.readBlock(inode->blocks[blk],
+                              ByteSpan(_blockScratch.data(), bs));
+            std::memcpy(out.data() + pos, _blockScratch.data() + in_blk,
+                        chunk);
         }
         pos += chunk;
     }
@@ -212,12 +285,12 @@ JournalingFs::journalCommit(bool alloc_dirty)
         meta_blocks += 2;           // block bitmap + group descriptor
 
     const std::uint32_t bs = _device.blockSize();
-    ByteBuffer block(bs, 0);
+    _zeroBlock.resize(bs, 0);
     const std::uint64_t total = 1 + meta_blocks + 1;  // desc + meta + commit
     for (std::uint64_t i = 0; i < total; ++i) {
         const BlockNo jb = _journalHead % _journalBlocks;
         _journalHead++;
-        _device.writeBlock(jb, ConstByteSpan(block.data(), bs),
+        _device.writeBlock(jb, ConstByteSpan(_zeroBlock.data(), bs),
                            IoTag::Journal);
     }
 }
@@ -233,24 +306,34 @@ JournalingFs::fsync(const std::string &name)
     const IoTag tag = tagForFile(name);
     const std::uint32_t bs = _device.blockSize();
 
-    // Ordered mode: data first...
-    for (auto &[blk, buf] : inode->dirtyData) {
-        _device.writeBlock(inode->blocks[blk],
-                           ConstByteSpan(buf.data(), bs), tag);
+    // Ordered mode: data first, in ascending file-block order...
+    std::sort(inode->dirtyBlocks.begin(), inode->dirtyBlocks.end());
+    for (const std::uint64_t blk : inode->dirtyBlocks) {
+        _device.writeBlock(
+            inode->blocks[blk],
+            ConstByteSpan(slotData(inode->dirtySlot[blk] - 1), bs), tag);
     }
-    inode->dirtyData.clear();
+    dropDirty(*inode);
+    trimSlots();
 
-    // ... then the journaled metadata transaction.
+    // ... then the journaled metadata transaction, which makes the
+    // blocks a truncate freed reusable.
     if (inode->metaDirty || inode->allocDirty)
         journalCommit(inode->allocDirty);
     inode->metaDirty = false;
     inode->allocDirty = false;
+    _freeList.insert(_freeList.end(), inode->pendingFree.begin(),
+                     inode->pendingFree.end());
+    inode->pendingFree.clear();
 
     // Device cache flush barrier.
     _clock.advance(_cost.fsyncBaseNs);
     _stats.add(stats::kFsyncs);
 
-    _durableFiles[name] = DurableInode{inode->size, inode->blocks};
+    // Assigned in place, so the durable block list keeps its capacity.
+    DurableInode &durable = _durableFiles[name];
+    durable.size = inode->size;
+    durable.blocks = inode->blocks;
     return Status::ok();
 }
 
@@ -263,17 +346,26 @@ JournalingFs::truncate(const std::string &name, std::uint64_t size)
         return Status::notFound("no such file: " + name);
     const std::uint32_t bs = _device.blockSize();
     const std::uint64_t keep_blocks = (size + bs - 1) / bs;
+    // The durable inode still owns the freed blocks until the next
+    // fsync journals the truncation; only then may another file get
+    // them.
     while (inode->blocks.size() > keep_blocks) {
-        _freeList.push_back(inode->blocks.back());
+        inode->pendingFree.push_back(inode->blocks.back());
         inode->blocks.pop_back();
         inode->allocDirty = true;
     }
-    for (auto it = inode->dirtyData.begin(); it != inode->dirtyData.end();) {
-        if (it->first >= keep_blocks)
-            it = inode->dirtyData.erase(it);
-        else
-            ++it;
+    std::size_t kept = 0;
+    for (const std::uint64_t blk : inode->dirtyBlocks) {
+        if (blk < keep_blocks) {
+            inode->dirtyBlocks[kept++] = blk;
+            continue;
+        }
+        _freeSlots.push_back(inode->dirtySlot[blk] - 1);
+        inode->dirtySlot[blk] = kNoSlot;
     }
+    inode->dirtyBlocks.resize(kept);
+    if (inode->dirtySlot.size() > inode->blocks.size())
+        inode->dirtySlot.resize(inode->blocks.size());
     inode->size = size;
     inode->metaDirty = true;
     return Status::ok();
@@ -286,8 +378,7 @@ JournalingFs::remove(const std::string &name)
     Inode *inode = find(name);
     if (inode == nullptr)
         return Status::notFound("no such file: " + name);
-    for (BlockNo b : inode->blocks)
-        _freeList.push_back(b);
+    freeInodeBlocks(*inode);
     _files.erase(name);
     _durableFiles.erase(name);
     journalCommit(true);
@@ -305,8 +396,7 @@ JournalingFs::rename(const std::string &from, const std::string &to)
         return Status::ok();
     Inode *dst = find(to);
     if (dst != nullptr) {
-        for (BlockNo b : dst->blocks)
-            _freeList.push_back(b);
+        freeInodeBlocks(*dst);
         _files.erase(to);
     }
     _files[to] = std::move(*find(from));
@@ -336,12 +426,27 @@ JournalingFs::crash()
 {
     std::lock_guard<std::recursive_mutex> g(_mu);
     _files.clear();
+    resetSlots();
+    // Every data block below the allocator frontier that no durable
+    // inode owns is free again: blocks allocated since the last fsync
+    // would otherwise leak, and the durable inodes still own what an
+    // unjournaled truncate gave up.
+    std::vector<bool> owned(_nextDataBlock, false);
     for (const auto &[name, dur] : _durableFiles) {
         Inode inode;
         inode.size = dur.size;
         inode.blocks = dur.blocks;
+        inode.dirtySlot.assign(dur.blocks.size(), kNoSlot);
+        for (const BlockNo b : dur.blocks)
+            owned[b] = true;
         _files[name] = std::move(inode);
     }
+    // Descending, so allocBlock() (which pops the back) hands out the
+    // lowest free block first.
+    _freeList.clear();
+    for (BlockNo b = _nextDataBlock; b-- > _journalBlocks;)
+        if (!owned[b])
+            _freeList.push_back(b);
 }
 
 JournalingFs::Snapshot
@@ -352,7 +457,21 @@ JournalingFs::snapshot() const
     snap.journalHead = _journalHead;
     snap.nextDataBlock = _nextDataBlock;
     snap.freeList = _freeList;
-    snap.files = _files;
+    const std::uint32_t bs = _device.blockSize();
+    for (const auto &[name, inode] : _files) {
+        Snapshot::File file;
+        file.size = inode.size;
+        file.blocks = inode.blocks;
+        file.pendingFree = inode.pendingFree;
+        file.dirtyBlocks = inode.dirtyBlocks;
+        for (const std::uint64_t blk : inode.dirtyBlocks) {
+            const std::uint8_t *data = slotData(inode.dirtySlot[blk] - 1);
+            file.dirtyData.emplace_back(data, data + bs);
+        }
+        file.metaDirty = inode.metaDirty;
+        file.allocDirty = inode.allocDirty;
+        snap.files.emplace(name, std::move(file));
+    }
     snap.durableFiles = _durableFiles;
     return snap;
 }
@@ -364,7 +483,23 @@ JournalingFs::restore(const Snapshot &snap)
     _journalHead = snap.journalHead;
     _nextDataBlock = snap.nextDataBlock;
     _freeList = snap.freeList;
-    _files = snap.files;
+    _files.clear();
+    resetSlots();
+    const std::uint32_t bs = _device.blockSize();
+    for (const auto &[name, file] : snap.files) {
+        Inode inode;
+        inode.size = file.size;
+        inode.blocks = file.blocks;
+        inode.dirtySlot.assign(file.blocks.size(), kNoSlot);
+        inode.pendingFree = file.pendingFree;
+        inode.metaDirty = file.metaDirty;
+        inode.allocDirty = file.allocDirty;
+        for (std::size_t i = 0; i < file.dirtyBlocks.size(); ++i) {
+            std::memcpy(dirtyBlock(inode, file.dirtyBlocks[i], false),
+                        file.dirtyData[i].data(), bs);
+        }
+        _files.emplace(name, std::move(inode));
+    }
     _durableFiles = snap.durableFiles;
 }
 

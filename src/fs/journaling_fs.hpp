@@ -15,14 +15,26 @@
  *  - crash() drops everything not yet made durable by fsync().
  *
  * Files are flat names; there are no directories. Blocks are
- * allocated from a simple free list. The journal occupies a
- * dedicated block range so traces show it as a separate band.
+ * allocated from a simple free list. A block a truncate frees stays
+ * with its file until the file's next fsync journals the change, so
+ * a crash before it can never hand a still-durable block out twice;
+ * crash() rebuilds the free list from the durable inodes. The
+ * journal occupies a dedicated block range so traces show it as a
+ * separate band.
+ *
+ * The volatile page cache (DESIGN.md §20) is one store of block-sized
+ * slots over fixed-size chunks, allocated on demand and reused across
+ * fsyncs (an fsync that leaves the cache empty trims it to the chunks
+ * the busiest moment since the last trim needed); each inode maps its
+ * dirty file blocks to slots through a flat table, so a steady-state
+ * write or fsync never reaches the allocator.
  */
 
 #ifndef NVWAL_FS_JOURNALING_FS_HPP
 #define NVWAL_FS_JOURNALING_FS_HPP
 
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -120,11 +132,21 @@ class JournalingFs
     void restore(const Snapshot &snap);
 
   private:
+    static constexpr std::uint32_t kNoSlot = 0;
+
     struct Inode
     {
         std::uint64_t size = 0;
         std::vector<BlockNo> blocks;     //!< one entry per file block
-        std::map<std::uint64_t, ByteBuffer> dirtyData;  //!< file-block idx
+        /**
+         * Per file block: its page-cache slot + 1, or kNoSlot when the
+         * block is clean. Sized with blocks.
+         */
+        std::vector<std::uint32_t> dirtySlot;
+        /** File blocks that hold a slot, in the order they got one. */
+        std::vector<std::uint64_t> dirtyBlocks;
+        /** Blocks a truncate freed, returned at the next fsync. */
+        std::vector<BlockNo> pendingFree;
         bool metaDirty = false;          //!< size/mtime changed
         bool allocDirty = false;         //!< blocks allocated/freed
     };
@@ -134,6 +156,38 @@ class JournalingFs
     void journalCommit(bool alloc_dirty);
     Inode *find(const std::string &name);
     const Inode *find(const std::string &name) const;
+
+    /** Cached bytes of page-cache slot @p slot (0-based). */
+    std::uint8_t *
+    slotData(std::uint32_t slot) const
+    {
+        return _slotChunks[slot / kSlotsPerChunk].get() +
+               static_cast<std::size_t>(slot % kSlotsPerChunk) *
+                   _device.blockSize();
+    }
+
+    /**
+     * The cached bytes of @p inode's block @p blk, taking a slot when
+     * the block is clean. @p load fills a new slot from the device
+     * (read-modify-write); otherwise its contents are undefined.
+     */
+    std::uint8_t *dirtyBlock(Inode &inode, std::uint64_t blk, bool load);
+
+    /** Return every slot of @p inode's dirty blocks to the store. */
+    void dropDirty(Inode &inode);
+
+    /** Free @p inode's blocks, held ones included (remove/rename). */
+    void freeInodeBlocks(Inode &inode);
+
+    /** Hand every slot back at once; no inode may hold one. */
+    void resetSlots();
+
+    /**
+     * Once no slot is in use: keep only the chunks the busiest moment
+     * since the last trim needed, so one outsized write-back (a bulk
+     * load's first checkpoint) does not pin its cache for good.
+     */
+    void trimSlots();
 
     BlockDevice &_device;
     SimClock &_clock;
@@ -150,6 +204,21 @@ class JournalingFs
 
     std::uint64_t _readFaultsLeft = 0;  //!< injected pread failures
 
+    /**
+     * Slots per page-cache chunk (64 KiB at 4 KiB blocks): small
+     * enough that retained chunks follow the need closely.
+     */
+    static constexpr std::uint32_t kSlotsPerChunk = 16;
+    /** Page-cache chunks; never moved, freed only by trimSlots(). */
+    std::vector<std::unique_ptr<std::uint8_t[]>> _slotChunks;
+    std::uint32_t _slotsUsed = 0;            //!< bump frontier
+    std::vector<std::uint32_t> _freeSlots;   //!< released below it
+    std::uint32_t _slotsPeak = 0;            //!< most in use since trim
+    /** One block of scratch for partial-block reads. */
+    ByteBuffer _blockScratch;
+    /** One zeroed block, the journal's descriptor/meta/commit image. */
+    ByteBuffer _zeroBlock;
+
     std::map<std::string, Inode> _files;
     /** Durable image, replaced at each fsync; crash() restores it. */
     struct DurableInode
@@ -161,17 +230,29 @@ class JournalingFs
 };
 
 /**
- * Complete JournalingFs state: inodes with their buffered dirty data,
- * the durable inode images, and the allocator frontier. Paired with a
- * BlockDevice snapshot this reproduces the exact on-media + in-cache
- * file-system state of the capture point.
+ * Complete JournalingFs state: inodes with a copy of their buffered
+ * dirty data, the durable inode images, and the allocator frontier.
+ * Paired with a BlockDevice snapshot this reproduces the exact
+ * on-media + in-cache file-system state of the capture point.
  */
 struct JournalingFs::Snapshot
 {
+    struct File
+    {
+        std::uint64_t size = 0;
+        std::vector<BlockNo> blocks;
+        std::vector<BlockNo> pendingFree;
+        /** Dirty file blocks in slot order, and their bytes. */
+        std::vector<std::uint64_t> dirtyBlocks;
+        std::vector<ByteBuffer> dirtyData;
+        bool metaDirty = false;
+        bool allocDirty = false;
+    };
+
     std::uint64_t journalHead = 0;
     BlockNo nextDataBlock = 0;
     std::vector<BlockNo> freeList;
-    std::map<std::string, Inode> files;
+    std::map<std::string, File> files;
     std::map<std::string, DurableInode> durableFiles;
 };
 

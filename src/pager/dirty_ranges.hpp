@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/logging.hpp"
 #include "common/types.hpp"
 
 namespace nvwal
@@ -53,6 +54,18 @@ class DirtyRanges
         : _mergeGap(other._mergeGap), _maxRanges(other._maxRanges),
           _ranges(other._ranges)
     {}
+
+    /**
+     * Moves the ranges and parameters out of an unlinked @p other
+     * (a logged frame's copy), so queued frames move without
+     * reallocating.
+     */
+    DirtyRanges(DirtyRanges &&other) noexcept
+        : _mergeGap(other._mergeGap), _maxRanges(other._maxRanges),
+          _ranges(std::move(other._ranges))
+    {
+        NVWAL_ASSERT(other._set == nullptr, "moving linked dirty ranges");
+    }
 
     /**
      * Copies the ranges and parameters but keeps this object's own

@@ -126,6 +126,9 @@ class Pager : public PageSource
     std::vector<PageNo> dirtyPageNos() const
     { return {_dirty.begin(), _dirty.end()}; }
 
+    /** The dirty set itself, ascending (no copy). */
+    const DirtyRanges::Set &dirtySet() const { return _dirty; }
+
     /**
      * Replace the cached entry of @p page_no with a copy of @p page --
      * image, dirty ranges and dirty-ratio history: how an optimistic

@@ -4,13 +4,15 @@
  * floor lookup at arbitrary horizons, the O(1) full-frame anchor,
  * height growth as sequences climb, pruning (leaves, interior
  * nodes, the tail shortcut and the lastFull reset), node accounting
- * through the bound gauge, and ascending range iteration.
+ * through the node pool (checked against an unpooled twin, DESIGN.md
+ * §20), and ascending range iteration.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/frame_index.hpp"
 
 namespace nvwal
@@ -225,19 +227,21 @@ TEST(FrameIndex, PruneResetsStaleFullFrameAnchor)
 
 TEST(FrameIndex, NodeGaugeFollowsAllocationAndFree)
 {
-    std::uint64_t gauge = 0;
+    // The pool's live count is what the log publishes as the
+    // wal.frame_index_nodes gauge.
+    FrameIndex::Pool pool;
     FrameIndex index;
-    index.bindNodeGauge(&gauge);
+    index.bindPool(&pool);
     for (CommitSeq s = 1; s <= 64; ++s)
         index.insert(s, slot(s), false);
-    EXPECT_EQ(gauge, index.nodeCount());
-    EXPECT_GT(gauge, 0u);
+    EXPECT_EQ(pool.liveCount(), index.nodeCount());
+    EXPECT_GT(pool.liveCount(), 0u);
 
     index.pruneThrough(32);
-    EXPECT_EQ(gauge, index.nodeCount());
+    EXPECT_EQ(pool.liveCount(), index.nodeCount());
 
     index.clear();
-    EXPECT_EQ(gauge, 0u);
+    EXPECT_EQ(pool.liveCount(), 0u);
     EXPECT_EQ(index.nodeCount(), 0u);
 }
 
@@ -270,6 +274,100 @@ TEST(FrameIndex, DeepChainStaysLogarithmic)
     ASSERT_NE(leaf, nullptr);
     EXPECT_EQ(leaf->seq, 1u);
     EXPECT_LE(steps, FrameIndex::kMaxHeight + 1);
+}
+
+/** Everything a reader can observe of @p index, in one value. */
+std::vector<std::uint64_t>
+observe(const FrameIndex &index, Rng &rng)
+{
+    std::vector<std::uint64_t> seen = {
+        index.frameCount(), index.leafCount(), index.nodeCount(),
+        index.newestSeq(), index.prunedThrough()};
+    const CommitSeq newest = index.newestSeq();
+    for (int probe = 0; probe < 4; ++probe) {
+        const CommitSeq horizon = rng.nextBelow(newest + 2);
+        std::uint64_t steps = 0;
+        const FrameIndex::Leaf *leaf = index.findVisible(horizon, &steps);
+        seen.push_back(steps);
+        if (leaf == nullptr) {
+            seen.push_back(0);
+            continue;
+        }
+        seen.insert(seen.end(),
+                    {leaf->seq, leaf->anchorSeq,
+                     static_cast<std::uint64_t>(leaf->lastFull + 1),
+                     leaf->slots.size()});
+        for (const FrameIndex::Slot &s : leaf->slots)
+            seen.push_back(s.off);
+    }
+    for (const CommitSeq seq : seqsInRange(index, 0, newest))
+        seen.push_back(seq);
+    return seen;
+}
+
+/**
+ * Seeded model check of the node pool (DESIGN.md §20): pooled indexes
+ * sharing one pool must behave exactly like unpooled twins under
+ * inserts, prunes, clears and truncations (forget + releaseAll on the
+ * pooled side, clear on the twin), and the pool must count live nodes
+ * only, never pooled ones.
+ */
+TEST(FrameIndex, PooledIndexMatchesUnpooledTwin)
+{
+    constexpr int kPages = 4;
+    FrameIndex::Pool pool;
+    std::vector<FrameIndex> pooled(kPages);
+    std::vector<FrameIndex> plain(kPages);
+    for (FrameIndex &index : pooled)
+        index.bindPool(&pool);
+
+    Rng rng(99);
+    CommitSeq seq = 0;
+    for (int step = 0; step < 20000; ++step) {
+        const std::size_t page = rng.nextBelow(kPages);
+        const std::uint64_t op = rng.nextBelow(100);
+        if (op < 70) {
+            // One commit touching 1-3 pages with 1-3 frames each.
+            ++seq;
+            for (std::size_t p = 0; p < kPages; ++p) {
+                if (p != page && rng.nextBelow(3) != 0)
+                    continue;
+                const std::uint64_t frames = 1 + rng.nextBelow(3);
+                for (std::uint64_t f = 0; f < frames; ++f) {
+                    const bool full = rng.nextBelow(10) == 0;
+                    const FrameIndex::Slot slot{rng.next(), 0, 64};
+                    pooled[p].insert(seq, slot, full);
+                    plain[p].insert(seq, slot, full);
+                }
+            }
+        } else if (op < 90) {
+            const CommitSeq through = rng.nextBelow(seq + 1);
+            ASSERT_EQ(pooled[page].pruneThrough(through),
+                      plain[page].pruneThrough(through));
+        } else if (op < 97) {
+            // Full-page supersede: one index empties while the rest
+            // keep their nodes. Sequences stay monotonic per index.
+            pooled[page].clear();
+            plain[page].clear();
+        } else {
+            // Truncation: the pool takes every node back at once.
+            for (int p = 0; p < kPages; ++p) {
+                pooled[p].forget();
+                plain[p].clear();
+            }
+            pool.releaseAll();
+        }
+
+        std::uint64_t live = 0;
+        for (int p = 0; p < kPages; ++p) {
+            Rng probe_a(step);
+            Rng probe_b(step);
+            ASSERT_EQ(observe(pooled[p], probe_a), observe(plain[p], probe_b))
+                << "page " << p << " at step " << step;
+            live += pooled[p].nodeCount();
+        }
+        ASSERT_EQ(pool.liveCount(), live) << "step " << step;
+    }
 }
 
 } // namespace

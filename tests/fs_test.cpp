@@ -6,6 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "fs/journaling_fs.hpp"
 #include "test_util.hpp"
 
@@ -184,6 +192,171 @@ TEST_F(FsTest, AllocatedSizeTracksFallocate)
     NVWAL_CHECK_OK(fs.fallocate("f", 10000));
     EXPECT_EQ(fs.allocatedSize("f"), 3u * 4096u);
     EXPECT_EQ(fs.fileSize("f"), 0u);  // fallocate does not change size
+}
+
+TEST_F(FsTest, CrashReturnsBlocksAllocatedSinceFsync)
+{
+    // A small device: 64 journal blocks + 256 data blocks. Each pass
+    // extends a file by 16 blocks that never reach an fsync and then
+    // loses power; the blocks must come back, or the device fills up
+    // long before the last pass.
+    BlockDevice small(64 + 256, cost.blockSize, clock, cost, stats);
+    JournalingFs sfs(small, clock, cost, stats, 64);
+    const ByteBuffer durable = testutil::makeValue(4 * 4096, 11);
+    NVWAL_CHECK_OK(sfs.pwrite("keep", 0, testutil::spanOf(durable)));
+    NVWAL_CHECK_OK(sfs.fsync("keep"));
+    const ByteBuffer chunk = testutil::makeValue(16 * 4096, 12);
+    for (int pass = 0; pass < 100; ++pass) {
+        NVWAL_CHECK_OK(sfs.pwrite("keep", durable.size(),
+                                  testutil::spanOf(chunk)));
+        NVWAL_CHECK_OK(sfs.pwrite("scratch", 0, testutil::spanOf(chunk)));
+        sfs.crash();
+        ASSERT_EQ(sfs.fileSize("keep"), durable.size());
+        ASSERT_FALSE(sfs.exists("scratch"));
+    }
+    ByteBuffer out(durable.size());
+    NVWAL_CHECK_OK(sfs.pread("keep", 0, ByteSpan(out.data(), out.size())));
+    EXPECT_EQ(out, durable);
+    // Every block but keep's four is free again: one more file can
+    // take all of them.
+    const ByteBuffer rest = testutil::makeValue(252 * 4096, 16);
+    NVWAL_CHECK_OK(sfs.pwrite("rest", 0, testutil::spanOf(rest)));
+    NVWAL_CHECK_OK(sfs.fsync("rest"));
+}
+
+TEST_F(FsTest, UnsyncedTruncateKeepsDurableBlocksOwned)
+{
+    // The truncate below is not durable until "a" is fsynced, so the
+    // blocks it gives up still hold a's durable contents: no other
+    // file may get them before that fsync.
+    const ByteBuffer a = testutil::makeValue(8 * 4096, 13);
+    NVWAL_CHECK_OK(fs.pwrite("a", 0, testutil::spanOf(a)));
+    NVWAL_CHECK_OK(fs.fsync("a"));
+    NVWAL_CHECK_OK(fs.truncate("a", 0));
+    const ByteBuffer b = testutil::makeValue(8 * 4096, 14);
+    NVWAL_CHECK_OK(fs.pwrite("b", 0, testutil::spanOf(b)));
+    NVWAL_CHECK_OK(fs.fsync("b"));
+    fs.crash();
+
+    ASSERT_EQ(fs.fileSize("a"), a.size());
+    ByteBuffer out(a.size());
+    NVWAL_CHECK_OK(fs.pread("a", 0, ByteSpan(out.data(), out.size())));
+    EXPECT_EQ(out, a);
+    NVWAL_CHECK_OK(fs.pread("b", 0, ByteSpan(out.data(), out.size())));
+    EXPECT_EQ(out, b);
+}
+
+/**
+ * Seeded model check of the flat page cache (DESIGN.md §20): random
+ * pwrite()s (whole-block, partial and unaligned), pread()s,
+ * shrinking truncates, fsyncs, crashes and snapshot/restore pairs,
+ * with every file compared against a model of volatile and durable
+ * contents after each op. Writes never start past the end of a file,
+ * so no hole is ever read.
+ */
+TEST(FsDirtyStore, RandomOpsMatchMapModel)
+{
+    SimClock clock;
+    MetricsRegistry stats;
+    const CostModel cost = CostModel::nexus5();
+    const std::uint32_t bs = cost.blockSize;
+    BlockDevice device(64 + 2048, bs, clock, cost, stats);
+    JournalingFs fs(device, clock, cost, stats, 64);
+
+    using Files = std::map<std::string, ByteBuffer>;
+    struct Model
+    {
+        Files live;     //!< what pread() must return
+        Files durable;  //!< what survives crash()
+    };
+    Model model;
+    std::optional<Model> saved_model;
+    std::optional<JournalingFs::Snapshot> saved_fs;
+    std::optional<BlockDevice::Snapshot> saved_dev;
+    const std::vector<std::string> names = {"a.db", "b.db-wal", "c"};
+
+    const auto check = [&](int step) {
+        for (const std::string &name : names) {
+            const auto it = model.live.find(name);
+            ASSERT_EQ(fs.exists(name), it != model.live.end())
+                << name << " at step " << step;
+            if (it == model.live.end())
+                continue;
+            ASSERT_EQ(fs.fileSize(name), it->second.size())
+                << name << " at step " << step;
+            ByteBuffer out(it->second.size());
+            NVWAL_CHECK_OK(
+                fs.pread(name, 0, ByteSpan(out.data(), out.size())));
+            ASSERT_EQ(out, it->second) << name << " at step " << step;
+        }
+    };
+
+    Rng rng(2024);
+    for (int step = 0; step < 4000; ++step) {
+        const std::string &name = names[rng.nextBelow(names.size())];
+        const std::uint64_t op = rng.nextBelow(100);
+        if (op >= 50 && op < 85 && model.live.count(name) == 0)
+            continue;  // reads, truncates and fsyncs need the file
+        if (op >= 85) {
+            if (op < 92) {
+                fs.crash();
+                model.live = model.durable;
+            } else if (op < 96) {
+                saved_fs = fs.snapshot();
+                saved_dev = device.snapshot();
+                saved_model = model;
+            } else if (saved_fs) {
+                fs.restore(*saved_fs);
+                device.restore(*saved_dev);
+                model = *saved_model;
+            }
+            check(step);
+            if (::testing::Test::HasFatalFailure())
+                return;
+            continue;
+        }
+        ByteBuffer &file = model.live[name];
+        if (op < 50) {
+            // pwrite: whole aligned blocks, or any unaligned span.
+            std::uint64_t off;
+            std::uint64_t len;
+            if (rng.nextBelow(2) == 0) {
+                off = (file.size() / bs == 0
+                           ? 0
+                           : rng.nextBelow(file.size() / bs + 1)) *
+                      bs;
+                off = std::min<std::uint64_t>(off, file.size() / bs * bs);
+                len = (1 + rng.nextBelow(3)) * bs;
+            } else {
+                off = rng.nextBelow(file.size() + 1);
+                len = 1 + rng.nextBelow(3 * bs);
+            }
+            const ByteBuffer data = testutil::makeValue(len, rng.next());
+            NVWAL_CHECK_OK(fs.pwrite(name, off, testutil::spanOf(data)));
+            if (file.size() < off + len)
+                file.resize(off + len);
+            std::memcpy(file.data() + off, data.data(), len);
+        } else if (op < 60) {
+            // A random range read (the full-file check follows).
+            const std::uint64_t off = rng.nextBelow(file.size() + 1);
+            const std::uint64_t len = rng.nextBelow(file.size() - off + 1);
+            ByteBuffer out(len);
+            NVWAL_CHECK_OK(fs.pread(name, off, ByteSpan(out.data(), len)));
+            ASSERT_TRUE(std::equal(out.begin(), out.end(),
+                                   file.begin() + off))
+                << "range read at step " << step;
+        } else if (op < 70) {
+            const std::uint64_t size = rng.nextBelow(file.size() + 1);
+            NVWAL_CHECK_OK(fs.truncate(name, size));
+            file.resize(size);
+        } else {
+            NVWAL_CHECK_OK(fs.fsync(name));
+            model.durable[name] = file;
+        }
+        check(step);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
 }
 
 } // namespace
