@@ -47,8 +47,9 @@ class BTree
      *        Defaults to the source's primary root (page 2).
      *
      * The tree mutates only through the PageSource; handed a
-     * read-only source (SnapshotCache) it serves lookups and scans
-     * while inserts fail with Unsupported.
+     * read-only source (SnapshotCache) it serves lookups and scans,
+     * and a write that needs a page allocated or freed fails with
+     * Unsupported.
      */
     explicit BTree(PageSource &pager, PageNo root = kNoPage);
 

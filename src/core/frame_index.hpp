@@ -38,8 +38,7 @@
  * so a steady-state insert or prune never reaches the allocator, and
  * a reused leaf keeps its slot vector's capacity. Pool::releaseAll()
  * takes back every node at once; each index that used the pool must
- * then forget() its tree instead of walking it. An unbound index uses
- * new/delete.
+ * then forget() its tree instead of walking it.
  *
  * Not thread-safe: every caller already holds the database engine
  * mutex, like the rest of the NvwalLog volatile index.
@@ -322,8 +321,6 @@ class FrameIndex
     void
     forget()
     {
-        NVWAL_ASSERT(_pool != nullptr || _root == nullptr,
-                     "forget() on an index that owns its nodes");
         _root = nullptr;
         _nodeCount = 0;
         _height = 0;
@@ -371,9 +368,8 @@ class FrameIndex
     Node *
     allocNode()
     {
+        NVWAL_ASSERT(_pool != nullptr, "frame index used unbound");
         ++_nodeCount;
-        if (_pool == nullptr)
-            return new Node();
         ++_pool->_live;
         Node *node = _pool->_nodes.take();
         *node = Node{};
@@ -383,19 +379,15 @@ class FrameIndex
     Leaf *
     allocLeaf(CommitSeq seq)
     {
+        NVWAL_ASSERT(_pool != nullptr, "frame index used unbound");
         ++_nodeCount;
         ++_leafCount;
-        Leaf *leaf;
-        if (_pool == nullptr) {
-            leaf = new Leaf();
-        } else {
-            ++_pool->_live;
-            leaf = _pool->_leaves.take();
-            // A reused leaf keeps its slot vector's capacity.
-            leaf->slots.clear();
-            leaf->lastFull = -1;
-            leaf->anchorSeq = 0;
-        }
+        ++_pool->_live;
+        Leaf *leaf = _pool->_leaves.take();
+        // A reused leaf keeps its slot vector's capacity.
+        leaf->slots.clear();
+        leaf->lastFull = -1;
+        leaf->anchorSeq = 0;
         leaf->seq = seq;
         return leaf;
     }
@@ -405,10 +397,6 @@ class FrameIndex
     {
         NVWAL_ASSERT(_nodeCount > 0);
         --_nodeCount;
-        if (_pool == nullptr) {
-            delete node;
-            return;
-        }
         --_pool->_live;
         _pool->_nodes.give(node);
     }
@@ -419,10 +407,6 @@ class FrameIndex
         NVWAL_ASSERT(_nodeCount > 0 && _leafCount > 0);
         --_nodeCount;
         --_leafCount;
-        if (_pool == nullptr) {
-            delete leaf;
-            return;
-        }
         --_pool->_live;
         _pool->_leaves.give(leaf);
     }
@@ -584,7 +568,7 @@ class FrameIndex
         return true;
     }
 
-    Pool *_pool = nullptr;       //!< node source; null = new/delete
+    Pool *_pool = nullptr;       //!< node source (bindPool)
     void *_root = nullptr;       //!< Node* (level == _height)
     std::uint32_t _height = 0;   //!< interior levels; 0 == empty
     Leaf *_tail = nullptr;       //!< newest leaf (append fast path)

@@ -44,21 +44,8 @@ Connection::beginRead()
 
     // Pin the commit horizon; the WAL will neither supersede nor
     // truncate any frame this snapshot can reach until endRead().
-    _horizon = wal.commitSeq();
-    wal.pinSnapshot(_horizon);
-    // The size as of the horizon: commitSeq() and committedDbSize()
-    // are read under one engine-lock hold, so no commit interleaves.
-    std::uint32_t pages = wal.committedDbSize();
-    if (pages == 0)
-        pages = _db._dbFile->pageCount();
-
-    const CommitSeq horizon = _horizon;
-    auto fetch = [this, horizon](PageNo page_no, ByteSpan out) {
-        return _db.fetchCommittedPage(page_no, horizon, out);
-    };
-    _snapshot = std::make_unique<SnapshotCache>(
-        _db._config.pageSize, _db._pager->reservedBytes(), pages,
-        _db._pager->rootPage(), std::move(fetch));
+    _snapshot = std::make_unique<SnapshotCache>(_db.snapshotCache());
+    wal.pinSnapshot(_snapshot->horizon());
 
     _db._env.stats.add(stats::kSnapshotsOpened);
     _db._env.stats.setGauge(stats::kGaugeOpenSnapshots, wal.pinCount());
@@ -72,7 +59,7 @@ Connection::endRead()
         return Status::invalidArgument("no read transaction to end");
 
     std::lock_guard<std::recursive_mutex> eng(_db._engineMutex);
-    _db._wal->unpinSnapshot(_horizon);
+    _db._wal->unpinSnapshot(_snapshot->horizon());
     // Fold the thread-confined tallies into the shared registry.
     _db._env.stats.add(stats::kSnapshotReads,
                        _snapshot->cacheHits() + _snapshot->fetches());
@@ -81,7 +68,6 @@ Connection::endRead()
                             _db._wal->pinCount());
     _snapshot.reset();
     _snapshotRoot = kNoPage;
-    _horizon = 0;
     return Status::ok();
 }
 
@@ -105,12 +91,10 @@ Connection::defaultRoot(SnapshotCache &snap, PageNo *cached)
 }
 
 void
-Connection::resetCasualSnapshot(std::unique_ptr<SnapshotCache> snap,
-                                std::uint64_t horizon)
+Connection::resetCasualSnapshot()
 {
-    _casualSnap = std::move(snap);
+    _casualSnap = std::make_unique<SnapshotCache>(_db.snapshotCache());
     _casualRoot = kNoPage;
-    _casualHorizon = horizon;
     _casualGen = _db.engineGeneration();
     _casualHitsFolded = 0;
     _casualReadsFolded = 0;
@@ -161,21 +145,9 @@ Connection::casualRead(const Op &op)
                 "snapshot support: " + std::string(wal.name()));
         return onSharedPager(0, op);
     }
-    const CommitSeq horizon = wal.commitSeq();
-    if (!_casualSnap || _casualHorizon != horizon ||
-        _casualGen != _db.engineGeneration()) {
-        std::uint32_t pages = wal.committedDbSize();
-        if (pages == 0)
-            pages = _db._dbFile->pageCount();
-        auto fetch = [this, horizon](PageNo page_no, ByteSpan out) {
-            return _db.fetchCommittedPage(page_no, horizon, out);
-        };
-        resetCasualSnapshot(
-            std::make_unique<SnapshotCache>(
-                _db._config.pageSize, _db._pager->reservedBytes(),
-                pages, _db._pager->rootPage(), std::move(fetch)),
-            horizon);
-    }
+    if (!_casualSnap || _casualSnap->horizon() != wal.commitSeq() ||
+        _casualGen != _db.engineGeneration())
+        resetCasualSnapshot();
     const Status s = readSnapshot(*_casualSnap, &_casualRoot, op);
     foldCasualStats();
     return s;

@@ -29,7 +29,8 @@
  * transaction path and one error policy.
  *
  * A read transaction owns a private SnapshotCache, so repeated reads
- * touch no shared state at all. Read-only statements *outside*
+ * touch no shared state at all; a multi-writer transaction's
+ * workspace is one too. Read-only statements *outside*
  * beginRead() reuse a cached casual snapshot as long as the commit
  * horizon has not moved, so hot read loops build the cache once
  * instead of once per statement. The snapshot pin bounds
@@ -51,8 +52,6 @@
 #include <utility>
 
 #include "db/database.hpp"
-#include "db/mw_state.hpp"
-#include "pager/snapshot_cache.hpp"
 
 namespace nvwal
 {
@@ -176,7 +175,8 @@ class Connection
     // ---- introspection ----------------------------------------------
 
     /** Horizon of the open snapshot (0 when none / before commits). */
-    CommitSeq snapshotHorizon() const { return _horizon; }
+    CommitSeq snapshotHorizon() const
+    { return _snapshot ? _snapshot->horizon() : 0; }
 
     /** Pages served from the private cache (open snapshot only). */
     std::uint64_t snapshotCacheHits() const
@@ -252,9 +252,8 @@ class Connection
         return commit();
     }
 
-    /** Rebuild bookkeeping when the casual snapshot is replaced. */
-    void resetCasualSnapshot(std::unique_ptr<SnapshotCache> snap,
-                             std::uint64_t horizon);
+    /** Replace the casual snapshot with one at the current horizon. */
+    void resetCasualSnapshot();
 
     /** Fold the casual snapshot's read tallies into the registry. */
     void foldCasualStats();
@@ -280,7 +279,6 @@ class Connection
     std::unique_ptr<MwWorkspace> _ws;
 
     std::unique_ptr<SnapshotCache> _snapshot;
-    CommitSeq _horizon = 0;
     /** Default-table root resolved from the snapshot's catalog. */
     PageNo _snapshotRoot = kNoPage;
 
@@ -290,7 +288,6 @@ class Connection
      * so a hot read loop pays one cache build, not one per statement.
      */
     std::unique_ptr<SnapshotCache> _casualSnap;
-    std::uint64_t _casualHorizon = 0;
     std::uint64_t _casualGen = 0;
     PageNo _casualRoot = kNoPage;
     std::uint64_t _casualHitsFolded = 0;

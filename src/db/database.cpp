@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <optional>
 
 #include "db/catalog_codec.hpp"
 #include "db/connection.hpp"
@@ -82,12 +83,10 @@ Table::count(std::uint64_t *out)
 namespace
 {
 
-/** The paper's per-mode default when DbConfig::reservedBytes is unset. */
+/** The paper's reserved bytes per page for the mode. */
 std::uint32_t
 resolveReserved(const DbConfig &config)
 {
-    if (config.reservedBytes.has_value())
-        return *config.reservedBytes;
     return config.walMode == WalMode::FileStock ||
                    config.walMode == WalMode::RollbackJournal
                ? 0
@@ -105,10 +104,6 @@ validateDbConfig(const DbConfig &config)
         return Status::invalidArgument(
             "page size must be in (0, 65536]: " +
             std::to_string(config.pageSize));
-    if (config.reservedBytes.has_value() &&
-        *config.reservedBytes >= config.pageSize)
-        return Status::invalidArgument(
-            "reserved bytes must be smaller than the page size");
     if (config.asyncMaxEpochs == 0)
         return Status::invalidArgument(
             "asyncMaxEpochs must be >= 1 (the staleness bound)");
@@ -308,10 +303,9 @@ Database::frNoteTruncation(std::uint64_t ckpt_before)
 void
 Database::frMaybeSnapshotCounters()
 {
-    if (!_flightRecorder || !_flightRecorder->ready() ||
-        _config.frSnapshotEveryBatches == 0)
+    if (!_flightRecorder || !_flightRecorder->ready())
         return;
-    if (++_frBatchesSinceSnapshot < _config.frSnapshotEveryBatches)
+    if (++_frBatchesSinceSnapshot < kFrSnapshotEveryBatches)
         return;
     _frBatchesSinceSnapshot = 0;
     static constexpr MetricName kSampledCounters[] = {
@@ -338,7 +332,7 @@ Database::frOpenAndBuildReport(const StatsSnapshot &stats_before)
     auto recorder = std::make_unique<FlightRecorder>(
         _env.heap, _env.pmem, _env.stats,
         FlightRecorder::namespaceFor(_config.nvwal.heapNamespace),
-        _config.frRingRecords);
+        kFrRingRecords);
     FlightRecording parsed;
     if (!recorder->openOrCreate(&parsed).isOk()) {
         // E.g. all heap namespace slots taken: run with the recorder
@@ -1239,6 +1233,22 @@ Database::lastCommitEpoch() const
     return _rootConn->lastCommitEpoch();
 }
 
+SnapshotCache
+Database::snapshotCache()
+{
+    const CommitSeq horizon = _wal->commitSeq();
+    // commitSeq() and committedDbSize() are read under one engine-lock
+    // hold, so no commit interleaves.
+    std::uint32_t pages = _wal->committedDbSize();
+    if (pages == 0)
+        pages = _dbFile->pageCount();
+    return SnapshotCache(
+        _config.pageSize, _pager->reservedBytes(), _pager->rootPage(),
+        horizon, pages, [this, horizon](PageNo page_no, ByteSpan out) {
+            return fetchCommittedPage(page_no, horizon, out);
+        });
+}
+
 // ---- optimistic multi-writer transactions (DESIGN.md §13) -----------
 
 Status
@@ -1266,20 +1276,12 @@ Database::openWorkspace(std::uint64_t after_publish,
     // published but not yet logged are invisible at the horizon, and
     // their publish sequences lie past the workspace's, so validation
     // treats them as concurrent.
-    const CommitSeq horizon = _wal->commitSeq();
-    _wal->pinSnapshot(horizon);
+    *out = std::make_unique<MwWorkspace>(
+        snapshotCache(), _loggedPublishSeq.load(std::memory_order_relaxed),
+        _env.clock.now(), &_pageCursor);
+    _wal->pinSnapshot((*out)->horizon());
     ++_openWorkspaces;
     _env.stats.setGauge(stats::kGaugeOpenSnapshots, _wal->pinCount());
-    std::uint32_t pages = _wal->committedDbSize();
-    if (pages == 0)
-        pages = _dbFile->pageCount();
-    *out = std::make_unique<MwWorkspace>(
-        _config.pageSize, _pager->reservedBytes(), _defaultRoot, horizon,
-        _loggedPublishSeq.load(std::memory_order_relaxed), pages,
-        _env.clock.now(), &_pageCursor,
-        [this, horizon](PageNo page_no, ByteSpan buf) {
-            return fetchCommittedPage(page_no, horizon, buf);
-        });
     return Status::ok();
 }
 

@@ -37,9 +37,9 @@
  *   4. the Env's heap, Pmem and NvramDevice locks, in that order; the
  *      device's plain mutex is the bottom leaf (DESIGN.md §8.1).
  * The simulated clock is atomic and is the only lock-free piece of
- * shared engine state; snapshot readers otherwise run on private
- * SnapshotCaches and take the engine lock only to fetch a missing
- * page.
+ * shared engine state; snapshot readers and optimistic writers
+ * otherwise run on private SnapshotCaches and take the engine lock
+ * only to fetch a missing page.
  */
 
 #ifndef NVWAL_DB_DATABASE_HPP
@@ -50,7 +50,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,7 +58,7 @@
 #include "core/nvwal_log.hpp"
 #include "db/env.hpp"
 #include "db/flight_recorder.hpp"
-#include "db/mw_state.hpp"
+#include "db/snapshot_cache.hpp"
 #include "pager/pager.hpp"
 #include "wal/file_wal.hpp"
 #include "wal/rollback_journal.hpp"
@@ -146,14 +145,13 @@ struct DbConfig
     WalMode walMode = WalMode::Nvwal;
     /** NVWAL scheme knobs (walMode == Nvwal). */
     NvwalConfig nvwal;
-    std::uint32_t pageSize = 4096;
     /**
-     * Reserved bytes per page. Unset picks the paper's setting for
-     * the mode: 0 for the stock WAL and the rollback journal, 24
-     * otherwise (the early-split/aligned-frame optimization of
-     * section 5.4, also applied to NVWAL).
+     * Page size in bytes. The reserved bytes at the end of each page
+     * follow the mode, as in the paper: 0 for the stock WAL and the
+     * rollback journal, 24 otherwise (the early-split/aligned-frame
+     * optimization of section 5.4, also applied to NVWAL).
      */
-    std::optional<std::uint32_t> reservedBytes;
+    std::uint32_t pageSize = 4096;
     /**
      * Auto-checkpoint threshold in page writes -- one per page per
      * committed transaction, SQLite's meaning of a WAL "frame"
@@ -189,16 +187,11 @@ struct DbConfig
      * ring next to the WAL, appended with plain stores only (zero
      * flushes/barriers on every commit path) and parsed into a
      * RecoveryReport on open. Only effective with WalMode::Nvwal;
-     * silently off when the heap has no namespace slot left.
+     * silently off when the heap has no namespace slot left. The ring
+     * holds Database::kFrRingRecords records and samples counters
+     * every Database::kFrSnapshotEveryBatches group batches.
      */
     bool flightRecorder = true;
-    /** Ring capacity in 40-byte records (clamped to >= 16). */
-    std::uint32_t frRingRecords = 512;
-    /**
-     * Sample a small fixed counter set into CounterSnapshot records
-     * every N committed group batches. 0 disables sampling.
-     */
-    std::uint32_t frSnapshotEveryBatches = 64;
     /**
      * Optimistic multi-writer admission (DESIGN.md §13): a write
      * transaction runs in a private workspace pinned at a commit
@@ -272,6 +265,10 @@ class Database
   public:
     /** The table the record-level convenience methods operate on. */
     static constexpr const char *kDefaultTable = "main";
+    /** Flight-recorder ring capacity, in 40-byte records. */
+    static constexpr std::uint32_t kFrRingRecords = 512;
+    /** Flight-recorder counter sampling period, in group batches. */
+    static constexpr std::uint32_t kFrSnapshotEveryBatches = 64;
     /** Open (and recover) a database on @p env. */
     static Status open(Env &env, DbConfig config,
                        std::unique_ptr<Database> *out);
@@ -650,7 +647,7 @@ class Database
     /** Record truncation if the WAL's checkpoint round advanced past
      *  @p ckpt_before, and rebase the marks-since-checkpoint count. */
     void frNoteTruncation(std::uint64_t ckpt_before);
-    /** Periodic counter sampling, every frSnapshotEveryBatches. */
+    /** Periodic counter sampling, every kFrSnapshotEveryBatches. */
     void frMaybeSnapshotCounters();
     /** Create/attach the ring and build _recoveryReport (open path,
      *  after WAL recovery; @p stats_before spans _wal->recover()). */
@@ -704,6 +701,15 @@ class Database
     Status rollbackFromConnection(std::unique_lock<std::mutex> *writer_lock);
     /** A user Connection closed (open-connection gauge). */
     void releaseConnection();
+
+    /**
+     * A private page cache at the current commit horizon: sized as of
+     * the horizon, fetching through fetchCommittedPage() at it. Every
+     * snapshot and workspace is built here. The caller holds the
+     * engine lock, and pins the horizon if it keeps the cache past
+     * that hold.
+     */
+    SnapshotCache snapshotCache();
 
     // ---- optimistic multi-writer transactions (DESIGN.md §13) -------
 

@@ -346,6 +346,21 @@ JournalingFs::truncate(const std::string &name, std::uint64_t size)
         return Status::notFound("no such file: " + name);
     const std::uint32_t bs = _device.blockSize();
     const std::uint64_t keep_blocks = (size + bs - 1) / bs;
+    if (size > inode->size) {
+        // Grow: the new range reads as zeros. Zero it in the page
+        // cache from the old end on; that covers bytes an earlier
+        // shrink cut off and blocks a fallocate left unwritten.
+        NVWAL_RETURN_IF_ERROR(ensureBlocks(*inode, keep_blocks));
+        for (std::uint64_t blk = inode->size / bs; blk < keep_blocks;
+             ++blk) {
+            const std::uint32_t from =
+                blk == inode->size / bs
+                    ? static_cast<std::uint32_t>(inode->size % bs)
+                    : 0;
+            std::memset(dirtyBlock(*inode, blk, from != 0) + from, 0,
+                        bs - from);
+        }
+    }
     // The durable inode still owns the freed blocks until the next
     // fsync journals the truncation; only then may another file get
     // them.

@@ -6,15 +6,19 @@
  *  - Pager: the shared read-write DRAM cache over the database file
  *    and the WAL (the single writer and everything engine-internal
  *    run on it);
- *  - SnapshotCache: a private read-only cache that resolves pages as
- *    of one pinned WAL snapshot (each open read transaction owns
- *    one, so concurrent readers never contend on shared cache
- *    state).
+ *  - SnapshotCache (src/db/snapshot_cache.hpp): a private
+ *    copy-on-read cache that resolves pages as of one pinned commit
+ *    horizon (each open read transaction owns one, so concurrent
+ *    readers never contend on shared cache state). Its subclass
+ *    MwWorkspace, an optimistic write transaction's cache, adds page
+ *    allocation.
  *
  * Mutating calls (allocatePage/freePage) default to Unsupported so
  * read-only sources only implement the lookup path; a B-tree given a
- * read-only source can serve get/scan/count/validate but any insert
- * surfaces the error as a Status, not a crash.
+ * read-only source can serve get/scan/count/validate, and a write
+ * that needs a page allocated or freed surfaces the error as a
+ * Status, not a crash (one that fits its leaf changes only the
+ * source's private copy).
  */
 
 #ifndef NVWAL_PAGER_PAGE_SOURCE_HPP

@@ -96,6 +96,102 @@ TEST(Concurrency, SnapshotIsolationAcrossCommits)
     EXPECT_EQ(db->statGauge(stats::kGaugeOpenConnections), 0u);
 }
 
+/**
+ * A snapshot cache over @p db at its current horizon, built as the
+ * database builds one, with every fetch counted in @p fetched.
+ */
+SnapshotCache
+snapshotOf(Database &db, int *fetched)
+{
+    const CommitSeq horizon = db.wal().commitSeq();
+    return SnapshotCache(
+        db.pager().pageSize(), db.pager().reservedBytes(),
+        db.pager().rootPage(), horizon, db.pager().pageCount(),
+        [&db, horizon, fetched](PageNo page_no, ByteSpan out) {
+            ++*fetched;
+            return db.fetchCommittedPage(page_no, horizon, out);
+        });
+}
+
+TEST(Concurrency, SnapshotBTreeWritesSurfaceUnsupported)
+{
+    // PageSource's contract: a B-tree over a read-only source serves
+    // reads, and a write that needs a page allocated or freed fails
+    // with Unsupported rather than crashing.
+    Env env(envConfig());
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, nvwalConfig(), &db));
+    for (RowId k = 1; k <= 200; ++k)
+        NVWAL_CHECK_OK(db->insert(k, testutil::spanOf(rowValue(k))));
+    // A value too big for a leaf spills into an overflow chain.
+    const ByteBuffer big = testutil::makeValue(3 * 4096, 7);
+    NVWAL_CHECK_OK(db->insert(1000, testutil::spanOf(big)));
+    Table *table;
+    NVWAL_CHECK_OK(db->openTable(Database::kDefaultTable, &table));
+    const PageNo root = table->btree().rootPage();
+
+    int fetched = 0;
+    SnapshotCache snap = snapshotOf(*db, &fetched);
+    BTree tree(snap, root);
+    std::uint64_t n = 0;
+    NVWAL_CHECK_OK(tree.count(&n));
+    EXPECT_EQ(n, 201u);
+    ByteBuffer out;
+    NVWAL_CHECK_OK(tree.get(1000, &out));
+    EXPECT_EQ(out, big);
+
+    // Removing the big row frees its overflow pages.
+    EXPECT_TRUE(tree.remove(1000).isUnsupported());
+    // Appends fill the last leaf until it must split.
+    Status s = Status::ok();
+    for (RowId k = 1001; s.isOk() && k <= 1200; ++k)
+        s = tree.insert(k, testutil::spanOf(rowValue(k)));
+    EXPECT_TRUE(s.isUnsupported()) << s.toString();
+
+    // Nothing reached the database.
+    NVWAL_CHECK_OK(db->count(&n));
+    EXPECT_EQ(n, 201u);
+    NVWAL_CHECK_OK(db->get(1000, &out));
+    EXPECT_EQ(out, big);
+    NVWAL_CHECK_OK(db->verifyIntegrity());
+}
+
+TEST(Concurrency, SnapshotFetchesInOrderAndRejectsPagesPastItsSize)
+{
+    Env env(envConfig());
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, nvwalConfig(), &db));
+    for (RowId k = 1; k <= 200; ++k)
+        NVWAL_CHECK_OK(db->insert(k, testutil::spanOf(rowValue(k))));
+
+    int fetched = 0;
+    SnapshotCache snap = snapshotOf(*db, &fetched);
+    const std::uint32_t size = snap.pageCount();
+    ASSERT_GE(size, 3u);
+    CachedPage *page;
+    EXPECT_EQ(snap.getPage(size + 1, &page).code(),
+              StatusCode::InvalidArgument);
+    EXPECT_EQ(fetched, 0);   // rejected before any fetch
+
+    // Every fetch is recorded once, in fetch order; hits are not.
+    NVWAL_CHECK_OK(snap.getPage(size, &page));
+    NVWAL_CHECK_OK(snap.getPage(1, &page));
+    NVWAL_CHECK_OK(snap.getPage(size, &page));
+    NVWAL_CHECK_OK(snap.getPage(2, &page));
+    EXPECT_EQ(snap.readSet(), (std::vector<PageNo>{size, 1, 2}));
+    EXPECT_EQ(snap.fetches(), 3u);
+    EXPECT_EQ(snap.cacheHits(), 1u);
+    EXPECT_EQ(fetched, 3);
+
+    // A page committed after the horizon stays out of reach.
+    for (RowId k = 201; k <= 400; ++k)
+        NVWAL_CHECK_OK(db->insert(k, testutil::spanOf(rowValue(k))));
+    ASSERT_GT(db->pager().pageCount(), size);
+    EXPECT_EQ(snap.getPage(size + 1, &page).code(),
+              StatusCode::InvalidArgument);
+    EXPECT_EQ(fetched, 3);
+}
+
 TEST(Concurrency, PinnedSnapshotBlocksTruncationThenDrains)
 {
     Env env(envConfig());

@@ -158,26 +158,30 @@ TEST(FlightRecorder, RingWrapsWithoutLosingTheTail)
 {
     Env env(makeEnvConfig());
     DbConfig config = nvwalConfig();
-    config.frRingRecords = FlightRecorder::kMinCapacity;  // 16 slots
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
-    for (RowId k = 1; k <= 40; ++k)
+    // Every commit acks at least once, so this many commits lap the
+    // ring at least twice.
+    const RowId inserts = 2 * Database::kFrRingRecords + 8;
+    for (RowId k = 1; k <= inserts; ++k)
         NVWAL_CHECK_OK(db->insert(k, testutil::makeValue(32, k)));
     db.reset();
 
     NVWAL_CHECK_OK(Database::open(env, config, &db));
     const RecoveryReport &report = db->recoveryReport();
     ASSERT_TRUE(report.parsed);
+    EXPECT_EQ(report.recording.capacity, Database::kFrRingRecords);
     EXPECT_GT(report.recording.wraps, 0u);
     EXPECT_LE(report.recording.validRecords,
-              static_cast<std::uint64_t>(FlightRecorder::kMinCapacity));
+              static_cast<std::uint64_t>(Database::kFrRingRecords));
     // The newest ack is always among the survivors: the ring
     // overwrites oldest-first.
     std::uint64_t newest_ack = 0;
     for (const FrRecord &r : report.recording.records)
         if (r.type == static_cast<std::uint8_t>(FrRecordType::CommitAck))
             newest_ack = std::max(newest_ack, r.a64);
-    EXPECT_EQ(newest_ack, 41u);  // catalog-init commit + 40 inserts
+    // The catalog-init commit + the inserts.
+    EXPECT_EQ(newest_ack, static_cast<std::uint64_t>(inserts) + 1);
     EXPECT_GT(env.stats.get(stats::kFrRingWraps), 0u);
 }
 
@@ -228,10 +232,11 @@ TEST(FlightRecorder, CounterSnapshotsCarryResolvableNames)
 {
     Env env(makeEnvConfig());
     DbConfig config = nvwalConfig();
-    config.frSnapshotEveryBatches = 1;  // sample after every batch
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
-    for (RowId k = 1; k <= 4; ++k)
+    // Each autocommit insert is one group batch: enough batches for
+    // several sampling periods.
+    for (RowId k = 1; k <= 4 * Database::kFrSnapshotEveryBatches; ++k)
         NVWAL_CHECK_OK(db->insert(k, testutil::makeValue(32, k)));
     db.reset();
 
@@ -293,7 +298,6 @@ TEST(FlightRecorder, SteppedCheckpointRoundsRecordTheirHardens)
     config.checkpointThreshold = 20;
     config.asyncMaxEpochs = 1000;
     config.asyncMaxStalenessNs = 0;
-    config.frRingRecords = 4096;
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
     for (RowId k = 1; k <= 60; ++k) {

@@ -4,12 +4,15 @@
  * floor lookup at arbitrary horizons, the O(1) full-frame anchor,
  * height growth as sequences climb, pruning (leaves, interior
  * nodes, the tail shortcut and the lastFull reset), node accounting
- * through the node pool (checked against an unpooled twin, DESIGN.md
+ * through the node pool (checked against a std::map model, DESIGN.md
  * §20), and ascending range iteration.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -26,6 +29,15 @@ slot(NvOffset off)
     return FrameIndex::Slot{off, 0, 64};
 }
 
+/** An index bound to @p pool, as NvwalLog binds every page's. */
+FrameIndex
+boundTo(FrameIndex::Pool &pool)
+{
+    FrameIndex index;
+    index.bindPool(&pool);
+    return index;
+}
+
 /** Collect the sequences forRange visits. */
 std::vector<CommitSeq>
 seqsInRange(const FrameIndex &index, CommitSeq lo, CommitSeq hi)
@@ -40,7 +52,8 @@ seqsInRange(const FrameIndex &index, CommitSeq lo, CommitSeq hi)
 
 TEST(FrameIndex, EmptyIndexFindsNothing)
 {
-    FrameIndex index;
+    FrameIndex::Pool pool;
+    FrameIndex index = boundTo(pool);
     EXPECT_TRUE(index.empty());
     std::uint64_t steps = 0;
     EXPECT_EQ(index.findVisible(1, &steps), nullptr);
@@ -51,7 +64,8 @@ TEST(FrameIndex, EmptyIndexFindsNothing)
 
 TEST(FrameIndex, FindVisibleIsFloorSearch)
 {
-    FrameIndex index;
+    FrameIndex::Pool pool;
+    FrameIndex index = boundTo(pool);
     index.insert(2, slot(100), false);
     index.insert(5, slot(200), false);
     index.insert(9, slot(300), false);
@@ -72,7 +86,8 @@ TEST(FrameIndex, FindVisibleIsFloorSearch)
 
 TEST(FrameIndex, MultipleSlotsShareOneLeafPerSeq)
 {
-    FrameIndex index;
+    FrameIndex::Pool pool;
+    FrameIndex index = boundTo(pool);
     index.insert(3, slot(100), false);
     index.insert(3, slot(200), false);
     index.insert(3, slot(300), false);
@@ -88,7 +103,8 @@ TEST(FrameIndex, MultipleSlotsShareOneLeafPerSeq)
 
 TEST(FrameIndex, AnchorTracksNewestFullFrame)
 {
-    FrameIndex index;
+    FrameIndex::Pool pool;
+    FrameIndex index = boundTo(pool);
     index.insert(1, slot(10), true);    // full
     index.insert(2, slot(20), false);
     index.insert(3, slot(30), false);
@@ -105,7 +121,8 @@ TEST(FrameIndex, AnchorTracksNewestFullFrame)
 
 TEST(FrameIndex, AnchorIndexPointsAtNewestFullSlotInLeaf)
 {
-    FrameIndex index;
+    FrameIndex::Pool pool;
+    FrameIndex index = boundTo(pool);
     index.insert(7, slot(10), false);
     index.insert(7, slot(20), true);
     index.insert(7, slot(30), false);
@@ -118,7 +135,8 @@ TEST(FrameIndex, AnchorIndexPointsAtNewestFullSlotInLeaf)
 
 TEST(FrameIndex, HeightGrowsWithSequenceRange)
 {
-    FrameIndex index;
+    FrameIndex::Pool pool;
+    FrameIndex index = boundTo(pool);
     index.insert(1, slot(10), false);
     const std::uint64_t nodes_small = index.nodeCount();
     // Sequence far outside the initial coverage forces root growth;
@@ -141,7 +159,8 @@ TEST(FrameIndex, FirstSeqPastOneLevelBuildsNoEmptyInteriorNode)
     // interior node at child 0; a floor lookup below the first leaf
     // then asserted inside maxIn ("interior radix node with no
     // children").
-    FrameIndex index;
+    FrameIndex::Pool pool;
+    FrameIndex index = boundTo(pool);
     index.insert(40, slot(400), false);
     // Root (two levels) + one level-1 node + the leaf.
     EXPECT_EQ(index.nodeCount(), 3u);
@@ -153,7 +172,7 @@ TEST(FrameIndex, FirstSeqPastOneLevelBuildsNoEmptyInteriorNode)
     EXPECT_EQ(index.findVisible(40, &steps)->seq, 40u);
 
     // The same after a prune empties the index and it regrows.
-    FrameIndex regrown;
+    FrameIndex regrown = boundTo(pool);
     for (CommitSeq s = 1; s <= 10; ++s)
         regrown.insert(s, slot(s * 10), false);
     regrown.pruneThrough(10);
@@ -168,7 +187,8 @@ TEST(FrameIndex, FirstSeqPastOneLevelBuildsNoEmptyInteriorNode)
 
 TEST(FrameIndex, ForRangeVisitsAscendingWithinBounds)
 {
-    FrameIndex index;
+    FrameIndex::Pool pool;
+    FrameIndex index = boundTo(pool);
     for (CommitSeq s : {2u, 17u, 18u, 40u, 300u})
         index.insert(s, slot(s * 10), false);
     EXPECT_EQ(seqsInRange(index, 0, kNoPin),
@@ -182,7 +202,8 @@ TEST(FrameIndex, ForRangeVisitsAscendingWithinBounds)
 
 TEST(FrameIndex, PruneThroughDropsLeavesAndResetsTail)
 {
-    FrameIndex index;
+    FrameIndex::Pool pool;
+    FrameIndex index = boundTo(pool);
     for (CommitSeq s = 1; s <= 20; ++s)
         index.insert(s, slot(s * 10), false);
     EXPECT_EQ(index.frameCount(), 20u);
@@ -210,7 +231,8 @@ TEST(FrameIndex, PruneThroughDropsLeavesAndResetsTail)
 
 TEST(FrameIndex, PruneResetsStaleFullFrameAnchor)
 {
-    FrameIndex index;
+    FrameIndex::Pool pool;
+    FrameIndex index = boundTo(pool);
     index.insert(1, slot(10), true);
     index.insert(2, slot(20), false);
     index.pruneThrough(1);
@@ -230,8 +252,7 @@ TEST(FrameIndex, NodeGaugeFollowsAllocationAndFree)
     // The pool's live count is what the log publishes as the
     // wal.frame_index_nodes gauge.
     FrameIndex::Pool pool;
-    FrameIndex index;
-    index.bindPool(&pool);
+    FrameIndex index = boundTo(pool);
     for (CommitSeq s = 1; s <= 64; ++s)
         index.insert(s, slot(s), false);
     EXPECT_EQ(pool.liveCount(), index.nodeCount());
@@ -247,7 +268,8 @@ TEST(FrameIndex, NodeGaugeFollowsAllocationAndFree)
 
 TEST(FrameIndex, ClearResetsEverythingForReuse)
 {
-    FrameIndex index;
+    FrameIndex::Pool pool;
+    FrameIndex index = boundTo(pool);
     index.insert(5, slot(50), true);
     index.pruneThrough(3);
     index.clear();
@@ -263,7 +285,8 @@ TEST(FrameIndex, ClearResetsEverythingForReuse)
 
 TEST(FrameIndex, DeepChainStaysLogarithmic)
 {
-    FrameIndex index;
+    FrameIndex::Pool pool;
+    FrameIndex index = boundTo(pool);
     for (CommitSeq s = 1; s <= 10000; ++s)
         index.insert(s, slot(s), s == 1);
 
@@ -276,48 +299,157 @@ TEST(FrameIndex, DeepChainStaysLogarithmic)
     EXPECT_LE(steps, FrameIndex::kMaxHeight + 1);
 }
 
-/** Everything a reader can observe of @p index, in one value. */
+/**
+ * The reference the pooled indexes are checked against: one page's
+ * frames in a std::map keyed by commit sequence, with the anchor,
+ * prune horizon and radix height kept by their documented rules.
+ */
+struct IndexModel
+{
+    struct Leaf
+    {
+        std::vector<FrameIndex::Slot> slots;
+        int lastFull = -1;
+        CommitSeq anchorSeq = 0;
+    };
+    std::map<CommitSeq, Leaf> leaves;
+    CommitSeq lastFullSeq = 0;
+    CommitSeq prunedThrough = 0;
+    std::uint32_t height = 0;   //!< radix levels; 0 while empty
+
+    void
+    insert(CommitSeq seq, const FrameIndex::Slot &slot, bool full)
+    {
+        // The tree grows until 16^height covers every sequence
+        // inserted since it was last empty.
+        std::uint32_t needed = 1;
+        while (needed < FrameIndex::kMaxHeight &&
+               (seq >> (FrameIndex::kBitsPerLevel * needed)) != 0)
+            ++needed;
+        height = std::max(height, needed);
+        Leaf &leaf = leaves[seq];
+        leaf.slots.push_back(slot);
+        if (full) {
+            leaf.lastFull = static_cast<int>(leaf.slots.size()) - 1;
+            lastFullSeq = seq;
+        }
+        leaf.anchorSeq = lastFullSeq;
+    }
+
+    std::uint64_t
+    pruneThrough(CommitSeq through)
+    {
+        prunedThrough = std::max(prunedThrough, through);
+        if (lastFullSeq <= through)
+            lastFullSeq = 0;
+        std::uint64_t removed = 0;
+        while (!leaves.empty() && leaves.begin()->first <= through) {
+            removed += leaves.begin()->second.slots.size();
+            leaves.erase(leaves.begin());
+        }
+        if (leaves.empty())
+            height = 0;
+        return removed;
+    }
+
+    void clear() { *this = IndexModel(); }
+
+    /** Leaves plus one interior node per distinct prefix per level. */
+    std::uint64_t
+    nodeCount() const
+    {
+        std::uint64_t nodes = leaves.size();
+        for (std::uint32_t level = 1; level <= height; ++level) {
+            const std::uint32_t shift = FrameIndex::kBitsPerLevel * level;
+            std::set<CommitSeq> prefixes;
+            for (const auto &entry : leaves)
+                prefixes.insert(shift < 64 ? entry.first >> shift : 0);
+            nodes += prefixes.size();
+        }
+        return nodes;
+    }
+};
+
+/** Append what a reader sees of one visible leaf (or its absence). */
+void
+observeLeaf(CommitSeq seq, CommitSeq anchor_seq, int last_full,
+            const std::vector<FrameIndex::Slot> *slots,
+            std::vector<std::uint64_t> *seen)
+{
+    if (slots == nullptr) {
+        seen->push_back(0);
+        return;
+    }
+    seen->insert(seen->end(),
+                 {seq, anchor_seq, static_cast<std::uint64_t>(last_full + 1),
+                  slots->size()});
+    for (const FrameIndex::Slot &s : *slots)
+        seen->push_back(s.off);
+}
+
+/**
+ * Everything a reader can observe of @p index, in one value: counts,
+ * horizons, the leaves visible at @p horizons and every sequence.
+ */
 std::vector<std::uint64_t>
-observe(const FrameIndex &index, Rng &rng)
+observe(const FrameIndex &index, const std::vector<CommitSeq> &horizons)
 {
     std::vector<std::uint64_t> seen = {
         index.frameCount(), index.leafCount(), index.nodeCount(),
         index.newestSeq(), index.prunedThrough()};
-    const CommitSeq newest = index.newestSeq();
-    for (int probe = 0; probe < 4; ++probe) {
-        const CommitSeq horizon = rng.nextBelow(newest + 2);
+    for (const CommitSeq horizon : horizons) {
         std::uint64_t steps = 0;
         const FrameIndex::Leaf *leaf = index.findVisible(horizon, &steps);
-        seen.push_back(steps);
-        if (leaf == nullptr) {
-            seen.push_back(0);
-            continue;
-        }
-        seen.insert(seen.end(),
-                    {leaf->seq, leaf->anchorSeq,
-                     static_cast<std::uint64_t>(leaf->lastFull + 1),
-                     leaf->slots.size()});
-        for (const FrameIndex::Slot &s : leaf->slots)
-            seen.push_back(s.off);
+        if (leaf == nullptr)
+            observeLeaf(0, 0, -1, nullptr, &seen);
+        else
+            observeLeaf(leaf->seq, leaf->anchorSeq, leaf->lastFull,
+                        &leaf->slots, &seen);
     }
-    for (const CommitSeq seq : seqsInRange(index, 0, newest))
+    for (const CommitSeq seq : seqsInRange(index, 0, kNoPin))
         seen.push_back(seq);
     return seen;
 }
 
+/** The same observation of @p model. */
+std::vector<std::uint64_t>
+observe(const IndexModel &model, const std::vector<CommitSeq> &horizons)
+{
+    std::uint64_t frames = 0;
+    for (const auto &entry : model.leaves)
+        frames += entry.second.slots.size();
+    const CommitSeq newest =
+        model.leaves.empty() ? 0 : model.leaves.rbegin()->first;
+    std::vector<std::uint64_t> seen = {frames, model.leaves.size(),
+                                       model.nodeCount(), newest,
+                                       model.prunedThrough};
+    for (const CommitSeq horizon : horizons) {
+        auto it = model.leaves.upper_bound(horizon);
+        if (it == model.leaves.begin()) {
+            observeLeaf(0, 0, -1, nullptr, &seen);
+            continue;
+        }
+        --it;
+        observeLeaf(it->first, it->second.anchorSeq, it->second.lastFull,
+                    &it->second.slots, &seen);
+    }
+    for (const auto &entry : model.leaves)
+        seen.push_back(entry.first);
+    return seen;
+}
+
 /**
- * Seeded model check of the node pool (DESIGN.md §20): pooled indexes
- * sharing one pool must behave exactly like unpooled twins under
- * inserts, prunes, clears and truncations (forget + releaseAll on the
- * pooled side, clear on the twin), and the pool must count live nodes
- * only, never pooled ones.
+ * Seeded model check of the node pool (DESIGN.md §20): indexes
+ * sharing one pool must match a std::map model under inserts,
+ * prunes, clears and truncations (forget + releaseAll), and the pool
+ * must count live nodes only, never pooled ones.
  */
-TEST(FrameIndex, PooledIndexMatchesUnpooledTwin)
+TEST(FrameIndex, PooledIndexMatchesMapModel)
 {
     constexpr int kPages = 4;
     FrameIndex::Pool pool;
     std::vector<FrameIndex> pooled(kPages);
-    std::vector<FrameIndex> plain(kPages);
+    std::vector<IndexModel> model(kPages);
     for (FrameIndex &index : pooled)
         index.bindPool(&pool);
 
@@ -337,32 +469,34 @@ TEST(FrameIndex, PooledIndexMatchesUnpooledTwin)
                     const bool full = rng.nextBelow(10) == 0;
                     const FrameIndex::Slot slot{rng.next(), 0, 64};
                     pooled[p].insert(seq, slot, full);
-                    plain[p].insert(seq, slot, full);
+                    model[p].insert(seq, slot, full);
                 }
             }
         } else if (op < 90) {
             const CommitSeq through = rng.nextBelow(seq + 1);
             ASSERT_EQ(pooled[page].pruneThrough(through),
-                      plain[page].pruneThrough(through));
+                      model[page].pruneThrough(through));
         } else if (op < 97) {
             // Full-page supersede: one index empties while the rest
             // keep their nodes. Sequences stay monotonic per index.
             pooled[page].clear();
-            plain[page].clear();
+            model[page].clear();
         } else {
             // Truncation: the pool takes every node back at once.
             for (int p = 0; p < kPages; ++p) {
                 pooled[p].forget();
-                plain[p].clear();
+                model[p].clear();
             }
             pool.releaseAll();
         }
 
         std::uint64_t live = 0;
+        std::vector<CommitSeq> horizons;
+        for (int probe = 0; probe < 4; ++probe)
+            horizons.push_back(rng.nextBelow(seq + 2));
         for (int p = 0; p < kPages; ++p) {
-            Rng probe_a(step);
-            Rng probe_b(step);
-            ASSERT_EQ(observe(pooled[p], probe_a), observe(plain[p], probe_b))
+            ASSERT_EQ(observe(pooled[p], horizons),
+                      observe(model[p], horizons))
                 << "page " << p << " at step " << step;
             live += pooled[p].nodeCount();
         }

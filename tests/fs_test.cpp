@@ -163,6 +163,34 @@ TEST_F(FsTest, TruncateShrinksAndFreesBlocks)
     EXPECT_EQ(out, more);
 }
 
+TEST_F(FsTest, TruncateGrowReadsAsZeros)
+{
+    const std::uint32_t bs = cost.blockSize;
+    NVWAL_CHECK_OK(fs.create("f"));
+    NVWAL_CHECK_OK(fs.truncate("f", 3 * bs));
+    EXPECT_EQ(fs.fileSize("f"), 3u * bs);
+    ByteBuffer out(bs, 0xAB);
+    NVWAL_CHECK_OK(fs.pread("f", bs, ByteSpan(out.data(), out.size())));
+    EXPECT_EQ(out, ByteBuffer(bs, 0));
+
+    // Bytes a shrink cut off do not come back when the file grows
+    // again, in the cache or after a crash.
+    const ByteBuffer data = testutil::makeValue(bs, 3);
+    NVWAL_CHECK_OK(fs.pwrite("g", 0, testutil::spanOf(data)));
+    NVWAL_CHECK_OK(fs.fsync("g"));
+    NVWAL_CHECK_OK(fs.truncate("g", 100));
+    NVWAL_CHECK_OK(fs.truncate("g", 2 * bs));
+    ByteBuffer expected(2 * bs, 0);
+    std::memcpy(expected.data(), data.data(), 100);
+    ByteBuffer grown(2 * bs);
+    NVWAL_CHECK_OK(fs.pread("g", 0, ByteSpan(grown.data(), grown.size())));
+    EXPECT_EQ(grown, expected);
+    NVWAL_CHECK_OK(fs.fsync("g"));
+    fs.crash();
+    NVWAL_CHECK_OK(fs.pread("g", 0, ByteSpan(grown.data(), grown.size())));
+    EXPECT_EQ(grown, expected);
+}
+
 TEST_F(FsTest, WriteTraceTagsStreams)
 {
     device.setTracing(true);
@@ -346,7 +374,9 @@ TEST(FsDirtyStore, RandomOpsMatchMapModel)
                                    file.begin() + off))
                 << "range read at step " << step;
         } else if (op < 70) {
-            const std::uint64_t size = rng.nextBelow(file.size() + 1);
+            // Shrink, or grow by up to two blocks of zeros.
+            const std::uint64_t size =
+                rng.nextBelow(file.size() + 2 * bs + 1);
             NVWAL_CHECK_OK(fs.truncate(name, size));
             file.resize(size);
         } else {

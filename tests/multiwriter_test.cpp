@@ -343,6 +343,74 @@ TEST(Multiwriter, ConflictSurfacesAndTransactRetries)
     EXPECT_EQ(stubborn_calls, 2);
 }
 
+/** The page a Conflict status names as republished. */
+PageNo
+conflictPage(const Status &s)
+{
+    const std::string &msg = s.message();
+    EXPECT_EQ(msg.rfind("page ", 0), 0u) << msg;
+    return static_cast<PageNo>(std::stoul(msg.substr(5)));
+}
+
+TEST(Multiwriter, ConflictNamesTheFirstStalePageInFetchOrder)
+{
+    Env env(envConfig());
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, mwConfig(), &db));
+    // Enough rows that the first and the last key sit on different
+    // leaves.
+    constexpr RowId kLo = 1;
+    constexpr RowId kHi = 300;
+    for (RowId k = kLo; k <= kHi; ++k)
+        NVWAL_CHECK_OK(db->insert(k, testutil::spanOf(rowValue(k))));
+
+    std::unique_ptr<Connection> a;
+    std::unique_ptr<Connection> b;
+    NVWAL_CHECK_OK(db->connect(&a));
+    NVWAL_CHECK_OK(db->connect(&b));
+    std::uint64_t tag = 0;
+    const auto republish = [&](RowId key) {
+        NVWAL_CHECK_OK(b->begin());
+        NVWAL_CHECK_OK(b->update(key, testutil::spanOf(rowValue(key, ++tag))));
+        NVWAL_CHECK_OK(b->commit());
+    };
+    // The leaf of @p key, as a conflict on it alone names it.
+    const auto leafOf = [&](RowId key) {
+        NVWAL_CHECK_OK(a->begin());
+        NVWAL_CHECK_OK(a->update(key, testutil::spanOf(rowValue(key, ++tag))));
+        republish(key);
+        const Status s = a->commit();
+        EXPECT_TRUE(s.isConflict()) << s.toString();
+        return conflictPage(s);
+    };
+    const PageNo lo_leaf = leafOf(kLo);
+    const PageNo hi_leaf = leafOf(kHi);
+    // Appends split rightwards, so the high leaf has the higher page
+    // number; the check below relies on it.
+    ASSERT_GT(hi_leaf, lo_leaf);
+
+    // A reads the high leaf first, then the low one, and writes the
+    // low one. Both are republished -- the high leaf first -- so the
+    // winner in fetch order differs from the lowest stale page
+    // number and from the newest stale publish.
+    ByteBuffer out;
+    NVWAL_CHECK_OK(a->begin());
+    NVWAL_CHECK_OK(a->get(kHi, &out));
+    NVWAL_CHECK_OK(a->update(kLo, testutil::spanOf(rowValue(kLo, ++tag))));
+    republish(kHi);
+    republish(kLo);
+    const Status s = a->commit();
+    ASSERT_TRUE(s.isConflict()) << s.toString();
+    EXPECT_EQ(conflictPage(s), hi_leaf) << s.toString();
+
+    // The retry waits for the winner and then commits.
+    NVWAL_CHECK_OK(a->begin());
+    NVWAL_CHECK_OK(a->update(kLo, testutil::spanOf(rowValue(kLo, ++tag))));
+    NVWAL_CHECK_OK(a->commit());
+    NVWAL_CHECK_OK(db->get(kLo, &out));
+    EXPECT_EQ(out, rowValue(kLo, tag));
+}
+
 /**
  * Four writer threads over page-disjoint key ranges: the seeded tree
  * gives every thread its own leaves (wide margins keep boundary
