@@ -12,7 +12,7 @@
  *  2. single-writer commit latency through the group-commit queue --
  *     a single-entry batch issues the same device-op sequence as the
  *     pre-queue commit path, so sim-time percentiles must stay within
- *     noise of bench_commit_latency's incremental row;
+ *     noise of bench_commit_latency's paced row;
  *  3. multi-writer group commit -- W writer threads autocommitting
  *     through the queue; the leader appends each batch with one
  *     barrier pair, so persist barriers per transaction fall as W
@@ -145,8 +145,8 @@ struct LatencyResult
 LatencyResult
 runSingleWriter(int txns)
 {
-    // Mirrors bench_commit_latency's incremental configuration so the
-    // two reports are directly comparable.
+    // Mirrors bench_commit_latency's paced configuration so the two
+    // reports are directly comparable.
     EnvConfig env_config;
     env_config.cost = CostModel::nexus5(2000);
     env_config.nvramBytes = 128ull << 20;
@@ -154,7 +154,6 @@ runSingleWriter(int txns)
     DbConfig config;
     config.walMode = WalMode::Nvwal;
     config.checkpointThreshold = 1000;
-    config.checkpointStepPages = 4;
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
     std::unique_ptr<Connection> conn;
@@ -199,9 +198,8 @@ runWriters(int threads, int txns_per_thread)
     DbConfig config;
     config.walMode = WalMode::Nvwal;
     config.checkpointThreshold = 1000;
-    // Checkpoints ride commits inline in 4-page steps, as in the
+    // Checkpoints ride commits inline in paced steps, as in the
     // single-writer section.
-    config.checkpointStepPages = 4;
     // Large pre-allocated log blocks (paper section 5.3): the
     // per-node heap persists would otherwise dominate the barrier
     // count and mask the group-commit amortization being measured.
@@ -307,7 +305,7 @@ main(int argc, char **argv)
     const LatencyResult lat = runSingleWriter(txns);
     TablePrinter lat_table(
         "Single writer through the group-commit queue (sim time; "
-        "compare bench_commit_latency, incremental row)");
+        "compare bench_commit_latency, paced row)");
     lat_table.setHeader(
         {"txns/sec", "p50 (us)", "p95 (us)", "p99 (us)", "max (us)"});
     lat_table.addRow(

@@ -1,11 +1,12 @@
 /**
  * @file
  * Exhaustive crash-point sweep driver: runs a multi-transaction
- * workload, injects a power failure at every persistence-relevant
- * NVRAM operation (or every stride-th one) under the pessimistic
- * policy and several adversarial seeds, recovers, and validates the
- * recovery invariants (section 4.3). Prints per-phase coverage and
- * exits non-zero if any invariant is ever violated.
+ * workload, then a checkpoint round whose write-out is in flight
+ * across commits, injects a power failure at every
+ * persistence-relevant NVRAM operation (or every stride-th one) under
+ * the pessimistic policy and several adversarial seeds, recovers, and
+ * validates the recovery invariants (section 4.3). Prints per-phase
+ * coverage and exits non-zero if any invariant is ever violated.
  *
  * Examples:
  *   nvwal_crashsweep                         # exhaustive, 10 txns
@@ -152,6 +153,9 @@ main(int argc, char **argv)
         faultsim::Workload::standardTxns(0, opt.warmTxns, opt.valueBytes);
     config.workload = faultsim::Workload::standardTxns(
         opt.warmTxns, opt.txns, opt.valueBytes);
+    // Then a checkpoint round whose flash write-out is in flight
+    // while later commits run (DESIGN.md §8.4).
+    config.workload.writeOutRound(1000000);
     config.stride = opt.stride;
     config.maxPoints = opt.maxPoints;
     config.policies.push_back(

@@ -7,6 +7,15 @@
  * what regenerates the paper's Figure 8 block trace of SQLite WAL
  * vs. optimized WAL. Tags identify the traffic stream (.db file,
  * .db-wal file, EXT4 journal) the same way the figure's legend does.
+ *
+ * The device has one busy-until timeline (docs/MODEL.md §3), the way
+ * Pmem drains NVRAM lines behind its last flush completion. A queued
+ * program (write-out) starts when the device frees up and completes
+ * blockProgramNs later, without advancing the clock; a synchronous
+ * write or a read first waits for every queued program, so a read
+ * miss issued during write-out pays for the programs ahead of it. A
+ * program is on media once it completes; a power failure settles the
+ * ones still in flight under the NVRAM device's FailurePolicy.
  */
 
 #ifndef NVWAL_BLOCKDEV_BLOCK_DEVICE_HPP
@@ -17,6 +26,7 @@
 
 #include "common/bytes.hpp"
 #include "common/logging.hpp"
+#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "sim/clock.hpp"
 #include "sim/cost_model.hpp"
@@ -63,11 +73,46 @@ class BlockDevice
     std::uint32_t blockSize() const { return _blockSize; }
     std::uint64_t numBlocks() const { return _numBlocks; }
 
-    /** Program one block. @p data must be exactly blockSize bytes. */
+    /**
+     * Program one block, after every queued program has completed.
+     * @p data must be exactly blockSize bytes.
+     */
     void writeBlock(BlockNo block, ConstByteSpan data, IoTag tag);
 
-    /** Read one block. */
+    /**
+     * Queue one block program behind the device's in-flight work and
+     * return without advancing the clock (write-out). It completes at
+     * max(now, busyUntil) + blockProgramNs.
+     */
+    void queueBlock(BlockNo block, ConstByteSpan data, IoTag tag);
+
+    /** Read one block, after every queued program has completed. */
     void readBlock(BlockNo block, ByteSpan out);
+
+    /** Whether queued programs are still in flight at the current time. */
+    bool
+    busy() const
+    {
+        std::lock_guard<std::mutex> g(_mu);
+        return _busyUntil > _clock.now();
+    }
+
+    /** Wait (advance the clock) until every queued program completed. */
+    void
+    drain()
+    {
+        std::lock_guard<std::mutex> g(_mu);
+        waitLocked();
+    }
+
+    /**
+     * Power failure at the current instant: programs that completed
+     * are on media; each one still in flight lands whole under
+     * AllSurvive, never under Pessimistic, and with probability
+     * @p survive_prob under Adversarial, drawn from @p rng in queue
+     * order. The queue is empty afterwards.
+     */
+    void powerFail(FailurePolicy policy, double survive_prob, Rng &rng);
 
     /** Enable/disable trace recording (off by default). */
     void
@@ -97,29 +142,40 @@ class BlockDevice
 
     // ---- image snapshot / restore (crash-sweep harness) ------------
 
-    /** Raw media image. Traces and byte counters are not captured. */
+    /**
+     * Raw media image plus the programs still in flight, each as its
+     * block, its pre-image and the device time left until it
+     * completes, so a restore replays the queue relative to the
+     * clock of the restoring run. Traces and byte counters are not
+     * captured.
+     */
     struct Snapshot
     {
         ByteBuffer data;
+        std::vector<BlockNo> inFlight;
+        std::vector<SimTime> remainingNs;
+        ByteBuffer preImages;   //!< blockSize bytes per inFlight entry
     };
 
-    Snapshot
-    snapshot() const
-    {
-        std::lock_guard<std::mutex> g(_mu);
-        return Snapshot{_data};
-    }
-
-    void
-    restore(const Snapshot &snap)
-    {
-        std::lock_guard<std::mutex> g(_mu);
-        NVWAL_ASSERT(snap.data.size() == _data.size(),
-                     "snapshot is for a different device size");
-        _data = snap.data;
-    }
+    Snapshot snapshot() const;
+    void restore(const Snapshot &snap);
 
   private:
+    /** A queued program: its block and completion time. */
+    struct InFlight
+    {
+        BlockNo block;
+        SimTime doneNs;
+    };
+
+    /** Forget the programs that completed by now. */
+    void retireLocked();
+    /** Advance the clock past every queued program (blockdev.wait_ns). */
+    void waitLocked();
+    /** Copy @p data over @p block and count the program. */
+    void programLocked(BlockNo block, ConstByteSpan data, IoTag tag,
+                       SimTime done_ns);
+
     std::uint64_t _numBlocks;
     std::uint32_t _blockSize;
     SimClock &_clock;
@@ -131,6 +187,17 @@ class BlockDevice
     bool _tracing = false;
     std::vector<TraceEntry> _trace;
     std::uint64_t _bytesPerTag[5] = {0, 0, 0, 0, 0};
+    /** When the last queued program completes (<= now when idle). */
+    SimTime _busyUntil = 0;
+    /**
+     * Queued programs in issue order, so completion times ascend;
+     * entries before _inFlightHead have completed. The media already
+     * holds each program's data; _preImages keeps what it replaced,
+     * one block per entry, for a power failure to put back.
+     */
+    std::vector<InFlight> _inFlight;
+    std::size_t _inFlightHead = 0;
+    ByteBuffer _preImages;
 };
 
 } // namespace nvwal

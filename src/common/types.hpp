@@ -33,6 +33,30 @@ using BlockNo = std::uint64_t;
 /** Record key type used by the B-tree (SQLite rowid analogue). */
 using RowId = std::int64_t;
 
+/**
+ * What survives an injected power failure. The NVRAM device applies
+ * it to its cached and queued lines, and the flash device to its
+ * in-flight block programs, at the same instant.
+ */
+enum class FailurePolicy
+{
+    /**
+     * Only persist-barrier-drained lines and completed block programs
+     * survive.
+     */
+    Pessimistic,
+    /**
+     * Arbitrary cache eviction: each dirty cached line independently
+     * survives with the configured probability, and queued lines may
+     * tear at 8-byte granularity. Each in-flight block program lands
+     * whole or not at all, with the same probability. Models the
+     * worst case the paper's recovery protocol must tolerate.
+     */
+    Adversarial,
+    /** Everything survives (DRAM-like; for differential testing). */
+    AllSurvive,
+};
+
 } // namespace nvwal
 
 #endif // NVWAL_COMMON_TYPES_HPP

@@ -87,15 +87,16 @@ NvwalLog::publishCommitted(std::vector<FrameRef>::iterator begin,
 {
     // Pages committed while an incremental checkpoint round is
     // active must be written back (again) before that round may
-    // truncate the log.
+    // truncate the log -- unless the round's current pass has yet to
+    // reach them, which then writes their newest image.
     const CommitSeq seq = ++_commitSeq;
     for (auto it = begin; it != end; ++it) {
         it->seq = seq;
         indexFrame(*it);
         if (_ckptRoundActive) {
             PageEntry &entry = _pageIndex[it->pageNo];
-            if (!entry.pending) {
-                entry.pending = true;
+            if (!entry.queued) {
+                entry.queued = true;
                 _ckptPending.push_back(it->pageNo);
             }
         }
@@ -601,6 +602,13 @@ NvwalLog::writeFrameGroup(const std::vector<TxnFrames> &txns)
     // ChecksumAsync promises nothing, so it defers as designed.)
     if (_config.syncMode == SyncMode::Eager && !_unhardenedRuns.empty())
         NVWAL_RETURN_IF_ERROR(harden());
+    // ChecksumAsync flushes no frame at commit (Figure 4(d)); its
+    // ranges wait with the async ones, so the next harden -- a
+    // checkpoint runs one before writing back -- makes them durable
+    // before any page they hold reaches the .db file.
+    if (_config.syncMode == SyncMode::ChecksumAsync)
+        for (const FrameRef &ref : refs)
+            deferSyncRef(ref);
 
     // Phase 2 -- one commit mark for the whole group, carrying the
     // final transaction's database size. Recovery sees the group as
@@ -676,7 +684,7 @@ NvwalLog::resetPageIndex()
         entry.frames.forget();
         entry.baseSeq = 0;
         entry.listed = false;
-        entry.pending = false;
+        entry.queued = false;
     }
     _listedPages.clear();
     _indexPool.releaseAll();
@@ -685,11 +693,16 @@ NvwalLog::resetPageIndex()
 }
 
 void
-NvwalLog::clearCkptPending()
+NvwalLog::clearCkptWork()
 {
+    for (std::size_t i = _ckptQueuePos; i < _ckptQueue.size(); ++i)
+        _pageIndex[_ckptQueue[i]].queued = false;
+    _ckptQueue.clear();
+    _ckptQueuePos = 0;
     for (const PageNo page_no : _ckptPending)
-        _pageIndex[page_no].pending = false;
+        _pageIndex[page_no].queued = false;
     _ckptPending.clear();
+    _ckptDeferred.clear();  // left behind only by a failed step
 }
 
 void
@@ -798,10 +811,60 @@ NvwalLog::checkpoint()
     _ckptBeginNs.reset();
     bool done = false;
     while (!done) {
-        NVWAL_RETURN_IF_ERROR(
-            checkpointStep(~static_cast<std::uint32_t>(0), &done));
+        NVWAL_RETURN_IF_ERROR(writeBack(~static_cast<std::uint32_t>(0),
+                                        WriteBackMode::Blocking, &done));
     }
     return Status::ok();
+}
+
+Status
+NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
+{
+    TraceSpan span(_stats.tracer(), "wal.checkpoint_step", "wal");
+    return writeBack(max_pages, WriteBackMode::Step, done);
+}
+
+Status
+NvwalLog::checkpointPaced(CheckpointPace pace, bool *done)
+{
+    *done = false;
+    // A snapshot pinned below the newest commit would clamp the
+    // write-back and stop the round short of truncating: every step
+    // waits for it to release.
+    if (checkpointTarget() < _commitSeq)
+        return Status::ok();
+    TraceSpan span(_stats.tracer(), "wal.checkpoint", "wal");
+    constexpr std::uint32_t kAll = ~static_cast<std::uint32_t>(0);
+    if (pace == CheckpointPace::Overdue) {
+        // The log has reached its bound: finish the round blocking.
+        while (!*done)
+            NVWAL_RETURN_IF_ERROR(
+                writeBack(kAll, WriteBackMode::Blocking, done));
+        return Status::ok();
+    }
+    if (!_ckptRoundActive) {
+        // The opener: the round's whole first pass goes to the file
+        // system and the device's queue.
+        return writeBack(kAll, WriteBackMode::Slice, done);
+    }
+    const std::size_t residual =
+        (_ckptQueue.size() - _ckptQueuePos) + _ckptPending.size();
+    if (residual <= kPacedClosePages) {
+        // The closer: the residual, the round's one fsync and the
+        // truncation.
+        return writeBack(kAll, WriteBackMode::Step, done);
+    }
+    // A slice waits for its own programs when the residual fits in
+    // it, so the next commit finds an idle device and only its own
+    // pages pending, and when the log nears its bound, so the writer
+    // cannot outrun the device. Left in flight, the pages commits
+    // dirty while a slice drains keep the residual above the closer's
+    // bound on a busy workload.
+    const bool sync =
+        pace == CheckpointPace::Hurry || residual <= kPacedSlicePages;
+    return writeBack(kPacedSlicePages,
+                     sync ? WriteBackMode::SyncSlice : WriteBackMode::Slice,
+                     done);
 }
 
 void
@@ -812,10 +875,62 @@ NvwalLog::recordCheckpointRound()
 }
 
 Status
-NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
+NvwalLog::writeBackPage(PageNo page_no, CommitSeq target, bool *wrote)
 {
-    TraceSpan span(_stats.tracer(), "wal.checkpoint_step", "wal");
+    *wrote = false;
+    PageEntry &entry = _pageIndex[page_no];
+    CommitSeq effective = entry.frames.newestSeq();
+    ConstByteSpan image;
+    if (effective != 0 && effective <= target && _committedPageSource)
+        image = _committedPageSource(page_no, target);
+    if (!image.empty()) {
+        _stats.add(stats::kWalCkptPagesFromPager);
+    } else {
+        const ByteSpan out(_ckptPage.data(), _pageSize);
+        image = out;
+        const Status read = materializePage(page_no, out, target, &effective);
+        if (read.isNotFound()) {
+            // The page was born after the clamped horizon; it stays
+            // in the log and a later round (once the pin releases)
+            // writes it back.
+            return Status::ok();
+        }
+        NVWAL_RETURN_IF_ERROR(read);
+    }
+    if (effective == entry.baseSeq) {
+        // Everything visible at the target is already in the base
+        // image (the page re-queued but its new commits sit past the
+        // clamped horizon); nothing to write.
+        return Status::ok();
+    }
+    NVWAL_RETURN_IF_ERROR(_dbFile.writePage(page_no, image));
+    _stats.add(stats::kWalCkptPagesWritten);
+    if (_ckptLastWritten != kNoPage && page_no > _ckptLastWritten)
+        _stats.add(stats::kWalCkptSequentialWrites);
+    _ckptLastWritten = page_no;
+    // Reclaim the page's written-back frames from the volatile index
+    // (the NVRAM bytes stay until truncation): the base image now
+    // contains every effect at or below `effective`, and every pinned
+    // horizon is >= target >= effective, so no reader can need them.
+    // This is what bounds index memory for fully-checkpointed pages
+    // between truncations.
+    entry.baseSeq = effective;
+    const std::uint64_t nodes_before = _indexPool.liveCount();
+    _indexedFrames -= entry.frames.pruneThrough(effective);
+    if (_indexPool.liveCount() != nodes_before)
+        publishIndexGauge();
+    *wrote = true;
+    return Status::ok();
+}
+
+Status
+NvwalLog::writeBack(std::uint32_t max_pages, WriteBackMode mode, bool *done)
+{
     *done = false;
+    const bool wait = mode == WriteBackMode::Blocking ||
+                      mode == WriteBackMode::SyncSlice;
+    const bool may_close = mode == WriteBackMode::Blocking ||
+                           mode == WriteBackMode::Step;
     if (!_ckptBeginNs)
         _ckptBeginNs = _pmem.clock().now();
     // Write-back must never outrun the durable log: if the .db base
@@ -829,9 +944,7 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
     // must free.
     if (_indexedFrames == 0 && _nodesSinceCheckpoint == 0) {
         _ckptRoundActive = false;
-        _ckptQueue.clear();
-        _ckptQueuePos = 0;
-        clearCkptPending();
+        clearCkptWork();
         *done = true;
         recordCheckpointRound();
         return Status::ok();
@@ -850,18 +963,21 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
     // so the round only finishes when the write-back has caught up
     // with the log.
     if (!_ckptRoundActive) {
-        _ckptQueue.clear();
-        for (const PageNo page_no : _listedPages)
-            if (!_pageIndex[page_no].frames.empty())
+        clearCkptWork();
+        for (const PageNo page_no : _listedPages) {
+            PageEntry &entry = _pageIndex[page_no];
+            if (!entry.frames.empty()) {
+                entry.queued = true;
                 _ckptQueue.push_back(page_no);
+            }
+        }
         std::sort(_ckptQueue.begin(), _ckptQueue.end());
-        _ckptQueuePos = 0;
-        clearCkptPending();
         _ckptLastWritten = kNoPage;
         _ckptRoundActive = true;
     }
 
-    // Reconstruct and batch up to max_pages pages to the .db file
+    // Reconstruct up to max_pages pages into the .db file's page
+    // cache and start their write-out every kWriteOutBatch pages
     // (section 4.3: replaying this after a crash is idempotent
     // because the log is only truncated after the fsync). A page
     // whose newest retained frame is visible at the target is asked
@@ -878,71 +994,55 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
                 break;  // the round has caught up with the log
             // Catch-up pass over the pages re-dirtied mid-round,
             // again in ascending order.
-            _ckptQueue.assign(_ckptPending.begin(), _ckptPending.end());
+            _ckptQueue.swap(_ckptPending);
+            _ckptPending.clear();
             std::sort(_ckptQueue.begin(), _ckptQueue.end());
             _ckptQueuePos = 0;
-            clearCkptPending();
         }
         const PageNo page_no = _ckptQueue[_ckptQueuePos++];
         PageEntry &entry = _pageIndex[page_no];
-        CommitSeq effective = entry.frames.newestSeq();
-        ConstByteSpan image;
-        if (effective != 0 && effective <= target && _committedPageSource)
-            image = _committedPageSource(page_no, target);
-        if (!image.empty()) {
-            _stats.add(stats::kWalCkptPagesFromPager);
-        } else {
-            const ByteSpan out(_ckptPage.data(), _pageSize);
-            image = out;
-            const Status read =
-                materializePage(page_no, out, target, &effective);
-            if (read.isNotFound()) {
-                // The page was born after the clamped horizon; it
-                // stays in the log and a later round (once the pin
-                // releases) writes it back.
-                continue;
-            }
-            NVWAL_RETURN_IF_ERROR(read);
-        }
-        if (effective == entry.baseSeq) {
-            // Everything visible at the target is already in the
-            // base image (the page re-queued but its new commits sit
-            // past the clamped horizon); nothing to write.
+        entry.queued = false;  // a commit from here on queues it again
+        if (mode == WriteBackMode::Slice &&
+            entry.frames.newestSeq() + kPacedHotCommits > _commitSeq) {
+            _ckptDeferred.push_back(page_no);
             continue;
         }
-        NVWAL_RETURN_IF_ERROR(_dbFile.writePage(page_no, image));
-        _stats.add(stats::kWalCkptPagesWritten);
-        if (_ckptLastWritten != kNoPage && page_no > _ckptLastWritten)
-            _stats.add(stats::kWalCkptSequentialWrites);
-        _ckptLastWritten = page_no;
+        bool wrote = false;
+        NVWAL_RETURN_IF_ERROR(writeBackPage(page_no, target, &wrote));
+        if (!wrote)
+            continue;
         ++written;
-        // Reclaim the page's written-back frames from the volatile
-        // index (the NVRAM bytes stay until truncation): the base
-        // image now contains every effect at or below `effective`,
-        // and every pinned horizon is >= target >= effective, so no
-        // reader can need them. This is what bounds index memory for
-        // fully-checkpointed pages between truncations.
-        entry.baseSeq = effective;
-        const std::uint64_t nodes_before = _indexPool.liveCount();
-        _indexedFrames -= entry.frames.pruneThrough(effective);
-        if (_indexPool.liveCount() != nodes_before)
-            publishIndexGauge();
+        if (written % kWriteOutBatch == 0) {
+            // Bounded batches keep the file system's page cache at
+            // one chunk. A blocking round waits for each batch, so
+            // its copies and programs stay serial, as in one fsync.
+            NVWAL_RETURN_IF_ERROR(_dbFile.startWriteOut());
+            if (wait)
+                _dbFile.waitWriteOut();
+        }
     }
-    if (_ckptQueuePos < _ckptQueue.size() || !_ckptPending.empty()) {
-        // Sync what this step wrote: file writes are buffered, so
-        // without a per-step fsync the entire block-program bill
-        // would land on the final step and the latency bound this
-        // API exists for would be lost. Intermediate syncs are safe
-        // because replaying the (still intact) log is idempotent.
-        if (written > 0)
-            NVWAL_RETURN_IF_ERROR(_dbFile.sync());
-        return Status::ok();  // more steps required
+    // Hot pages wait for a later pass; after the loop, so one step
+    // never takes them up twice.
+    for (const PageNo page_no : _ckptDeferred) {
+        _pageIndex[page_no].queued = true;
+        _ckptPending.push_back(page_no);
+    }
+    _ckptDeferred.clear();
+    if (_ckptQueuePos < _ckptQueue.size() || !_ckptPending.empty() ||
+        !may_close) {
+        // More steps required: start the write-out of what this step
+        // wrote, so the device programs it while commits go on.
+        // Intermediate write-backs are safe because replaying the
+        // (still intact) log is idempotent.
+        NVWAL_RETURN_IF_ERROR(_dbFile.startWriteOut());
+        if (wait)
+            _dbFile.waitWriteOut();
+        return Status::ok();
     }
 
     NVWAL_RETURN_IF_ERROR(_dbFile.sync());
     _ckptRoundActive = false;
-    _ckptQueue.clear();
-    _ckptQueuePos = 0;
+    clearCkptWork();
     if (target == _commitSeq && _indexedFrames != 0) {
         // A pin released mid-round: the steps before the release
         // wrote pages back only up to the old clamped target, so the
@@ -997,9 +1097,7 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
     resetPageIndex();
     _ckptRoundActive = false;
     _ckptBeginNs.reset();
-    _ckptQueue.clear();
-    _ckptQueuePos = 0;
-    clearCkptPending();
+    clearCkptWork();
     resetSinceCheckpoint();
     _dbSizePages = 0;
     _tailNode = kNullNvOffset;

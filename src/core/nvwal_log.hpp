@@ -67,6 +67,36 @@ class NvwalLog : public WriteAheadLog
     static constexpr std::uint32_t kFrameHeaderSize = 32;
     static constexpr std::uint32_t kNodeHeaderSize = 8;
     static constexpr std::uint64_t kCommitFlag = 1ULL << 63;
+    /**
+     * Pages a checkpoint writes into the file system before starting
+     * their write-out, so the page cache never holds more than one
+     * 16-slot chunk of a round.
+     */
+    static constexpr std::uint32_t kWriteOutBatch = 16;
+    /**
+     * Paced round (DESIGN.md §8.4): a catch-up slice issues at most
+     * this many pages, ~16 us of page copies on the Nexus 5 model,
+     * so it moves a ~0.5 ms median commit by at most ~3%.
+     */
+    static constexpr std::uint32_t kPacedSlicePages = 16;
+    /**
+     * Paced round: the closer runs once at most this many pages are
+     * left. It programs them synchronously (8 x 180 us), then commits
+     * the fs journal (3-5 blocks) and flushes (800 us): ~3 ms, so a
+     * commit carrying it stays under 5 ms.
+     */
+    static constexpr std::uint32_t kPacedClosePages = 8;
+    /**
+     * Paced round: a slice left in flight passes over pages committed
+     * within this many commits. They are likely to be dirtied again
+     * before the round ends, so writing them now would only be
+     * repeated; the tail slice and the closer write them once.
+     * Measured on e2ebench (EXPERIMENTS.md): 8 left
+     * `multiwriter_hotspot`'s flash bytes 25% over the blocking
+     * round's, 48 left them 15% over, and 64 lifted `mobile_oltp`'s
+     * median commit 10% by pushing rounds into the hurried tail.
+     */
+    static constexpr CommitSeq kPacedHotCommits = 48;
 
     NvwalLog(NvHeap &heap, Pmem &pmem, DbFile &db_file,
              std::uint32_t page_size, std::uint32_t reserved_bytes,
@@ -91,6 +121,7 @@ class NvwalLog : public WriteAheadLog
     bool supportsSnapshots() const override { return true; }
     Status checkpoint() override;
     Status checkpointStep(std::uint32_t max_pages, bool *done) override;
+    Status checkpointPaced(CheckpointPace pace, bool *done) override;
     Status recover(std::uint32_t *db_size_pages) override;
     std::uint64_t framesSinceCheckpoint() const override
     { return _framesSinceCheckpoint; }
@@ -320,13 +351,47 @@ class NvwalLog : public WriteAheadLog
      */
     void resetPageIndex();
 
-    /** Drop the round's re-dirtied page list and its flags. */
-    void clearCkptPending();
+    /**
+     * Drop the round's queue, re-dirtied and passed-over page lists,
+     * and their flags.
+     */
+    void clearCkptWork();
 
     /** Re-publish the wal.frame_index_nodes gauge after a change. */
     void publishIndexGauge();
     /** Record the finished round's wal.checkpoint_ns sample. */
     void recordCheckpointRound();
+
+    /** How one writeBack() call treats the device and the round's end. */
+    enum class WriteBackMode
+    {
+        /** Wait for each batch; end the round once caught up. */
+        Blocking,
+        /** Leave the batches in flight; end the round once caught up. */
+        Step,
+        /** Leave the batches in flight; never end the round. */
+        Slice,
+        /** Wait for each batch; never end the round. */
+        SyncSlice,
+    };
+
+    /**
+     * The one checkpoint body: open a round if none is active, write
+     * back up to @p max_pages pages in kWriteOutBatch-page write-out
+     * batches, and -- unless @p mode is Slice -- once the round has
+     * caught up with the log, fsync and truncate. Sets @p done when
+     * the round ended.
+     */
+    Status writeBack(std::uint32_t max_pages, WriteBackMode mode,
+                     bool *done);
+
+    /**
+     * Write @p page_no into the .db file at @p target -- from the
+     * committed-page source, else by replay -- and prune the frames
+     * that now sit in its base image. Sets @p wrote unless nothing
+     * new was visible at the target.
+     */
+    Status writeBackPage(PageNo page_no, CommitSeq target, bool *wrote);
 
     /**
      * Shared page materialization: base .db image plus committed
@@ -419,8 +484,9 @@ class NvwalLog : public WriteAheadLog
      */
     CommitSeq _hardenedSeq = 0;
     /**
-     * NVRAM [begin, end) ranges appended by writeFrameGroupAsync()
-     * and not yet flushed; coalesced in place when they pile up.
+     * NVRAM [begin, end) ranges appended by writeFrameGroupAsync(),
+     * or committed under ChecksumAsync, and not yet flushed;
+     * coalesced in place when they pile up.
      */
     std::vector<std::pair<NvOffset, NvOffset>> _unhardenedRuns;
     CommittedPageSource _committedPageSource;
@@ -443,8 +509,10 @@ class NvwalLog : public WriteAheadLog
     std::optional<SimTime> _ckptBeginNs;
     std::vector<PageNo> _ckptQueue;   //!< current pass, ascending
     std::size_t _ckptQueuePos = 0;    //!< next queue index to drain
-    /** Re-dirtied during the round, unordered (PageEntry::pending). */
+    /** Re-dirtied during the round, unordered (PageEntry::queued). */
     std::vector<PageNo> _ckptPending;
+    /** Hot pages an in-flight slice passed over, queued again after it. */
+    std::vector<PageNo> _ckptDeferred;
     PageNo _ckptLastWritten = kNoPage; //!< previous write-back target
     /** Scratch page for write-backs that replay the log. */
     ByteBuffer _ckptPage;
@@ -470,7 +538,8 @@ class NvwalLog : public WriteAheadLog
         FrameIndex frames;
         CommitSeq baseSeq = 0;
         bool listed = false;    //!< in _listedPages
-        bool pending = false;   //!< in _ckptPending
+        /** In _ckptPending, or ahead of _ckptQueuePos in _ckptQueue. */
+        bool queued = false;
     };
     /**
      * Radix nodes and leaves of every page's index; outlives them.

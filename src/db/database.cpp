@@ -744,23 +744,33 @@ Database::submitAndWait(GroupEntry *entry,
 void
 Database::maybeCheckpointAfterCommit()
 {
-    if (_wal->pageWritesSinceCheckpoint() < _config.checkpointThreshold)
+    const std::uint64_t writes = _wal->pageWritesSinceCheckpoint();
+    if (writes < _config.checkpointThreshold)
         return;
     // The committer released the writer lock at enqueue, so another
     // write transaction may already be open; checkpointing under it
     // would fail with Busy although this commit landed. Skip the
-    // round: the next commit re-trips the threshold. An open
+    // step: the next commit re-trips the threshold. An open
     // workspace is a write transaction too, and its pin would stop
-    // the round short of truncation, so the round waits for the
+    // the round short of truncation, so the step waits for the
     // workspace's own commit -- unless the log has grown to twice the
     // threshold, so writers that never leave a gap cannot starve the
     // write-back.
     if (!_config.autoCheckpoint || _inTxn)
         return;
-    if (_openWorkspaces != 0 &&
-        _wal->pageWritesSinceCheckpoint() < 2 * _config.checkpointThreshold)
+    const std::uint64_t threshold = _config.checkpointThreshold;
+    const bool overdue = writes >= 2 * threshold;
+    if (_openWorkspaces != 0 && !overdue)
         return;
-    if (!checkpointRound(_config.checkpointStepPages, nullptr).isOk()) {
+    // A paced step issues work only to an idle device, so a commit
+    // never waits behind the programs an earlier step queued.
+    if (!overdue && _dbFile->writeOutBusy())
+        return;
+    const CheckpointPace pace =
+        overdue ? CheckpointPace::Overdue
+        : writes >= threshold + threshold * 3 / 4 ? CheckpointPace::Hurry
+                                                  : CheckpointPace::Paced;
+    if (!checkpointRound(RoundKind::Paced, 0, pace, nullptr).isOk()) {
         _env.stats.add(stats::kAutoCheckpointFailures);
         _env.stats.tracer().instant("db.auto_checkpoint_failed", "db");
     }
@@ -1056,7 +1066,8 @@ Database::count(std::uint64_t *out)
 Status
 Database::checkpoint()
 {
-    return checkpointRound(0, nullptr);
+    return checkpointRound(RoundKind::Full, 0, CheckpointPace::Paced,
+                           nullptr);
 }
 
 Status
@@ -1066,16 +1077,18 @@ Database::checkpointStep(std::uint32_t max_pages, bool *done)
         return Status::invalidArgument(
             "checkpointStep needs max_pages > 0; checkpoint() runs a "
             "full round");
-    return checkpointRound(max_pages, done);
+    return checkpointRound(RoundKind::Step, max_pages, CheckpointPace::Paced,
+                           done);
 }
 
 Status
-Database::checkpointRound(std::uint32_t max_pages, bool *done)
+Database::checkpointRound(RoundKind kind, std::uint32_t max_pages,
+                          CheckpointPace pace, bool *done)
 {
     std::lock_guard<std::recursive_mutex> eng(_engineMutex);
     if (_inTxn)
         return Status::busy("cannot checkpoint inside a transaction");
-    const bool full = max_pages == 0;
+    const bool full = kind == RoundKind::Full;
     const std::uint64_t ckpt_before =
         _nvwalLog != nullptr ? _nvwalLog->checkpointId() : 0;
     const CommitSeq hardened_before = _wal->hardenedSeq();
@@ -1083,8 +1096,16 @@ Database::checkpointRound(std::uint32_t max_pages, bool *done)
              static_cast<std::uint32_t>(ckpt_before),
              _wal->framesSinceCheckpoint());
     bool round_done = full;
-    const Status s = full ? _wal->checkpoint()
-                          : _wal->checkpointStep(max_pages, &round_done);
+    Status s;
+    switch (kind) {
+      case RoundKind::Full: s = _wal->checkpoint(); break;
+      case RoundKind::Step:
+        s = _wal->checkpointStep(max_pages, &round_done);
+        break;
+      case RoundKind::Paced:
+        s = _wal->checkpointPaced(pace, &round_done);
+        break;
+    }
     if (done != nullptr)
         *done = round_done;
     // A checkpoint hardens pending async appends before write-back;

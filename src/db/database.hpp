@@ -35,7 +35,8 @@
  *   3. _commitQueueMutex / _asyncMutex -- leaf locks,
  *      never held while acquiring the ones above;
  *   4. the Env's heap, Pmem and NvramDevice locks, in that order; the
- *      device's plain mutex is the bottom leaf (DESIGN.md §8.1).
+ *      device's plain mutex is taken last but for the flash device's,
+ *      which a power failure takes under it (DESIGN.md §8.1).
  * The simulated clock is atomic and is the only lock-free piece of
  * shared engine state; snapshot readers and optimistic writers
  * otherwise run on private SnapshotCaches and take the engine lock
@@ -160,15 +161,13 @@ struct DbConfig
      * and the checkpoint cadence must not depend on that split.
      */
     std::uint64_t checkpointThreshold = 1000;
-    bool autoCheckpoint = true;
     /**
-     * How an auto-checkpoint round runs once the threshold trips. 0
-     * runs the whole round inside the commit that tripped it (the
-     * paper's blocking checkpoint). N > 0 writes back at most N pages
-     * per commit until the log can be truncated, which bounds the
-     * per-commit latency spike at the cost of more fsyncs.
+     * Checkpoint automatically once the log reaches the threshold.
+     * The NVRAM log paces the round over later commits, on the flash
+     * device's own timeline (DESIGN.md §8.4); the file-based logs run
+     * it blocking inside the commit that tripped it, as in the paper.
      */
-    std::uint32_t checkpointStepPages = 0;
+    bool autoCheckpoint = true;
     /**
      * Bounded-staleness window for Durability::Async: a harden is
      * forced once this many epochs (async commit batches) are
@@ -606,29 +605,43 @@ class Database
     Status appendGroup(const std::vector<GroupEntry *> &batch);
 
     /**
-     * Post-commit auto-checkpoint: one checkpointRound() of
-     * DbConfig::checkpointStepPages once the log has reached the
-     * threshold. Caller holds the engine lock. A round that finds
-     * another write transaction open is skipped, not failed: the
-     * writer lock was released at enqueue, and the next commit
-     * re-trips the threshold. An open multi-writer workspace counts
-     * as one until the log reaches twice the threshold. A round that
-     * fails is counted and traced but never fails the commit, which
-     * is already durable (DESIGN.md §8.3); the next commit past the
-     * threshold retries it.
+     * Post-commit auto-checkpoint, the one paced policy (DESIGN.md
+     * §8.4): once the log has reached the threshold, a commit that
+     * finds the flash device idle runs one paced step
+     * (WriteAheadLog::checkpointPaced); in the last quarter before
+     * twice the threshold its slices wait for their programs, and at
+     * twice the threshold the round finishes blocking, so the log
+     * stays bounded. Caller holds
+     * the engine lock. A step that finds another write transaction
+     * open is skipped, not failed: the writer lock was released at
+     * enqueue, and the next commit re-trips the threshold. An open
+     * multi-writer workspace counts as one until the log reaches
+     * twice the threshold. A step that fails is counted and traced
+     * but never fails the commit, which is already durable
+     * (DESIGN.md §8.3); the next commit past the threshold retries.
      */
     void maybeCheckpointAfterCommit();
 
+    /** What one checkpointRound() runs. */
+    enum class RoundKind
+    {
+        Full,   //!< the whole blocking round
+        Step,   //!< one incremental step of at most max_pages pages
+        Paced,  //!< one paced step
+    };
+
     /**
-     * One checkpoint round, the body of every checkpoint path: a full
-     * write-back when @p max_pages is 0, else one incremental step of
-     * at most @p max_pages pages (@p done, optional, reports whether
-     * it completed). Brackets the round with CheckpointStart/End
-     * records, retires the async acks it hardened, and records the
-     * truncation and the harden if either happened. Busy inside a
-     * write transaction. Takes the engine lock.
+     * One checkpoint round or step, the body of every checkpoint
+     * path: the full round, a step of at most @p max_pages pages, or
+     * a paced step at @p pace (@p done, optional, reports whether the
+     * round ended).
+     * Brackets it with CheckpointStart/End records, retires the async
+     * acks it hardened, and records the truncation and the harden if
+     * either happened. Busy inside a write transaction. Takes the
+     * engine lock.
      */
-    Status checkpointRound(std::uint32_t max_pages, bool *done);
+    Status checkpointRound(RoundKind kind, std::uint32_t max_pages,
+                           CheckpointPace pace, bool *done);
 
     // ---- flight recorder (DESIGN.md §12) ----------------------------
 

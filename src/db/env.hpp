@@ -57,6 +57,13 @@ class Env
     {
         // Timestamps for trace events come from this platform's clock.
         stats.tracer().bindClock(&clock);
+        // A power failure settles the flash programs still in flight
+        // at the same instant and under the same policy as the NVRAM
+        // lines.
+        nvramDevice.setPowerFailListener(
+            [this](FailurePolicy policy, double survive_prob, Rng &rng) {
+                flash.powerFail(policy, survive_prob, rng);
+            });
 
         // Attach to an existing heap (simulated reboot reuses the
         // same device) or format a fresh one.
@@ -67,7 +74,10 @@ class Env
     Env(const Env &) = delete;
     Env &operator=(const Env &) = delete;
 
-    /** Simulate losing power: NVRAM + file system volatile state. */
+    /**
+     * Simulate losing power: NVRAM lines, in-flight flash programs
+     * and the file system's volatile state.
+     */
     void
     powerFail(FailurePolicy policy, double survive_prob = 0.5)
     {
@@ -80,12 +90,16 @@ class Env
 
     /**
      * All storage-bearing platform state: the NVRAM device (durable
-     * media + volatile cache/queue), the flash image and the file
-     * system. The crash-sweep harness captures one snapshot after the
-     * workload warm-up and restores it before every injection point,
-     * instead of re-running the warm-up per point. The simulated
-     * clock and stats counters are deliberately not captured: they
-     * never influence behaviour, only reported costs.
+     * media + volatile cache/queue), the flash image with its
+     * in-flight programs, and the file system. The crash-sweep
+     * harness captures one snapshot after the workload warm-up and
+     * restores it before every injection point, instead of re-running
+     * the warm-up per point. The simulated clock and stats counters
+     * are not captured. The clock does influence behaviour, but only
+     * through the flash queue (the paced checkpoint issues work when
+     * the device is idle), and the snapshot keeps each in-flight
+     * program as the device time it has left, so a restored replay
+     * makes the same decisions at a different absolute time.
      */
     struct MediaSnapshot
     {

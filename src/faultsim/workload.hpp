@@ -43,7 +43,7 @@ struct WorkloadOp
         CreateTable,
         DropTable,
         Checkpoint,
-        /** One incremental checkpointStep() of kCheckpointStepPages. */
+        /** One incremental checkpointStep() of @c stepPages pages. */
         CheckpointStep,
         /** Open a read snapshot on the harness connection. */
         SnapshotOpen,
@@ -81,6 +81,8 @@ struct WorkloadOp
     RowId key = 0;
     ByteBuffer value;
     int conn = -1;          //!< connection index (multi-writer ops)
+    /** Pages a CheckpointStep writes back at most. */
+    std::uint32_t stepPages = kCheckpointStepPages;
 };
 
 /** Builder + container for a replayable operation script. */
@@ -117,9 +119,11 @@ class Workload
     }
 
     Workload &
-    checkpointStep()
+    checkpointStep(std::uint32_t pages = kCheckpointStepPages)
     {
-        return push(make(WorkloadOp::Kind::CheckpointStep));
+        WorkloadOp op = make(WorkloadOp::Kind::CheckpointStep);
+        op.stepPages = pages;
+        return push(std::move(op));
     }
 
     Workload &
@@ -350,6 +354,42 @@ class Workload
             w.connHardenAll();
         }
         return w;
+    }
+
+    /**
+     * Append a checkpoint round whose write-out stays in flight
+     * across commits: one transaction spreads 10 rows of
+     * @p value_bytes over about six leaves, then four-page
+     * incremental steps (each leaves its programs on the flash queue)
+     * alternate with one-row transactions, and a full checkpoint
+     * fsyncs and truncates. Crash points in the commits between the
+     * steps land with blocks in flight, which the device settles
+     * under the crash's policy; those in the final checkpoint land
+     * between its fsync and the end of the truncation.
+     */
+    Workload &
+    writeOutRound(RowId first_key, std::size_t value_bytes = 1500)
+    {
+        const auto value = [&](RowId key, std::uint64_t version) {
+            return valueFor(value_bytes,
+                            static_cast<std::uint64_t>(key) * 31 + version);
+        };
+        phase("write-out load");
+        begin();
+        for (RowId key = first_key; key < first_key + 10; ++key)
+            insert(key, value(key, 0));
+        commit();
+        for (int step = 0; step < 2; ++step) {
+            phase("write-out step " + std::to_string(step));
+            checkpointStep(4);
+            const RowId key = first_key + 5 * step;
+            begin();
+            update(key, value(key, 1 + static_cast<std::uint64_t>(step)));
+            commit();
+        }
+        phase("write-out fsync + truncate");
+        checkpoint();
+        return *this;
     }
 
     // ---- access ----------------------------------------------------

@@ -306,7 +306,9 @@ JournalingFs::fsync(const std::string &name)
     const IoTag tag = tagForFile(name);
     const std::uint32_t bs = _device.blockSize();
 
-    // Ordered mode: data first, in ascending file-block order...
+    // Ordered mode: data first -- what a write-out queued, then the
+    // rest in ascending file-block order...
+    _device.drain();
     std::sort(inode->dirtyBlocks.begin(), inode->dirtyBlocks.end());
     for (const std::uint64_t blk : inode->dirtyBlocks) {
         _device.writeBlock(
@@ -334,6 +336,28 @@ JournalingFs::fsync(const std::string &name)
     DurableInode &durable = _durableFiles[name];
     durable.size = inode->size;
     durable.blocks = inode->blocks;
+    return Status::ok();
+}
+
+Status
+JournalingFs::startWriteOut(const std::string &name)
+{
+    std::lock_guard<std::recursive_mutex> g(_mu);
+    Inode *inode = find(name);
+    if (inode == nullptr)
+        return Status::notFound("no such file: " + name);
+    const IoTag tag = tagForFile(name);
+    const std::uint32_t bs = _device.blockSize();
+    std::sort(inode->dirtyBlocks.begin(), inode->dirtyBlocks.end());
+    for (const std::uint64_t blk : inode->dirtyBlocks) {
+        _device.queueBlock(
+            inode->blocks[blk],
+            ConstByteSpan(slotData(inode->dirtySlot[blk] - 1), bs), tag);
+    }
+    if (!inode->dirtyBlocks.empty())
+        _stats.add(stats::kFsBlocksWrittenOut, inode->dirtyBlocks.size());
+    dropDirty(*inode);
+    trimSlots();
     return Status::ok();
 }
 

@@ -12,7 +12,13 @@
  *    block. This is the "16 KB + 4 KB of journal traffic per 4 KB
  *    WAL append" pathology of stock SQLite WAL, and the traffic
  *    that log-page pre-allocation (fallocate) reduces by ~40%;
- *  - crash() drops everything not yet made durable by fsync().
+ *  - startWriteOut() queues a file's dirty data blocks on the
+ *    device's timeline without waiting (sync_file_range with
+ *    SYNC_FILE_RANGE_WRITE); fsync() then waits only for the queued
+ *    programs that have not completed;
+ *  - crash() drops everything not yet made durable by fsync(). A
+ *    written-out block that completed is on media whether or not an
+ *    fsync followed; the device settles the ones in flight.
  *
  * Files are flat names; there are no directories. Blocks are
  * allocated from a simple free list. A block a truncate frees stays
@@ -24,8 +30,8 @@
  *
  * The volatile page cache (DESIGN.md §20) is one store of block-sized
  * slots over fixed-size chunks, allocated on demand and reused across
- * fsyncs (an fsync that leaves the cache empty trims it to the chunks
- * the busiest moment since the last trim needed); each inode maps its
+ * fsyncs (an fsync or write-out that leaves the cache empty trims it
+ * to the chunks the busiest moment since the last trim needed); each inode maps its
  * dirty file blocks to slots through a flat table, so a steady-state
  * write or fsync never reaches the allocator.
  */
@@ -92,8 +98,33 @@ class JournalingFs
      */
     Status fallocate(const std::string &name, std::uint64_t size);
 
-    /** Flush data and journal the metadata (ordered mode). */
+    /**
+     * Flush data and journal the metadata (ordered mode), after
+     * waiting for every block program a write-out queued.
+     */
     Status fsync(const std::string &name);
+
+    /**
+     * Start write-out of @p name's dirty data blocks: queue them on
+     * the device in ascending file-block order and hand their
+     * page-cache slots back, without advancing the clock. Size and
+     * allocation changes stay dirty until the next fsync().
+     */
+    Status startWriteOut(const std::string &name);
+
+    /** Whether programs a write-out queued are still in flight. */
+    bool writeOutBusy() const { return _device.busy(); }
+
+    /** Wait until every program a write-out queued has completed. */
+    void waitWriteOut() { _device.drain(); }
+
+    /** Page-cache chunks held right now; test introspection. */
+    std::size_t
+    cacheChunks() const
+    {
+        std::lock_guard<std::recursive_mutex> g(_mu);
+        return _slotChunks.size();
+    }
 
     /** Shrink or grow the file size (grow leaves a hole of zeros). */
     Status truncate(const std::string &name, std::uint64_t size);

@@ -328,6 +328,8 @@ NvramDevice::powerFailLocked(FailurePolicy policy, double survive_prob)
             applyLineToDurable(_slotInfo[s].line, image(s));
         break;
     }
+    if (_powerFailListener)
+        _powerFailListener(policy, survive_prob, _rng);
     clearVolatile();
     _crashAtOp = 0;
 }

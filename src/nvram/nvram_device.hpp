@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <vector>
 
@@ -49,32 +50,18 @@ class PowerFailure : public std::exception
     }
 };
 
-/** What survives an injected power failure. */
-enum class FailurePolicy
-{
-    /** Only persist-barrier-drained data survives. */
-    Pessimistic,
-    /**
-     * Arbitrary cache eviction: each dirty cached line independently
-     * survives with the configured probability, and queued lines may
-     * tear at 8-byte granularity. Models the worst case the paper's
-     * recovery protocol must tolerate.
-     */
-    Adversarial,
-    /** Everything survives (DRAM-like; for differential testing). */
-    AllSurvive,
-};
-
 /**
  * Byte-addressable NVRAM with simulated cache-line persistence.
  *
  * Thread-safety: one device backs every database sharing an Env (a
  * single global op counter is what lets the crash sweep inject a
  * power failure at one instant), so all public methods take one
- * internal plain mutex. It is the bottom leaf of the lock order
+ * internal plain mutex. It sits at the bottom of the lock order
  * (DESIGN.md §8.1): heap and pmem lock before calling into the
- * device, the device never calls back up, and no public method
- * re-enters another, so no inversion or self-deadlock is possible.
+ * device, the device never calls back up -- only down into the
+ * power-fail listener, whose flash device calls nothing -- and no
+ * public method re-enters another, so no inversion or self-deadlock
+ * is possible.
  *
  * Storage: a volatile line image lives in one slab slot. A 4-byte
  * per-line index names the line's newest image, the one a read sees.
@@ -160,6 +147,23 @@ class NvramDevice
      * throw; tests call it directly at a chosen point.
      */
     void powerFail(FailurePolicy policy, double survive_prob = 0.5);
+
+    /**
+     * Called by every power failure, scheduled or direct, after the
+     * lines are settled and before the device throws: the platform's
+     * other volatile media (the flash device's in-flight programs)
+     * settles at the same instant, under the same policy, drawing
+     * from this device's RNG so one seed names one outcome. Runs
+     * under the device mutex; it must not call back into the device.
+     */
+    using PowerFailListener =
+        std::function<void(FailurePolicy, double survive_prob, Rng &)>;
+    void
+    setPowerFailListener(PowerFailListener listener)
+    {
+        std::lock_guard<std::mutex> g(_mu);
+        _powerFailListener = std::move(listener);
+    }
 
     /** Number of dirty (unflushed) cached lines; test introspection. */
     std::size_t
@@ -299,6 +303,7 @@ class NvramDevice
 
     std::uint64_t _opCount = 0;
     std::uint64_t _crashAtOp = 0;
+    PowerFailListener _powerFailListener;
     FailurePolicy _pendingPolicy = FailurePolicy::Pessimistic;
     double _pendingSurviveProb = 0.5;
 

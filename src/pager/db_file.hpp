@@ -60,8 +60,17 @@ class DbFile
         return _fs.pwrite(_name, offsetOf(page_no), data);
     }
 
-    /** fsync the database file. */
+    /** fsync the database file (waits for any write-out first). */
     Status sync() { return _fs.fsync(_name); }
+
+    /** Queue the buffered pages on the device without waiting. */
+    Status startWriteOut() { return _fs.startWriteOut(_name); }
+
+    /** Whether a write-out is still programming the device. */
+    bool writeOutBusy() const { return _fs.writeOutBusy(); }
+
+    /** Wait for every queued page to reach the device. */
+    void waitWriteOut() { _fs.waitWriteOut(); }
 
   private:
     std::uint64_t

@@ -50,6 +50,11 @@ namespace stats
     X(kBlocksRead, "blockdev.blocks_read")                                    \
     X(kJournalBlocksWritten, "fs.journal_blocks")                             \
     X(kFsyncs, "fs.fsyncs")                                                   \
+    /* Device timeline (docs/MODEL.md §3): data blocks a write-out            \
+     * queued without waiting, and the sim ns a read, a synchronous           \
+     * write or an fsync waited for queued programs to complete. */           \
+    X(kFsBlocksWrittenOut, "fs.blocks_written_out")                           \
+    X(kBlockdevWaitNs, "blockdev.wait_ns")                                    \
     X(kCheckpoints, "db.checkpoints")                                         \
     /* Auto-checkpoint rounds that failed after their commit was              \
      * durable; the commit still returns OK and the next commit               \

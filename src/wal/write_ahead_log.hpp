@@ -69,6 +69,17 @@ struct TxnFrames
     std::uint32_t dbSizePages = 0;  //!< db size after this transaction
 };
 
+/**
+ * How far past the auto-checkpoint threshold the log has grown, as
+ * the paced policy reads it (DESIGN.md §8.4).
+ */
+enum class CheckpointPace
+{
+    Paced,    //!< past the threshold: slices stay in flight
+    Hurry,    //!< the last quarter before twice the threshold
+    Overdue,  //!< twice the threshold: finish the round blocking
+};
+
 /** Interface every WAL implementation provides. */
 class WriteAheadLog
 {
@@ -172,13 +183,11 @@ class WriteAheadLog
     virtual Status checkpoint() = 0;
 
     /**
-     * Incremental checkpoint: write back at most @p max_pages pages,
-     * finishing (fsync + log truncation) only when every dirty page
-     * has been written. Sets @p done when the log is truncated.
-     * Spreading the write-back over many commits caps the latency
-     * spike a full checkpoint causes (the paper amortizes that spike
-     * over 1000 transactions; this bounds it instead). The default
-     * implementation simply runs a full checkpoint.
+     * Incremental checkpoint: write back at most @p max_pages pages
+     * and start their write-out, finishing (fsync + log truncation)
+     * only when every dirty page has been written. Sets @p done when
+     * the log is truncated. The default implementation simply runs a
+     * full checkpoint.
      *
      * With snapshots pinned the implementation must not advance the
      * .db file past oldestPin() nor truncate frames a pin can still
@@ -188,6 +197,25 @@ class WriteAheadLog
     checkpointStep(std::uint32_t max_pages, bool *done)
     {
         (void)max_pages;
+        *done = true;
+        return checkpoint();
+    }
+
+    /**
+     * One step of the paced auto-checkpoint, run after a commit while
+     * the device is idle (DESIGN.md §8.4): it opens a round and
+     * starts the write-out of its first pass, issues a bounded
+     * catch-up slice (one that waits for its programs at
+     * CheckpointPace::Hurry), or -- once little is left -- writes the
+     * rest, fsyncs and truncates; at CheckpointPace::Overdue it
+     * finishes the round blocking. Sets @p done when the round ended.
+     * The default runs the full blocking round: only a log whose
+     * write-back can leave programs in flight paces it.
+     */
+    virtual Status
+    checkpointPaced(CheckpointPace pace, bool *done)
+    {
+        (void)pace;
         *done = true;
         return checkpoint();
     }

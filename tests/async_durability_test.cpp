@@ -496,8 +496,7 @@ TEST(AsyncConcurrency, MixedDurabilityLevelsAcrossThreads)
 {
     Env env(makeEnvConfig());
     DbConfig config = asyncConfig();
-    config.checkpointStepPages = 8;
-    config.checkpointThreshold = 16;
+    config.checkpointThreshold = 16;  // paced steps between the commits
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
 

@@ -454,7 +454,6 @@ TEST(Concurrency, SnapshotReadersDuringGroupCommitSeeOnlyLoggedPages)
 {
     Env env(envConfig());
     DbConfig config = nvwalConfig();
-    config.checkpointStepPages = 4;
     config.checkpointThreshold = 32;
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
@@ -561,7 +560,6 @@ TEST(Concurrency, CheckpointerRespectsSnapshotPin)
 {
     Env env(envConfig());
     DbConfig config = nvwalConfig();
-    config.checkpointStepPages = 4;
     config.checkpointThreshold = 4;
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
@@ -572,13 +570,20 @@ TEST(Concurrency, CheckpointerRespectsSnapshotPin)
     NVWAL_CHECK_OK(db->connect(&conn));
     NVWAL_CHECK_OK(conn->beginRead());
 
-    // Every commit past the threshold runs one stepped round inline,
-    // with the pin held: a round may write back up to the pin but
-    // never truncate past it, so it finishes pin-blocked and the
-    // snapshot stays intact.
+    // Every commit past the threshold would run a paced step inline,
+    // but the pin would stop the round short of truncation, so the
+    // steps wait for it: nothing is written back or truncated.
     const std::uint64_t checkpoints = db->statValue(stats::kCheckpoints);
+    const std::uint64_t pages = db->statValue(stats::kWalCkptPagesWritten);
     for (RowId k = 6; k <= 40; ++k)
         NVWAL_CHECK_OK(db->insert(k, testutil::spanOf(rowValue(k))));
+    EXPECT_EQ(db->statValue(stats::kCheckpoints), checkpoints);
+    EXPECT_EQ(db->statValue(stats::kWalCkptPagesWritten), pages);
+
+    // A full round run by hand with the pin held may write back up to
+    // the pin but never truncate past it: it finishes pin-blocked and
+    // the snapshot stays intact.
+    NVWAL_CHECK_OK(db->checkpoint());
     EXPECT_GT(db->statValue(stats::kCheckpointsPinBlocked), 0u);
     EXPECT_EQ(db->statValue(stats::kCheckpoints), checkpoints);
 

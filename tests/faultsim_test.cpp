@@ -101,5 +101,33 @@ TEST(FaultSim, ChecksumAsyncAdversarialSweepFourSeeds)
     EXPECT_EQ(report.crashes, report.replays);
 }
 
+/**
+ * A checkpoint round whose write-out spans commits, under
+ * ChecksumAsync: its commits flush no frame, so unless a step hardens
+ * the log before writing back, a crash leaves the .db file holding
+ * pages (a grown root) of a transaction recovery then discards.
+ */
+TEST(FaultSim, ChecksumAsyncWriteOutNeverOutrunsTheDurableLog)
+{
+    faultsim::SweepConfig config = baseConfig();
+    config.db.nvwal.syncMode = SyncMode::ChecksumAsync;
+    config.warmup = faultsim::Workload::standardTxns(0, 1);
+    config.workload.writeOutRound(1000000);
+    config.policies.push_back(faultsim::PolicyRun{});  // pessimistic
+    config.policies.push_back(
+        faultsim::PolicyRun{FailurePolicy::Adversarial, {1}, 0.5});
+    config.stride = 5;
+
+    faultsim::SweepReport report;
+    NVWAL_CHECK_OK(faultsim::CrashSweep(config).run(&report));
+    EXPECT_TRUE(report.ok()) << report.summary();
+    EXPECT_EQ(report.crashes, report.replays);
+    std::uint64_t step_points = 0;
+    for (const auto &[label, cov] : report.phases)
+        if (label.rfind("write-out step", 0) == 0)
+            step_points += cov.points;
+    EXPECT_GT(step_points, 0u);
+}
+
 } // namespace
 } // namespace nvwal

@@ -287,14 +287,13 @@ TEST(FlightRecorder, CheckpointRecordsBracketTheRound)
 TEST(FlightRecorder, SteppedCheckpointRoundsRecordTheirHardens)
 {
     // A checkpoint round that hardens pending async commits records
-    // Harden(Checkpoint) on every path, the inline stepped rounds
-    // included: each commit past the threshold runs one step, and the
-    // step hardens before it writes back. Nothing else hardens here:
-    // the staleness window is out of reach and nothing flushes
-    // explicitly.
+    // Harden(Checkpoint) on every path, the inline paced rounds
+    // included: each commit past the threshold may run one paced
+    // step, and the step hardens before it writes back. Nothing else
+    // hardens here: the staleness window is out of reach and nothing
+    // flushes explicitly.
     Env env(makeEnvConfig());
     DbConfig config = nvwalConfig();
-    config.checkpointStepPages = 4;
     config.checkpointThreshold = 20;
     config.asyncMaxEpochs = 1000;
     config.asyncMaxStalenessNs = 0;

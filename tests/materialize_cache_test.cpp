@@ -374,9 +374,10 @@ TEST_F(MaterializeCacheTest, CheckpointReclaimsFrameIndexMemory)
 /**
  * Seeded model check of the cold read path: random full-page and
  * diff commits over 16 pages, mixed with snapshot pins, checkpoint
- * steps and rounds clamped by those pins, truncating rounds and one
- * recover(). After every operation, each page read at each pinned
- * horizon (and at the newest commit) must equal the test's oracle.
+ * steps and rounds clamped by those pins, paced steps whose
+ * write-out stays in flight, truncating rounds and one recover().
+ * After every operation, each page read at each pinned horizon (and
+ * at the newest commit) must equal the test's oracle.
  * A WAL read that finds no frame falls back to the .db file, as the
  * pager does.
  */
@@ -492,11 +493,21 @@ TEST_F(MaterializeCacheTest, RandomCommitsMatchOracleAtEveryPin)
                 log->unpinSnapshot(*it);
                 pins.erase(it);
             }
-        } else if (roll < 89) {
+        } else if (roll < 83) {
             op = "checkpoint step";
             bool done = false;
             NVWAL_CHECK_OK(log->checkpointStep(
                 static_cast<std::uint32_t>(1 + rng.nextBelow(4)), &done));
+        } else if (roll < 89) {
+            // A paced step leaves its write-out in flight; the pins
+            // between steps must still read their horizons.
+            op = "paced step";
+            bool done = false;
+            const CheckpointPace paces[] = {CheckpointPace::Paced,
+                                            CheckpointPace::Hurry,
+                                            CheckpointPace::Overdue};
+            NVWAL_CHECK_OK(
+                log->checkpointPaced(paces[rng.nextBelow(3)], &done));
         } else if (roll < 95) {
             op = "checkpoint";
             NVWAL_CHECK_OK(log->checkpoint());
@@ -512,6 +523,7 @@ TEST_F(MaterializeCacheTest, RandomCommitsMatchOracleAtEveryPin)
     }
     EXPECT_GT(env.stats.get(stats::kCheckpoints), 0u);
     EXPECT_GT(env.stats.get(stats::kCheckpointsPinBlocked), 0u);
+    EXPECT_GT(env.stats.get(stats::kFsBlocksWrittenOut), 0u);
 }
 
 } // namespace

@@ -35,8 +35,7 @@ TEST(MetricsExportConcurrency, SnapshotsRaceCleanlyWithBackgroundWork)
     config.nvwal.syncMode = SyncMode::Lazy;
     config.nvwal.diffLogging = true;
     config.nvwal.userHeap = true;
-    config.checkpointStepPages = 4;
-    config.checkpointThreshold = 16;  // keep the checkpoint steps busy
+    config.checkpointThreshold = 16;  // keep the paced steps busy
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
 
@@ -81,7 +80,7 @@ TEST(MetricsExportConcurrency, SnapshotsRaceCleanlyWithBackgroundWork)
     for (std::thread &t : writers)
         t.join();
     // A root commit past the threshold, with the writers gone, runs
-    // one checkpoint step while the exporter still reads.
+    // one paced checkpoint step while the exporter still reads.
     NVWAL_CHECK_OK(db->begin());
     for (RowId k = 1000000; k < 1000002; ++k)
         NVWAL_CHECK_OK(db->insert(k, testutil::makeValue(9 * 4096, k)));

@@ -721,10 +721,11 @@ TEST(Multiwriter, ReopenMergesEpochLogsByGlobalOrder)
 
 /**
  * Four writer threads on disjoint ranges whose commits run the inline
- * checkpoint steps on the one log: every committed update must survive
- * the concurrent write-back, a commit past the threshold with no
- * workspace open must run one bounded step, and an incremental step
- * must stay incremental.
+ * paced checkpoint steps on the one log: every committed update must
+ * survive the concurrent write-back, a commit past the threshold with
+ * no workspace open must run one paced step that leaves the device's
+ * programs off its own clock, and an incremental step must stay
+ * incremental.
  */
 TEST(Multiwriter, InlineCheckpointStepsDrainUnderWriterThreads)
 {
@@ -739,7 +740,6 @@ TEST(Multiwriter, InlineCheckpointStepsDrainUnderWriterThreads)
     Env env(envConfig());
     DbConfig config = mwConfig();
     config.checkpointThreshold = kThreshold;
-    config.checkpointStepPages = 4;
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
     std::map<RowId, ByteBuffer> oracle;
@@ -800,21 +800,25 @@ TEST(Multiwriter, InlineCheckpointStepsDrainUnderWriterThreads)
     EXPECT_TRUE(seen == oracle);
 
     // With the writers gone no workspace is open, so a root commit
-    // past the threshold runs one step of at most four pages. Each of
-    // these rows spills onto at least eight overflow pages, so the
-    // commit alone writes kThreshold pages.
-    const std::uint64_t written =
-        db->statValue(stats::kWalCkptPagesWritten);
+    // past the threshold runs one paced step: it opens a round, and
+    // whatever it writes back it leaves to the device's queue rather
+    // than programming inside the commit. Each of these rows spills
+    // onto at least eight overflow pages, so the commit alone writes
+    // kThreshold pages.
+    NVWAL_CHECK_OK(db->checkpoint());
+    const std::uint64_t programs = db->statValue(stats::kBlocksWritten);
+    const std::uint64_t queued = db->statValue(stats::kFsBlocksWrittenOut);
+    const std::uint64_t fsyncs = db->statValue(stats::kFsyncs);
     NVWAL_CHECK_OK(db->begin());
     for (RowId i = 0; i < static_cast<RowId>(kThreshold / 8); ++i) {
         const RowId key = kThreads * kRangeStride + i;
         NVWAL_CHECK_OK(db->insert(key, testutil::makeValue(9 * 4096, key)));
     }
     NVWAL_CHECK_OK(db->commit());
-    const std::uint64_t step_pages =
-        db->statValue(stats::kWalCkptPagesWritten) - written;
-    EXPECT_GT(step_pages, 0u);
-    EXPECT_LE(step_pages, 4u);
+    EXPECT_GE(db->walPageWritesSinceCheckpoint(), kThreshold);
+    EXPECT_EQ(db->statValue(stats::kBlocksWritten) - programs,
+              db->statValue(stats::kFsBlocksWrittenOut) - queued);
+    EXPECT_EQ(db->statValue(stats::kFsyncs), fsyncs);
 
     // One update per range dirties four leaves, below the threshold,
     // so the commit runs no step of its own: one page per step leaves
