@@ -82,19 +82,6 @@ struct NvwalConfig
     std::uint32_t nvBlockSize = 8192;
 
     /**
-     * Adaptive logging granularity (DESIGN.md §14), active when
-     * diffLogging is on: a page whose logged bytes would exceed this
-     * percentage of the page size -- judged by the pager's observed
-     * dirty-ratio EWMA (FrameWrite::observedDirtyPct) when provided,
-     * else by the commit's own ratio -- ships as ONE full-page frame
-     * instead of byte diffs. The frame is format-compatible
-     * (pageOffset 0, size == page size) and doubles as a
-     * full_frame_shortcut anchor that truncates the page's replay
-     * chain. 0 disables the heuristic (always diff).
-     */
-    std::uint32_t adaptiveFullFrameThresholdPct = 50;
-
-    /**
      * NvHeap namespace the log's header root is published under.
      * Every log sharing one heap needs a distinct name; the default
      * keeps single-database media layouts unchanged.

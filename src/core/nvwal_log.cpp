@@ -311,20 +311,18 @@ NvwalLog::logTxnFrames(const std::vector<FrameWrite> &frames,
             else
                 ranges.push_back(fw.ranges->bounding());
             // Adaptive logging granularity (DESIGN.md §14): when the
-            // bytes this page would log exceed the threshold share of
-            // the page -- judged by the pager's observed dirty-ratio
-            // EWMA when provided, else by this commit alone -- ship
-            // ONE full-page frame instead. Same wire format
+            // bytes this page would log exceed kAdaptiveFullFramePct
+            // percent of the page -- judged by the pager's observed
+            // dirty-ratio EWMA when provided, else by this commit
+            // alone -- ship ONE full-page frame instead. Same wire format
             // (pageOffset 0, size == page size), but the frame
             // supersedes the page's replay chain: it becomes the
             // full_frame_shortcut anchor every later read starts at.
-            const std::uint32_t threshold =
-                _config.adaptiveFullFrameThresholdPct;
             bool adaptive_full = false;
             const bool already_full =
                 ranges.size() == 1 && ranges[0].lo == 0 &&
                 ranges[0].size() == _pageSize;
-            if (threshold > 0 && !already_full) {
+            if (!already_full) {
                 std::uint64_t log_bytes = 0;
                 for (const ByteRange &r : ranges)
                     log_bytes += r.size();
@@ -333,7 +331,7 @@ NvwalLog::logTxnFrames(const std::vector<FrameWrite> &frames,
                         fw.observedDirtyPct != 0
                             ? fw.observedDirtyPct
                             : 100 * log_bytes / _pageSize;
-                    if (pct > threshold) {
+                    if (pct > kAdaptiveFullFramePct) {
                         ranges.assign(1, ByteRange{0, _pageSize});
                         adaptive_full = true;
                         _stats.add(stats::kWalFullFramesAdaptive);
@@ -827,21 +825,8 @@ NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
 Status
 NvwalLog::checkpointPaced(CheckpointPace pace, bool *done)
 {
-    *done = false;
-    // A snapshot pinned below the newest commit would clamp the
-    // write-back and stop the round short of truncating: every step
-    // waits for it to release.
-    if (checkpointTarget() < _commitSeq)
-        return Status::ok();
     TraceSpan span(_stats.tracer(), "wal.checkpoint", "wal");
     constexpr std::uint32_t kAll = ~static_cast<std::uint32_t>(0);
-    if (pace == CheckpointPace::Overdue) {
-        // The log has reached its bound: finish the round blocking.
-        while (!*done)
-            NVWAL_RETURN_IF_ERROR(
-                writeBack(kAll, WriteBackMode::Blocking, done));
-        return Status::ok();
-    }
     if (!_ckptRoundActive) {
         // The opener: the round's whole first pass goes to the file
         // system and the device's queue.

@@ -68,6 +68,18 @@ class NvwalLog : public WriteAheadLog
     static constexpr std::uint32_t kNodeHeaderSize = 8;
     static constexpr std::uint64_t kCommitFlag = 1ULL << 63;
     /**
+     * Adaptive logging granularity (DESIGN.md §14.2), active when
+     * diffLogging is on: a page whose logged bytes would exceed this
+     * percentage of the page size -- judged by the pager's observed
+     * dirty-ratio EWMA (FrameWrite::observedDirtyPct) when provided,
+     * else by the commit's own ratio -- ships as ONE full-page frame
+     * instead of byte diffs. The frame is format-compatible
+     * (pageOffset 0, size == page size) and doubles as a
+     * full_frame_shortcut anchor that truncates the page's replay
+     * chain.
+     */
+    static constexpr std::uint32_t kAdaptiveFullFramePct = 50;
+    /**
      * Pages a checkpoint writes into the file system before starting
      * their write-out, so the page cache never holds more than one
      * 16-slot chunk of a round.

@@ -750,27 +750,29 @@ Database::maybeCheckpointAfterCommit()
     // The committer released the writer lock at enqueue, so another
     // write transaction may already be open; checkpointing under it
     // would fail with Busy although this commit landed. Skip the
-    // step: the next commit re-trips the threshold. An open
-    // workspace is a write transaction too, and its pin would stop
-    // the round short of truncation, so the step waits for the
-    // workspace's own commit -- unless the log has grown to twice the
-    // threshold, so writers that never leave a gap cannot starve the
-    // write-back.
+    // step: the next commit re-trips the threshold.
     if (!_config.autoCheckpoint || _inTxn)
         return;
-    const std::uint64_t threshold = _config.checkpointThreshold;
-    const bool overdue = writes >= 2 * threshold;
-    if (_openWorkspaces != 0 && !overdue)
+    // A snapshot pinned below the newest commit -- a reader's, or an
+    // open multi-writer workspace's -- would clamp the round and stop
+    // it short of truncating, so every step waits for it to release.
+    if (_wal->oldestPin() < _wal->commitSeq()) {
+        _env.stats.add(stats::kAutoCheckpointPinWaits);
         return;
-    // A paced step issues work only to an idle device, so a commit
+    }
+    const std::uint64_t threshold = _config.checkpointThreshold;
+    // At twice the threshold the round finishes blocking, as
+    // Database::checkpoint() runs it, so the log stays bounded. A
+    // paced step issues work only to an idle device, so a commit
     // never waits behind the programs an earlier step queued.
+    const bool overdue = writes >= 2 * threshold;
     if (!overdue && _dbFile->writeOutBusy())
         return;
-    const CheckpointPace pace =
-        overdue ? CheckpointPace::Overdue
-        : writes >= threshold + threshold * 3 / 4 ? CheckpointPace::Hurry
-                                                  : CheckpointPace::Paced;
-    if (!checkpointRound(RoundKind::Paced, 0, pace, nullptr).isOk()) {
+    const CheckpointPace pace = writes >= threshold + threshold * 3 / 4
+                                    ? CheckpointPace::Hurry
+                                    : CheckpointPace::Paced;
+    const RoundKind kind = overdue ? RoundKind::Full : RoundKind::Paced;
+    if (!checkpointRound(kind, 0, pace, nullptr).isOk()) {
         _env.stats.add(stats::kAutoCheckpointFailures);
         _env.stats.tracer().instant("db.auto_checkpoint_failed", "db");
     }
@@ -1301,7 +1303,6 @@ Database::openWorkspace(std::uint64_t after_publish,
         snapshotCache(), _loggedPublishSeq.load(std::memory_order_relaxed),
         _env.clock.now(), &_pageCursor);
     _wal->pinSnapshot((*out)->horizon());
-    ++_openWorkspaces;
     _env.stats.setGauge(stats::kGaugeOpenSnapshots, _wal->pinCount());
     return Status::ok();
 }
@@ -1311,7 +1312,6 @@ Database::closeWorkspace(const MwWorkspace &ws)
 {
     std::lock_guard<std::recursive_mutex> eng(_engineMutex);
     _wal->unpinSnapshot(ws.horizon());
-    --_openWorkspaces;
     _env.stats.setGauge(stats::kGaugeOpenSnapshots, _wal->pinCount());
 }
 

@@ -605,20 +605,20 @@ class Database
     Status appendGroup(const std::vector<GroupEntry *> &batch);
 
     /**
-     * Post-commit auto-checkpoint, the one paced policy (DESIGN.md
-     * §8.4): once the log has reached the threshold, a commit that
-     * finds the flash device idle runs one paced step
-     * (WriteAheadLog::checkpointPaced); in the last quarter before
-     * twice the threshold its slices wait for their programs, and at
-     * twice the threshold the round finishes blocking, so the log
-     * stays bounded. Caller holds
-     * the engine lock. A step that finds another write transaction
-     * open is skipped, not failed: the writer lock was released at
-     * enqueue, and the next commit re-trips the threshold. An open
-     * multi-writer workspace counts as one until the log reaches
-     * twice the threshold. A step that fails is counted and traced
-     * but never fails the commit, which is already durable
-     * (DESIGN.md §8.3); the next commit past the threshold retries.
+     * Post-commit auto-checkpoint, the one gate that decides whether
+     * a commit runs a checkpoint step (DESIGN.md §8.4). It runs none
+     * below the threshold, with autoCheckpoint off, or while another
+     * write transaction is open (the writer lock was released at
+     * enqueue; the next commit re-trips the threshold). It waits,
+     * counted in db.auto_checkpoint_pin_waits, while a snapshot or
+     * workspace is pinned below the newest commit. At twice the
+     * threshold it runs the blocking round, so the log stays bounded;
+     * otherwise a commit that finds the flash device idle runs one
+     * paced step (WriteAheadLog::checkpointPaced), Hurry in the last
+     * quarter before twice the threshold. Caller holds the engine
+     * lock. A step that fails is counted and traced but never fails
+     * the commit, which is already durable (DESIGN.md §8.3); the
+     * next commit past the threshold retries.
      */
     void maybeCheckpointAfterCommit();
 
@@ -812,8 +812,6 @@ class Database
      * copyPagerImage() declines every page.
      */
     std::atomic<std::uint64_t> _loggedPublishSeq{0};
-    /** Workspaces holding a pin (engine lock). */
-    std::uint32_t _openWorkspaces = 0;
     // ---- concurrency state ------------------------------------------
 
     /** Serializes write transactions (begin .. commit/rollback). */

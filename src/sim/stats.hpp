@@ -60,6 +60,9 @@ namespace stats
      * durable; the commit still returns OK and the next commit               \
      * retries the round. */                                                  \
     X(kAutoCheckpointFailures, "db.auto_checkpoint_failures")                 \
+    /* Commits past the threshold whose auto-checkpoint step waited           \
+     * for a snapshot pinned below the newest commit. */                      \
+    X(kAutoCheckpointPinWaits, "db.auto_checkpoint_pin_waits")                \
     X(kTxnsCommitted, "db.txns_committed")                                    \
     X(kWalFullPageFrames, "wal.full_page_frames")                             \
                                                                               \

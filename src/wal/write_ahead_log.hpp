@@ -57,7 +57,7 @@ struct FrameWrite
      * commits), tracked by the pager/workspace layer; 0 = unknown,
      * in which case the WAL judges by this commit's ranges alone.
      * Drives the adaptive diff-vs-full-page frame decision
-     * (NvwalConfig::adaptiveFullFrameThresholdPct).
+     * (NvwalLog::kAdaptiveFullFramePct).
      */
     std::uint8_t observedDirtyPct = 0;
 };
@@ -71,13 +71,13 @@ struct TxnFrames
 
 /**
  * How far past the auto-checkpoint threshold the log has grown, as
- * the paced policy reads it (DESIGN.md §8.4).
+ * the paced policy reads it (DESIGN.md §8.4). At twice the threshold
+ * the policy runs the blocking checkpoint() instead of a paced step.
  */
 enum class CheckpointPace
 {
-    Paced,    //!< past the threshold: slices stay in flight
-    Hurry,    //!< the last quarter before twice the threshold
-    Overdue,  //!< twice the threshold: finish the round blocking
+    Paced,  //!< past the threshold: slices stay in flight
+    Hurry,  //!< the last quarter before twice the threshold
 };
 
 /** Interface every WAL implementation provides. */
@@ -207,10 +207,11 @@ class WriteAheadLog
      * starts the write-out of its first pass, issues a bounded
      * catch-up slice (one that waits for its programs at
      * CheckpointPace::Hurry), or -- once little is left -- writes the
-     * rest, fsyncs and truncates; at CheckpointPace::Overdue it
-     * finishes the round blocking. Sets @p done when the round ended.
-     * The default runs the full blocking round: only a log whose
-     * write-back can leave programs in flight paces it.
+     * rest, fsyncs and truncates. Sets @p done when the round ended.
+     * When to run a step is the caller's decision; under a pin the
+     * step clamps like checkpointStep(). The default runs the full
+     * blocking round: only a log whose write-back can leave programs
+     * in flight paces it.
      */
     virtual Status
     checkpointPaced(CheckpointPace pace, bool *done)

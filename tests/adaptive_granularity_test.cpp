@@ -2,7 +2,7 @@
  * @file
  * Tests for adaptive logging granularity (DESIGN.md §14): the
  * diff-vs-full-page decision driven by the observed dirty ratio
- * (NvwalConfig::adaptiveFullFrameThresholdPct), its counters, the
+ * (NvwalLog::kAdaptiveFullFramePct), its counters, the
  * pager-side EWMA, and crash safety of mixed-granularity logs --
  * pessimistic and adversarial fault sweeps over workloads that ship
  * both byte-diff and promoted full-page frames (the stride-1
@@ -50,9 +50,8 @@ class AdaptiveGranularityTest : public ::testing::Test
     }
 
     void
-    openLog(std::uint32_t threshold_pct)
+    openLog()
     {
-        config.adaptiveFullFrameThresholdPct = threshold_pct;
         log = std::make_unique<NvwalLog>(env.heap, env.pmem, dbFile,
                                          kPageSize, kReserved, config,
                                          env.stats);
@@ -103,7 +102,7 @@ class AdaptiveGranularityTest : public ::testing::Test
 /** > 50% of the page dirty ships one full-page frame. */
 TEST_F(AdaptiveGranularityTest, HeavyCommitPromotesToFullFrame)
 {
-    openLog(50);
+    openLog();
     const ByteBuffer page = testutil::makeValue(kPageSize, 7);
     commitDirty(page, 3 * kPageSize / 4);  // 75% dirty
     EXPECT_EQ(promoted(), 1u);
@@ -122,7 +121,7 @@ TEST_F(AdaptiveGranularityTest, HeavyCommitPromotesToFullFrame)
 /** A small diff stays a diff. */
 TEST_F(AdaptiveGranularityTest, LightCommitStaysDiff)
 {
-    openLog(50);
+    openLog();
     const ByteBuffer page = testutil::makeValue(kPageSize, 8);
     commitDirty(page, 400);  // ~10% dirty
     EXPECT_EQ(promoted(), 0u);
@@ -135,45 +134,20 @@ TEST_F(AdaptiveGranularityTest, LightCommitStaysDiff)
     EXPECT_EQ(out, diffOverZeroBase(page, 400));
 }
 
-/** The decision boundary is exclusive: pct == threshold stays diff. */
+/** The decision boundary is exclusive: exactly 50% stays diff. */
 TEST_F(AdaptiveGranularityTest, ThresholdBoundaryIsExclusive)
 {
-    openLog(50);
+    openLog();
     const ByteBuffer page = testutil::makeValue(kPageSize, 9);
     commitDirty(page, kPageSize / 2);  // exactly 50%
     EXPECT_EQ(promoted(), 0u);
     EXPECT_EQ(diffs(), 1u);
 }
 
-/** Threshold 0 disables the promotion entirely. */
-TEST_F(AdaptiveGranularityTest, ZeroThresholdDisables)
-{
-    openLog(0);
-    const ByteBuffer page = testutil::makeValue(kPageSize, 10);
-    commitDirty(page, kPageSize - 100);  // ~98% dirty
-    EXPECT_EQ(promoted(), 0u);
-    EXPECT_EQ(diffs(), 1u);
-    ByteBuffer out(kPageSize);
-    NVWAL_CHECK_OK(log->readPage(3, ByteSpan(out.data(), out.size())));
-    EXPECT_EQ(out, diffOverZeroBase(page, kPageSize - 100));
-}
-
-/** A raised threshold keeps medium commits as diffs. */
-TEST_F(AdaptiveGranularityTest, ThresholdKnobMovesTheDecision)
-{
-    openLog(90);
-    const ByteBuffer page = testutil::makeValue(kPageSize, 11);
-    commitDirty(page, 3 * kPageSize / 4);  // 75% < 90
-    EXPECT_EQ(promoted(), 0u);
-    EXPECT_EQ(diffs(), 1u);
-    commitDirty(page, kPageSize - 40);     // ~99% > 90
-    EXPECT_EQ(promoted(), 1u);
-}
-
 /** The pager's EWMA overrides this commit's ranges when provided. */
 TEST_F(AdaptiveGranularityTest, ObservedDirtyPctOverridesRanges)
 {
-    openLog(50);
+    openLog();
     const ByteBuffer page = testutil::makeValue(kPageSize, 12);
     // Small current diff, but history says the page runs hot.
     commitDirty(page, 200, /*observed_pct=*/80);
@@ -188,7 +162,7 @@ TEST_F(AdaptiveGranularityTest, ObservedDirtyPctOverridesRanges)
 /** A natural full-page write is not counted as a promotion. */
 TEST_F(AdaptiveGranularityTest, NaturalFullPageIsNotCountedAdaptive)
 {
-    openLog(50);
+    openLog();
     const ByteBuffer page = testutil::makeValue(kPageSize, 13);
     commitDirty(page, kPageSize);
     EXPECT_EQ(promoted(), 0u);
@@ -203,7 +177,7 @@ TEST_F(AdaptiveGranularityTest, NaturalFullPageIsNotCountedAdaptive)
 /** A promoted frame anchors later reads (truncates the replay). */
 TEST_F(AdaptiveGranularityTest, PromotedFrameBecomesReplayAnchor)
 {
-    openLog(50);
+    openLog();
     ByteBuffer page = testutil::makeValue(kPageSize, 14);
     commitDirty(page, 300);                // diff chain head
     commitDirty(page, 3 * kPageSize / 4);  // promoted -> anchor

@@ -3,8 +3,8 @@
  * Tests for incremental and paced checkpointing (DESIGN.md §8.4):
  * correctness under concurrent commits (pages re-dirtied mid-round
  * must be written back again before truncation), crash safety at
- * every step, the bounded log, and the latency bound the paced round
- * exists for.
+ * every step, the bounded log, the latency bound the paced round
+ * exists for, and the gate's wait for pinned snapshots.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "db/connection.hpp"
@@ -467,6 +468,117 @@ TEST(PacedCheckpoint, RoundWaitsForAPinnedSnapshot)
     std::uint64_t n = 0;
     NVWAL_CHECK_OK(db->count(&n));
     EXPECT_EQ(n, 200u);
+}
+
+/** What holds the pin in PinWaitOpensNoRound. */
+enum class PinHolder
+{
+    NvwalReader,
+    FileWalReader,
+    Workspace,
+};
+
+const char *
+pinHolderName(PinHolder holder)
+{
+    switch (holder) {
+      case PinHolder::NvwalReader: return "NVWAL reader";
+      case PinHolder::FileWalReader: return "file WAL reader";
+      case PinHolder::Workspace: return "multi-writer workspace";
+    }
+    return "?";
+}
+
+/**
+ * One commit through @p writer; returns the flight-recorder records
+ * and fsyncs it added.
+ */
+std::pair<std::uint64_t, std::uint64_t>
+commitOneRow(Env &env, Connection &writer, RowId key)
+{
+    const std::uint64_t records = env.stats.get(stats::kFrRecordsWritten);
+    const std::uint64_t fsyncs = env.stats.get(stats::kFsyncs);
+    NVWAL_CHECK_OK(writer.begin());
+    NVWAL_CHECK_OK(writer.insert(
+        key, testutil::spanOf(testutil::makeValue(100, key))));
+    NVWAL_CHECK_OK(writer.commit());
+    return {env.stats.get(stats::kFrRecordsWritten) - records,
+            env.stats.get(stats::kFsyncs) - fsyncs};
+}
+
+TEST(PacedCheckpoint, PinWaitOpensNoRound)
+{
+    // While a reader or a multi-writer workspace is pinned below the
+    // newest commit, the auto-checkpoint gate waits, up to and past
+    // twice the threshold: a commit past the threshold enters no
+    // round, so it adds no CheckpointStart/End records and no fsync
+    // beyond what a commit below the threshold adds, and no round
+    // ends pin-blocked. db.auto_checkpoint_pin_waits counts each
+    // such commit. Once the pin is released, the next commit runs
+    // the blocking round and truncates. The whole run stays under
+    // Database::kFrSnapshotEveryBatches commits, so no counter
+    // snapshot lands among them.
+    constexpr std::uint64_t kThreshold = 12;
+    for (const PinHolder holder :
+         {PinHolder::NvwalReader, PinHolder::FileWalReader,
+          PinHolder::Workspace}) {
+        SCOPED_TRACE(pinHolderName(holder));
+        Env env(smallEnv());
+        DbConfig config;
+        config.checkpointThreshold = kThreshold;
+        config.walMode = holder == PinHolder::FileWalReader
+                             ? WalMode::FileOptimized
+                             : WalMode::Nvwal;
+        config.multiWriter = holder == PinHolder::Workspace;
+        std::unique_ptr<Database> db;
+        NVWAL_CHECK_OK(Database::open(env, config, &db));
+        std::unique_ptr<Connection> writer;
+        std::unique_ptr<Connection> pinner;
+        NVWAL_CHECK_OK(db->connect(&writer));
+        NVWAL_CHECK_OK(db->connect(&pinner));
+
+        RowId next = 0;
+        (void)commitOneRow(env, *writer, next++);
+        const auto below = commitOneRow(env, *writer, next++);
+        ASSERT_LT(db->walPageWritesSinceCheckpoint(), kThreshold);
+        if (holder == PinHolder::Workspace) {
+            ByteBuffer out;
+            NVWAL_CHECK_OK(pinner->begin());
+            NVWAL_CHECK_OK(pinner->get(0, &out));
+        } else {
+            NVWAL_CHECK_OK(pinner->beginRead());
+        }
+
+        const std::uint64_t rounds = env.stats.get(stats::kCheckpoints);
+        std::uint64_t waits = 0;
+        while (db->walPageWritesSinceCheckpoint() < 2 * kThreshold) {
+            const auto cost = commitOneRow(env, *writer, next++);
+            if (db->walPageWritesSinceCheckpoint() >= kThreshold)
+                ++waits;
+            EXPECT_EQ(cost.first, below.first) << "row " << next - 1;
+            EXPECT_EQ(cost.second, below.second) << "row " << next - 1;
+            EXPECT_EQ(env.stats.get(stats::kAutoCheckpointPinWaits), waits)
+                << "row " << next - 1;
+        }
+        EXPECT_GE(waits, 2u);
+        EXPECT_EQ(env.stats.get(stats::kCheckpoints), rounds);
+        EXPECT_EQ(env.stats.get(stats::kCheckpointsPinBlocked), 0u);
+
+        if (holder == PinHolder::Workspace)
+            NVWAL_CHECK_OK(pinner->rollback());
+        else
+            NVWAL_CHECK_OK(pinner->endRead());
+        (void)commitOneRow(env, *writer, next++);
+        EXPECT_EQ(env.stats.get(stats::kCheckpoints), rounds + 1);
+        EXPECT_EQ(db->walPageWritesSinceCheckpoint(), 0u);
+        EXPECT_EQ(env.stats.get(stats::kAutoCheckpointPinWaits), waits);
+        EXPECT_EQ(env.stats.get(stats::kCheckpointsPinBlocked), 0u);
+        EXPECT_LT(env.stats.get(stats::kTxnsCommitted),
+                  Database::kFrSnapshotEveryBatches);
+        std::uint64_t n = 0;
+        NVWAL_CHECK_OK(db->count(&n));
+        EXPECT_EQ(n, static_cast<std::uint64_t>(next));
+    }
 }
 
 } // namespace

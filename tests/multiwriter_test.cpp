@@ -6,7 +6,8 @@
  * detection on the one group-commit pipeline, the cached casual
  * snapshot, reopen after interleaved commits, a seeded model check of
  * workspace reads and validation, and the multi-writer crash-point
- * sweeps (pessimistic and adversarial).
+ * sweeps (pessimistic and adversarial, and one through every branch
+ * of the auto-checkpoint gate).
  *
  * Threaded tests only assert interleaving-independent properties:
  * conservation of committed transactions, zero conflicts for
@@ -1115,6 +1116,207 @@ TEST(Multiwriter, CrashSweepAdversarialMultiSeed)
     EXPECT_EQ(report.replays, report.pointsSwept * 4u);
     EXPECT_EQ(report.crashes, report.replays);
     EXPECT_EQ(report.forensicsChecked, report.crashes);
+}
+
+// ---- the auto-checkpoint gate under multi-writer crashes ------------
+
+constexpr std::uint64_t kGateThreshold = 8;
+/** Connection c updates keys in [c * kGateRange, c * kGateRange + 200). */
+constexpr RowId kGateRange = 1000;
+
+/**
+ * A key in leaf @p leaf (0-3) of connection @p conn's seeded range:
+ * 50 rows apart, so each lands in its own leaf, and the ranges are
+ * 800 keys apart, so no two connections share one.
+ */
+RowId
+gateKey(int conn, int leaf)
+{
+    return conn * kGateRange + 25 + 50 * leaf;
+}
+
+/**
+ * Sweep config whose threshold is low enough that interleaved
+ * multi-writer transactions run every branch of the auto-checkpoint
+ * gate. Each transaction rewrites two leaves of its connection's
+ * range with same-size values, so the tree's shape never changes and
+ * validation never fires. Three connections round-robin: the fourth
+ * commit reaches the threshold and opens a paced round (its pages are
+ * all hot, so they wait as pending), the fifth runs a tail slice over
+ * the ten pages, and the sixth closes the round. Then connection 2
+ * holds a workspace open while connections 0 and 1 commit past twice
+ * the threshold (every step waits for its pin), and its own commit
+ * runs the overdue blocking round.
+ */
+faultsim::SweepConfig
+gateSweepConfig()
+{
+    faultsim::SweepConfig config = mwSweepConfig();
+    config.db.checkpointThreshold = kGateThreshold;
+    const auto value = [](RowId key, std::uint64_t version) {
+        return faultsim::Workload::valueFor(
+            64, static_cast<std::uint64_t>(key) * 7 + version);
+    };
+    faultsim::Workload warmup;
+    warmup.phase("seed").begin();
+    for (int c = 0; c < 3; ++c)
+        for (RowId i = 0; i < 200; ++i)
+            warmup.insert(c * kGateRange + i, value(c * kGateRange + i, 0));
+    warmup.commit();
+    config.warmup = std::move(warmup);
+
+    faultsim::Workload &w = config.workload;
+    int txn = 0;
+    const auto update_two = [&](int c, int first_leaf) {
+        w.connUpdate(c, gateKey(c, first_leaf),
+                     value(gateKey(c, first_leaf), 1 + txn));
+        w.connUpdate(c, gateKey(c, first_leaf + 2),
+                     value(gateKey(c, first_leaf + 2), 1 + txn));
+    };
+    const auto commit = [&](int c) {
+        // Even transactions leave their harden pending, so the
+        // rounds also harden logged-but-unhardened commits.
+        if (txn % 2 == 0)
+            w.connCommitNoWait(c);
+        else
+            w.connCommit(c);
+        ++txn;
+    };
+    for (int round = 0; round < 2; ++round)
+        for (int c = 0; c < 3; ++c) {
+            w.phase("paced round: txn " + std::to_string(txn) + " conn " +
+                    std::to_string(c));
+            w.connBegin(c);
+            update_two(c, round);
+            commit(c);
+        }
+    w.phase("workspace open");
+    w.connBegin(2);
+    w.connUpdate(2, gateKey(2, 0), value(gateKey(2, 0), 100));
+    for (int i = 0; i < 8; ++i) {
+        const int c = i % 2;
+        w.phase("pin wait: txn " + std::to_string(txn) + " conn " +
+                std::to_string(c));
+        w.connBegin(c);
+        update_two(c, (i / 2) % 2);
+        commit(c);
+    }
+    w.phase("overdue round: workspace commit");
+    commit(2);
+    w.phase("harden");
+    w.connHardenAll();
+    return config;
+}
+
+/** Run @p w's op kinds that gateSweepConfig() uses, with no crash. */
+void
+runWithoutCrash(Database &db, const faultsim::Workload &w,
+                std::vector<std::unique_ptr<Connection>> *conns)
+{
+    using Kind = faultsim::WorkloadOp::Kind;
+    for (std::size_t i = 0; i < w.size(); ++i) {
+        const faultsim::WorkloadOp &op = w.op(i);
+        const ConstByteSpan value(op.value.data(), op.value.size());
+        Connection *conn = nullptr;
+        if (op.conn >= 0) {
+            if (conns->size() <= static_cast<std::size_t>(op.conn))
+                conns->resize(op.conn + 1);
+            std::unique_ptr<Connection> &slot = (*conns)[op.conn];
+            if (!slot)
+                NVWAL_CHECK_OK(db.connect(&slot));
+            conn = slot.get();
+        }
+        CommitOptions no_wait;
+        no_wait.durability = Durability::Async;
+        no_wait.waitForHarden = false;
+        switch (op.kind) {
+          case Kind::Begin: NVWAL_CHECK_OK(db.begin()); break;
+          case Kind::Insert: NVWAL_CHECK_OK(db.insert(op.key, value)); break;
+          case Kind::Commit: NVWAL_CHECK_OK(db.commit()); break;
+          case Kind::ConnBegin: NVWAL_CHECK_OK(conn->begin()); break;
+          case Kind::ConnUpdate:
+            NVWAL_CHECK_OK(conn->update(op.key, value));
+            break;
+          case Kind::ConnCommit: NVWAL_CHECK_OK(conn->commit()); break;
+          case Kind::ConnCommitNoWait:
+            NVWAL_CHECK_OK(conn->commit(no_wait));
+            break;
+          case Kind::ConnHardenAll:
+            NVWAL_CHECK_OK(db.flushAsyncCommits());
+            break;
+          default:
+            ADD_FAILURE() << "op " << i << " has a kind the gate sweep "
+                          << "does not use";
+            return;
+        }
+    }
+}
+
+/**
+ * The crash sweep reaches what it is meant to: run without a crash,
+ * the gate workload's flight recorder shows paced steps that left the
+ * round open (the opener and a slice), a paced closer and then the
+ * blocking overdue round, and the commits under the workspace's pin
+ * count as waits.
+ */
+TEST(Multiwriter, GateWorkloadRunsEveryCheckpointBranch)
+{
+    const faultsim::SweepConfig config = gateSweepConfig();
+    Env env(config.env);
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, config.db, &db));
+    std::vector<std::unique_ptr<Connection>> conns;
+    runWithoutCrash(*db, config.warmup, &conns);
+    NVWAL_CHECK_OK(db->checkpoint());
+    runWithoutCrash(*db, config.workload, &conns);
+    EXPECT_EQ(env.stats.get(stats::kAutoCheckpointPinWaits), 5u);
+    EXPECT_EQ(env.stats.get(stats::kCheckpointsPinBlocked), 0u);
+    EXPECT_EQ(env.stats.get(stats::kWalLogConflicts), 0u);
+    conns.clear();
+    db.reset();
+    NVWAL_CHECK_OK(Database::open(env, config.db, &db));
+
+    // CheckpointStart's a16 flags a blocking round, CheckpointEnd's
+    // a round that ended. The workload runs no checkpoint by hand, so
+    // a blocking round after the paced one closed is the overdue one.
+    std::uint64_t open_steps = 0;
+    std::uint64_t closers = 0;
+    std::uint64_t overdue = 0;
+    bool start_full = false;
+    for (const FrRecord &r : db->recoveryReport().recording.records) {
+        if (r.type == static_cast<std::uint8_t>(FrRecordType::CheckpointStart))
+            start_full = r.a16 != 0;
+        if (r.type != static_cast<std::uint8_t>(FrRecordType::CheckpointEnd))
+            continue;
+        if (!start_full && r.a16 == 0)
+            ++open_steps;
+        else if (!start_full)
+            ++closers;
+        else if (closers > 0)
+            ++overdue;
+    }
+    EXPECT_GE(open_steps, 2u);
+    EXPECT_EQ(closers, 1u);
+    EXPECT_EQ(overdue, 1u);
+}
+
+/**
+ * Exhaustive pessimistic sweep over the gate workload: crash points
+ * inside the paced opener, slice and closer, inside commits that wait
+ * for a workspace's pin, and inside the overdue blocking round that
+ * the workspace's own commit runs.
+ */
+TEST(Multiwriter, CrashSweepAutoCheckpointGate)
+{
+    faultsim::SweepConfig config = gateSweepConfig();
+    config.policies.push_back(faultsim::PolicyRun{});
+
+    faultsim::SweepReport report;
+    NVWAL_CHECK_OK(faultsim::CrashSweep(config).run(&report));
+    EXPECT_TRUE(report.ok()) << report.summary();
+    EXPECT_EQ(report.pointsSwept, report.totalOps);
+    EXPECT_EQ(report.commitEvents, 15u);
+    EXPECT_GT(report.asyncReplays, 0u);
 }
 
 } // namespace
