@@ -8,9 +8,11 @@
  * round takes it off the commit path (`checkpoint.paced`, the
  * default auto-checkpoint, DESIGN.md §8.4): the flash device
  * programs the write-back on its own timeline. Both records carry
- * the worst commit (`max_commit_sim_ns`), pages per round and flash
- * blocks per transaction; the paced one also the ratio of its flash
- * blocks to the blocking round's (`flash_blocks_vs_full`), gated by
+ * the worst commit (`max_commit_sim_ns`), the commits that waited
+ * for a flash program outside an fsync (`device_wait_commits`),
+ * pages per round and flash blocks per transaction; the paced one
+ * also the ratio of its flash blocks to the blocking round's
+ * (`flash_blocks_vs_full`), gated by
  * bench/baselines/checkpoint_bounds.json.
  *
  * It also measures commit bookkeeping against cache size: the host
@@ -61,6 +63,8 @@ struct LatencyProfile
     double p95Us;
     double p99Us;
     double maxUs;
+    /** Commits that waited for a flash program outside an fsync. */
+    std::uint64_t deviceWaitCommits = 0;
     Histogram latencyNs;
     StatsSnapshot delta;
 };
@@ -92,13 +96,17 @@ run(bool paced, int txns)
     latencies.reserve(txns);
     const StatsSnapshot before = env.stats.snapshot();
     const SimTime begin = env.clock.now();
+    std::uint64_t device_wait_commits = 0;
     for (RowId k = 0; k < txns; ++k) {
         ByteBuffer v(100, static_cast<std::uint8_t>(rng.next()));
         const SimTime start = env.clock.now();
+        const std::uint64_t waited = env.stats.get(stats::kBlockdevWaitNs);
         NVWAL_CHECK_OK(db->insert(k, ConstByteSpan(v.data(), v.size())));
         if (!paced &&
             db->walPageWritesSinceCheckpoint() >= kCheckpointThreshold)
             NVWAL_CHECK_OK(db->checkpoint());
+        if (env.stats.get(stats::kBlockdevWaitNs) != waited)
+            ++device_wait_commits;
         latencies.push_back(env.clock.now() - start);
         hist.record(env.clock.now() - start);
     }
@@ -121,6 +129,7 @@ run(bool paced, int txns)
     p.p95Us = at(0.95);
     p.p99Us = at(0.99);
     p.maxUs = static_cast<double>(latencies.back()) / 1000.0;
+    p.deviceWaitCommits = device_wait_commits;
     p.latencyNs = hist;
     p.delta = MetricsRegistry::delta(before, env.stats.snapshot());
     return p;
@@ -466,6 +475,8 @@ main(int argc, char **argv)
         rec.txnsPerSec = p.txnsPerSec;
         rec.latencyNs = p.latencyNs;
         rec.values["max_commit_sim_ns"] = p.maxUs * 1000.0;
+        rec.values["device_wait_commits"] =
+            static_cast<double>(p.deviceWaitCommits);
         rec.values["pages_per_round"] = pages_per_round;
         rec.values["flash_blocks_per_txn"] = blocks_per_txn;
         if (paced) {

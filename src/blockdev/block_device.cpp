@@ -46,12 +46,12 @@ BlockDevice::retireLocked()
 }
 
 void
-BlockDevice::waitLocked()
+BlockDevice::waitLocked(MetricName counter)
 {
     const SimTime now = _clock.now();
     if (_busyUntil > now) {
         _clock.advanceTo(_busyUntil);
-        _stats.add(stats::kBlockdevWaitNs, _busyUntil - now);
+        _stats.add(counter, _busyUntil - now);
     }
     retireLocked();
 }

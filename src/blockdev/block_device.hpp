@@ -97,12 +97,16 @@ class BlockDevice
         return _busyUntil > _clock.now();
     }
 
-    /** Wait (advance the clock) until every queued program completed. */
+    /**
+     * Wait (advance the clock) until every queued program completed,
+     * counting the wait in @p wait_counter: blockdev.wait_ns, or
+     * blockdev.fsync_wait_ns for an fsync's wait.
+     */
     void
-    drain()
+    drain(MetricName wait_counter = stats::kBlockdevWaitNs)
     {
         std::lock_guard<std::mutex> g(_mu);
-        waitLocked();
+        waitLocked(wait_counter);
     }
 
     /**
@@ -170,8 +174,8 @@ class BlockDevice
 
     /** Forget the programs that completed by now. */
     void retireLocked();
-    /** Advance the clock past every queued program (blockdev.wait_ns). */
-    void waitLocked();
+    /** Advance the clock past every queued program, counted in @p counter. */
+    void waitLocked(MetricName counter = stats::kBlockdevWaitNs);
     /** Copy @p data over @p block and count the program. */
     void programLocked(BlockNo block, ConstByteSpan data, IoTag tag,
                        SimTime done_ns);

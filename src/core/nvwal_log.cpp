@@ -60,6 +60,7 @@ NvwalLog::resetSinceCheckpoint()
     _framesSinceCheckpoint = 0;
     _pageWritesSinceCheckpoint = 0;
     _nodesSinceCheckpoint = 0;
+    _headFrames = _headPageWrites = _headNodes = 0;
 }
 
 std::uint64_t
@@ -85,21 +86,10 @@ void
 NvwalLog::publishCommitted(std::vector<FrameRef>::iterator begin,
                            std::vector<FrameRef>::iterator end)
 {
-    // Pages committed while an incremental checkpoint round is
-    // active must be written back (again) before that round may
-    // truncate the log -- unless the round's current pass has yet to
-    // reach them, which then writes their newest image.
     const CommitSeq seq = ++_commitSeq;
     for (auto it = begin; it != end; ++it) {
         it->seq = seq;
         indexFrame(*it);
-        if (_ckptRoundActive) {
-            PageEntry &entry = _pageIndex[it->pageNo];
-            if (!entry.queued) {
-                entry.queued = true;
-                _ckptPending.push_back(it->pageNo);
-            }
-        }
     }
 }
 
@@ -125,18 +115,23 @@ NvwalLog::initHeader()
     // The previous nvMalloc() version leaked the header block forever
     // when a crash hit between allocation and root publication.
     NVWAL_RETURN_IF_ERROR(_heap.nvPreMalloc(64, &_headerOff));
-    std::uint8_t header[32];
+    std::uint8_t header[kHeaderBytes];
     std::memset(header, 0, sizeof(header));
     storeU64(header, kMagic);
     storeU32(header + 8, _pageSize);
     storeU32(header + 12, _reservedBytes);
     storeU64(header + 16, 0);                 // checkpoint id
     storeU64(header + 24, kNullNvOffset);     // first node
+    storeU64(header + 32, kNullNvOffset);     // segment node
+    storeU64(header + 40, 0);                 // segment epoch
+    storeU64(header + 48, kNullNvOffset);     // retired-prefix head
     _pmem.memcpyToNvram(_headerOff, ConstByteSpan(header, sizeof(header)));
     _pmem.memoryBarrier();
     _pmem.cacheLineFlush(_headerOff, _headerOff + sizeof(header));
     _pmem.memoryBarrier();
     _pmem.persistBarrier();
+    _checkpointId = _frameEpoch = _segmentEpoch = 0;
+    _segmentNode = kNullNvOffset;
     // Publishing the root is the atomic "this log exists" step.
     NVWAL_RETURN_IF_ERROR(_heap.setRoot(_config.heapNamespace, _headerOff));
     return _heap.nvSetUsedFlag(_headerOff);
@@ -153,6 +148,8 @@ NvwalLog::loadHeader()
     if (loadU32(geo) != _pageSize || loadU32(geo + 4) != _reservedBytes)
         return Status::invalidArgument("NVWAL page geometry mismatch");
     _checkpointId = dev.readU64(checkpointIdFieldOff());
+    _segmentNode = dev.readU64(segmentNodeFieldOff());
+    _segmentEpoch = dev.readU64(segmentEpochFieldOff());
     return Status::ok();
 }
 
@@ -188,10 +185,29 @@ NvwalLog::appendNode(std::uint32_t min_payload)
     // Terminate the new node before anything can reach it, then
     // publish the link (dmb; flush; dmb; persist -- lines 8-11).
     persistU64(node, kNullNvOffset);
+    if (_switchPending) {
+        // The round's switch: record the new segment before linking
+        // it. Its epoch is one no frame has carried, so a stale frame
+        // in a reused block never validates in it; a record whose
+        // node never got linked is cleared by recovery.
+        _segmentEpoch = std::max(_segmentEpoch, _checkpointId) + 1;
+        persistU64(segmentEpochFieldOff(), _segmentEpoch);
+        persistU64(segmentNodeFieldOff(), node);
+    }
     persistU64(_linkFieldOff, node);
 
     NVWAL_RETURN_IF_ERROR(_heap.nvSetUsedFlag(node));
 
+    if (_switchPending) {
+        _switchPending = false;
+        _segmentNode = node;
+        _frameEpoch = _segmentEpoch;
+        _chain = CumulativeChecksum(_chainSeed);
+        _headFrames = _framesSinceCheckpoint;
+        _headPageWrites = _pageWritesSinceCheckpoint;
+        _headNodes = _nodesSinceCheckpoint;
+        _stats.add(stats::kWalSegmentSwitches);
+    }
     _tailNode = node;
     _tailUsed = kNodeHeaderSize;
     _tailCapacity = capacity;
@@ -201,20 +217,68 @@ NvwalLog::appendNode(std::uint32_t min_payload)
 }
 
 Status
-NvwalLog::freeChain(NvOffset link_field)
+NvwalLog::freeNodes(NvOffset node, NvOffset stop, std::uint64_t *freed)
 {
     const NvramDevice &dev = _pmem.device();
     std::vector<NvOffset> &nodes = _chainScratch;
     nodes.clear();
-    NvOffset node = dev.readU64(link_field);
-    while (node != kNullNvOffset &&
+    while (node != kNullNvOffset && node != stop &&
            _heap.blockStateAt(node) == BlockState::InUse) {
         nodes.push_back(node);
         node = dev.readU64(node);
     }
     for (auto it = nodes.rbegin(); it != nodes.rend(); ++it)
         NVWAL_RETURN_IF_ERROR(_heap.nvFree(*it));
+    if (freed != nullptr)
+        *freed = nodes.size();
+    return Status::ok();
+}
+
+Status
+NvwalLog::freeChain(NvOffset link_field)
+{
+    NVWAL_RETURN_IF_ERROR(
+        freeNodes(_pmem.device().readU64(link_field), kNullNvOffset));
     persistU64(link_field, kNullNvOffset);
+    return Status::ok();
+}
+
+Status
+NvwalLog::finishRetirement(NvOffset head)
+{
+    // The header points at the segment node, the prefix goes tail
+    // first, and the head takes the segment's epoch before the
+    // segment record and then the retired-prefix record are cleared.
+    // Once the segment record is cleared the rest is done already.
+    const NvramDevice &dev = _pmem.device();
+    std::uint64_t freed = 0;
+    if (_segmentNode != kNullNvOffset) {
+        if (dev.readU64(firstNodeFieldOff()) != _segmentNode)
+            persistU64(firstNodeFieldOff(), _segmentNode);
+        NVWAL_RETURN_IF_ERROR(freeNodes(head, _segmentNode, &freed));
+        if (dev.readU64(checkpointIdFieldOff()) != _segmentEpoch)
+            persistU64(checkpointIdFieldOff(), _segmentEpoch);
+        persistU64(segmentNodeFieldOff(), kNullNvOffset);
+        _checkpointId = _segmentEpoch;
+        _segmentNode = kNullNvOffset;
+    }
+    persistU64(retireHeadFieldOff(), kNullNvOffset);
+    _stats.add(stats::kWalRetiredPrefixNodes, freed);
+    return Status::ok();
+}
+
+Status
+NvwalLog::retirePrefix()
+{
+    // The record first: from here on recovery finishes the retirement
+    // (the round's fsync already made the prefix redundant).
+    const NvOffset head = _pmem.device().readU64(firstNodeFieldOff());
+    persistU64(retireHeadFieldOff(), head);
+    NVWAL_RETURN_IF_ERROR(finishRetirement(head));
+    _framesSinceCheckpoint -= _headFrames;
+    _pageWritesSinceCheckpoint -= _headPageWrites;
+    _nodesSinceCheckpoint -= _headNodes;
+    _headFrames = _headPageWrites = _headNodes = 0;
     return Status::ok();
 }
 
@@ -225,7 +289,7 @@ NvwalLog::placeFrame(PageNo page_no, std::uint16_t page_offset,
     NVWAL_ASSERT(!payload.empty() && payload.size() <= _pageSize);
     const std::uint32_t total =
         kFrameHeaderSize + static_cast<std::uint32_t>(payload.size());
-    if (_tailNode == kNullNvOffset || _tailUsed + total > _tailCapacity) {
+    if (needsNode(total)) {
         // Heap-manager path: the frame forces a new node allocation
         // (per frame for the LS baseline, per block for the
         // user-level heap).
@@ -248,7 +312,7 @@ NvwalLog::placeFrame(PageNo page_no, std::uint16_t page_offset,
     storeU16(header + 4, page_offset);
     storeU16(header + 6, static_cast<std::uint16_t>(payload.size()));
     storeU64(header + 8, 0);  // commit word, set later
-    storeU64(header + 16, _checkpointId);
+    storeU64(header + 16, _frameEpoch);
     _chain.update(ConstByteSpan(header, 8));
     _chain.update(ConstByteSpan(header + 16, 8));
     _chain.update(payload);
@@ -270,7 +334,7 @@ NvwalLog::reserveContiguous(std::uint32_t bytes)
 {
     if (!_config.userHeap)
         return Status::ok();  // the LS baseline allocates per frame
-    if (_tailNode != kNullNvOffset && _tailUsed + bytes <= _tailCapacity)
+    if (!needsNode(bytes))
         return Status::ok();  // the tail node already fits the txn
     TraceSpan span(_stats.tracer(), "wal.append_node", "wal", "bytes",
                    bytes);
@@ -372,7 +436,8 @@ NvwalLog::logTxnFrames(const std::vector<FrameWrite> &frames,
             placeFrame(pf.pageNo, pf.pageOffset, pf.payload, &off));
         refs->push_back(FrameRef{
             off, pf.pageNo, pf.pageOffset,
-            static_cast<std::uint16_t>(pf.payload.size()), 0});
+            static_cast<std::uint16_t>(pf.payload.size()), 0,
+            _chain.value()});
         if (_config.syncMode == SyncMode::Eager) {
             // Figure 4(b): flush + fence + persist per log entry.
             _pmem.memoryBarrier();
@@ -536,7 +601,7 @@ NvwalLog::writeFrameGroupAsync(const std::vector<TxnFrames> &txns)
         if (end == begin)
             continue;  // a transaction that dirtied nothing
         _pmem.storeU64(refs[end - 1].off + 8,
-                       kCommitFlag | txns[t].dbSizePages);
+                       commitWord(refs[end - 1].chain, txns[t].dbSizePages));
         publishCommitted(refs.begin() + begin, refs.begin() + end);
         noteCommitted(refs.begin() + begin, refs.begin() + end);
         begin = end;
@@ -558,7 +623,7 @@ NvwalLog::persistCommitMark(const FrameRef &last,
     // the cumulative checksum lands with the mark (Figure 4(d));
     // frames themselves were never flushed.
     const SimTime mark_begin = _pmem.clock().now();
-    _pmem.storeU64(last.off + 8, kCommitFlag | db_size_pages);
+    _pmem.storeU64(last.off + 8, commitWord(last.chain, db_size_pages));
     _pmem.memoryBarrier();
     if (_config.syncMode == SyncMode::ChecksumAsync)
         _pmem.cacheLineFlush(last.off, last.off + kFrameHeaderSize);
@@ -682,7 +747,6 @@ NvwalLog::resetPageIndex()
         entry.frames.forget();
         entry.baseSeq = 0;
         entry.listed = false;
-        entry.queued = false;
     }
     _listedPages.clear();
     _indexPool.releaseAll();
@@ -691,16 +755,30 @@ NvwalLog::resetPageIndex()
 }
 
 void
-NvwalLog::clearCkptWork()
+NvwalLog::unlistEmptyPages()
 {
-    for (std::size_t i = _ckptQueuePos; i < _ckptQueue.size(); ++i)
-        _pageIndex[_ckptQueue[i]].queued = false;
+    std::size_t kept = 0;
+    for (const PageNo page_no : _listedPages) {
+        PageEntry &entry = _pageIndex[page_no];
+        if (entry.frames.empty()) {
+            entry.frames.clear();
+            entry.baseSeq = 0;
+            entry.listed = false;
+        } else {
+            _listedPages[kept++] = page_no;
+        }
+    }
+    _listedPages.resize(kept);
+    publishIndexGauge();
+}
+
+void
+NvwalLog::endRound()
+{
+    _ckptRoundActive = false;
+    _switchPending = false;
     _ckptQueue.clear();
     _ckptQueuePos = 0;
-    for (const PageNo page_no : _ckptPending)
-        _pageIndex[page_no].queued = false;
-    _ckptPending.clear();
-    _ckptDeferred.clear();  // left behind only by a failed step
 }
 
 void
@@ -804,14 +882,18 @@ Status
 NvwalLog::checkpoint()
 {
     TraceSpan span(_stats.tracer(), "wal.checkpoint", "wal");
-    // A full round is timed from this call, even when it finishes a
-    // round that earlier steps opened.
-    _ckptBeginNs.reset();
+    // A full round is timed from this call, as one sample. A round
+    // that earlier steps opened is folded into it: the fresh round's
+    // set holds the pages those steps have not written yet and the
+    // pages committed since, so one fsync and truncation cover both.
+    _ckptBeginNs = _pmem.clock().now();
+    endRound();
     bool done = false;
     while (!done) {
         NVWAL_RETURN_IF_ERROR(writeBack(~static_cast<std::uint32_t>(0),
                                         WriteBackMode::Blocking, &done));
     }
+    recordCheckpointRound();
     return Status::ok();
 }
 
@@ -819,37 +901,26 @@ Status
 NvwalLog::checkpointStep(std::uint32_t max_pages, bool *done)
 {
     TraceSpan span(_stats.tracer(), "wal.checkpoint_step", "wal");
-    return writeBack(max_pages, WriteBackMode::Step, done);
+    NVWAL_RETURN_IF_ERROR(writeBack(max_pages, WriteBackMode::Step, done));
+    if (*done)
+        recordCheckpointRound();
+    return Status::ok();
 }
 
 Status
-NvwalLog::checkpointPaced(CheckpointPace pace, bool *done)
+NvwalLog::checkpointPaced(bool *done)
 {
     TraceSpan span(_stats.tracer(), "wal.checkpoint", "wal");
     constexpr std::uint32_t kAll = ~static_cast<std::uint32_t>(0);
-    if (!_ckptRoundActive) {
-        // The opener: the round's whole first pass goes to the file
-        // system and the device's queue.
-        return writeBack(kAll, WriteBackMode::Slice, done);
-    }
-    const std::size_t residual =
-        (_ckptQueue.size() - _ckptQueuePos) + _ckptPending.size();
-    if (residual <= kPacedClosePages) {
-        // The closer: the residual, the round's one fsync and the
-        // truncation.
-        return writeBack(kAll, WriteBackMode::Step, done);
-    }
-    // A slice waits for its own programs when the residual fits in
-    // it, so the next commit finds an idle device and only its own
-    // pages pending, and when the log nears its bound, so the writer
-    // cannot outrun the device. Left in flight, the pages commits
-    // dirty while a slice drains keep the residual above the closer's
-    // bound on a busy workload.
-    const bool sync =
-        pace == CheckpointPace::Hurry || residual <= kPacedSlicePages;
-    return writeBack(kPacedSlicePages,
-                     sync ? WriteBackMode::SyncSlice : WriteBackMode::Slice,
-                     done);
+    // The opener queues the round's whole set on the device; the
+    // closer, run once the device has drained, writes whatever a
+    // manual step left, fsyncs and retires.
+    NVWAL_RETURN_IF_ERROR(writeBack(
+        kAll, _ckptRoundActive ? WriteBackMode::Step : WriteBackMode::Queue,
+        done));
+    if (*done)
+        recordCheckpointRound();
+    return Status::ok();
 }
 
 void
@@ -884,8 +955,8 @@ NvwalLog::writeBackPage(PageNo page_no, CommitSeq target, bool *wrote)
     }
     if (effective == entry.baseSeq) {
         // Everything visible at the target is already in the base
-        // image (the page re-queued but its new commits sit past the
-        // clamped horizon); nothing to write.
+        // image (the page's new commits sit past the clamped
+        // horizon); nothing to write.
         return Status::ok();
     }
     NVWAL_RETURN_IF_ERROR(_dbFile.writePage(page_no, image));
@@ -908,14 +979,37 @@ NvwalLog::writeBackPage(PageNo page_no, CommitSeq target, bool *wrote)
     return Status::ok();
 }
 
+void
+NvwalLog::openRound()
+{
+    // Freeze the round: the pages the log holds now, in ascending
+    // page order so the block device sees one sequential sweep
+    // (Fig. 8), and the horizon they are written at -- the newest
+    // commit, clamped so the base image a pinned reader falls back
+    // to never gets ahead of its horizon. Pins taken later sit at or
+    // above the round's horizon.
+    _ckptQueue.clear();
+    _ckptQueuePos = 0;
+    for (const PageNo page_no : _listedPages)
+        if (!_pageIndex[page_no].frames.empty())
+            _ckptQueue.push_back(page_no);
+    std::sort(_ckptQueue.begin(), _ckptQueue.end());
+    _roundSeq = _commitSeq;
+    _roundTarget = std::min(oldestPin(), _commitSeq);
+    _ckptLastWritten = kNoPage;
+    _ckptRoundActive = true;
+    // The switch: commits from here on start a new segment, so the
+    // round can retire the old one without catching up with them. A
+    // log that already has a second segment (a pin kept it) keeps
+    // appending to it.
+    _switchPending = _segmentNode == kNullNvOffset;
+}
+
 Status
 NvwalLog::writeBack(std::uint32_t max_pages, WriteBackMode mode, bool *done)
 {
     *done = false;
-    const bool wait = mode == WriteBackMode::Blocking ||
-                      mode == WriteBackMode::SyncSlice;
-    const bool may_close = mode == WriteBackMode::Blocking ||
-                           mode == WriteBackMode::Step;
+    const bool wait = mode == WriteBackMode::Blocking;
     if (!_ckptBeginNs)
         _ckptBeginNs = _pmem.clock().now();
     // Write-back must never outrun the durable log: if the .db base
@@ -924,41 +1018,15 @@ NvwalLog::writeBack(std::uint32_t max_pages, WriteBackMode mode, bool *done)
     // Harden pending async ranges before touching the file.
     if (!_unhardenedRuns.empty())
         NVWAL_RETURN_IF_ERROR(harden());
-    // Trivially done only when the chain itself is empty: a log can
-    // hold zero indexed frames yet still own nodes that a full round
-    // must free.
-    if (_indexedFrames == 0 && _nodesSinceCheckpoint == 0) {
-        _ckptRoundActive = false;
-        clearCkptWork();
-        *done = true;
-        recordCheckpointRound();
-        return Status::ok();
-    }
-
-    // The write-back horizon: the newest commit, clamped to the
-    // oldest pinned snapshot so the base image a pinned reader falls
-    // back to never gets ahead of its horizon.
-    const CommitSeq target = checkpointTarget();
-
-    // Start a new round: snapshot the dirty-in-log page set in
-    // ascending page order, so the block device sees one sequential
-    // sweep instead of a scatter (Fig. 8). Pages committed while the
-    // round is in progress land in _ckptPending (see
-    // publishCommitted) and are drained by ascending catch-up passes,
-    // so the round only finishes when the write-back has caught up
-    // with the log.
     if (!_ckptRoundActive) {
-        clearCkptWork();
-        for (const PageNo page_no : _listedPages) {
-            PageEntry &entry = _pageIndex[page_no];
-            if (!entry.frames.empty()) {
-                entry.queued = true;
-                _ckptQueue.push_back(page_no);
-            }
+        // Trivially done only when the chain itself is empty: a log
+        // can hold zero indexed frames yet still own nodes that a
+        // full round must free.
+        if (_indexedFrames == 0 && _nodesSinceCheckpoint == 0) {
+            *done = true;
+            return Status::ok();
         }
-        std::sort(_ckptQueue.begin(), _ckptQueue.end());
-        _ckptLastWritten = kNoPage;
-        _ckptRoundActive = true;
+        openRound();
     }
 
     // Reconstruct up to max_pages pages into the .db file's page
@@ -973,27 +1041,10 @@ NvwalLog::writeBack(std::uint32_t max_pages, WriteBackMode mode, bool *done)
     if (_ckptPage.size() != _pageSize)
         _ckptPage.assign(_pageSize, 0);
     std::uint32_t written = 0;
-    while (written < max_pages) {
-        if (_ckptQueuePos == _ckptQueue.size()) {
-            if (_ckptPending.empty())
-                break;  // the round has caught up with the log
-            // Catch-up pass over the pages re-dirtied mid-round,
-            // again in ascending order.
-            _ckptQueue.swap(_ckptPending);
-            _ckptPending.clear();
-            std::sort(_ckptQueue.begin(), _ckptQueue.end());
-            _ckptQueuePos = 0;
-        }
+    while (written < max_pages && _ckptQueuePos < _ckptQueue.size()) {
         const PageNo page_no = _ckptQueue[_ckptQueuePos++];
-        PageEntry &entry = _pageIndex[page_no];
-        entry.queued = false;  // a commit from here on queues it again
-        if (mode == WriteBackMode::Slice &&
-            entry.frames.newestSeq() + kPacedHotCommits > _commitSeq) {
-            _ckptDeferred.push_back(page_no);
-            continue;
-        }
         bool wrote = false;
-        NVWAL_RETURN_IF_ERROR(writeBackPage(page_no, target, &wrote));
+        NVWAL_RETURN_IF_ERROR(writeBackPage(page_no, _roundTarget, &wrote));
         if (!wrote)
             continue;
         ++written;
@@ -1006,15 +1057,7 @@ NvwalLog::writeBack(std::uint32_t max_pages, WriteBackMode mode, bool *done)
                 _dbFile.waitWriteOut();
         }
     }
-    // Hot pages wait for a later pass; after the loop, so one step
-    // never takes them up twice.
-    for (const PageNo page_no : _ckptDeferred) {
-        _pageIndex[page_no].queued = true;
-        _ckptPending.push_back(page_no);
-    }
-    _ckptDeferred.clear();
-    if (_ckptQueuePos < _ckptQueue.size() || !_ckptPending.empty() ||
-        !may_close) {
+    if (_ckptQueuePos < _ckptQueue.size() || mode == WriteBackMode::Queue) {
         // More steps required: start the write-out of what this step
         // wrote, so the device programs it while commits go on.
         // Intermediate write-backs are safe because replaying the
@@ -1024,41 +1067,54 @@ NvwalLog::writeBack(std::uint32_t max_pages, WriteBackMode mode, bool *done)
             _dbFile.waitWriteOut();
         return Status::ok();
     }
-
-    NVWAL_RETURN_IF_ERROR(_dbFile.sync());
-    _ckptRoundActive = false;
-    clearCkptWork();
-    if (target == _commitSeq && _indexedFrames != 0) {
-        // A pin released mid-round: the steps before the release
-        // wrote pages back only up to the old clamped target, so the
-        // frames past it are still live. Truncating now would lose
-        // them; the next step starts a fresh round that drains them.
-        return Status::ok();
-    }
+    NVWAL_RETURN_IF_ERROR(closeRound());
     *done = true;
+    return Status::ok();
+}
 
-    if (target < _commitSeq) {
-        // A pinned snapshot sits below the newest commit, so frames
+Status
+NvwalLog::closeRound()
+{
+    NVWAL_RETURN_IF_ERROR(_dbFile.sync());
+    const bool appended = _commitSeq != _roundSeq;
+    endRound();
+    if (_roundTarget < _roundSeq) {
+        // A pinned snapshot sat below the round's horizon, so frames
         // past the target must survive; the round ends with the base
         // file advanced to the target but the log retained. A later
         // round truncates once the pin releases.
         _stats.add(stats::kCheckpointsPinBlocked);
-        recordCheckpointRound();
         return Status::ok();
     }
+    _retiredSeq = _roundSeq;
+    _stats.add(stats::kCheckpoints);
+    if (appended) {
+        // Commits since the open sit in the second segment; the head
+        // segment holds nothing the .db file now lacks.
+        NVWAL_RETURN_IF_ERROR(retirePrefix());
+        unlistEmptyPages();
+        return Status::ok();
+    }
+    // Nothing was appended since the open: truncate the whole log.
     // Open a new checkpoint epoch *before* truncating: every logged
     // frame carries the epoch id, so bumping it atomically
     // invalidates the whole log. Without this, a crash midway
     // through freeing the nodes (tail first, section 4.3) would
     // leave a valid *prefix* of frames, and replaying old diffs on
     // top of the already-checkpointed pages would revert the
-    // transactions whose frames were freed.
-    _checkpointId++;
+    // transactions whose frames were freed. The new epoch also
+    // passes any a second segment's frames carried.
+    _checkpointId = std::max(_checkpointId, _frameEpoch) + 1;
+    _frameEpoch = _checkpointId;
     persistU64(checkpointIdFieldOff(), _checkpointId);
 
     // Truncate the NVRAM log: free nodes from the end of the list to
     // the beginning (section 4.3), then clear the head pointer.
     NVWAL_RETURN_IF_ERROR(freeChain(firstNodeFieldOff()));
+    if (_segmentNode != kNullNvOffset) {
+        _segmentNode = kNullNvOffset;
+        persistU64(segmentNodeFieldOff(), kNullNvOffset);
+    }
 
     // Every page's frames are gone and the .db file holds its newest
     // image, so the whole volatile index goes with them.
@@ -1068,8 +1124,6 @@ NvwalLog::writeBack(std::uint32_t max_pages, WriteBackMode mode, bool *done)
     _tailUsed = 0;
     _tailCapacity = 0;
     _linkFieldOff = firstNodeFieldOff();
-    _stats.add(stats::kCheckpoints);
-    recordCheckpointRound();
     return Status::ok();
 }
 
@@ -1080,10 +1134,10 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
     const SimTime recover_begin = _pmem.clock().now();
     *db_size_pages = 0;
     resetPageIndex();
-    _ckptRoundActive = false;
+    endRound();
     _ckptBeginNs.reset();
-    clearCkptWork();
     resetSinceCheckpoint();
+    _retiredSeq = 0;
     _dbSizePages = 0;
     _tailNode = kNullNvOffset;
     _tailUsed = 0;
@@ -1127,6 +1181,18 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
 
     NvramDevice &dev = _pmem.device();
 
+    // A segment retirement the crash interrupted: its round had
+    // fsynced, so finish it (DESIGN.md §8.4).
+    const NvOffset retire_head = dev.readU64(retireHeadFieldOff());
+    if (retire_head != kNullNvOffset)
+        NVWAL_RETURN_IF_ERROR(finishRetirement(retire_head));
+    // A segment record is live only while its epoch is ahead of the
+    // head's: a whole-log truncation raises the head past it before
+    // it frees the nodes.
+    if (_segmentEpoch <= _checkpointId)
+        _segmentNode = kNullNvOffset;
+    bool segment_live = false;
+
     // Walk the node chain, validating the frame checksum chain.
     // Frames after the last valid commit mark belong to a unit that
     // never became durable and are discarded; the tail restores at
@@ -1141,6 +1207,7 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
     };
     Mark last_mark;
     bool any_mark = false;
+    bool mark_in_segment = false;
     std::uint64_t page_writes = 0;
     std::vector<FrameRef> pending;
     std::vector<FrameRef> committed;
@@ -1169,7 +1236,21 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
     NvOffset link_field = firstNodeFieldOff();
     NvOffset node = dev.readU64(link_field);
     CumulativeChecksum chain(_chainSeed);
+    std::uint64_t epoch = _checkpointId;
     while (node != kNullNvOffset) {
+        if (node == _segmentNode && _heap.blockStateAt(node) ==
+                                        BlockState::InUse) {
+            // The second segment: a fresh epoch and a chain restarted
+            // at the seed. What the head segment committed is what a
+            // retirement would subtract.
+            segment_live = true;
+            epoch = _segmentEpoch;
+            chain = CumulativeChecksum(_chainSeed);
+            discard_prev_chain = _chainSeed;
+            _headFrames = committed.size();
+            _headPageWrites = page_writes;
+            _headNodes = _nodesSinceCheckpoint;
+        }
         if (_heap.blockStateAt(node) != BlockState::InUse) {
             // Dangling reference to a block the heap reclaimed
             // (crash between linking and nvSetUsedFlag): delete the
@@ -1195,7 +1276,7 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
             if (size == 0 || page_no == kNoPage ||
                 static_cast<std::uint32_t>(page_off) + size > _pageSize ||
                 pos + kFrameHeaderSize + size > capacity ||
-                ckpt_id != _checkpointId) {
+                ckpt_id != epoch) {
                 // No (valid) frame here: the rest of this node is
                 // unused tail space -- continue with the next node.
                 // If these bytes were a torn frame instead, any
@@ -1243,8 +1324,8 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
             pos = static_cast<std::uint32_t>(
                 alignUp(pos + kFrameHeaderSize + size, 8));
             pending.push_back(FrameRef{frame_off, page_no, page_off,
-                                       size, 0});
-            if (commit_word != 0) {
+                                       size, 0, stored_chain});
+            if (isCommitMark(commit_word, stored_chain)) {
                 // Every frame up to this mark committed together; a
                 // group commit recovers as one sequence, which is
                 // exactly its atomicity unit.
@@ -1257,12 +1338,12 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
                                  pending.end());
                 pending.clear();
                 any_mark = true;
+                mark_in_segment = segment_live;
                 last_mark.node = node;
                 last_mark.used = pos;
                 last_mark.capacity = capacity;
                 last_mark.chain = chain;
-                last_mark.dbSize = static_cast<std::uint32_t>(
-                    commit_word & ~kCommitFlag);
+                last_mark.dbSize = static_cast<std::uint32_t>(commit_word);
             }
         }
         _nodesSinceCheckpoint++;
@@ -1317,6 +1398,18 @@ NvwalLog::recover(std::uint32_t *db_size_pages)
         _linkFieldOff = firstNodeFieldOff();
         _nodesSinceCheckpoint = 0;
     }
+    if (!mark_in_segment) {
+        // No commit survived in the second segment (or it was never
+        // linked): its nodes are gone with the uncommitted tail, so
+        // drop the record. Its epoch stays the high-water mark, so
+        // the next segment's frames never match a stale one's.
+        _headFrames = _headPageWrites = _headNodes = 0;
+        if (dev.readU64(segmentNodeFieldOff()) != kNullNvOffset)
+            persistU64(segmentNodeFieldOff(), kNullNvOffset);
+        _segmentNode = kNullNvOffset;
+    }
+    _frameEpoch =
+        _segmentNode != kNullNvOffset ? _segmentEpoch : _checkpointId;
 
     _hardenedSeq = _commitSeq;
     *db_size_pages = _dbSizePages;

@@ -7,8 +7,15 @@
  *   namespace "nvwal" -> header allocation:
  *     0   magic u64
  *     8   page size u32, reserved bytes u32
- *     16  checkpoint id u64
+ *     16  checkpoint id u64 -- the epoch of the head segment's frames
  *     24  first node offset u64 (kNullNvOffset when the log is empty)
+ *     32  segment node u64: first node of the log's second segment,
+ *         the one a checkpoint round switched to (kNullNvOffset when
+ *         the log is one segment)
+ *     40  segment epoch u64: the epoch of the second segment's frames,
+ *         the highest epoch ever given to a segment
+ *     48  retired-prefix head u64: first node of a prefix whose
+ *         retirement is under way (kNullNvOffset when none)
  *
  *   log node (one heap allocation; the user-level heap packs many
  *   frames per node, the LS baseline holds one frame per node):
@@ -19,10 +26,12 @@
  *     0   page number u32
  *     4   in-page offset u16
  *     6   payload size u16
- *     8   commit word u64 -- 0, or kCommitFlag | dbSizePages.
+ *     8   commit word u64 -- 0, or kCommitFlag | the low 31 bits of
+ *         the frame's cumulative checksum << 32 | dbSizePages.
  *         Excluded from the checksum so the commit mark can be set
  *         by a single 8-byte atomic store after the payload is
- *         durable (section 4.1).
+ *         durable (section 4.1); the checksum bits stop a stale word
+ *         left in a reused block from reading as a mark.
  *     16  checkpoint id u64
  *     24  cumulative checksum u64 over [0, 8) + [16, 24) + payload,
  *         chained across all frames since the last checkpoint, so
@@ -63,10 +72,30 @@ namespace nvwal
 class NvwalLog : public WriteAheadLog
 {
   public:
-    static constexpr std::uint64_t kMagic = 0x3330304c4157564eULL;
+    /** "NVWAL004", little-endian. */
+    static constexpr std::uint64_t kMagic = 0x3430304c4157564eULL;
     static constexpr std::uint32_t kFrameHeaderSize = 32;
     static constexpr std::uint32_t kNodeHeaderSize = 8;
     static constexpr std::uint64_t kCommitFlag = 1ULL << 63;
+
+    /** The commit word that marks a frame whose checksum is @p chain. */
+    static std::uint64_t
+    commitWord(std::uint64_t chain, std::uint32_t db_size_pages)
+    {
+        return kCommitFlag | (chain & 0x7fffffffULL) << 32 | db_size_pages;
+    }
+
+    /**
+     * Whether @p word, read from a frame whose stored checksum is
+     * @p chain, is its commit mark. An adversarial crash can drop the
+     * 8-byte store that zeroed the word of a frame placed over a
+     * reused block; what it leaves there is not a mark.
+     */
+    static bool
+    isCommitMark(std::uint64_t word, std::uint64_t chain)
+    {
+        return word >> 32 == (commitWord(chain, 0) >> 32);
+    }
     /**
      * Adaptive logging granularity (DESIGN.md §14.2), active when
      * diffLogging is on: a page whose logged bytes would exceed this
@@ -85,31 +114,6 @@ class NvwalLog : public WriteAheadLog
      * 16-slot chunk of a round.
      */
     static constexpr std::uint32_t kWriteOutBatch = 16;
-    /**
-     * Paced round (DESIGN.md §8.4): a catch-up slice issues at most
-     * this many pages, ~16 us of page copies on the Nexus 5 model,
-     * so it moves a ~0.5 ms median commit by at most ~3%.
-     */
-    static constexpr std::uint32_t kPacedSlicePages = 16;
-    /**
-     * Paced round: the closer runs once at most this many pages are
-     * left. It programs them synchronously (8 x 180 us), then commits
-     * the fs journal (3-5 blocks) and flushes (800 us): ~3 ms, so a
-     * commit carrying it stays under 5 ms.
-     */
-    static constexpr std::uint32_t kPacedClosePages = 8;
-    /**
-     * Paced round: a slice left in flight passes over pages committed
-     * within this many commits. They are likely to be dirtied again
-     * before the round ends, so writing them now would only be
-     * repeated; the tail slice and the closer write them once.
-     * Measured on e2ebench (EXPERIMENTS.md): 8 left
-     * `multiwriter_hotspot`'s flash bytes 25% over the blocking
-     * round's, 48 left them 15% over, and 64 lifted `mobile_oltp`'s
-     * median commit 10% by pushing rounds into the hurried tail.
-     */
-    static constexpr CommitSeq kPacedHotCommits = 48;
-
     NvwalLog(NvHeap &heap, Pmem &pmem, DbFile &db_file,
              std::uint32_t page_size, std::uint32_t reserved_bytes,
              NvwalConfig config, MetricsRegistry &stats);
@@ -133,7 +137,9 @@ class NvwalLog : public WriteAheadLog
     bool supportsSnapshots() const override { return true; }
     Status checkpoint() override;
     Status checkpointStep(std::uint32_t max_pages, bool *done) override;
-    Status checkpointPaced(CheckpointPace pace, bool *done) override;
+    Status checkpointPaced(bool *done) override;
+    CommitSeq checkpointHorizon() const override
+    { return _ckptRoundActive ? _roundSeq : _commitSeq; }
     Status recover(std::uint32_t *db_size_pages) override;
     std::uint64_t framesSinceCheckpoint() const override
     { return _framesSinceCheckpoint; }
@@ -171,8 +177,9 @@ class NvwalLog : public WriteAheadLog
     { _committedPageSource = std::move(source); }
 
     /**
-     * Monotonic checkpoint-round id from the persistent header. Bumped
-     * by every truncation, recovered verbatim — the flight recorder
+     * Monotonic checkpoint-round id from the persistent header: the
+     * epoch of the log's head segment. Raised by every truncation and
+     * every segment retirement, recovered verbatim — the flight recorder
      * stamps durable-claim records with it so forensic cross-checks
      * can tell whether a claimed commit-mark count predates the
      * recovered truncation horizon (DESIGN.md §12).
@@ -201,6 +208,12 @@ class NvwalLog : public WriteAheadLog
      * count -- the sweep harness's NVRAM-leak invariant.
      */
     std::uint64_t reachableNvramBlocks() const;
+
+    /**
+     * Commit sequence the last truncation or segment retirement wrote
+     * back through: every frame the log still holds is newer.
+     */
+    CommitSeq retiredSeq() const { return _retiredSeq; }
 
     /** NVRAM offset where the next frame will be placed (tests). */
     NvOffset
@@ -247,6 +260,7 @@ class NvwalLog : public WriteAheadLog
         std::uint16_t pageOffset;
         std::uint16_t size;     //!< payload bytes
         CommitSeq seq = 0;      //!< commit sequence (volatile, index-only)
+        std::uint64_t chain = 0; //!< cumulative checksum stored in it
     };
 
     /**
@@ -265,6 +279,10 @@ class NvwalLog : public WriteAheadLog
     { return _headerOff + field; }
     NvOffset firstNodeFieldOff() const { return headerFieldOff(24); }
     NvOffset checkpointIdFieldOff() const { return headerFieldOff(16); }
+    NvOffset segmentNodeFieldOff() const { return headerFieldOff(32); }
+    NvOffset segmentEpochFieldOff() const { return headerFieldOff(40); }
+    NvOffset retireHeadFieldOff() const { return headerFieldOff(48); }
+    static constexpr std::uint32_t kHeaderBytes = 56;
 
     Status initHeader();
     Status loadHeader();
@@ -272,8 +290,20 @@ class NvwalLog : public WriteAheadLog
     /** Persist a single 8-byte field: store, fence, flush, persist. */
     void persistU64(NvOffset off, std::uint64_t value);
 
-    /** Allocate + link a new log node with >= @p min_payload bytes. */
+    /**
+     * Allocate + link a new log node with >= @p min_payload bytes.
+     * After a round's switch the node starts the second segment: its
+     * frames take a fresh epoch and restart the checksum chain.
+     */
     Status appendNode(std::uint32_t min_payload);
+
+    /** Whether the next frame needs a new node. */
+    bool
+    needsNode(std::uint32_t bytes) const
+    {
+        return _tailNode == kNullNvOffset || _switchPending ||
+               _tailUsed + bytes > _tailCapacity;
+    }
 
     /**
      * Free the node chain hanging off the link field at @p link_field
@@ -281,6 +311,30 @@ class NvwalLog : public WriteAheadLog
      * walk stops early at a node the heap does not hold in use.
      */
     Status freeChain(NvOffset link_field);
+
+    /**
+     * Free the nodes from @p node up to @p stop (exclusive), tail
+     * first, so the nodes still in use are always a prefix of the
+     * walk. The walk stops early at a node the heap does not hold in
+     * use. Counts the nodes freed in @p freed when given.
+     */
+    Status freeNodes(NvOffset node, NvOffset stop,
+                     std::uint64_t *freed = nullptr);
+
+    /**
+     * Retire the head segment once the round that switched to the
+     * second one has fsynced: the header then points at the segment
+     * node and the prefix before it is freed. The retired-prefix
+     * record makes it crash-atomic.
+     */
+    Status retirePrefix();
+
+    /**
+     * The steps of a retirement after its record names the prefix
+     * head @p head; each is idempotent, so recovery rolls an
+     * interrupted retirement forward with it.
+     */
+    Status finishRetirement(NvOffset head);
 
     /** Place one frame; returns its header offset. */
     Status placeFrame(PageNo page_no, std::uint16_t page_offset,
@@ -326,16 +380,15 @@ class NvwalLog : public WriteAheadLog
 
     /**
      * Publish one commit unit's frames [@p begin, @p end) under a
-     * fresh commit sequence: stamp and index them, and queue their
-     * pages for the active incremental checkpoint round.
+     * fresh commit sequence: stamp and index them.
      */
     void publishCommitted(std::vector<FrameRef>::iterator begin,
                           std::vector<FrameRef>::iterator end);
 
     /**
      * Restart the checksum chain at _chainSeed and zero the
-     * since-checkpoint frame, page-write and node counters
-     * (truncation and recovery).
+     * since-checkpoint frame, page-write and node counters, and the
+     * head segment's (truncation and recovery).
      */
     void resetSinceCheckpoint();
 
@@ -364,10 +417,13 @@ class NvwalLog : public WriteAheadLog
     void resetPageIndex();
 
     /**
-     * Drop the round's queue, re-dirtied and passed-over page lists,
-     * and their flags.
+     * Unlist the entries whose frames a segment retirement left
+     * empty; the others keep their frames and baseSeq.
      */
-    void clearCkptWork();
+    void unlistEmptyPages();
+
+    /** End the round: drop its queue and any switch not yet made. */
+    void endRound();
 
     /** Re-publish the wal.frame_index_nodes gauge after a change. */
     void publishIndexGauge();
@@ -377,25 +433,36 @@ class NvwalLog : public WriteAheadLog
     /** How one writeBack() call treats the device and the round's end. */
     enum class WriteBackMode
     {
-        /** Wait for each batch; end the round once caught up. */
+        /** Wait for each batch; end the round once its set is written. */
         Blocking,
-        /** Leave the batches in flight; end the round once caught up. */
+        /** Leave the batches in flight; end the round likewise. */
         Step,
         /** Leave the batches in flight; never end the round. */
-        Slice,
-        /** Wait for each batch; never end the round. */
-        SyncSlice,
+        Queue,
     };
 
     /**
      * The one checkpoint body: open a round if none is active, write
-     * back up to @p max_pages pages in kWriteOutBatch-page write-out
-     * batches, and -- unless @p mode is Slice -- once the round has
-     * caught up with the log, fsync and truncate. Sets @p done when
-     * the round ended.
+     * back up to @p max_pages pages of its frozen set in
+     * kWriteOutBatch-page write-out batches, and -- unless @p mode is
+     * Queue -- once the set is written, fsync and retire what the
+     * round covered. Sets @p done when the round ended; the caller
+     * records the round's sample.
      */
     Status writeBack(std::uint32_t max_pages, WriteBackMode mode,
                      bool *done);
+
+    /**
+     * Open a round at the newest commit: freeze its page set and
+     * target, and switch the log to a new segment if it has only one.
+     */
+    void openRound();
+
+    /**
+     * End a round whose set is written: fsync, then truncate the log,
+     * retire its head segment, or -- clamped by a pin -- keep it.
+     */
+    Status closeRound();
 
     /**
      * Write @p page_no into the .db file at @p target -- from the
@@ -440,14 +507,6 @@ class NvwalLog : public WriteAheadLog
                            std::uint32_t db_size_pages,
                            std::uint64_t frame_count);
 
-    /**
-     * The commit horizon a checkpoint round may write back to the
-     * .db file: the newest commit, clamped so the base image never
-     * advances past the oldest pinned snapshot.
-     */
-    CommitSeq checkpointTarget() const
-    { return std::min(oldestPin(), _commitSeq); }
-
     NvHeap &_heap;
     Pmem &_pmem;
     DbFile &_dbFile;
@@ -466,6 +525,20 @@ class NvwalLog : public WriteAheadLog
     // Volatile state, rebuilt by recover().
     NvOffset _headerOff = kNullNvOffset;
     std::uint64_t _checkpointId = 0;
+    /** The epoch new frames carry: the second segment's, if any. */
+    std::uint64_t _frameEpoch = 0;
+    /** First node of the second segment, or kNullNvOffset. */
+    NvOffset _segmentNode = kNullNvOffset;
+    /** Highest epoch given to a segment (header field 40). */
+    std::uint64_t _segmentEpoch = 0;
+    /** A round opened on a one-segment log: the next node switches. */
+    bool _switchPending = false;
+    /** Since-checkpoint counters of the head segment alone. */
+    std::uint64_t _headFrames = 0;
+    std::uint64_t _headPageWrites = 0;
+    std::uint64_t _headNodes = 0;
+    /** See retiredSeq(). */
+    CommitSeq _retiredSeq = 0;
     NvOffset _tailNode = kNullNvOffset;   //!< last node in the chain
     std::uint32_t _tailUsed = 0;          //!< bytes used in tail node
     std::uint32_t _tailCapacity = 0;      //!< tail node total bytes
@@ -503,13 +576,12 @@ class NvwalLog : public WriteAheadLog
     std::vector<std::pair<NvOffset, NvOffset>> _unhardenedRuns;
     CommittedPageSource _committedPageSource;
     /**
-     * The in-progress incremental checkpoint round. The round drains
-     * _ckptQueue front to back -- pages in ascending order, so the
-     * block device sees sequential writes (Fig. 8). Pages committed
-     * while the round is active land in _ckptPending and are drained
-     * by catch-up passes (again ascending) until no re-dirtied page
-     * remains; replaying absolute-byte diffs is idempotent, so
-     * partial write-backs are always crash-safe.
+     * The in-progress checkpoint round. It drains _ckptQueue, the
+     * pages the log held when it opened, front to back -- ascending,
+     * so the block device sees sequential writes (Fig. 8) -- at the
+     * target frozen then. Pages committed later land in the second
+     * segment and wait for the next round; replaying absolute-byte
+     * diffs is idempotent, so partial write-backs are crash-safe.
      */
     bool _ckptRoundActive = false;
     /**
@@ -519,12 +591,11 @@ class NvwalLog : public WriteAheadLog
      * in many bounded steps.
      */
     std::optional<SimTime> _ckptBeginNs;
-    std::vector<PageNo> _ckptQueue;   //!< current pass, ascending
+    std::vector<PageNo> _ckptQueue;   //!< the round's page set, ascending
     std::size_t _ckptQueuePos = 0;    //!< next queue index to drain
-    /** Re-dirtied during the round, unordered (PageEntry::queued). */
-    std::vector<PageNo> _ckptPending;
-    /** Hot pages an in-flight slice passed over, queued again after it. */
-    std::vector<PageNo> _ckptDeferred;
+    CommitSeq _roundSeq = 0;          //!< newest commit at the round's open
+    /** _roundSeq clamped to the oldest pin at the open. */
+    CommitSeq _roundTarget = 0;
     PageNo _ckptLastWritten = kNoPage; //!< previous write-back target
     /** Scratch page for write-backs that replay the log. */
     ByteBuffer _ckptPage;
@@ -550,8 +621,6 @@ class NvwalLog : public WriteAheadLog
         FrameIndex frames;
         CommitSeq baseSeq = 0;
         bool listed = false;    //!< in _listedPages
-        /** In _ckptPending, or ahead of _ckptQueuePos in _ckptQueue. */
-        bool queued = false;
     };
     /**
      * Radix nodes and leaves of every page's index; outlives them.

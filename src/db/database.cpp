@@ -292,10 +292,12 @@ Database::frNoteTruncation(std::uint64_t ckpt_before)
     const std::uint64_t ckpt_after = _nvwalLog->checkpointId();
     if (ckpt_after == ckpt_before)
         return;
-    const std::uint64_t marks = _wal->commitSeq() - _frMarksBase;
+    const std::uint64_t marks = _nvwalLog->retiredSeq() - _frMarksBase;
     // Durable-claim marks are counted per checkpoint round; the
     // truncation starts a new round, so rebase before the next ack.
-    _frMarksBase = _wal->commitSeq();
+    // A segment retirement keeps the commits past the round's
+    // horizon in the log, so the new round counts from there.
+    _frMarksBase = _nvwalLog->retiredSeq();
     frRecord(FrRecordType::Truncation, kFrFlagDurableClaim, 0,
              static_cast<std::uint32_t>(ckpt_after), marks, ckpt_before);
 }
@@ -753,26 +755,24 @@ Database::maybeCheckpointAfterCommit()
     // step: the next commit re-trips the threshold.
     if (!_config.autoCheckpoint || _inTxn)
         return;
-    // A snapshot pinned below the newest commit -- a reader's, or an
-    // open multi-writer workspace's -- would clamp the round and stop
-    // it short of truncating, so every step waits for it to release.
-    if (_wal->oldestPin() < _wal->commitSeq()) {
+    // A snapshot pinned below the horizon a round writes back to --
+    // a reader's, or an open multi-writer workspace's -- would clamp
+    // the round and stop it short of truncating, so the step waits
+    // for it to release. An open round's horizon is frozen, and pins
+    // taken since sit at or above it, so only opening waits.
+    if (_wal->oldestPin() < _wal->checkpointHorizon()) {
         _env.stats.add(stats::kAutoCheckpointPinWaits);
         return;
     }
-    const std::uint64_t threshold = _config.checkpointThreshold;
     // At twice the threshold the round finishes blocking, as
     // Database::checkpoint() runs it, so the log stays bounded. A
     // paced step issues work only to an idle device, so a commit
     // never waits behind the programs an earlier step queued.
-    const bool overdue = writes >= 2 * threshold;
+    const bool overdue = writes >= 2 * _config.checkpointThreshold;
     if (!overdue && _dbFile->writeOutBusy())
         return;
-    const CheckpointPace pace = writes >= threshold + threshold * 3 / 4
-                                    ? CheckpointPace::Hurry
-                                    : CheckpointPace::Paced;
     const RoundKind kind = overdue ? RoundKind::Full : RoundKind::Paced;
-    if (!checkpointRound(kind, 0, pace, nullptr).isOk()) {
+    if (!checkpointRound(kind, 0, nullptr).isOk()) {
         _env.stats.add(stats::kAutoCheckpointFailures);
         _env.stats.tracer().instant("db.auto_checkpoint_failed", "db");
     }
@@ -1068,8 +1068,7 @@ Database::count(std::uint64_t *out)
 Status
 Database::checkpoint()
 {
-    return checkpointRound(RoundKind::Full, 0, CheckpointPace::Paced,
-                           nullptr);
+    return checkpointRound(RoundKind::Full, 0, nullptr);
 }
 
 Status
@@ -1079,13 +1078,12 @@ Database::checkpointStep(std::uint32_t max_pages, bool *done)
         return Status::invalidArgument(
             "checkpointStep needs max_pages > 0; checkpoint() runs a "
             "full round");
-    return checkpointRound(RoundKind::Step, max_pages, CheckpointPace::Paced,
-                           done);
+    return checkpointRound(RoundKind::Step, max_pages, done);
 }
 
 Status
 Database::checkpointRound(RoundKind kind, std::uint32_t max_pages,
-                          CheckpointPace pace, bool *done)
+                          bool *done)
 {
     std::lock_guard<std::recursive_mutex> eng(_engineMutex);
     if (_inTxn)
@@ -1105,7 +1103,7 @@ Database::checkpointRound(RoundKind kind, std::uint32_t max_pages,
         s = _wal->checkpointStep(max_pages, &round_done);
         break;
       case RoundKind::Paced:
-        s = _wal->checkpointPaced(pace, &round_done);
+        s = _wal->checkpointPaced(&round_done);
         break;
     }
     if (done != nullptr)

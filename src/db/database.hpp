@@ -611,11 +611,11 @@ class Database
      * write transaction is open (the writer lock was released at
      * enqueue; the next commit re-trips the threshold). It waits,
      * counted in db.auto_checkpoint_pin_waits, while a snapshot or
-     * workspace is pinned below the newest commit. At twice the
-     * threshold it runs the blocking round, so the log stays bounded;
-     * otherwise a commit that finds the flash device idle runs one
-     * paced step (WriteAheadLog::checkpointPaced), Hurry in the last
-     * quarter before twice the threshold. Caller holds the engine
+     * workspace is pinned below the round's horizon (the newest
+     * commit, until a round opens). At twice the threshold it runs
+     * the blocking round, so the log stays bounded; otherwise a
+     * commit that finds the flash device idle runs one paced step
+     * (WriteAheadLog::checkpointPaced). Caller holds the engine
      * lock. A step that fails is counted and traced but never fails
      * the commit, which is already durable (DESIGN.md §8.3); the
      * next commit past the threshold retries.
@@ -633,15 +633,15 @@ class Database
     /**
      * One checkpoint round or step, the body of every checkpoint
      * path: the full round, a step of at most @p max_pages pages, or
-     * a paced step at @p pace (@p done, optional, reports whether the
-     * round ended).
+     * a paced step (@p done, optional, reports whether the round
+     * ended).
      * Brackets it with CheckpointStart/End records, retires the async
      * acks it hardened, and records the truncation and the harden if
      * either happened. Busy inside a write transaction. Takes the
      * engine lock.
      */
     Status checkpointRound(RoundKind kind, std::uint32_t max_pages,
-                           CheckpointPace pace, bool *done);
+                           bool *done);
 
     // ---- flight recorder (DESIGN.md §12) ----------------------------
 

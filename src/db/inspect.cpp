@@ -36,12 +36,21 @@ collectNvwalMediaReport(Env &env, std::uint32_t page_size,
     CumulativeChecksum chain(NvwalLog::chainSeed(heap_namespace));
     ByteBuffer payload(page_size);
     NvOffset node = dev.readU64(header_off + 24);
+    // A second segment (its epoch ahead of the head's) restarts the
+    // chain at the seed under its own epoch.
+    const NvOffset segment_node = dev.readU64(header_off + 32);
+    const std::uint64_t segment_epoch = dev.readU64(header_off + 40);
+    std::uint64_t epoch = out->checkpointId;
     bool chain_broken = false;
     // Frames without a commit word are committed *by coverage* when
     // a later frame in the chain carries one (a multi-frame
     // transaction marks only its last frame).
     std::uint64_t pending_run = 0;
     while (node != kNullNvOffset) {
+        if (node == segment_node && segment_epoch > out->checkpointId) {
+            epoch = segment_epoch;
+            chain = CumulativeChecksum(NvwalLog::chainSeed(heap_namespace));
+        }
         NodeInfo info;
         info.offset = node;
         info.state = env.heap.blockStateAt(node);
@@ -65,7 +74,7 @@ collectNvwalMediaReport(Env &env, std::uint32_t page_size,
             if (size == 0 || page_no == kNoPage ||
                 static_cast<std::uint32_t>(page_off) + size > page_size ||
                 pos + NvwalLog::kFrameHeaderSize + size > info.capacity ||
-                ckpt_id != out->checkpointId) {
+                ckpt_id != epoch) {
                 break;  // end of this node's frames
             }
             dev.read(node + pos + NvwalLog::kFrameHeaderSize,
@@ -76,9 +85,10 @@ collectNvwalMediaReport(Env &env, std::uint32_t page_size,
             frame.pageNo = page_no;
             frame.pageOffset = page_off;
             frame.size = size;
-            frame.committed = commit_word != 0;
+            frame.committed =
+                NvwalLog::isCommitMark(commit_word, loadU64(h + 24));
             frame.dbSizePages = static_cast<std::uint32_t>(
-                commit_word & ~NvwalLog::kCommitFlag);
+                commit_word);
 
             CumulativeChecksum attempt = chain;
             attempt.update(ConstByteSpan(h, 8));

@@ -358,38 +358,68 @@ class Workload
 
     /**
      * Append a checkpoint round whose write-out stays in flight
-     * across commits: one transaction spreads 10 rows of
-     * @p value_bytes over about six leaves, then four-page
-     * incremental steps (each leaves its programs on the flash queue)
-     * alternate with one-row transactions, and a full checkpoint
-     * fsyncs and truncates. Crash points in the commits between the
-     * steps land with blocks in flight, which the device settles
-     * under the crash's policy; those in the final checkpoint land
-     * between its fsync and the end of the truncation.
+     * across commits and whose log switches segments under it: one
+     * transaction spreads 10 rows of @p value_bytes over about six
+     * leaves, then three-page incremental steps (each leaves its
+     * programs on the flash queue) alternate with one-row
+     * transactions, the first of which starts the log's second
+     * segment. A last step writes the rest of the round's frozen set,
+     * fsyncs and retires the first segment; one more transaction
+     * appends to the log that is left, and a full checkpoint fsyncs
+     * and truncates. Crash points in the commits between the steps
+     * land with blocks in flight, which the device settles under the
+     * crash's policy; those in the last step and the final checkpoint
+     * land between an fsync and the end of a retirement or a
+     * truncation.
      */
     Workload &
     writeOutRound(RowId first_key, std::size_t value_bytes = 1500)
     {
-        const auto value = [&](RowId key, std::uint64_t version) {
-            return valueFor(value_bytes,
-                            static_cast<std::uint64_t>(key) * 31 + version);
-        };
+        writeOutLoad(first_key, value_bytes);
+        return writeOutSteps(first_key, value_bytes);
+    }
+
+    /** writeOutRound()'s loading transaction alone. */
+    Workload &
+    writeOutLoad(RowId first_key, std::size_t value_bytes = 1500)
+    {
         phase("write-out load");
         begin();
         for (RowId key = first_key; key < first_key + 10; ++key)
-            insert(key, value(key, 0));
-        commit();
+            insert(key, writeOutValue(key, 0, value_bytes));
+        return commit();
+    }
+
+    /** writeOutRound() after its loading transaction. */
+    Workload &
+    writeOutSteps(RowId first_key, std::size_t value_bytes = 1500)
+    {
+        const auto update_one = [&](RowId key, std::uint64_t version) {
+            begin();
+            update(key, writeOutValue(key, version, value_bytes));
+            commit();
+        };
         for (int step = 0; step < 2; ++step) {
             phase("write-out step " + std::to_string(step));
-            checkpointStep(4);
-            const RowId key = first_key + 5 * step;
-            begin();
-            update(key, value(key, 1 + static_cast<std::uint64_t>(step)));
-            commit();
+            checkpointStep(3);
+            update_one(first_key + 5 * step,
+                       1 + static_cast<std::uint64_t>(step));
         }
+        phase("write-out fsync + retire");
+        checkpointStep(64);
+        phase("write-out second segment");
+        update_one(first_key + 9, 3);
         phase("write-out fsync + truncate");
         checkpoint();
         return *this;
+    }
+
+    /** Version @p version of writeOutRound()'s row @p key. */
+    static ByteBuffer
+    writeOutValue(RowId key, std::uint64_t version, std::size_t value_bytes)
+    {
+        return valueFor(value_bytes,
+                        static_cast<std::uint64_t>(key) * 31 + version);
     }
 
     // ---- access ----------------------------------------------------

@@ -108,7 +108,7 @@ JournalingFs::ensureBlocks(Inode &inode, std::uint64_t file_blocks)
 }
 
 std::uint8_t *
-JournalingFs::dirtyBlock(Inode &inode, std::uint64_t blk, bool load)
+JournalingFs::dirtyBlock(Inode &inode, std::uint64_t blk, Fill fill)
 {
     std::uint32_t &entry = inode.dirtySlot[blk];
     if (entry != kNoSlot)
@@ -132,9 +132,11 @@ JournalingFs::dirtyBlock(Inode &inode, std::uint64_t blk, bool load)
         _slotsUsed - static_cast<std::uint32_t>(_freeSlots.size()));
     inode.dirtyBlocks.push_back(blk);
     std::uint8_t *data = slotData(slot);
-    if (load) {
+    if (fill == Fill::Load) {
         _device.readBlock(inode.blocks[blk],
                           ByteSpan(data, _device.blockSize()));
+    } else if (fill == Fill::Zero) {
+        std::memset(data, 0, _device.blockSize());
     }
     return data;
 }
@@ -193,6 +195,10 @@ JournalingFs::pwrite(const std::string &name, std::uint64_t off,
     }
     const std::uint32_t bs = _device.blockSize();
     const std::uint64_t end = off + data.size();
+    // A write past the end of the file leaves a hole that reads as
+    // zeros, never as what a deleted file left on the device.
+    if (off > inode->size)
+        NVWAL_RETURN_IF_ERROR(zeroGrow(*inode, off));
     NVWAL_RETURN_IF_ERROR(ensureBlocks(*inode, (end + bs - 1) / bs));
 
     std::size_t pos = 0;
@@ -204,8 +210,13 @@ JournalingFs::pwrite(const std::string &name, std::uint64_t off,
         const std::size_t chunk =
             std::min<std::size_t>(bs - in_blk, data.size() - pos);
 
-        // Read-modify-write of a partially overwritten clean block.
-        std::uint8_t *block = dirtyBlock(*inode, blk, chunk < bs);
+        // Read-modify-write of a partially overwritten clean block;
+        // one wholly past the end of the file holds no file data, so
+        // it starts from zeros.
+        const Fill fill = chunk == bs               ? Fill::Undefined
+                          : blk * bs >= inode->size ? Fill::Zero
+                                                    : Fill::Load;
+        std::uint8_t *block = dirtyBlock(*inode, blk, fill);
         std::memcpy(block + in_blk, data.data() + pos, chunk);
         pos += chunk;
     }
@@ -308,7 +319,7 @@ JournalingFs::fsync(const std::string &name)
 
     // Ordered mode: data first -- what a write-out queued, then the
     // rest in ascending file-block order...
-    _device.drain();
+    _device.drain(stats::kBlockdevFsyncWaitNs);
     std::sort(inode->dirtyBlocks.begin(), inode->dirtyBlocks.end());
     for (const std::uint64_t blk : inode->dirtyBlocks) {
         _device.writeBlock(
@@ -362,6 +373,27 @@ JournalingFs::startWriteOut(const std::string &name)
 }
 
 Status
+JournalingFs::zeroGrow(Inode &inode, std::uint64_t size)
+{
+    // The new range reads as zeros. Zero it in the page cache from
+    // the old end on; that covers bytes an earlier shrink cut off and
+    // blocks a fallocate left unwritten.
+    const std::uint32_t bs = _device.blockSize();
+    const std::uint64_t blocks = (size + bs - 1) / bs;
+    NVWAL_RETURN_IF_ERROR(ensureBlocks(inode, blocks));
+    for (std::uint64_t blk = inode.size / bs; blk < blocks; ++blk) {
+        const std::uint32_t from =
+            blk == inode.size / bs
+                ? static_cast<std::uint32_t>(inode.size % bs)
+                : 0;
+        const Fill fill = from != 0 ? Fill::Load : Fill::Undefined;
+        std::memset(dirtyBlock(inode, blk, fill) + from, 0, bs - from);
+    }
+    inode.size = size;
+    return Status::ok();
+}
+
+Status
 JournalingFs::truncate(const std::string &name, std::uint64_t size)
 {
     std::lock_guard<std::recursive_mutex> g(_mu);
@@ -370,21 +402,8 @@ JournalingFs::truncate(const std::string &name, std::uint64_t size)
         return Status::notFound("no such file: " + name);
     const std::uint32_t bs = _device.blockSize();
     const std::uint64_t keep_blocks = (size + bs - 1) / bs;
-    if (size > inode->size) {
-        // Grow: the new range reads as zeros. Zero it in the page
-        // cache from the old end on; that covers bytes an earlier
-        // shrink cut off and blocks a fallocate left unwritten.
-        NVWAL_RETURN_IF_ERROR(ensureBlocks(*inode, keep_blocks));
-        for (std::uint64_t blk = inode->size / bs; blk < keep_blocks;
-             ++blk) {
-            const std::uint32_t from =
-                blk == inode->size / bs
-                    ? static_cast<std::uint32_t>(inode->size % bs)
-                    : 0;
-            std::memset(dirtyBlock(*inode, blk, from != 0) + from, 0,
-                        bs - from);
-        }
-    }
+    if (size > inode->size)
+        NVWAL_RETURN_IF_ERROR(zeroGrow(*inode, size));
     // The durable inode still owns the freed blocks until the next
     // fsync journals the truncation; only then may another file get
     // them.
@@ -534,7 +553,8 @@ JournalingFs::restore(const Snapshot &snap)
         inode.metaDirty = file.metaDirty;
         inode.allocDirty = file.allocDirty;
         for (std::size_t i = 0; i < file.dirtyBlocks.size(); ++i) {
-            std::memcpy(dirtyBlock(inode, file.dirtyBlocks[i], false),
+            std::memcpy(dirtyBlock(inode, file.dirtyBlocks[i],
+                                   Fill::Undefined),
                         file.dirtyData[i].data(), bs);
         }
         _files.emplace(name, std::move(inode));

@@ -197,12 +197,25 @@ class JournalingFs
                    _device.blockSize();
     }
 
+    /** What a new page-cache slot starts with. */
+    enum class Fill
+    {
+        Undefined,  //!< the caller overwrites the whole block
+        Load,       //!< the block's device image (read-modify-write)
+        Zero,       //!< zeros: the block holds no file data yet
+    };
+
     /**
      * The cached bytes of @p inode's block @p blk, taking a slot when
-     * the block is clean. @p load fills a new slot from the device
-     * (read-modify-write); otherwise its contents are undefined.
+     * the block is clean and filling a new slot per @p fill.
      */
-    std::uint8_t *dirtyBlock(Inode &inode, std::uint64_t blk, bool load);
+    std::uint8_t *dirtyBlock(Inode &inode, std::uint64_t blk, Fill fill);
+
+    /**
+     * Grow @p inode to @p size bytes that read as zeros, zeroed in
+     * the page cache from the old end on.
+     */
+    Status zeroGrow(Inode &inode, std::uint64_t size);
 
     /** Return every slot of @p inode's dirty blocks to the store. */
     void dropDirty(Inode &inode);

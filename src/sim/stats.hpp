@@ -51,11 +51,19 @@ namespace stats
     X(kJournalBlocksWritten, "fs.journal_blocks")                             \
     X(kFsyncs, "fs.fsyncs")                                                   \
     /* Device timeline (docs/MODEL.md §3): data blocks a write-out            \
-     * queued without waiting, and the sim ns a read, a synchronous           \
-     * write or an fsync waited for queued programs to complete. */           \
+     * queued without waiting; the sim ns a read or a synchronous             \
+     * write waited for queued programs to complete; and the sim ns           \
+     * an fsync waited for them, apart, so a wait on the commit path          \
+     * shows in the first. */                                                 \
     X(kFsBlocksWrittenOut, "fs.blocks_written_out")                           \
     X(kBlockdevWaitNs, "blockdev.wait_ns")                                    \
+    X(kBlockdevFsyncWaitNs, "blockdev.fsync_wait_ns")                         \
     X(kCheckpoints, "db.checkpoints")                                         \
+    /* Checkpoint rounds that switched the NVRAM log to a new segment,        \
+     * and the head-segment nodes their retirements freed (DESIGN.md          \
+     * §8.4). */                                                              \
+    X(kWalSegmentSwitches, "wal.segment_switches")                            \
+    X(kWalRetiredPrefixNodes, "wal.retired_prefix_nodes")                     \
     /* Auto-checkpoint rounds that failed after their commit was              \
      * durable; the commit still returns OK and the next commit               \
      * retries the round. */                                                  \

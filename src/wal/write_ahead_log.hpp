@@ -69,17 +69,6 @@ struct TxnFrames
     std::uint32_t dbSizePages = 0;  //!< db size after this transaction
 };
 
-/**
- * How far past the auto-checkpoint threshold the log has grown, as
- * the paced policy reads it (DESIGN.md §8.4). At twice the threshold
- * the policy runs the blocking checkpoint() instead of a paced step.
- */
-enum class CheckpointPace
-{
-    Paced,  //!< past the threshold: slices stay in flight
-    Hurry,  //!< the last quarter before twice the threshold
-};
-
 /** Interface every WAL implementation provides. */
 class WriteAheadLog
 {
@@ -185,9 +174,11 @@ class WriteAheadLog
     /**
      * Incremental checkpoint: write back at most @p max_pages pages
      * and start their write-out, finishing (fsync + log truncation)
-     * only when every dirty page has been written. Sets @p done when
-     * the log is truncated. The default implementation simply runs a
-     * full checkpoint.
+     * only when every page of the round's write set has been written.
+     * NvwalLog freezes that set when the step opens the round; pages
+     * committed later wait for the next round. Sets @p done when the
+     * round ended. The default implementation simply runs a full
+     * checkpoint.
      *
      * With snapshots pinned the implementation must not advance the
      * .db file past oldestPin() nor truncate frames a pin can still
@@ -203,23 +194,30 @@ class WriteAheadLog
 
     /**
      * One step of the paced auto-checkpoint, run after a commit while
-     * the device is idle (DESIGN.md §8.4): it opens a round and
-     * starts the write-out of its first pass, issues a bounded
-     * catch-up slice (one that waits for its programs at
-     * CheckpointPace::Hurry), or -- once little is left -- writes the
-     * rest, fsyncs and truncates. Sets @p done when the round ended.
-     * When to run a step is the caller's decision; under a pin the
-     * step clamps like checkpointStep(). The default runs the full
-     * blocking round: only a log whose write-back can leave programs
-     * in flight paces it.
+     * the device is idle (DESIGN.md §8.4). With no round open it opens
+     * one: the log switches to a new segment, so the round's write set
+     * is frozen at the newest commit, and the step queues every page
+     * of that set on the device without waiting. With a round open it
+     * closes it: the round's one fsync, then the log drops the segment
+     * the round wrote back. Sets @p done when the round ended. When to
+     * run a step is the caller's decision; under a pin the round
+     * clamps like checkpointStep(). The default runs the full blocking
+     * round: only a log whose write-back can leave programs in flight
+     * paces it.
      */
     virtual Status
-    checkpointPaced(CheckpointPace pace, bool *done)
+    checkpointPaced(bool *done)
     {
-        (void)pace;
         *done = true;
         return checkpoint();
     }
+
+    /**
+     * The commit horizon a checkpoint round writes back to: an open
+     * round's frozen horizon, else the newest commit. A snapshot
+     * pinned below it would clamp the round.
+     */
+    virtual CommitSeq checkpointHorizon() const { return commitSeq(); }
 
     /**
      * Rebuild volatile state from the persistent log after a crash

@@ -201,12 +201,13 @@ TEST(HeaderCorruption, NvwalHeaderMagicDamageIsReported)
     EXPECT_TRUE(open.isCorruption()) << open.toString();
 }
 
-TEST(HeaderCorruption, Version2LogIsRefusedNotMisread)
+/**
+ * Stamp the magic of log format @p version ('2', '3') on a committed
+ * log; both readers must refuse it with Corruption.
+ */
+void
+expectOldLogVersionRefused(char version)
 {
-    // Version 2 logs could hold two-phase-commit control frames
-    // (page 0xFFFFFFFF); the current reader has no such frame and
-    // would replay one as data, so a version-2 header must be
-    // refused with Corruption by both readers.
     EnvConfig env_config;
     env_config.cost = CostModel::tuna(500);
     env_config.nvramBytes = 8 << 20;
@@ -222,8 +223,9 @@ TEST(HeaderCorruption, Version2LogIsRefusedNotMisread)
 
     NvOffset header_off;
     NVWAL_CHECK_OK(env.heap.getRoot("nvwal", &header_off));
-    const std::uint8_t v2_magic[8] = {'N', 'V', 'W', 'A', 'L', '0', '0', '2'};
-    env.nvramDevice.write(header_off, ConstByteSpan(v2_magic, 8));
+    std::uint8_t old_magic[8] = {'N', 'V', 'W', 'A', 'L', '0', '0', '0'};
+    old_magic[7] = static_cast<std::uint8_t>(version);
+    env.nvramDevice.write(header_off, ConstByteSpan(old_magic, 8));
     env.nvramDevice.flushLine(header_off);
     env.nvramDevice.drainPersistQueue();
 
@@ -234,6 +236,24 @@ TEST(HeaderCorruption, Version2LogIsRefusedNotMisread)
     std::unique_ptr<Database> recovered;
     const Status open = Database::open(env, config, &recovered);
     EXPECT_TRUE(open.isCorruption()) << open.toString();
+}
+
+TEST(HeaderCorruption, Version2LogIsRefusedNotMisread)
+{
+    // Version 2 logs could hold two-phase-commit control frames
+    // (page 0xFFFFFFFF); the current reader has no such frame and
+    // would replay one as data, so a version-2 header must be
+    // refused with Corruption by both readers.
+    expectOldLogVersionRefused('2');
+}
+
+TEST(HeaderCorruption, Version3LogIsRefusedNotMisread)
+{
+    // Version 3 headers end before the segment and retired-prefix
+    // records, and their commit words carry no checksum bits, so the
+    // current reader would take stray bytes for the records and no
+    // frame for a commit mark (docs/FORMAT.md §2).
+    expectOldLogVersionRefused('3');
 }
 
 TEST(HeaderCorruption, DbHeaderMagicDamageIsReported)

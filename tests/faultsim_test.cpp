@@ -129,5 +129,76 @@ TEST(FaultSim, ChecksumAsyncWriteOutNeverOutrunsTheDurableLog)
     EXPECT_GT(step_points, 0u);
 }
 
+/**
+ * A round whose log switches segments while its write-out is in
+ * flight: the round opens, the next commit starts the second segment,
+ * the last step fsyncs and retires the first, and the log keeps
+ * appending to the second. At every crash point, under the
+ * pessimistic policy and an adversarial draw of surviving lines and
+ * blocks, recovery must match the oracle and leak no NVRAM block:
+ * the sweep checks that the heap's in-use blocks are the ones
+ * reachable from the log's header plus the flight recorder's.
+ */
+TEST(FaultSim, SegmentRetirementNeverLosesOrLeaks)
+{
+    faultsim::SweepConfig config = baseConfig();
+    config.db.nvwal.userHeap = true;
+    config.db.nvwal.diffLogging = true;
+    config.warmup = faultsim::Workload::standardTxns(0, 1);
+    config.warmup.writeOutLoad(1000000);
+    config.workload.writeOutSteps(1000000);
+    config.policies.push_back(faultsim::PolicyRun{});  // pessimistic
+    config.policies.push_back(
+        faultsim::PolicyRun{FailurePolicy::Adversarial, {1}, 0.5});
+
+    faultsim::SweepReport report;
+    NVWAL_CHECK_OK(faultsim::CrashSweep(config).run(&report));
+    EXPECT_TRUE(report.ok()) << report.summary();
+    EXPECT_EQ(report.pointsSwept, report.totalOps);
+    EXPECT_EQ(report.crashes, report.replays);
+    std::uint64_t retire_points = 0;
+    std::uint64_t segment_points = 0;
+    for (const auto &[label, cov] : report.phases) {
+        if (label == "write-out fsync + retire")
+            retire_points += cov.points;
+        if (label == "write-out second segment")
+            segment_points += cov.points;
+    }
+    EXPECT_GT(retire_points, 0u);
+    EXPECT_GT(segment_points, 0u);
+
+    // Run without a crash, the round does what the phases say: one
+    // switch, and a retirement that frees the first segment's nodes.
+    Env env(config.env);
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, config.db, &db));
+    using Kind = faultsim::WorkloadOp::Kind;
+    for (const faultsim::Workload *w : {&config.warmup, &config.workload}) {
+        for (std::size_t i = 0; i < w->size(); ++i) {
+            const faultsim::WorkloadOp &op = w->op(i);
+            const ConstByteSpan value(op.value.data(), op.value.size());
+            bool done = false;
+            switch (op.kind) {
+              case Kind::Begin: NVWAL_CHECK_OK(db->begin()); break;
+              case Kind::Commit: NVWAL_CHECK_OK(db->commit()); break;
+              case Kind::Insert:
+                NVWAL_CHECK_OK(db->insert(op.key, value));
+                break;
+              case Kind::Update:
+                NVWAL_CHECK_OK(db->update(op.key, value));
+                break;
+              case Kind::CheckpointStep:
+                NVWAL_CHECK_OK(db->checkpointStep(op.stepPages, &done));
+                break;
+              case Kind::Checkpoint: NVWAL_CHECK_OK(db->checkpoint()); break;
+              default: FAIL() << "op " << i << " of an unexpected kind";
+            }
+        }
+    }
+    EXPECT_EQ(env.stats.get(stats::kWalSegmentSwitches), 1u);
+    EXPECT_GT(env.stats.get(stats::kWalRetiredPrefixNodes), 0u);
+    EXPECT_EQ(env.stats.get(stats::kCheckpoints), 2u);
+}
+
 } // namespace
 } // namespace nvwal

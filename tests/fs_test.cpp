@@ -317,6 +317,34 @@ TEST_F(FsTest, TruncateGrowReadsAsZeros)
     EXPECT_EQ(grown, expected);
 }
 
+TEST_F(FsTest, WritePastEndNeverExposesADeletedFile)
+{
+    // A deleted file's blocks go back to the allocator with its bytes
+    // still on the device. A new file that takes them and writes 10
+    // bytes one block and 100 bytes in must read zeros around them,
+    // and the write must not read the device.
+    const std::uint32_t bs = cost.blockSize;
+    NVWAL_CHECK_OK(
+        fs.pwrite("old", 0, testutil::spanOf(ByteBuffer(4 * bs, 0x5A))));
+    NVWAL_CHECK_OK(fs.fsync("old"));
+    NVWAL_CHECK_OK(fs.remove("old"));
+
+    const ByteBuffer data = testutil::makeValue(10, 4);
+    const std::uint64_t reads = stats.get(stats::kBlocksRead);
+    NVWAL_CHECK_OK(fs.pwrite("new", bs + 100, testutil::spanOf(data)));
+    EXPECT_EQ(stats.get(stats::kBlocksRead), reads);
+
+    ByteBuffer expected(bs + 110, 0);
+    std::memcpy(expected.data() + bs + 100, data.data(), data.size());
+    ByteBuffer out(bs + 110);
+    NVWAL_CHECK_OK(fs.pread("new", 0, ByteSpan(out.data(), out.size())));
+    EXPECT_EQ(out, expected);
+    NVWAL_CHECK_OK(fs.fsync("new"));
+    fs.crash();
+    NVWAL_CHECK_OK(fs.pread("new", 0, ByteSpan(out.data(), out.size())));
+    EXPECT_EQ(out, expected);
+}
+
 TEST_F(FsTest, WriteTraceTagsStreams)
 {
     device.setTracing(true);

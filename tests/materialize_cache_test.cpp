@@ -504,10 +504,7 @@ TEST_F(MaterializeCacheTest, RandomCommitsMatchOracleAtEveryPin)
             // pins between steps must still read their horizons.
             op = "paced step";
             bool done = false;
-            const CheckpointPace paces[] = {CheckpointPace::Paced,
-                                            CheckpointPace::Hurry};
-            NVWAL_CHECK_OK(
-                log->checkpointPaced(paces[rng.nextBelow(2)], &done));
+            NVWAL_CHECK_OK(log->checkpointPaced(&done));
         } else if (roll < 95) {
             op = "checkpoint";
             NVWAL_CHECK_OK(log->checkpoint());

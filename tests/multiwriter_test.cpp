@@ -1141,12 +1141,13 @@ gateKey(int conn, int leaf)
  * gate. Each transaction rewrites two leaves of its connection's
  * range with same-size values, so the tree's shape never changes and
  * validation never fires. Three connections round-robin: the fourth
- * commit reaches the threshold and opens a paced round (its pages are
- * all hot, so they wait as pending), the fifth runs a tail slice over
- * the ten pages, and the sixth closes the round. Then connection 2
- * holds a workspace open while connections 0 and 1 commit past twice
- * the threshold (every step waits for its pin), and its own commit
- * runs the overdue blocking round.
+ * commit reaches the threshold and opens a paced round, which queues
+ * its eight pages on the device, the fifth starts the log's second
+ * segment, and a later commit that finds the device drained closes
+ * the round and retires the first segment. Then connection 2 holds a
+ * workspace open while connections 0 and 1 commit past twice the
+ * threshold (every commit from the threshold on waits for its pin),
+ * and its own commit runs the overdue blocking round.
  */
 faultsim::SweepConfig
 gateSweepConfig()
@@ -1208,56 +1209,68 @@ gateSweepConfig()
     return config;
 }
 
-/** Run @p w's op kinds that gateSweepConfig() uses, with no crash. */
+/**
+ * Run @p w's op @p i, of a kind that gateSweepConfig() uses, with no
+ * crash.
+ */
+void
+runOpWithoutCrash(Database &db, const faultsim::Workload &w, std::size_t i,
+                  std::vector<std::unique_ptr<Connection>> *conns)
+{
+    using Kind = faultsim::WorkloadOp::Kind;
+    const faultsim::WorkloadOp &op = w.op(i);
+    const ConstByteSpan value(op.value.data(), op.value.size());
+    Connection *conn = nullptr;
+    if (op.conn >= 0) {
+        if (conns->size() <= static_cast<std::size_t>(op.conn))
+            conns->resize(op.conn + 1);
+        std::unique_ptr<Connection> &slot = (*conns)[op.conn];
+        if (!slot)
+            NVWAL_CHECK_OK(db.connect(&slot));
+        conn = slot.get();
+    }
+    CommitOptions no_wait;
+    no_wait.durability = Durability::Async;
+    no_wait.waitForHarden = false;
+    switch (op.kind) {
+      case Kind::Begin: NVWAL_CHECK_OK(db.begin()); break;
+      case Kind::Insert: NVWAL_CHECK_OK(db.insert(op.key, value)); break;
+      case Kind::Commit: NVWAL_CHECK_OK(db.commit()); break;
+      case Kind::ConnBegin: NVWAL_CHECK_OK(conn->begin()); break;
+      case Kind::ConnUpdate:
+        NVWAL_CHECK_OK(conn->update(op.key, value));
+        break;
+      case Kind::ConnCommit: NVWAL_CHECK_OK(conn->commit()); break;
+      case Kind::ConnCommitNoWait:
+        NVWAL_CHECK_OK(conn->commit(no_wait));
+        break;
+      case Kind::ConnHardenAll:
+        NVWAL_CHECK_OK(db.flushAsyncCommits());
+        break;
+      default:
+        ADD_FAILURE() << "op " << i << " has a kind the gate sweep "
+                      << "does not use";
+        return;
+    }
+}
+
+/** Run every op of @p w with runOpWithoutCrash(). */
 void
 runWithoutCrash(Database &db, const faultsim::Workload &w,
                 std::vector<std::unique_ptr<Connection>> *conns)
 {
-    using Kind = faultsim::WorkloadOp::Kind;
-    for (std::size_t i = 0; i < w.size(); ++i) {
-        const faultsim::WorkloadOp &op = w.op(i);
-        const ConstByteSpan value(op.value.data(), op.value.size());
-        Connection *conn = nullptr;
-        if (op.conn >= 0) {
-            if (conns->size() <= static_cast<std::size_t>(op.conn))
-                conns->resize(op.conn + 1);
-            std::unique_ptr<Connection> &slot = (*conns)[op.conn];
-            if (!slot)
-                NVWAL_CHECK_OK(db.connect(&slot));
-            conn = slot.get();
-        }
-        CommitOptions no_wait;
-        no_wait.durability = Durability::Async;
-        no_wait.waitForHarden = false;
-        switch (op.kind) {
-          case Kind::Begin: NVWAL_CHECK_OK(db.begin()); break;
-          case Kind::Insert: NVWAL_CHECK_OK(db.insert(op.key, value)); break;
-          case Kind::Commit: NVWAL_CHECK_OK(db.commit()); break;
-          case Kind::ConnBegin: NVWAL_CHECK_OK(conn->begin()); break;
-          case Kind::ConnUpdate:
-            NVWAL_CHECK_OK(conn->update(op.key, value));
-            break;
-          case Kind::ConnCommit: NVWAL_CHECK_OK(conn->commit()); break;
-          case Kind::ConnCommitNoWait:
-            NVWAL_CHECK_OK(conn->commit(no_wait));
-            break;
-          case Kind::ConnHardenAll:
-            NVWAL_CHECK_OK(db.flushAsyncCommits());
-            break;
-          default:
-            ADD_FAILURE() << "op " << i << " has a kind the gate sweep "
-                          << "does not use";
-            return;
-        }
-    }
+    for (std::size_t i = 0; i < w.size(); ++i)
+        runOpWithoutCrash(db, w, i, conns);
 }
 
 /**
  * The crash sweep reaches what it is meant to: run without a crash,
- * the gate workload's flight recorder shows paced steps that left the
- * round open (the opener and a slice), a paced closer and then the
- * blocking overdue round, and the commits under the workspace's pin
- * count as waits.
+ * the gate workload opens a paced round that writes back the whole
+ * set the log held, though the log is younger than 48 commits; the
+ * round closes at a later commit and retires the first segment while
+ * the second holds the commits since; the commits under the
+ * workspace's pin count as waits; and the workspace's own commit runs
+ * the blocking overdue round.
  */
 TEST(Multiwriter, GateWorkloadRunsEveryCheckpointBranch)
 {
@@ -1268,8 +1281,46 @@ TEST(Multiwriter, GateWorkloadRunsEveryCheckpointBranch)
     std::vector<std::unique_ptr<Connection>> conns;
     runWithoutCrash(*db, config.warmup, &conns);
     NVWAL_CHECK_OK(db->checkpoint());
-    runWithoutCrash(*db, config.workload, &conns);
-    EXPECT_EQ(env.stats.get(stats::kAutoCheckpointPinWaits), 5u);
+    auto *log = dynamic_cast<NvwalLog *>(&db->wal());
+    ASSERT_NE(log, nullptr);
+
+    // The opener: the commit that reaches the threshold writes back
+    // and queues every page the log holds -- the eight leaves its
+    // four commits rewrote -- so no page keeps a frame, and leaves
+    // the round open.
+    const std::uint64_t rounds = env.stats.get(stats::kCheckpoints);
+    const std::uint64_t written_out =
+        env.stats.get(stats::kFsBlocksWrittenOut);
+    const std::uint64_t waited = env.stats.get(stats::kBlockdevWaitNs);
+    std::uint64_t opener_pages = 0;
+    std::size_t i = 0;
+    for (; i < config.workload.size() && opener_pages == 0; ++i) {
+        const std::uint64_t before =
+            env.stats.get(stats::kWalCkptPagesWritten);
+        runOpWithoutCrash(*db, config.workload, i, &conns);
+        opener_pages = env.stats.get(stats::kWalCkptPagesWritten) - before;
+    }
+    EXPECT_EQ(opener_pages, 8u);
+    EXPECT_LT(log->commitSeq(), 48u);
+    EXPECT_EQ(log->indexedFrames(), 0u);
+    EXPECT_EQ(env.stats.get(stats::kFsBlocksWrittenOut) - written_out,
+              opener_pages);
+    EXPECT_EQ(env.stats.get(stats::kCheckpoints), rounds);
+
+    // The rest of the paced round and the pin waits: no commit waits
+    // for a program; the closer's fsync waits only for what the
+    // opener's write-out has not drained.
+    for (; i < config.workload.size() &&
+           config.workload.phaseOf(i).rfind("overdue", 0) != 0;
+         ++i)
+        runOpWithoutCrash(*db, config.workload, i, &conns);
+    EXPECT_EQ(env.stats.get(stats::kBlockdevWaitNs), waited);
+    EXPECT_EQ(env.stats.get(stats::kCheckpoints), rounds + 1);
+    EXPECT_EQ(env.stats.get(stats::kWalSegmentSwitches), 1u);
+    EXPECT_GT(env.stats.get(stats::kWalRetiredPrefixNodes), 0u);
+    for (; i < config.workload.size(); ++i)
+        runOpWithoutCrash(*db, config.workload, i, &conns);
+    EXPECT_EQ(env.stats.get(stats::kAutoCheckpointPinWaits), 7u);
     EXPECT_EQ(env.stats.get(stats::kCheckpointsPinBlocked), 0u);
     EXPECT_EQ(env.stats.get(stats::kWalLogConflicts), 0u);
     conns.clear();
@@ -1295,7 +1346,7 @@ TEST(Multiwriter, GateWorkloadRunsEveryCheckpointBranch)
         else if (closers > 0)
             ++overdue;
     }
-    EXPECT_GE(open_steps, 2u);
+    EXPECT_EQ(open_steps, 1u);
     EXPECT_EQ(closers, 1u);
     EXPECT_EQ(overdue, 1u);
 }
