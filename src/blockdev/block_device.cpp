@@ -96,6 +96,15 @@ BlockDevice::queueBlock(BlockNo block, ConstByteSpan data, IoTag tag)
     programLocked(block, data, tag, _busyUntil);
 }
 
+SimTime
+BlockDevice::queueFlush(SimTime ns)
+{
+    std::lock_guard<std::mutex> g(_mu);
+    retireLocked();
+    _busyUntil = std::max(_busyUntil, _clock.now()) + ns;
+    return _busyUntil;
+}
+
 void
 BlockDevice::readBlock(BlockNo block, ByteSpan out)
 {
@@ -154,8 +163,9 @@ BlockDevice::Snapshot
 BlockDevice::snapshot() const
 {
     std::lock_guard<std::mutex> g(_mu);
-    Snapshot snap{_data, {}, {}, {}};
+    Snapshot snap{_data, {}, {}, {}, 0};
     const SimTime now = _clock.now();
+    snap.busyNs = _busyUntil > now ? _busyUntil - now : 0;
     for (std::size_t i = _inFlightHead; i < _inFlight.size(); ++i) {
         if (_inFlight[i].doneNs <= now)
             continue;  // completed, on media
@@ -178,12 +188,11 @@ BlockDevice::restore(const Snapshot &snap)
     _inFlight.clear();
     _inFlightHead = 0;
     _preImages = snap.preImages;
-    _busyUntil = now;
     for (std::size_t i = 0; i < snap.inFlight.size(); ++i) {
         _inFlight.push_back(InFlight{snap.inFlight[i],
                                      now + snap.remainingNs[i]});
-        _busyUntil = now + snap.remainingNs[i];
     }
+    _busyUntil = now + snap.busyNs;
 }
 
 } // namespace nvwal

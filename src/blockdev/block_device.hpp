@@ -14,8 +14,10 @@
  * blockProgramNs later, without advancing the clock; a synchronous
  * write or a read first waits for every queued program, so a read
  * miss issued during write-out pays for the programs ahead of it. A
- * program is on media once it completes; a power failure settles the
- * ones still in flight under the NVRAM device's FailurePolicy.
+ * cache flush queues on the same timeline as an interval with no
+ * program (an asynchronous fsync's barrier). A program is on media
+ * once it completes; a power failure settles the ones still in flight
+ * under the NVRAM device's FailurePolicy.
  */
 
 #ifndef NVWAL_BLOCKDEV_BLOCK_DEVICE_HPP
@@ -86,6 +88,13 @@ class BlockDevice
      */
     void queueBlock(BlockNo block, ConstByteSpan data, IoTag tag);
 
+    /**
+     * Queue a cache flush of @p ns behind the device's in-flight work,
+     * without advancing the clock; returns when it completes, the
+     * device's new busy-until time.
+     */
+    SimTime queueFlush(SimTime ns);
+
     /** Read one block, after every queued program has completed. */
     void readBlock(BlockNo block, ByteSpan out);
 
@@ -149,9 +158,10 @@ class BlockDevice
     /**
      * Raw media image plus the programs still in flight, each as its
      * block, its pre-image and the device time left until it
-     * completes, so a restore replays the queue relative to the
-     * clock of the restoring run. Traces and byte counters are not
-     * captured.
+     * completes, and the time left until the device is idle (past the
+     * last program when a flush is queued behind it), so a restore
+     * replays the queue relative to the clock of the restoring run.
+     * Traces and byte counters are not captured.
      */
     struct Snapshot
     {
@@ -159,6 +169,7 @@ class BlockDevice
         std::vector<BlockNo> inFlight;
         std::vector<SimTime> remainingNs;
         ByteBuffer preImages;   //!< blockSize bytes per inFlight entry
+        SimTime busyNs = 0;     //!< device time left until idle
     };
 
     Snapshot snapshot() const;

@@ -217,37 +217,52 @@ NvwalLog::appendNode(std::uint32_t min_payload)
 }
 
 Status
-NvwalLog::freeNodes(NvOffset node, NvOffset stop, std::uint64_t *freed)
+NvwalLog::freeChain(NvOffset link_field)
 {
+    // Tail first, so the nodes a crash leaves in use are a prefix of
+    // the walk and the walk may stop at the first one that is not.
     const NvramDevice &dev = _pmem.device();
     std::vector<NvOffset> &nodes = _chainScratch;
     nodes.clear();
-    while (node != kNullNvOffset && node != stop &&
-           _heap.blockStateAt(node) == BlockState::InUse) {
+    for (NvOffset node = dev.readU64(link_field);
+         node != kNullNvOffset &&
+         _heap.blockStateAt(node) == BlockState::InUse;
+         node = dev.readU64(node))
         nodes.push_back(node);
-        node = dev.readU64(node);
-    }
     for (auto it = nodes.rbegin(); it != nodes.rend(); ++it)
         NVWAL_RETURN_IF_ERROR(_heap.nvFree(*it));
-    if (freed != nullptr)
-        *freed = nodes.size();
+    persistU64(link_field, kNullNvOffset);
     return Status::ok();
 }
 
 Status
-NvwalLog::freeChain(NvOffset link_field)
+NvwalLog::freePrefix(NvOffset head, NvOffset stop, std::uint64_t *freed)
 {
-    NVWAL_RETURN_IF_ERROR(
-        freeNodes(_pmem.device().readU64(link_field), kNullNvOffset));
-    persistU64(link_field, kNullNvOffset);
+    // A crash inside the batched free can leave any subset of the
+    // prefix freed, so the walk follows the links through freed nodes
+    // to the stop: a freed node keeps its link, because nothing
+    // allocates while the retired-prefix record is set. The heap's
+    // block count bounds the walk.
+    const NvramDevice &dev = _pmem.device();
+    std::vector<NvOffset> &nodes = _chainScratch;
+    nodes.clear();
+    std::uint64_t hops = 0;
+    for (NvOffset node = head;
+         node != kNullNvOffset && node != stop && hops < _heap.numBlocks();
+         node = dev.readU64(node), ++hops) {
+        if (_heap.blockStateAt(node) == BlockState::InUse)
+            nodes.push_back(node);
+    }
+    NVWAL_RETURN_IF_ERROR(_heap.nvFreeBatch(nodes));
+    *freed = nodes.size();
     return Status::ok();
 }
 
 Status
 NvwalLog::finishRetirement(NvOffset head)
 {
-    // The header points at the segment node, the prefix goes tail
-    // first, and the head takes the segment's epoch before the
+    // The header points at the segment node, the prefix goes in one
+    // batched free, and the head takes the segment's epoch before the
     // segment record and then the retired-prefix record are cleared.
     // Once the segment record is cleared the rest is done already.
     const NvramDevice &dev = _pmem.device();
@@ -255,7 +270,7 @@ NvwalLog::finishRetirement(NvOffset head)
     if (_segmentNode != kNullNvOffset) {
         if (dev.readU64(firstNodeFieldOff()) != _segmentNode)
             persistU64(firstNodeFieldOff(), _segmentNode);
-        NVWAL_RETURN_IF_ERROR(freeNodes(head, _segmentNode, &freed));
+        NVWAL_RETURN_IF_ERROR(freePrefix(head, _segmentNode, &freed));
         if (dev.readU64(checkpointIdFieldOff()) != _segmentEpoch)
             persistU64(checkpointIdFieldOff(), _segmentEpoch);
         persistU64(segmentNodeFieldOff(), kNullNvOffset);
@@ -777,6 +792,7 @@ NvwalLog::endRound()
 {
     _ckptRoundActive = false;
     _switchPending = false;
+    _roundSyncStarted = false;
     _ckptQueue.clear();
     _ckptQueuePos = 0;
 }
@@ -912,9 +928,10 @@ NvwalLog::checkpointPaced(bool *done)
 {
     TraceSpan span(_stats.tracer(), "wal.checkpoint", "wal");
     constexpr std::uint32_t kAll = ~static_cast<std::uint32_t>(0);
-    // The opener queues the round's whole set on the device; the
-    // closer, run once the device has drained, writes whatever a
-    // manual step left, fsyncs and retires.
+    // The opener queues the round's whole set and its fsync on the
+    // device; the closer, run once the device has drained, writes
+    // whatever a manual step left, applies the completed sync and
+    // retires.
     NVWAL_RETURN_IF_ERROR(writeBack(
         kAll, _ckptRoundActive ? WriteBackMode::Step : WriteBackMode::Queue,
         done));
@@ -1057,7 +1074,15 @@ NvwalLog::writeBack(std::uint32_t max_pages, WriteBackMode mode, bool *done)
                 _dbFile.waitWriteOut();
         }
     }
-    if (_ckptQueuePos < _ckptQueue.size() || mode == WriteBackMode::Queue) {
+    if (mode == WriteBackMode::Queue) {
+        // The whole set is written: queue the rest of it and the
+        // round's fsync behind it, so the device programs both while
+        // commits go on and the closer finds the sync complete.
+        NVWAL_RETURN_IF_ERROR(_dbFile.startSync());
+        _roundSyncStarted = true;
+        return Status::ok();
+    }
+    if (_ckptQueuePos < _ckptQueue.size()) {
         // More steps required: start the write-out of what this step
         // wrote, so the device programs it while commits go on.
         // Intermediate write-backs are safe because replaying the
@@ -1075,7 +1100,14 @@ NvwalLog::writeBack(std::uint32_t max_pages, WriteBackMode mode, bool *done)
 Status
 NvwalLog::closeRound()
 {
-    NVWAL_RETURN_IF_ERROR(_dbFile.sync());
+    // The opener's sync covers the round unless something wrote the
+    // file since it started; it has completed by the time the gate
+    // sends the closer, so applying it moves no clock.
+    bool synced = false;
+    if (_roundSyncStarted)
+        NVWAL_RETURN_IF_ERROR(_dbFile.waitSync(&synced));
+    if (!synced)
+        NVWAL_RETURN_IF_ERROR(_dbFile.sync());
     const bool appended = _commitSeq != _roundSeq;
     endRound();
     if (_roundTarget < _roundSeq) {

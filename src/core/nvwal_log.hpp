@@ -313,13 +313,12 @@ class NvwalLog : public WriteAheadLog
     Status freeChain(NvOffset link_field);
 
     /**
-     * Free the nodes from @p node up to @p stop (exclusive), tail
-     * first, so the nodes still in use are always a prefix of the
-     * walk. The walk stops early at a node the heap does not hold in
-     * use. Counts the nodes freed in @p freed when given.
+     * Free a retired prefix, the nodes from @p head up to @p stop
+     * (exclusive), in one batched heap call. The walk follows links
+     * through nodes already freed and frees only those in use.
+     * Counts the nodes freed in @p freed.
      */
-    Status freeNodes(NvOffset node, NvOffset stop,
-                     std::uint64_t *freed = nullptr);
+    Status freePrefix(NvOffset head, NvOffset stop, std::uint64_t *freed);
 
     /**
      * Retire the head segment once the round that switched to the
@@ -437,7 +436,11 @@ class NvwalLog : public WriteAheadLog
         Blocking,
         /** Leave the batches in flight; end the round likewise. */
         Step,
-        /** Leave the batches in flight; never end the round. */
+        /**
+         * Write the whole set and leave it in flight with the round's
+         * fsync (JournalingFs::startSync) behind it; never end the
+         * round.
+         */
         Queue,
     };
 
@@ -445,9 +448,9 @@ class NvwalLog : public WriteAheadLog
      * The one checkpoint body: open a round if none is active, write
      * back up to @p max_pages pages of its frozen set in
      * kWriteOutBatch-page write-out batches, and -- unless @p mode is
-     * Queue -- once the set is written, fsync and retire what the
-     * round covered. Sets @p done when the round ended; the caller
-     * records the round's sample.
+     * Queue, which only starts the fsync -- once the set is written,
+     * fsync and retire what the round covered. Sets @p done when the
+     * round ended; the caller records the round's sample.
      */
     Status writeBack(std::uint32_t max_pages, WriteBackMode mode,
                      bool *done);
@@ -459,8 +462,9 @@ class NvwalLog : public WriteAheadLog
     void openRound();
 
     /**
-     * End a round whose set is written: fsync, then truncate the log,
-     * retire its head segment, or -- clamped by a pin -- keep it.
+     * End a round whose set is written: apply the opener's sync when
+     * it covers the round, else fsync; then truncate the log, retire
+     * its head segment, or -- clamped by a pin -- keep it.
      */
     Status closeRound();
 
@@ -533,6 +537,8 @@ class NvwalLog : public WriteAheadLog
     std::uint64_t _segmentEpoch = 0;
     /** A round opened on a one-segment log: the next node switches. */
     bool _switchPending = false;
+    /** The round's opener started the .db file's sync. */
+    bool _roundSyncStarted = false;
     /** Since-checkpoint counters of the head segment alone. */
     std::uint64_t _headFrames = 0;
     std::uint64_t _headPageWrites = 0;

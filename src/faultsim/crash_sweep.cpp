@@ -155,6 +155,9 @@ applyOp(Database &db, ReplaySession &session, const WorkloadOp &op,
       }
       case WorkloadOp::Kind::ConnHardenAll:
         return db.flushAsyncCommits();
+      case WorkloadOp::Kind::Idle:
+        db.env().clock.advance(op.idleNs);
+        return Status::ok();
     }
     return Status::invalidArgument("unknown workload op");
 }
@@ -193,6 +196,7 @@ isCommitEventOp(const Database &db, const WorkloadOp &op)
       case WorkloadOp::Kind::ConnUpdate:
       case WorkloadOp::Kind::ConnRemove:
       case WorkloadOp::Kind::ConnHardenAll:
+      case WorkloadOp::Kind::Idle:
         return false;
     }
     return false;

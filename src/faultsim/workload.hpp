@@ -4,7 +4,7 @@
  *
  * A Workload is a flat list of database operations (begin / commit /
  * record ops / table ops / checkpoint / incremental checkpoint steps /
- * snapshot reads over a Connection) the harness can replay
+ * snapshot reads over a Connection / idle time) the harness can replay
  * deterministically any number of times: once to count the NVRAM
  * persistence operations it issues, once to build the oracle states
  * at every commit boundary, and then once per injected crash point.
@@ -74,6 +74,12 @@ struct WorkloadOp
         ConnRemove,
         /** flushAsyncCommits(): one barrier hardens every log. */
         ConnHardenAll,
+        /**
+         * The application thinks for @c idleNs of sim time: no
+         * statement and no device op, while the flash device keeps
+         * draining its queue.
+         */
+        Idle,
     };
 
     Kind kind = Kind::Begin;
@@ -83,6 +89,8 @@ struct WorkloadOp
     int conn = -1;          //!< connection index (multi-writer ops)
     /** Pages a CheckpointStep writes back at most. */
     std::uint32_t stepPages = kCheckpointStepPages;
+    /** Sim time an Idle op lets pass. */
+    SimTime idleNs = 0;
 };
 
 /** Builder + container for a replayable operation script. */
@@ -123,6 +131,14 @@ class Workload
     {
         WorkloadOp op = make(WorkloadOp::Kind::CheckpointStep);
         op.stepPages = pages;
+        return push(std::move(op));
+    }
+
+    Workload &
+    idle(SimTime ns)
+    {
+        WorkloadOp op = make(WorkloadOp::Kind::Idle);
+        op.idleNs = ns;
         return push(std::move(op));
     }
 

@@ -188,6 +188,7 @@ JournalingFs::pwrite(const std::string &name, std::uint64_t off,
                      ConstByteSpan data)
 {
     std::lock_guard<std::recursive_mutex> g(_mu);
+    settleSyncs();
     Inode *inode = find(name);
     if (inode == nullptr) {
         NVWAL_RETURN_IF_ERROR(create(name));
@@ -277,6 +278,7 @@ Status
 JournalingFs::fallocate(const std::string &name, std::uint64_t size)
 {
     std::lock_guard<std::recursive_mutex> g(_mu);
+    settleSyncs();
     Inode *inode = find(name);
     if (inode == nullptr)
         return Status::notFound("no such file: " + name);
@@ -285,7 +287,7 @@ JournalingFs::fallocate(const std::string &name, std::uint64_t size)
 }
 
 void
-JournalingFs::journalCommit(bool alloc_dirty)
+JournalingFs::journalCommit(bool alloc_dirty, bool queued)
 {
     // Ordered-mode journal transaction: descriptor, the dirtied
     // metadata blocks, then the commit block. The inode table block
@@ -301,8 +303,46 @@ JournalingFs::journalCommit(bool alloc_dirty)
     for (std::uint64_t i = 0; i < total; ++i) {
         const BlockNo jb = _journalHead % _journalBlocks;
         _journalHead++;
-        _device.writeBlock(jb, ConstByteSpan(_zeroBlock.data(), bs),
-                           IoTag::Journal);
+        const ConstByteSpan image(_zeroBlock.data(), bs);
+        if (queued)
+            _device.queueBlock(jb, image, IoTag::Journal);
+        else
+            _device.writeBlock(jb, image, IoTag::Journal);
+    }
+}
+
+void
+JournalingFs::settleSyncs()
+{
+    const SimTime now = _clock.now();
+    std::size_t applied = 0;
+    for (; applied < _syncs.size() && _syncs[applied].doneNs <= now;
+         ++applied) {
+        PendingSync &sync = _syncs[applied];
+        DurableInode &durable = _durableFiles[sync.name];
+        durable.size = sync.size;
+        durable.blocks = sync.blocks;
+        _freeList.insert(_freeList.end(), sync.freed.begin(),
+                         sync.freed.end());
+        _stats.add(stats::kFsyncs);
+        _stats.add(stats::kFsSyncsApplied);
+    }
+    _syncs.erase(_syncs.begin(),
+                 _syncs.begin() + static_cast<std::ptrdiff_t>(applied));
+}
+
+void
+JournalingFs::waitSyncLocked(const std::string &name)
+{
+    settleSyncs();
+    for (const PendingSync &sync : _syncs) {
+        if (sync.name == name) {
+            // Syncs complete in the order they started; once the
+            // device drains, every one has.
+            _device.drain(stats::kBlockdevFsyncWaitNs);
+            settleSyncs();
+            return;
+        }
     }
 }
 
@@ -317,9 +357,10 @@ JournalingFs::fsync(const std::string &name)
     const IoTag tag = tagForFile(name);
     const std::uint32_t bs = _device.blockSize();
 
-    // Ordered mode: data first -- what a write-out queued, then the
-    // rest in ascending file-block order...
+    // Ordered mode: data first -- what a write-out or a sync queued,
+    // then the rest in ascending file-block order...
     _device.drain(stats::kBlockdevFsyncWaitNs);
+    settleSyncs();
     std::sort(inode->dirtyBlocks.begin(), inode->dirtyBlocks.end());
     for (const std::uint64_t blk : inode->dirtyBlocks) {
         _device.writeBlock(
@@ -373,6 +414,51 @@ JournalingFs::startWriteOut(const std::string &name)
 }
 
 Status
+JournalingFs::startSync(const std::string &name, SimTime *done_ns)
+{
+    std::lock_guard<std::recursive_mutex> g(_mu);
+    settleSyncs();
+    Inode *inode = find(name);
+    if (inode == nullptr)
+        return Status::notFound("no such file: " + name);
+    // fsync()'s order on the device's timeline: the rest of the data,
+    // the journal transaction, then the cache flush.
+    NVWAL_RETURN_IF_ERROR(startWriteOut(name));
+    if (inode->metaDirty || inode->allocDirty) {
+        const std::uint64_t journal = _journalHead;
+        journalCommit(inode->allocDirty, true);
+        _stats.add(stats::kFsBlocksWrittenOut, _journalHead - journal);
+    }
+    inode->metaDirty = false;
+    inode->allocDirty = false;
+
+    PendingSync sync;
+    sync.name = name;
+    sync.size = inode->size;
+    sync.blocks = inode->blocks;
+    sync.freed.swap(inode->pendingFree);
+    sync.doneNs = _device.queueFlush(_cost.fsyncBaseNs);
+    if (done_ns != nullptr)
+        *done_ns = sync.doneNs;
+    _syncs.push_back(std::move(sync));
+    _stats.add(stats::kFsSyncsStarted);
+    return Status::ok();
+}
+
+Status
+JournalingFs::waitSync(const std::string &name, bool *clean)
+{
+    std::lock_guard<std::recursive_mutex> g(_mu);
+    const Inode *inode = find(name);
+    if (inode == nullptr)
+        return Status::notFound("no such file: " + name);
+    waitSyncLocked(name);
+    *clean = inode->dirtyBlocks.empty() && !inode->metaDirty &&
+             !inode->allocDirty && inode->pendingFree.empty();
+    return Status::ok();
+}
+
+Status
 JournalingFs::zeroGrow(Inode &inode, std::uint64_t size)
 {
     // The new range reads as zeros. Zero it in the page cache from
@@ -397,6 +483,7 @@ Status
 JournalingFs::truncate(const std::string &name, std::uint64_t size)
 {
     std::lock_guard<std::recursive_mutex> g(_mu);
+    settleSyncs();
     Inode *inode = find(name);
     if (inode == nullptr)
         return Status::notFound("no such file: " + name);
@@ -436,6 +523,8 @@ JournalingFs::remove(const std::string &name)
     Inode *inode = find(name);
     if (inode == nullptr)
         return Status::notFound("no such file: " + name);
+    // The removal journals after the file's sync in flight.
+    waitSyncLocked(name);
     freeInodeBlocks(*inode);
     _files.erase(name);
     _durableFiles.erase(name);
@@ -452,6 +541,9 @@ JournalingFs::rename(const std::string &from, const std::string &to)
         return Status::notFound("no such file: " + from);
     if (from == to)
         return Status::ok();
+    // The rename journals after the syncs in flight of both names.
+    waitSyncLocked(from);
+    waitSyncLocked(to);
     Inode *dst = find(to);
     if (dst != nullptr) {
         freeInodeBlocks(*dst);
@@ -483,6 +575,10 @@ void
 JournalingFs::crash()
 {
     std::lock_guard<std::recursive_mutex> g(_mu);
+    // A sync whose flush completed by now is durable; the rest never
+    // happened, whichever of their blocks the device let land.
+    settleSyncs();
+    _syncs.clear();
     _files.clear();
     resetSlots();
     // Every data block below the allocator frontier that no durable
@@ -531,6 +627,11 @@ JournalingFs::snapshot() const
         snap.files.emplace(name, std::move(file));
     }
     snap.durableFiles = _durableFiles;
+    const SimTime now = _clock.now();
+    for (const PendingSync &sync : _syncs) {
+        PendingSync &saved = snap.syncs.emplace_back(sync);
+        saved.doneNs = sync.doneNs > now ? sync.doneNs - now : 0;
+    }
     return snap;
 }
 
@@ -560,6 +661,10 @@ JournalingFs::restore(const Snapshot &snap)
         _files.emplace(name, std::move(inode));
     }
     _durableFiles = snap.durableFiles;
+    const SimTime now = _clock.now();
+    _syncs = snap.syncs;
+    for (PendingSync &sync : _syncs)
+        sync.doneNs += now;
 }
 
 } // namespace nvwal

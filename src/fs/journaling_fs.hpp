@@ -16,9 +16,16 @@
  *    device's timeline without waiting (sync_file_range with
  *    SYNC_FILE_RANGE_WRITE); fsync() then waits only for the queued
  *    programs that have not completed;
- *  - crash() drops everything not yet made durable by fsync(). A
- *    written-out block that completed is on media whether or not an
- *    fsync followed; the device settles the ones in flight.
+ *  - startSync() is an fsync issued on the device's timeline without
+ *    waiting (io_uring's IORING_OP_FSYNC): the rest of the data, the
+ *    journal transaction and the cache flush are queued, and the
+ *    durable inode takes the synced state only once the clock reaches
+ *    the flush's completion. Any later call that finds it completed
+ *    applies it; a blocking fsync() of the file waits for it first;
+ *  - crash() drops everything not yet made durable by fsync() or by
+ *    a completed startSync(). A written-out block that completed is
+ *    on media whether or not an fsync followed; the device settles
+ *    the ones in flight.
  *
  * Files are flat names; there are no directories. Blocks are
  * allocated from a simple free list. A block a truncate frees stays
@@ -112,6 +119,25 @@ class JournalingFs
      */
     Status startWriteOut(const std::string &name);
 
+    /**
+     * Start an fsync of @p name without waiting: queue its remaining
+     * dirty blocks, the ordered-mode journal transaction and a cache
+     * flush of fsyncBaseNs on the device, in that order, and report
+     * in @p done_ns when the flush completes. The clock does not
+     * move. Counted as one fsync once it is applied. The durable
+     * inode (size, blocks, and the blocks a truncate freed) changes
+     * only once the clock reaches @p done_ns, never on which of the
+     * queued blocks a power failure lets land.
+     */
+    Status startSync(const std::string &name, SimTime *done_ns = nullptr);
+
+    /**
+     * Wait for every sync of @p name still in flight -- not at all
+     * once it completed -- and apply it. Sets @p clean when the file
+     * buffered nothing since, so its durable image is its current one.
+     */
+    Status waitSync(const std::string &name, bool *clean);
+
     /** Whether programs a write-out queued are still in flight. */
     bool writeOutBusy() const { return _device.busy(); }
 
@@ -182,9 +208,31 @@ class JournalingFs
         bool allocDirty = false;         //!< blocks allocated/freed
     };
 
+    /** A startSync() whose cache flush has not completed yet. */
+    struct PendingSync
+    {
+        std::string name;
+        SimTime doneNs = 0;
+        /** The inode it makes durable. */
+        std::uint64_t size = 0;
+        std::vector<BlockNo> blocks;
+        /** Blocks a truncate freed, free once it completes. */
+        std::vector<BlockNo> freed;
+    };
+
     Status ensureBlocks(Inode &inode, std::uint64_t file_blocks);
     BlockNo allocBlock();
-    void journalCommit(bool alloc_dirty);
+    /**
+     * Write the ordered-mode journal transaction for dirty metadata,
+     * synchronously or, with @p queued, on the device's timeline.
+     */
+    void journalCommit(bool alloc_dirty, bool queued = false);
+
+    /** Apply every sync whose flush completed by now, oldest first. */
+    void settleSyncs();
+
+    /** Wait for and apply every sync of @p name still in flight. */
+    void waitSyncLocked(const std::string &name);
     Inode *find(const std::string &name);
     const Inode *find(const std::string &name) const;
 
@@ -271,13 +319,16 @@ class JournalingFs
         std::vector<BlockNo> blocks;
     };
     std::map<std::string, DurableInode> _durableFiles;
+    /** Syncs in flight, oldest first, so completion times ascend. */
+    std::vector<PendingSync> _syncs;
 };
 
 /**
  * Complete JournalingFs state: inodes with a copy of their buffered
- * dirty data, the durable inode images, and the allocator frontier.
- * Paired with a BlockDevice snapshot this reproduces the exact
- * on-media + in-cache file-system state of the capture point.
+ * dirty data, the durable inode images, the syncs in flight and the
+ * allocator frontier. Paired with a BlockDevice snapshot this
+ * reproduces the exact on-media + in-cache file-system state of the
+ * capture point.
  */
 struct JournalingFs::Snapshot
 {
@@ -298,6 +349,12 @@ struct JournalingFs::Snapshot
     std::vector<BlockNo> freeList;
     std::map<std::string, File> files;
     std::map<std::string, DurableInode> durableFiles;
+    /**
+     * Syncs in flight, each with doneNs holding the device time left
+     * until its flush completes, as BlockDevice::Snapshot carries its
+     * queue.
+     */
+    std::vector<PendingSync> syncs;
 };
 
 } // namespace nvwal

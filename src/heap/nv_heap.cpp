@@ -1,5 +1,6 @@
 #include "nv_heap.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace nvwal
@@ -331,25 +332,79 @@ NvHeap::nvFree(NvOffset off)
 {
     std::lock_guard<std::recursive_mutex> g(_mu);
     TraceSpan span(_stats.tracer(), "heap.nvfree", "heap");
-    chargeCall();
-    const std::uint32_t idx = blockIndexOf(off);
-    const std::uint8_t d = descByte(idx);
-    if ((d & kHeadBit) == 0 ||
-        (d & kStateMask) == static_cast<std::uint8_t>(BlockState::Free)) {
-        return Status::invalidArgument("not a live allocation head");
+    return freeExtents(std::span<const NvOffset>(&off, 1));
+}
+
+void
+NvHeap::persistDescRuns(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>> &runs)
+{
+    const std::uint32_t line = _pmem.cost().cacheLineSize;
+    _pmem.memoryBarrier();
+    std::size_t i = 0;
+    while (i < runs.size()) {
+        const std::uint32_t first = runs[i].first;
+        std::uint32_t end = runs[i].second;
+        // A gap under a line costs less to flush than another call.
+        while (++i < runs.size() && runs[i].first < end + line)
+            end = std::max(end, runs[i].second);
+        _pmem.cacheLineFlush(_descOff + first, _descOff + end);
     }
-    const std::uint32_t extent = extentBlocksAt(off);
-    // Clear the head first so a crash mid-free leaves head-less
+    _pmem.memoryBarrier();
+    _pmem.persistBarrier();
+}
+
+Status
+NvHeap::nvFreeBatch(const std::vector<NvOffset> &heads)
+{
+    std::lock_guard<std::recursive_mutex> g(_mu);
+    if (heads.empty())
+        return Status::ok();
+    TraceSpan span(_stats.tracer(), "heap.nvfree_batch", "heap", "extents",
+                   heads.size());
+    return freeExtents(heads);
+}
+
+Status
+NvHeap::freeExtents(std::span<const NvOffset> heads)
+{
+    chargeCall();
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> &extents =
+        _batchExtents;
+    extents.clear();
+    for (const NvOffset off : heads) {
+        const std::uint32_t idx = blockIndexOf(off);
+        const std::uint8_t d = descByte(idx);
+        if ((d & kHeadBit) == 0 ||
+            (d & kStateMask) == static_cast<std::uint8_t>(BlockState::Free)) {
+            return Status::invalidArgument("not a live allocation head");
+        }
+        extents.emplace_back(idx, extentBlocksAt(off));
+    }
+    std::sort(extents.begin(), extents.end());
+
+    // Every head first, so a crash mid-free leaves head-less
     // continuations (reclaimed by recover()) rather than a live
-    // extent with freed continuations.
-    writeDescByte(idx, 0);
-    persistDescRange(idx, 1);
-    for (std::uint32_t i = 1; i < extent; ++i)
-        writeDescByte(idx + i, 0);
-    if (extent > 1)
-        persistDescRange(idx + 1, extent - 1);
-    if (idx < _nextFreeHint)
-        _nextFreeHint = idx;
+    // extent with freed continuations...
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> &runs = _batchRuns;
+    runs.clear();
+    for (const auto &[idx, blocks] : extents) {
+        writeDescByte(idx, 0);
+        runs.emplace_back(idx, idx + 1);
+    }
+    persistDescRuns(runs);
+    // ... then the continuations of every multi-block extent.
+    runs.clear();
+    for (const auto &[idx, blocks] : extents) {
+        for (std::uint32_t i = 1; i < blocks; ++i)
+            writeDescByte(idx + i, 0);
+        if (blocks > 1)
+            runs.emplace_back(idx + 1, idx + blocks);
+    }
+    if (!runs.empty())
+        persistDescRuns(runs);
+    _nextFreeHint = std::min(_nextFreeHint, extents.front().first);
+    _stats.add(stats::kHeapExtentsFreed, extents.size());
     return Status::ok();
 }
 

@@ -29,7 +29,10 @@
 #define NVWAL_HEAP_NV_HEAP_HPP
 
 #include <mutex>
+#include <span>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/status.hpp"
 #include "common/types.hpp"
@@ -97,6 +100,17 @@ class NvHeap
     /** Release an allocation (head offset). */
     Status nvFree(NvOffset off);
 
+    /**
+     * Release every allocation headed at @p heads with one manager
+     * call: clear all the heads and persist their descriptor lines as
+     * one flush batch and one persist barrier, then the continuations
+     * of extents longer than one block behind a second barrier. A
+     * crash leaves any subset of the heads cleared and only cleared
+     * heads' continuations freed; recover() reclaims those head-less
+     * continuations. Frees nothing if any offset is not a live head.
+     */
+    Status nvFreeBatch(const std::vector<NvOffset> &heads);
+
     // ---- namespace roots ------------------------------------------
 
     /**
@@ -135,8 +149,17 @@ class NvHeap
     std::uint8_t descByte(std::uint32_t idx) const;
     void writeDescByte(std::uint32_t idx, std::uint8_t value);
     void persistDescRange(std::uint32_t first_idx, std::uint32_t count);
+    /**
+     * Persist the descriptor ranges [first, end) of @p runs, sorted,
+     * as one batch: ranges less than a cache line apart share a flush
+     * call, and one persist barrier closes it.
+     */
+    void persistDescRuns(
+        const std::vector<std::pair<std::uint32_t, std::uint32_t>> &runs);
     Status allocate(std::size_t bytes, BlockState state, NvOffset *out);
     void chargeCall();
+    /** The one free body: nvFree() is a batch of one extent. */
+    Status freeExtents(std::span<const NvOffset> heads);
 
     Status findNamespaceSlot(std::string_view name,
                              std::uint32_t *slot_out,
@@ -158,6 +181,9 @@ class NvHeap
     NvOffset _dataOff = 0;
     std::uint32_t _nextFreeHint = 0;
     bool _attached = false;
+    /** freeExtents' extents (head index, blocks) and flush runs. */
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> _batchExtents;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> _batchRuns;
 };
 
 } // namespace nvwal

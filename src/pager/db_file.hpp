@@ -66,6 +66,15 @@ class DbFile
     /** Queue the buffered pages on the device without waiting. */
     Status startWriteOut() { return _fs.startWriteOut(_name); }
 
+    /** Start an fsync on the device's timeline without waiting. */
+    Status startSync() { return _fs.startSync(_name); }
+
+    /**
+     * Wait for the file's sync in flight, if any, and apply it; sets
+     * @p clean when nothing was written since it started.
+     */
+    Status waitSync(bool *clean) { return _fs.waitSync(_name, clean); }
+
     /** Whether a write-out is still programming the device. */
     bool writeOutBusy() const { return _fs.writeOutBusy(); }
 

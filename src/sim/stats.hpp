@@ -46,18 +46,26 @@ namespace stats
     X(kFlushSyscalls, "pmem.flush_syscalls")                                  \
     X(kHeapCalls, "heap.manager_calls")                                       \
     X(kHeapBlocksAllocated, "heap.blocks_allocated")                          \
+    /* Allocations released, one per nvFree() and one per extent of         \
+     * an nvFreeBatch(). */                                                   \
+    X(kHeapExtentsFreed, "heap.extents_freed")                                \
     X(kBlocksWritten, "blockdev.blocks_written")                              \
     X(kBlocksRead, "blockdev.blocks_read")                                    \
     X(kJournalBlocksWritten, "fs.journal_blocks")                             \
     X(kFsyncs, "fs.fsyncs")                                                   \
-    /* Device timeline (docs/MODEL.md §3): data blocks a write-out            \
-     * queued without waiting; the sim ns a read or a synchronous             \
+    /* Device timeline (docs/MODEL.md §3): blocks a write-out or a            \
+     * sync queued without waiting; the sim ns a read or a synchronous        \
      * write waited for queued programs to complete; and the sim ns           \
      * an fsync waited for them, apart, so a wait on the commit path          \
      * shows in the first. */                                                 \
     X(kFsBlocksWrittenOut, "fs.blocks_written_out")                           \
     X(kBlockdevWaitNs, "blockdev.wait_ns")                                    \
     X(kBlockdevFsyncWaitNs, "blockdev.fsync_wait_ns")                         \
+    /* Asynchronous fsyncs (JournalingFs::startSync) issued, and the          \
+     * ones whose cache flush completed and whose inode was applied;          \
+     * each applied one also counts in fs.fsyncs. */                          \
+    X(kFsSyncsStarted, "fs.syncs_started")                                    \
+    X(kFsSyncsApplied, "fs.syncs_applied")                                    \
     X(kCheckpoints, "db.checkpoints")                                         \
     /* Checkpoint rounds that switched the NVRAM log to a new segment,        \
      * and the head-segment nodes their retirements freed (DESIGN.md          \

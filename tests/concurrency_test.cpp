@@ -565,6 +565,10 @@ TEST(Concurrency, CheckpointerRespectsSnapshotPin)
     NVWAL_CHECK_OK(Database::open(env, config, &db));
     for (RowId k = 1; k <= 5; ++k)
         NVWAL_CHECK_OK(db->insert(k, testutil::spanOf(rowValue(k))));
+    // Finish the round these inserts opened: its sync may still be in
+    // flight, and its closer would run under the pin below, which
+    // sits above the round's frozen horizon.
+    NVWAL_CHECK_OK(db->checkpoint());
 
     std::unique_ptr<Connection> conn;
     NVWAL_CHECK_OK(db->connect(&conn));

@@ -197,6 +197,16 @@ TEST_P(DatabaseTest, AutoCheckpointTriggersAtThreshold)
             db->insert(k, testutil::spanOf(testutil::makeValue(100, k))));
     }
     EXPECT_GT(env.stats.get(stats::kCheckpoints), ckpt_before);
+    // A paced round keeps the NVRAM log's first segment until a
+    // commit finds its sync complete; close a round still open, so
+    // the bound below applies to the log the round leaves behind.
+    if (env.stats.get(stats::kFsSyncsApplied) !=
+        env.stats.get(stats::kFsSyncsStarted)) {
+        env.fs.waitWriteOut();
+        bool done = false;
+        NVWAL_CHECK_OK(db->checkpointStep(1, &done));
+        EXPECT_TRUE(done);
+    }
     EXPECT_LT(db->wal().framesSinceCheckpoint(), 100u);
     std::uint64_t n = 0;
     NVWAL_CHECK_OK(db->count(&n));

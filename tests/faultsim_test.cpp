@@ -200,5 +200,116 @@ TEST(FaultSim, SegmentRetirementNeverLosesOrLeaks)
     EXPECT_EQ(env.stats.get(stats::kCheckpoints), 2u);
 }
 
+/**
+ * The paced auto-checkpoint under crashes: the commit that reaches
+ * the threshold opens a round, queues its pages and its fsync on the
+ * flash device (JournalingFs::startSync), and returns; two commits
+ * land in the second segment while data and journal programs and the
+ * cache flush are in flight; the application idles while the device
+ * drains; the next commit applies the completed sync and retires the
+ * first segment in one batched heap free. At every crash point, under
+ * the pessimistic policy and two adversarial draws of surviving
+ * lines and blocks, recovery must match the oracle and leak no NVRAM
+ * block -- across the sync's completion, and with the descriptor
+ * lines of a batched free surviving in any subset.
+ */
+TEST(FaultSim, PacedSyncAndBatchedRetirementNeverLoseOrLeak)
+{
+    faultsim::SweepConfig config = baseConfig();
+    config.db.nvwal.userHeap = true;
+    config.db.nvwal.diffLogging = true;
+    // One-row transactions write three pages each: the fourth opens
+    // the round, and the closer's commit stays below twice the
+    // threshold, so no overdue blocking round preempts it.
+    config.db.checkpointThreshold = 11;
+    config.warmup = faultsim::Workload::standardTxns(0, 1);
+    config.warmup.writeOutLoad(1000000);
+    faultsim::Workload &w = config.workload;
+    const auto update_one = [&](int version) {
+        const RowId key = 1000000 + version;
+        w.begin();
+        w.update(key, faultsim::Workload::writeOutValue(
+                          key, static_cast<std::uint64_t>(version), 1500));
+        w.commit();
+    };
+    w.phase("paced open");
+    for (int v = 0; v < 4; ++v)
+        update_one(v);
+    w.phase("sync in flight");
+    update_one(4);
+    update_one(5);
+    w.phase("device drains");
+    w.idle(5'000'000);
+    w.phase("closer: apply + batched retire");
+    update_one(6);
+    w.phase("second segment");
+    update_one(7);
+    config.policies.push_back(faultsim::PolicyRun{});  // pessimistic
+    config.policies.push_back(
+        faultsim::PolicyRun{FailurePolicy::Adversarial, {1, 2}, 0.5});
+
+    faultsim::SweepReport report;
+    NVWAL_CHECK_OK(faultsim::CrashSweep(config).run(&report));
+    EXPECT_TRUE(report.ok()) << report.summary();
+    EXPECT_EQ(report.pointsSwept, report.totalOps);
+    EXPECT_EQ(report.crashes, report.replays);
+    std::uint64_t in_flight_points = 0;
+    std::uint64_t closer_points = 0;
+    for (const auto &[label, cov] : report.phases) {
+        if (label == "sync in flight")
+            in_flight_points += cov.points;
+        if (label == "closer: apply + batched retire")
+            closer_points += cov.points;
+    }
+    EXPECT_GT(in_flight_points, 0u);
+    EXPECT_GT(closer_points, 0u);
+
+    // Run without a crash, each phase does what its label says.
+    Env env(config.env);
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, config.db, &db));
+    using Kind = faultsim::WorkloadOp::Kind;
+    // Runs @p wl's ops from *i on, up to the first of phase @p upto.
+    const auto run = [&](const faultsim::Workload &wl, std::size_t *i,
+                         const char *upto) {
+        for (; *i < wl.size(); ++*i) {
+            if (upto != nullptr && wl.phaseOf(*i) == upto)
+                return;
+            const faultsim::WorkloadOp &op = wl.op(*i);
+            const ConstByteSpan value(op.value.data(), op.value.size());
+            switch (op.kind) {
+              case Kind::Begin: NVWAL_CHECK_OK(db->begin()); break;
+              case Kind::Commit: NVWAL_CHECK_OK(db->commit()); break;
+              case Kind::Insert:
+                NVWAL_CHECK_OK(db->insert(op.key, value));
+                break;
+              case Kind::Update:
+                NVWAL_CHECK_OK(db->update(op.key, value));
+                break;
+              case Kind::Idle: env.clock.advance(op.idleNs); break;
+              default: FAIL() << "op " << *i << " of an unexpected kind";
+            }
+        }
+    };
+    std::size_t warm_op = 0;
+    run(config.warmup, &warm_op, nullptr);
+    NVWAL_CHECK_OK(db->checkpoint());
+    const auto since = [&, base = env.stats.snapshot()](MetricName name) {
+        const auto it = base.find(name.c_str());
+        return env.stats.get(name) - (it == base.end() ? 0 : it->second);
+    };
+    std::size_t op = 0;
+    run(w, &op, "device drains");
+    EXPECT_EQ(since(stats::kFsSyncsStarted), 1u);
+    EXPECT_EQ(since(stats::kFsSyncsApplied), 0u);
+    EXPECT_TRUE(env.fs.writeOutBusy());
+    run(w, &op, "second segment");
+    EXPECT_EQ(since(stats::kFsSyncsApplied), 1u);
+    EXPECT_EQ(since(stats::kCheckpoints), 1u);
+    EXPECT_EQ(since(stats::kWalSegmentSwitches), 1u);
+    EXPECT_GT(since(stats::kWalRetiredPrefixNodes), 0u);
+    EXPECT_EQ(since(stats::kBlockdevFsyncWaitNs), 0u);
+}
+
 } // namespace
 } // namespace nvwal

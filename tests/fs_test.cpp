@@ -174,6 +174,117 @@ TEST_F(FsTest, SnapshotKeepsTheQueueAsRemainingDeviceTime)
               3 * cost.blockProgramNs - cost.blockProgramNs / 2);
 }
 
+TEST_F(FsTest, StartSyncIsDurableOnlyAtCompletion)
+{
+    // startSync() queues the rest of the data, the journal transaction
+    // and the cache flush, and moves no clock. The durable inode takes
+    // the synced size, blocks and truncated blocks only once the clock
+    // reaches the flush's completion: a power failure one ns earlier
+    // keeps the old inode and its truncated blocks even if every
+    // queued block landed, and one at the completion keeps the new.
+    const std::uint32_t bs = cost.blockSize;
+    const ByteBuffer old_data = testutil::makeValue(8 * bs, 21);
+    const ByteBuffer new_data = testutil::makeValue(4 * bs, 22);
+    const ByteBuffer other = testutil::makeValue(8 * bs, 23);
+    struct Outcome
+    {
+        std::uint64_t size = 0;
+        bool headIsNew = false;
+        bool tailKept = false;
+    };
+    const auto run = [&](SimTime early_ns, FailurePolicy policy,
+                         bool via_snapshot) {
+        SimClock c;
+        MetricsRegistry st;
+        BlockDevice dev(1 << 10, bs, c, cost, st);
+        JournalingFs jfs(dev, c, cost, st, 16);
+        NVWAL_CHECK_OK(jfs.pwrite("a.db", 0, testutil::spanOf(old_data)));
+        NVWAL_CHECK_OK(jfs.fsync("a.db"));
+        NVWAL_CHECK_OK(jfs.truncate("a.db", 4 * bs));
+        NVWAL_CHECK_OK(jfs.pwrite("a.db", 0, testutil::spanOf(new_data)));
+        const SimTime begin = c.now();
+        SimTime done = 0;
+        NVWAL_CHECK_OK(jfs.startSync("a.db", &done));
+        EXPECT_EQ(c.now(), begin);
+        EXPECT_TRUE(jfs.writeOutBusy());
+        // Four data blocks, a five-block journal transaction (the
+        // truncate freed blocks), then the flush.
+        EXPECT_EQ(done - begin, 9 * cost.blockProgramNs + cost.fsyncBaseNs);
+        EXPECT_EQ(st.get(stats::kFsSyncsStarted), 1u);
+        EXPECT_EQ(st.get(stats::kFsyncs), 1u);  // a's first fsync alone
+        c.advanceTo(done - early_ns);
+        if (via_snapshot) {
+            // A restore carries the sync as the device time it has
+            // left, relative to the restoring run's clock.
+            const BlockDevice::Snapshot dev_snap = dev.snapshot();
+            const JournalingFs::Snapshot fs_snap = jfs.snapshot();
+            c.advance(10 * cost.fsyncBaseNs);
+            dev.restore(dev_snap);
+            jfs.restore(fs_snap);
+            EXPECT_EQ(jfs.writeOutBusy(), early_ns != 0);
+        }
+        Rng rng(3);
+        dev.powerFail(policy, 0.5, rng);
+        jfs.crash();
+        EXPECT_EQ(st.get(stats::kFsSyncsApplied), early_ns == 0 ? 1u : 0u);
+        // A file written now may take only blocks no durable inode owns.
+        NVWAL_CHECK_OK(jfs.pwrite("b.db", 0, testutil::spanOf(other)));
+        NVWAL_CHECK_OK(jfs.fsync("b.db"));
+        Outcome out;
+        out.size = jfs.fileSize("a.db");
+        ByteBuffer head(4 * bs);
+        NVWAL_CHECK_OK(jfs.pread("a.db", 0, ByteSpan(head.data(), 4 * bs)));
+        // The data blocks completed long before the flush, so they are
+        // on media in place whatever the inode says.
+        out.headIsNew = head == new_data;
+        if (out.size == old_data.size()) {
+            ByteBuffer tail(4 * bs);
+            const std::uint64_t tail_off = 4 * static_cast<std::uint64_t>(bs);
+            NVWAL_CHECK_OK(jfs.pread("a.db", tail_off,
+                                     ByteSpan(tail.data(), 4 * bs)));
+            out.tailKept = std::equal(tail.begin(), tail.end(),
+                                      old_data.begin() + 4 * bs);
+        }
+        return out;
+    };
+    for (const FailurePolicy policy :
+         {FailurePolicy::Pessimistic, FailurePolicy::AllSurvive}) {
+        for (const bool via_snapshot : {false, true}) {
+            const Outcome early = run(1, policy, via_snapshot);
+            EXPECT_EQ(early.size, old_data.size());
+            EXPECT_TRUE(early.headIsNew);
+            EXPECT_TRUE(early.tailKept);
+            const Outcome at = run(0, policy, via_snapshot);
+            EXPECT_EQ(at.size, new_data.size());
+            EXPECT_TRUE(at.headIsNew);
+        }
+    }
+
+    // Without a crash, the first call past the completion applies the
+    // sync, counts its fsync and frees the truncated blocks: the next
+    // file takes them.
+    NVWAL_CHECK_OK(fs.pwrite("a.db", 0, testutil::spanOf(old_data)));
+    NVWAL_CHECK_OK(fs.fsync("a.db"));
+    NVWAL_CHECK_OK(fs.truncate("a.db", 4 * bs));
+    SimTime done = 0;
+    NVWAL_CHECK_OK(fs.startSync("a.db", &done));
+    clock.advanceTo(done);
+    device.setTracing(true);
+    NVWAL_CHECK_OK(fs.pwrite("b.db", 0, testutil::spanOf(other)));
+    NVWAL_CHECK_OK(fs.fsync("b.db"));
+    EXPECT_EQ(stats.get(stats::kFsSyncsApplied), 1u);
+    EXPECT_EQ(stats.get(stats::kFsyncs), 3u);
+    std::vector<BlockNo> b_blocks;
+    for (const TraceEntry &e : device.trace())
+        if (e.tag == IoTag::DbFile)
+            b_blocks.push_back(e.block);
+    ASSERT_EQ(b_blocks.size(), 8u);
+    // a took data blocks 64-71 first; b reuses its freed tail, 68-71.
+    EXPECT_EQ(std::count_if(b_blocks.begin(), b_blocks.end(),
+                            [](BlockNo b) { return b >= 68 && b < 72; }),
+              4);
+}
+
 TEST_F(FsTest, WriteReadRoundTrip)
 {
     const ByteBuffer data = testutil::makeValue(10000, 1);

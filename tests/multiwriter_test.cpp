@@ -1142,8 +1142,9 @@ gateKey(int conn, int leaf)
  * range with same-size values, so the tree's shape never changes and
  * validation never fires. Three connections round-robin: the fourth
  * commit reaches the threshold and opens a paced round, which queues
- * its eight pages on the device, the fifth starts the log's second
- * segment, and a later commit that finds the device drained closes
+ * its eight pages and its fsync on the device, the fifth starts the
+ * log's second segment, and, after the application idles while the
+ * device drains, the next commit applies the completed sync, closes
  * the round and retires the first segment. Then connection 2 holds a
  * workspace open while connections 0 and 1 commit past twice the
  * threshold (every commit from the threshold on waits for its pin),
@@ -1191,6 +1192,11 @@ gateSweepConfig()
             update_two(c, round);
             commit(c);
         }
+    // The opener's round programs its pages, journals them and
+    // flushes the device while the application idles, so the next
+    // commit finds the round's sync complete and closes it.
+    w.phase("device drains");
+    w.idle(2'000'000);
     w.phase("workspace open");
     w.connBegin(2);
     w.connUpdate(2, gateKey(2, 0), value(gateKey(2, 0), 100));
@@ -1247,6 +1253,7 @@ runOpWithoutCrash(Database &db, const faultsim::Workload &w, std::size_t i,
       case Kind::ConnHardenAll:
         NVWAL_CHECK_OK(db.flushAsyncCommits());
         break;
+      case Kind::Idle: db.env().clock.advance(op.idleNs); break;
       default:
         ADD_FAILURE() << "op " << i << " has a kind the gate sweep "
                       << "does not use";
@@ -1286,12 +1293,15 @@ TEST(Multiwriter, GateWorkloadRunsEveryCheckpointBranch)
 
     // The opener: the commit that reaches the threshold writes back
     // and queues every page the log holds -- the eight leaves its
-    // four commits rewrote -- so no page keeps a frame, and leaves
-    // the round open.
+    // four commits rewrote -- so no page keeps a frame, queues the
+    // round's fsync behind them, and leaves the round open.
     const std::uint64_t rounds = env.stats.get(stats::kCheckpoints);
     const std::uint64_t written_out =
         env.stats.get(stats::kFsBlocksWrittenOut);
+    const std::uint64_t journal = env.stats.get(stats::kJournalBlocksWritten);
     const std::uint64_t waited = env.stats.get(stats::kBlockdevWaitNs);
+    const std::uint64_t fsync_waited =
+        env.stats.get(stats::kBlockdevFsyncWaitNs);
     std::uint64_t opener_pages = 0;
     std::size_t i = 0;
     for (; i < config.workload.size() && opener_pages == 0; ++i) {
@@ -1304,17 +1314,21 @@ TEST(Multiwriter, GateWorkloadRunsEveryCheckpointBranch)
     EXPECT_LT(log->commitSeq(), 48u);
     EXPECT_EQ(log->indexedFrames(), 0u);
     EXPECT_EQ(env.stats.get(stats::kFsBlocksWrittenOut) - written_out,
-              opener_pages);
+              opener_pages +
+                  (env.stats.get(stats::kJournalBlocksWritten) - journal));
+    EXPECT_EQ(env.stats.get(stats::kFsSyncsStarted), 1u);
     EXPECT_EQ(env.stats.get(stats::kCheckpoints), rounds);
 
     // The rest of the paced round and the pin waits: no commit waits
-    // for a program; the closer's fsync waits only for what the
-    // opener's write-out has not drained.
+    // for a program, and the closer applies the sync the opener
+    // queued, which has completed by then.
     for (; i < config.workload.size() &&
            config.workload.phaseOf(i).rfind("overdue", 0) != 0;
          ++i)
         runOpWithoutCrash(*db, config.workload, i, &conns);
     EXPECT_EQ(env.stats.get(stats::kBlockdevWaitNs), waited);
+    EXPECT_EQ(env.stats.get(stats::kBlockdevFsyncWaitNs), fsync_waited);
+    EXPECT_EQ(env.stats.get(stats::kFsSyncsApplied), 1u);
     EXPECT_EQ(env.stats.get(stats::kCheckpoints), rounds + 1);
     EXPECT_EQ(env.stats.get(stats::kWalSegmentSwitches), 1u);
     EXPECT_GT(env.stats.get(stats::kWalRetiredPrefixNodes), 0u);

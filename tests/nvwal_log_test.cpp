@@ -854,6 +854,75 @@ TEST(NvwalHeaderInit, CrashDuringFirstRecoverNeverLeaks)
     }
 }
 
+TEST(NvwalRetirement, RecoveryFreesEveryNodePastAFreedMiddleNode)
+{
+    // A crash inside a retirement's batched free can leave any subset
+    // of the retired prefix freed, a middle node among them. Recovery
+    // finishes the retirement from its record, and its walk must
+    // follow the freed node's link to the segment node: stopping
+    // there would leave every node behind it in use and unreachable.
+    EnvConfig env_config;
+    env_config.cost = CostModel::tuna(500);
+    Env env(env_config);
+    DbFile db_file(env.fs, "t.db", kPageSize);
+    NVWAL_CHECK_OK(db_file.open());
+    NvwalConfig config;
+    config.syncMode = SyncMode::Lazy;
+    config.diffLogging = false;
+    config.userHeap = false;  // one node per frame
+    NvwalLog log(env.heap, env.pmem, db_file, kPageSize, kReserved, config,
+                 env.stats);
+    std::uint32_t db_size = 0;
+    NVWAL_CHECK_OK(log.recover(&db_size));
+    DirtyRanges ranges;
+    ranges.mark(0, kPageSize);
+    const auto commit_page2 = [&](std::uint64_t version) {
+        ByteBuffer page = testutil::makeValue(kPageSize, version);
+        std::memset(page.data() + kPageSize - kReserved, 0, kReserved);
+        std::vector<FrameWrite> frames{
+            FrameWrite{2, testutil::spanOf(page), &ranges}};
+        NVWAL_CHECK_OK(log.writeFrameGroup({{frames, 2}}));
+        return page;
+    };
+    // Three versions of page 2 in the head segment, three nodes; a
+    // round opens without writing anything, and the next commit
+    // starts the second segment with the newest version.
+    for (std::uint64_t v = 1; v <= 3; ++v)
+        (void)commit_page2(v);
+    bool done = true;
+    NVWAL_CHECK_OK(log.checkpointStep(0, &done));
+    ASSERT_FALSE(done);
+    const ByteBuffer newest = commit_page2(4);
+    ASSERT_EQ(log.nodeCount(), 4u);
+
+    // The retirement's record names the prefix, and only the middle
+    // node's free reached media.
+    NvOffset header = kNullNvOffset;
+    NVWAL_CHECK_OK(env.heap.getRoot(config.heapNamespace, &header));
+    NvramDevice &dev = env.nvramDevice;
+    const NvOffset first = dev.readU64(header + 24);
+    const NvOffset middle = dev.readU64(first);
+    ASSERT_EQ(dev.readU64(header + 32), dev.readU64(dev.readU64(middle)));
+    env.pmem.storeU64(header + 48, first);
+    env.pmem.memoryBarrier();
+    env.pmem.cacheLineFlush(header + 48, header + 56);
+    env.pmem.memoryBarrier();
+    env.pmem.persistBarrier();
+    NVWAL_CHECK_OK(env.heap.nvFree(middle));
+    env.powerFail(FailurePolicy::Pessimistic);
+
+    NvwalLog fresh(env.heap, env.pmem, db_file, kPageSize, kReserved,
+                   config, env.stats);
+    NVWAL_CHECK_OK(fresh.recover(&db_size));
+    EXPECT_EQ(fresh.nodeCount(), 1u);
+    EXPECT_EQ(env.heap.countBlocks(BlockState::Pending), 0u);
+    EXPECT_EQ(env.heap.countBlocks(BlockState::InUse),
+              fresh.reachableNvramBlocks());
+    ByteBuffer out(kPageSize);
+    NVWAL_CHECK_OK(fresh.readPage(2, ByteSpan(out.data(), kPageSize)));
+    EXPECT_EQ(out, newest);
+}
+
 TEST(NvwalSharedHeap, ReusedBlockNeverValidatesAnotherLogsFrames)
 {
     constexpr std::uint32_t kPageSize = 4096;
