@@ -89,6 +89,19 @@ BlockDevice::queueBlock(BlockNo block, ConstByteSpan data, IoTag tag)
     retireLocked();
     NVWAL_ASSERT(block < _numBlocks, "block write out of range: %llu",
                  static_cast<unsigned long long>(block));
+    if (_inFlightHead != 0 &&
+        _preImages.size() + _blockSize > _preImages.capacity()) {
+        // Drop the completed programs' pre-images rather than grow
+        // the buffer past what is still in flight.
+        _inFlight.erase(_inFlight.begin(),
+                        _inFlight.begin() +
+                            static_cast<std::ptrdiff_t>(_inFlightHead));
+        _preImages.erase(_preImages.begin(),
+                         _preImages.begin() +
+                             static_cast<std::ptrdiff_t>(_inFlightHead *
+                                                         _blockSize));
+        _inFlightHead = 0;
+    }
     _busyUntil = std::max(_busyUntil, _clock.now()) + _cost.blockProgramNs;
     _inFlight.push_back(InFlight{block, _busyUntil});
     const std::uint8_t *media = _data.data() + block * _blockSize;

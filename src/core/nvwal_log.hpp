@@ -140,6 +140,7 @@ class NvwalLog : public WriteAheadLog
     Status checkpointPaced(bool *done) override;
     CommitSeq checkpointHorizon() const override
     { return _ckptRoundActive ? _roundSeq : _commitSeq; }
+    bool roundSyncStarted() const override { return _roundSyncStarted; }
     Status recover(std::uint32_t *db_size_pages) override;
     std::uint64_t framesSinceCheckpoint() const override
     { return _framesSinceCheckpoint; }

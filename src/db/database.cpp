@@ -765,13 +765,17 @@ Database::maybeCheckpointAfterCommit()
         return;
     }
     // At twice the threshold the round finishes blocking, as
-    // Database::checkpoint() runs it, so the log stays bounded. A
-    // paced step issues work only to an idle device, so a commit
-    // never waits behind the programs an earlier step queued.
+    // Database::checkpoint() runs it, so the log stays bounded; an
+    // open round whose sync is queued is closed instead, waiting for
+    // that sync rather than rewriting its set. A paced step issues
+    // work only to an idle device, so a commit never waits behind the
+    // programs an earlier step queued.
     const bool overdue = writes >= 2 * _config.checkpointThreshold;
     if (!overdue && _dbFile->writeOutBusy())
         return;
-    const RoundKind kind = overdue ? RoundKind::Full : RoundKind::Paced;
+    const RoundKind kind = overdue && !_wal->roundSyncStarted()
+                               ? RoundKind::Full
+                               : RoundKind::Paced;
     if (!checkpointRound(kind, 0, nullptr).isOk()) {
         _env.stats.add(stats::kAutoCheckpointFailures);
         _env.stats.tracer().instant("db.auto_checkpoint_failed", "db");

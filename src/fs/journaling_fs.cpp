@@ -354,34 +354,15 @@ JournalingFs::fsync(const std::string &name)
     if (inode == nullptr)
         return Status::notFound("no such file: " + name);
 
-    const IoTag tag = tagForFile(name);
-    const std::uint32_t bs = _device.blockSize();
-
-    // Ordered mode: data first -- what a write-out or a sync queued,
-    // then the rest in ascending file-block order...
+    // startSync()'s queue, waited for: what a write-out or a sync
+    // queued ahead of it completes first, and a sync in flight is
+    // applied before this one.
+    queueSync(name, *inode);
     _device.drain(stats::kBlockdevFsyncWaitNs);
     settleSyncs();
-    std::sort(inode->dirtyBlocks.begin(), inode->dirtyBlocks.end());
-    for (const std::uint64_t blk : inode->dirtyBlocks) {
-        _device.writeBlock(
-            inode->blocks[blk],
-            ConstByteSpan(slotData(inode->dirtySlot[blk] - 1), bs), tag);
-    }
-    dropDirty(*inode);
-    trimSlots();
-
-    // ... then the journaled metadata transaction, which makes the
-    // blocks a truncate freed reusable.
-    if (inode->metaDirty || inode->allocDirty)
-        journalCommit(inode->allocDirty);
-    inode->metaDirty = false;
-    inode->allocDirty = false;
     _freeList.insert(_freeList.end(), inode->pendingFree.begin(),
                      inode->pendingFree.end());
     inode->pendingFree.clear();
-
-    // Device cache flush barrier.
-    _clock.advance(_cost.fsyncBaseNs);
     _stats.add(stats::kFsyncs);
 
     // Assigned in place, so the durable block list keeps its capacity.
@@ -391,6 +372,37 @@ JournalingFs::fsync(const std::string &name)
     return Status::ok();
 }
 
+std::size_t
+JournalingFs::queueDirty(const std::string &name, Inode &inode)
+{
+    const IoTag tag = tagForFile(name);
+    const std::uint32_t bs = _device.blockSize();
+    std::sort(inode.dirtyBlocks.begin(), inode.dirtyBlocks.end());
+    for (const std::uint64_t blk : inode.dirtyBlocks) {
+        _device.queueBlock(
+            inode.blocks[blk],
+            ConstByteSpan(slotData(inode.dirtySlot[blk] - 1), bs), tag);
+    }
+    const std::size_t queued = inode.dirtyBlocks.size();
+    dropDirty(inode);
+    trimSlots();
+    return queued;
+}
+
+SimTime
+JournalingFs::queueSync(const std::string &name, Inode &inode)
+{
+    // Ordered mode: data first, in ascending file-block order, then
+    // the journaled metadata transaction, then the device cache
+    // flush barrier.
+    queueDirty(name, inode);
+    if (inode.metaDirty || inode.allocDirty)
+        journalCommit(inode.allocDirty, true);
+    inode.metaDirty = false;
+    inode.allocDirty = false;
+    return _device.queueFlush(_cost.fsyncBaseNs);
+}
+
 Status
 JournalingFs::startWriteOut(const std::string &name)
 {
@@ -398,18 +410,9 @@ JournalingFs::startWriteOut(const std::string &name)
     Inode *inode = find(name);
     if (inode == nullptr)
         return Status::notFound("no such file: " + name);
-    const IoTag tag = tagForFile(name);
-    const std::uint32_t bs = _device.blockSize();
-    std::sort(inode->dirtyBlocks.begin(), inode->dirtyBlocks.end());
-    for (const std::uint64_t blk : inode->dirtyBlocks) {
-        _device.queueBlock(
-            inode->blocks[blk],
-            ConstByteSpan(slotData(inode->dirtySlot[blk] - 1), bs), tag);
-    }
-    if (!inode->dirtyBlocks.empty())
-        _stats.add(stats::kFsBlocksWrittenOut, inode->dirtyBlocks.size());
-    dropDirty(*inode);
-    trimSlots();
+    const std::size_t queued = queueDirty(name, *inode);
+    if (queued != 0)
+        _stats.add(stats::kFsBlocksWrittenOut, queued);
     return Status::ok();
 }
 
@@ -421,23 +424,16 @@ JournalingFs::startSync(const std::string &name, SimTime *done_ns)
     Inode *inode = find(name);
     if (inode == nullptr)
         return Status::notFound("no such file: " + name);
-    // fsync()'s order on the device's timeline: the rest of the data,
-    // the journal transaction, then the cache flush.
-    NVWAL_RETURN_IF_ERROR(startWriteOut(name));
-    if (inode->metaDirty || inode->allocDirty) {
-        const std::uint64_t journal = _journalHead;
-        journalCommit(inode->allocDirty, true);
-        _stats.add(stats::kFsBlocksWrittenOut, _journalHead - journal);
-    }
-    inode->metaDirty = false;
-    inode->allocDirty = false;
+    const std::size_t data = inode->dirtyBlocks.size();
+    const std::uint64_t journal = _journalHead;
 
     PendingSync sync;
     sync.name = name;
     sync.size = inode->size;
     sync.blocks = inode->blocks;
+    sync.doneNs = queueSync(name, *inode);
     sync.freed.swap(inode->pendingFree);
-    sync.doneNs = _device.queueFlush(_cost.fsyncBaseNs);
+    _stats.add(stats::kFsBlocksWrittenOut, data + (_journalHead - journal));
     if (done_ns != nullptr)
         *done_ns = sync.doneNs;
     _syncs.push_back(std::move(sync));

@@ -106,8 +106,8 @@ class JournalingFs
     Status fallocate(const std::string &name, std::uint64_t size);
 
     /**
-     * Flush data and journal the metadata (ordered mode), after
-     * waiting for every block program a write-out queued.
+     * Flush data and journal the metadata (ordered mode): startSync()
+     * waited for, behind every program a write-out or a sync queued.
      */
     Status fsync(const std::string &name);
 
@@ -227,6 +227,20 @@ class JournalingFs
      * synchronously or, with @p queued, on the device's timeline.
      */
     void journalCommit(bool alloc_dirty, bool queued = false);
+
+    /**
+     * Queue @p inode's dirty data blocks on the device in ascending
+     * file-block order and hand their page-cache slots back; returns
+     * how many it queued.
+     */
+    std::size_t queueDirty(const std::string &name, Inode &inode);
+
+    /**
+     * Queue an fsync of @p inode on the device -- its dirty data, the
+     * journal transaction, then the cache flush -- and return when
+     * the flush completes. The durable inode is the caller's to set.
+     */
+    SimTime queueSync(const std::string &name, Inode &inode);
 
     /** Apply every sync whose flush completed by now, oldest first. */
     void settleSyncs();

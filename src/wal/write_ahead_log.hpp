@@ -220,6 +220,13 @@ class WriteAheadLog
     virtual CommitSeq checkpointHorizon() const { return commitSeq(); }
 
     /**
+     * Whether an open round has queued its sync on the device, so
+     * closing it waits at most for that sync. checkpointPaced() then
+     * closes the round.
+     */
+    virtual bool roundSyncStarted() const { return false; }
+
+    /**
      * Rebuild volatile state from the persistent log after a crash
      * or reopen. @p db_size_pages receives the last committed
      * database size (0 when the log holds no committed transaction).

@@ -565,21 +565,31 @@ TEST(Concurrency, CheckpointerRespectsSnapshotPin)
     NVWAL_CHECK_OK(Database::open(env, config, &db));
     for (RowId k = 1; k <= 5; ++k)
         NVWAL_CHECK_OK(db->insert(k, testutil::spanOf(rowValue(k))));
-    // Finish the round these inserts opened: its sync may still be in
-    // flight, and its closer would run under the pin below, which
-    // sits above the round's frozen horizon.
-    NVWAL_CHECK_OK(db->checkpoint());
+    // These inserts opened a round whose sync is still in flight.
+    ASSERT_EQ(db->statValue(stats::kFsSyncsStarted),
+              db->statValue(stats::kFsSyncsApplied) + 1);
 
     std::unique_ptr<Connection> conn;
     NVWAL_CHECK_OK(db->connect(&conn));
     NVWAL_CHECK_OK(conn->beginRead());
+
+    // The round's horizon froze before the pin, at or below it, so
+    // once the device is idle the next commit closes it under the
+    // pin: one checkpoint, not cut short.
+    const std::uint64_t before = db->statValue(stats::kCheckpoints);
+    env.fs.waitWriteOut();
+    NVWAL_CHECK_OK(db->insert(6, testutil::spanOf(rowValue(6))));
+    EXPECT_EQ(db->statValue(stats::kFsSyncsApplied),
+              db->statValue(stats::kFsSyncsStarted));
+    EXPECT_EQ(db->statValue(stats::kCheckpoints), before + 1);
+    EXPECT_EQ(db->statValue(stats::kCheckpointsPinBlocked), 0u);
 
     // Every commit past the threshold would run a paced step inline,
     // but the pin would stop the round short of truncation, so the
     // steps wait for it: nothing is written back or truncated.
     const std::uint64_t checkpoints = db->statValue(stats::kCheckpoints);
     const std::uint64_t pages = db->statValue(stats::kWalCkptPagesWritten);
-    for (RowId k = 6; k <= 40; ++k)
+    for (RowId k = 7; k <= 40; ++k)
         NVWAL_CHECK_OK(db->insert(k, testutil::spanOf(rowValue(k))));
     EXPECT_EQ(db->statValue(stats::kCheckpoints), checkpoints);
     EXPECT_EQ(db->statValue(stats::kWalCkptPagesWritten), pages);

@@ -220,7 +220,8 @@ TEST(FaultSim, PacedSyncAndBatchedRetirementNeverLoseOrLeak)
     config.db.nvwal.diffLogging = true;
     // One-row transactions write three pages each: the fourth opens
     // the round, and the closer's commit stays below twice the
-    // threshold, so no overdue blocking round preempts it.
+    // threshold, so the closer is the commit that finds the sync
+    // complete, not an overdue one that waits for it.
     config.db.checkpointThreshold = 11;
     config.warmup = faultsim::Workload::standardTxns(0, 1);
     config.warmup.writeOutLoad(1000000);
@@ -309,6 +310,90 @@ TEST(FaultSim, PacedSyncAndBatchedRetirementNeverLoseOrLeak)
     EXPECT_EQ(since(stats::kWalSegmentSwitches), 1u);
     EXPECT_GT(since(stats::kWalRetiredPrefixNodes), 0u);
     EXPECT_EQ(since(stats::kBlockdevFsyncWaitNs), 0u);
+}
+
+/**
+ * A checkpoint() run by hand while the paced opener's sync is in
+ * flight folds the open round into a blocking one: its fsync drains
+ * the device, applies the sync in flight and then its own, and the
+ * whole log is truncated. Swept pessimistically and adversarially,
+ * crash points inside that fold -- with the opener's data, journal
+ * and flush still in flight -- and in the commits around it recover
+ * to the oracle and leak no NVRAM block.
+ */
+TEST(FaultSim, BlockingCheckpointFoldingASyncInFlightNeverLosesOrLeaks)
+{
+    faultsim::SweepConfig config = baseConfig();
+    config.db.nvwal.userHeap = true;
+    config.db.nvwal.diffLogging = true;
+    config.db.checkpointThreshold = 11;
+    config.warmup = faultsim::Workload::standardTxns(0, 1);
+    config.warmup.writeOutLoad(1000000);
+    faultsim::Workload &w = config.workload;
+    const auto update_one = [&](int version) {
+        const RowId key = 1000000 + version;
+        w.begin();
+        w.update(key, faultsim::Workload::writeOutValue(
+                          key, static_cast<std::uint64_t>(version), 1500));
+        w.commit();
+    };
+    w.phase("paced open");
+    for (int v = 0; v < 4; ++v)
+        update_one(v);
+    w.phase("sync in flight");
+    update_one(4);
+    w.phase("blocking fold");
+    w.checkpoint();
+    w.phase("after the fold");
+    update_one(5);
+    config.policies.push_back(faultsim::PolicyRun{});  // pessimistic
+    config.policies.push_back(
+        faultsim::PolicyRun{FailurePolicy::Adversarial, {1, 2}, 0.5});
+
+    faultsim::SweepReport report;
+    NVWAL_CHECK_OK(faultsim::CrashSweep(config).run(&report));
+    EXPECT_TRUE(report.ok()) << report.summary();
+    EXPECT_EQ(report.pointsSwept, report.totalOps);
+    std::uint64_t fold_points = 0;
+    for (const auto &[label, cov] : report.phases)
+        if (label == "blocking fold")
+            fold_points += cov.points;
+    EXPECT_GT(fold_points, 0u);
+
+    // Run without a crash, the fold finds the opener's sync in flight.
+    Env env(config.env);
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, config.db, &db));
+    using Kind = faultsim::WorkloadOp::Kind;
+    const auto run = [&](const faultsim::Workload &wl) {
+        for (std::size_t i = 0; i < wl.size(); ++i) {
+            const faultsim::WorkloadOp &op = wl.op(i);
+            const ConstByteSpan value(op.value.data(), op.value.size());
+            switch (op.kind) {
+              case Kind::Begin: NVWAL_CHECK_OK(db->begin()); break;
+              case Kind::Commit: NVWAL_CHECK_OK(db->commit()); break;
+              case Kind::Insert:
+                NVWAL_CHECK_OK(db->insert(op.key, value));
+                break;
+              case Kind::Update:
+                NVWAL_CHECK_OK(db->update(op.key, value));
+                break;
+              case Kind::Checkpoint:
+                EXPECT_TRUE(db->wal().roundSyncStarted());
+                EXPECT_TRUE(env.fs.writeOutBusy());
+                NVWAL_CHECK_OK(db->checkpoint());
+                break;
+              default: FAIL() << "op " << i << " of an unexpected kind";
+            }
+        }
+    };
+    run(config.warmup);
+    NVWAL_CHECK_OK(db->checkpoint());
+    const std::uint64_t started = env.stats.get(stats::kFsSyncsStarted);
+    const std::uint64_t applied = env.stats.get(stats::kFsSyncsApplied);
+    run(config.workload);
+    EXPECT_EQ(env.stats.get(stats::kFsSyncsStarted), started + 1);
+    EXPECT_EQ(env.stats.get(stats::kFsSyncsApplied), applied + 1);
 }
 
 } // namespace

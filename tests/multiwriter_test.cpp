@@ -1149,9 +1149,14 @@ gateKey(int conn, int leaf)
  * workspace open while connections 0 and 1 commit past twice the
  * threshold (every commit from the threshold on waits for its pin),
  * and its own commit runs the overdue blocking round.
+ *
+ * With @p device_idle false the application never idles, and the
+ * round's sync (3.4 ms of device time) outlasts the commits that take
+ * the log to twice the threshold: the commit that finds the log
+ * overdue closes the open round, waiting for its sync in flight.
  */
 faultsim::SweepConfig
-gateSweepConfig()
+gateSweepConfig(bool device_idle = true)
 {
     faultsim::SweepConfig config = mwSweepConfig();
     config.db.checkpointThreshold = kGateThreshold;
@@ -1195,8 +1200,10 @@ gateSweepConfig()
     // The opener's round programs its pages, journals them and
     // flushes the device while the application idles, so the next
     // commit finds the round's sync complete and closes it.
-    w.phase("device drains");
-    w.idle(2'000'000);
+    if (device_idle) {
+        w.phase("device drains");
+        w.idle(2'000'000);
+    }
     w.phase("workspace open");
     w.connBegin(2);
     w.connUpdate(2, gateKey(2, 0), value(gateKey(2, 0), 100));
@@ -1366,6 +1373,69 @@ TEST(Multiwriter, GateWorkloadRunsEveryCheckpointBranch)
 }
 
 /**
+ * Run without a crash, the gate workload with no idle phase keeps the
+ * device busy with the round's sync until the log reaches twice the
+ * threshold. The overdue commit then closes the open round: it waits
+ * for the sync and applies it, rewrites no page and runs no second
+ * fsync, and retires the first segment.
+ */
+TEST(Multiwriter, OverdueCommitClosesARoundWithItsSyncInFlight)
+{
+    const faultsim::SweepConfig config = gateSweepConfig(false);
+    Env env(config.env);
+    std::unique_ptr<Database> db;
+    NVWAL_CHECK_OK(Database::open(env, config.db, &db));
+    std::vector<std::unique_ptr<Connection>> conns;
+    runWithoutCrash(*db, config.warmup, &conns);
+    NVWAL_CHECK_OK(db->checkpoint());
+    auto *log = dynamic_cast<NvwalLog *>(&db->wal());
+    ASSERT_NE(log, nullptr);
+
+    const std::uint64_t rounds = env.stats.get(stats::kCheckpoints);
+    const std::uint64_t fsyncs = env.stats.get(stats::kFsyncs);
+    const std::uint64_t fsync_waited =
+        env.stats.get(stats::kBlockdevFsyncWaitNs);
+    std::size_t i = 0;
+    for (; i < config.workload.size() &&
+           env.stats.get(stats::kFsSyncsStarted) == 0;
+         ++i)
+        runOpWithoutCrash(*db, config.workload, i, &conns);
+    ASSERT_TRUE(log->roundSyncStarted());
+    const std::uint64_t pages = env.stats.get(stats::kWalCkptPagesWritten);
+
+    // Every commit up to the overdue one leaves the round open; the
+    // commit that closes it, rewriting two leaves, takes the log to
+    // twice the threshold.
+    std::uint64_t writes = 0;
+    for (; i < config.workload.size() &&
+           env.stats.get(stats::kFsSyncsApplied) == 0;
+         ++i) {
+        writes = log->pageWritesSinceCheckpoint();
+        runOpWithoutCrash(*db, config.workload, i, &conns);
+    }
+    EXPECT_GE(writes + 2, 2 * kGateThreshold);
+    EXPECT_EQ(config.workload.phaseOf(i - 1).rfind("pin wait", 0), 0u);
+    EXPECT_FALSE(log->roundSyncStarted());
+    EXPECT_EQ(env.stats.get(stats::kCheckpoints), rounds + 1);
+    EXPECT_EQ(env.stats.get(stats::kFsyncs), fsyncs + 1);
+    EXPECT_EQ(env.stats.get(stats::kWalCkptPagesWritten), pages);
+    EXPECT_GT(env.stats.get(stats::kBlockdevFsyncWaitNs), fsync_waited);
+    EXPECT_EQ(env.stats.get(stats::kWalSegmentSwitches), 1u);
+    EXPECT_GT(env.stats.get(stats::kWalRetiredPrefixNodes), 0u);
+    EXPECT_LT(log->pageWritesSinceCheckpoint(), 2 * kGateThreshold);
+
+    for (; i < config.workload.size(); ++i)
+        runOpWithoutCrash(*db, config.workload, i, &conns);
+    EXPECT_EQ(env.stats.get(stats::kFsSyncsStarted), 1u);
+    EXPECT_EQ(env.stats.get(stats::kCheckpointsPinBlocked), 0u);
+    EXPECT_EQ(env.stats.get(stats::kWalLogConflicts), 0u);
+    EXPECT_EQ(env.heap.countBlocks(BlockState::InUse),
+              log->reachableNvramBlocks() +
+                  faultsim::recorderBlocks(env.heap,
+                                           config.db.nvwal.heapNamespace));
+}
+
+/**
  * Exhaustive pessimistic sweep over the gate workload: crash points
  * inside the paced opener, slice and closer, inside commits that wait
  * for a workspace's pin, and inside the overdue blocking round that
@@ -1382,6 +1452,28 @@ TEST(Multiwriter, CrashSweepAutoCheckpointGate)
     EXPECT_EQ(report.pointsSwept, report.totalOps);
     EXPECT_EQ(report.commitEvents, 15u);
     EXPECT_GT(report.asyncReplays, 0u);
+}
+
+/**
+ * The gate workload with no idle phase, swept pessimistically and
+ * adversarially: crash points while the opener's sync is in flight
+ * under the commits that follow, and inside the overdue commit that
+ * waits for that sync, applies it and retires the first segment.
+ */
+TEST(Multiwriter, CrashSweepOverdueCloserWithSyncInFlight)
+{
+    faultsim::SweepConfig config = gateSweepConfig(false);
+    config.policies.push_back(faultsim::PolicyRun{});
+    faultsim::PolicyRun adversarial;
+    adversarial.policy = FailurePolicy::Adversarial;
+    adversarial.seeds = {1, 2};
+    config.policies.push_back(adversarial);
+
+    faultsim::SweepReport report;
+    NVWAL_CHECK_OK(faultsim::CrashSweep(config).run(&report));
+    EXPECT_TRUE(report.ok()) << report.summary();
+    EXPECT_EQ(report.pointsSwept, report.totalOps);
+    EXPECT_EQ(report.commitEvents, 15u);
 }
 
 } // namespace
